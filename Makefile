@@ -123,14 +123,6 @@ ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-
 	OCTF_QUANTIZE=off dune runtest --force
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quantization
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quant_accuracy
-	OCTF_MEMORY_PLANNING=on dune exec test/test_main.exe -- test differential
-	OCTF_MEMORY_PLANNING=off dune exec test/test_main.exe -- test differential
-	OCTF_FUSION=on dune exec test/test_main.exe -- test differential
-	OCTF_FUSION=off dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=inline OCTF_MAX_IN_FLIGHT=1 dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=inline OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=pool OCTF_MAX_IN_FLIGHT=1 dune exec test/test_main.exe -- test differential
-	OCTF_SCHEDULER=pool OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test differential
 	OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test data
 	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- kernels
 	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- memory

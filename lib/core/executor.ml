@@ -9,41 +9,32 @@ let invalid msg = Step_failure.error (Step_failure.Invalid_graph msg)
 (* ------------------------------------------------------------------ *)
 
 type static_frame = {
+  sf_id : int;  (* 0 for the root frame *)
   sf_name : string;  (* "" for the root frame *)
   sf_parent : static_frame option;
   sf_depth : int;
 }
 
-let root_frame = { sf_name = ""; sf_parent = None; sf_depth = 0 }
+let root_frame = { sf_id = 0; sf_name = ""; sf_parent = None; sf_depth = 0 }
 
 let rec frame_is_ancestor ~anc f =
   anc == f
   || match f.sf_parent with None -> false | Some p -> frame_is_ancestor ~anc p
 
-(* ------------------------------------------------------------------ *)
-(* Compiled subgraph                                                    *)
-(* ------------------------------------------------------------------ *)
+(* How a node's values move between frames and iterations, decided once
+   at compile time: an Enter runs in the frame it enters, an Exit's
+   values land in the enclosing iteration, a NextIteration's in the next
+   one, a Merge fires on its first live input, and a Send runs even on
+   a dead input so its peer learns of the deadness. *)
+type kind = Op | Send | Merge | Enter | Exit | Next_iteration
 
-type cnode = {
-  node : Node.t;
-  mutable out_data : (int * int * int) list;  (* (out_index, dst, slot) *)
-  mutable out_control : int list;
-  mutable in_count : int;  (* arrivals needed (invariant edges excluded) *)
-  mutable invariant_slots : int list;  (* input slots fed by invariant nodes *)
-  mutable invariant_controls : int;  (* control inputs from invariant nodes *)
-  mutable frame : static_frame;
-  is_merge : bool;
-  (* An invariant node executes once per frame instance and its outputs
-     are visible in every iteration: constant Enters, and any stateless
-     in-frame node all of whose inputs are invariant. *)
-  mutable is_invariant : bool;
-  mutable kernel : Kernel.t option;  (* resolved at compile time *)
-}
-
-type compiled = {
-  graph : Graph.t;
-  cnodes : (int, cnode) Hashtbl.t;
-}
+let kind_of_op = function
+  | "Send" -> Send
+  | "Merge" -> Merge
+  | "Enter" -> Enter
+  | "Exit" -> Exit
+  | "NextIteration" -> Next_iteration
+  | _ -> Op
 
 let is_const_enter_node (n : Node.t) =
   n.Node.op_type = "Enter"
@@ -55,268 +46,265 @@ let never_invariant op =
       true
   | _ -> false
 
-let compile graph nodes fed =
+let blocking_op = function
+  | "Recv" | "Dequeue" | "DequeueMany" | "Enqueue" | "EnqueueMany" -> true
+  | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Plans: compile once, execute per step                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A compiled subgraph. Nodes are numbered densely and every per-node
+   table is an array indexed by that number. *)
+type plan = {
+  graph : Graph.t;
+  nodes : Node.t array;
+  dense : (int, int) Hashtbl.t;  (* node id -> dense id *)
+  kind : kind array;
+  cls : Scheduler.cls array;
+  frame : int array;  (* static frame id; an Enter's is the frame it enters *)
+  (* An invariant node executes once per frame instance and its outputs
+     are visible in every iteration: constant Enters, and any stateless
+     in-frame node all of whose inputs are invariant. *)
+  invariant : bool array;
+  fed : bool array;  (* fed nodes: inputs unwired, never executed *)
+  num_outputs : int array;
+  inputs : (int * int) array array;  (* (src, out) per slot; [||] if fed *)
+  out_data : (int * int) array array;  (* (out, dst) per data edge *)
+  out_control : int array array;
+  in_count : int array;  (* arrivals needed (invariant sources excluded) *)
+  inv_srcs : int array array;  (* invariant data and control sources *)
+  (* Memory planning statics: *)
+  fresh : bool array;  (* outputs are planner-owned fresh buffers *)
+  refcounts : int array array;  (* data consumers per (node, out) *)
+  poolable : bool array array;  (* no consumer retains the endpoint *)
+  aliases : (int * int) list array;  (* declared May_alias pairs *)
+  kernels : Kernel.t option array;  (* resolved on first use *)
+  scheduler : Scheduler.policy;
+  planning : bool;  (* memory planning for this plan's steps *)
+}
+
+let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
   Builtin_kernels.ensure ();
-  let in_set = Hashtbl.create (List.length nodes * 2) in
-  List.iter (fun id -> Hashtbl.replace in_set id ()) nodes;
+  (* Dense ids follow the id table's own iteration order. That order
+     fixes the order in which ready nodes are queued, and with it which
+     of two unordered stateful ops runs first and which in-place grants
+     are possible: changing it changes observable results. *)
+  let index = Hashtbl.create (List.length nodes * 2) in
+  List.iter (fun id -> Hashtbl.replace index id 0) nodes;
+  let ids = Array.of_seq (Hashtbl.to_seq_keys index) in
+  Array.iteri (fun i id -> Hashtbl.replace index id i) ids;
+  let nodes = Array.map (Graph.get graph) ids in
+  let count = Array.length nodes in
+  let dense id = Hashtbl.find_opt index id in
+  let fed = Array.make count false in
+  List.iter
+    (fun id -> Option.iter (fun i -> fed.(i) <- true) (dense id))
+    fed_ids;
+  let kind = Array.map (fun (n : Node.t) -> kind_of_op n.Node.op_type) nodes in
+  let invariant = Array.map is_const_enter_node nodes in
+  let sframe = Array.make count root_frame in
   let frames = Hashtbl.create 8 in
   Hashtbl.replace frames "" root_frame;
-  let cnodes = Hashtbl.create (List.length nodes * 2) in
-  List.iter
-    (fun id ->
-      let n = Graph.get graph id in
-      Hashtbl.replace cnodes id
-        {
-          node = n;
-          out_data = [];
-          out_control = [];
-          in_count = 0;
-          invariant_slots = [];
-          invariant_controls = 0;
-          frame = root_frame;
-          is_merge = n.Node.op_type = "Merge";
-          is_invariant = is_const_enter_node n;
-          kernel = None;
-        })
-    nodes;
-  let cnode id = Hashtbl.find cnodes id in
-  let executed id = Hashtbl.mem in_set id in
-  let out_frame cn =
-    match cn.node.Node.op_type with
-    | "Exit" -> (
-        match cn.frame.sf_parent with
-        | Some p -> p
-        | None ->
-            raise (invalid ("Exit outside a frame: " ^ cn.node.Node.name)))
-    | _ -> cn.frame
+  let out_frame i =
+    if kind.(i) <> Exit then sframe.(i)
+    else
+      match sframe.(i).sf_parent with
+      | Some p -> p
+      | None ->
+          raise (invalid ("Exit outside a frame: " ^ nodes.(i).Node.name))
+  in
+  let sources (n : Node.t) =
+    Array.fold_right
+      (fun (e : Node.endpoint) acc -> e.node_id :: acc)
+      n.Node.inputs n.Node.control_inputs
   in
   (* One topological pass (loop back edges ignored) assigns frames and
      invariant-ness. *)
-  let order = Graph.topological_order graph in
   List.iter
     (fun (n : Node.t) ->
-      if executed n.Node.id then begin
-        let cn = cnode n.Node.id in
-        let input_ids =
-          Array.to_list
-            (Array.map (fun (e : Node.endpoint) -> e.node_id) n.Node.inputs)
-          @ n.Node.control_inputs
-        in
-        let input_frames =
-          List.filter_map
-            (fun src ->
-              if executed src then Some (out_frame (cnode src)) else None)
-            input_ids
-        in
-        let deepest =
-          List.fold_left
-            (fun acc f -> if f.sf_depth > acc.sf_depth then f else acc)
-            root_frame input_frames
-        in
-        List.iter
-          (fun f ->
-            if not (frame_is_ancestor ~anc:f deepest) then
-              raise
-                (invalid
-                   (Printf.sprintf
-                      "node %s mixes values from unrelated frames %S and %S \
-                       (pass loop-external values via ~invariants)"
-                      n.Node.name f.sf_name deepest.sf_name)))
-          input_frames;
-        (match n.Node.op_type with
-        | "Enter" ->
-            let name = Node.attr_string n "frame_name" in
-            let frame =
-              match Hashtbl.find_opt frames name with
-              | Some f -> f
-              | None ->
-                  let f =
-                    {
-                      sf_name = name;
-                      sf_parent = Some deepest;
-                      sf_depth = deepest.sf_depth + 1;
-                    }
-                  in
-                  Hashtbl.replace frames name f;
-                  f
-            in
-            cn.frame <- frame
-        | _ -> cn.frame <- deepest);
-        (* Invariant propagation: inside a frame, a stateless node whose
-           inputs are all invariant is itself invariant. *)
-        if
-          (not cn.is_invariant)
-          && cn.frame != root_frame
-          && (not (never_invariant n.Node.op_type))
-          && (not (Node.is_stateful n))
-          && input_ids <> []
-          && List.for_all
-               (fun src -> executed src && (cnode src).is_invariant)
-               input_ids
-        then cn.is_invariant <- true
-      end)
-    order;
+      match dense n.Node.id with
+      | None -> ()
+      | Some i ->
+          let srcs = sources n in
+          let input_frames =
+            List.filter_map (fun s -> Option.map out_frame (dense s)) srcs
+          in
+          let deepest =
+            List.fold_left
+              (fun acc f -> if f.sf_depth > acc.sf_depth then f else acc)
+              root_frame input_frames
+          in
+          List.iter
+            (fun f ->
+              if not (frame_is_ancestor ~anc:f deepest) then
+                raise
+                  (invalid
+                     (Printf.sprintf
+                        "node %s mixes values from unrelated frames %S and \
+                         %S (pass loop-external values via ~invariants)"
+                        n.Node.name f.sf_name deepest.sf_name)))
+            input_frames;
+          sframe.(i) <-
+            (if kind.(i) <> Enter then deepest
+             else
+               let name = Node.attr_string n "frame_name" in
+               match Hashtbl.find_opt frames name with
+               | Some f -> f
+               | None ->
+                   let f =
+                     {
+                       sf_id = Hashtbl.length frames;
+                       sf_name = name;
+                       sf_parent = Some deepest;
+                       sf_depth = deepest.sf_depth + 1;
+                     }
+                   in
+                   Hashtbl.replace frames name f;
+                   f);
+          (* Invariant propagation: inside a frame, a stateless node
+             whose inputs are all invariant is itself invariant. *)
+          if
+            sframe.(i) != root_frame
+            && (not (never_invariant n.Node.op_type))
+            && (not (Node.is_stateful n))
+            && srcs <> []
+            && List.for_all
+                 (fun s ->
+                   match dense s with Some j -> invariant.(j) | None -> false)
+                 srcs
+          then invariant.(i) <- true)
+    (Graph.topological_order graph);
   (* An edge must stay within one frame unless it feeds an Enter or
      comes from an invariant node (which lives in the consumer's frame).
-     Producer-side Exit/NextIteration adjustments keep those edges
-     same-frame from the value's point of view. *)
-  let check_edge_frames src cn =
+     Producer-side Exit adjustments keep those edges same-frame from the
+     value's point of view. *)
+  let check_edge_frames src dst =
     let sf =
-      match src.node.Node.op_type with
-      | "Exit" -> (
-          match src.frame.sf_parent with Some p -> p | None -> src.frame)
-      | _ -> src.frame
+      match (kind.(src), sframe.(src).sf_parent) with
+      | Exit, Some p -> p
+      | _ -> sframe.(src)
     in
-    let df = cn.frame in
-    if sf != df && cn.node.Node.op_type <> "Enter" && not src.is_invariant
-    then
+    let df = sframe.(dst) in
+    if sf != df && kind.(dst) <> Enter && not invariant.(src) then
       raise
         (invalid
            (Printf.sprintf
               "edge %s -> %s crosses loop frames (%S -> %S); pass \
                loop-external values through ~invariants (constants created \
                inside a loop body must enter its frame)"
-              src.node.Node.name cn.node.Node.name sf.sf_name df.sf_name))
+              nodes.(src).Node.name nodes.(dst).Node.name sf.sf_name
+              df.sf_name))
   in
   (* Wire edges and arrival counts, restricted to the executed set. *)
-  Hashtbl.iter
-    (fun id cn ->
-      let n = cn.node in
-      if not (Hashtbl.mem fed id) then begin
-        Array.iteri
-          (fun slot (e : Node.endpoint) ->
-            if not (executed e.node_id) then
-              invalid_arg
-                (Printf.sprintf
-                   "Executor: input %s of %s is outside the executed subgraph"
-                   (Graph.get graph e.node_id).Node.name n.Node.name);
-            let src = cnode e.node_id in
-            check_edge_frames src cn;
-            src.out_data <- (e.index, id, slot) :: src.out_data;
-            if src.is_invariant then
-              cn.invariant_slots <- slot :: cn.invariant_slots
-            else cn.in_count <- cn.in_count + 1)
-          n.Node.inputs;
-        List.iter
-          (fun c ->
-            if executed c then begin
-              let src = cnode c in
-              check_edge_frames src cn;
-              src.out_control <- id :: src.out_control;
-              if src.is_invariant then
-                cn.invariant_controls <- cn.invariant_controls + 1
-              else cn.in_count <- cn.in_count + 1
-            end)
-          n.Node.control_inputs
-      end)
-    cnodes;
-  { graph; cnodes }
-
-(* ------------------------------------------------------------------ *)
-(* Dynamic state                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type iter_state = {
-  it_index : int;
-  values : (int, Value.t) Hashtbl.t;  (* key = node_id lsl 20 lor out *)
-  arrived : (int, int) Hashtbl.t;
-  dead_control : (int, unit) Hashtbl.t;  (* nodes with a dead control token *)
-  non_dead_seen : (int, unit) Hashtbl.t;  (* merges with a live data input *)
-  done_nodes : (int, unit) Hashtbl.t;
-  (* Memory planning: remaining unfinished data consumers per produced
-     endpoint (key = value_key), for planner-owned (fresh) endpoints
-     only. An endpoint whose count reaches zero is dropped from
-     [values]. Missing entries mean "not tracked" — early-firing merges
-     and cross-frame edges decrement nothing, which leaks (until step
-     end) but never frees a value that is still needed. *)
-  rc : (int, int) Hashtbl.t;
-  (* Endpoints whose buffer was granted in-place to a consumer: the
-     consumer's output (or a variable) now owns it, so a later drop must
-     neither un-count its bytes nor recycle the buffer. *)
-  transferred : (int, unit) Hashtbl.t;
-}
-
-type instance = {
-  inst_frame : static_frame;
-  inst_parent : (instance * int) option;
-  iterations : (int, iter_state) Hashtbl.t;
-  invariants : (int, Value.t) Hashtbl.t;  (* key = value_key *)
-  invariant_done : (int, unit) Hashtbl.t;  (* invariant node ids executed *)
-  inst_key : string;
-}
-
-let value_key node_id out = (node_id lsl 20) lor out
-
-let new_iter index =
-  {
-    it_index = index;
-    values = Hashtbl.create 16;
-    arrived = Hashtbl.create 16;
-    dead_control = Hashtbl.create 4;
-    non_dead_seen = Hashtbl.create 4;
-    done_nodes = Hashtbl.create 16;
-    rc = Hashtbl.create 16;
-    transferred = Hashtbl.create 4;
-  }
-
-(* Static lifetime facts for the general path, computed once per plan:
-   how many executed data consumers each planner-owned endpoint has,
-   which of those endpoints may hand their buffer to the pool when
-   dropped, and which node ids own their outputs at all. *)
-type mem_info = {
-  mi_counts : (int, int) Hashtbl.t;  (* value_key -> static consumer count *)
-  mi_poolable : (int, unit) Hashtbl.t;  (* value_key set *)
-  mi_fresh : (int, unit) Hashtbl.t;  (* node ids with planner-owned outputs *)
-}
-
-type state = {
-  compiled : compiled;
-  resources : Resource_manager.t;
-  rendezvous : Rendezvous.t option;
-  tracer : Tracer.t option;
-  cancel : Cancel.t option;
-  seed : int;
-  step_id : int;
-  var_snapshot : (string -> Octf_tensor.Tensor.t option) option;
-  instances : (string, instance) Hashtbl.t;
-  planning : bool;  (* lifetime-driven drops / grants enabled this step *)
-  mem : mem_info;
-  pinned : (int, unit) Hashtbl.t;  (* fetched value_keys: never drop/grant *)
-  fed : (int, unit) Hashtbl.t;  (* fed node ids: inputs unwired, no counts *)
-  live : int ref;  (* planner-tracked live bytes, this step *)
-  (* Set right after creation (the scheduler's callbacks close over the
-     state, so the two are built in sequence). *)
-  mutable sched : (cnode * instance * iter_state) Scheduler.t option;
-}
-
-let get_iter inst index =
-  match Hashtbl.find_opt inst.iterations index with
-  | Some it -> it
-  | None ->
-      let it = new_iter index in
-      Hashtbl.replace inst.iterations index it;
-      it
-
-let child_instance st frame (parent : instance) parent_iter =
-  let key =
-    Printf.sprintf "%s|%s.%d" frame.sf_name parent.inst_key parent_iter
+  let out_data = Array.make count [] and out_control = Array.make count [] in
+  let in_count = Array.make count 0 and inv_srcs = Array.make count [] in
+  let arrive_from src dst =
+    check_edge_frames src dst;
+    if invariant.(src) then inv_srcs.(dst) <- src :: inv_srcs.(dst)
+    else in_count.(dst) <- in_count.(dst) + 1
   in
-  match Hashtbl.find_opt st.instances key with
-  | Some i -> i
-  | None ->
-      let i =
-        {
-          inst_frame = frame;
-          inst_parent = Some (parent, parent_iter);
-          iterations = Hashtbl.create 4;
-          invariants = Hashtbl.create 4;
-          invariant_done = Hashtbl.create 4;
-          inst_key = key;
-        }
-      in
-      ignore (get_iter i 0);
-      Hashtbl.replace st.instances key i;
-      i
+  let inputs =
+    Array.mapi
+      (fun i (n : Node.t) ->
+        if fed.(i) then [||]
+        else begin
+          let wired =
+            Array.map
+              (fun (e : Node.endpoint) ->
+                match dense e.node_id with
+                | Some src ->
+                    arrive_from src i;
+                    out_data.(src) <- (e.index, i) :: out_data.(src);
+                    (src, e.index)
+                | None ->
+                    invalid_arg
+                      (Printf.sprintf
+                         "Executor: input %s of %s is outside the executed \
+                          subgraph"
+                         (Graph.get graph e.node_id).Node.name n.Node.name))
+              n.Node.inputs
+          in
+          List.iter
+            (fun c ->
+              Option.iter
+                (fun src ->
+                  arrive_from src i;
+                  out_control.(src) <- i :: out_control.(src))
+                (dense c))
+            n.Node.control_inputs;
+          wired
+        end)
+      nodes
+  in
+  let num_outputs = Array.map (fun n -> max 1 (Node.num_outputs n)) nodes in
+  let out_data = Array.map Array.of_list out_data in
+  let fresh =
+    Array.mapi
+      (fun i (n : Node.t) ->
+        (not fed.(i)) && (not invariant.(i))
+        && Mem_plan.fresh_output_op n.Node.op_type)
+      nodes
+  in
+  let refcounts =
+    Array.mapi
+      (fun i edges ->
+        let rc = Array.make num_outputs.(i) 0 in
+        Array.iter
+          (fun (out, _) ->
+            if out < Array.length rc then rc.(out) <- rc.(out) + 1)
+          edges;
+        rc)
+      out_data
+  in
+  let poolable =
+    Array.mapi
+      (fun i edges ->
+        let p = Array.make num_outputs.(i) fresh.(i) in
+        Array.iter
+          (fun (out, dst) ->
+            if
+              out < Array.length p
+              && Mem_plan.retains_input nodes.(dst).Node.op_type
+            then p.(out) <- false)
+          edges;
+        p)
+      out_data
+  in
+  {
+    graph;
+    nodes;
+    dense = index;
+    kind;
+    cls =
+      Array.map
+        (fun (n : Node.t) ->
+          if n.Node.op_type = "Recv" then Scheduler.Recv
+          else if blocking_op n.Node.op_type then Scheduler.Blocking
+          else Scheduler.Normal)
+        nodes;
+    frame = Array.map (fun f -> f.sf_id) sframe;
+    invariant;
+    fed;
+    num_outputs;
+    inputs;
+    out_data;
+    out_control = Array.map Array.of_list out_control;
+    in_count;
+    inv_srcs = Array.map Array.of_list inv_srcs;
+    fresh;
+    refcounts;
+    poolable;
+    aliases =
+      Array.map
+        (fun (n : Node.t) -> Kernel.aliases ~op_type:n.Node.op_type)
+        nodes;
+    kernels = Array.make count None;
+    scheduler =
+      (match scheduler with Some p -> p | None -> Scheduler.default_policy ());
+    planning =
+      (match memory_planning with Some b -> b | None -> Mem_plan.enabled ());
+  }
 
 let m_kernels =
   Metrics.Counter.v ~help:"Kernels dispatched by the executor"
@@ -395,246 +383,270 @@ let trace tracer (n : Node.t) ~step_id ?(bytes_of = fun _ -> 0)
     result
   end
 
-let blocking_op = function
-  | "Recv" | "Dequeue" | "DequeueMany" | "Enqueue" | "EnqueueMany" -> true
-  | _ -> false
-
 let recv_rendezvous_key ~step_id (n : Node.t) =
   Rendezvous.step_key ~step_id
     ~send_device:(Node.attr_string n "send_device")
     ~recv_device:(Node.attr_string n "recv_device")
     ~tensor_name:(Node.attr_string n "tensor_name")
 
-let invariants_available inst (cn : cnode) =
-  (cn.invariant_slots == [] && cn.invariant_controls = 0)
-  || List.for_all
-    (fun slot ->
-      let (e : Node.endpoint) = cn.node.Node.inputs.(slot) in
-      Hashtbl.mem inst.invariants (value_key e.node_id e.index))
-    cn.invariant_slots
-  && List.length
-       (List.filter
-          (fun c -> Hashtbl.mem inst.invariant_done c)
-          cn.node.Node.control_inputs)
-     >= cn.invariant_controls
+(* ------------------------------------------------------------------ *)
+(* Per-step state: frame instances as chains of iterations             *)
+(* ------------------------------------------------------------------ *)
 
-let schedule st cn inst it =
-  match st.sched with
-  | Some sched -> Scheduler.add sched (cn, inst, it)
-  | None -> assert false
+(* One iteration of one frame instance. Every table is indexed by dense
+   node id, so a plan without control flow runs in exactly one of
+   these. Values live in the iteration their consumers read them in: a
+   value crossing into another iteration (through Enter, Exit or
+   NextIteration) is copied into it on delivery. *)
+type iteration = {
+  index : int;
+  parent : iteration option;  (* where this frame instance was entered *)
+  first : iteration;  (* iteration 0 of the instance: invariants live there *)
+  inv_done : bool array;  (* per instance: invariant nodes finished *)
+  values : Value.t array array;  (* outputs per node; [||] until produced *)
+  pending : int array;  (* arrivals still missing *)
+  dead_control : bool array;  (* a dead control token arrived *)
+  scheduled : bool array;
+  (* Memory planning: unfinished data readers of each planner-owned
+     endpoint, armed ([||] before) when its producer completes here.
+     Readers in another iteration decrement nothing, which leaks until
+     step end but never frees a value that is still needed. *)
+  rc : int array array;
+  mutable next : iteration option;
+  mutable children : (int * iteration) list;  (* frame id -> instance *)
+}
 
-(* Readiness. Per-iteration nodes fire once per (instance, iteration);
-   invariant nodes fire once per instance, executing in iteration 0's
-   context (their per-iteration arrivals — e.g. a constant Enter's input
-   — are always delivered at iteration 0). *)
-let check_ready st cn inst (it : iter_state) =
-  let id = cn.node.Node.id in
-  if cn.is_invariant then begin
-    if not (Hashtbl.mem inst.invariant_done id) then begin
-      let it0 = get_iter inst 0 in
-      let count = Option.value ~default:0 (Hashtbl.find_opt it0.arrived id) in
-      if count >= cn.in_count && invariants_available inst cn then begin
-        Hashtbl.replace inst.invariant_done id ();
-        schedule st cn inst it0
-      end
-    end
-  end
-  else if not (Hashtbl.mem it.done_nodes id) then begin
-    let count = Option.value ~default:0 (Hashtbl.find_opt it.arrived id) in
-    let ready =
-      if cn.is_merge then
-        Hashtbl.mem it.non_dead_seen id || count >= cn.in_count
-      else count >= cn.in_count && invariants_available inst cn
-    in
-    if ready then begin
-      Hashtbl.replace it.done_nodes id ();
-      schedule st cn inst it
-    end
-  end
-
-(* Deliver a value along one edge. [slot] = -1 encodes a control token. *)
-let deliver st ~(src : cnode) ~(v : Value.t) ~inst ~(it : iter_state)
-    ~(dst_id : int) ~(slot : int) ~(out : int) =
-  match Hashtbl.find_opt st.compiled.cnodes dst_id with
-  | None -> ()  (* consumer pruned away *)
-  | Some dst ->
-      (* Producer-side context adjustment. *)
-      let inst, iter_idx =
-        match src.node.Node.op_type with
-        | "Exit" -> (
-            match inst.inst_parent with
-            | Some (p, pi) -> (p, pi)
-            | None ->
-                raise (invalid ("Exit in root frame: " ^ src.node.Node.name)))
-        | "NextIteration" -> (inst, it.it_index + 1)
-        | _ -> (inst, it.it_index)
-      in
-      (* Consumer-side adjustment: Enter executes in the child frame. *)
-      let inst, iter_idx =
-        if dst.node.Node.op_type = "Enter" then
-          (child_instance st dst.frame inst iter_idx, 0)
-        else (inst, iter_idx)
-      in
-      let target_it = get_iter inst iter_idx in
-      let id = dst.node.Node.id in
-      if slot >= 0 then
-        Hashtbl.replace target_it.values (value_key src.node.Node.id out) v
-      else if Value.is_dead v then Hashtbl.replace target_it.dead_control id ();
-      Hashtbl.replace target_it.arrived id
-        (1 + Option.value ~default:0 (Hashtbl.find_opt target_it.arrived id));
-      if dst.is_merge && slot >= 0 && not (Value.is_dead v) then
-        Hashtbl.replace target_it.non_dead_seen id ();
-      check_ready st dst inst target_it
-
-let store_invariants st (cn : cnode) inst (outputs : Value.t array) =
-  Array.iteri
-    (fun out v ->
-      Hashtbl.replace inst.invariants (value_key cn.node.Node.id out) v)
-    outputs;
-  Hashtbl.replace inst.invariant_done cn.node.Node.id ();
-  (* Wake consumers: invariant consumers cascade; per-iteration consumers
-     are re-checked in every existing iteration. *)
-  let wake dst_id =
-    match Hashtbl.find_opt st.compiled.cnodes dst_id with
-    | None -> ()
-    | Some dst ->
-        if dst.is_invariant then check_ready st dst inst (get_iter inst 0)
-        else
-          Hashtbl.iter (fun _ it -> check_ready st dst inst it) inst.iterations
+let new_instance p ~parent =
+  let n = Array.length p.nodes in
+  let rec it =
+    {
+      index = 0;
+      parent;
+      first = it;
+      inv_done = Array.make n false;
+      values = Array.make n [||];
+      pending = Array.copy p.in_count;
+      dead_control = Array.make n false;
+      scheduled = Array.make n false;
+      rc = Array.make n [||];
+      next = None;
+      children = [];
+    }
   in
-  List.iter (fun (_, dst_id, _) -> wake dst_id) cn.out_data;
-  List.iter wake cn.out_control
+  it
 
-(* Drop one tracked endpoint: forget the stored value so the GC can
-   reclaim it, un-count its bytes and offer the backing buffer to the
-   pool — unless an in-place grant already transferred ownership to a
-   consumer's output. Only called when every remaining reader has
-   finished (refcount zero) and the endpoint is not fetched. *)
-let drop_value st (it : iter_state) key =
-  match Hashtbl.find_opt it.values key with
-  | None -> ()
-  | Some v -> (
-      Hashtbl.remove it.values key;
-      if not (Hashtbl.mem it.transferred key) then
-        match v with
-        | Value.Tensor t ->
-            let bytes = Value.byte_size v in
-            st.live := !(st.live) - bytes;
-            Mem_plan.live_sub bytes;
-            if
-              Hashtbl.mem st.mem.mi_poolable key
-              && Dtype.is_floating (Tensor.dtype t)
-            then Buffer_pool.release_float (Tensor.float_buffer t)
-        | _ -> ())
+let next_iteration p it =
+  match it.next with
+  | Some next -> next
+  | None ->
+      let n = Array.length p.nodes in
+      let next =
+        {
+          it with
+          index = it.index + 1;
+          values = Array.make n [||];
+          pending = Array.copy p.in_count;
+          dead_control = Array.make n false;
+          scheduled = Array.make n false;
+          rc = Array.make n [||];
+          next = None;
+          children = [];
+        }
+      in
+      it.next <- Some next;
+      next
 
-let finish_node st (cn : cnode) inst it (outputs : Value.t array) =
-  if cn.is_invariant then store_invariants st cn inst outputs
+let child_instance p it frame =
+  match List.assoc_opt frame it.children with
+  | Some child -> child
+  | None ->
+      let child = new_instance p ~parent:(Some it) in
+      it.children <- (frame, child) :: it.children;
+      child
+
+let rec iter_iterations f it =
+  f it;
+  Option.iter (iter_iterations f) it.next
+
+(* Store one value delivered from another iteration. *)
+let store p it src out v =
+  if Array.length it.values.(src) = 0 then
+    it.values.(src) <- Array.make p.num_outputs.(src) Value.Dead;
+  if out < Array.length it.values.(src) then it.values.(src).(out) <- v
+
+type step = {
+  plan : plan;
+  planning : bool;  (* lifetime-driven drops / grants enabled this step *)
+  pinned : bool array array;  (* fetched endpoints: never dropped or granted *)
+  resources : Resource_manager.t;
+  rendezvous : Rendezvous.t option;
+  tracer : Tracer.t option;
+  cancel : Cancel.t option;
+  seed : int;
+  step_id : int;
+  var_snapshot : (string -> Octf_tensor.Tensor.t option) option;
+  mutable live : int;  (* planner-tracked live bytes, this step *)
+  (* Set right after creation (the scheduler's callbacks close over the
+     step, so the two are built in sequence). *)
+  mutable sched : (int * iteration) Scheduler.t option;
+}
+
+let live_add st bytes =
+  st.live <- st.live + bytes;
+  Mem_plan.live_add bytes
+
+let live_sub st bytes =
+  st.live <- st.live - bytes;
+  Mem_plan.live_sub bytes
+
+let pinned st src out =
+  out < Array.length st.pinned.(src) && st.pinned.(src).(out)
+
+(* Drop a planner-owned endpoint all of whose readers have finished:
+   tombstone the slot (readers still staged hold their own gathered
+   references; control consumers got their tokens; fetches are pinned),
+   un-count its bytes and recycle the float buffer unless some consumer
+   retains it. *)
+let drop st it src out =
+  let vs = it.values.(src) in
+  if out < Array.length vs && not (pinned st src out) then begin
+    (match vs.(out) with
+    | Value.Tensor t ->
+        live_sub st (Tensor.byte_size t);
+        if st.plan.poolable.(src).(out) && Dtype.is_floating (Tensor.dtype t)
+        then Buffer_pool.release_float (Tensor.float_buffer t)
+    | _ -> ());
+    vs.(out) <- Value.Dead
+  end
+
+let schedule st i it =
+  it.scheduled.(i) <- true;
+  match st.sched with Some s -> Scheduler.add s (i, it) | None -> assert false
+
+(* Readiness. Per-iteration nodes fire once per iteration, invariant
+   nodes once per frame instance in its first iteration. A Merge fires
+   as soon as a live input arrives (delivery zeroes its count) and does
+   not wait for invariants. *)
+let rec all_done inv_done srcs k =
+  k >= Array.length srcs
+  || (inv_done.(srcs.(k)) && all_done inv_done srcs (k + 1))
+
+let check_ready st i it =
+  let p = st.plan in
+  let it = if p.invariant.(i) then it.first else it in
+  if
+    (not it.scheduled.(i))
+    && it.pending.(i) <= 0
+    && (p.kind.(i) = Merge || all_done it.inv_done p.inv_srcs.(i) 0)
+  then schedule st i it
+
+(* Deliver one value along an edge from [src] (completed in [it]) to
+   [dst]; [out] < 0 marks a control token. The producer's kind picks
+   the iteration the value lands in, and an Enter consumer moves it
+   into the frame instance it enters. *)
+let deliver st ~src ~out v it dst =
+  let p = st.plan in
+  let target =
+    match p.kind.(src) with
+    | Exit -> (
+        match it.parent with
+        | Some parent -> parent
+        | None ->
+            raise (invalid ("Exit in root frame: " ^ p.nodes.(src).Node.name)))
+    | Next_iteration -> next_iteration p it
+    | _ -> it
+  in
+  let target =
+    if p.kind.(dst) = Enter then child_instance p target p.frame.(dst)
+    else target
+  in
+  if out >= 0 then begin
+    if target != it then store p target src out v;
+    if p.kind.(dst) = Merge && not (Value.is_dead v) then
+      target.pending.(dst) <- 0
+  end
+  else if Value.is_dead v then target.dead_control.(dst) <- true;
+  target.pending.(dst) <- target.pending.(dst) - 1;
+  check_ready st dst target
+
+let control_token = Value.Tensor (Tensor.scalar_i 0)
+
+let complete st i it (outputs : Value.t array) =
+  let p = st.plan in
+  it.values.(i) <- outputs;
+  if p.invariant.(i) then begin
+    (* Wake consumers: invariant ones in the first iteration, the others
+       in every iteration so far. *)
+    it.inv_done.(i) <- true;
+    let wake dst =
+      if p.invariant.(dst) then check_ready st dst it
+      else iter_iterations (check_ready st dst) it
+    in
+    Array.iter (fun (_, dst) -> wake dst) p.out_data.(i);
+    Array.iter wake p.out_control.(i)
+  end
   else begin
-    let id = cn.node.Node.id in
-    Array.iteri
-      (fun out v -> Hashtbl.replace it.values (value_key id out) v)
-      outputs;
-    (* Lifetime bookkeeping for planner-owned outputs: count the bytes
-       (always, so traces and the peak gauge are comparable with
-       planning off), arm the consumer refcount, and immediately drop
-       endpoints nobody reads. *)
-    if Hashtbl.mem st.mem.mi_fresh id then
+    (* Count fresh outputs' bytes (always, so peaks compare with planning
+       off), arm their reader counts, and drop those nobody reads. *)
+    if p.fresh.(i) then begin
+      if st.planning then it.rc.(i) <- Array.copy p.refcounts.(i);
+      let rc = it.rc.(i) in
       Array.iteri
         (fun out v ->
           match v with
-          | Value.Tensor _ ->
-              let bytes = Value.byte_size v in
-              st.live := !(st.live) + bytes;
-              Mem_plan.live_add bytes;
-              let key = value_key id out in
-              let count =
-                Option.value ~default:0
-                  (Hashtbl.find_opt st.mem.mi_counts key)
-              in
-              if count > 0 then Hashtbl.replace it.rc key count
-              else if st.planning && not (Hashtbl.mem st.pinned key) then
-                drop_value st it key
+          | Value.Tensor t ->
+              live_add st (Tensor.byte_size t);
+              if out < Array.length rc && rc.(out) = 0 then drop st it i out
           | _ -> ())
-        outputs;
-    (* A live Exit value belongs to the parent context too, so that
-       fetches (which read the root iteration) can observe loop results
-       even when the Exit has no consumer edge. *)
-    (match (cn.node.Node.op_type, inst.inst_parent) with
-    | "Exit", Some (parent, parent_iter) ->
-        let parent_it = get_iter parent parent_iter in
+        outputs
+    end;
+    (* A live Exit value belongs to the enclosing iteration too, so that
+       fetches (which read the root iteration) see loop results even
+       when the Exit has no consumer edge. *)
+    (match (p.kind.(i), it.parent) with
+    | Exit, Some parent ->
         Array.iteri
-          (fun out v ->
-            if not (Value.is_dead v) then
-              Hashtbl.replace parent_it.values
-                (value_key cn.node.Node.id out)
-                v)
+          (fun out v -> if not (Value.is_dead v) then store p parent i out v)
           outputs
     | _ -> ());
-    let drops_dead =
-      match cn.node.Node.op_type with
-      | "NextIteration" | "Exit" -> true
-      | _ -> false
+    (* Dead NextIteration and Exit values are discarded, which is what
+       terminates a loop. *)
+    let discards_dead =
+      match p.kind.(i) with Next_iteration | Exit -> true | _ -> false
     in
-    List.iter
-      (fun (out, dst_id, slot) ->
+    Array.iter
+      (fun (out, dst) ->
         let v =
           if out < Array.length outputs then outputs.(out) else Value.Dead
         in
-        if drops_dead && Value.is_dead v then ()
-        else deliver st ~src:cn ~v ~inst ~it ~dst_id ~slot ~out)
-      cn.out_data;
-    let control_dead =
+        if not (discards_dead && Value.is_dead v) then
+          deliver st ~src:i ~out v it dst)
+      p.out_data.(i);
+    let dead =
       Array.length outputs > 0 && Array.for_all Value.is_dead outputs
     in
-    if not (drops_dead && control_dead) then
-      List.iter
-        (fun dst_id ->
-          let v = if control_dead then Value.Dead else Value.Tensor (Tensor.scalar_i 0) in
-          deliver st ~src:cn ~v ~inst ~it ~dst_id ~slot:(-1) ~out:0)
-        cn.out_control;
-    (* This node has finished reading its inputs: release its claim on
-       each tracked input endpoint. Untracked keys (cross-frame edges,
-       inputs a merge fired without) decrement nothing — leak-safe. Fed
-       nodes have no wired inputs, so their counts must not move. *)
-    if st.planning && not (Hashtbl.mem st.fed id) then
-      Array.iteri
-        (fun slot (e : Node.endpoint) ->
-          if not (List.mem slot cn.invariant_slots) then
-            let key = value_key e.node_id e.index in
-            match Hashtbl.find_opt it.rc key with
-            | None -> ()
-            | Some c when c <= 1 ->
-                Hashtbl.remove it.rc key;
-                if not (Hashtbl.mem st.pinned key) then drop_value st it key
-            | Some c -> Hashtbl.replace it.rc key (c - 1))
-        cn.node.Node.inputs
+    if not (discards_dead && dead) then begin
+      let token = if dead then Value.Dead else control_token in
+      Array.iter (deliver st ~src:i ~out:(-1) token it) p.out_control.(i)
+    end;
+    (* This node has finished reading: release its claim on each input
+       endpoint armed in this iteration; the last reader out drops it. *)
+    if st.planning then
+      Array.iter
+        (fun (src, out) ->
+          let rc = it.rc.(src) in
+          if out < Array.length rc && rc.(out) > 0 then begin
+            rc.(out) <- rc.(out) - 1;
+            if rc.(out) = 0 then drop st it src out
+          end)
+        p.inputs.(i)
   end
 
-let gather_inputs (cn : cnode) inst (it : iter_state) =
-  if cn.invariant_slots == [] then
-    Array.map
-      (fun (e : Node.endpoint) ->
-        match Hashtbl.find_opt it.values (value_key e.node_id e.index) with
-        | Some v -> v
-        | None -> Value.Dead)
-      cn.node.Node.inputs
-  else
-    Array.mapi
-      (fun slot (e : Node.endpoint) ->
-        let table =
-          if List.mem slot cn.invariant_slots then inst.invariants
-          else it.values
-        in
-        match Hashtbl.find_opt table (value_key e.node_id e.index) with
-        | Some v -> v
-        | None -> Value.Dead)
-      cn.node.Node.inputs
-
-let resolve_kernel cn =
-  match cn.kernel with
+let resolve_kernel p i =
+  match p.kernels.(i) with
   | Some k -> k
   | None ->
-      let n = cn.node in
+      let n = p.nodes.(i) in
       let device_type =
         match n.Node.assigned_device with
         | Some d -> d.Device.dev_type
@@ -653,7 +665,7 @@ let resolve_kernel cn =
                         (Printf.sprintf "no kernel for op %s (node %s)"
                            n.Node.op_type n.Node.name))))
       in
-      cn.kernel <- Some k;
+      p.kernels.(i) <- Some k;
       k
 
 (* Classify an arbitrary kernel exception into a structured failure,
@@ -685,7 +697,7 @@ let failure_of_exn ~node ~device e =
    even while the coordinator is busy elsewhere). Wrap in a thunk when
    building a [Scheduler.Offload] — applying it runs the kernel. *)
 let offload_kernel ~tracer ~rendezvous ~cancel ~step_id
-    ?(live_of = fun () -> 0) (n : Node.t) kernel ctx ~finish =
+    ~live_of (n : Node.t) kernel ctx ~finish =
   let bytes_of outputs =
     match n.Node.op_type with
     | "Recv" ->
@@ -719,76 +731,76 @@ let offload_kernel ~tracer ~rendezvous ~cancel ~step_id
       end;
       fun () -> raise (Step_failure.Error f)
 
-(* Stage one node on the coordinating thread: gather inputs, decide dead
-   propagation, build the kernel context. Everything the returned
-   [Offload] thunk touches is either private to it or mutex-protected
-   (resources, queues, rendezvous, tracer), so it may run on a worker
-   domain. *)
-let stage_node st ((cn : cnode), inst, it) =
-  let n = cn.node in
-  let inputs = gather_inputs cn inst it in
-  let any_dead =
-    Array.exists Value.is_dead inputs
-    || Hashtbl.mem it.dead_control n.Node.id
+
+(* In-place grants: a declared May_alias pair is granted when the input
+   endpoint is armed in this iteration with this node as its only
+   remaining reader, poolable (no retaining consumer), not fetched and
+   a float tensor. Staging and completion both run on the coordinating
+   thread, so a count of 1 here means every other reader's kernel has
+   fully finished. Ownership moves to the kernel's output: the endpoint
+   is forgotten without recycling its buffer. *)
+let grants st i it inputs =
+  let p = st.plan in
+  match p.aliases.(i) with
+  | [] -> []
+  | _ when not st.planning -> []
+  | decls ->
+      let used_in = ref [] and used_out = ref [] in
+      List.filter
+        (fun (slot, o) ->
+          (not (List.mem slot !used_in))
+          && (not (List.mem o !used_out))
+          && slot < Array.length p.inputs.(i)
+          &&
+          let src, out = p.inputs.(i).(slot) in
+          let rc = it.rc.(src) in
+          let ok =
+            out < Array.length rc
+            && rc.(out) = 1
+            && p.poolable.(src).(out)
+            && (not (pinned st src out))
+            &&
+            match inputs.(slot) with
+            | Value.Tensor t -> Dtype.is_floating (Tensor.dtype t)
+            | _ -> false
+          in
+          if ok then begin
+            rc.(out) <- 0;
+            it.values.(src).(out) <- Value.Dead;
+            live_sub st (Value.byte_size inputs.(slot));
+            Mem_plan.count_grant ();
+            used_in := slot :: !used_in;
+            used_out := o :: !used_out
+          end;
+          ok)
+        decls
+
+(* Stage one node on the coordinating thread: gather inputs (invariant
+   ones from the instance's first iteration), decide dead propagation,
+   build the kernel context. Everything the returned [Offload] thunk
+   touches is either private to it or mutex-protected (resources,
+   queues, rendezvous, tracer), so it may run on a worker domain. *)
+let stage st (i, it) =
+  let p = st.plan in
+  let n = p.nodes.(i) in
+  let inputs =
+    Array.map
+      (fun (src, out) ->
+        let vs = (if p.invariant.(src) then it.first else it).values.(src) in
+        if out < Array.length vs then vs.(out) else Value.Dead)
+      p.inputs.(i)
   in
-  let runs_on_dead = n.Node.op_type = "Send" in
-  if any_dead && (not cn.is_merge) && not runs_on_dead then
+  let dead = it.dead_control.(i) || Array.exists Value.is_dead inputs in
+  if dead && (match p.kind.(i) with Merge | Send -> false | _ -> true) then
     Scheduler.Finish
-      (fun () ->
-        finish_node st cn inst it
-          (Array.make (max 1 (Node.num_outputs n)) Value.Dead))
+      (fun () -> complete st i it (Array.make p.num_outputs.(i) Value.Dead))
   else begin
     let rng =
       Rng.create
         (st.seed
         + (st.step_id * 1_000_003)
         + (n.Node.id * 7_919)
-        + (it.it_index * 104_729))
-    in
-    (* In-place grants: a declared May_alias pair is granted when the
-       input endpoint is planner-owned, poolable (no retaining
-       consumer), this node is its sole remaining reader, and it is
-       neither fetched nor already handed away. Staging and completion
-       both run on the coordinating thread, so refcount 1 here means
-       every other consumer's kernel has fully finished reading. *)
-    let grants =
-      if not st.planning then []
-      else
-        match Kernel.aliases ~op_type:n.Node.op_type with
-        | [] -> []
-        | decls ->
-            let used_in = ref [] and used_out = ref [] in
-            List.filter
-              (fun (i, o) ->
-                (not (List.mem i !used_in))
-                && (not (List.mem o !used_out))
-                && i < Array.length n.Node.inputs
-                && (not (List.mem i cn.invariant_slots))
-                &&
-                let e = n.Node.inputs.(i) in
-                let key = value_key e.node_id e.index in
-                let ok =
-                  Hashtbl.mem st.mem.mi_fresh e.node_id
-                  && Hashtbl.mem st.mem.mi_poolable key
-                  && Hashtbl.find_opt it.rc key = Some 1
-                  && (not (Hashtbl.mem st.pinned key))
-                  && (not (Hashtbl.mem it.transferred key))
-                  &&
-                  match inputs.(i) with
-                  | Value.Tensor t -> Dtype.is_floating (Tensor.dtype t)
-                  | _ -> false
-                in
-                if ok then begin
-                  Hashtbl.replace it.transferred key ();
-                  let bytes = Value.byte_size inputs.(i) in
-                  st.live := !(st.live) - bytes;
-                  Mem_plan.live_sub bytes;
-                  Mem_plan.count_grant ();
-                  used_in := i :: !used_in;
-                  used_out := o :: !used_out
-                end;
-                ok)
-              decls
+        + (it.index * 104_729))
     in
     let ctx =
       {
@@ -799,497 +811,95 @@ let stage_node st ((cn : cnode), inst, it) =
         rng;
         step_id = st.step_id;
         cancel = st.cancel;
-        grants;
+        grants = grants st i it inputs;
         var_snapshot = st.var_snapshot;
       }
     in
-    let kernel = resolve_kernel cn in
+    let kernel = resolve_kernel p i in
     Scheduler.Offload
       (fun () ->
         offload_kernel ~tracer:st.tracer ~rendezvous:st.rendezvous
           ~cancel:st.cancel ~step_id:st.step_id
-          ~live_of:(fun () -> !(st.live))
+          ~live_of:(fun () -> st.live)
           n kernel ctx
-          ~finish:(fun outputs -> finish_node st cn inst it outputs))
+          ~finish:(complete st i it))
   end
 
-(* ------------------------------------------------------------------ *)
-(* Plans: compile once, execute per step                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Array-indexed fast path for subgraphs with no control flow: no
-   frames, no merges, no invariants — the common training step. Only
-   dead values arriving through Recv need handling. *)
-type splan = {
-  s_nodes : cnode array;
-  s_index : (int, int) Hashtbl.t;  (* node id -> dense index *)
-  s_inputs : (int * int) array array;  (* (src dense index, out slot) *)
-  s_control_in : int array array;
-  s_consumers : int array array;  (* data + control, one entry per edge *)
-  s_in_counts : int array;
-  s_blocking : bool array;
-  s_fed : bool array;
-  s_num_outputs : int array;
-  (* Memory planning statics, indexed like [s_nodes]: *)
-  s_refcounts : int array array;  (* data consumers per (idx, out) *)
-  s_fresh : bool array;  (* outputs are planner-owned fresh buffers *)
-  s_poolable : bool array array;  (* no consumer retains the endpoint *)
-  s_aliases : (int * int) list array;  (* declared May_alias pairs *)
-}
-
-type plan = {
-  p_graph : Graph.t;
-  p_compiled : compiled;
-  p_fed : (int, unit) Hashtbl.t;
-  p_simple : splan option;
-  p_scheduler : Scheduler.policy;
-  p_planning : bool;  (* memory planning default for this plan's steps *)
-  p_mem : mem_info;  (* general-path lifetime statics *)
-}
-
-let control_flow_free compiled =
-  let ok = ref true in
-  Hashtbl.iter
-    (fun _ cn ->
-      (match cn.node.Node.op_type with
-      | "Enter" | "Exit" | "NextIteration" | "Merge" | "Switch" | "LoopCond"
-        ->
-          ok := false
-      | _ -> ());
-      if cn.is_invariant then ok := false)
-    compiled.cnodes;
-  !ok
-
-let build_splan compiled fed =
-  let count = Hashtbl.length compiled.cnodes in
-  let s_nodes = Array.make count (Obj.magic 0 : cnode) in
-  let s_index = Hashtbl.create (2 * count) in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun id cn ->
-      s_nodes.(!i) <- cn;
-      Hashtbl.replace s_index id !i;
-      incr i)
-    compiled.cnodes;
-  let dense id = Hashtbl.find s_index id in
-  let s_inputs =
-    Array.map
-      (fun cn ->
-        if Hashtbl.mem fed cn.node.Node.id then [||]
-        else
-          Array.map
-            (fun (e : Node.endpoint) -> (dense e.node_id, e.index))
-            cn.node.Node.inputs)
-      s_nodes
-  in
-  let s_control_in =
-    Array.map
-      (fun cn ->
-        if Hashtbl.mem fed cn.node.Node.id then [||]
-        else
-          Array.of_list
-            (List.filter_map
-               (fun c ->
-                 if Hashtbl.mem compiled.cnodes c then Some (dense c)
-                 else None)
-               cn.node.Node.control_inputs))
-      s_nodes
-  in
-  let s_consumers =
-    Array.map
-      (fun cn ->
-        Array.of_list
-          (List.map (fun (_, dst, _) -> dense dst) cn.out_data
-          @ List.map dense cn.out_control))
-      s_nodes
-  in
-  let s_num_outputs =
-    Array.map (fun cn -> max 1 (Node.num_outputs cn.node)) s_nodes
-  in
-  let s_fed = Array.map (fun cn -> Hashtbl.mem fed cn.node.Node.id) s_nodes in
-  let s_refcounts =
-    Array.mapi
-      (fun i cn ->
-        let rc = Array.make s_num_outputs.(i) 0 in
+(* Feeds are per endpoint: each fed node completes in the root
+   iteration with exactly the values fed to its outputs. Reading an
+   output left unfed, by a consumer or a fetch, is an error. *)
+let seed_feeds st root ~feeds ~fetches =
+  let p = st.plan in
+  Array.iteri
+    (fun i fed ->
+      if fed then begin
+        let n = p.nodes.(i) in
+        let outputs = Array.make p.num_outputs.(i) Value.Dead in
+        let given = Array.make p.num_outputs.(i) false in
         List.iter
-          (fun (out, _, _) ->
-            if out < Array.length rc then rc.(out) <- rc.(out) + 1)
-          cn.out_data;
-        rc)
-      s_nodes
-  in
-  let s_fresh =
-    Array.mapi
-      (fun i cn ->
-        (not s_fed.(i)) && Mem_plan.fresh_output_op cn.node.Node.op_type)
-      s_nodes
-  in
-  let s_poolable =
-    Array.mapi
-      (fun i cn ->
-        let p = Array.make s_num_outputs.(i) s_fresh.(i) in
-        if s_fresh.(i) then
-          List.iter
-            (fun (out, dst, _) ->
-              if out < Array.length p then
-                let dcn = Hashtbl.find compiled.cnodes dst in
-                if Mem_plan.retains_input dcn.node.Node.op_type then
-                  p.(out) <- false)
-            cn.out_data;
-        p)
-      s_nodes
-  in
-  {
-    s_nodes;
-    s_index;
-    s_inputs;
-    s_control_in;
-    s_consumers;
-    s_in_counts = Array.map (fun cn -> cn.in_count) s_nodes;
-    s_blocking = Array.map (fun cn -> blocking_op cn.node.Node.op_type) s_nodes;
-    s_fed;
-    s_num_outputs;
-    s_refcounts;
-    s_fresh;
-    s_poolable;
-    s_aliases =
-      Array.map (fun cn -> Kernel.aliases ~op_type:cn.node.Node.op_type) s_nodes;
-  }
-
-(* General-path analogue of the splan lifetime statics. Invariant nodes
-   are excluded: their outputs live in the frame instance for all
-   iterations and must never be dropped per-iteration. *)
-let build_mem_info compiled fed =
-  let mi_counts = Hashtbl.create 64 in
-  let mi_poolable = Hashtbl.create 64 in
-  let mi_fresh = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun id cn ->
-      if
-        Mem_plan.fresh_output_op cn.node.Node.op_type
-        && (not (Hashtbl.mem fed id))
-        && not cn.is_invariant
-      then begin
-        Hashtbl.replace mi_fresh id ();
-        let nouts = max 1 (Node.num_outputs cn.node) in
-        let counts = Array.make nouts 0 in
-        let pool = Array.make nouts true in
-        List.iter
-          (fun (out, dst, _) ->
-            if out < nouts then begin
-              counts.(out) <- counts.(out) + 1;
-              let dcn = Hashtbl.find compiled.cnodes dst in
-              if Mem_plan.retains_input dcn.node.Node.op_type then
-                pool.(out) <- false
+          (fun ((e : Node.endpoint), v) ->
+            if e.node_id = n.Node.id && e.index < Array.length outputs
+            then begin
+              outputs.(e.index) <- v;
+              given.(e.index) <- true
             end)
-          cn.out_data;
-        for out = 0 to nouts - 1 do
-          if counts.(out) > 0 then
-            Hashtbl.replace mi_counts (value_key id out) counts.(out);
-          if pool.(out) then Hashtbl.replace mi_poolable (value_key id out) ()
-        done
+          feeds;
+        if not (Array.mem true given) then
+          raise (invalid ("missing feed for node " ^ n.Node.name));
+        let read out =
+          Array.exists (fun (o, _) -> o = out) p.out_data.(i)
+          || List.exists
+               (fun (e : Node.endpoint) ->
+                 e.node_id = n.Node.id && e.index = out)
+               fetches
+        in
+        Array.iteri
+          (fun out given ->
+            if (not given) && read out then
+              raise
+                (invalid
+                   (Printf.sprintf "%s:%d is read but was not fed (node %s \
+                                    is fed)"
+                      n.Node.name out n.Node.name)))
+          given;
+        complete st i root outputs
       end)
-    compiled.cnodes;
-  { mi_counts; mi_poolable; mi_fresh }
+    p.fed
 
-let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
-  let fed = Hashtbl.create 8 in
-  List.iter (fun id -> Hashtbl.replace fed id ()) fed_ids;
-  let compiled = compile graph nodes fed in
-  let p_simple =
-    if control_flow_free compiled then Some (build_splan compiled fed)
-    else None
+let fetch p root (e : Node.endpoint) =
+  let vs =
+    match Hashtbl.find_opt p.dense e.node_id with
+    | Some i -> root.values.(i)
+    | None -> [||]
   in
-  let p_scheduler =
-    match scheduler with Some p -> p | None -> Scheduler.default_policy ()
-  in
-  let p_planning =
-    match memory_planning with Some b -> b | None -> Mem_plan.enabled ()
-  in
-  {
-    p_graph = graph;
-    p_compiled = compiled;
-    p_fed = fed;
-    p_simple;
-    p_scheduler;
-    p_planning;
-    p_mem = build_mem_info compiled fed;
-  }
+  if e.index < Array.length vs && not (Value.is_dead vs.(e.index)) then
+    vs.(e.index)
+  else
+    raise
+      (Step_failure.error
+         (Step_failure.Fetch_failed
+            (Printf.sprintf
+               "fetch %s:%d was not produced (dead value or incomplete \
+                subgraph?)"
+               (Graph.get p.graph e.node_id).Node.name e.index)))
 
-let execute_simple plan sp ~planning ~scheduler ~feeds ~fetches ~resources
-    ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot =
-  let count = Array.length sp.s_nodes in
-  let values = Array.make count [||] in
-  let dead = Array.make count false in
-  let pending = Array.copy sp.s_in_counts in
-  let scheduled = Array.make count false in
-  (* Per-step lifetime state. [rc] counts unfinished data consumers per
-     endpoint; byte accounting runs regardless of [planning] so peak
-     figures stay comparable, but drops, pool returns and in-place
-     grants fire only when planning is on. *)
-  let rc = Array.map Array.copy sp.s_refcounts in
-  let pinned =
-    Array.map (fun rcs -> Array.make (Array.length rcs) false) sp.s_refcounts
-  in
-  let transferred =
-    Array.map (fun rcs -> Array.make (Array.length rcs) false) sp.s_refcounts
-  in
+let execute p ~feeds ~fetches ~resources ?rendezvous ?tracer ?cancel
+    ?(seed = 0) ?(step_id = 0) ?var_snapshot () =
+  let pinned = Array.make (Array.length p.nodes) [||] in
   List.iter
     (fun (e : Node.endpoint) ->
-      match Hashtbl.find_opt sp.s_index e.node_id with
-      | Some idx when e.index < Array.length pinned.(idx) ->
-          pinned.(idx).(e.index) <- true
+      match Hashtbl.find_opt p.dense e.node_id with
+      | Some i when e.index < p.num_outputs.(i) ->
+          if Array.length pinned.(i) = 0 then
+            pinned.(i) <- Array.make p.num_outputs.(i) false;
+          pinned.(i).(e.index) <- true
       | _ -> ())
     fetches;
-  let live = ref 0 in
-  let live_add b =
-    live := !live + b;
-    Mem_plan.live_add b
-  in
-  let live_sub b =
-    live := !live - b;
-    Mem_plan.live_sub b
-  in
-  (* Drop a planner-owned endpoint all of whose consumers have finished:
-     tombstone the slot (consumers still staged hold their own gathered
-     references; control consumers read the [dead] flags, fetches are
-     pinned) and recycle the float buffer unless some consumer retains
-     it or an in-place grant moved ownership. *)
-  let drop src out =
-    if sp.s_fresh.(src) && not pinned.(src).(out) then begin
-      (match values.(src).(out) with
-      | Value.Tensor t ->
-          if not transferred.(src).(out) then begin
-            live_sub (Tensor.byte_size t);
-            if
-              sp.s_poolable.(src).(out)
-              && Dtype.is_floating (Tensor.dtype t)
-            then Buffer_pool.release_float (Tensor.float_buffer t)
-          end
-      | _ -> ());
-      values.(src).(out) <- Value.Dead
-    end
-  in
-  (* The scheduler's callbacks and the node bookkeeping close over each
-     other; tie the knot through a cell filled right after creation. *)
-  let sched_cell = ref None in
-  let push idx =
-    if not scheduled.(idx) then begin
-      scheduled.(idx) <- true;
-      match !sched_cell with
-      | Some sched -> Scheduler.add sched idx
-      | None -> assert false
-    end
-  in
-  let arrive idx =
-    pending.(idx) <- pending.(idx) - 1;
-    if pending.(idx) <= 0 then push idx
-  in
-  let complete idx outputs =
-    if Array.length outputs > 0 && Array.for_all Value.is_dead outputs then
-      dead.(idx) <- true;
-    values.(idx) <- outputs;
-    (* Count fresh outputs and drop the ones nobody consumes. *)
-    if sp.s_fresh.(idx) then begin
-      let nouts = min (Array.length outputs) (Array.length rc.(idx)) in
-      for out = 0 to nouts - 1 do
-        (match outputs.(out) with
-        | Value.Tensor t -> live_add (Tensor.byte_size t)
-        | _ -> ());
-        if planning && rc.(idx).(out) = 0 then drop idx out
-      done
-    end;
-    (* This node finished reading: release its claim on each input
-       endpoint; the last reader out frees the value. *)
-    if planning then
-      Array.iter
-        (fun (src, out) ->
-          if sp.s_fresh.(src) && out < Array.length rc.(src) then begin
-            rc.(src).(out) <- rc.(src).(out) - 1;
-            if rc.(src).(out) = 0 then drop src out
-          end)
-        sp.s_inputs.(idx);
-    Array.iter arrive sp.s_consumers.(idx)
-  in
-  let stage idx =
-    let cn = sp.s_nodes.(idx) in
-    let n = cn.node in
-    let inputs =
-      Array.map (fun (src, out) -> values.(src).(out)) sp.s_inputs.(idx)
-    in
-    let any_dead =
-      Array.exists Value.is_dead inputs
-      || Array.exists (fun c -> dead.(c)) sp.s_control_in.(idx)
-    in
-    if any_dead && n.Node.op_type <> "Send" then
-      Scheduler.Finish
-        (fun () ->
-          dead.(idx) <- true;
-          complete idx (Array.make sp.s_num_outputs.(idx) Value.Dead))
-    else begin
-      let rng =
-        Rng.create (seed + (step_id * 1_000_003) + (n.Node.id * 7_919))
-      in
-      (* In-place grants — see the general path for the safety argument:
-         staging and completion both run on the coordinating thread, so
-         refcount 1 here means this node is the endpoint's only
-         unfinished reader. *)
-      let grants =
-        if not planning then []
-        else
-          match sp.s_aliases.(idx) with
-          | [] -> []
-          | decls ->
-              let used_in = ref [] and used_out = ref [] in
-              List.filter
-                (fun (i, o) ->
-                  (not (List.mem i !used_in))
-                  && (not (List.mem o !used_out))
-                  && i < Array.length sp.s_inputs.(idx)
-                  &&
-                  let src, out = sp.s_inputs.(idx).(i) in
-                  let ok =
-                    sp.s_fresh.(src)
-                    && out < Array.length rc.(src)
-                    && sp.s_poolable.(src).(out)
-                    && rc.(src).(out) = 1
-                    && (not pinned.(src).(out))
-                    && (not transferred.(src).(out))
-                    &&
-                    match inputs.(i) with
-                    | Value.Tensor t -> Dtype.is_floating (Tensor.dtype t)
-                    | _ -> false
-                  in
-                  if ok then begin
-                    transferred.(src).(out) <- true;
-                    live_sub (Value.byte_size inputs.(i));
-                    Mem_plan.count_grant ();
-                    used_in := i :: !used_in;
-                    used_out := o :: !used_out
-                  end;
-                  ok)
-                decls
-      in
-      let ctx =
-        { Kernel.node = n; inputs; resources; rendezvous; rng; step_id;
-          cancel; grants; var_snapshot }
-      in
-      let kernel = resolve_kernel cn in
-      Scheduler.Offload
-        (fun () ->
-          offload_kernel ~tracer ~rendezvous ~cancel ~step_id
-            ~live_of:(fun () -> !live)
-            n kernel ctx
-            ~finish:(fun outputs -> complete idx outputs))
-    end
-  in
-  let ops =
-    {
-      Scheduler.classify =
-        (fun idx ->
-          if sp.s_nodes.(idx).node.Node.op_type = "Recv" then Scheduler.Recv
-          else if sp.s_blocking.(idx) then Scheduler.Blocking
-          else Scheduler.Normal);
-      stage;
-      run_blocking =
-        (fun idx ->
-          match stage idx with
-          | Scheduler.Finish k -> k ()
-          | Scheduler.Offload run -> (run ()) ());
-      poll_recv =
-        (fun idx ->
-          match rendezvous with
-          | None -> None
-          | Some r -> (
-              match
-                Rendezvous.try_recv r
-                  ~key:(recv_rendezvous_key ~step_id sp.s_nodes.(idx).node)
-              with
-              | Some v ->
-                  Some
-                    (fun () ->
-                      trace tracer sp.s_nodes.(idx).node ~step_id
-                        ~bytes_of:(fun () -> Value.byte_size v)
-                        (fun () -> ());
-                      complete idx [| v |])
-              | None -> None));
-      rendezvous;
-      cancel;
-    }
-  in
-  let sched = Scheduler.create scheduler ops in
-  sched_cell := Some sched;
-  (* Seed feeds, then sources. *)
-  List.iter
-    (fun ((e : Node.endpoint), v) ->
-      match Hashtbl.find_opt sp.s_index e.node_id with
-      | None -> ()
-      | Some idx ->
-          let outs = Array.make sp.s_num_outputs.(idx) v in
-          values.(idx) <- outs)
-    feeds;
-  Array.iteri
-    (fun idx fedp ->
-      if fedp then scheduled.(idx) <- true)
-    sp.s_fed;
-  Array.iteri
-    (fun idx fedp -> if (not fedp) && pending.(idx) = 0 then push idx)
-    sp.s_fed;
-  Array.iteri
-    (fun idx fedp ->
-      if fedp then Array.iter arrive sp.s_consumers.(idx))
-    sp.s_fed;
-  (* Whatever the step's fate, the process-wide gauges must not keep
-     counting this step's bytes, and the pool counters get synced. *)
-  Fun.protect
-    ~finally:(fun () ->
-      Mem_plan.live_sub !live;
-      live := 0;
-      Mem_plan.sync_pool_metrics ())
-    (fun () ->
-      Scheduler.drive sched;
-      List.map
-        (fun (e : Node.endpoint) ->
-          match Hashtbl.find_opt sp.s_index e.node_id with
-          | Some idx
-            when Array.length values.(idx) > e.index
-                 && not (Value.is_dead values.(idx).(e.index)) ->
-              values.(idx).(e.index)
-          | _ ->
-              raise
-                (Step_failure.error
-                   (Step_failure.Fetch_failed
-                      (Printf.sprintf
-                         "fetch %s:%d was not produced (dead value or \
-                          incomplete subgraph?)"
-                         (Graph.get plan.p_graph e.node_id).Node.name e.index))))
-        fetches)
-
-let execute_general plan ~planning ~scheduler ~feeds ~fetches ~resources
-    ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot =
-  let compiled = plan.p_compiled in
-  let fed_vals = Hashtbl.create 8 in
-  List.iter
-    (fun ((e : Node.endpoint), v) -> Hashtbl.replace fed_vals e.node_id v)
-    feeds;
-  let pinned = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Node.endpoint) ->
-      Hashtbl.replace pinned (value_key e.node_id e.index) ())
-    fetches;
-  let root =
-    {
-      inst_frame = root_frame;
-      inst_parent = None;
-      iterations = Hashtbl.create 4;
-      invariants = Hashtbl.create 4;
-      invariant_done = Hashtbl.create 4;
-      inst_key = "";
-    }
-  in
   let st =
     {
-      compiled;
+      plan = p;
+      planning = p.planning;
+      pinned;
       resources;
       rendezvous;
       tracer;
@@ -1297,124 +907,60 @@ let execute_general plan ~planning ~scheduler ~feeds ~fetches ~resources
       seed;
       step_id;
       var_snapshot;
-      instances = Hashtbl.create 8;
-      planning;
-      mem = plan.p_mem;
-      pinned;
-      fed = plan.p_fed;
-      live = ref 0;
+      live = 0;
       sched = None;
     }
   in
   let ops =
     {
-      Scheduler.classify =
-        (fun ((cn : cnode), _, _) ->
-          if cn.node.Node.op_type = "Recv" then Scheduler.Recv
-          else if blocking_op cn.node.Node.op_type then Scheduler.Blocking
-          else Scheduler.Normal);
-      stage = (fun task -> stage_node st task);
+      Scheduler.classify = (fun (i, _) -> p.cls.(i));
+      stage = stage st;
       run_blocking =
         (fun task ->
-          match stage_node st task with
+          match stage st task with
           | Scheduler.Finish k -> k ()
           | Scheduler.Offload run -> (run ()) ());
       poll_recv =
-        (fun ((cn : cnode), inst, it) ->
-          match st.rendezvous with
+        (fun (i, it) ->
+          let n = p.nodes.(i) in
+          match rendezvous with
           | None -> None
           | Some r -> (
               match
-                Rendezvous.try_recv r
-                  ~key:(recv_rendezvous_key ~step_id:st.step_id cn.node)
+                Rendezvous.try_recv r ~key:(recv_rendezvous_key ~step_id n)
               with
               | Some v ->
                   Some
                     (fun () ->
-                      trace st.tracer cn.node ~step_id:st.step_id
+                      trace tracer n ~step_id
                         ~bytes_of:(fun () -> Value.byte_size v)
                         (fun () -> ());
-                      finish_node st cn inst it [| v |])
+                      complete st i it [| v |])
               | None -> None));
       rendezvous;
       cancel;
     }
   in
-  let sched = Scheduler.create scheduler ops in
+  let sched = Scheduler.create p.scheduler ops in
   st.sched <- Some sched;
-  let root_it = get_iter root 0 in
-  Hashtbl.iter
-    (fun id cn ->
-      match Hashtbl.find_opt fed_vals id with
-      | Some v ->
-          Hashtbl.replace root_it.done_nodes id ();
-          let outputs = Array.make (max 1 (Node.num_outputs cn.node)) v in
-          finish_node st cn root root_it outputs
-      | None ->
-          if Hashtbl.mem plan.p_fed id then
-            (* Fed in the plan but no value given this run. *)
-            raise
-              (invalid
-                 (Printf.sprintf "missing feed for node %s" cn.node.Node.name))
-          else if cn.in_count = 0 && cn.invariant_slots = []
-                  && cn.invariant_controls = 0 && not cn.is_invariant
-          then begin
-            Hashtbl.replace root_it.done_nodes id ();
-            schedule st cn root root_it
-          end)
-    compiled.cnodes;
-  (* Recvs are retried non-blockingly so one pending value never wedges
-     the partition while other cross-device values are already here (the
-     polling lives in {!Scheduler.drive}). *)
+  let root = new_instance p ~parent:None in
+  (* Whatever the step's fate, the process-wide gauges must not keep
+     counting this step's bytes, and the pool counters get synced. *)
   Fun.protect
     ~finally:(fun () ->
-      Mem_plan.live_sub !(st.live);
-      st.live := 0;
+      Mem_plan.live_sub st.live;
+      st.live <- 0;
       Mem_plan.sync_pool_metrics ())
     (fun () ->
+      Array.iteri
+        (fun i count ->
+          if
+            count = 0
+            && (not p.fed.(i))
+            && (not p.invariant.(i))
+            && p.inv_srcs.(i) = [||]
+          then schedule st i root)
+        p.in_count;
+      seed_feeds st root ~feeds ~fetches;
       Scheduler.drive sched;
-      List.map
-        (fun (e : Node.endpoint) ->
-          match
-            Hashtbl.find_opt root_it.values (value_key e.node_id e.index)
-          with
-          | Some v -> v
-          | None ->
-              raise
-                (Step_failure.error
-                   (Step_failure.Fetch_failed
-                      (Printf.sprintf
-                         "fetch %s:%d was not produced (dead value or \
-                          incomplete subgraph?)"
-                         (Graph.get plan.p_graph e.node_id).Node.name e.index))))
-        fetches)
-
-let execute plan ?scheduler ?intra_op_threads ?memory_planning ~feeds ~fetches
-    ~resources ?rendezvous ?tracer ?cancel ?(seed = 0) ?(step_id = 0)
-    ?var_snapshot () =
-  (* Like TF's intra_op_parallelism_threads this is a process-wide
-     hardware knob, not per-step state: setting it here adjusts the
-     budget for this and subsequent steps. *)
-  (match intra_op_threads with
-  | Some n -> Octf_tensor.Parallel.set_threads n
-  | None -> ());
-  let scheduler =
-    match scheduler with Some p -> p | None -> plan.p_scheduler
-  in
-  let planning =
-    match memory_planning with Some b -> b | None -> plan.p_planning
-  in
-  match plan.p_simple with
-  | Some sp ->
-      execute_simple plan sp ~planning ~scheduler ~feeds ~fetches ~resources
-        ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot
-  | None ->
-      execute_general plan ~planning ~scheduler ~feeds ~fetches ~resources
-        ~rendezvous ~tracer ~cancel ~seed ~step_id ~var_snapshot
-
-let run ?scheduler ?intra_op_threads ?memory_planning ~graph ~nodes ~feeds
-    ~fetches ~resources ?rendezvous ?cancel ?seed ?step_id () =
-  let fed_ids = List.map (fun ((e : Node.endpoint), _) -> e.node_id) feeds in
-  let plan = prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () in
-  execute plan ?intra_op_threads ~feeds ~fetches ~resources ?rendezvous
-    ?cancel ?seed ?step_id ()
+      List.map (fetch p root) fetches)

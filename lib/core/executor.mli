@@ -36,12 +36,16 @@
     instead of deadlocking. *)
 
 type plan
-(** A compiled subgraph: readiness counts, frame assignment, resolved
-    kernels, and — when the subgraph is free of control flow — a dense
-    array-indexed execution plan. Sessions cache plans so that repeated
+(** A compiled subgraph: nodes numbered densely, with readiness
+    counts, frame assignment, memory-planning statics and resolved
+    kernels in arrays indexed by that number. There is one execution
+    engine. Frames are an overlay on the dense plan: each (frame
+    instance, iteration) pair gets its own arrays of values, arrival
+    counts and reader counts, and a plan without control flow runs in
+    exactly one such iteration. Sessions cache plans so that repeated
     steps pay no compilation cost (§3.3: "its subgraphs are cached in
-    their respective devices"). A plan may be executed concurrently from
-    several threads; all mutable per-step state is private to
+    their respective devices"). A plan may be executed concurrently
+    from several threads; all mutable per-step state is private to
     {!execute}. *)
 
 val prepare :
@@ -54,28 +58,26 @@ val prepare :
   plan
 (** Compile the subgraph induced by [nodes]. [fed_ids] are the nodes
     whose outputs the client will feed (their inputs are not wired).
-    [scheduler] sets the plan's default policy (falling back to
-    {!Scheduler.default_policy}); {!execute} may override per step.
+    [scheduler] sets the plan's policy (falling back to
+    {!Scheduler.default_policy}).
 
-    [memory_planning] sets the plan's default for the per-step lifetime
-    analysis (falling back to {!Mem_plan.enabled}). When on, each step
-    refcounts the consumers of every planner-owned output endpoint,
-    drops stored values as their last reader finishes (recycling float
-    buffers through {!Octf_tensor.Buffer_pool}), and grants declared
-    May_alias kernels in-place writes into exclusively-owned input
-    buffers. Fetched endpoints, fed values, variable state and values
+    [memory_planning] switches the per-step lifetime analysis (falling
+    back to {!Mem_plan.enabled}). When on, each step refcounts the
+    consumers of every planner-owned output endpoint, drops stored
+    values as their last reader finishes (recycling float buffers
+    through {!Octf_tensor.Buffer_pool}), and grants declared May_alias
+    kernels in-place writes into exclusively-owned input buffers. Fetched endpoints, fed values, variable state and values
     passing through retaining ops (Identity, reshapes, control flow,
     Assign, queues, Send) are never dropped early or aliased; fetches
     are bit-identical with planning on or off.
 
     @raise Step_failure.Error on malformed control flow (frame-crossing
-    edges) *)
+    edges)
+    @raise Invalid_argument if an executed node's input lies outside
+    [nodes]. *)
 
 val execute :
   plan ->
-  ?scheduler:Scheduler.policy ->
-  ?intra_op_threads:int ->
-  ?memory_planning:bool ->
   feeds:(Node.endpoint * Value.t) list ->
   fetches:Node.endpoint list ->
   resources:Resource_manager.t ->
@@ -87,41 +89,19 @@ val execute :
   ?var_snapshot:(string -> Octf_tensor.Tensor.t option) ->
   unit ->
   Value.t list
-(** Execute one step of a prepared plan. The feed list must cover exactly
-    the plan's [fed_ids]. [cancel] is the step's cancellation token,
-    shared by every partition: deadline expiry or explicit cancellation
-    makes the step raise a structured error instead of hanging.
-    [intra_op_threads] sets the {e process-wide} intra-op thread budget
-    ({!Octf_tensor.Parallel.set_threads}) before the step runs — a
-    hardware-resource knob like TensorFlow's
-    [intra_op_parallelism_threads], not per-step state.
-    [memory_planning] overrides the plan's default for this step.
-    [var_snapshot] (from the pipelined session's admission control)
-    redirects [Read] kernels to the variable values captured when the
-    step was admitted; updates still land on live variables. *)
+(** Execute one step of a prepared plan and return the value of each
+    fetch, in order. Feeds are per endpoint: a fed node is not executed,
+    and each of its outputs holds the value fed to that endpoint. Every
+    node in the plan's [fed_ids] needs at least one fed output, and an
+    output left unfed must be neither consumed nor fetched. Random
+    operations draw from a stream derived from [seed], [step_id], the
+    node id and the loop iteration, so a step is reproducible. [cancel]
+    is the step's cancellation token, shared by every partition:
+    deadline expiry or explicit cancellation makes the step raise a
+    structured error instead of hanging. [var_snapshot] (from the
+    pipelined session's admission control) redirects [Read] kernels to
+    the variable values captured when the step was admitted; updates
+    still land on live variables.
 
-val run :
-  ?scheduler:Scheduler.policy ->
-  ?intra_op_threads:int ->
-  ?memory_planning:bool ->
-  graph:Graph.t ->
-  nodes:int list ->
-  feeds:(Node.endpoint * Value.t) list ->
-  fetches:Node.endpoint list ->
-  resources:Resource_manager.t ->
-  ?rendezvous:Rendezvous.t ->
-  ?cancel:Cancel.t ->
-  ?seed:int ->
-  ?step_id:int ->
-  unit ->
-  Value.t list
-(** [run ~graph ~nodes ~feeds ~fetches ~resources ()] executes the
-    subgraph induced by [nodes] (from {!Pruner}) and returns the value of
-    each fetch, in order. Fed nodes are not executed; their outputs are
-    the fed values. Random operations draw from a stream derived from
-    [seed], [step_id] and the node id, so a step is reproducible.
-
-    @raise Step_failure.Error on kernel failure, deadline expiry or
-    unproduced fetches
-    @raise Invalid_argument if a fed/executed node's input lies outside
-    the executed subgraph. *)
+    @raise Step_failure.Error on kernel failure, deadline expiry, a
+    missing or partial feed, or an unproduced fetch *)

@@ -11,7 +11,7 @@
 val enabled : unit -> bool
 (** Process-wide default, from [OCTF_MEMORY_PLANNING] (on unless set to
     [0]/[off]/[false]/[no]).  [Session.create ?memory_planning] and
-    [Executor.execute ?memory_planning] override per session/step. *)
+    [Executor.prepare ?memory_planning] override it per session/plan. *)
 
 val set_enabled : bool -> unit
 

@@ -24,24 +24,89 @@ type instr =
   | Concat0 of int * int  (* same shape, rank >= 1, along axis 0 *)
   | Transpose2 of int  (* rank-2 transpose *)
   | Choose of int * int  (* select (a > b) a b: bool intermediate *)
+  | Cond of cond
+  | Loop of loop
+
+(* Control flow. A block is a straight-line program over an environment
+   made of its [n_in] inputs followed by its own instructions' results;
+   its operands index that environment. *)
+and block = { n_in : int; code : instr array; results : int list }
+
+(* [B.cond] on reduce_sum %pa > reduce_sum %pb over [inputs]; both
+   branches return one value shaped like the first input. *)
+and cond = {
+  pa : int;
+  pb : int;
+  inputs : int list;
+  then_ : block;
+  else_ : block;
+}
+
+(* [B.while_loop] with a scalar counter from 0 and the loop variables
+   [init]: it runs [trips] times or, when nested ([trips = None]), as
+   many times as the enclosing loop's counter, so zero times in the
+   enclosing loop's first iteration. The body's environment is
+   counter :: variables @ limit :: invariants and its results are the
+   variables' next values; the instruction's value is the first
+   variable's exit. *)
+and loop = {
+  trips : int option;
+  init : int list;
+  invs : int list;
+  body : block;
+}
 
 let shape_to_string s =
   "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int s)) ^ "]"
 
-let instr_to_string i = function
-  | Leaf s -> Printf.sprintf "%%%d = const %s" i (shape_to_string s)
-  | Fed s -> Printf.sprintf "%%%d = placeholder %s (fed)" i (shape_to_string s)
-  | Unary (op, a) -> Printf.sprintf "%%%d = %s %%%d" i op a
-  | Binary (op, a, b) -> Printf.sprintf "%%%d = %s %%%d %%%d" i op a b
-  | Matmul (a, b) -> Printf.sprintf "%%%d = matmul %%%d %%%d" i a b
-  | Reduce (op, a) -> Printf.sprintf "%%%d = %s %%%d" i op a
-  | Add_n srcs ->
-      Printf.sprintf "%%%d = add_n [%s]" i
-        (String.concat " " (List.map (Printf.sprintf "%%%d") srcs))
-  | Concat0 (a, b) -> Printf.sprintf "%%%d = concat0 %%%d %%%d" i a b
-  | Transpose2 a -> Printf.sprintf "%%%d = transpose %%%d" i a
+(* Top-level values print as %i, block-local ones as $i. *)
+let rec instr_lines ~v ~indent i instr =
+  let r a = Printf.sprintf "%s%d" v a in
+  let rs l = String.concat " " (List.map r l) in
+  let line s = [ Printf.sprintf "%s%s = %s" indent (r i) s ] in
+  let block label blk =
+    Printf.sprintf "%s  %s ($0..$%d in) -> %s" indent label (blk.n_in - 1)
+      (String.concat " " (List.map (Printf.sprintf "$%d") blk.results))
+    :: List.concat
+         (List.mapi
+            (fun j instr ->
+              instr_lines ~v:"$" ~indent:(indent ^ "    ") (blk.n_in + j) instr)
+            (Array.to_list blk.code))
+  in
+  match instr with
+  | Leaf s -> line ("const " ^ shape_to_string s)
+  | Fed s -> line ("placeholder " ^ shape_to_string s ^ " (fed)")
+  | Unary (op, a) -> line (Printf.sprintf "%s %s" op (r a))
+  | Binary (op, a, b) -> line (Printf.sprintf "%s %s %s" op (r a) (r b))
+  | Matmul (a, b) -> line (Printf.sprintf "matmul %s %s" (r a) (r b))
+  | Reduce (op, a) -> line (Printf.sprintf "%s %s" op (r a))
+  | Add_n srcs -> line ("add_n [" ^ rs srcs ^ "]")
+  | Concat0 (a, b) -> line (Printf.sprintf "concat0 %s %s" (r a) (r b))
+  | Transpose2 a -> line ("transpose " ^ r a)
   | Choose (a, b) ->
-      Printf.sprintf "%%%d = select (%%%d > %%%d) %%%d %%%d" i a b a b
+      line (Printf.sprintf "select (%s > %s) %s %s" (r a) (r b) (r a) (r b))
+  | Cond c ->
+      line
+        (Printf.sprintf "cond (sum %s > sum %s) [%s]" (r c.pa) (r c.pb)
+           (rs c.inputs))
+      @ block "then" c.then_ @ block "else" c.else_
+  | Loop l ->
+      line
+        (Printf.sprintf "while_loop trips=%s vars [%s] invariants [%s]"
+           (match l.trips with
+           | Some t -> string_of_int t
+           | None -> "outer counter")
+           (rs l.init) (rs l.invs))
+      @ block "body" l.body
+
+let operands = function
+  | Leaf _ | Fed _ -> []
+  | Unary (_, a) | Reduce (_, a) | Transpose2 a -> [ a ]
+  | Binary (_, a, b) | Matmul (a, b) | Concat0 (a, b) | Choose (a, b) ->
+      [ a; b ]
+  | Add_n srcs -> srcs
+  | Cond c -> c.pa :: c.pb :: c.inputs
+  | Loop l -> l.init @ l.invs
 
 let unary_ops =
   [| "Neg"; "Abs"; "Square"; "Relu"; "Sigmoid"; "Tanh"; "Identity";
@@ -54,7 +119,8 @@ let binary_ops = [| "Add"; "Sub"; "Mul"; "Maximum"; "Minimum" |]
    broadcast result is the highest-rank operand's shape. All values
    stay NaN-free: leaves are in [-1, 1] and no op in the pool (no
    exp/log/sqrt/div) can escape the reals, so bitwise comparison of
-   fetches is meaningful. *)
+   fetches is meaningful; loop bodies squash every variable through
+   tanh, so iterating cannot overflow either. *)
 let shape_of shapes = function
   | Leaf s | Fed s -> s
   | Unary (_, a) -> shapes.(a)
@@ -70,11 +136,187 @@ let shape_of shapes = function
       s.(0) <- 2 * s.(0);
       s
   | Transpose2 a -> [| shapes.(a).(1); shapes.(a).(0) |]
+  | Cond c -> shapes.(List.hd c.inputs)
+  | Loop l -> shapes.(List.hd l.init)
+
+let pick rng l = List.nth l (Rng.int rng (List.length l))
+
+(* One straight-line instruction over the first [i] values. Operand
+   picks that need a matching partner fall back to a unary op when
+   none exists, so generation never fails. *)
+let gen_plain rng shapes i =
+  let a = Rng.int rng i in
+  (* A partner for [a] with the same shape, or a scalar (broadcasts with
+     everything); [a] itself is allowed. *)
+  let pick_partner () =
+    let candidates = ref [] in
+    for j = 0 to i - 1 do
+      if Shape.equal shapes.(j) shapes.(a) || Array.length shapes.(j) = 0 then
+        candidates := j :: !candidates
+    done;
+    match !candidates with [] -> None | l -> Some (pick rng l)
+  in
+  let same_shape_partner () =
+    match pick_partner () with
+    | Some b when Shape.equal shapes.(b) shapes.(a) -> Some b
+    | _ -> None
+  in
+  let fallback () =
+    Unary (unary_ops.(Rng.int rng (Array.length unary_ops)), a)
+  in
+  match Rng.int rng 10 with
+  | 0 | 1 | 2 -> fallback ()
+  | 3 | 4 -> (
+      match pick_partner () with
+      | Some b ->
+          Binary (binary_ops.(Rng.int rng (Array.length binary_ops)), a, b)
+      | None -> fallback ())
+  | 5 -> (
+      (* matmul: any rank-2 pair with a matching inner dimension *)
+      let pairs = ref [] in
+      for x = 0 to i - 1 do
+        for y = 0 to i - 1 do
+          if
+            Array.length shapes.(x) = 2
+            && Array.length shapes.(y) = 2
+            && shapes.(x).(1) = shapes.(y).(0)
+          then pairs := (x, y) :: !pairs
+        done
+      done;
+      match !pairs with
+      | [] -> fallback ()
+      | l ->
+          let x, y = pick rng l in
+          Matmul (x, y))
+  | 6 ->
+      Reduce
+        ( (match Rng.int rng 3 with
+          | 0 -> "ReduceSum"
+          | 1 -> "ReduceMean"
+          | _ -> "ReduceMax"),
+          a )
+  | 7 -> (
+      match (pick_partner (), pick_partner ()) with
+      | Some b, Some c -> Add_n [ a; b; c ]
+      | Some b, None -> Add_n [ a; b ]
+      | _ -> fallback ())
+  | 8 ->
+      if Array.length shapes.(a) = 2 && Rng.int rng 2 = 0 then Transpose2 a
+      else if Array.length shapes.(a) >= 1 then
+        match same_shape_partner () with
+        | Some b -> Concat0 (a, b)
+        | None -> fallback ()
+      else fallback ()
+  | _ -> (
+      match same_shape_partner () with
+      | Some b -> Choose (a, b)
+      | None -> fallback ())
+
+(* Where a control-flow instruction is generated: at the top level, in
+   a top-level loop's body (conds and nested loops), or in a nested
+   loop's body (conds only). Cond branches hold straight-line code. *)
+type depth = Top | Body | Nested_body
+
+(* Values inside a loop body are invariant when they depend only on
+   the loop's invariants; the executor runs such nodes once per frame
+   instance. The generator keeps three things per-iteration, because
+   frame entry, a Switch and a NextIteration must each wait for a value
+   that arrives in every iteration: a nested loop's entering values, a
+   cond predicate's first operand, and a body's results. *)
+let rec gen_control rng shapes inv i depth =
+  let all = List.init i Fun.id in
+  let varying = List.filter (fun j -> not inv.(j)) all in
+  let some l = List.init (1 + Rng.int rng 2) (fun _ -> pick rng l) in
+  let loop_ok = depth <> Nested_body in
+  if (not loop_ok) || Rng.int rng 2 = 0 then
+    let inputs = some all in
+    let branch () =
+      gen_block rng
+        ~shapes:(List.map (fun j -> shapes.(j)) inputs)
+        ~inv:(List.map (fun _ -> false) inputs)
+        ~ops:(1 + Rng.int rng 3) ~depth:None
+        ~results:[ shapes.(List.hd inputs) ]
+    in
+    let pa = pick rng varying and pb = pick rng all in
+    let then_ = branch () in
+    Cond { pa; pb; inputs; then_; else_ = branch () }
+  else
+    let top = depth = Top in
+    let pool = if top then all else varying in
+    let init = some pool in
+    let invs = List.init (Rng.int rng 3) (fun _ -> pick rng pool) in
+    let var_shapes = List.map (fun j -> shapes.(j)) init in
+    let body =
+      gen_block rng
+        ~shapes:
+          (([||] :: var_shapes) @ ([||] :: List.map (fun j -> shapes.(j)) invs))
+        ~inv:
+          ((false :: List.map (fun _ -> false) init)
+          @ (true :: List.map (fun _ -> true) invs))
+        ~ops:(2 + Rng.int rng 4)
+        ~depth:(Some (if top then Body else Nested_body))
+        ~results:var_shapes
+    in
+    Loop
+      {
+        trips = (if top then Some (Rng.int rng 4) else None);
+        init;
+        invs;
+        body;
+      }
+
+(* [ops] instructions over an environment of [shapes] (invariance
+   [inv]), then one tanh per requested result shape over a per-iteration
+   value of that shape. *)
+and gen_block rng ~shapes ~inv ~ops ~depth ~results =
+  let n_in = List.length shapes in
+  let n = n_in + ops + List.length results in
+  let env_shapes = Array.make n [||] and env_inv = Array.make n false in
+  List.iteri (fun j s -> env_shapes.(j) <- s) shapes;
+  List.iteri (fun j b -> env_inv.(j) <- b) inv;
+  let code = Array.make (ops + List.length results) (Leaf [||]) in
+  let push j instr =
+    let i = n_in + j in
+    code.(j) <- instr;
+    env_shapes.(i) <- shape_of env_shapes instr;
+    env_inv.(i) <-
+      (match instr with
+      | Cond _ | Loop _ -> false
+      | _ -> List.for_all (fun a -> env_inv.(a)) (operands instr))
+  in
+  for j = 0 to ops - 1 do
+    let i = n_in + j in
+    push j
+      (match depth with
+      | Some d when Rng.int rng 4 = 0 -> gen_control rng env_shapes env_inv i d
+      | _ -> gen_plain rng env_shapes i)
+  done;
+  List.iteri
+    (fun r shape ->
+      let i = n_in + ops + r in
+      let candidates =
+        List.filter
+          (fun j -> Shape.equal env_shapes.(j) shape && not env_inv.(j))
+          (List.init i Fun.id)
+      in
+      (* Lean towards the newest value so the block's code is used. *)
+      let src =
+        if Rng.int rng 2 = 0 then
+          List.nth candidates (List.length candidates - 1)
+        else pick rng candidates
+      in
+      push (ops + r) (Unary ("Tanh", src)))
+    results;
+  {
+    n_in;
+    code;
+    results = List.init (List.length results) (fun r -> n_in + ops + r);
+  }
 
 (* Generate a program of [ops] instructions after a fixed set of leaves.
-   Operand picks that need a matching partner fall back to a unary op
-   when none exists, so generation never fails. *)
-let gen_program rng ~ops =
+   With [control_flow], each instruction is a cond or a loop with
+   probability 1/3, and at least one is. *)
+let gen_program ?(control_flow = false) rng ~ops =
   let leaves =
     [ Leaf [||]; Leaf [| 4 |]; Leaf [| 3; 4 |]; Leaf [| 4; 5 |];
       Fed [| 4 |]; Fed [| 3; 4 |] ]
@@ -83,83 +325,91 @@ let gen_program rng ~ops =
   let n = n_leaves + ops in
   let prog = Array.make n (Leaf [||]) in
   let shapes = Array.make n [||] in
+  let root_invariant = Array.make n false (* the root has no invariants *) in
   List.iteri (fun i l -> prog.(i) <- l) leaves;
   List.iteri (fun i _ -> shapes.(i) <- shape_of shapes prog.(i)) leaves;
-  (* A partner for [a] with the same shape, or a scalar (broadcasts with
-     everything); [a] itself is allowed. *)
-  let pick_partner i a =
-    let candidates = ref [] in
-    for j = 0 to i - 1 do
-      if Shape.equal shapes.(j) shapes.(a) || Array.length shapes.(j) = 0 then
-        candidates := j :: !candidates
-    done;
-    match !candidates with
-    | [] -> None
-    | l -> Some (List.nth l (Rng.int rng (List.length l)))
-  in
-  let same_shape_partner i a =
-    match pick_partner i a with
-    | Some b when Shape.equal shapes.(b) shapes.(a) -> Some b
-    | _ -> None
-  in
+  let forced = if control_flow then n_leaves + Rng.int rng ops else -1 in
   for i = n_leaves to n - 1 do
-    let a = Rng.int rng i in
-    let fallback () =
-      Unary (unary_ops.(Rng.int rng (Array.length unary_ops)), a)
-    in
     let instr =
-      match Rng.int rng 10 with
-      | 0 | 1 | 2 -> fallback ()
-      | 3 | 4 -> (
-          match pick_partner i a with
-          | Some b ->
-              Binary (binary_ops.(Rng.int rng (Array.length binary_ops)), a, b)
-          | None -> fallback ())
-      | 5 -> (
-          (* matmul: any rank-2 pair with a matching inner dimension *)
-          let pairs = ref [] in
-          for x = 0 to i - 1 do
-            for y = 0 to i - 1 do
-              if
-                Array.length shapes.(x) = 2
-                && Array.length shapes.(y) = 2
-                && shapes.(x).(1) = shapes.(y).(0)
-              then pairs := (x, y) :: !pairs
-            done
-          done;
-          match !pairs with
-          | [] -> fallback ()
-          | l ->
-              let x, y = List.nth l (Rng.int rng (List.length l)) in
-              Matmul (x, y))
-      | 6 ->
-          Reduce
-            ( (match Rng.int rng 3 with
-              | 0 -> "ReduceSum"
-              | 1 -> "ReduceMean"
-              | _ -> "ReduceMax"),
-              a )
-      | 7 -> (
-          match (pick_partner i a, pick_partner i a) with
-          | Some b, Some c -> Add_n [ a; b; c ]
-          | Some b, None -> Add_n [ a; b ]
-          | _ -> fallback ())
-      | 8 ->
-          if Array.length shapes.(a) = 2 && Rng.int rng 2 = 0 then Transpose2 a
-          else if Array.length shapes.(a) >= 1 then
-            match same_shape_partner i a with
-            | Some b -> Concat0 (a, b)
-            | None -> fallback ()
-          else fallback ()
-      | _ -> (
-          match same_shape_partner i a with
-          | Some b -> Choose (a, b)
-          | None -> fallback ())
+      if i = forced || (control_flow && Rng.int rng 3 = 0) then
+        gen_control rng shapes root_invariant i Top
+      else gen_plain rng shapes i
     in
     prog.(i) <- instr;
     shapes.(i) <- shape_of shapes instr
   done;
   prog
+
+let emit_plain b (env : B.output array) = function
+  | Unary (op, a) -> (
+      let x = env.(a) in
+      match op with
+      | "Neg" -> B.neg b x
+      | "Abs" -> B.abs b x
+      | "Square" -> B.square b x
+      | "Relu" -> B.relu b x
+      | "Sigmoid" -> B.sigmoid b x
+      | "Tanh" -> B.tanh b x
+      | "Identity" -> B.identity b x
+      | "StopGradient" -> B.stop_gradient b x
+      | _ -> assert false)
+  | Binary (op, a, b') -> (
+      let x = env.(a) and y = env.(b') in
+      match op with
+      | "Add" -> B.add b x y
+      | "Sub" -> B.sub b x y
+      | "Mul" -> B.mul b x y
+      | "Maximum" -> B.maximum b x y
+      | "Minimum" -> B.minimum b x y
+      | _ -> assert false)
+  | Matmul (a, b') -> B.matmul b env.(a) env.(b')
+  | Reduce (op, a) -> (
+      match op with
+      | "ReduceSum" -> B.reduce_sum b env.(a)
+      | "ReduceMean" -> B.reduce_mean b env.(a)
+      | _ -> B.reduce_max b env.(a))
+  | Add_n srcs -> B.add_n b (List.map (fun s -> env.(s)) srcs)
+  | Concat0 (a, b') -> B.concat b ~axis:0 [ env.(a); env.(b') ]
+  | Transpose2 a -> B.transpose b env.(a)
+  | Choose (a, b') ->
+      B.select b (B.greater b env.(a) env.(b')) env.(a) env.(b')
+  | Leaf _ | Fed _ | Cond _ | Loop _ -> assert false
+
+let rec emit b env instr =
+  match instr with
+  | Cond c ->
+      let pred =
+        B.greater b (B.reduce_sum b env.(c.pa)) (B.reduce_sum b env.(c.pb))
+      in
+      let branch blk b ins = emit_block b ins blk in
+      List.hd
+        (B.cond b pred
+           ~inputs:(List.map (fun j -> env.(j)) c.inputs)
+           ~then_:(branch c.then_) ~else_:(branch c.else_))
+  | Loop l ->
+      let counter, limit =
+        match l.trips with
+        | Some t -> (B.const_f b 0.0, B.const_f b (float_of_int t -. 0.5))
+        | None -> (B.zeros_like b env.(0), env.(0))
+      in
+      let k = List.length l.init in
+      let exits =
+        B.while_loop b
+          ~invariants:(limit :: List.map (fun j -> env.(j)) l.invs)
+          ~cond:(fun b vars -> B.less b (List.hd vars) (List.nth vars (k + 1)))
+          ~body:(fun b vars ->
+            let c = List.hd vars in
+            B.add b c (B.ones_like b c) :: emit_block b vars l.body)
+          (counter :: List.map (fun j -> env.(j)) l.init)
+      in
+      List.nth exits 1
+  | _ -> emit_plain b env instr
+
+and emit_block b ins blk =
+  let env = Array.make (blk.n_in + Array.length blk.code) (List.hd ins) in
+  List.iteri (fun j x -> env.(j) <- x) ins;
+  Array.iteri (fun j instr -> env.(blk.n_in + j) <- emit b env instr) blk.code;
+  List.map (fun r -> env.(r)) blk.results
 
 (* Build the graph for a program prefix of length [k] and return the
    fetches (every sink, so nothing is silently unused) and the feed
@@ -172,60 +422,21 @@ let build_graph prog k =
   let outs = Array.make k (B.const_f b 0.0) in
   let feeds = ref [] in
   for i = 0 to k - 1 do
-    let o =
-      match prog.(i) with
+    outs.(i) <-
+      (match prog.(i) with
       | Leaf s -> B.const b (tensor s)
       | Fed s ->
           let ph = B.placeholder b Dtype.F32 in
           feeds := (ph, tensor s) :: !feeds;
           ph
-      | Unary (op, a) -> (
-          let x = outs.(a) in
-          match op with
-          | "Neg" -> B.neg b x
-          | "Abs" -> B.abs b x
-          | "Square" -> B.square b x
-          | "Relu" -> B.relu b x
-          | "Sigmoid" -> B.sigmoid b x
-          | "Tanh" -> B.tanh b x
-          | "Identity" -> B.identity b x
-          | "StopGradient" -> B.stop_gradient b x
-          | _ -> assert false)
-      | Binary (op, a, b') -> (
-          let x = outs.(a) and y = outs.(b') in
-          match op with
-          | "Add" -> B.add b x y
-          | "Sub" -> B.sub b x y
-          | "Mul" -> B.mul b x y
-          | "Maximum" -> B.maximum b x y
-          | "Minimum" -> B.minimum b x y
-          | _ -> assert false)
-      | Matmul (a, b') -> B.matmul b outs.(a) outs.(b')
-      | Reduce (op, a) -> (
-          match op with
-          | "ReduceSum" -> B.reduce_sum b outs.(a)
-          | "ReduceMean" -> B.reduce_mean b outs.(a)
-          | _ -> B.reduce_max b outs.(a))
-      | Add_n srcs -> B.add_n b (List.map (fun s -> outs.(s)) srcs)
-      | Concat0 (a, b') -> B.concat b ~axis:0 [ outs.(a); outs.(b') ]
-      | Transpose2 a -> B.transpose b outs.(a)
-      | Choose (a, b') ->
-          B.select b (B.greater b outs.(a) outs.(b')) outs.(a) outs.(b')
-    in
-    outs.(i) <- o
+      | instr -> emit b outs instr)
   done;
   (* Fetch every sink: instructions no later instruction consumes. *)
   let consumed = Array.make k false in
-  for i = 0 to k - 1 do
-    let mark a = if a < k then consumed.(a) <- true in
-    match prog.(i) with
-    | Leaf _ | Fed _ -> ()
-    | Unary (_, a) | Reduce (_, a) | Transpose2 a -> mark a
-    | Binary (_, a, b') | Matmul (a, b') | Concat0 (a, b') | Choose (a, b') ->
-        mark a;
-        mark b'
-    | Add_n srcs -> List.iter mark srcs
-  done;
+  Array.iteri
+    (fun i instr ->
+      if i < k then List.iter (fun a -> consumed.(a) <- true) (operands instr))
+    prog;
   let fetches = ref [] in
   for i = k - 1 downto 0 do
     if not consumed.(i) then fetches := outs.(i) :: !fetches
@@ -276,24 +487,39 @@ let divergence prog k =
       in
       Session.run ~feeds s fetches
     in
-    let reference = run (List.hd configs) in
-    List.fold_left
-      (fun acc config ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-            let got = run config in
-            if List.for_all2 Tensor.equal reference got then None
-            else
-              Some
-                (Printf.sprintf "fetches diverge: %s vs %s"
-                   (config_to_string (List.hd configs))
-                   (config_to_string config)))
-      None (List.tl configs)
+    let run config =
+      match run config with
+      | got -> Ok got
+      | exception e ->
+          Error
+            (Printf.sprintf "%s failed: %s" (config_to_string config)
+               (match e with
+               | Session.Run_error f -> Step_failure.to_string f
+               | e -> Printexc.to_string e))
+    in
+    match run (List.hd configs) with
+    | Error msg -> Some msg
+    | Ok reference ->
+        List.fold_left
+          (fun acc config ->
+            match acc with
+            | Some _ -> acc
+            | None -> (
+                match run config with
+                | Error msg -> Some msg
+                | Ok got when List.for_all2 Tensor.equal reference got -> None
+                | Ok _ ->
+                    Some
+                      (Printf.sprintf "fetches diverge: %s vs %s"
+                         (config_to_string (List.hd configs))
+                         (config_to_string config))))
+          None (List.tl configs)
   end
 
 let program_to_string prog k =
-  String.concat "\n" (List.init k (fun i -> "  " ^ instr_to_string i prog.(i)))
+  String.concat "\n"
+    (List.concat
+       (List.init k (fun i -> instr_lines ~v:"%" ~indent:"  " i prog.(i))))
 
 (* Quantized legs: the dynamic Quantize pass rewrites every eligible
    matmul (const rhs weights) to 8-bit arithmetic, so fetches are NOT
@@ -386,51 +612,20 @@ let quant_divergence prog k =
         None (List.tl quant_configs)
   end
 
-(* The same 200-DAG corpus as the bit-identical harness, under the
-   dynamic quantization pass: eligible graphs (matmul with const rhs)
-   run quantized, everything else passes through untouched. *)
-let test_random_dags_quantized () =
+(* Check [graphs] seeded programs with [divergence]. A failing program
+   is shrunk to its shortest failing prefix — prefixes of a
+   straight-line program are always valid graphs — and printed. *)
+let check_corpus ?control_flow ~seed0 ~graphs divergence =
   let saved = Parallel.threads () in
   Fun.protect ~finally:(fun () -> Parallel.set_threads saved) @@ fun () ->
-  let graphs = 200 in
   for seed = 1 to graphs do
-    let rng = Rng.create (1000 + seed) in
+    let rng = Rng.create (seed0 + seed) in
     let ops = 4 + Rng.int rng 11 in
-    let prog = gen_program rng ~ops in
-    let n = Array.length prog in
-    match quant_divergence prog n with
-    | None -> ()
-    | Some full_msg ->
-        let k = ref n and msg = ref full_msg in
-        (try
-           for j = 1 to n - 1 do
-             match quant_divergence prog j with
-             | Some m ->
-                 k := j;
-                 msg := m;
-                 raise Exit
-             | None -> ()
-           done
-         with Exit -> ());
-        Alcotest.failf "seed %d, shrunk to %d instructions: %s\n%s" seed !k
-          !msg
-          (program_to_string prog !k)
-  done
-
-let test_random_dags () =
-  let saved = Parallel.threads () in
-  Fun.protect ~finally:(fun () -> Parallel.set_threads saved) @@ fun () ->
-  let graphs = 200 in
-  for seed = 1 to graphs do
-    let rng = Rng.create (1000 + seed) in
-    let ops = 4 + Rng.int rng 11 in
-    let prog = gen_program rng ~ops in
+    let prog = gen_program ?control_flow rng ~ops in
     let n = Array.length prog in
     match divergence prog n with
     | None -> ()
     | Some full_msg ->
-        (* Shrink: the shortest prefix that still diverges. Prefixes of
-           a straight-line program are always valid graphs. *)
         let k = ref n and msg = ref full_msg in
         (try
            for j = 1 to n - 1 do
@@ -446,6 +641,20 @@ let test_random_dags () =
           !msg
           (program_to_string prog !k)
   done
+
+let test_random_dags () = check_corpus ~seed0:1000 ~graphs:200 divergence
+
+(* The same 200-DAG corpus under the dynamic quantization pass:
+   eligible graphs (matmul with const rhs) run quantized, everything
+   else passes through untouched. *)
+let test_random_dags_quantized () =
+  check_corpus ~seed0:1000 ~graphs:200 quant_divergence
+
+(* Conds and while loops (nested, zero-trip, with invariants) around
+   the same instruction set, across the same 16 configurations: frames,
+   dead branches and per-iteration lifetimes must not change a bit. *)
+let test_random_control_flow () =
+  check_corpus ~control_flow:true ~seed0:5000 ~graphs:100 divergence
 
 (* Pipelined legs: a stateless program must fetch bit-identical tensors
    whether run synchronously or issued through run_async at K = 1, at
@@ -526,4 +735,6 @@ let suite =
       test_pipelined_stateless;
     Alcotest.test_case "pipelined variable updates linearize" `Quick
       test_pipelined_variable_updates;
+    Alcotest.test_case "100 random control-flow DAGs, 16 configs, bit-identical"
+      `Quick test_random_control_flow;
   ]

@@ -324,6 +324,109 @@ let test_switch_merge_refcounts_balance () =
         (mem_live_bytes ()))
     [ true; false; true; false ]
 
+(* ------------------------- per-endpoint feeds ------------------------ *)
+
+let split_graph () =
+  let b = B.create () in
+  let x = B.const b (Tensor.of_float_array [| 2 |] [| 5.0; 6.0 |]) in
+  match B.split b ~name:"parts" x ~axis:0 ~num:2 with
+  | [ p0; p1 ] -> (b, p0, p1)
+  | _ -> Alcotest.fail "split arity"
+
+let test_feeds_per_endpoint () =
+  (* Each fed output of a multi-output node keeps its own value. *)
+  let b, p0, p1 = split_graph () in
+  let sum = B.add b p0 p1 in
+  let s = Session.create ~optimize:false (B.graph b) in
+  let one = Tensor.of_float_array [| 1 |] [| 1.0 |] in
+  let two = Tensor.of_float_array [| 1 |] [| 2.0 |] in
+  match Session.run ~feeds:[ (p0, one); (p1, two) ] s [ p0; p1; sum ] with
+  | [ a; c; d ] ->
+      Alcotest.(check (float 0.)) "parts:0" 1.0 (scalar a);
+      Alcotest.(check (float 0.)) "parts:1" 2.0 (scalar c);
+      Alcotest.(check (float 0.)) "sum" 3.0 (scalar d)
+  | _ -> Alcotest.fail "arity"
+
+let test_unfed_output_of_fed_node () =
+  (* Feeding parts:0 alone leaves parts:1 without a value: reading it,
+     by a fetch or through a consumer, is a malformed graph. *)
+  let one = Tensor.of_float_array [| 1 |] [| 1.0 |] in
+  List.iter
+    (fun consume ->
+      let b, p0, p1 = split_graph () in
+      let fetch = if consume then B.neg b p1 else p1 in
+      let s = Session.create ~optimize:false (B.graph b) in
+      match Session.run ~feeds:[ (p0, one) ] s [ fetch ] with
+      | _ -> Alcotest.fail "expected an unfed-endpoint error"
+      | exception Session.Run_error f ->
+          (match f.Step_failure.cause with
+          | Step_failure.Invalid_graph _ -> ()
+          | _ -> Alcotest.failf "wrong cause: %s" (Step_failure.to_string f));
+          Alcotest.(check bool) "names the endpoint" true
+            (contains (Step_failure.to_string f) "parts:1"))
+    [ false; true ]
+
+(* ------------------------ in-place grant policy ------------------------ *)
+
+let grants_total () =
+  Option.value ~default:0.0
+    (Metrics.find_value Metrics.default "octf_mem_inplace_grants_total")
+
+(* relu, neg, tanh and sigmoid each take the one reader's grant on the
+   buffer their predecessor just allocated; square reads a value it does
+   not own (a constant or a loop variable), so it gets none. *)
+let chain b x = B.sigmoid b (B.tanh b (B.neg b (B.relu b (B.square b x))))
+let chain_grants = 4
+
+let test_inplace_grants_counted () =
+  let input = Tensor.of_float_array [| 64 |] (Array.init 64 float_of_int) in
+  let straight () =
+    let b = B.create () in
+    (b, chain b (B.const b input))
+  in
+  let trips = 3 in
+  let looped () =
+    let b = B.create () in
+    let one = B.const_f b 1.0 and limit = B.const_f b (float_of_int trips) in
+    let exits =
+      B.while_loop b ~invariants:[ one; limit ]
+        ~cond:(fun b vars ->
+          match vars with
+          | [ i; _; _; lim ] -> B.less b i lim
+          | _ -> assert false)
+        ~body:(fun b vars ->
+          match vars with
+          | [ i; x; one; _ ] -> [ B.add b i one; chain b x ]
+          | _ -> assert false)
+        [ B.const_f b 0.0; B.const b input ]
+    in
+    (b, List.nth exits 1)
+  in
+  List.iter
+    (fun (label, build, per_step) ->
+      let run planning =
+        let b, out = build () in
+        let s =
+          Session.create ~optimize:false ~memory_planning:planning (B.graph b)
+        in
+        ignore (Session.run s [ out ]);
+        let before = grants_total () in
+        let got = Session.run s [ out ] in
+        (got, grants_total () -. before)
+      in
+      let on, granted = run true in
+      let off, not_granted = run false in
+      Alcotest.(check (float 0.)) (label ^ ": grants, planning on")
+        (float_of_int per_step) granted;
+      Alcotest.(check (float 0.)) (label ^ ": grants, planning off") 0.0
+        not_granted;
+      Alcotest.(check bool) (label ^ ": bit-identical") true
+        (List.for_all2 Tensor.equal on off))
+    [
+      ("straight chain", straight, chain_grants);
+      ("loop body", looped, trips * chain_grants);
+    ]
+
 let suite =
   [
     Alcotest.test_case "switch dead propagation" `Quick
@@ -350,4 +453,9 @@ let suite =
       test_reproducible_random_steps;
     Alcotest.test_case "kernel error reporting" `Quick
       test_kernel_error_reporting;
+    Alcotest.test_case "feeds are per endpoint" `Quick test_feeds_per_endpoint;
+    Alcotest.test_case "unfed output of a fed node" `Quick
+      test_unfed_output_of_fed_node;
+    Alcotest.test_case "in-place grants counted" `Quick
+      test_inplace_grants_counted;
   ]

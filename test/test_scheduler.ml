@@ -37,8 +37,8 @@ let check_identical ?(steps = 1) ?cluster ~name build =
     (List.combine inline pool)
 
 let test_identical_simple () =
-  (* Control-flow-free graph (splan fast path) mixing random ops,
-     matmuls and a reduction: a wide graph the pool actually fans out. *)
+  (* Control-flow-free graph mixing random ops, matmuls and a
+     reduction: a wide graph the pool actually fans out. *)
   check_identical ~name:"simple" ~steps:3 (fun b ->
       let branches =
         List.init 8 (fun _ ->
