@@ -409,6 +409,117 @@ let time_kernel ~iters f =
   done;
   (Unix.gettimeofday () -. t0) /. float_of_int iters
 
+(* Machine peak for these kernels: scalar double multiply-adds (the
+   instructions ocamlopt emits for the GEMM tiles) on operands loaded
+   from an L1-resident buffer, sixteen multiply-adds per two loads into
+   eight independent accumulators, so no add waits on the previous one.
+   The host lends its core a speed that changes every few tens of
+   milliseconds, so this is the best of many short trials. *)
+let measure_peak_gflops ~trials =
+  let len = 512 in
+  let xs = Array.init len (fun i -> 1.0 +. (float_of_int i *. 1e-6)) in
+  let reps = 1000 in
+  let run () =
+    let c0 = ref 0.0 and c1 = ref 0.0 and c2 = ref 0.0 and c3 = ref 0.0 in
+    let c4 = ref 0.0 and c5 = ref 0.0 and c6 = ref 0.0 and c7 = ref 0.0 in
+    for _ = 1 to reps do
+      let i = ref 0 in
+      while !i < len do
+        let x = Array.unsafe_get xs !i and y = Array.unsafe_get xs (!i + 1) in
+        c0 := !c0 +. (x *. y);
+        c1 := !c1 +. (x *. x);
+        c2 := !c2 +. (y *. y);
+        c3 := !c3 +. (y *. x);
+        c4 := !c4 +. (x *. y);
+        c5 := !c5 +. (x *. x);
+        c6 := !c6 +. (y *. y);
+        c7 := !c7 +. (y *. x);
+        c0 := !c0 +. (x *. y);
+        c1 := !c1 +. (x *. x);
+        c2 := !c2 +. (y *. y);
+        c3 := !c3 +. (y *. x);
+        c4 := !c4 +. (x *. y);
+        c5 := !c5 +. (x *. x);
+        c6 := !c6 +. (y *. y);
+        c7 := !c7 +. (y *. x);
+        i := !i + 2
+      done
+    done;
+    !c0 +. !c1 +. !c2 +. !c3 +. !c4 +. !c5 +. !c6 +. !c7
+  in
+  (* 16 multiply-adds (32 flops) per two elements. *)
+  let flops = float_of_int (reps * len * 16) in
+  let best = ref 0.0 in
+  for _ = 1 to trials do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (run ()));
+    let dt = Unix.gettimeofday () -. t0 in
+    best := Float.max !best (flops /. dt /. 1e9)
+  done;
+  !best
+
+(* The GEMMs of one train_convnet step (batch 8, 28x28, 5x5 convs with
+   8 and 16 channels, a 784x64 dense layer) plus a 512^3 square, as
+   (name, m, k, n, transpose_a, transpose_b, zero share of A): the
+   same operand layouts Conv2D, Conv2DGradFilter (cols^T dy),
+   Conv2DGradInput (dy filter^T, dy mostly zeros after ReluGrad and
+   MaxPoolGrad) and MatMul hand the kernel. *)
+let gemm_shapes ~smoke =
+  [
+    ("conv1_fwd", 6272, 25, 8, false, false, 0.0);
+    ("conv2_fwd", 1568, 200, 16, false, false, 0.0);
+    ("conv1_grad_filter", 25, 6272, 8, true, false, 0.0);
+    ("conv2_grad_filter", 200, 1568, 16, true, false, 0.0);
+    ("conv2_grad_input", 1568, 16, 200, false, true, 0.75);
+    ("fc1_fwd", 8, 784, 64, false, false, 0.0);
+    (if smoke then ("square_96", 96, 96, 96, false, false, 0.0)
+     else ("square_512", 512, 512, 512, false, false, 0.0));
+  ]
+
+(* Each shape at one thread, timed in [trials] batches: GFLOP/s over
+   2mkn at the median batch, and the share of [peak] reached at the
+   best batch (the peak is a best too). The share counts useful flops, 2 nnz(A) n, so a kernel that
+   skips zero terms of a sparse A gets no credit for them. *)
+let gemm_roofline ~smoke ~peak =
+  let rng = Rng.create 13 in
+  let trials = if smoke then 3 else 9 in
+  Parallel.set_threads 1;
+  List.map
+    (fun (name, m, k, n, ta, tb, zeros) ->
+      let a =
+        Tensor.init_f (if ta then [| k; m |] else [| m; k |]) (fun _ ->
+            if Rng.float rng 1.0 < zeros then 0.0
+            else Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+      in
+      let b =
+        Tensor.uniform rng (if tb then [| n; k |] else [| k; n |]) ~lo:(-1.0)
+          ~hi:1.0
+      in
+      (* Batches of about 2e7 flops (2e6 in smoke mode). *)
+      let flops = 2.0 *. float_of_int (m * k * n) in
+      let iters =
+        max 1 (int_of_float ((if smoke then 2e6 else 2e7) /. flops))
+      in
+      let samples =
+        List.sort compare
+          (List.init trials (fun _ ->
+               time_kernel ~iters (fun () ->
+                   Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b)))
+      in
+      let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
+      let nnz = Tensor.fold_f (fun c v -> if v <> 0.0 then c + 1 else c) 0 a in
+      let gflops = flops /. median_s /. 1e9 in
+      let useful_best = 2.0 *. float_of_int (nnz * n) /. best_s /. 1e9 in
+      let pct = 100.0 *. useful_best /. peak in
+      Printf.printf
+        "gemm %-18s %4dx%4dx%4d (A %2.0f%% zeros), 1 thread: %8.3f ms  %5.2f \
+         GFLOP/s  %5.1f%% of peak\n%!"
+        name m k n (100.0 *. zeros) (1000.0 *. median_s) gflops pct;
+      Printf.sprintf
+        "{\"name\":%S,\"m\":%d,\"k\":%d,\"n\":%d,\"transpose_a\":%b,\"transpose_b\":%b,\"a_nonzeros\":%d,\"median_ms\":%.4f,\"best_ms\":%.4f,\"gflops\":%.3f,\"pct_of_peak\":%.1f}"
+        name m k n ta tb nnz (1000.0 *. median_s) (1000.0 *. best_s) gflops pct)
+    (gemm_shapes ~smoke)
+
 let kernels () =
   section "Intra-op kernel throughput (GFLOP/s by thread budget)";
   let smoke = smoke_mode () in
@@ -417,6 +528,12 @@ let kernels () =
   let saved_threads = Parallel.threads () in
   Fun.protect ~finally:(fun () -> Parallel.set_threads saved_threads)
   @@ fun () ->
+  let peak = measure_peak_gflops ~trials:(if smoke then 20 else 100) in
+  Printf.printf
+    "machine peak (scalar multiply-add, L1-resident, 1 thread, best of \
+     trials): %.2f GFLOP/s\n%!"
+    peak;
+  let roofline = gemm_roofline ~smoke ~peak in
   let rng = Rng.create 11 in
   (* matmul: one dim x dim square product per call. *)
   let mm_dim = if smoke then 96 else 512 in
@@ -572,9 +689,9 @@ let kernels () =
   let fc_best =
     List.fold_left (fun acc (_, (_, _, s)) -> Float.max acc s) 0.0 fc_series
   in
-  (* Transposed-variant regression guard: every variant is packed onto
-     the same blocked kernel, so none may cost more than a small factor
-     over the plain path (it was ~10x before packing). *)
+  (* Transposed-variant regression guard: every variant runs the same
+     kernel with swapped strides, so none may cost more than a small
+     factor over the plain path (strided loops once cost ~10x). *)
   Parallel.set_threads saved_threads;
   let variant ta tb =
     time_kernel ~iters (fun () ->
@@ -598,6 +715,8 @@ let kernels () =
   let json =
     Printf.sprintf
       "{\"bench\":\"kernels\",\"smoke\":%b,\"cores\":%d,\n\
+       \"peak\":{\"gflops\":%.3f,\"method\":\"scalar multiply-add, L1-resident operands, 8 independent accumulators, 1 thread, best of trials\"},\n\
+       \"gemm_roofline\":[%s],\n\
        \"matmul\":{\"dim\":%d,\"series\":[%s]},\n\
        \"conv2d\":{\"batch\":%d,\"size\":%d,\"in_channels\":%d,\"out_channels\":%d,\"series\":[%s]},\n\
        \"elementwise\":{\"elems\":%d,\"series\":[%s]},\n\
@@ -605,6 +724,8 @@ let kernels () =
        \"matmul_variants\":{\"plain_ms\":%.3f,\"transpose_a_ms\":%.3f,\"transpose_b_ms\":%.3f,\"transpose_both_ms\":%.3f,\"worst_ratio\":%.3f}}\n"
       (smoke : bool)
       (Domain.recommended_domain_count ())
+      peak
+      (String.concat ",\n  " roofline)
       mm_dim
       (series_json (Printf.sprintf "\"gflops\":%.3f") mm_series)
       cv_batch cv_size cv_ic cv_oc

@@ -4,8 +4,8 @@
 
    The executor returns a buffer here only when its static lifetime
    analysis proves no live reference remains (see Mem_plan in lib/core);
-   kernels additionally release private scratch (im2col columns,
-   transpose packs) that never escapes.  Taking from the pool is always
+   kernels additionally release private scratch (im2col columns) that
+   never escapes.  Taking from the pool is always
    safe — soundness lives entirely on the release side. *)
 
 type stats = {

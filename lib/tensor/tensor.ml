@@ -292,13 +292,53 @@ let broadcast_index t out_shape =
     fun i -> plan_index plan i
   end
 
+(* When [t]'s shape, less leading 1s, is a trailing suffix of
+   [out_shape] (a bias [C] over [N;H;W;C], or a scalar), output flat
+   index i reads element i mod [numel t]: the period returned here. *)
+let suffix_period t out_shape =
+  let s = t.shape and r = Shape.rank out_shape in
+  let lead = ref 0 in
+  while !lead < Array.length s && s.(!lead) = 1 do
+    incr lead
+  done;
+  let len = Array.length s - !lead in
+  let rec matches d =
+    d >= len || (s.(!lead + d) = out_shape.(r - len + d) && matches (d + 1))
+  in
+  if len <= r && matches 0 then Some (numel t) else None
+
+(* out.(i) <- f full.(i) rep.(i mod period), or with the operands swapped
+   when [rep_first]; a scalar's value is read once. *)
+let map2_repeat ~out ~rep_first f full rep period n =
+  Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
+      if period = 1 then begin
+        let y = rep.(0) in
+        if rep_first then
+          for i = lo to hi - 1 do
+            out.(i) <- f y full.(i)
+          done
+        else
+          for i = lo to hi - 1 do
+            out.(i) <- f full.(i) y
+          done
+      end
+      else begin
+        let j = ref (lo mod period) in
+        for i = lo to hi - 1 do
+          out.(i) <-
+            (if rep_first then f rep.(!j) full.(i) else f full.(i) rep.(!j));
+          incr j;
+          if !j = period then j := 0
+        done
+      end)
+
 let map2_generic ?out f a b =
   let out_shape = Shape.broadcast a.shape b.shape in
   let n = Shape.numel out_shape in
   (* A granted buffer aliasing [a] or [b] is only length-compatible
      when the aliased operand's broadcast plan is the identity, so the
      read-index-i-before-write-index-i discipline below holds in the
-     broadcast branch too. *)
+     broadcast branches too. *)
   let out = use_or_alloc out n in
   (if Shape.equal a.shape b.shape then
      match (a.buf, b.buf) with
@@ -313,14 +353,24 @@ let map2_generic ?out f a b =
              for i = lo to hi - 1 do
                out.(i) <- f (flat_get_f a i) (flat_get_f b i)
              done)
-   else begin
-     let pa = broadcast_plan a out_shape and pb = broadcast_plan b out_shape in
-     Parallel.parallel_for ~grain:(elementwise_grain / 2) n (fun lo hi ->
-         for i = lo to hi - 1 do
-           out.(i) <-
-             f (flat_get_f a (plan_index pa i)) (flat_get_f b (plan_index pb i))
-         done)
-   end);
+   else
+     match (a.buf, b.buf, suffix_period a out_shape, suffix_period b out_shape) with
+     | Float_buf da, Float_buf db, _, Some period
+       when Shape.equal a.shape out_shape ->
+         map2_repeat ~out ~rep_first:false f da db period n
+     | Float_buf da, Float_buf db, Some period, _
+       when Shape.equal b.shape out_shape ->
+         map2_repeat ~out ~rep_first:true f db da period n
+     | _ ->
+         let pa = broadcast_plan a out_shape
+         and pb = broadcast_plan b out_shape in
+         Parallel.parallel_for ~grain:(elementwise_grain / 2) n (fun lo hi ->
+             for i = lo to hi - 1 do
+               out.(i) <-
+                 f
+                   (flat_get_f a (plan_index pa i))
+                   (flat_get_f b (plan_index pb i))
+             done));
   (out_shape, out)
 
 let map2_f ?out f a b =

@@ -86,53 +86,256 @@ let select cond a b =
       done);
   out
 
-(* Materialize the transpose of a [cols x rows] row-major buffer as a
-   [rows x cols] one, so the transposed matmul variants reuse the fast
-   non-transposed kernel. One O(rows*cols) pack beats the strided inner
-   loops that made transposed matmuls ~10x slower than the plain path. *)
-let transpose_pack src rows cols =
-  let out = Buffer_pool.alloc_float ~zero:false (rows * cols) in
-  Parallel.parallel_for
-    ~grain:(grain_for ~item_cost:cols ~target_work:16384)
-    rows
-    (fun lo hi ->
-      for i = lo to hi - 1 do
-        let base = i * cols in
-        for j = 0 to cols - 1 do
-          out.(base + j) <- src.((j * rows) + i)
-        done
-      done);
+(* Register-blocked GEMM: out[m x n] = A[m x k] * B[k x n].
+
+   A is read as [a.(i*ars + p*aps)] and B as [b.(p*bps + j*bcs)], so a
+   transposed operand is a stride swap, never a copy. Every output
+   element is one float accumulator that starts at +0.0 and adds
+   A[i,p]*B[p,j] in ascending p over the full k: the same operation
+   sequence as a naive dot product, whatever the tile, shard or thread
+   count, so results are bit-identical at every budget.
+
+   Dense inputs run a 2x4 tile (eight accumulators, which stay in
+   registers; a 4x4 tile spills), with narrower 2x1, 1x4 and 1x1 tiles
+   of the same loop for the last n mod 4 columns and an odd last row.
+
+   When most of A is zero and B is all finite, each row runs 1x4 and
+   1x1 tiles over only its nonzero entries. Skipping a = 0 drops terms
+   0*b = +-0.0, which leave the accumulator unchanged exactly when b is
+   finite (the accumulator is never -0.0), so both loops give the same
+   bits; with a NaN or infinite b the dense loop runs and 0*b = NaN
+   propagates as IEEE requires. *)
+
+let gemm_tile_2x4 (a : float array) ars aps (b : float array) bps bcs
+    (out : float array) n k i j =
+  let c00 = ref 0.0 and c01 = ref 0.0 and c02 = ref 0.0 and c03 = ref 0.0 in
+  let c10 = ref 0.0 and c11 = ref 0.0 and c12 = ref 0.0 and c13 = ref 0.0 in
+  let pa = ref (i * ars) and pb = ref (j * bcs) in
+  for _ = 1 to k do
+    let a0 = !pa and b0 = !pb in
+    let b1 = b0 + bcs in
+    let b2 = b1 + bcs in
+    let b3 = b2 + bcs in
+    let y0 = Array.unsafe_get b b0 and y1 = Array.unsafe_get b b1 in
+    let y2 = Array.unsafe_get b b2 and y3 = Array.unsafe_get b b3 in
+    let x = Array.unsafe_get a a0 in
+    c00 := !c00 +. (x *. y0);
+    c01 := !c01 +. (x *. y1);
+    c02 := !c02 +. (x *. y2);
+    c03 := !c03 +. (x *. y3);
+    let x = Array.unsafe_get a (a0 + ars) in
+    c10 := !c10 +. (x *. y0);
+    c11 := !c11 +. (x *. y1);
+    c12 := !c12 +. (x *. y2);
+    c13 := !c13 +. (x *. y3);
+    pa := a0 + aps;
+    pb := b0 + bps
+  done;
+  let o = (i * n) + j in
+  Array.unsafe_set out o !c00;
+  Array.unsafe_set out (o + 1) !c01;
+  Array.unsafe_set out (o + 2) !c02;
+  Array.unsafe_set out (o + 3) !c03;
+  let o = o + n in
+  Array.unsafe_set out o !c10;
+  Array.unsafe_set out (o + 1) !c11;
+  Array.unsafe_set out (o + 2) !c12;
+  Array.unsafe_set out (o + 3) !c13
+
+let gemm_tile_2x1 (a : float array) ars aps (b : float array) bps bcs
+    (out : float array) n k i j =
+  let c0 = ref 0.0 and c1 = ref 0.0 in
+  let pa = ref (i * ars) and pb = ref (j * bcs) in
+  for _ = 1 to k do
+    let a0 = !pa and y = Array.unsafe_get b !pb in
+    c0 := !c0 +. (Array.unsafe_get a a0 *. y);
+    c1 := !c1 +. (Array.unsafe_get a (a0 + ars) *. y);
+    pa := a0 + aps;
+    pb := !pb + bps
+  done;
+  let o = (i * n) + j in
+  Array.unsafe_set out o !c0;
+  Array.unsafe_set out (o + n) !c1
+
+let gemm_tile_1x4 (a : float array) ars aps (b : float array) bps bcs
+    (out : float array) n k i j =
+  let c0 = ref 0.0 and c1 = ref 0.0 and c2 = ref 0.0 and c3 = ref 0.0 in
+  let pa = ref (i * ars) and pb = ref (j * bcs) in
+  for _ = 1 to k do
+    let x = Array.unsafe_get a !pa and b0 = !pb in
+    let b1 = b0 + bcs in
+    let b2 = b1 + bcs in
+    let b3 = b2 + bcs in
+    c0 := !c0 +. (x *. Array.unsafe_get b b0);
+    c1 := !c1 +. (x *. Array.unsafe_get b b1);
+    c2 := !c2 +. (x *. Array.unsafe_get b b2);
+    c3 := !c3 +. (x *. Array.unsafe_get b b3);
+    pa := !pa + aps;
+    pb := b0 + bps
+  done;
+  let o = (i * n) + j in
+  Array.unsafe_set out o !c0;
+  Array.unsafe_set out (o + 1) !c1;
+  Array.unsafe_set out (o + 2) !c2;
+  Array.unsafe_set out (o + 3) !c3
+
+let gemm_tile_1x1 (a : float array) ars aps (b : float array) bps bcs
+    (out : float array) n k i j =
+  let c = ref 0.0 and pa = ref (i * ars) and pb = ref (j * bcs) in
+  for _ = 1 to k do
+    c := !c +. (Array.unsafe_get a !pa *. Array.unsafe_get b !pb);
+    pa := !pa + aps;
+    pb := !pb + bps
+  done;
+  Array.unsafe_set out ((i * n) + j) !c
+
+(* One dense row pair (or the last row alone when m is odd). *)
+let gemm_dense_rows a ars aps b bps bcs out m n k i =
+  let n4 = n - (n mod 4) in
+  let j = ref 0 in
+  if i + 1 < m then begin
+    while !j < n4 do
+      gemm_tile_2x4 a ars aps b bps bcs out n k i !j;
+      j := !j + 4
+    done;
+    for j = n4 to n - 1 do
+      gemm_tile_2x1 a ars aps b bps bcs out n k i j
+    done
+  end
+  else begin
+    while !j < n4 do
+      gemm_tile_1x4 a ars aps b bps bcs out n k i !j;
+      j := !j + 4
+    done;
+    for j = n4 to n - 1 do
+      gemm_tile_1x1 a ars aps b bps bcs out n k i j
+    done
+  end
+
+(* The sparse loop packs row i of A as its [nz] nonzero entries, in
+   ascending p: [vals] holds A[i,p] and [boffs] the offset p*bps of the
+   matching B row. The 1x4 and 1x1 row tiles then run over those only. *)
+let gemm_pack_nonzeros (a : float array) ars aps bps k i (boffs : int array)
+    (vals : float array) =
+  let nz = ref 0 and pa = ref (i * ars) in
+  for p = 0 to k - 1 do
+    let x = Array.unsafe_get a !pa in
+    if x <> 0.0 then begin
+      Array.unsafe_set boffs !nz (p * bps);
+      Array.unsafe_set vals !nz x;
+      incr nz
+    end;
+    pa := !pa + aps
+  done;
+  !nz
+
+let gemm_sparse_1x4 (boffs : int array) (vals : float array) nz
+    (b : float array) bcs (out : float array) n i j =
+  let c0 = ref 0.0 and c1 = ref 0.0 and c2 = ref 0.0 and c3 = ref 0.0 in
+  let jb = j * bcs in
+  for q = 0 to nz - 1 do
+    let x = Array.unsafe_get vals q in
+    let b0 = Array.unsafe_get boffs q + jb in
+    let b1 = b0 + bcs in
+    let b2 = b1 + bcs in
+    let b3 = b2 + bcs in
+    c0 := !c0 +. (x *. Array.unsafe_get b b0);
+    c1 := !c1 +. (x *. Array.unsafe_get b b1);
+    c2 := !c2 +. (x *. Array.unsafe_get b b2);
+    c3 := !c3 +. (x *. Array.unsafe_get b b3)
+  done;
+  let o = (i * n) + j in
+  Array.unsafe_set out o !c0;
+  Array.unsafe_set out (o + 1) !c1;
+  Array.unsafe_set out (o + 2) !c2;
+  Array.unsafe_set out (o + 3) !c3
+
+let gemm_sparse_1x1 (boffs : int array) (vals : float array) nz
+    (b : float array) bcs (out : float array) n i j =
+  let c = ref 0.0 and jb = j * bcs in
+  for q = 0 to nz - 1 do
+    c :=
+      !c
+      +. (Array.unsafe_get vals q
+         *. Array.unsafe_get b (Array.unsafe_get boffs q + jb))
+  done;
+  Array.unsafe_set out ((i * n) + j) !c
+
+let gemm_sparse_row a ars aps b bps bcs out n k i boffs vals =
+  let nz = gemm_pack_nonzeros a ars aps bps k i boffs vals in
+  let n4 = n - (n mod 4) in
+  let j = ref 0 in
+  while !j < n4 do
+    gemm_sparse_1x4 boffs vals nz b bcs out n i !j;
+    j := !j + 4
+  done;
+  for j = n4 to n - 1 do
+    gemm_sparse_1x1 boffs vals nz b bcs out n i j
+  done
+
+(* The unchecked accessors above rely on these bounds: every index a
+   tile can form lies inside its buffer. *)
+let check_operand what len rows cols rs cs =
+  if rs < 0 || cs < 0 then
+    invalid_arg (Printf.sprintf "Tensor_ops.gemm: negative %s stride" what);
+  if rows > 0 && cols > 0 && ((rows - 1) * rs) + ((cols - 1) * cs) >= len then
+    invalid_arg
+      (Printf.sprintf "Tensor_ops.gemm: %s buffer of %d too short for %dx%d"
+         what len rows cols)
+
+let mostly_zero (a : float array) ars aps m k =
+  let zeros = ref 0 in
+  for i = 0 to m - 1 do
+    let pa = ref (i * ars) in
+    for _ = 1 to k do
+      if Array.unsafe_get a !pa = 0.0 then incr zeros;
+      pa := !pa + aps
+    done
+  done;
+  2 * !zeros > m * k
+
+let all_finite (b : float array) bps bcs k n =
+  let ok = ref true and p = ref 0 in
+  while !ok && !p < k do
+    let pb = !p * bps in
+    for j = 0 to n - 1 do
+      if not (Float.is_finite (Array.unsafe_get b (pb + (j * bcs)))) then
+        ok := false
+    done;
+    incr p
+  done;
+  !ok
+
+let gemm ~m ~k ~n (a, ars, aps) (b, bps, bcs) =
+  if m < 0 || k < 0 || n < 0 then invalid_arg "Tensor_ops.gemm: negative dim";
+  check_operand "A" (Array.length a) m k ars aps;
+  check_operand "B" (Array.length b) k n bps bcs;
+  let out = Buffer_pool.alloc_float ~zero:false (m * n) in
+  if m > 0 && n > 0 then
+    if k > 0 && mostly_zero a ars aps m k && all_finite b bps bcs k n then
+      Parallel.parallel_for
+        ~grain:(grain_for ~item_cost:(k * n) ~target_work:32768)
+        m
+        (fun lo hi ->
+          let boffs = Array.make k 0 and vals = Array.make k 0.0 in
+          for i = lo to hi - 1 do
+            gemm_sparse_row a ars aps b bps bcs out n k i boffs vals
+          done)
+    else
+      Parallel.parallel_for
+        ~grain:(grain_for ~item_cost:(2 * k * n) ~target_work:32768)
+        ((m + 1) / 2)
+        (fun lo hi ->
+          for g = lo to hi - 1 do
+            gemm_dense_rows a ars aps b bps bcs out m n k (2 * g)
+          done);
   out
 
-(* Shared dense GEMM core: out[m x n] = A[m x k] * B[k x n], row-major.
-   k is blocked so the active B panel stays cache-resident while the i-k-j
-   loop streams A; rows are sharded across the intra-op budget.
-   Accumulation over p is ascending for every output element regardless of
-   block or shard layout, so results are bit-identical at any thread
-   count. *)
-let matmul_block = 256
-
-let matmul_buf ~m ~k ~n da db =
-  let out = Buffer_pool.alloc_float (m * n) in
-  let grain = grain_for ~item_cost:(k * n) ~target_work:32768 in
-  Parallel.parallel_for ~grain m (fun lo hi ->
-      let p0 = ref 0 in
-      while !p0 < k do
-        let pend = min k (!p0 + matmul_block) in
-        for i = lo to hi - 1 do
-          let abase = i * k and obase = i * n in
-          for p = !p0 to pend - 1 do
-            let aip = da.(abase + p) in
-            if aip <> 0.0 then
-              let bbase = p * n in
-              for j = 0 to n - 1 do
-                out.(obase + j) <- out.(obase + j) +. (aip *. db.(bbase + j))
-              done
-          done
-        done;
-        p0 := pend
-      done);
-  out
+(* (buffer, row stride, column stride) that read [buf] as a [rows x cols]
+   matrix stored row-major, or stored as its row-major [cols x rows]
+   transpose when [transposed]. *)
+let operand ~transposed buf rows cols =
+  if transposed then (buf, 1, rows) else (buf, cols, 1)
 
 let matmul ?(transpose_a = false) ?(transpose_b = false) a b =
   if T.rank a <> 2 || T.rank b <> 2 then
@@ -143,13 +346,11 @@ let matmul ?(transpose_a = false) ?(transpose_b = false) a b =
   if k <> k2 then
     invalid_arg
       (Printf.sprintf "Tensor_ops.matmul: inner dims %d vs %d" k k2);
-  let da0 = T.float_buffer a and db0 = T.float_buffer b in
-  let da = if transpose_a then transpose_pack da0 m k else da0 in
-  let db = if transpose_b then transpose_pack db0 k n else db0 in
-  let out = matmul_buf ~m ~k ~n da db in
-  (* The transpose packs are private scratch — recycle them. *)
-  if transpose_a then Buffer_pool.release_float da;
-  if transpose_b then Buffer_pool.release_float db;
+  let out =
+    gemm ~m ~k ~n
+      (operand ~transposed:transpose_a (T.float_buffer a) m k)
+      (operand ~transposed:transpose_b (T.float_buffer b) k n)
+  in
   T.of_float_array ~dtype:(T.dtype a) [| m; n |] out
 
 let transpose ?perm t =
@@ -572,7 +773,7 @@ let conv2d input filter ~strides ~padding =
   let din = T.float_buffer input and dft = T.float_buffer filter in
   let rows = batch * oh * ow and kdim = fh * fw * ic in
   let cols = im2col din ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~sh ~sw ~ph ~pw ~rows in
-  let out = matmul_buf ~m:rows ~k:kdim ~n:oc cols dft in
+  let out = gemm ~m:rows ~k:kdim ~n:oc (cols, kdim, 1) (dft, oc, 1) in
   Buffer_pool.release_float cols;
   T.of_float_array ~dtype:(T.dtype input) [| batch; oh; ow; oc |] out
 
@@ -590,9 +791,10 @@ let conv2d_grad_input ~input_shape filter dy ~strides ~padding =
      gradients back (col2im). Windows overlap within a batch image, so
      the scatter shards over the batch dimension only — contributions to
      one input element stay on one shard, in a fixed order. *)
-  let ft_t = transpose_pack dft oc kdim in
-  let dcols = matmul_buf ~m:rows ~k:oc ~n:kdim ddy ft_t in
-  Buffer_pool.release_float ft_t;
+  let dcols =
+    gemm ~m:rows ~k:oc ~n:kdim (ddy, oc, 1)
+      (operand ~transposed:true dft oc kdim)
+  in
   let out = Buffer_pool.alloc_float (batch * ih * iw * ic) in
   Parallel.parallel_for ~grain:1 batch (fun blo bhi ->
       for b = blo to bhi - 1 do
@@ -633,10 +835,12 @@ let conv2d_grad_filter ~filter_shape input dy ~strides ~padding =
      the contraction axis, accumulated in ascending (b, y, x) order for
      every filter element. *)
   let cols = im2col din ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~sh ~sw ~ph ~pw ~rows in
-  let cols_t = transpose_pack cols kdim rows in
+  let out =
+    gemm ~m:kdim ~k:rows ~n:oc
+      (operand ~transposed:true cols kdim rows)
+      (ddy, oc, 1)
+  in
   Buffer_pool.release_float cols;
-  let out = matmul_buf ~m:kdim ~k:rows ~n:oc cols_t ddy in
-  Buffer_pool.release_float cols_t;
   T.of_float_array ~dtype:(T.dtype dy) fs out
 
 let pool_generic input ~ksize ~strides ~padding ~init ~combine ~finish =

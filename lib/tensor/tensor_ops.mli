@@ -79,9 +79,12 @@ val select : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 val matmul :
   ?transpose_a:bool -> ?transpose_b:bool -> Tensor.t -> Tensor.t -> Tensor.t
 (** 2-D matrix product. All four transpose variants run the same
-    cache-blocked kernel (transposed operands are packed first), row-
-    sharded across the intra-op thread budget ({!Parallel}); results are
-    bit-identical for every thread count.
+    register-blocked kernel, reading a transposed operand through
+    swapped strides; rows are sharded across the intra-op thread budget
+    ({!Parallel}). Each output element accumulates its products in
+    ascending contraction order from [+0.0], so results are
+    bit-identical for every thread count, and [0 * nan] / [0 * inf]
+    terms give NaN as IEEE requires.
     @raise Invalid_argument on non-2-D input or inner dimension
     mismatch. *)
 

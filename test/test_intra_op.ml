@@ -92,7 +92,37 @@ let test_matmul_determinism () =
   check_bit_identical "matmul T_a" (fun () -> O.matmul ~transpose_a:true at b);
   check_bit_identical "matmul T_b" (fun () -> O.matmul ~transpose_b:true a bt);
   check_bit_identical "matmul T_ab" (fun () ->
-      O.matmul ~transpose_a:true ~transpose_b:true at bt)
+      O.matmul ~transpose_a:true ~transpose_b:true at bt);
+  (* Odd m and n mod 4 <> 0 reach every tile; an A that is 80% zeros
+     takes the kernel's sparse loop, the same A with one NaN in B the
+     dense one. *)
+  let sparse seed shape =
+    let rng = Rng.create seed in
+    Tensor.init_f shape (fun _ ->
+        if Rng.float rng 1.0 < 0.8 then 0.0
+        else Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+  in
+  let sa = sparse 24 [| 301; 40 |] and sat = sparse 25 [| 40; 301 |] in
+  let b = rand_t 26 [| 40; 31 |] in
+  let b_nan = Tensor.copy b in
+  Tensor.flat_set_f b_nan 7 Float.nan;
+  check_bit_identical "matmul sparse A" (fun () -> O.matmul sa b);
+  check_bit_identical "matmul sparse A^T" (fun () ->
+      O.matmul ~transpose_a:true sat b);
+  let da = rand_t 27 [| 301; 40 |] in
+  check_bit_identical "matmul dense A, odd m" (fun () -> O.matmul da b);
+  (* B[0,7] = NaN: 0 * NaN is NaN, so column 7 is NaN in every row and
+     no other entry is, at every thread budget. *)
+  List.iter
+    (fun t ->
+      let r = with_threads t (fun () -> O.matmul sa b_nan) in
+      for i = 0 to 300 do
+        for j = 0 to 30 do
+          if Float.is_nan (Tensor.get_f r [| i; j |]) <> (j = 7) then
+            Alcotest.failf "%d threads: NaN placement wrong at (%d, %d)" t i j
+        done
+      done)
+    [ 1; 2; 4 ]
 
 let test_conv2d_determinism () =
   let img = rand_t 7 [| 4; 16; 16; 4 |] in
@@ -109,6 +139,11 @@ let test_conv2d_determinism () =
             ~strides:(1, 1) ~padding);
       check_bit_identical ("conv2d_grad_filter " ^ name) (fun () ->
           O.conv2d_grad_filter ~filter_shape:(Tensor.shape filt) img dy
+            ~strides:(1, 1) ~padding);
+      (* A mostly-zero dy, as after ReluGrad, takes the sparse loop. *)
+      let dy_sparse = O.relu (O.sub dy (Tensor.scalar_f 1.0)) in
+      check_bit_identical ("conv2d_grad_input sparse dy " ^ name) (fun () ->
+          O.conv2d_grad_input ~input_shape:(Tensor.shape img) filt dy_sparse
             ~strides:(1, 1) ~padding))
     [ ("same", O.Same); ("valid", O.Valid) ]
 
@@ -118,6 +153,7 @@ let test_elementwise_determinism () =
   check_bit_identical "map2 same shape" (fun () -> O.add x y);
   let m = rand_t 11 [| 150; 80 |] and row = rand_t 12 [| 80 |] in
   check_bit_identical "map2 broadcast" (fun () -> O.mul m row);
+  check_bit_identical "map2 scalar" (fun () -> O.mul (Tensor.scalar_f 0.5) m);
   check_bit_identical "select broadcast" (fun () ->
       O.select (O.greater m row) m row);
   check_bit_identical "transpose" (fun () -> O.transpose m);
@@ -164,8 +200,8 @@ let test_matmul_golden () =
   in
   with_threads 4 @@ fun () ->
   check_t "matmul" expect (O.matmul a b);
-  (* The packed transposed variants must agree with the plain product of
-     the same logical matrices. *)
+  (* The stride-swapped transposed variants must agree with the plain
+     product of the same logical matrices. *)
   let at = O.transpose a and bt = O.transpose b in
   check_t "matmul T_a" expect (O.matmul ~transpose_a:true at b);
   check_t "matmul T_b" expect (O.matmul ~transpose_b:true a bt);

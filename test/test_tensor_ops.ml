@@ -63,19 +63,94 @@ let naive_matmul ~ta ~tb a b =
       done;
       !acc)
 
+(* Kernel and reference both accumulate ascending p from +0.0, so they
+   agree bit for bit; NaN payloads are unspecified, so any NaN matches
+   any NaN. *)
+let same_bits x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  || (Float.is_nan x && Float.is_nan y)
+
+let bit_identical expected actual =
+  Shape.equal (Tensor.shape expected) (Tensor.shape actual)
+  && Array.for_all2 same_bits
+       (Tensor.to_float_array expected)
+       (Tensor.to_float_array actual)
+
+let check_bits msg expected actual =
+  if not (bit_identical expected actual) then
+    Alcotest.failf "%s: expected %s, got %s" msg (Tensor.to_string expected)
+      (Tensor.to_string actual)
+
+(* Operand fillers: dense uniform; at least 75% zeros (the kernel's
+   sparse loop); uniform with a few NaN / +-inf entries. *)
+let fill_dense rng n =
+  Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+
+let fill_sparse rng n =
+  let a = Array.make n 0.0 in
+  Array.iter
+    (fun i -> a.(i) <- Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+    (Rng.choose rng ~k:(n / 4) ~n);
+  a
+
+let fill_nonfinite rng n =
+  let a = fill_dense rng n in
+  let specials = [| Float.nan; Float.infinity; Float.neg_infinity |] in
+  Array.iter (fun i -> a.(i) <- specials.(i mod 3)) (Rng.choose rng ~k:(min n 3) ~n);
+  a
+
+type fill = Dense | Sparse | Nonfinite
+
+let fill = function
+  | Dense -> fill_dense
+  | Sparse -> fill_sparse
+  | Nonfinite -> fill_nonfinite
+
+let matmul_case_gen =
+  QCheck.Gen.(
+    let dim = int_range 1 37 in
+    let m = frequency [ (1, return 1); (4, dim) ] in
+    let k = frequency [ (1, return 0); (4, dim) ] in
+    let operands =
+      frequency
+        [
+          (3, return (Dense, Dense));
+          (2, return (Sparse, Dense));
+          (1, return (Dense, Nonfinite));
+          (1, return (Sparse, Nonfinite));
+        ]
+    in
+    tup4 (triple m k dim) (pair bool bool) operands (int_bound 10_000))
+
 let prop_matmul_matches_naive =
   QCheck.Test.make ~name:"matmul matches naive reference (all transposes)"
-    ~count:60
-    QCheck.(quad (int_range 1 5) (int_range 1 5) (int_range 1 5) (pair bool bool))
-    (fun (m, k, n, (ta, tb)) ->
-      let rng = Rng.create ((m * 100) + (k * 10) + n) in
+    ~count:300
+    (QCheck.make matmul_case_gen)
+    (fun ((m, k, n), (ta, tb), (fa, fb), seed) ->
+      let rng = Rng.create seed in
       let a_shape = if ta then [| k; m |] else [| m; k |] in
       let b_shape = if tb then [| n; k |] else [| k; n |] in
-      let a = Tensor.uniform rng a_shape ~lo:(-1.0) ~hi:1.0 in
-      let b = Tensor.uniform rng b_shape ~lo:(-1.0) ~hi:1.0 in
-      Tensor.approx_equal ~tol:1e-6
-        (O.matmul ~transpose_a:ta ~transpose_b:tb a b)
-        (naive_matmul ~ta ~tb a b))
+      let a = Tensor.of_float_array a_shape (fill fa rng (m * k)) in
+      let b = Tensor.of_float_array b_shape (fill fb rng (k * n)) in
+      bit_identical
+        (naive_matmul ~ta ~tb a b)
+        (O.matmul ~transpose_a:ta ~transpose_b:tb a b))
+
+(* Skipping a = 0 swallowed NaN and inf from B: 0 * nan and 0 * inf are
+   NaN under IEEE, whichever loop the kernel picks. *)
+let test_matmul_nonfinite () =
+  let is_nan msg t =
+    Alcotest.(check bool) msg true (Float.is_nan (Tensor.flat_get_f t 0))
+  in
+  let row = t2 1 2 [| 0.; 1. |] in
+  is_nan "0 * nan" (O.matmul row (t2 2 1 [| Float.nan; 2. |]));
+  is_nan "0 * inf" (O.matmul row (t2 2 1 [| Float.infinity; 2. |]));
+  is_nan "mostly-zero row * nan"
+    (O.matmul (t2 1 3 [| 0.; 0.; 1. |]) (t2 3 1 [| Float.nan; 2.; 3. |]));
+  let pixel = Tensor.of_float_array [| 1; 1; 1; 1 |] [| 0. |] in
+  let filter = Tensor.of_float_array [| 1; 1; 1; 1 |] [| Float.nan |] in
+  is_nan "conv2d 0 pixel * nan filter"
+    (O.conv2d pixel filter ~strides:(1, 1) ~padding:O.Valid)
 
 let test_transpose () =
   let a = t2 2 3 [| 1.; 2.; 3.; 4.; 5.; 6. |] in
@@ -216,6 +291,134 @@ let test_conv2d_channels () =
     (Tensor.of_float_array [| 1; 1; 2; 1 |] [| 6.; 12. |])
     out
 
+(* Direct-convolution references. Each sums its terms in the order the
+   im2col GEMM contracts them (filter taps (ky, kx, c) for the forward
+   pass, output channels then patch positions for the input gradient,
+   patch positions (b, y, x) for the filter gradient) and skips padding
+   taps, whose 0 * finite terms leave a sum unchanged: so the kernels
+   must match bit for bit on finite data. *)
+let conv_ref_geometry ~is ~fs ~strides ~padding =
+  let sh, sw = strides in
+  let oh, ph = O.conv_dim ~padding ~in_size:is.(1) ~filter:fs.(0) ~stride:sh in
+  let ow, pw = O.conv_dim ~padding ~in_size:is.(2) ~filter:fs.(1) ~stride:sw in
+  (* Input pixel feeding output (y, x) through tap (ky, kx), if any. *)
+  let src y x ky kx =
+    let sy = (y * sh) + ky - ph and sx = (x * sw) + kx - pw in
+    if sy >= 0 && sy < is.(1) && sx >= 0 && sx < is.(2) then Some (sy, sx)
+    else None
+  in
+  (oh, ow, src)
+
+let conv2d_ref input filter ~strides ~padding =
+  let is = Tensor.shape input and fs = Tensor.shape filter in
+  let oh, ow, src = conv_ref_geometry ~is ~fs ~strides ~padding in
+  Tensor.init_f [| is.(0); oh; ow; fs.(3) |] (fun idx ->
+      let b = idx.(0) and o = idx.(3) in
+      let acc = ref 0.0 in
+      for ky = 0 to fs.(0) - 1 do
+        for kx = 0 to fs.(1) - 1 do
+          match src idx.(1) idx.(2) ky kx with
+          | None -> ()
+          | Some (sy, sx) ->
+              for c = 0 to is.(3) - 1 do
+                acc :=
+                  !acc
+                  +. Tensor.get_f input [| b; sy; sx; c |]
+                     *. Tensor.get_f filter [| ky; kx; c; o |]
+              done
+        done
+      done;
+      !acc)
+
+let conv2d_grad_input_ref ~input_shape:is filter dy ~strides ~padding =
+  let fs = Tensor.shape filter in
+  let oh, ow, src = conv_ref_geometry ~is ~fs ~strides ~padding in
+  let dx = Tensor.zeros Dtype.F32 is in
+  for b = 0 to is.(0) - 1 do
+    for y = 0 to oh - 1 do
+      for x = 0 to ow - 1 do
+        for ky = 0 to fs.(0) - 1 do
+          for kx = 0 to fs.(1) - 1 do
+            match src y x ky kx with
+            | None -> ()
+            | Some (sy, sx) ->
+                for c = 0 to is.(3) - 1 do
+                  let g = ref 0.0 in
+                  for o = 0 to fs.(3) - 1 do
+                    g :=
+                      !g
+                      +. Tensor.get_f dy [| b; y; x; o |]
+                         *. Tensor.get_f filter [| ky; kx; c; o |]
+                  done;
+                  let at = [| b; sy; sx; c |] in
+                  Tensor.flat_set_f dx (Shape.flat_index is at)
+                    (Tensor.get_f dx at +. !g)
+                done
+          done
+        done
+      done
+    done
+  done;
+  dx
+
+let conv2d_grad_filter_ref ~filter_shape:fs input dy ~strides ~padding =
+  let is = Tensor.shape input in
+  let oh, ow, src = conv_ref_geometry ~is ~fs ~strides ~padding in
+  Tensor.init_f fs (fun idx ->
+      let ky = idx.(0) and kx = idx.(1) and c = idx.(2) and o = idx.(3) in
+      let acc = ref 0.0 in
+      for b = 0 to is.(0) - 1 do
+        for y = 0 to oh - 1 do
+          for x = 0 to ow - 1 do
+            match src y x ky kx with
+            | None -> ()
+            | Some (sy, sx) ->
+                acc :=
+                  !acc
+                  +. Tensor.get_f input [| b; sy; sx; c |]
+                     *. Tensor.get_f dy [| b; y; x; o |]
+          done
+        done
+      done;
+      !acc)
+
+let prop_conv2d_matches_direct =
+  QCheck.Test.make
+    ~name:"conv2d and both gradients match direct convolution" ~count:40
+    QCheck.(
+      quad
+        (triple (int_range 1 2) (int_range 3 9) (int_range 1 3))
+        (pair (int_range 1 7) (int_range 1 7))
+        (pair (int_range 1 2) bool)
+        (pair bool (int_bound 10_000)))
+    (fun ((batch, size, fsize), (ic, oc), (stride, same), (sparse, seed)) ->
+      let rng = Rng.create seed in
+      let padding = if same then O.Same else O.Valid in
+      let strides = (stride, stride) in
+      let input_shape = [| batch; size; size; ic |] in
+      let filter_shape = [| fsize; fsize; ic; oc |] in
+      let fill_in = if sparse then fill_sparse else fill_dense in
+      let input =
+        Tensor.of_float_array input_shape
+          (fill_in rng (Shape.numel input_shape))
+      in
+      let filter =
+        Tensor.of_float_array filter_shape
+          (fill_dense rng (Shape.numel filter_shape))
+      in
+      let out = O.conv2d input filter ~strides ~padding in
+      let dy_shape = Tensor.shape out in
+      let dy =
+        Tensor.of_float_array dy_shape (fill_in rng (Shape.numel dy_shape))
+      in
+      bit_identical (conv2d_ref input filter ~strides ~padding) out
+      && bit_identical
+           (conv2d_grad_input_ref ~input_shape filter dy ~strides ~padding)
+           (O.conv2d_grad_input ~input_shape filter dy ~strides ~padding)
+      && bit_identical
+           (conv2d_grad_filter_ref ~filter_shape input dy ~strides ~padding)
+           (O.conv2d_grad_filter ~filter_shape input dy ~strides ~padding))
+
 let test_pooling () =
   let input =
     Tensor.of_float_array [| 1; 2; 4; 1 |]
@@ -270,6 +473,33 @@ let test_broadcast_to () =
   let b = O.broadcast_to row [| 3; 2 |] in
   check_t "broadcast_to" (t2 3 2 [| 1.; 2.; 1.; 2.; 1.; 2. |]) b
 
+(* Scalar and trailing-suffix operands take a direct-indexing path in
+   map2; it must give the bits of the same op on a materialized
+   broadcast, on either side, and in place over the full operand. *)
+let test_broadcast_fast_path () =
+  let shape = [| 3; 4; 5 |] in
+  let m = Tensor.of_float_array shape (fill_dense (Rng.create 7) 60) in
+  List.iter
+    (fun (name, small_shape) ->
+      let small =
+        Tensor.of_float_array small_shape
+          (fill_dense (Rng.create 8) (Shape.numel small_shape))
+      in
+      let full = O.broadcast_to small shape in
+      check_bits (name ^ " right") (O.sub m full) (O.sub m small);
+      check_bits (name ^ " left") (O.sub full m) (O.sub small m);
+      let dst = Tensor.copy m in
+      check_bits (name ^ " in place") (O.sub m full)
+        (O.sub ~out:(Tensor.float_buffer dst) dst small))
+    [
+      ("scalar", [||]);
+      ("[1]", [| 1 |]);
+      ("suffix [5]", [| 5 |]);
+      ("suffix [4;5]", [| 4; 5 |]);
+      ("[1;1;5]", [| 1; 1; 5 |]);
+      ("general [4;1]", [| 4; 1 |]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "elementwise" `Quick test_elementwise;
@@ -277,6 +507,7 @@ let suite =
     Alcotest.test_case "modulo" `Quick test_modulo;
     Alcotest.test_case "comparisons/select" `Quick test_comparisons_and_select;
     Alcotest.test_case "matmul known" `Quick test_matmul_known;
+    Alcotest.test_case "matmul NaN and inf" `Quick test_matmul_nonfinite;
     Alcotest.test_case "transpose" `Quick test_transpose;
     Alcotest.test_case "reductions" `Quick test_reductions;
     Alcotest.test_case "argmax" `Quick test_argmax;
@@ -291,7 +522,9 @@ let suite =
     Alcotest.test_case "softmax rows" `Quick test_softmax_rows;
     Alcotest.test_case "cross entropy" `Quick test_cross_entropy;
     Alcotest.test_case "broadcast_to" `Quick test_broadcast_to;
+    Alcotest.test_case "broadcast fast path" `Quick test_broadcast_fast_path;
     QCheck_alcotest.to_alcotest prop_matmul_matches_naive;
+    QCheck_alcotest.to_alcotest prop_conv2d_matches_direct;
     QCheck_alcotest.to_alcotest prop_gather_scatter_adjoint;
     QCheck_alcotest.to_alcotest prop_partition_stitch_roundtrip;
     QCheck_alcotest.to_alcotest prop_softmax_invariant_to_shift;
