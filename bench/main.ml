@@ -520,6 +520,51 @@ let gemm_roofline ~smoke ~peak =
         name m k n ta tb nnz (1000.0 *. median_s) (1000.0 *. best_s) gflops pct)
     (gemm_shapes ~smoke)
 
+(* The int8 GEMMs of one serve_cnn_int8 batch of 8 (the same convnet
+   quantized), as (name, m, k, n): the two im2col convolutions and the
+   dense layer, each a [m,k] x [k,n] product of uint8 codes. *)
+let int8_gemm_shapes =
+  [
+    ("int8_conv1", 6272, 25, 8);
+    ("int8_conv2", 1568, 200, 16);
+    ("int8_fc1", 8, 784, 64);
+  ]
+
+(* Each int8 shape at one thread, timed like [gemm_roofline]: GOP/s
+   over 2mkn at the median batch, and the share of the scalar float
+   [peak] reached at the best batch. *)
+let int8_gemm_roofline ~smoke ~peak =
+  let rng = Random.State.make [| 13 |] in
+  let trials = if smoke then 3 else 9 in
+  Parallel.set_threads 1;
+  let codes rows cols =
+    Tensor.of_bytes [| rows; cols |]
+      (Bytes.init (rows * cols) (fun _ -> Char.chr (Random.State.int rng 256)))
+  in
+  List.map
+    (fun (name, m, k, n) ->
+      let a = codes m k and b = codes k n in
+      let ops = 2.0 *. float_of_int (m * k * n) in
+      let iters = max 1 (int_of_float ((if smoke then 2e6 else 2e7) /. ops)) in
+      let samples =
+        List.sort compare
+          (List.init trials (fun _ ->
+               time_kernel ~iters (fun () ->
+                   Octf.Quant_kernels.quantized_matmul a (-1.0) 1.0 b (-0.5)
+                     0.5)))
+      in
+      let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
+      let gops = ops /. median_s /. 1e9 in
+      let pct = 100.0 *. (ops /. best_s /. 1e9) /. peak in
+      Printf.printf
+        "gemm %-18s %4dx%4dx%4d (uint8 codes),   1 thread: %8.3f ms  %5.2f \
+         GOP/s    %5.1f%% of peak\n%!"
+        name m k n (1000.0 *. median_s) gops pct;
+      Printf.sprintf
+        "{\"name\":%S,\"m\":%d,\"k\":%d,\"n\":%d,\"median_ms\":%.4f,\"best_ms\":%.4f,\"gops\":%.3f,\"pct_of_peak\":%.1f}"
+        name m k n (1000.0 *. median_s) (1000.0 *. best_s) gops pct)
+    int8_gemm_shapes
+
 let kernels () =
   section "Intra-op kernel throughput (GFLOP/s by thread budget)";
   let smoke = smoke_mode () in
@@ -534,6 +579,7 @@ let kernels () =
      trials): %.2f GFLOP/s\n%!"
     peak;
   let roofline = gemm_roofline ~smoke ~peak in
+  let int8_roofline = int8_gemm_roofline ~smoke ~peak in
   let rng = Rng.create 11 in
   (* matmul: one dim x dim square product per call. *)
   let mm_dim = if smoke then 96 else 512 in
@@ -717,6 +763,7 @@ let kernels () =
       "{\"bench\":\"kernels\",\"smoke\":%b,\"cores\":%d,\n\
        \"peak\":{\"gflops\":%.3f,\"method\":\"scalar multiply-add, L1-resident operands, 8 independent accumulators, 1 thread, best of trials\"},\n\
        \"gemm_roofline\":[%s],\n\
+       \"int8_gemm_roofline\":[%s],\n\
        \"matmul\":{\"dim\":%d,\"series\":[%s]},\n\
        \"conv2d\":{\"batch\":%d,\"size\":%d,\"in_channels\":%d,\"out_channels\":%d,\"series\":[%s]},\n\
        \"elementwise\":{\"elems\":%d,\"series\":[%s]},\n\
@@ -726,6 +773,7 @@ let kernels () =
       (Domain.recommended_domain_count ())
       peak
       (String.concat ",\n  " roofline)
+      (String.concat ",\n  " int8_roofline)
       mm_dim
       (series_json (Printf.sprintf "\"gflops\":%.3f") mm_series)
       cv_batch cv_size cv_ic cv_oc
@@ -1418,9 +1466,12 @@ let quant () =
   close_out oc;
   Printf.printf "wrote BENCH_quant.json\n%!";
   (* Gate: a real throughput win, or the asserted mechanism — islands
-     rewritten, the honest 4x weight cut, and accuracy intact. OCaml's
-     safe-int inner loops keep int8 GEMM from beating vectorized float
-     on every host, so the mechanism check is the portable floor. *)
+     rewritten, the honest 4x weight cut, and accuracy intact. With the
+     two-columns-per-multiply int8 GEMM this bench measured 1.16x float
+     (0.51x before it; one run each, one CPU of a 2-vCPU VM), short of
+     1.3x: the int8 GEMM runs at about the float GEMM's rate on these
+     shapes, and the int8 graph adds Quantize/Dequantize around float
+     pooling. So the mechanism check stays the portable floor. *)
   let mechanism_ok = islands >= 2.0 && weight_ratio >= 3.9 in
   if delta > 0.15 then begin
     Printf.printf "FAIL: quantized top-1 delta %.3f exceeds 0.15\n%!" delta;

@@ -9,6 +9,17 @@
     rescale to float; the [...Q] kernel variants requantize the result
     so consecutive quantized islands exchange codes directly.
 
+    Both contractions run one register-blocked integer GEMM: the rhs
+    codes are packed two columns per OCaml int (bits 0-31 and from bit
+    32), so one multiply by an lhs code forms two products, and a 2x4
+    tile of lane pairs (2 rows x 8 columns) accumulates in locals. [k]
+    runs in chunks of at most 33,025 so the high lane (at most
+    255*255*k) stays below 2^31. Given an [?out_range], the epilogue
+    writes codes directly, bit-identical to {!quantize_with_range} of
+    the float result. The im2col buffer and the packed panel are reused
+    across calls through single-slot caches that concurrent callers
+    never share.
+
     The kernel registrations ([Quantize], [QuantizeRange],
     [Dequantize], [QuantizedMatMul], [QuantizedConv2D],
     [QuantizedMatMulQ], [QuantizedConv2DQ]) are internal —
@@ -25,9 +36,11 @@ val levels : float
 (** Number of quantization steps spanning a range: [255.0]. *)
 
 val range_of : Tensor.t -> float * float
-(** Min/max of a float tensor, widened to include [0.0] and to a
-    non-degenerate interval (a constant tensor [c] yields a unit-wide
-    range). *)
+(** Min/max of the finite elements of a float tensor, widened to
+    include [0.0] and to a non-degenerate interval (a constant tensor
+    [c] yields a unit-wide range). Infinities do not widen the range;
+    they clamp to its ends when quantized.
+    @raise Step_failure.Error ([Invalid_graph]) on a non-float tensor. *)
 
 val zero_point : float -> float -> int
 (** [zero_point lo hi]: the code decoding nearest to [0.0]; always in
@@ -41,14 +54,18 @@ val quantize : Tensor.t -> Tensor.t * float * float
 val quantize_with_range : Tensor.t -> float -> float -> Tensor.t
 (** [quantize_with_range t lo hi]: codes against a caller-supplied
     (e.g. calibrated) range; values outside clamp to the range ends.
-    @raise Step_failure.Error when [hi <= lo]. *)
+    @raise Step_failure.Error ([Invalid_graph]) when [lo] or [hi] is not
+    finite, when [hi <= lo], or when [t] is not a float tensor. *)
 
 val dequantize : Tensor.t -> float -> float -> Tensor.t
-(** [dequantize codes lo hi] reconstructs the float tensor. *)
+(** [dequantize codes lo hi] reconstructs the float tensor from uint8
+    (or int-backed) codes.
+    @raise Step_failure.Error ([Invalid_graph]) on other dtypes. *)
 
 val quantized_matmul :
   ?bias:Tensor.t ->
   ?relu:bool ->
+  ?out_range:float * float ->
   Tensor.t ->
   float ->
   float ->
@@ -61,13 +78,17 @@ val quantized_matmul :
     batched (rank >= 2, last two dims [m,k]); [qb] is either 2-D
     (weights shared across batch slices) or batched alongside [qa].
     [?bias] (a length-n float vector) and [?relu] fuse the usual
-    inference epilogue. Deterministic across thread counts.
+    inference epilogue. With [~out_range:(lo, hi)] the result is uint8
+    codes against that range instead of floats, bit-identical to
+    [quantize_with_range] of the float result. Deterministic across
+    thread counts.
     @raise Step_failure.Error ([Invalid_graph]) on rank/shape/dtype
     violations. *)
 
 val quantized_conv2d :
   ?bias:Tensor.t ->
   ?relu:bool ->
+  ?out_range:float * float ->
   Tensor.t ->
   float ->
   float ->

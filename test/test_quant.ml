@@ -287,6 +287,345 @@ let test_matmul_q_codes_out () =
       done
   | _ -> Alcotest.fail "arity"
 
+(* ------------------- bit-exact integer GEMM core -------------------- *)
+
+(* The oracle: a naive integer triple loop over the codes, rescaled by
+   the kernel's own float epilogue expression. Integer sums are exact in
+   any order, so the blocked kernel must match this bit for bit. *)
+let ref_gemm ~m ~k ~n a ao b bo ~a_lo ~a_hi ~b_lo ~b_hi ~bias ~relu =
+  let code s i = Char.code (Bytes.get s i) in
+  let sa = (a_hi -. a_lo) /. Q.levels and sb = (b_hi -. b_lo) /. Q.levels in
+  let const_term = a_lo *. b_lo *. float_of_int k in
+  Array.init (m * n) (fun ij ->
+      let i = ij / n and j = ij mod n in
+      let acc = ref 0 and rs = ref 0 and cs = ref 0 in
+      for p = 0 to k - 1 do
+        let x = code a (ao + (i * k) + p) and y = code b (bo + (p * n) + j) in
+        acc := !acc + (x * y);
+        rs := !rs + x;
+        cs := !cs + y
+      done;
+      let row_term = (b_lo *. sa *. float_of_int !rs) +. const_term in
+      let v =
+        (sa *. sb *. float_of_int !acc)
+        +. (a_lo *. sb *. float_of_int !cs)
+        +. row_term
+      in
+      let v = match bias with None -> v | Some bs -> v +. bs.(j) in
+      if relu && v < 0.0 then 0.0 else v)
+
+let random_codes rng shape =
+  Tensor.of_bytes shape
+    (Bytes.init (Array.fold_left ( * ) 1 shape) (fun _ ->
+         Char.chr (Random.State.int rng 256)))
+
+(* A range that includes zero with its zero point away from code 0, so
+   conv padding visibly depends on using the zero-point code. *)
+let random_range rng =
+  (-0.25 -. Random.State.float rng 2.0, 0.5 +. Random.State.float rng 2.0)
+
+let check_bits msg (want : float array) got =
+  let got = Tensor.float_buffer got in
+  Alcotest.(check int)
+    (msg ^ ": length") (Array.length want) (Array.length got);
+  Array.iteri
+    (fun i w ->
+      if Int64.bits_of_float w <> Int64.bits_of_float got.(i) then
+        Alcotest.failf "%s: element %d is %h, want %h" msg i got.(i) w)
+    want
+
+(* The codes-out kernel must equal a separate Quantize of the float-out
+   result — the fused epilogue rounds and clamps exactly the same way. *)
+let check_codes_out msg ~out_range float_out codes_out =
+  let lo, hi = out_range in
+  let want = Q.quantize_with_range float_out lo hi in
+  Alcotest.(check int) (msg ^ ": dtype") 0
+    (compare (Tensor.dtype codes_out) Dtype.U8);
+  if not (Bytes.equal (Tensor.byte_buffer want) (Tensor.byte_buffer codes_out))
+  then Alcotest.failf "%s: codes-out differs from quantize_with_range" msg
+
+let with_threads n f =
+  let saved = Parallel.threads () in
+  Parallel.set_threads n;
+  Fun.protect ~finally:(fun () -> Parallel.set_threads saved) f
+
+let gemm_shapes =
+  (* odd m, odd n, n mod 8 <> 0, k = 0 and k = 1, and full 2x4 tiles *)
+  [
+    (1, 1, 1); (3, 5, 7); (7, 0, 5); (5, 1, 9); (2, 17, 8); (9, 13, 16);
+    (4, 3, 1); (11, 33, 13); (6, 50, 3); (16, 64, 24); (13, 40, 17);
+  ]
+
+let test_gemm_bit_exact_matmul () =
+  let rng = Random.State.make [| 101 |] in
+  List.iter
+    (fun threads ->
+      with_threads threads @@ fun () ->
+      List.iter
+        (fun (m, k, n) ->
+          let qa = random_codes rng [| m; k |] in
+          let qb = random_codes rng [| k; n |] in
+          let a_lo, a_hi = random_range rng and b_lo, b_hi = random_range rng in
+          let bias_arr =
+            Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0)
+          in
+          List.iter
+            (fun (with_bias, relu) ->
+              let msg =
+                Printf.sprintf "%dx%dx%d bias=%b relu=%b threads=%d" m k n
+                  with_bias relu threads
+              in
+              let bias =
+                if with_bias then Some (Tensor.of_float_array [| n |] bias_arr)
+                else None
+              in
+              let got =
+                Q.quantized_matmul ?bias ~relu qa a_lo a_hi qb b_lo b_hi
+              in
+              check_bits msg
+                (ref_gemm ~m ~k ~n (Tensor.byte_buffer qa) 0
+                   (Tensor.byte_buffer qb) 0 ~a_lo ~a_hi ~b_lo ~b_hi
+                   ~bias:(if with_bias then Some bias_arr else None)
+                   ~relu)
+                got;
+              let out_range = (-3.0, 5.0) in
+              check_codes_out msg ~out_range got
+                (Q.quantized_matmul ?bias ~relu ~out_range qa a_lo a_hi qb b_lo
+                   b_hi))
+            [ (false, false); (true, false); (false, true); (true, true) ])
+        gemm_shapes)
+    [ 1; 2; 4 ]
+
+let test_gemm_bit_exact_batched () =
+  let rng = Random.State.make [| 102 |] in
+  let m = 5 and k = 11 and n = 9 in
+  let qa = random_codes rng [| 2; 3; m; k |] in
+  let a_lo, a_hi = random_range rng and b_lo, b_hi = random_range rng in
+  let a = Tensor.byte_buffer qa in
+  let expect qb ~b_batched =
+    Array.concat
+      (List.init 6 (fun bi ->
+           ref_gemm ~m ~k ~n a (bi * m * k) (Tensor.byte_buffer qb)
+             (if b_batched then bi * k * n else 0)
+             ~a_lo ~a_hi ~b_lo ~b_hi ~bias:None ~relu:false))
+  in
+  List.iter
+    (fun (what, qb, b_batched) ->
+      let got = Q.quantized_matmul qa a_lo a_hi qb b_lo b_hi in
+      Alcotest.(check (list int)) (what ^ " shape") [ 2; 3; m; n ]
+        (Array.to_list (Tensor.shape got));
+      check_bits what (expect qb ~b_batched) got;
+      let out_range = (-40.0, 60.0) in
+      check_codes_out what ~out_range got
+        (Q.quantized_matmul ~out_range qa a_lo a_hi qb b_lo b_hi))
+    [
+      ("shared rhs", random_codes rng [| k; n |], false);
+      ("batched rhs", random_codes rng [| 2; 3; k; n |], true);
+    ]
+
+(* 255*255*k passes 2^31 at k = 33,026: the high lane would overflow
+   unless k is split into chunks. *)
+let test_gemm_lane_chunks () =
+  let m = 3 and k = 33_100 and n = 3 in
+  let qa = Tensor.of_bytes [| m; k |] (Bytes.make (m * k) '\255') in
+  let qb = Tensor.of_bytes [| k; n |] (Bytes.make (k * n) '\255') in
+  let got = Q.quantized_matmul qa 0.0 1.0 qb (-1.0) 1.0 in
+  check_bits "all-255, k = 33100"
+    (ref_gemm ~m ~k ~n (Tensor.byte_buffer qa) 0 (Tensor.byte_buffer qb) 0
+       ~a_lo:0.0 ~a_hi:1.0 ~b_lo:(-1.0) ~b_hi:1.0 ~bias:None ~relu:false)
+    got;
+  Alcotest.(check (float 1e-6)) "value" 33_100.0 (Tensor.flat_get_f got 0)
+
+(* Naive direct convolution over codes, padding with the zero point,
+   rescaled through the GEMM oracle. *)
+let ref_conv qx ~x_lo ~x_hi qf ~f_lo ~f_hi ~stride ~padding ~bias ~relu =
+  let is = Tensor.shape qx and fs = Tensor.shape qf in
+  let bt = is.(0) and ih = is.(1) and iw = is.(2) and ic = is.(3) in
+  let fh = fs.(0) and fw = fs.(1) and oc = fs.(3) in
+  let oh, ph = Tensor_ops.conv_dim ~padding ~in_size:ih ~filter:fh ~stride in
+  let ow, pw = Tensor_ops.conv_dim ~padding ~in_size:iw ~filter:fw ~stride in
+  let zp = Char.chr (Q.zero_point x_lo x_hi) in
+  let src = Tensor.byte_buffer qx in
+  let kdim = fh * fw * ic and rows = bt * oh * ow in
+  let cols = Bytes.make (rows * kdim) zp in
+  for b = 0 to bt - 1 do
+    for y = 0 to oh - 1 do
+      for x = 0 to ow - 1 do
+        for ky = 0 to fh - 1 do
+          for kx = 0 to fw - 1 do
+            for c = 0 to ic - 1 do
+              let sy = (y * stride) + ky - ph and sx = (x * stride) + kx - pw in
+              if sy >= 0 && sy < ih && sx >= 0 && sx < iw then
+                Bytes.set cols
+                  ((((((b * oh) + y) * ow) + x) * kdim)
+                  + (((ky * fw) + kx) * ic)
+                  + c)
+                  (Bytes.get src ((((((b * ih) + sy) * iw) + sx) * ic) + c))
+            done
+          done
+        done
+      done
+    done
+  done;
+  ( [| bt; oh; ow; oc |],
+    ref_gemm ~m:rows ~k:kdim ~n:oc cols 0 (Tensor.byte_buffer qf) 0
+      ~a_lo:x_lo ~a_hi:x_hi ~b_lo:f_lo ~b_hi:f_hi ~bias ~relu )
+
+let conv_case rng ~bt ~ih ~iw ~ic ~fh ~fw ~oc =
+  let qx = random_codes rng [| bt; ih; iw; ic |] in
+  let qf = random_codes rng [| fh; fw; ic; oc |] in
+  let x_lo, x_hi = random_range rng and f_lo, f_hi = random_range rng in
+  let bias = Array.init oc (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+  (qx, x_lo, x_hi, qf, f_lo, f_hi, bias)
+
+let run_conv ?out_range (qx, x_lo, x_hi, qf, f_lo, f_hi, bias) ~stride
+    ~padding ~relu =
+  Q.quantized_conv2d
+    ~bias:(Tensor.of_float_array [| Array.length bias |] bias)
+    ~relu ?out_range qx x_lo x_hi qf f_lo f_hi ~strides:(stride, stride)
+    ~padding
+
+let test_gemm_bit_exact_conv () =
+  let rng = Random.State.make [| 103 |] in
+  let cases =
+    [
+      conv_case rng ~bt:2 ~ih:7 ~iw:9 ~ic:1 ~fh:5 ~fw:5 ~oc:8;
+      conv_case rng ~bt:1 ~ih:8 ~iw:6 ~ic:3 ~fh:3 ~fw:2 ~oc:5;
+      conv_case rng ~bt:3 ~ih:5 ~iw:5 ~ic:4 ~fh:3 ~fw:3 ~oc:17;
+    ]
+  in
+  List.iter
+    (fun threads ->
+      with_threads threads @@ fun () ->
+      List.iteri
+        (fun ci ((qx, x_lo, x_hi, qf, f_lo, f_hi, bias) as case) ->
+          List.iter
+            (fun (stride, padding, relu) ->
+              let msg =
+                Printf.sprintf "case %d stride %d %s relu=%b threads=%d" ci
+                  stride
+                  (if padding = Tensor_ops.Same then "SAME" else "VALID")
+                  relu threads
+              in
+              let shape, want =
+                ref_conv qx ~x_lo ~x_hi qf ~f_lo ~f_hi ~stride ~padding
+                  ~bias:(Some bias) ~relu
+              in
+              let got = run_conv case ~stride ~padding ~relu in
+              Alcotest.(check (list int)) (msg ^ " shape") (Array.to_list shape)
+                (Array.to_list (Tensor.shape got));
+              check_bits msg want got;
+              let out_range = (-20.0, 30.0) in
+              check_codes_out msg ~out_range got
+                (run_conv ~out_range case ~stride ~padding ~relu))
+            [
+              (1, Tensor_ops.Same, false); (1, Tensor_ops.Valid, true);
+              (2, Tensor_ops.Same, true); (2, Tensor_ops.Valid, false);
+            ])
+        cases)
+    [ 1; 2; 4 ]
+
+(* The im2col buffer and packed panel are reused through scratch slots;
+   two systhreads running the same conv must each still get their own
+   answer. *)
+let test_gemm_concurrent_threads () =
+  let worker seed =
+    let rng = Random.State.make [| seed |] in
+    let case = conv_case rng ~bt:2 ~ih:12 ~iw:12 ~ic:4 ~fh:3 ~fw:3 ~oc:12 in
+    let qx, x_lo, x_hi, qf, f_lo, f_hi, bias = case in
+    let _, want =
+      ref_conv qx ~x_lo ~x_hi qf ~f_lo ~f_hi ~stride:1 ~padding:Tensor_ops.Same
+        ~bias:(Some bias) ~relu:false
+    in
+    let bad = ref 0 in
+    for _ = 1 to 300 do
+      let got =
+        Tensor.float_buffer
+          (run_conv case ~stride:1 ~padding:Tensor_ops.Same ~relu:false)
+      in
+      if got <> want then incr bad;
+      Thread.yield ()
+    done;
+    !bad
+  in
+  let results = Array.make 2 (-1) in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create (fun () -> results.(i) <- worker (201 + i)) ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun i bad ->
+      Alcotest.(check int) (Printf.sprintf "thread %d mismatches" i) 0 bad)
+    results
+
+(* Regression: one infinity used to widen the range to inf, and every
+   code — the finite elements' too — decoded to NaN. *)
+let test_range_ignores_infinity () =
+  let t = Tensor.of_float_array [| 4 |] [| Float.infinity; 0.25; -0.5; 1.0 |] in
+  let codes, lo, hi = Q.quantize t in
+  Alcotest.(check (float 0.0)) "lo" (-0.5) lo;
+  Alcotest.(check (float 0.0)) "hi" 1.0 hi;
+  let back = Q.dequantize codes lo hi in
+  Alcotest.(check (float 1e-9))
+    "inf clamps to hi" 1.0 (Tensor.flat_get_f back 0);
+  List.iter
+    (fun i ->
+      let err = Float.abs (Tensor.flat_get_f back i -. Tensor.flat_get_f t i) in
+      if not (err <= (hi -. lo) /. Q.levels) then
+        Alcotest.failf "element %d decodes to %g" i (Tensor.flat_get_f back i))
+    [ 1; 2; 3 ];
+  let neg = Tensor.of_float_array [| 2 |] [| Float.neg_infinity; 2.0 |] in
+  let codes, lo, hi = Q.quantize neg in
+  Alcotest.(check (float 0.0)) "-inf ignored by range" 0.0 lo;
+  Alcotest.(check int) "-inf clamps to code 0" 0
+    (Tensor.flat_get_i codes 0);
+  Alcotest.(check (float 0.0)) "hi from finite" 2.0 hi
+
+(* Codes round half away from zero and clamp to 0..255, exactly
+   [Float.round] followed by a clamp, including at every half-step
+   boundary and its float neighbours. *)
+let test_encode_rounds_like_float_round () =
+  let values =
+    List.concat_map
+      (fun i ->
+        let h = float_of_int i +. 0.5 and w = float_of_int i in
+        [ h; Float.pred h; Float.succ h; w; Float.pred w; Float.succ w ])
+      (List.init 262 (fun i -> i - 3))
+    @ [
+        0.0; -0.0; 1e-300; -1e-300; 1e300; -1e300; Float.infinity;
+        Float.neg_infinity; 0.49999999999999994;
+      ]
+  in
+  let t =
+    Tensor.of_float_array [| List.length values |] (Array.of_list values)
+  in
+  let codes = Q.quantize_with_range t 0.0 255.0 in
+  List.iteri
+    (fun i v ->
+      let want =
+        int_of_float (Float.max 0.0 (Float.min 255.0 (Float.round v)))
+      in
+      let got = Tensor.flat_get_i codes i in
+      if got <> want then Alcotest.failf "%h encodes to %d, want %d" v got want)
+    values
+
+let test_non_finite_range_rejected () =
+  let t = Tensor.of_float_array [| 2 |] [| 0.5; 1.0 |] in
+  List.iter
+    (fun (lo, hi) ->
+      match Q.quantize_with_range t lo hi with
+      | exception
+          Step_failure.Error { cause = Step_failure.Invalid_graph _; _ } ->
+          ()
+      | exception e ->
+          Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
+      | _ -> Alcotest.failf "range [%g, %g] accepted" lo hi)
+    [
+      (0.0, Float.infinity); (Float.neg_infinity, 1.0); (Float.nan, 1.0);
+      (0.0, Float.nan);
+    ]
+
 (* --------------------------- calibration ---------------------------- *)
 
 let test_calibration_min_max () =
@@ -566,6 +905,22 @@ let suite =
     Alcotest.test_case "bias+relu epilogue" `Quick test_epilogue_bias_relu;
     Alcotest.test_case "codes-out requantization" `Quick
       test_matmul_q_codes_out;
+    Alcotest.test_case "gemm: bit-exact matmul" `Quick
+      test_gemm_bit_exact_matmul;
+    Alcotest.test_case "gemm: bit-exact batched matmul" `Quick
+      test_gemm_bit_exact_batched;
+    Alcotest.test_case "gemm: lane chunks at k = 33100" `Quick
+      test_gemm_lane_chunks;
+    Alcotest.test_case "gemm: bit-exact conv2d" `Quick
+      test_gemm_bit_exact_conv;
+    Alcotest.test_case "gemm: concurrent systhreads" `Quick
+      test_gemm_concurrent_threads;
+    Alcotest.test_case "range ignores infinities" `Quick
+      test_range_ignores_infinity;
+    Alcotest.test_case "codes round like Float.round" `Quick
+      test_encode_rounds_like_float_round;
+    Alcotest.test_case "non-finite range is structured" `Quick
+      test_non_finite_range_rejected;
     Alcotest.test_case "calibration min/max" `Quick test_calibration_min_max;
     Alcotest.test_case "calibration sanitizes ranges" `Quick
       test_calibration_sanitizes;
