@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench-smoke bench-kernels bench-memory bench-pipeline bench-serving bench-quant fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke ci clean
+.PHONY: all build test fmt bench-smoke bench-kernels bench-memory bench-pipeline bench-serving bench-quant fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke ci clean
 
 all: build
 
@@ -108,7 +108,14 @@ dist-smoke: build
 	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario dropconn
 	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario framedelay
 
-ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke
+# Bad configuration fails loudly: an unknown OCTF_SCHEDULER must stop
+# the CLI with a non-zero exit and a message naming the variable.
+bad-env-smoke:
+	out=$$(OCTF_SCHEDULER=bogus dune exec bin/octf_cli.exe -- train --steps 1 2>&1); \
+	status=$$?; echo "$$out"; \
+	test $$status -ne 0 && echo "$$out" | grep -q OCTF_SCHEDULER
+
+ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke
 	OCTF_SCHEDULER=pool dune runtest --force
 	OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=inline dune runtest --force
 	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=inline dune runtest --force
@@ -120,7 +127,6 @@ ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-
 	OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test metrics
 	OCTF_MEMORY_PLANNING=off dune runtest --force
 	OCTF_FUSION=off dune runtest --force
-	OCTF_QUANTIZE=off dune runtest --force
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quantization
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quant_accuracy
 	OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test data

@@ -88,9 +88,9 @@ let dispatch_bechamel () =
 (* Smoke mode (OCTF_BENCH_SMOKE=1) shrinks sizes so CI can exercise the
    full path in seconds; BENCH_dispatch.json records which mode ran. *)
 let smoke_mode () =
-  match Sys.getenv_opt "OCTF_BENCH_SMOKE" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
+  Option.value
+    (Octf_tensor.Env.get (Octf_tensor.Env.bool "OCTF_BENCH_SMOKE"))
+    ~default:false
 
 (* Mean seconds per step, after one warm-up step that pays plan
    compilation. Timed through [run_with_metadata] with default options

@@ -109,8 +109,9 @@ let simulate_cmd =
 
 (* --------------------------- scheduler ----------------------------- *)
 
-(* Shared by the commands that execute real graphs. The default honours
-   the OCTF_SCHEDULER environment variable, so either
+(* Shared by the commands that execute real graphs. Each session flag
+   left unset stays [None] in the command's Session.Config, so the
+   session resolves it from its OCTF_* variable: either
    `--scheduler pool` or `OCTF_SCHEDULER=pool` enables the domain-pool
    executor. *)
 let scheduler_conv =
@@ -127,7 +128,7 @@ let scheduler_conv =
 let scheduler_arg =
   Arg.(
     value
-    & opt scheduler_conv (Octf.Scheduler.default_policy ())
+    & opt (some scheduler_conv) None
     & info [ "scheduler" ] ~docv:"POLICY"
         ~doc:
           "Executor scheduling policy: $(b,inline) (single-threaded) or \
@@ -146,10 +147,6 @@ let intra_op_arg =
            rows, conv patches, elementwise ranges). Defaults to \
            \\$OCTF_INTRA_OP_THREADS or the core count; $(b,1) disables \
            intra-op parallelism.")
-
-let apply_intra_op = function
-  | Some n -> Octf_tensor.Parallel.set_threads n
-  | None -> ()
 
 (* Pipeline depth for Session.run_async: how many steps may be in
    flight at once. *)
@@ -187,10 +184,6 @@ let buffer_pool_mb_arg =
           "Cap in megabytes on the pool that recycles freed tensor \
            backings; $(b,0) disables pooling. Defaults to \
            \\$OCTF_BUFFER_POOL_MB or 256.")
-
-let apply_memory planning pool_mb =
-  Option.iter Octf.Mem_plan.set_enabled planning;
-  Option.iter Octf_tensor.Buffer_pool.set_limit_mb pool_mb
 
 (* ------------------------------ fusion ----------------------------- *)
 
@@ -434,8 +427,7 @@ let octf_cluster_of_entries entries =
 let train steps lr scheduler intra_op max_in_flight planning pool_mb fusion
     quantize deadline_ms fault fault_seed metrics stats_every net_cluster job
     task =
-  apply_intra_op intra_op;
-  apply_memory planning pool_mb;
+  Option.iter Octf_tensor.Buffer_pool.set_limit_mb pool_mb;
   let module Vs = Octf_nn.Var_store in
   let deadline = deadline_of_ms deadline_ms in
   if metrics <> None || stats_every <> None then
@@ -477,7 +469,8 @@ let train steps lr scheduler intra_op max_in_flight planning pool_mb fusion
   let session =
     Octf.Cluster.session cluster
       ~config:
-        (Octf.Session.Config.v ~scheduler ?max_in_flight ?fusion ?quantize
+        (Octf.Session.Config.v ?scheduler ?intra_op_threads:intra_op
+           ?memory_planning:planning ?max_in_flight ?fusion ?quantize
            ?remote:(Option.map Octf_net.Runtime.runner rt)
            ())
       (B.graph b)
@@ -942,7 +935,6 @@ let dist_smoke_cmd =
    same faults; a different seed should (almost surely) differ. Run in
    `make ci`. *)
 let fault_smoke seed steps scheduler intra_op =
-  apply_intra_op intra_op;
   let module Vs = Octf_nn.Var_store in
   let run_once ~seed =
     Octf.Fault_injector.install ~seed
@@ -955,7 +947,8 @@ let fault_smoke seed steps scheduler intra_op =
     let out = B.reduce_sum b (B.matmul b x w.Vs.read) in
     let session =
       Octf.Session.create
-        ~config:(Octf.Session.Config.v ~scheduler ())
+        ~config:
+          (Octf.Session.Config.v ?scheduler ?intra_op_threads:intra_op ())
         (B.graph b)
     in
     Octf.Session.run_unit session [ Vs.init_op store ];
@@ -1018,7 +1011,7 @@ type serve_model = {
   sm_example : Rng.t -> Tensor.t list;  (* one per-example request *)
 }
 
-let serve_mnist_cnn ~train_steps ~scheduler =
+let serve_mnist_cnn ~train_steps ~config =
   let module Vs = Octf_nn.Var_store in
   let module L = Octf_nn.Layers in
   let classes = 4 and image_size = 12 and batch = 16 in
@@ -1054,11 +1047,7 @@ let serve_mnist_cnn ~train_steps ~scheduler =
     Octf_train.Optimizer.minimize store
       ~algorithm:Octf_train.Optimizer.adam_default ~lr:0.003 ~loss ()
   in
-  let session =
-    Octf.Session.create
-      ~config:(Octf.Session.Config.v ~scheduler ())
-      (B.graph b)
-  in
+  let session = Octf.Session.create ~config (B.graph b) in
   Octf.Session.run_unit session [ Vs.init_op store ];
   let rng = Rng.create 5 in
   for _ = 1 to train_steps do
@@ -1092,7 +1081,7 @@ let serve_mnist_cnn ~train_steps ~scheduler =
     sm_example = example;
   }
 
-let serve_lstm ~train_steps ~scheduler =
+let serve_lstm ~train_steps ~config =
   let module Vs = Octf_nn.Var_store in
   let units = 64 and input_dim = 32 and batch = 16 in
   let b = B.create () in
@@ -1106,11 +1095,7 @@ let serve_lstm ~train_steps ~scheduler =
   let h', c' = Octf_nn.Lstm.step cell b ~x ~h ~c in
   let loss = B.reduce_mean b (B.square b h') in
   let train_op = Octf_train.Optimizer.minimize store ~lr:0.05 ~loss () in
-  let session =
-    Octf.Session.create
-      ~config:(Octf.Session.Config.v ~scheduler ())
-      (B.graph b)
-  in
+  let session = Octf.Session.create ~config (B.graph b) in
   Octf.Session.run_unit session [ Vs.init_op store ];
   let rng = Rng.create 7 in
   for _ = 1 to train_steps do
@@ -1145,18 +1130,20 @@ let percentile sorted p =
 let serve model train_steps clients requests max_batch max_delay_ms
     queue_capacity deadline_ms assert_batched scheduler intra_op planning
     pool_mb quantize metrics =
-  apply_intra_op intra_op;
-  apply_memory planning pool_mb;
+  Option.iter Octf_tensor.Buffer_pool.set_limit_mb pool_mb;
   if metrics <> None then Octf.Metrics.set_kernel_timing true;
+  let config =
+    Octf.Session.Config.v ?scheduler ?intra_op_threads:intra_op
+      ?memory_planning:planning ()
+  in
   let sm =
     match model with
-    | `Mnist_cnn -> serve_mnist_cnn ~train_steps ~scheduler
-    | `Lstm -> serve_lstm ~train_steps ~scheduler
+    | `Mnist_cnn -> serve_mnist_cnn ~train_steps ~config
+    | `Lstm -> serve_lstm ~train_steps ~config
   in
   let frozen =
-    Serving.freeze_session
-      ~config:(Octf.Session.Config.v ~scheduler ())
-      ?quantize ~inputs:sm.sm_inputs ~outputs:sm.sm_outputs sm.sm_session
+    Serving.freeze_session ~config ?quantize ~inputs:sm.sm_inputs
+      ~outputs:sm.sm_outputs sm.sm_session
   in
   let total = Octf.Graph.node_count (Octf.Session.graph sm.sm_session) in
   let kept =
@@ -1301,8 +1288,7 @@ let serve_cmd =
 (* ------------------------------ trace ------------------------------ *)
 
 let trace out scheduler intra_op planning pool_mb fusion metrics =
-  apply_intra_op intra_op;
-  apply_memory planning pool_mb;
+  Option.iter Octf_tensor.Buffer_pool.set_limit_mb pool_mb;
   let module Vs = Octf_nn.Var_store in
   if metrics <> None then Octf.Metrics.set_kernel_timing true;
   let b = B.create () in
@@ -1319,7 +1305,9 @@ let trace out scheduler intra_op planning pool_mb fusion metrics =
   let train_op = Octf_train.Optimizer.minimize store ~lr:0.01 ~loss () in
   let session =
     Octf.Session.create
-      ~config:(Octf.Session.Config.v ~scheduler ?fusion ())
+      ~config:
+        (Octf.Session.Config.v ?scheduler ?intra_op_threads:intra_op
+           ?memory_planning:planning ?fusion ())
       (B.graph b)
   in
   Octf.Session.run_unit session [ Vs.init_op store ];

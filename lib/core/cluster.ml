@@ -58,10 +58,14 @@ let restart_task t ~job ~task =
       Resource_manager.clear tk.resources
   | None -> raise (missing_task t ~job ~task)
 
-let session ?config ?seed ?optimize ?scheduler ?max_in_flight ?barrier
-    ?remote t graph =
+let session ?(config = Session.Config.default) t graph =
   (* The cluster owns the device list and the per-task resource
      routing; everything else comes from the caller's config. *)
-  Session.create ?config ~devices:(devices t)
-    ~resource_router:(resources_of t) ?seed ?optimize ?scheduler
-    ?max_in_flight ?barrier ?remote graph
+  Session.create
+    ~config:
+      {
+        config with
+        Session.Config.devices = Some (devices t);
+        resource_router = Some (resources_of t);
+      }
+    graph

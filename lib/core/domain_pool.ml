@@ -10,16 +10,10 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let size_of_env () =
-  match Sys.getenv_opt "OCTF_POOL_SIZE" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Some n
-      | _ -> None)
-  | None -> None
+let env = Octf_tensor.Env.int ~min:1 "OCTF_POOL_SIZE"
 
 let size () =
-  match size_of_env () with
+  match Octf_tensor.Env.get env with
   | Some n -> n
   | None -> max 1 (Domain.recommended_domain_count () - 1)
 

@@ -27,9 +27,12 @@
     helper shards never block — the sharder is caller-runs — so they are
     safe to interleave with node tasks. *)
 
+val env : int Octf_tensor.Env.t
+(** [OCTF_POOL_SIZE], an integer >= 1: the worker-domain count. *)
+
 val size : unit -> int
-(** Number of worker domains the pool runs (without forcing creation).
-    Override with the [OCTF_POOL_SIZE] environment variable. *)
+(** Number of worker domains the pool runs (without forcing creation):
+    [OCTF_POOL_SIZE], else the default above. *)
 
 val submit : (unit -> unit) -> unit
 (** Enqueue a task; some worker domain runs it exactly once, FIFO.

@@ -84,7 +84,7 @@ type plan = {
   planning : bool;  (* memory planning for this plan's steps *)
 }
 
-let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
+let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
   Builtin_kernels.ensure ();
   (* Dense ids follow the id table's own iteration order. That order
      fixes the order in which ready nodes are queued, and with it which
@@ -300,10 +300,8 @@ let prepare ?scheduler ?memory_planning ~graph ~nodes ~fed_ids () =
         (fun (n : Node.t) -> Kernel.aliases ~op_type:n.Node.op_type)
         nodes;
     kernels = Array.make count None;
-    scheduler =
-      (match scheduler with Some p -> p | None -> Scheduler.default_policy ());
-    planning =
-      (match memory_planning with Some b -> b | None -> Mem_plan.enabled ());
+    scheduler;
+    planning = memory_planning;
   }
 
 let m_kernels =

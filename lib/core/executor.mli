@@ -49,27 +49,26 @@ type plan
     {!execute}. *)
 
 val prepare :
-  ?scheduler:Scheduler.policy ->
-  ?memory_planning:bool ->
+  scheduler:Scheduler.policy ->
+  memory_planning:bool ->
   graph:Graph.t ->
   nodes:int list ->
   fed_ids:int list ->
-  unit ->
   plan
 (** Compile the subgraph induced by [nodes]. [fed_ids] are the nodes
     whose outputs the client will feed (their inputs are not wired).
-    [scheduler] sets the plan's policy (falling back to
-    {!Scheduler.default_policy}).
+    [scheduler] sets the plan's policy; {!Session} resolves it.
 
-    [memory_planning] switches the per-step lifetime analysis (falling
-    back to {!Mem_plan.enabled}). When on, each step refcounts the
-    consumers of every planner-owned output endpoint, drops stored
-    values as their last reader finishes (recycling float buffers
-    through {!Octf_tensor.Buffer_pool}), and grants declared May_alias
-    kernels in-place writes into exclusively-owned input buffers. Fetched endpoints, fed values, variable state and values
-    passing through retaining ops (Identity, reshapes, control flow,
-    Assign, queues, Send) are never dropped early or aliased; fetches
-    are bit-identical with planning on or off.
+    [memory_planning] switches the per-step lifetime analysis. When on,
+    each step refcounts the consumers of every planner-owned output
+    endpoint, drops stored values as their last reader finishes
+    (recycling float buffers through {!Octf_tensor.Buffer_pool}), and
+    grants declared May_alias kernels in-place writes into
+    exclusively-owned input buffers. Fetched endpoints, fed values,
+    variable state and values passing through retaining ops (Identity,
+    reshapes, control flow, Assign, queues, Send) are never dropped
+    early or aliased; fetches are bit-identical with planning on or
+    off.
 
     @raise Step_failure.Error on malformed control flow (frame-crossing
     edges)

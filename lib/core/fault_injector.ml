@@ -172,16 +172,13 @@ let install ?(seed = 0) specs =
       state.injected <- 0;
       refresh_enabled_locked ())
 
+let env = Octf_tensor.Env.v "OCTF_FAULT" parse
+let seed_env = Octf_tensor.Env.int "OCTF_FAULT_SEED"
+
 let install_from_env () =
-  match Sys.getenv_opt "OCTF_FAULT" with
-  | None -> ()
-  | Some s -> (
-      let seed =
-        Option.bind (Sys.getenv_opt "OCTF_FAULT_SEED") int_of_string_opt
-      in
-      match parse s with
-      | Ok specs -> install ?seed specs
-      | Error msg -> Printf.eprintf "octf: OCTF_FAULT: %s; ignored\n%!" msg)
+  Option.iter
+    (install ?seed:(Octf_tensor.Env.get seed_env))
+    (Octf_tensor.Env.get env)
 
 let reset () =
   with_lock (fun () ->

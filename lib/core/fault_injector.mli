@@ -64,8 +64,15 @@ val install : ?seed:int -> spec list -> unit
 (** Replace the active spec set (clearing killed tasks and counters).
     [seed] drives the flaky-kernel coin. *)
 
+val env : spec list Octf_tensor.Env.t
+(** [OCTF_FAULT], read with {!parse}. *)
+
+val seed_env : int Octf_tensor.Env.t
+(** [OCTF_FAULT_SEED], an integer: the flaky-kernel seed. *)
+
 val install_from_env : unit -> unit
-(** Install from [OCTF_FAULT] / [OCTF_FAULT_SEED] when set. *)
+(** Install from [OCTF_FAULT] / [OCTF_FAULT_SEED] when set.
+    @raise Invalid_argument on a malformed value. *)
 
 val reset : unit -> unit
 (** Disarm everything (specs and killed tasks). Tests must call this in

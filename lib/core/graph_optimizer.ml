@@ -798,10 +798,3 @@ let run graph ~passes ~feeds ~fetches ~targets =
           ignore (quantize_graph graph ~nodes:!nodes ~fed ~pinned ~ranges))
     passes;
   !nodes
-
-let optimize graph ~nodes ~feeds =
-  let fed = Hashtbl.create 8 in
-  List.iter (fun (e : Node.endpoint) -> Hashtbl.replace fed e.node_id ()) feeds;
-  let _ = constant_fold graph ~nodes ~fed in
-  let _ = cse graph ~nodes ~fed in
-  ()

@@ -98,11 +98,6 @@ val run :
     itself); each listed pass then transforms the graph or the node
     set. Fed nodes are never folded, merged or frozen. *)
 
-val optimize : Graph.t -> nodes:int list -> feeds:Node.endpoint list -> unit
-(** @deprecated Thin wrapper from before passes were declarable: runs
-    [Constant_fold] then [Cse] over the given node set, without the
-    trailing re-prune. Use {!run}. *)
-
 val is_pure : Node.t -> bool
 (** Operations eligible for folding/merging: stateless, side-effect free,
     not control flow, not communication, not fed at runtime. *)

@@ -8,10 +8,13 @@
     module for everything that is a property of the op type rather than
     of the particular execution. *)
 
+val env : bool Octf_tensor.Env.t
+(** [OCTF_MEMORY_PLANNING], a boolean: the initial {!enabled}. *)
+
 val enabled : unit -> bool
-(** Process-wide default, from [OCTF_MEMORY_PLANNING] (on unless set to
-    [0]/[off]/[false]/[no]).  [Session.create ?memory_planning] and
-    [Executor.prepare ?memory_planning] override it per session/plan. *)
+(** Process-wide default: [OCTF_MEMORY_PLANNING], else on, until
+    {!set_enabled} overrides it.  A session's [Config.memory_planning]
+    overrides it per session. *)
 
 val set_enabled : bool -> unit
 

@@ -12,15 +12,7 @@ let policy_of_string s =
 
 let policy_to_string = function Inline -> "inline" | Pool -> "pool"
 
-let default_policy () =
-  match Sys.getenv_opt "OCTF_SCHEDULER" with
-  | None -> Inline
-  | Some s -> (
-      match policy_of_string s with
-      | Ok p -> p
-      | Error msg ->
-          Printf.eprintf "octf: OCTF_SCHEDULER: %s; using inline\n%!" msg;
-          Inline)
+let env = Octf_tensor.Env.v "OCTF_SCHEDULER" policy_of_string
 
 type staged = Finish of (unit -> unit) | Offload of (unit -> unit -> unit)
 

@@ -36,10 +36,9 @@ val policy_of_string : string -> (policy, string) result
 
 val policy_to_string : policy -> string
 
-val default_policy : unit -> policy
-(** {!Inline}, unless the [OCTF_SCHEDULER] environment variable names
-    another policy. Sessions and executors fall back to this when no
-    [?scheduler] is given. *)
+val env : policy Octf_tensor.Env.t
+(** [OCTF_SCHEDULER], read with {!policy_of_string}: the policy of a
+    session whose config sets none (see {!Session.Config.of_env}). *)
 
 (** {1 The dispatch engine}
 

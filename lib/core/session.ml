@@ -73,9 +73,8 @@ module Run_metadata = struct
   }
 end
 
-(* Consolidated construction-time configuration — TensorFlow's
-   ConfigProto. [None] fields fall through to the one resolution point
-   in [create]: programmatic value > OCTF_* environment variable >
+(* Construction-time configuration — TensorFlow's ConfigProto. [of_env]
+   is the one resolution point: config field > OCTF_* variable >
    built-in default. *)
 module Config = struct
   type t = {
@@ -126,6 +125,29 @@ module Config = struct
       barrier;
       remote;
     }
+
+  let fusion_env = Octf_tensor.Env.bool "OCTF_FUSION"
+  let quantize_env = Octf_tensor.Env.bool "OCTF_QUANTIZE"
+  let max_in_flight_env = Octf_tensor.Env.int ~min:1 "OCTF_MAX_IN_FLIGHT"
+
+  (* A variable is read only when its field is unset. Memory planning's
+     variable already initialised the process-wide [Mem_plan.enabled]. *)
+  let of_env c =
+    let resolve field var default =
+      match field with
+      | Some _ -> field
+      | None -> Some (Option.value (Octf_tensor.Env.get var) ~default)
+    in
+    {
+      c with
+      seed = Some (Option.value c.seed ~default:42);
+      scheduler = resolve c.scheduler Scheduler.env Scheduler.Inline;
+      memory_planning =
+        Some (Option.value c.memory_planning ~default:(Mem_plan.enabled ()));
+      fusion = resolve c.fusion fusion_env true;
+      quantize = resolve c.quantize quantize_env false;
+      max_in_flight = resolve c.max_in_flight max_in_flight_env 1;
+    }
 end
 
 (* A step in flight. The spawning thread publishes exactly one result
@@ -153,7 +175,7 @@ type t = {
   seed : int;
   passes : Graph_optimizer.pass list;
   scheduler : Scheduler.policy;
-  memory_planning : bool option;  (* None: follow Mem_plan.enabled () *)
+  memory_planning : bool;
   remote : Remote.runner option;
       (* out-of-process runtime: partitions on non-[is_local] devices
          are dispatched as Run_step RPCs instead of executor threads,
@@ -171,97 +193,36 @@ type t = {
   mutable async_seq : int;
 }
 
-let default_max_in_flight () =
-  match
-    Option.bind (Sys.getenv_opt "OCTF_MAX_IN_FLIGHT") int_of_string_opt
-  with
-  | Some k when k >= 1 -> k
-  | _ -> 1
-
-(* OCTF_FUSION gates the elementwise fuse pass when the caller does not
-   pass an explicit pipeline; same spelling as OCTF_MEMORY_PLANNING. *)
-let default_fusion () =
-  match Sys.getenv_opt "OCTF_FUSION" with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
-(* OCTF_QUANTIZE gates the int8 quantize pass when the caller does not
-   pass an explicit pipeline. Unlike fusion it defaults OFF: quantized
-   kernels change numerics, so the user must opt in. (The pass is also
-   inert on training graphs — it only rewrites contractions whose
-   weights are F32 Consts, which freezing produces.) *)
-let default_quantize () =
-  match Sys.getenv_opt "OCTF_QUANTIZE" with
-  | Some ("1" | "on" | "true" | "yes") -> true
-  | _ -> false
-
-let create ?(config = Config.default) ?devices ?resource_router ?seed
-    ?optimize ?passes ?scheduler ?intra_op_threads ?memory_planning ?fusion
-    ?quantize ?max_in_flight ?barrier ?remote graph =
-  (* The one resolution point for every construction knob. Precedence:
-     legacy label (deprecated wrappers) > [config] field > OCTF_* env >
-     built-in default. The env lookups live in the per-field defaulting
-     helpers ([Scheduler.default_policy], [Mem_plan.enabled],
-     [default_max_in_flight]). *)
-  let pick legacy field =
-    match legacy with Some _ -> legacy | None -> field
-  in
-  let devices = pick devices config.Config.devices in
-  let resource_router = pick resource_router config.Config.resource_router in
-  let seed =
-    match pick seed config.Config.seed with Some s -> s | None -> 42
-  in
-  let fusion =
-    match pick fusion config.Config.fusion with
-    | Some b -> b
-    | None -> default_fusion ()
-  in
-  let quantize =
-    match pick quantize config.Config.quantize with
-    | Some b -> b
-    | None -> default_quantize ()
-  in
+let create ?(config = Config.default) graph =
+  let c = Config.of_env config in
+  (* [of_env] filled every field read with [Option.get]. *)
   let passes =
-    match pick passes config.Config.passes with
+    match c.passes with
     | Some ps -> ps
-    | None -> (
-        match optimize with
-        | Some false -> [] (* legacy ~optimize:false: prune only *)
-        | _ ->
-            let base =
-              if fusion then Graph_optimizer.fused_pipeline
-              else Graph_optimizer.default_pipeline
-            in
-            if quantize then
-              base
-              @ [ Graph_optimizer.Quantize (fun _ -> None);
-                  Graph_optimizer.Prune ]
-            else base)
+    | None ->
+        let base =
+          if Option.get c.fusion then Graph_optimizer.fused_pipeline
+          else Graph_optimizer.default_pipeline
+        in
+        (* Quantized kernels change numerics, so the pass is opt-in. It
+           only rewrites contractions whose weights are F32 Consts, which
+           freezing produces, so it is inert on training graphs. *)
+        if Option.get c.quantize then
+          base
+          @ [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+        else base
   in
-  let scheduler = pick scheduler config.Config.scheduler in
-  let intra_op_threads = pick intra_op_threads config.Config.intra_op_threads in
-  let memory_planning = pick memory_planning config.Config.memory_planning in
-  let max_in_flight = pick max_in_flight config.Config.max_in_flight in
-  let barrier =
-    match barrier with Some b -> b | None -> config.Config.barrier
-  in
-  let remote = pick remote config.Config.remote in
   (* Process-wide hardware knob, mirroring TF's
      intra_op_parallelism_threads in ConfigProto. *)
-  (match intra_op_threads with
-  | Some n -> Octf_tensor.Parallel.set_threads n
-  | None -> ());
-  let scheduler =
-    match scheduler with Some p -> p | None -> Scheduler.default_policy ()
-  in
+  Option.iter Octf_tensor.Parallel.set_threads c.intra_op_threads;
   let default_resources = Resource_manager.create () in
   let devices =
-    match devices with
+    match c.devices with
     | Some ds when ds <> [] -> ds
     | _ -> [ Device.make ~job:"localhost" ~task:0 ~index:0 Device.CPU ]
   in
   let resource_router =
-    match resource_router with
+    match c.resource_router with
     | Some f -> f
     | None -> fun _ -> default_resources
   in
@@ -269,14 +230,10 @@ let create ?(config = Config.default) ?devices ?resource_router ?seed
      serialize and read live variables, so results are bit-identical to
      the pre-pipelining session whatever [max_in_flight] asked for. *)
   let max_in_flight =
-    if barrier then 1
-    else
-      match max_in_flight with
-      | Some k when k >= 1 -> k
-      | Some k ->
-          invalid_arg
-            (Printf.sprintf "Session.create: max_in_flight %d < 1" k)
-      | None -> default_max_in_flight ()
+    match Option.get c.max_in_flight with
+    | _ when c.barrier -> 1
+    | k when k >= 1 -> k
+    | k -> invalid_arg (Printf.sprintf "Session.create: max_in_flight %d < 1" k)
   in
   {
     graph;
@@ -285,11 +242,11 @@ let create ?(config = Config.default) ?devices ?resource_router ?seed
     default_resources;
     cache = Hashtbl.create 8;
     step_counter = 0;
-    seed;
+    seed = Option.get c.seed;
     passes;
-    scheduler;
-    memory_planning;
-    remote;
+    scheduler = Option.get c.scheduler;
+    memory_planning = Option.get c.memory_planning;
+    remote = c.remote;
     drained_to = 0;
     mutex = Mutex.create ();
     max_in_flight;
@@ -349,7 +306,7 @@ let compile t ~feed_eps ~fetch_eps ~target_ids =
   let prepare ~graph ~nodes ~fed_ids =
     try
       Executor.prepare ~scheduler:t.scheduler
-        ?memory_planning:t.memory_planning ~graph ~nodes ~fed_ids ()
+        ~memory_planning:t.memory_planning ~graph ~nodes ~fed_ids
     with Step_failure.Error f -> raise (Run_error f)
   in
   match devs with
@@ -1008,21 +965,13 @@ let run_serve t ~step_id ~feeds ~fetches ~targets ~cancel () =
   | Run_error f | Step_failure.Error f -> Error f
   | e -> Error (Step_failure.v (Step_failure.Kernel_failed (Printexc.to_string e)))
 
-(* The legacy entry points are thin wrappers over {!run_with_metadata}. *)
+(* [run] and [run_unit] are thin wrappers over {!run_with_metadata}. *)
 
 let run ?feeds ?targets ?deadline t fetches =
   fst
     (run_with_metadata
        ~options:(Run_options.v ?feeds ?targets ?deadline ())
        t fetches)
-
-let run_traced ?feeds ?targets ?deadline t fetches =
-  let tensors, md =
-    run_with_metadata
-      ~options:(Run_options.v ?feeds ?targets ?deadline ~trace:true ())
-      t fetches
-  in
-  (tensors, Option.get md.Run_metadata.tracer)
 
 let run_unit ?feeds ?deadline t targets =
   ignore (run ?feeds ?deadline ~targets t [])

@@ -36,14 +36,12 @@ exception Run_error of Step_failure.t
     exception carrying the failing node, its device, and a structured
     cause. Render with {!Step_failure.to_string}. *)
 
-(** Consolidated construction-time configuration — TensorFlow's
-    [ConfigProto]. One record replaces the sprawl of optional arguments
-    on {!create}; [None] fields fall through to {!create}'s single
-    resolution point, whose precedence is: legacy {!create} label
-    (deprecated wrappers) > [Config] field > [OCTF_*] environment
-    variable > built-in default. CLI front-ends should build a [Config]
-    with [Some] only for flags the user actually passed, so unset flags
-    keep honoring the environment. *)
+(** Construction-time configuration — TensorFlow's [ConfigProto], the
+    one way to configure a session. {!of_env} resolves every [None]
+    field: [Config] field > [OCTF_*] environment variable > built-in
+    default. CLI front-ends build a [Config] with [Some] only for flags
+    the user actually passed, so unset flags keep honoring the
+    environment. *)
 module Config : sig
   type t = {
     devices : Device.t list option;
@@ -58,40 +56,37 @@ module Config : sig
             {!Graph_optimizer.default_pipeline}. [[]] disables
             everything but pruning. *)
     scheduler : Scheduler.policy option;
-        (** execution policy for every step; default
-            {!Scheduler.default_policy}, i.e. inline unless
-            [OCTF_SCHEDULER] says otherwise. [Scheduler.Pool] runs
-            independent kernels of one step in parallel with
-            bit-identical results. *)
+        (** execution policy for every step; default [OCTF_SCHEDULER],
+            else inline. [Scheduler.Pool] runs independent kernels of
+            one step in parallel with bit-identical results. *)
     intra_op_threads : int option;
         (** {e process-wide} intra-op thread budget for kernel loops
-            ({!Octf_tensor.Parallel.set_threads}); default from
-            [OCTF_INTRA_OP_THREADS] or the core count. Bit-identical
-            for every value. *)
+            ({!Octf_tensor.Parallel.set_threads}); unset leaves the
+            budget alone ([OCTF_INTRA_OP_THREADS], else the core count).
+            Bit-identical for every value. *)
     memory_planning : bool option;
         (** whether steps run the executor's lifetime analysis (eager
-            drops, buffer-pool reuse, in-place grants); default follows
-            {!Mem_plan.enabled}, i.e. on unless
-            [OCTF_MEMORY_PLANNING=off]. Fetches are bit-identical
-            either way. *)
+            drops, buffer-pool reuse, in-place grants); default
+            {!Mem_plan.enabled}, i.e. [OCTF_MEMORY_PLANNING], else on.
+            Fetches are bit-identical either way. *)
     fusion : bool option;
         (** whether the default pipeline includes the elementwise fuse
             pass ({!Graph_optimizer.fused_pipeline} vs
-            {!Graph_optimizer.default_pipeline}); default on unless
-            [OCTF_FUSION=off]. Ignored when [passes] is set explicitly.
-            Fetches are bit-identical either way. *)
+            {!Graph_optimizer.default_pipeline}); default [OCTF_FUSION],
+            else on. Ignored when [passes] is set explicitly. Fetches
+            are bit-identical either way. *)
     quantize : bool option;
         (** whether the default pipeline appends the int8
             {!Graph_optimizer.Quantize} pass (uncalibrated — dynamic
-            activation ranges) plus a prune; default {e off} unless
-            [OCTF_QUANTIZE=on] — quantized kernels change numerics, so
-            this is opt-in, unlike [fusion]. Ignored when [passes] is
-            set explicitly. The pass only rewrites contractions whose
+            activation ranges) plus a prune; default [OCTF_QUANTIZE],
+            else {e off} — quantized kernels change numerics, so this
+            is opt-in, unlike [fusion]. Ignored when [passes] is set
+            explicitly. The pass only rewrites contractions whose
             weights are F32 [Const]s, so it is inert on training
             graphs; for calibrated serving use {!Octf_serving.Serving}'s
             freeze with ranges. *)
     max_in_flight : int option;
-        (** K ≥ 1 bound on concurrent {!run_async} steps; default from
+        (** K ≥ 1 bound on concurrent {!run_async} steps; default
             [OCTF_MAX_IN_FLIGHT], else 1 *)
     barrier : bool;
         (** force K = 1 regardless of [max_in_flight] — the
@@ -105,6 +100,23 @@ module Config : sig
 
   val default : t
   (** Every field unset: resolve from the environment / built-ins. *)
+
+  val of_env : t -> t
+  (** Fill each unset field that has a variable or a built-in default
+      — [seed], [scheduler], [memory_planning], [fusion], [quantize]
+      and [max_in_flight] — from its [OCTF_*] variable, else its
+      default. A variable is read only when its field is unset.
+      @raise Invalid_argument if a read variable holds a value outside
+      its accepted set. *)
+
+  val fusion_env : bool Octf_tensor.Env.t
+  (** [OCTF_FUSION], a boolean. *)
+
+  val quantize_env : bool Octf_tensor.Env.t
+  (** [OCTF_QUANTIZE], a boolean. *)
+
+  val max_in_flight_env : int Octf_tensor.Env.t
+  (** [OCTF_MAX_IN_FLIGHT], an integer >= 1. *)
 
   val v :
     ?devices:Device.t list ->
@@ -123,30 +135,13 @@ module Config : sig
     t
 end
 
-val create :
-  ?config:Config.t ->
-  ?devices:Device.t list ->
-  ?resource_router:(Device.t -> Resource_manager.t) ->
-  ?seed:int ->
-  ?optimize:bool ->
-  ?passes:Graph_optimizer.pass list ->
-  ?scheduler:Scheduler.policy ->
-  ?intra_op_threads:int ->
-  ?memory_planning:bool ->
-  ?fusion:bool ->
-  ?quantize:bool ->
-  ?max_in_flight:int ->
-  ?barrier:bool ->
-  ?remote:Remote.runner ->
-  Graph.t ->
-  t
-(** [create ~config graph] builds a session over [graph]; see
-    {!Config} for every knob and its default. The bare optional labels
-    are {e deprecated} thin wrappers kept for source compatibility —
-    each one, when passed, overrides the corresponding [config] field
-    ([optimize:false] is shorthand for [passes:[]], prune-only).
-    New code should pass a [Config].
-    @raise Invalid_argument if the resolved [max_in_flight < 1]. *)
+val create : ?config:Config.t -> Graph.t -> t
+(** [create ~config graph] builds a session over [graph], resolving
+    [config] (default {!Config.default}) with {!Config.of_env}; see
+    {!Config} for every knob and its default. [Config.v ~passes:[] ()]
+    turns every optimization but pruning off.
+    @raise Invalid_argument if the resolved [max_in_flight < 1] or a
+    read [OCTF_*] variable holds a value outside its accepted set. *)
 
 val graph : t -> Graph.t
 
@@ -216,8 +211,9 @@ val run_with_metadata :
     [Tracer.total_time] of the same step's tracer — both sum the same
     per-kernel durations.
 
-    {!run}, {!run_traced} and {!run_unit} are thin wrappers over this
-    function.
+    {!run} and {!run_unit} are thin wrappers over this function;
+    [Run_options.v ~trace:true ()] collects the step's {!Tracer}
+    events — the §5 distributed profiler.
 
     @raise Run_error as {!run} does. *)
 
@@ -239,17 +235,6 @@ val run :
 
     @raise Run_error if a kernel fails, the deadline expires, a fetch is
     dead, or a fetch yields a reference handle rather than a tensor. *)
-
-val run_traced :
-  ?feeds:(Builder.output * Tensor.t) list ->
-  ?targets:Builder.output list ->
-  ?deadline:float ->
-  t ->
-  Builder.output list ->
-  Tensor.t list * Tracer.t
-(** Like {!run}, collecting one {!Tracer.event} per kernel invocation
-    across every partition of the step — the §5 distributed profiler.
-    Render with {!Tracer.pp_summary} or {!Tracer.to_chrome_trace}. *)
 
 val run_unit :
   ?feeds:(Builder.output * Tensor.t) list ->

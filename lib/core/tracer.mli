@@ -8,7 +8,7 @@
     partition executor participating in a step, and renders them as a
     summary or as Chrome-trace JSON (load in chrome://tracing or
     Perfetto; one row per device). Obtain one populated from a real step
-    with {!Session.run_traced}. *)
+    with {!Session.run_with_metadata} and [Run_options.v ~trace:true ()]. *)
 
 type event = {
   name : string;

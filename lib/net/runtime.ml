@@ -28,6 +28,7 @@
 module Backoff = Octf.Backoff
 module Cancel = Octf.Cancel
 module Device = Octf.Device
+module Env = Octf_tensor.Env
 module Metrics = Octf.Metrics
 module Rendezvous = Octf.Rendezvous
 module Step_failure = Octf.Step_failure
@@ -67,10 +68,8 @@ let m_late_tensors =
 
 (* OCTF_NET_TRACE=1 prints per-frame runtime decisions to stderr —
    the first thing to reach for when a distributed run misbehaves. *)
-let trace_enabled =
-  match Sys.getenv_opt "OCTF_NET_TRACE" with
-  | Some ("1" | "true" | "on") -> true
-  | _ -> false
+let trace_env = Env.bool "OCTF_NET_TRACE"
+let trace_enabled = Option.value (Env.get trace_env) ~default:false
 
 let tracef fmt =
   Printf.ksprintf
@@ -92,10 +91,19 @@ type config = {
   backoff : Backoff.policy;
 }
 
-let env_ms name default =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-  | Some ms when ms > 0.0 -> ms /. 1000.0
-  | _ -> default
+let heartbeat_ms_env = Env.int ~min:1 "OCTF_NET_HEARTBEAT_MS"
+let heartbeat_misses_env = Env.int ~min:1 "OCTF_NET_HEARTBEAT_MISSES"
+let connect_timeout_ms_env = Env.int ~min:1 "OCTF_NET_CONNECT_TIMEOUT_MS"
+let rpc_timeout_ms_env = Env.int ~min:1 "OCTF_NET_RPC_TIMEOUT_MS"
+
+(* Argument, then variable (milliseconds), then default (seconds). *)
+let seconds arg env default =
+  match arg with
+  | Some s -> s
+  | None -> (
+      match Env.get env with
+      | Some ms -> float_of_int ms /. 1000.0
+      | None -> default)
 
 let config ?heartbeat_interval ?heartbeat_misses ?connect_timeout ?rpc_timeout
     ?backoff ~job ~task ~cluster () =
@@ -103,29 +111,13 @@ let config ?heartbeat_interval ?heartbeat_misses ?connect_timeout ?rpc_timeout
     job;
     task;
     cluster;
-    heartbeat_interval =
-      (match heartbeat_interval with
-      | Some s -> s
-      | None -> env_ms "OCTF_NET_HEARTBEAT_MS" 0.2);
+    heartbeat_interval = seconds heartbeat_interval heartbeat_ms_env 0.2;
     heartbeat_misses =
       (match heartbeat_misses with
       | Some n -> n
-      | None -> (
-          match
-            Option.bind
-              (Sys.getenv_opt "OCTF_NET_HEARTBEAT_MISSES")
-              int_of_string_opt
-          with
-          | Some n when n > 0 -> n
-          | _ -> 3));
-    connect_timeout =
-      (match connect_timeout with
-      | Some s -> s
-      | None -> env_ms "OCTF_NET_CONNECT_TIMEOUT_MS" 0.5);
-    rpc_timeout =
-      (match rpc_timeout with
-      | Some s -> s
-      | None -> env_ms "OCTF_NET_RPC_TIMEOUT_MS" 30.0);
+      | None -> Option.value (Env.get heartbeat_misses_env) ~default:3);
+    connect_timeout = seconds connect_timeout connect_timeout_ms_env 0.5;
+    rpc_timeout = seconds rpc_timeout rpc_timeout_ms_env 30.0;
     backoff =
       (match backoff with
       | Some p -> p

@@ -124,18 +124,12 @@ let freeze ?(config = Session.Config.default) ?quantize ?ranges ~values
   (* Work on a copy: the freeze pass rewrites edges in place, and the
      training graph must keep reading its live variables. *)
   let graph = Octf.Graph.copy graph in
-  (* The quantize knob resolves like Session.create's: explicit arg >
-     config field > OCTF_QUANTIZE > off. *)
+  (* Explicit argument, then Session.create's resolution. *)
   let quantize =
     match quantize with
     | Some b -> b
-    | None -> (
-        match config.Session.Config.quantize with
-        | Some b -> b
-        | None -> (
-            match Sys.getenv_opt "OCTF_QUANTIZE" with
-            | Some ("1" | "on" | "true" | "yes") -> true
-            | _ -> false))
+    | None ->
+        Option.get (Session.Config.of_env config).Session.Config.quantize
   in
   let config =
     {

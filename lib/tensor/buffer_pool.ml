@@ -27,12 +27,9 @@ let evictions = ref 0
 let min_pool_elems = 1024
 let bytes_per_elem = 8
 
-let default_limit_mb =
-  match Sys.getenv_opt "OCTF_BUFFER_POOL_MB" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n when n >= 0 -> n | _ -> 256)
-  | None -> 256
+let env = Env.int ~min:0 "OCTF_BUFFER_POOL_MB"
 
-let limit_bytes = ref (default_limit_mb * 1024 * 1024)
+let limit_bytes = ref (Option.value (Env.get env) ~default:256 * 1024 * 1024)
 
 let set_limit_mb mb =
   Mutex.lock mutex;

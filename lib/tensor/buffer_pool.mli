@@ -23,6 +23,9 @@ val alloc_float : ?zero:bool -> int -> float array
 val release_float : float array -> unit
 (** Return a buffer to the pool.  Caller asserts no live references. *)
 
+val env : int Env.t
+(** [OCTF_BUFFER_POOL_MB], an integer >= 0: the initial bound in MB. *)
+
 val set_limit_mb : int -> unit
 (** Bound the pool's total retained bytes. *)
 

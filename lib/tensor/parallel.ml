@@ -21,21 +21,11 @@
    output element's accumulation order fixed, so results are
    bit-identical for every thread count. *)
 
-let default_threads () =
-  match Sys.getenv_opt "OCTF_INTRA_OP_THREADS" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | _ ->
-          Printf.eprintf
-            "octf: OCTF_INTRA_OP_THREADS must be a positive integer, got %S; \
-             using the core count\n\
-             %!"
-            s;
-          Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+let env = Env.int ~min:1 "OCTF_INTRA_OP_THREADS"
 
-let threads_cell = Atomic.make (default_threads ())
+let threads_cell =
+  Atomic.make
+    (Option.value (Env.get env) ~default:(Domain.recommended_domain_count ()))
 
 let threads () = Atomic.get threads_cell
 

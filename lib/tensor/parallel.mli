@@ -19,10 +19,12 @@
     independent of the shard layout, so results are bit-identical across
     thread counts (see the intra-op test suite). *)
 
+val env : int Env.t
+(** [OCTF_INTRA_OP_THREADS], an integer >= 1: the initial thread budget. *)
+
 val threads : unit -> int
-(** The current intra-op thread budget. Defaults to
-    [Domain.recommended_domain_count ()], overridden by the
-    [OCTF_INTRA_OP_THREADS] environment variable. *)
+(** The current intra-op thread budget. Defaults to [OCTF_INTRA_OP_THREADS],
+    else [Domain.recommended_domain_count ()]; {!set_threads} overrides it. *)
 
 val set_threads : int -> unit
 (** Set the process-wide intra-op thread budget (a hardware-resource

@@ -479,10 +479,16 @@ let divergence prog k =
       let s =
         if fusion then
           Session.create
-            ~passes:[ Graph_optimizer.Fuse; Graph_optimizer.Prune ]
-            ~scheduler ~memory_planning:planning (B.graph b)
+            ~config:
+              (Session.Config.v
+                 ~passes:[ Graph_optimizer.Fuse; Graph_optimizer.Prune ]
+                 ~scheduler ~memory_planning:planning ())
+            (B.graph b)
         else
-          Session.create ~optimize:false ~scheduler ~memory_planning:planning
+          Session.create
+            ~config:
+              (Session.Config.v ~passes:[] ~scheduler
+                 ~memory_planning:planning ())
             (B.graph b)
       in
       Session.run ~feeds s fetches
@@ -561,13 +567,18 @@ let quant_divergence prog k =
       let s =
         if quantize then
           Session.create
-            ~passes:
-              [
-                Graph_optimizer.Quantize (fun _ -> None);
-                Graph_optimizer.Prune;
-              ]
-            ~scheduler (B.graph b)
-        else Session.create ~optimize:false ~scheduler (B.graph b)
+            ~config:
+              (Session.Config.v
+                 ~passes:
+                   [
+                     Graph_optimizer.Quantize (fun _ -> None);
+                     Graph_optimizer.Prune;
+                   ]
+                 ~scheduler ())
+            (B.graph b)
+        else Session.create
+               ~config:(Session.Config.v ~passes:[] ~scheduler ())
+               (B.graph b)
       in
       Session.run ~feeds s fetches
     in
@@ -672,14 +683,21 @@ let test_pipelined_stateless () =
     (fun (scheduler, threads) ->
       Parallel.set_threads threads;
       let sync =
-        let s = Session.create ~optimize:false ~scheduler (B.graph b) in
+        let s =
+          Session.create
+            ~config:(Session.Config.v ~passes:[] ~scheduler ())
+            (B.graph b)
+        in
         Session.run ~feeds s fetches
       in
       List.iter
         (fun (label, max_in_flight, barrier) ->
           let s =
-            Session.create ~optimize:false ~scheduler ~max_in_flight
-              ~barrier (B.graph b)
+            Session.create
+              ~config:
+                (Session.Config.v ~passes:[] ~scheduler ~max_in_flight
+                   ~barrier ())
+              (B.graph b)
           in
           let options = Session.Run_options.v ~feeds () in
           let handles =
@@ -714,7 +732,9 @@ let test_pipelined_variable_updates () =
   let init = B.assign b v (B.const_f b 0.0) in
   let bump = B.assign_add b v (B.const_f b 1.0) in
   let read = B.read b v in
-  let s = Session.create ~max_in_flight:4 (B.graph b) in
+  let s =
+    Session.create ~config:(Session.Config.v ~max_in_flight:4 ()) (B.graph b)
+  in
   Session.run_unit s [ init ];
   let handles = List.init 20 (fun _ -> Session.run_async s [ bump ]) in
   List.iter (fun h -> ignore (Session.wait h)) handles;

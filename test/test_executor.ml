@@ -11,8 +11,8 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let run1 ?(optimize = false) b fetch feeds =
-  let s = Session.create ~optimize (B.graph b) in
+let run1 b fetch feeds =
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run ~feeds s [ fetch ] with
   | [ v ] -> scalar v
   | _ -> Alcotest.fail "arity"
@@ -26,7 +26,7 @@ let test_switch_dead_propagation () =
   let f, t = B.switch b x pred in
   let dead_side = B.neg b f in
   let live_side = B.neg b t in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   (match Session.run s [ live_side ] with
   | [ v ] -> Alcotest.(check (float 0.)) "live" (-1.0) (scalar v)
   | _ -> Alcotest.fail "arity");
@@ -59,7 +59,7 @@ let test_dead_through_control_edge () =
       ~attrs:[ ("value", Attr.Tensor (Tensor.scalar_f 3.0)) ]
       []
   in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ B.output gated ] with
   | _ -> Alcotest.fail "expected dead"
   | exception Session.Run_error _ -> ()
@@ -78,7 +78,7 @@ let test_nested_cond () =
       ~else_:(fun b ins -> [ B.neg b (List.hd ins) ])
   in
   let out = List.hd result in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let run p1v p2v =
     match
       Session.run
@@ -166,7 +166,7 @@ let test_frame_crossing_rejected () =
       [ x ]
   in
   let out = List.hd results in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ out ] with
   | _ -> Alcotest.fail "expected frame-crossing error"
   | exception Session.Run_error f ->
@@ -196,8 +196,8 @@ let test_reproducible_random_steps () =
   let b = B.create () in
   let r = B.random_uniform b ~lo:0.0 ~hi:1.0 [| 4 |] in
   let sum = B.reduce_sum b r in
-  let s1 = Session.create ~seed:5 (B.graph b) in
-  let s2 = Session.create ~seed:5 (B.graph b) in
+  let s1 = Session.create ~config:(Session.Config.v ~seed:5 ()) (B.graph b) in
+  let s2 = Session.create ~config:(Session.Config.v ~seed:5 ()) (B.graph b) in
   let v1 = List.hd (Session.run s1 [ sum ]) in
   let v2 = List.hd (Session.run s2 [ sum ]) in
   Alcotest.(check (float 0.)) "same seed same draw" (scalar v1) (scalar v2);
@@ -208,7 +208,7 @@ let test_kernel_error_reporting () =
   let b = B.create () in
   let a = B.const b (Tensor.of_float_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |]) in
   let bad = B.matmul b a (B.const b (Tensor.of_float_array [| 3; 1 |] [| 1.; 2.; 3. |])) in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ bad ] with
   | _ -> Alcotest.fail "expected kernel error"
   | exception Session.Run_error f ->
@@ -227,7 +227,11 @@ let test_fed_never_aliased () =
   (* relu declares May_alias(0,0) and x has exactly one consumer — the
      planner must still refuse because x is fed. *)
   let y = B.relu b x in
-  let s = Session.create ~optimize:false ~memory_planning:true (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~memory_planning:true ())
+      (B.graph b)
+  in
   let fed = Tensor.of_float_array [| 4 |] [| -1.0; 2.0; -3.0; 4.0 |] in
   let before = Tensor.copy fed in
   match Session.run ~feeds:[ (x, fed) ] s [ y ] with
@@ -245,7 +249,11 @@ let test_fetched_never_aliased () =
   let y = B.relu b a in
   (* [a] is fetched, so relu must not reuse its buffer even though it is
      a's only downstream consumer. *)
-  let s = Session.create ~optimize:false ~memory_planning:true (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~memory_planning:true ())
+      (B.graph b)
+  in
   match Session.run s [ a; y ] with
   | [ av; yv ] ->
       Alcotest.(check bool) "distinct buffers" false
@@ -264,7 +272,11 @@ let test_variable_read_never_aliased () =
   (* Read's output is the variable's backing tensor — not a fresh
      buffer — so relu must never be granted an in-place write on it. *)
   let y = B.relu b r in
-  let s = Session.create ~optimize:false ~memory_planning:true (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~memory_planning:true ())
+      (B.graph b)
+  in
   Session.run_unit s [ init ];
   (match Session.run s [ r; y ] with
   | [ rv; yv ] ->
@@ -285,7 +297,11 @@ let test_diamond_never_reuses_source () =
   let a = B.square b x in
   let b' = B.neg b x in
   let sum = B.add b a b' in
-  let s = Session.create ~optimize:false ~memory_planning:true (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~memory_planning:true ())
+      (B.graph b)
+  in
   let fed = Tensor.of_float_array [| 4 |] [| 1.0; 2.0; 3.0; 4.0 |] in
   let before = Tensor.copy fed in
   match Session.run ~feeds:[ (x, fed) ] s [ sum ] with
@@ -312,7 +328,11 @@ let test_switch_merge_refcounts_balance () =
   let f, t = B.switch b big pred in
   let merged = B.merge b [ B.neg b f; B.relu b t ] in
   let out = B.reduce_sum b merged in
-  let s = Session.create ~optimize:false ~memory_planning:true (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~memory_planning:true ())
+      (B.graph b)
+  in
   let baseline = mem_live_bytes () in
   List.iter
     (fun p ->
@@ -337,7 +357,7 @@ let test_feeds_per_endpoint () =
   (* Each fed output of a multi-output node keeps its own value. *)
   let b, p0, p1 = split_graph () in
   let sum = B.add b p0 p1 in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let one = Tensor.of_float_array [| 1 |] [| 1.0 |] in
   let two = Tensor.of_float_array [| 1 |] [| 2.0 |] in
   match Session.run ~feeds:[ (p0, one); (p1, two) ] s [ p0; p1; sum ] with
@@ -355,7 +375,9 @@ let test_unfed_output_of_fed_node () =
     (fun consume ->
       let b, p0, p1 = split_graph () in
       let fetch = if consume then B.neg b p1 else p1 in
-      let s = Session.create ~optimize:false (B.graph b) in
+      let s =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       match Session.run ~feeds:[ (p0, one) ] s [ fetch ] with
       | _ -> Alcotest.fail "expected an unfed-endpoint error"
       | exception Session.Run_error f ->
@@ -407,7 +429,9 @@ let test_inplace_grants_counted () =
       let run planning =
         let b, out = build () in
         let s =
-          Session.create ~optimize:false ~memory_planning:planning (B.graph b)
+          Session.create
+            ~config:(Session.Config.v ~passes:[] ~memory_planning:planning ())
+            (B.graph b)
         in
         ignore (Session.run s [ out ]);
         let before = grants_total () in

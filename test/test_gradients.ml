@@ -20,7 +20,9 @@ let grad_check ?(tol = 1e-3) ~shape ~f () =
     | [ Some g ] -> G.densify b g
     | _ -> Alcotest.fail "no gradient"
   in
-  let session = Session.create ~optimize:false (B.graph b) in
+  let session =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+  in
   let rng = Rng.create 77 in
   let point = Tensor.uniform rng shape ~lo:0.2 ~hi:1.5 in
   let eval t =
@@ -166,7 +168,9 @@ let test_gather_sparse_gradient () =
   let grads = G.gradients b ~ys:[ y ] ~xs:[ x ] () in
   match grads with
   | [ Some (G.Sparse { indices; values; dense_shape }) ] ->
-      let session = Session.create ~optimize:false (B.graph b) in
+      let session =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       let point = Tensor.ones Dtype.F32 [| 4; 2 |] in
       let vs =
         Session.run ~feeds:[ (x, point) ] session [ indices; values ]
@@ -194,7 +198,9 @@ let test_stop_gradient () =
   let grads = G.gradients b ~ys:[ y ] ~xs:[ x ] () in
   match grads with
   | [ Some (G.Dense g) ] ->
-      let session = Session.create ~optimize:false (B.graph b) in
+      let session =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       let v =
         List.hd
           (Session.run ~feeds:[ (x, Tensor.scalar_f 3.0) ] session [ g ])
@@ -218,7 +224,9 @@ let test_multi_path_sums () =
   let y = B.add b (B.mul b x x) (B.mul b x (B.const_f b 3.0)) in
   match G.gradients b ~ys:[ y ] ~xs:[ x ] () with
   | [ Some (G.Dense g) ] ->
-      let session = Session.create ~optimize:false (B.graph b) in
+      let session =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       let v =
         List.hd
           (Session.run ~feeds:[ (x, Tensor.scalar_f 4.0) ] session [ g ])
@@ -233,7 +241,9 @@ let test_grad_ys_seed () =
   let seed = B.const_f b 10.0 in
   match G.gradients b ~ys:[ y ] ~xs:[ x ] ~grad_ys:[ seed ] () with
   | [ Some (G.Dense g) ] ->
-      let session = Session.create ~optimize:false (B.graph b) in
+      let session =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       let v =
         List.hd
           (Session.run ~feeds:[ (x, Tensor.scalar_f 0.0) ] session [ g ])
@@ -251,7 +261,9 @@ let test_custom_gradient_registration () =
   let y = B.sign b x in
   match G.gradients b ~ys:[ y ] ~xs:[ x ] () with
   | [ Some (G.Dense g) ] ->
-      let session = Session.create ~optimize:false (B.graph b) in
+      let session =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       let v =
         List.hd
           (Session.run ~feeds:[ (x, Tensor.scalar_f 1.0) ] session [ g ])
@@ -301,7 +313,9 @@ let test_cond_gradient () =
   let y = List.hd outs in
   match G.gradients b ~ys:[ y ] ~xs:[ x ] () with
   | [ Some (G.Dense g) ] ->
-      let s = Session.create ~optimize:false (B.graph b) in
+      let s =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       let dydx xv pv =
         scalar
           (List.hd
@@ -325,7 +339,9 @@ let test_cond_gradient_both_branches_use_x () =
   let loss = B.mul b (List.hd outs) (B.const_f b 2.0) in
   match G.gradients b ~ys:[ loss ] ~xs:[ x ] () with
   | [ Some (G.Dense g) ] ->
-      let s = Session.create ~optimize:false (B.graph b) in
+      let s =
+        Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+      in
       let dydx xv pv =
         scalar
           (List.hd
@@ -365,7 +381,7 @@ let test_pack_unpack_roundtrip () =
   let x = B.const b (Tensor.of_float_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |]) in
   let rows = B.unpack b x ~num:2 in
   let repacked = B.pack b rows in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ repacked ] with
   | [ v ] ->
       Alcotest.(check bool) "roundtrip" true

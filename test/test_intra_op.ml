@@ -323,7 +323,11 @@ let test_shard_metrics_and_step_stats () =
   let x = B.const b (rand_t 22 [| 200; 64 |]) in
   let w = B.const b (rand_t 23 [| 64; 48 |]) in
   let y = B.reduce_sum b (B.matmul b x w) in
-  let session = Octf.Session.create ~optimize:false (B.graph b) in
+  let session =
+    Octf.Session.create
+      ~config:(Octf.Session.Config.v ~passes:[] ())
+      (B.graph b)
+  in
   let options = Octf.Session.Run_options.v ~collect_stats:true () in
   let _, md = Octf.Session.run_with_metadata ~options session [ y ] in
   let after =

@@ -164,7 +164,11 @@ let test_pool_scheduler_instrumentation () =
   let b = B.create () in
   let x = B.const_f b 2.0 in
   let y = B.add_n b (List.init 8 (fun _ -> B.mul b x x)) in
-  let s = Session.create ~optimize:false ~scheduler:Scheduler.Pool (B.graph b) in
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~scheduler:Scheduler.Pool ())
+      (B.graph b)
+  in
   let iters = 20 in
   for _ = 1 to iters do
     ignore (Session.run s [ y ])
@@ -315,9 +319,13 @@ let test_run_options_targets_and_wrappers () =
   (match Session.run s [ read ] with
   | [ t ] -> Alcotest.(check (float 0.)) "legacy run" 2.0 (Tensor.flat_get_f t 0)
   | _ -> assert false);
-  let _, tracer = Session.run_traced s [ read ] in
-  Alcotest.(check bool) "run_traced still traces" true
-    (Tracer.events tracer <> [])
+  let _, md =
+    Session.run_with_metadata
+      ~options:(Session.Run_options.v ~trace:true ())
+      s [ read ]
+  in
+  Alcotest.(check bool) "trace option traces" true
+    (Tracer.events (Option.get md.Session.Run_metadata.tracer) <> [])
 
 let test_queue_metric_deltas () =
   let depth name =

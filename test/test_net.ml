@@ -301,7 +301,8 @@ let test_session_drain_scrubs_rendezvous () =
   let session =
     Cluster.session
       (Cluster.create ~jobs:[ ("worker", 1, [ Device.CPU ]) ])
-      ~remote:(Runtime.runner rt) (B.graph b)
+      ~config:(Session.Config.v ~remote:(Runtime.runner rt) ())
+      (B.graph b)
   in
   ignore (Session.run session [ y ]);
   (* Simulate a tensor a failed step left behind under a step id the
@@ -463,7 +464,9 @@ let spawn_party ~job ~cluster =
       ~jobs:[ ("ps", 1, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
   in
   let session =
-    Cluster.session octf_cluster ~remote:(Runtime.runner rt) (B.graph b)
+    Cluster.session octf_cluster
+      ~config:(Session.Config.v ~remote:(Runtime.runner rt) ())
+      (B.graph b)
   in
   Runtime.serve rt ~session;
   {

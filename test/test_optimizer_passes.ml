@@ -4,13 +4,18 @@ open Octf_tensor
 open Octf
 module B = Builder
 
-let all_ids b = List.init (Graph.node_count (B.graph b)) (fun i -> i)
+(* Constant folding then CSE over the step that fetches [fetches]. *)
+let fold_and_cse ?(feeds = []) g fetches =
+  ignore
+    (Graph_optimizer.run g
+       ~passes:[ Graph_optimizer.Constant_fold; Graph_optimizer.Cse ]
+       ~feeds ~fetches ~targets:[])
 
 let test_constant_folding () =
   let b = B.create () in
   let x = B.add b (B.const_f b 2.0) (B.const_f b 3.0) in
   let y = B.mul b x (B.const_f b 4.0) in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b) ~feeds:[];
+  fold_and_cse (B.graph b) [ B.endpoint_of_output y ];
   (* y's producer chain must now be folded consts. *)
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   let all_const =
@@ -21,7 +26,7 @@ let test_constant_folding () =
   in
   Alcotest.(check bool) "inputs folded" true all_const;
   (* Semantics preserved. *)
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   Alcotest.(check (float 0.)) "value" 20.0
     (Tensor.flat_get_f (List.hd (Session.run s [ y ])) 0)
 
@@ -31,13 +36,14 @@ let test_cse_merges_duplicates () =
   let a = B.square b x in
   let c = B.square b x in
   let y = B.add b a c in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b)
-    ~feeds:[ B.endpoint_of_output x ];
+  fold_and_cse (B.graph b)
+    ~feeds:[ B.endpoint_of_output x ]
+    [ B.endpoint_of_output y ];
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   Alcotest.(check int) "both inputs point at one node"
     y_node.Node.inputs.(0).Node.node_id
     y_node.Node.inputs.(1).Node.node_id;
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   Alcotest.(check (float 0.)) "value" 18.0
     (Tensor.flat_get_f
        (List.hd (Session.run ~feeds:[ (x, Tensor.scalar_f 3.0) ] s [ y ]))
@@ -48,7 +54,7 @@ let test_stateful_never_merged () =
   let r1 = B.random_uniform b [| 2 |] in
   let r2 = B.random_uniform b [| 2 |] in
   let y = B.add b r1 r2 in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b) ~feeds:[];
+  fold_and_cse (B.graph b) [ B.endpoint_of_output y ];
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   Alcotest.(check bool) "random ops stay distinct" true
     (y_node.Node.inputs.(0).Node.node_id
@@ -58,8 +64,9 @@ let test_fed_nodes_not_folded () =
   let b = B.create () in
   let x = B.placeholder b Dtype.F32 in
   let y = B.neg b x in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b)
-    ~feeds:[ B.endpoint_of_output x ];
+  fold_and_cse (B.graph b)
+    ~feeds:[ B.endpoint_of_output x ]
+    [ B.endpoint_of_output y ];
   let y_node = Graph.get (B.graph b) y.B.node.Node.id in
   Alcotest.(check string) "still reads the placeholder" "Placeholder"
     (Graph.get (B.graph b) y_node.Node.inputs.(0).Node.node_id).Node.op_type
@@ -81,8 +88,10 @@ let test_session_optimized_run_matches () =
          (Session.run ~feeds:[ (x, Tensor.scalar_f 2.5) ] s [ y ]))
       0
   in
-  let s1 = Session.create ~optimize:true (B.graph b1) in
-  let s2 = Session.create ~optimize:false (B.graph b2) in
+  let s1 = Session.create (B.graph b1) in
+  let s2 =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b2)
+  in
   Alcotest.(check (float 1e-9)) "same result" (v s2 x2 y2) (v s1 x1 y1)
 
 let test_reprune_after_optimize () =
@@ -93,7 +102,7 @@ let test_reprune_after_optimize () =
   let x = B.placeholder b Dtype.F32 in
   let k = B.const_f b 3.0 in
   let y = B.add b (B.mul b x k) (B.mul b x k) in
-  let s = Session.create ~optimize:true (B.graph b) in
+  let s = Session.create (B.graph b) in
   let options =
     Session.Run_options.v
       ~feeds:[ (x, Tensor.scalar_f 2.0) ]
@@ -230,9 +239,7 @@ let test_cse_control_input_order () =
       ~inputs:[ Node.endpoint n1.Node.id 0; Node.endpoint n2.Node.id 0 ]
       ~op_type:"Add" ()
   in
-  Graph_optimizer.optimize g
-    ~nodes:(List.init (Graph.node_count g) Fun.id)
-    ~feeds:[ xe ];
+  fold_and_cse g ~feeds:[ xe ] [ Node.endpoint y.Node.id 0 ];
   let y_node = Graph.get g y.Node.id in
   Alcotest.(check int) "order-permuted control sets merged"
     y_node.Node.inputs.(0).Node.node_id
@@ -252,11 +259,11 @@ let test_multi_output_constant_fold () =
     | _ -> Alcotest.fail "split arity"
   in
   let z = B.neg b y in
-  Graph_optimizer.optimize (B.graph b) ~nodes:(all_ids b) ~feeds:[];
+  fold_and_cse (B.graph b) [ B.endpoint_of_output z ];
   let z_node = Graph.get (B.graph b) z.B.node.Node.id in
   Alcotest.(check string) "folding propagated through Split" "Const"
     (Graph.get (B.graph b) z_node.Node.inputs.(0).Node.node_id).Node.op_type;
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let t = List.hd (Session.run s [ z ]) in
   Alcotest.(check (float 0.)) "value [0]" (-4.0) (Tensor.flat_get_f t 0);
   Alcotest.(check (float 0.)) "value [1]" (-6.0) (Tensor.flat_get_f t 1)

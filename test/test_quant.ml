@@ -20,7 +20,7 @@ let test_roundtrip_error_bound () =
   let x = B.placeholder b ~shape:[| 16 |] Dtype.F32 in
   let q, lo, hi = B.quantize b x in
   let back = B.dequantize b q lo hi in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let rng = Rng.create 21 in
   let point = Tensor.uniform rng [| 16 |] ~lo:(-4.0) ~hi:4.0 in
   let v = List.hd (Session.run ~feeds:[ (x, point) ] s [ back ]) in
@@ -34,7 +34,7 @@ let test_codes_in_range () =
   let b = B.create () in
   let x = B.const b (Tensor.of_float_array [| 3 |] [| -1.0; 0.0; 3.0 |]) in
   let q, _, _ = B.quantize b x in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let codes = Tensor.to_int_array (List.hd (Session.run s [ q ])) in
   Array.iter
     (fun c -> if c < 0 || c > 255 then Alcotest.fail "code out of range")
@@ -49,7 +49,7 @@ let test_quantized_matmul_close () =
   let xb = B.placeholder b ~shape:[| 6; 3 |] Dtype.F32 in
   let exact = B.matmul b xa xb in
   let approx = B.quantized_matmul b (B.quantize b xa) (B.quantize b xb) in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let rng = Rng.create 31 in
   let a = Tensor.uniform rng [| 4; 6 |] ~lo:(-1.0) ~hi:1.0 in
   let c = Tensor.uniform rng [| 6; 3 |] ~lo:(-1.0) ~hi:1.0 in
@@ -66,7 +66,7 @@ let test_quantize_constant_tensor () =
   let x = B.const b (Tensor.full Dtype.F32 [| 4 |] 2.0) in
   let q, lo, hi = B.quantize b x in
   let back = B.dequantize b q lo hi in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let v = List.hd (Session.run s [ back ]) in
   Alcotest.(check bool) "close to 2" true
     (Float.abs (Tensor.flat_get_f v 0 -. 2.0) < 0.02)
@@ -196,7 +196,7 @@ let test_quantized_conv2d_close () =
     B.quantized_conv2d b ~strides:(1, 1) ~padding:`Same (B.quantize b x)
       (B.quantize b f)
   in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let rng = Rng.create 41 in
   let xv = Tensor.uniform rng [| 2; 6; 6; 3 |] ~lo:(-1.0) ~hi:1.0 in
   let fv = Tensor.uniform rng [| 3; 3; 3; 4 |] ~lo:(-1.0) ~hi:1.0 in
@@ -273,7 +273,7 @@ let test_matmul_q_codes_out () =
     B.quantized_matmul_q b ~out_range:(-4.0, 4.0) qa qw
   in
   let deq = B.dequantize b oc olo ohi in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   let rng = Rng.create 71 in
   let a = Tensor.uniform rng [| 4; 6 |] ~lo:(-1.0) ~hi:1.0 in
   let w = Tensor.uniform rng [| 6; 3 |] ~lo:(-1.0) ~hi:1.0 in
@@ -714,13 +714,18 @@ let test_pass_calibrated_island () =
   let wc0 = metric "octf_quant_weight_bytes_code_total" in
   let b, x, out = one_layer_graph () in
   let xv = feed_x (Rng.create 91) in
-  let sref = Session.create ~optimize:false (B.graph b) in
+  let sref =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+  in
   let reference = List.hd (Session.run ~feeds:[ (x, xv) ] sref [ out ]) in
   let ranges = function "act1" -> Some (0.0, 4.0) | _ -> None in
   let b2, x2, out2 = one_layer_graph () in
   let sq =
     Session.create
-      ~passes:[ Graph_optimizer.Quantize ranges; Graph_optimizer.Prune ]
+      ~config:
+        (Session.Config.v
+           ~passes:[ Graph_optimizer.Quantize ranges; Graph_optimizer.Prune ]
+           ())
       (B.graph b2)
   in
   let got = List.hd (Session.run ~feeds:[ (x2, xv) ] sq [ out2 ]) in
@@ -740,13 +745,18 @@ let test_pass_dynamic_island () =
   let islands0 = metric "octf_quant_islands_total" in
   let b, x, out = one_layer_graph () in
   let xv = feed_x (Rng.create 92) in
-  let sref = Session.create ~optimize:false (B.graph b) in
+  let sref =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+  in
   let reference = List.hd (Session.run ~feeds:[ (x, xv) ] sref [ out ]) in
   let b2, x2, out2 = one_layer_graph () in
   let sq =
     Session.create
-      ~passes:
-        [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+      ~config:
+        (Session.Config.v
+           ~passes:
+             [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+           ())
       (B.graph b2)
   in
   let got = List.hd (Session.run ~feeds:[ (x2, xv) ] sq [ out2 ]) in
@@ -777,7 +787,9 @@ let test_pass_elides_between_islands () =
   let elisions0 = metric "octf_quant_elisions_total" in
   let b, x, out = two_layer_graph () in
   let xv = feed_x (Rng.create 93) in
-  let sref = Session.create ~optimize:false (B.graph b) in
+  let sref =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+  in
   let reference = List.hd (Session.run ~feeds:[ (x, xv) ] sref [ out ]) in
   let ranges = function
     | "layer1" -> Some (0.0, 4.0)
@@ -787,7 +799,10 @@ let test_pass_elides_between_islands () =
   let b2, x2, out2 = two_layer_graph () in
   let sq =
     Session.create
-      ~passes:[ Graph_optimizer.Quantize ranges; Graph_optimizer.Prune ]
+      ~config:
+        (Session.Config.v
+           ~passes:[ Graph_optimizer.Quantize ranges; Graph_optimizer.Prune ]
+           ())
       (B.graph b2)
   in
   let got = List.hd (Session.run ~feeds:[ (x2, xv) ] sq [ out2 ]) in
@@ -816,14 +831,19 @@ let test_pass_inert_on_variables () =
   in
   let xv = feed_x (Rng.create 94) in
   let b, init, x, out = build () in
-  let sref = Session.create ~optimize:false (B.graph b) in
+  let sref =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+  in
   Session.run_unit sref [ init ];
   let reference = List.hd (Session.run ~feeds:[ (x, xv) ] sref [ out ]) in
   let b2, init2, x2, out2 = build () in
   let sq =
     Session.create
-      ~passes:
-        [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+      ~config:
+        (Session.Config.v
+           ~passes:
+             [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+           ())
       (B.graph b2)
   in
   Session.run_unit sq [ init2 ];
@@ -840,8 +860,11 @@ let test_pass_skips_fetched_root () =
   let out = B.matmul b x w in
   let sq =
     Session.create
-      ~passes:
-        [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+      ~config:
+        (Session.Config.v
+           ~passes:
+             [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+           ())
       (B.graph b)
   in
   let xv = feed_x (Rng.create 95) in
@@ -868,12 +891,17 @@ let test_pass_quantizes_conv () =
   let conv = B.conv2d b ~name:"c1" ~strides:(1, 1) ~padding:`Same x f in
   let out = B.identity b (B.relu b ~name:"act" conv) in
   let xv = Tensor.uniform (Rng.create 96) [| 1; 6; 6; 2 |] ~lo:(-1.0) ~hi:1.0 in
-  let sref = Session.create ~optimize:false (B.graph b) in
+  let sref =
+    Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b)
+  in
   let reference = List.hd (Session.run ~feeds:[ (x, xv) ] sref [ out ]) in
   let sq =
     Session.create
-      ~passes:
-        [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+      ~config:
+        (Session.Config.v
+           ~passes:
+             [ Graph_optimizer.Quantize (fun _ -> None); Graph_optimizer.Prune ]
+           ())
       (B.graph b)
   in
   let got = List.hd (Session.run ~feeds:[ (x, xv) ] sq [ out ]) in

@@ -14,12 +14,11 @@ let check_identical ?(steps = 1) ?cluster ~name build =
   let run policy =
     let b = B.create () in
     let fetches, inits = build b in
+    let config = Session.Config.v ~seed:42 ~passes:[] ~scheduler:policy () in
     let session =
       match cluster with
-      | None -> Session.create ~seed:42 ~optimize:false ~scheduler:policy (B.graph b)
-      | Some mk ->
-          Cluster.session ~seed:42 ~optimize:false ~scheduler:policy (mk ())
-            (B.graph b)
+      | None -> Session.create ~config (B.graph b)
+      | Some mk -> Cluster.session ~config (mk ()) (B.graph b)
     in
     if inits <> [] then Session.run_unit session inits;
     let out = ref [] in
@@ -95,7 +94,11 @@ let test_concurrent_no_tearing () =
   let k = B.placeholder b ~shape:[||] Dtype.F32 in
   let write = B.assign b v (B.pack b [ k; k ]) in
   let read = B.read b v in
-  let session = Session.create ~scheduler:Scheduler.Pool (B.graph b) in
+  let session =
+    Session.create
+      ~config:(Session.Config.v ~scheduler:Scheduler.Pool ())
+      (B.graph b)
+  in
   Session.run_unit ~feeds:[ (k, Tensor.scalar_f 0.0) ] session [ write ];
   let torn = Atomic.make false in
   let writer =
@@ -133,7 +136,11 @@ let test_concurrent_assign_add () =
   let v = B.variable b ~name:"total" ~dtype:Dtype.F32 ~shape:[||] () in
   let init = B.assign b v (B.const_f b 0.0) in
   let bump = B.assign_add b v (B.const_f b 1.0) in
-  let session = Session.create ~scheduler:Scheduler.Pool (B.graph b) in
+  let session =
+    Session.create
+      ~config:(Session.Config.v ~scheduler:Scheduler.Pool ())
+      (B.graph b)
+  in
   Session.run_unit session [ init ];
   let threads = 4 and steps = 100 in
   let workers =

@@ -143,9 +143,8 @@ let test_save_restore_through_graph () =
   | _ -> Alcotest.fail "arity");
   Sys.remove path
 
-(* Session.Config: one record carries every construction knob; the
-   legacy optional labels survive as deprecated wrappers that override
-   the corresponding config field. *)
+(* Session.Config: one record carries every construction knob, resolved
+   config field > OCTF_* variable > built-in default. *)
 let test_config_resolution () =
   let b = B.create () in
   let x = B.placeholder b Dtype.F32 in
@@ -160,25 +159,36 @@ let test_config_resolution () =
     (Session.scheduler s = Scheduler.Pool);
   Alcotest.(check int) "config max_in_flight honored" 4
     (Session.max_in_flight s);
-  (* a legacy label beats the config field *)
-  let s2 =
-    Session.create
-      ~config:(Session.Config.v ~max_in_flight:4 ())
-      ~max_in_flight:2 g
+  (* config field, then OCTF_SCHEDULER, then the built-in inline; the
+     caller's own setting of the variable is restored afterwards *)
+  let saved = Sys.getenv_opt "OCTF_SCHEDULER" in
+  let scheduler_with value config =
+    Unix.putenv "OCTF_SCHEDULER" value;
+    Session.scheduler (Session.create ~config g)
   in
-  Alcotest.(check int) "legacy label wins" 2 (Session.max_in_flight s2);
-  (* Config.default resolves like no arguments at all *)
-  let s3 = Session.create ~config:Session.Config.default g in
-  Alcotest.(check bool) "default scheduler" true
-    (Session.scheduler s3 = Scheduler.default_policy ());
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "OCTF_SCHEDULER" (Option.value saved ~default:""))
+    (fun () ->
+      let pinned = Session.Config.v ~scheduler:Scheduler.Inline () in
+      Alcotest.(check bool) "config field beats the variable" true
+        (scheduler_with "pool" pinned = Scheduler.Inline);
+      Alcotest.(check bool) "variable beats the default" true
+        (scheduler_with "pool" Session.Config.default = Scheduler.Pool);
+      Alcotest.(check bool) "unset variable: built-in default" true
+        (scheduler_with "" Session.Config.default = Scheduler.Inline);
+      Alcotest.check_raises "a bad variable fails loudly"
+        (Invalid_argument
+           {|OCTF_SCHEDULER="poool": unknown scheduler "poool" (expected inline | serial | pool | parallel)|})
+        (fun () -> ignore (scheduler_with "poool" Session.Config.default)));
   (* barrier in the config pins the pipeline to one step *)
-  let s4 =
+  let s2 =
     Session.create
       ~config:(Session.Config.v ~max_in_flight:8 ~barrier:true ())
       g
   in
   Alcotest.(check int) "barrier wins over max_in_flight" 1
-    (Session.max_in_flight s4)
+    (Session.max_in_flight s2)
 
 let test_config_passes_and_precompile () =
   let b = B.create () in

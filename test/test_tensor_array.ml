@@ -18,7 +18,7 @@ let test_write_read_stack () =
     B.with_control_dependencies b [ w0; w1 ] (fun () ->
         B.tensor_array_size b ta)
   in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ stacked; size ] with
   | [ st; sz ] ->
       Alcotest.(check (array int)) "stacked shape" [| 2 |] (Tensor.shape st);
@@ -56,7 +56,7 @@ let test_loop_accumulation () =
     B.with_control_dependencies b [ final_i ] (fun () ->
         B.tensor_array_stack b ta)
   in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ stacked ] with
   | [ st ] ->
       Alcotest.(check bool) "squares" true
@@ -72,7 +72,7 @@ let test_double_write_rejected () =
     B.with_control_dependencies b [ w0 ] (fun () ->
         B.tensor_array_write b ta (B.const_i b 0) (B.const_f b 2.0))
   in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ w1 ] with
   | _ -> Alcotest.fail "expected double-write error"
   | exception Session.Run_error _ -> ()
@@ -81,7 +81,7 @@ let test_read_unwritten_rejected () =
   let b = B.create () in
   let ta = B.tensor_array b () in
   let r = B.tensor_array_read b ta (B.const_i b 3) in
-  let s = Session.create ~optimize:false (B.graph b) in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
   match Session.run s [ r ] with
   | _ -> Alcotest.fail "expected unwritten-read error"
   | exception Session.Run_error _ -> ()

@@ -7,12 +7,18 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* One traced step: the fetched tensors and the step's tracer. *)
+let run_traced s fetches =
+  let options = Session.Run_options.v ~trace:true () in
+  let results, md = Session.run_with_metadata ~options s fetches in
+  (results, Option.get md.Session.Run_metadata.tracer)
+
 let test_traces_kernels () =
   let b = B.create () in
   let x = B.const_f b 2.0 in
   let y = B.mul b (B.neg b x) (B.const_f b 3.0) in
-  let s = Session.create ~optimize:false (B.graph b) in
-  let results, tracer = Session.run_traced s [ y ] in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
+  let results, tracer = run_traced s [ y ] in
   Alcotest.(check (float 0.)) "result" (-6.0)
     (Tensor.flat_get_f (List.hd results) 0);
   let evs = Tracer.events tracer in
@@ -28,8 +34,8 @@ let test_summary_and_totals () =
   let b = B.create () in
   let x = B.const_f b 1.0 in
   let y = B.add_n b [ x; x; x ] in
-  let s = Session.create ~optimize:false (B.graph b) in
-  let _, tracer = Session.run_traced s [ y ] in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
+  let _, tracer = run_traced s [ y ] in
   let by_op = Tracer.by_op_type tracer in
   Alcotest.(check bool) "grouped" true
     (List.exists (fun (op, c, _) -> op = "Const" && c = 1) by_op);
@@ -40,8 +46,8 @@ let test_summary_and_totals () =
 let test_chrome_trace_shape () =
   let b = B.create () in
   let y = B.neg b (B.const_f b 1.0) in
-  let s = Session.create ~optimize:false (B.graph b) in
-  let _, tracer = Session.run_traced s [ y ] in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
+  let _, tracer = run_traced s [ y ] in
   let json = Tracer.to_chrome_trace tracer in
   Alcotest.(check bool) "traceEvents" true (contains json "\"traceEvents\"");
   Alcotest.(check bool) "phase X" true (contains json "\"ph\":\"X\"");
@@ -65,7 +71,7 @@ let test_distributed_trace_has_devices () =
   in
   let s = Cluster.session c (B.graph b) in
   Session.run_unit s [ init ];
-  let _, tracer = Session.run_traced s [ y ] in
+  let _, tracer = run_traced s [ y ] in
   let devices =
     List.sort_uniq compare
       (List.map (fun e -> e.Tracer.device) (Tracer.events tracer))
@@ -82,8 +88,8 @@ let test_chrome_trace_valid_json () =
   let b = B.create () in
   let x = B.const_f b ~name:{|quo"te \back\slash|} 1.0 in
   let y = B.neg b ~name:"tab\there" x in
-  let s = Session.create ~optimize:false (B.graph b) in
-  let _, tracer = Session.run_traced s [ y ] in
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
+  let _, tracer = run_traced s [ y ] in
   let json = Json_check.parse (Tracer.to_chrome_trace tracer) in
   let events =
     Option.get
@@ -111,9 +117,11 @@ let test_summary_reports_lanes () =
   let x = B.const_f b 2.0 in
   let y = B.add_n b (List.init 6 (fun _ -> B.mul b x x)) in
   let s =
-    Session.create ~optimize:false ~scheduler:Scheduler.Pool (B.graph b)
+    Session.create
+      ~config:(Session.Config.v ~passes:[] ~scheduler:Scheduler.Pool ())
+      (B.graph b)
   in
-  let _, tracer = Session.run_traced s [ y ] in
+  let _, tracer = run_traced s [ y ] in
   Alcotest.(check bool) "lane utilization non-empty" true
     (Tracer.lane_utilization tracer <> []);
   List.iter
