@@ -17,7 +17,9 @@ bench-smoke:
 	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- dispatch-wide
 
 # Intra-op kernel throughput (matmul / conv2d / elementwise GFLOP/s at
-# 1/2/4/8 threads), the transposed-matmul regression guard, and the
+# 1/2/4/8 threads), data-movement copies (concat, slice, transpose: us
+# per call and share of an Array.blit peak), the transposed-matmul
+# regression guard, and the
 # fused elementwise chain: a 12-op chain fused vs unfused, asserting
 # one fused kernel stands in for >= 10 ops with bit-identical output
 # and >= 3x speedup (> 1x in smoke mode); writes BENCH_kernels.json.

@@ -565,6 +565,74 @@ let int8_gemm_roofline ~smoke ~peak =
         name m k n (1000.0 *. median_s) (1000.0 *. best_s) gops pct)
     int8_gemm_shapes
 
+(* Copy bandwidth peak: Array.blit of an L1-resident 32 KB float buffer,
+   counting 8 bytes per element copied, best of many short trials (the
+   host's speed changes every few tens of milliseconds). *)
+let measure_blit_peak_gbs ~trials =
+  let n = 4096 and reps = 2000 in
+  let src = Array.make n 1.0 and dst = Array.make n 0.0 in
+  let best = ref 0.0 in
+  for _ = 1 to trials do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      Array.blit src 0 dst 0 n
+    done;
+    let dt = Unix.gettimeofday () -. t0 in
+    best := Float.max !best (float_of_int (8 * n * reps) /. dt /. 1e9)
+  done;
+  ignore (Sys.opaque_identity dst);
+  !best
+
+(* The data-movement kernels of an LSTM step (the [x; h] concat and one
+   gate sliced out of the fused gate matrix) and a square transpose, at
+   one thread: microseconds per call at the median batch, and GB/s (8
+   bytes per output element) at the best batch as a share of the
+   Array.blit peak. *)
+let data_movement ~smoke =
+  let peak = measure_blit_peak_gbs ~trials:(if smoke then 10 else 50) in
+  Printf.printf
+    "copy peak (Array.blit, 32 KB L1-resident, 1 thread, best of trials): \
+     %.2f GB/s\n%!"
+    peak;
+  Parallel.set_threads 1;
+  let rng = Rng.create 17 in
+  let u shape = Tensor.uniform rng shape ~lo:(-1.0) ~hi:1.0 in
+  let x = u [| 16; 128 |] and h = u [| 16; 128 |] in
+  let gates = u [| 8; 128 |] and square = u [| 512; 512 |] in
+  let trials = if smoke then 3 else 9 in
+  let cases =
+    [
+      ("concat_2x16x128", fun () -> Tensor_ops.concat [ x; h ] ~axis:1);
+      ( "slice_8x32_of_8x128",
+        fun () -> Tensor_ops.slice gates ~begin_:[| 0; 32 |] ~size:[| 8; 32 |] );
+      ("transpose_512x512", fun () -> Tensor_ops.transpose square);
+    ]
+  in
+  let rows =
+    List.map
+      (fun (name, f) ->
+        let elems = Tensor.numel (f ()) in
+        let iters = max 1 ((if smoke then 1_000_000 else 4_000_000) / elems) in
+        let samples =
+          List.sort compare (List.init trials (fun _ -> time_kernel ~iters f))
+        in
+        let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
+        let gbs = float_of_int (8 * elems) /. best_s /. 1e9 in
+        let pct = 100.0 *. gbs /. peak in
+        Printf.printf
+          "copy %-20s %7d elems, 1 thread: %9.2f us  %6.2f GB/s  %5.1f%% of \
+           blit peak\n%!"
+          name elems (1e6 *. median_s) gbs pct;
+        Printf.sprintf
+          "{\"name\":%S,\"elems\":%d,\"median_us\":%.3f,\"best_us\":%.3f,\"gbs\":%.3f,\"pct_of_blit_peak\":%.1f}"
+          name elems (1e6 *. median_s) (1e6 *. best_s) gbs pct)
+      cases
+  in
+  Printf.sprintf
+    "{\"blit_peak_gbs\":%.3f,\"method\":\"Array.blit of a 32 KB float buffer, 8 bytes per element copied, 1 thread, best of trials\",\"ops\":[%s]}"
+    peak
+    (String.concat ",\n  " rows)
+
 let kernels () =
   section "Intra-op kernel throughput (GFLOP/s by thread budget)";
   let smoke = smoke_mode () in
@@ -580,6 +648,7 @@ let kernels () =
     peak;
   let roofline = gemm_roofline ~smoke ~peak in
   let int8_roofline = int8_gemm_roofline ~smoke ~peak in
+  let data_movement = data_movement ~smoke in
   let rng = Rng.create 11 in
   (* matmul: one dim x dim square product per call. *)
   let mm_dim = if smoke then 96 else 512 in
@@ -764,6 +833,7 @@ let kernels () =
        \"peak\":{\"gflops\":%.3f,\"method\":\"scalar multiply-add, L1-resident operands, 8 independent accumulators, 1 thread, best of trials\"},\n\
        \"gemm_roofline\":[%s],\n\
        \"int8_gemm_roofline\":[%s],\n\
+       \"data_movement\":%s,\n\
        \"matmul\":{\"dim\":%d,\"series\":[%s]},\n\
        \"conv2d\":{\"batch\":%d,\"size\":%d,\"in_channels\":%d,\"out_channels\":%d,\"series\":[%s]},\n\
        \"elementwise\":{\"elems\":%d,\"series\":[%s]},\n\
@@ -774,6 +844,7 @@ let kernels () =
       peak
       (String.concat ",\n  " roofline)
       (String.concat ",\n  " int8_roofline)
+      data_movement
       mm_dim
       (series_json (Printf.sprintf "\"gflops\":%.3f") mm_series)
       cv_batch cv_size cv_ic cv_oc

@@ -93,15 +93,7 @@ let register () =
       K.one (t (Tensor_ops.dynamic_stitch indices data)));
   K.register ~op_type:"Pack" (fun ctx ->
       (* Stack n same-shape tensors along a new leading axis. *)
-      let inputs = K.all_input_tensors ctx in
-      let first = List.hd inputs in
-      let shape = Tensor.shape first in
-      let reshaped =
-        List.map
-          (fun x -> Tensor.reshape x (Array.append [| 1 |] shape))
-          inputs
-      in
-      K.one (t (Tensor_ops.concat reshaped ~axis:0)));
+      K.one (t (Tensor_ops.stack (K.all_input_tensors ctx))));
   K.register ~op_type:"Unpack" (fun ctx ->
       (* Inverse of Pack: split the leading axis into single rows and
          drop it. *)
@@ -110,10 +102,7 @@ let register () =
       let s = Tensor.shape x in
       if Shape.rank s = 0 || s.(0) <> num then
         invalid_arg "Unpack: leading dimension does not match num";
-      let tail = Array.sub s 1 (Shape.rank s - 1) in
-      Tensor_ops.split x ~axis:0 ~num
-      |> List.map (fun piece -> t (Tensor.reshape piece tail))
-      |> Array.of_list);
+      Array.init num (fun i -> t (Tensor_ops.gather x (Tensor.scalar_i i))));
   K.register ~op_type:"Split" (fun ctx ->
       let x = K.input_tensor ctx 0 in
       let axis = Node.attr_int ctx.K.node "axis" in

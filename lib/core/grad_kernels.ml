@@ -7,50 +7,23 @@ module K = Kernel
 
 let t v = Value.Tensor v
 
-(* Map each input flat index to its reduction-output slot. *)
-let reduce_slots in_shape axes =
-  let r = Shape.rank in_shape in
-  let axes =
-    if axes = [] then List.init r (fun i -> i)
-    else List.map (Shape.normalize_axis in_shape) axes
-  in
-  let reduced = Array.make r false in
-  List.iter (fun a -> reduced.(a) <- true) axes;
-  let kept_shape =
-    Array.of_list
-      (List.filteri (fun i _ -> not reduced.(i)) (Array.to_list in_shape))
-  in
-  let kept_strides = Shape.strides kept_shape in
-  let slot i =
-    let idx = Shape.multi_index in_shape i in
-    let o = ref 0 and ki = ref 0 in
-    for d = 0 to r - 1 do
-      if not reduced.(d) then begin
-        o := !o + (idx.(d) * kept_strides.(!ki));
-        incr ki
-      end
-    done;
-    !o
-  in
-  let group_size =
-    Array.to_list in_shape
-    |> List.filteri (fun i _ -> reduced.(i))
-    |> List.fold_left ( * ) 1
-  in
-  (slot, group_size)
-
+(* The gradient of a reduction is dy (times 1/n for a mean) broadcast
+   back over the reduced axes. *)
 let reduce_grad ~mean ctx =
   let x = K.input_tensor ctx 0 and dy = K.input_tensor ctx 1 in
   let axes =
     Option.value ~default:[] (Attr.find_ints ctx.K.node.Node.attrs "axes")
   in
-  let slot, group = reduce_slots (Tensor.shape x) axes in
-  let scale = if mean then 1.0 /. float_of_int group else 1.0 in
-  let out = Tensor.zeros (Tensor.dtype x) (Tensor.shape x) in
-  for i = 0 to Tensor.numel x - 1 do
-    Tensor.flat_set_f out i (Tensor.flat_get_f dy (slot i) *. scale)
-  done;
-  K.one (t out)
+  let xs = Tensor.shape x in
+  let dy = Tensor.reshape dy (Shape.reduce ~keep_dims:true xs axes) in
+  let dy =
+    if not mean then dy
+    else
+      let n = Tensor.numel x / max 1 (Tensor.numel dy) in
+      Tensor_ops.mul dy
+        (Tensor.full (Tensor.dtype dy) [||] (1.0 /. float_of_int n))
+  in
+  K.one (t (Tensor_ops.broadcast_to dy xs))
 
 let register () =
   K.register ~op_type:"ReshapeLike" (fun ctx ->
@@ -94,18 +67,22 @@ let register () =
       let begin_ = Array.of_list (firsts flat) in
       K.one (t (Tensor_ops.slice dy ~begin_ ~size:(Tensor.shape x))));
   K.register ~op_type:"TileGrad" (fun ctx ->
-      (* Gradient of Tile: sum the replicas back onto x's shape. *)
+      (* Gradient of Tile: view each axis of dy as (replica, position)
+         and sum the replicas out. *)
       let x = K.input_tensor ctx 0 and dy = K.input_tensor ctx 1 in
-      let xs = Tensor.shape x in
-      let out = Tensor.zeros (Tensor.dtype x) xs in
-      let ds = Tensor.shape dy in
-      for i = 0 to Tensor.numel dy - 1 do
-        let idx = Shape.multi_index ds i in
-        let xidx = Array.mapi (fun d v -> v mod xs.(d)) idx in
-        let o = Shape.flat_index xs xidx in
-        Tensor.flat_set_f out o (Tensor.flat_get_f out o +. Tensor.flat_get_f dy i)
-      done;
-      K.one (t out));
+      let xs = Tensor.shape x and ds = Tensor.shape dy in
+      let r = Shape.rank xs in
+      let pairs =
+        Array.init (2 * r) (fun i ->
+            let d = i / 2 in
+            if i mod 2 = 0 then ds.(d) / max 1 xs.(d) else xs.(d))
+      in
+      let summed =
+        Tensor_ops.reduce_sum
+          ~axes:(List.init r (fun d -> 2 * d))
+          (Tensor.reshape dy pairs)
+      in
+      K.one (t (Tensor.reshape summed xs)));
   K.register ~op_type:"AvgPoolGrad" (fun ctx ->
       (* Distribute each output gradient equally over its window. *)
       let input = K.input_tensor ctx 0 and dy = K.input_tensor ctx 1 in
@@ -165,38 +142,20 @@ let register () =
       done;
       K.one (t out));
   K.register ~op_type:"DynamicPartitionGrad" (fun ctx ->
-      (* Inputs: partitions, dy_0 .. dy_{num-1}; rebuilds the gradient of
-         the original data by replaying the partition order. *)
+      (* Inputs: partitions, dy_0 .. dy_{num-1}. Row i of the gradient is
+         the next unread row of dy_{partitions[i]}: a stitch by each
+         partition's original row positions. *)
       let num = Node.attr_int ctx.K.node "num_partitions" in
       let partitions = K.input_tensor ctx 0 in
-      let dys = Array.init num (fun i -> K.input_tensor ctx (i + 1)) in
-      let nrows = Tensor.numel partitions in
-      let rs =
-        let nonempty = Array.to_list dys |> List.find_opt (fun d -> Tensor.numel d > 0) in
-        match nonempty with
-        | Some d -> Tensor.numel d / (Tensor.shape d).(0)
-        | None -> 1
-      in
-      let tail =
-        match Array.to_list dys |> List.find_opt (fun d -> Tensor.numel d > 0) with
-        | Some d ->
-            let s = Tensor.shape d in
-            Array.sub s 1 (Shape.rank s - 1)
-        | None -> [||]
-      in
-      let out_shape = Array.append [| nrows |] tail in
-      let dtype =
-        if Array.length dys > 0 then Tensor.dtype dys.(0) else Dtype.F32
-      in
-      let out = Tensor.zeros dtype out_shape in
-      let cursors = Array.make num 0 in
-      for row = 0 to nrows - 1 do
-        let p = Tensor.flat_get_i partitions row in
-        let src = dys.(p) and c = cursors.(p) in
-        for j = 0 to rs - 1 do
-          Tensor.flat_set_f out ((row * rs) + j)
-            (Tensor.flat_get_f src ((c * rs) + j))
-        done;
-        cursors.(p) <- c + 1
+      let rows = Array.make num [] in
+      for i = Tensor.numel partitions - 1 downto 0 do
+        let p = Tensor.flat_get_i partitions i in
+        rows.(p) <- i :: rows.(p)
       done;
-      K.one (t out))
+      let positions =
+        Array.map
+          (fun r -> Tensor.of_int_array [| List.length r |] (Array.of_list r))
+          rows
+      in
+      let dys = List.init num (fun i -> K.input_tensor ctx (i + 1)) in
+      K.one (t (Tensor_ops.dynamic_stitch (Array.to_list positions) dys)))

@@ -203,25 +203,6 @@ let try_dequeue t =
         Some e
       end)
 
-let stack (tensors : Tensor.t list) =
-  match tensors with
-  | [] -> invalid_arg "Queue_impl.stack: empty"
-  | first :: _ ->
-      let shape = Tensor.shape first in
-      let n = List.length tensors in
-      let out_shape = Array.append [| n |] shape in
-      let per = Tensor.numel first in
-      let out = Tensor.zeros (Tensor.dtype first) out_shape in
-      List.iteri
-        (fun i t ->
-          if not (Shape.equal (Tensor.shape t) shape) then
-            invalid_arg "Queue_impl.dequeue_many: ragged element shapes";
-          for j = 0 to per - 1 do
-            Tensor.flat_set_f out ((i * per) + j) (Tensor.flat_get_f t j)
-          done)
-        tensors;
-      out
-
 let dequeue_many ?cancel t n =
   if n <= 0 then invalid_arg "Queue_impl.dequeue_many: n must be > 0";
   let elements =
@@ -243,7 +224,7 @@ let dequeue_many ?cancel t n =
             List.rev !taken))
   in
   Array.init t.q_components (fun c ->
-      stack (List.map (fun e -> e.(c)) elements))
+      Tensor_ops.stack (List.map (fun e -> e.(c)) elements))
 
 let close t =
   with_lock t (fun () ->

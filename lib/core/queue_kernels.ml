@@ -50,14 +50,7 @@ let register () =
       for row = 0 to n - 1 do
         let element =
           Array.map
-            (fun t ->
-              let s = Tensor.shape t in
-              let begin_ = Array.make (Shape.rank s) 0 in
-              begin_.(0) <- row;
-              let size = Array.copy s in
-              size.(0) <- 1;
-              let slice = Tensor_ops.slice t ~begin_ ~size in
-              Tensor.reshape slice (Array.sub s 1 (Shape.rank s - 1)))
+            (fun t -> Tensor_ops.gather t (Tensor.scalar_i row))
             batched
         in
         Queue_impl.enqueue ?cancel:ctx.K.cancel q element

@@ -68,11 +68,10 @@ let register () =
                 let fresh = Tensor.copy old in
                 let rs = Tensor.numel fresh / (Tensor.shape fresh).(0) in
                 for i = 0 to Tensor.numel indices - 1 do
-                  let row = Tensor.flat_get_i indices i in
-                  for j = 0 to rs - 1 do
-                    Tensor.flat_set_f fresh ((row * rs) + j)
-                      (Tensor.flat_get_f updates ((i * rs) + j))
-                  done
+                  Tensor.blit_strided ~src:updates ~src_off:(i * rs)
+                    ~src_strides:[| 1 |] ~dst:fresh
+                    ~dst_off:(Tensor.flat_get_i indices i * rs)
+                    ~dst_strides:[| 1 |] [| rs |]
                 done;
                 fresh))));
   K.register ~op_type:"TensorArray" (fun ctx ->
@@ -102,17 +101,9 @@ let register () =
   K.register ~op_type:"TensorArrayStack" (fun ctx ->
       (* Pack all written elements along a new leading axis. *)
       let ta = Value.tensor_array ctx.K.inputs.(0) in
-      let items = Resource.tensor_array_stack ta in
-      match items with
+      match Resource.tensor_array_stack ta with
       | [] -> invalid_arg "TensorArrayStack: empty tensor array"
-      | first :: _ ->
-          let shape = Tensor.shape first in
-          let rows =
-            List.map
-              (fun x -> Tensor.reshape x (Array.append [| 1 |] shape))
-              items
-          in
-          K.one (t (Tensor_ops.concat rows ~axis:0)));
+      | items -> K.one (t (Tensor_ops.stack items)));
   K.register ~op_type:"CountUp" (fun ctx ->
       (* Atomic fetch-and-increment of a scalar variable; returns the
          pre-increment value. Used for global steps and sync barriers. *)

@@ -161,60 +161,8 @@ let freeze_checkpoint ?config ?quantize ?ranges ~path ~inputs ~outputs graph =
 (* ------------------------------------------------------------------ *)
 (* Batching tensor plumbing                                            *)
 
-let row_size shape = Array.fold_left ( * ) 1 shape
-
-(* Stack [parts] (each of one shape) along a new leading batch axis. *)
-let stack parts =
-  let first = List.hd parts in
-  let dt = Tensor.dtype first and shape = Tensor.shape first in
-  let n = List.length parts in
-  let rs = row_size shape in
-  let out = Tensor.zeros dt (Array.append [| n |] shape) in
-  let blit src dst_off =
-    match dt with
-    | Dtype.F32 | Dtype.F64 ->
-        Array.blit (Tensor.float_buffer src) 0 (Tensor.float_buffer out)
-          dst_off rs
-    | Dtype.I32 | Dtype.I64 ->
-        Array.blit (Tensor.int_buffer src) 0 (Tensor.int_buffer out) dst_off
-          rs
-    | Dtype.U8 ->
-        Bytes.blit (Tensor.byte_buffer src) 0 (Tensor.byte_buffer out)
-          dst_off rs
-    | Dtype.Bool ->
-        Array.blit (Tensor.bool_buffer src) 0 (Tensor.bool_buffer out)
-          dst_off rs
-    | Dtype.String ->
-        Array.blit (Tensor.string_buffer src) 0 (Tensor.string_buffer out)
-          dst_off rs
-  in
-  List.iteri (fun i p -> blit p (i * rs)) parts;
-  out
-
 (* Row [i] of a batched tensor, with the leading axis dropped. *)
-let unstack_row batched i =
-  let shape = Tensor.shape batched in
-  let row_shape = Array.sub shape 1 (Array.length shape - 1) in
-  let rs = row_size row_shape in
-  let dt = Tensor.dtype batched in
-  let out = Tensor.zeros dt row_shape in
-  (match dt with
-  | Dtype.F32 | Dtype.F64 ->
-      Array.blit (Tensor.float_buffer batched) (i * rs)
-        (Tensor.float_buffer out) 0 rs
-  | Dtype.I32 | Dtype.I64 ->
-      Array.blit (Tensor.int_buffer batched) (i * rs) (Tensor.int_buffer out)
-        0 rs
-  | Dtype.U8 ->
-      Bytes.blit (Tensor.byte_buffer batched) (i * rs)
-        (Tensor.byte_buffer out) 0 rs
-  | Dtype.Bool ->
-      Array.blit (Tensor.bool_buffer batched) (i * rs)
-        (Tensor.bool_buffer out) 0 rs
-  | Dtype.String ->
-      Array.blit (Tensor.string_buffer batched) (i * rs)
-        (Tensor.string_buffer out) 0 rs);
-  out
+let unstack_row batched i = Tensor_ops.gather batched (Tensor.scalar_i i)
 
 (* ------------------------------------------------------------------ *)
 (* The server                                                          *)
@@ -316,7 +264,8 @@ let dispatch t batch =
     let feeds =
       List.mapi
         (fun j input ->
-          (input, stack (List.map (fun r -> List.nth r.r_inputs j) live)))
+          (input,
+           Tensor_ops.stack (List.map (fun r -> List.nth r.r_inputs j) live)))
         t.inputs
     in
     let deadline =

@@ -33,22 +33,25 @@ let create dtype shape buf =
          (buffer_length buf) (Shape.to_string shape));
   { dtype; shape; buf }
 
-let alloc dtype shape =
+let alloc ~zero dtype shape =
   let n = Shape.numel shape in
   let buf =
     match dtype with
-    | Dtype.F32 | Dtype.F64 -> Float_buf (Buffer_pool.alloc_float n)
+    | Dtype.F32 | Dtype.F64 -> Float_buf (Buffer_pool.alloc_float ~zero n)
     | Dtype.I32 | Dtype.I64 -> Int_buf (Array.make n 0)
-    | Dtype.U8 -> Byte_buf (Bytes.make n '\000')
+    | Dtype.U8 ->
+        Byte_buf (if zero then Bytes.make n '\000' else Bytes.create n)
     | Dtype.Bool -> Bool_buf (Array.make n false)
     | Dtype.String -> String_buf (Array.make n "")
   in
   create dtype shape buf
 
-let zeros dtype shape = alloc dtype shape
+let zeros dtype shape = alloc ~zero:true dtype shape
+
+let empty dtype shape = alloc ~zero:false dtype shape
 
 let full dtype shape v =
-  let t = alloc dtype shape in
+  let t = empty dtype shape in
   (match t.buf with
   | Float_buf a -> Array.fill a 0 (Array.length a) v
   | Int_buf a -> Array.fill a 0 (Array.length a) (int_of_float v)
@@ -190,6 +193,101 @@ let copy t =
   in
   { t with buf }
 
+(* Elementwise loops shard over the flat index space; below this many
+   elements the dispatch overhead outweighs the loop and the sharder
+   runs inline. *)
+let elementwise_grain = 8192
+
+(* Strided copy: the outer loop walks rows of the coalesced box, sharded
+   at [elementwise_grain] elements, and each row is one blit or one
+   strided loop. *)
+let strided_row s d len ss ds =
+  if ss = 1 && ds = 1 then fun so dof -> Array.blit s so d dof len
+  else fun so dof ->
+    for j = 0 to len - 1 do
+      Array.unsafe_set d (dof + (j * ds)) (Array.unsafe_get s (so + (j * ss)))
+    done
+
+(* [strided_row] again at a monomorphic type, so floats move unboxed. *)
+let strided_row_f (s : float array) (d : float array) len ss ds =
+  if ss = 1 && ds = 1 then fun so dof -> Array.blit s so d dof len
+  else fun so dof ->
+    for j = 0 to len - 1 do
+      Array.unsafe_set d (dof + (j * ds)) (Array.unsafe_get s (so + (j * ss)))
+    done
+
+let blit_strided ~src ~src_off ~src_strides ~dst ~dst_off ~dst_strides dims =
+  let r = Array.length dims in
+  if Array.length src_strides <> r || Array.length dst_strides <> r then
+    invalid_arg "Tensor.blit_strided: strides and dims differ in rank";
+  if not (Dtype.equal src.dtype dst.dtype) then
+    invalid_arg
+      (Printf.sprintf "Tensor.blit_strided: dtype mismatch %s vs %s"
+         (Dtype.to_string src.dtype) (Dtype.to_string dst.dtype));
+  (* Every bound is checked here, once: the row loops below index
+     unchecked. *)
+  let last_s = ref src_off and last_d = ref dst_off in
+  Array.iteri
+    (fun d n ->
+      if n < 0 || src_strides.(d) < 0 || dst_strides.(d) < 0 then
+        invalid_arg "Tensor.blit_strided: negative dim or stride";
+      last_s := !last_s + ((n - 1) * src_strides.(d));
+      last_d := !last_d + ((n - 1) * dst_strides.(d)))
+    dims;
+  if Array.for_all (fun n -> n > 0) dims then begin
+    if src_off < 0 || dst_off < 0
+       || !last_s >= buffer_length src.buf
+       || !last_d >= buffer_length dst.buf
+    then invalid_arg "Tensor.blit_strided: copy out of bounds";
+    (* Coalesce: drop unit dims and merge each dim into its outer
+       neighbour when both strides continue it. *)
+    let cd = Array.make (max 1 r) 1 in
+    let cs = Array.make (max 1 r) 1 and ct = Array.make (max 1 r) 1 in
+    let k = ref 0 in
+    Array.iteri
+      (fun d n ->
+        let s = src_strides.(d) and t = dst_strides.(d) in
+        if n <> 1 then begin
+          let merge = !k > 0 && cs.(!k - 1) = s * n && ct.(!k - 1) = t * n in
+          if merge then decr k;
+          cd.(!k) <- (if merge then cd.(!k) * n else n);
+          cs.(!k) <- s;
+          ct.(!k) <- t;
+          incr k
+        end)
+      dims;
+    let inner = max 0 (!k - 1) in
+    let len = cd.(inner) and ss = cs.(inner) and ds = ct.(inner) in
+    let row =
+      match (src.buf, dst.buf) with
+      | Float_buf s, Float_buf d -> strided_row_f s d len ss ds
+      | Int_buf s, Int_buf d -> strided_row s d len ss ds
+      | Bool_buf s, Bool_buf d -> strided_row s d len ss ds
+      | String_buf s, String_buf d -> strided_row s d len ss ds
+      | Byte_buf s, Byte_buf d ->
+          if ss = 1 && ds = 1 then fun so dof -> Bytes.blit s so d dof len
+          else fun so dof ->
+            for j = 0 to len - 1 do
+              Bytes.unsafe_set d (dof + (j * ds))
+                (Bytes.unsafe_get s (so + (j * ss)))
+            done
+      | _ -> invalid_arg "Tensor.blit_strided: buffer kind mismatch"
+    in
+    let rows = Array.fold_left ( * ) 1 dims / len in
+    let grain = max 1 (elementwise_grain / len) in
+    Parallel.parallel_for ~grain rows (fun lo hi ->
+        for i = lo to hi - 1 do
+          let q = ref i and so = ref src_off and dof = ref dst_off in
+          for d = inner - 1 downto 0 do
+            let x = !q mod cd.(d) in
+            q := !q / cd.(d);
+            so := !so + (x * cs.(d));
+            dof := !dof + (x * ct.(d))
+          done;
+          row !so !dof
+        done)
+  end
+
 let reshape t new_shape =
   let inferred =
     let minus_ones = Array.to_list new_shape |> List.filter (fun d -> d = -1) in
@@ -232,11 +330,6 @@ let cast t new_dtype =
           (Array.init (numel t) (fun i -> flat_get_f t i <> 0.0))
     | Dtype.String -> invalid_arg "Tensor.cast: cannot cast to string"
 
-(* Elementwise loops shard over the flat index space; below this many
-   elements the dispatch overhead outweighs the loop and the sharder
-   runs inline. *)
-let elementwise_grain = 8192
-
 (* The executor may hand an input's backing buffer as [out] (in-place
    grant).  Elementwise loops read index [i] before writing index [i],
    so aliasing input and output is safe; buffers of the wrong length
@@ -265,16 +358,19 @@ type bplan = {
   bp_src_strides : int array;
 }
 
-let broadcast_plan t out_shape =
+let broadcast_strides t out_shape =
   let r = Shape.rank out_shape and rt = rank t in
-  let out_strides = Shape.strides out_shape in
   let src_strides = Shape.strides t.shape in
-  let bp_src_strides =
-    Array.init r (fun d ->
-        let td = d - (r - rt) in
-        if td < 0 || t.shape.(td) = 1 then 0 else src_strides.(td))
-  in
-  { bp_out_strides = out_strides; bp_out_dims = Array.copy out_shape; bp_src_strides }
+  Array.init r (fun d ->
+      let td = d - (r - rt) in
+      if td < 0 || t.shape.(td) = 1 then 0 else src_strides.(td))
+
+let broadcast_plan t out_shape =
+  {
+    bp_out_strides = Shape.strides out_shape;
+    bp_out_dims = Array.copy out_shape;
+    bp_src_strides = broadcast_strides t out_shape;
+  }
 
 let plan_index plan i =
   let acc = ref 0 in

@@ -23,6 +23,10 @@ val create : Dtype.t -> Shape.t -> buffer -> t
 
 val zeros : Dtype.t -> Shape.t -> t
 
+val empty : Dtype.t -> Shape.t -> t
+(** Unspecified contents (a recycled buffer is not cleared): only for
+    kernels that write every element. *)
+
 val ones : Dtype.t -> Shape.t -> t
 
 val full : Dtype.t -> Shape.t -> float -> t
@@ -112,6 +116,25 @@ val string_buffer : t -> string array
 
 val copy : t -> t
 
+val blit_strided :
+  src:t ->
+  src_off:int ->
+  src_strides:int array ->
+  dst:t ->
+  dst_off:int ->
+  dst_strides:int array ->
+  int array ->
+  unit
+(** Copies the box [dims]: for each multi-index [i < dims], element
+    [src_off + sum i.(d) * src_strides.(d)] of [src] goes to
+    [dst_off + sum i.(d) * dst_strides.(d)] of [dst], exactly, for every
+    dtype. A source stride may be 0 (tile, broadcast); destination
+    elements must be distinct and not share [src]'s buffer. Runs
+    contiguous in both are one [Array.blit]/[Bytes.blit]; rows shard
+    over the intra-op budget.
+    @raise Invalid_argument, before copying, on a dtype mismatch, a
+    negative dim or stride, or a box outside either buffer. *)
+
 val reshape : t -> Shape.t -> t
 (** Shares the buffer. At most one dimension may be [-1] (inferred).
     @raise Invalid_argument if element counts differ. *)
@@ -138,6 +161,10 @@ val broadcast_index : t -> Shape.t -> int -> int
     precomputes the stride plan; the returned function allocates
     nothing, so kernels can iterate an output space once and read every
     operand directly. *)
+
+val broadcast_strides : t -> Shape.t -> int array
+(** Per dimension of [out_shape], the stride into [t] under numpy
+    broadcasting: 0 on broadcast dimensions. *)
 
 type bplan
 (** A precomputed broadcast stride plan: per-dimension strides into a

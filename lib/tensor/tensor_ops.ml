@@ -360,26 +360,15 @@ let transpose ?perm t =
     | Some p -> p
     | None -> Array.init r (fun i -> r - 1 - i)
   in
-  if Array.length perm <> r then
-    invalid_arg "Tensor_ops.transpose: perm rank mismatch";
+  if List.sort compare (Array.to_list perm) <> List.init r Fun.id then
+    invalid_arg "Tensor_ops.transpose: perm is not a permutation of the axes";
   let in_shape = T.shape t in
-  let out_shape = Array.map (fun i -> in_shape.(i)) perm in
-  let n = T.numel t in
-  let out = T.zeros (T.dtype t) out_shape in
   let in_strides = Shape.strides in_shape in
-  let out_strides = Shape.strides out_shape in
-  (* Source stride of each output dimension: the inner loop is then pure
-     integer arithmetic with no per-element index array. *)
-  let src_strides = Array.map (fun d -> in_strides.(d)) perm in
-  Parallel.parallel_for ~grain:8192 n (fun lo hi ->
-      for o = lo to hi - 1 do
-        let iflat = ref 0 in
-        for d = 0 to r - 1 do
-          iflat :=
-            !iflat + (o / out_strides.(d) mod out_shape.(d) * src_strides.(d))
-        done;
-        T.flat_set_f out o (T.flat_get_f t !iflat)
-      done);
+  let out_shape = Array.map (fun d -> in_shape.(d)) perm in
+  let out = T.empty (T.dtype t) out_shape in
+  T.blit_strided ~src:t ~src_off:0
+    ~src_strides:(Array.map (fun d -> in_strides.(d)) perm)
+    ~dst:out ~dst_off:0 ~dst_strides:(Shape.strides out_shape) out_shape;
   out
 
 (* Reductions shard over output slots: each slot's reduced sub-space is
@@ -489,26 +478,44 @@ let argmax t ~axis =
   done;
   out
 
+let check_dtypes what ts =
+  let dt = T.dtype (List.hd ts) in
+  List.iter
+    (fun t ->
+      if not (Dtype.equal (T.dtype t) dt) then
+        invalid_arg
+          (Printf.sprintf "Tensor_ops.%s: dtype mismatch %s vs %s" what
+             (Dtype.to_string dt) (Dtype.to_string (T.dtype t))))
+    ts
+
+(* Copy the box [dims] between two tensors laid out row-major. *)
+let blit_box src ~src_off dst ~dst_off dims =
+  T.blit_strided ~src ~src_off ~src_strides:(Shape.strides (T.shape src)) ~dst
+    ~dst_off ~dst_strides:(Shape.strides (T.shape dst)) dims
+
+(* Flat offset of the multi-index [idx] under [strides]. *)
+let offset strides idx = Array.fold_left ( + ) 0 (Array.map2 ( * ) strides idx)
+
 let concat ts ~axis =
   match ts with
   | [] -> invalid_arg "Tensor_ops.concat: empty list"
   | first :: _ ->
-      let shapes = List.map T.shape ts in
-      let out_shape = Shape.concat shapes ~axis in
+      check_dtypes "concat" ts;
+      let out_shape = Shape.concat (List.map T.shape ts) ~axis in
       let axis = Shape.normalize_axis (T.shape first) axis in
-      let out = T.zeros (T.dtype first) out_shape in
-      let offset = ref 0 in
-      List.iter
-        (fun t ->
-          let s = T.shape t in
-          for i = 0 to T.numel t - 1 do
-            let idx = Shape.multi_index s i in
-            idx.(axis) <- idx.(axis) + !offset;
-            T.flat_set_f out (Shape.flat_index out_shape idx) (T.flat_get_f t i)
-          done;
-          offset := !offset + s.(axis))
-        ts;
+      let out = T.empty (T.dtype first) out_shape in
+      let step = (Shape.strides out_shape).(axis) in
+      ignore
+        (List.fold_left
+           (fun at t ->
+             blit_box t ~src_off:0 out ~dst_off:(at * step) (T.shape t);
+             at + (T.shape t).(axis))
+           0 ts);
       out
+
+let stack ts =
+  concat (List.map (fun t -> T.reshape t (Array.append [| 1 |] (T.shape t))) ts)
+    ~axis:0
 
 let slice t ~begin_ ~size =
   let in_shape = T.shape t in
@@ -518,22 +525,19 @@ let slice t ~begin_ ~size =
   let out_shape =
     Array.init r (fun i ->
         let sz = if size.(i) = -1 then in_shape.(i) - begin_.(i) else size.(i) in
-        if begin_.(i) < 0 || begin_.(i) + sz > in_shape.(i) then
+        if begin_.(i) < 0 || sz < 0 || begin_.(i) + sz > in_shape.(i) then
           invalid_arg "Tensor_ops.slice: out of bounds";
         sz)
   in
-  let out = T.zeros (T.dtype t) out_shape in
-  for o = 0 to Shape.numel out_shape - 1 do
-    let oidx = Shape.multi_index out_shape o in
-    let iidx = Array.mapi (fun d v -> v + begin_.(d)) oidx in
-    T.flat_set_f out o (T.get_f t iidx)
-  done;
+  let out = T.empty (T.dtype t) out_shape in
+  blit_box t ~src_off:(offset (Shape.strides in_shape) begin_) out ~dst_off:0
+    out_shape;
   out
 
 let split t ~axis ~num =
   let in_shape = T.shape t in
   let axis = Shape.normalize_axis in_shape axis in
-  if in_shape.(axis) mod num <> 0 then
+  if num <= 0 || in_shape.(axis) mod num <> 0 then
     invalid_arg "Tensor_ops.split: axis not divisible";
   let piece = in_shape.(axis) / num in
   List.init num (fun i ->
@@ -548,17 +552,17 @@ let pad t ~paddings =
   let r = Shape.rank in_shape in
   if Array.length paddings <> r then
     invalid_arg "Tensor_ops.pad: rank mismatch";
+  if Array.exists (fun (before, after) -> before < 0 || after < 0) paddings
+  then invalid_arg "Tensor_ops.pad: negative padding";
   let out_shape =
     Array.init r (fun i ->
         let before, after = paddings.(i) in
         in_shape.(i) + before + after)
   in
   let out = T.zeros (T.dtype t) out_shape in
-  for i = 0 to T.numel t - 1 do
-    let idx = Shape.multi_index in_shape i in
-    let oidx = Array.mapi (fun d v -> v + fst paddings.(d)) idx in
-    T.flat_set_f out (Shape.flat_index out_shape oidx) (T.flat_get_f t i)
-  done;
+  blit_box t ~src_off:0 out
+    ~dst_off:(offset (Shape.strides out_shape) (Array.map fst paddings))
+    in_shape;
   out
 
 let tile t ~multiples =
@@ -567,29 +571,30 @@ let tile t ~multiples =
   if Array.length multiples <> r then
     invalid_arg "Tensor_ops.tile: rank mismatch";
   let out_shape = Array.init r (fun i -> in_shape.(i) * multiples.(i)) in
-  let out = T.zeros (T.dtype t) out_shape in
-  for o = 0 to Shape.numel out_shape - 1 do
-    let oidx = Shape.multi_index out_shape o in
-    let iidx = Array.mapi (fun d v -> v mod in_shape.(d)) oidx in
-    T.flat_set_f out o (T.get_f t iidx)
-  done;
+  let out = T.empty (T.dtype t) out_shape in
+  let in_strides = Shape.strides in_shape in
+  let out_strides = Shape.strides out_shape in
+  (* Output axis d splits into (replica, position): the replica reads
+     the source at stride 0. *)
+  let split_axes f = Array.init (2 * r) (fun i -> f (i / 2) (i mod 2 = 0)) in
+  T.blit_strided ~src:t ~src_off:0
+    ~src_strides:(split_axes (fun d rep -> if rep then 0 else in_strides.(d)))
+    ~dst:out ~dst_off:0
+    ~dst_strides:
+      (split_axes (fun d rep ->
+           if rep then in_shape.(d) * out_strides.(d) else out_strides.(d)))
+    (split_axes (fun d rep -> if rep then multiples.(d) else in_shape.(d)));
   out
 
 let broadcast_to t target =
   let bshape = Shape.broadcast (T.shape t) target in
   if not (Shape.equal bshape target) then
     invalid_arg "Tensor_ops.broadcast_to: not broadcastable to target";
-  if Shape.equal (T.shape t) target then T.copy t
-  else begin
-    let ix = T.broadcast_index t target in
-    let n = Shape.numel target in
-    let out = T.zeros (T.dtype t) target in
-    Parallel.parallel_for ~grain:8192 n (fun lo hi ->
-        for i = lo to hi - 1 do
-          T.flat_set_f out i (T.flat_get_f t (ix i))
-        done);
-    out
-  end
+  let out = T.empty (T.dtype t) target in
+  T.blit_strided ~src:t ~src_off:0
+    ~src_strides:(T.broadcast_strides t target)
+    ~dst:out ~dst_off:0 ~dst_strides:(Shape.strides target) target;
+  out
 
 let one_hot indices ~depth =
   let in_shape = T.shape indices in
@@ -601,28 +606,32 @@ let one_hot indices ~depth =
   done;
   out
 
-let row_size params =
-  let s = T.shape params in
-  if Shape.rank s < 1 then invalid_arg "Tensor_ops: params must have rank >= 1";
-  Shape.numel s / s.(0)
+(* Rows are the slices along axis 0; a scalar is one row of one element. *)
+let row_tail t =
+  let s = T.shape t in
+  if Shape.rank s = 0 then [||] else Array.sub s 1 (Shape.rank s - 1)
+
+let row_size t = Shape.numel (row_tail t)
+
+(* Copy row [i] of [src] to row [j] of [dst], [rs] elements each. *)
+let copy_row src i dst j rs =
+  T.blit_strided ~src ~src_off:(i * rs) ~src_strides:[| 1 |] ~dst
+    ~dst_off:(j * rs) ~dst_strides:[| 1 |] [| rs |]
 
 let gather params indices =
   let s = T.shape params in
+  if Shape.rank s < 1 then invalid_arg "Tensor_ops: params must have rank >= 1";
   let rs = row_size params in
-  let n = T.numel indices in
-  let out_shape =
-    Array.append (T.shape indices) (Array.sub s 1 (Shape.rank s - 1))
+  let out =
+    T.empty (T.dtype params) (Array.append (T.shape indices) (row_tail params))
   in
-  let out = T.zeros (T.dtype params) out_shape in
-  for i = 0 to n - 1 do
+  for i = 0 to T.numel indices - 1 do
     let row = T.flat_get_i indices i in
     if row < 0 || row >= s.(0) then
       invalid_arg
         (Printf.sprintf "Tensor_ops.gather: index %d out of range [0,%d)" row
            s.(0));
-    for j = 0 to rs - 1 do
-      T.flat_set_f out ((i * rs) + j) (T.flat_get_f params ((row * rs) + j))
-    done
+    copy_row params row out i rs
   done;
   out
 
@@ -648,68 +657,54 @@ let dynamic_partition data partitions ~num =
   let nrows = if Shape.rank s = 0 then 1 else s.(0) in
   if T.numel partitions <> nrows then
     invalid_arg "Tensor_ops.dynamic_partition: partitions length mismatch";
+  let counts = Array.make num 0 in
+  let ids =
+    Array.init nrows (fun i ->
+        let p = T.flat_get_i partitions i in
+        if p < 0 || p >= num then
+          invalid_arg "Tensor_ops.dynamic_partition: partition id out of range";
+        counts.(p) <- counts.(p) + 1;
+        p)
+  in
+  let outs =
+    Array.map
+      (fun c -> T.empty (T.dtype data) (Array.append [| c |] (row_tail data)))
+      counts
+  in
   let rs = row_size data in
-  let buckets = Array.make num [] in
-  for i = nrows - 1 downto 0 do
-    let p = T.flat_get_i partitions i in
-    if p < 0 || p >= num then
-      invalid_arg "Tensor_ops.dynamic_partition: partition id out of range";
-    buckets.(p) <- i :: buckets.(p)
-  done;
-  List.init num (fun p ->
-      let rows = buckets.(p) in
-      let count = List.length rows in
-      let out_shape =
-        if Shape.rank s = 0 then [| count |]
-        else Array.append [| count |] (Array.sub s 1 (Shape.rank s - 1))
-      in
-      let out = T.zeros (T.dtype data) out_shape in
-      List.iteri
-        (fun oi row ->
-          for j = 0 to rs - 1 do
-            T.flat_set_f out ((oi * rs) + j)
-              (T.flat_get_f data ((row * rs) + j))
-          done)
-        rows;
-      out)
+  Array.fill counts 0 num 0;
+  Array.iteri
+    (fun i p ->
+      copy_row data i outs.(p) counts.(p) rs;
+      counts.(p) <- counts.(p) + 1)
+    ids;
+  Array.to_list outs
 
 let dynamic_stitch indices data =
   if List.length indices <> List.length data then
     invalid_arg "Tensor_ops.dynamic_stitch: list length mismatch";
   if indices = [] then invalid_arg "Tensor_ops.dynamic_stitch: empty";
+  check_dtypes "dynamic_stitch" data;
   let max_index =
     List.fold_left
-      (fun acc idx -> T.fold_f (fun m v -> max m (int_of_float v)) acc idx)
+      (fun acc idx -> Array.fold_left max acc (T.to_int_array idx))
       (-1) indices
   in
-  let nrows = max_index + 1 in
-  let sample = List.hd data in
   (* Row size and tail shape come from any non-empty partition. *)
   let pairs = List.combine indices data in
-  let nonempty = List.find_opt (fun (idx, _) -> T.numel idx > 0) pairs in
-  let rs =
-    match nonempty with
-    | Some (idx, d) -> T.numel d / T.numel idx
-    | None -> 1
+  let rs, tail_shape =
+    match List.find_opt (fun (idx, _) -> T.numel idx > 0) pairs with
+    | Some (idx, d) -> (T.numel d / T.numel idx, row_tail d)
+    | None -> (1, [||])
   in
-  let tail_shape =
-    match nonempty with
-    | Some (_, d) ->
-        let s = T.shape d in
-        if Shape.rank s <= 1 then [||] else Array.sub s 1 (Shape.rank s - 1)
-    | None -> [||]
-  in
-  let out_shape = Array.append [| nrows |] tail_shape in
-  let out = T.zeros (T.dtype sample) out_shape in
-  List.iter2
-    (fun idx d ->
+  let out_shape = Array.append [| max_index + 1 |] tail_shape in
+  let out = T.zeros (T.dtype (List.hd data)) out_shape in
+  List.iter
+    (fun (idx, d) ->
       for i = 0 to T.numel idx - 1 do
-        let row = T.flat_get_i idx i in
-        for j = 0 to rs - 1 do
-          T.flat_set_f out ((row * rs) + j) (T.flat_get_f d ((i * rs) + j))
-        done
+        copy_row d i out (T.flat_get_i idx i) rs
       done)
-    indices data;
+    pairs;
   out
 
 type padding = Same | Valid

@@ -104,7 +104,14 @@ val argmax : Tensor.t -> axis:int -> Tensor.t
 
 (** {1 Array manipulation} *)
 
+(** These ops and the sparse-access ones below move elements exactly,
+    for every dtype, with {!Tensor.blit_strided}. Mixed input dtypes
+    raise [Invalid_argument] naming both. *)
+
 val concat : Tensor.t list -> axis:int -> Tensor.t
+
+val stack : Tensor.t list -> Tensor.t
+(** Same-shape tensors stacked along a new leading axis. *)
 
 val split : Tensor.t -> axis:int -> num:int -> Tensor.t list
 (** Even split. @raise Invalid_argument if the axis is not divisible. *)
@@ -137,7 +144,8 @@ val dynamic_partition : Tensor.t -> Tensor.t -> num:int -> Tensor.t list
 
 val dynamic_stitch : Tensor.t list -> Tensor.t list -> Tensor.t
 (** [dynamic_stitch indices data] inverts {!dynamic_partition}: element
-    rows of [data.(p)] land at row [indices.(p).(i)] of the result. *)
+    rows of [data.(p)] land at row [indices.(p).(i)] of the result; rows
+    no index names are zero. *)
 
 (** {1 Neural-network math} *)
 

@@ -96,6 +96,29 @@ let test_dequeue_many_stacks () =
   Alcotest.(check (float 0.)) "stacked order" 2.0
     (Tensor.get_f batched.(0) [| 1 |])
 
+(* DequeueMany moves elements exactly: strings are not numbers, and an
+   int64 past 2^53 has no exact float. *)
+let test_dequeue_many_string () =
+  let q = Queue_impl.create ~name:"q" ~capacity:4 ~num_components:1 () in
+  List.iter
+    (fun s ->
+      Queue_impl.enqueue q [| Tensor.of_string_array [| 2 |] [| s; "" |] |])
+    [ "alpha"; "beta" ];
+  let batched = (Queue_impl.dequeue_many q 2).(0) in
+  Alcotest.(check (array int)) "shape" [| 2; 2 |] (Tensor.shape batched);
+  Alcotest.(check (array string)) "strings" [| "alpha"; ""; "beta"; "" |]
+    (Tensor.string_buffer batched)
+
+let test_dequeue_many_i64 () =
+  let big = (1 lsl 53) + 1 in
+  let q = Queue_impl.create ~name:"q" ~capacity:4 ~num_components:1 () in
+  List.iter
+    (fun v -> Queue_impl.enqueue q [| Tensor.scalar_i ~dtype:Dtype.I64 v |])
+    [ big; -big ];
+  let batched = (Queue_impl.dequeue_many q 2).(0) in
+  Alcotest.(check (array int)) "int64 values" [| big; -big |]
+    (Tensor.int_buffer batched)
+
 let test_try_dequeue () =
   let q = Queue_impl.create ~name:"q" ~capacity:2 ~num_components:1 () in
   Alcotest.(check bool) "empty" true (Queue_impl.try_dequeue q = None);
@@ -164,6 +187,10 @@ let suite =
     Alcotest.test_case "close semantics" `Quick test_close_semantics;
     Alcotest.test_case "close wakes blocked" `Quick test_close_wakes_blocked;
     Alcotest.test_case "dequeue_many stacks" `Quick test_dequeue_many_stacks;
+    Alcotest.test_case "dequeue_many string queue" `Quick
+      test_dequeue_many_string;
+    Alcotest.test_case "dequeue_many int64 above 2^53" `Quick
+      test_dequeue_many_i64;
     Alcotest.test_case "try_dequeue" `Quick test_try_dequeue;
     Alcotest.test_case "shuffle queue" `Quick test_shuffle_queue_is_permutation;
     Alcotest.test_case "concurrent access" `Quick
