@@ -18,7 +18,9 @@ bench-smoke:
 
 # Intra-op kernel throughput (matmul / conv2d / elementwise GFLOP/s at
 # 1/2/4/8 threads), data-movement copies (concat, slice, transpose: us
-# per call and share of an Array.blit peak), the transposed-matmul
+# per call and share of an Array.blit peak), one sparse Adagrad step
+# (UniqueSegmentSum, the fused SparseApplyAdagrad and the dense chain it
+# replaced, same units), the transposed-matmul
 # regression guard, and the
 # fused elementwise chain: a 12-op chain fused vs unfused, asserting
 # one fused kernel stands in for >= 10 ops with bit-identical output

@@ -583,54 +583,102 @@ let measure_blit_peak_gbs ~trials =
   ignore (Sys.opaque_identity dst);
   !best
 
+(* Microseconds per call at the median batch of [trials], and GB/s at
+   the best batch as a share of the Array.blit [peak], counting 8 bytes
+   per element the call writes ([written]). One JSON object per case. *)
+let timed_cases ~smoke ~peak ~label cases =
+  let trials = if smoke then 3 else 9 in
+  List.map
+    (fun (name, written, f) ->
+      let iters = max 1 ((if smoke then 1_000_000 else 4_000_000) / written) in
+      let samples =
+        List.sort compare (List.init trials (fun _ -> time_kernel ~iters f))
+      in
+      let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
+      let gbs = float_of_int (8 * written) /. best_s /. 1e9 in
+      let pct = 100.0 *. gbs /. peak in
+      Printf.printf
+        "%s %-26s %7d elems, 1 thread: %9.2f us  %6.2f GB/s  %5.1f%% of blit \
+         peak\n%!"
+        label name written (1e6 *. median_s) gbs pct;
+      Printf.sprintf
+        "{\"name\":%S,\"elems\":%d,\"median_us\":%.3f,\"best_us\":%.3f,\"gbs\":%.3f,\"pct_of_blit_peak\":%.1f}"
+        name written (1e6 *. median_s) (1e6 *. best_s) gbs pct)
+    cases
+
 (* The data-movement kernels of an LSTM step (the [x; h] concat and one
    gate sliced out of the fused gate matrix) and a square transpose, at
-   one thread: microseconds per call at the median batch, and GB/s (8
-   bytes per output element) at the best batch as a share of the
-   Array.blit peak. *)
-let data_movement ~smoke =
-  let peak = measure_blit_peak_gbs ~trials:(if smoke then 10 else 50) in
-  Printf.printf
-    "copy peak (Array.blit, 32 KB L1-resident, 1 thread, best of trials): \
-     %.2f GB/s\n%!"
-    peak;
+   one thread. *)
+let data_movement ~smoke ~peak =
   Parallel.set_threads 1;
   let rng = Rng.create 17 in
   let u shape = Tensor.uniform rng shape ~lo:(-1.0) ~hi:1.0 in
   let x = u [| 16; 128 |] and h = u [| 16; 128 |] in
   let gates = u [| 8; 128 |] and square = u [| 512; 512 |] in
-  let trials = if smoke then 3 else 9 in
-  let cases =
-    [
-      ("concat_2x16x128", fun () -> Tensor_ops.concat [ x; h ] ~axis:1);
-      ( "slice_8x32_of_8x128",
-        fun () -> Tensor_ops.slice gates ~begin_:[| 0; 32 |] ~size:[| 8; 32 |] );
-      ("transpose_512x512", fun () -> Tensor_ops.transpose square);
-    ]
-  in
+  let case name f = (name, Tensor.numel (f ()), f) in
   let rows =
-    List.map
-      (fun (name, f) ->
-        let elems = Tensor.numel (f ()) in
-        let iters = max 1 ((if smoke then 1_000_000 else 4_000_000) / elems) in
-        let samples =
-          List.sort compare (List.init trials (fun _ -> time_kernel ~iters f))
-        in
-        let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
-        let gbs = float_of_int (8 * elems) /. best_s /. 1e9 in
-        let pct = 100.0 *. gbs /. peak in
-        Printf.printf
-          "copy %-20s %7d elems, 1 thread: %9.2f us  %6.2f GB/s  %5.1f%% of \
-           blit peak\n%!"
-          name elems (1e6 *. median_s) gbs pct;
-        Printf.sprintf
-          "{\"name\":%S,\"elems\":%d,\"median_us\":%.3f,\"best_us\":%.3f,\"gbs\":%.3f,\"pct_of_blit_peak\":%.1f}"
-          name elems (1e6 *. median_s) (1e6 *. best_s) gbs pct)
-      cases
+    timed_cases ~smoke ~peak ~label:"copy"
+      [
+        case "concat_2x16x128" (fun () -> Tensor_ops.concat [ x; h ] ~axis:1);
+        case "slice_8x32_of_8x128" (fun () ->
+            Tensor_ops.slice gates ~begin_:[| 0; 32 |] ~size:[| 8; 32 |]);
+        case "transpose_512x512" (fun () -> Tensor_ops.transpose square);
+      ]
   in
   Printf.sprintf
     "{\"blit_peak_gbs\":%.3f,\"method\":\"Array.blit of a 32 KB float buffer, 8 bytes per element copied, 1 thread, best of trials\",\"ops\":[%s]}"
     peak
+    (String.concat ",\n  " rows)
+
+(* One sparse Adagrad step on train_lm_ps's softmax table (2048 x 32,
+   320 gathered ids a step, duplicates included), at one thread: the
+   UniqueSegmentSum that deduplicates the rows, the fused
+   SparseApplyAdagrad on them (two copy-on-write table copies plus the
+   rows), and the dense chain it replaces (densify, square, +=, sqrt,
+   + eps, * lr, /, -=; eight table-sized outputs). *)
+let sparse_update ~smoke ~peak =
+  Parallel.set_threads 1;
+  let rng = Rng.create 23 in
+  let vocab = 2048 and dim = 32 and n = 320 in
+  let ids =
+    Tensor.of_int_array [| n |]
+      (Array.init n (fun _ ->
+           (* Skewed toward low ids, as a Zipf token stream is. *)
+           let r = Rng.int rng vocab in
+           r * r / vocab))
+  in
+  let values = Tensor.uniform rng [| n; dim |] ~lo:(-1.0) ~hi:1.0 in
+  let var = Tensor.uniform rng [| vocab; dim |] ~lo:(-0.08) ~hi:0.08 in
+  let accum = Tensor.full Dtype.F32 [| vocab; dim |] 0.1 in
+  let lr = Tensor.scalar_f 0.3 and eps = Tensor.scalar_f 1e-8 in
+  let unique, sums = Tensor_ops.unique_segment_sum ids values in
+  let table = vocab * dim in
+  let rows =
+    timed_cases ~smoke ~peak ~label:"sparse"
+      [
+        ( "unique_segment_sum_320",
+          Tensor.numel unique + Tensor.numel sums,
+          fun () -> Tensor_ops.unique_segment_sum ids values );
+        ( "sparse_apply_adagrad_2048x32",
+          (2 * table) + Tensor.numel sums,
+          fun () ->
+            Tensor_ops.sparse_apply_adagrad ~var ~accum ~lr ~epsilon:1e-8 unique
+              sums );
+        ( "dense_adagrad_2048x32",
+          8 * table,
+          fun () ->
+            let g = Tensor_ops.scatter_into_shape [| vocab; dim |] ids values in
+            let acc = Tensor_ops.add accum (Tensor_ops.square g) in
+            let step =
+              Tensor_ops.div (Tensor_ops.mul lr g)
+                (Tensor_ops.add (Tensor_ops.sqrt acc) eps)
+            in
+            (Tensor_ops.sub var step, acc) );
+      ]
+  in
+  Printf.sprintf
+    "{\"ids\":%d,\"unique\":%d,\"table\":[%d,%d],\"method\":\"8 bytes per element written, share of blit_peak_gbs, 1 thread\",\"ops\":[%s]}"
+    n (Tensor.numel unique) vocab dim
     (String.concat ",\n  " rows)
 
 let kernels () =
@@ -648,7 +696,13 @@ let kernels () =
     peak;
   let roofline = gemm_roofline ~smoke ~peak in
   let int8_roofline = int8_gemm_roofline ~smoke ~peak in
-  let data_movement = data_movement ~smoke in
+  let blit_peak = measure_blit_peak_gbs ~trials:(if smoke then 10 else 50) in
+  Printf.printf
+    "copy peak (Array.blit, 32 KB L1-resident, 1 thread, best of trials): \
+     %.2f GB/s\n%!"
+    blit_peak;
+  let data_movement = data_movement ~smoke ~peak:blit_peak in
+  let sparse_update = sparse_update ~smoke ~peak:blit_peak in
   let rng = Rng.create 11 in
   (* matmul: one dim x dim square product per call. *)
   let mm_dim = if smoke then 96 else 512 in
@@ -834,6 +888,7 @@ let kernels () =
        \"gemm_roofline\":[%s],\n\
        \"int8_gemm_roofline\":[%s],\n\
        \"data_movement\":%s,\n\
+       \"sparse_update\":%s,\n\
        \"matmul\":{\"dim\":%d,\"series\":[%s]},\n\
        \"conv2d\":{\"batch\":%d,\"size\":%d,\"in_channels\":%d,\"out_channels\":%d,\"series\":[%s]},\n\
        \"elementwise\":{\"elems\":%d,\"series\":[%s]},\n\
@@ -845,6 +900,7 @@ let kernels () =
       (String.concat ",\n  " roofline)
       (String.concat ",\n  " int8_roofline)
       data_movement
+      sparse_update
       mm_dim
       (series_json (Printf.sprintf "\"gflops\":%.3f") mm_series)
       cv_batch cv_size cv_ic cv_oc

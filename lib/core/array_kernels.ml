@@ -114,5 +114,12 @@ let register () =
       let shape = Tensor.to_int_array (K.input_tensor ctx 0) in
       let indices = K.input_tensor ctx 1 in
       let updates = K.input_tensor ctx 2 in
-      let zeros = Tensor.zeros (Tensor.dtype updates) shape in
-      K.one (t (Tensor_ops.scatter_add zeros indices updates)))
+      K.one (t (Tensor_ops.scatter_into_shape shape indices updates)));
+  K.register ~op_type:"UniqueSegmentSum" (fun ctx ->
+      (* Deduplicate a sparse gradient once: sorted distinct indices and
+         each one's summed rows, as ScatterIntoShape would sum them. *)
+      let unique, sums =
+        Tensor_ops.unique_segment_sum (K.input_tensor ctx 0)
+          (K.input_tensor ctx 1)
+      in
+      [| t unique; t sums |])

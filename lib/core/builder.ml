@@ -42,6 +42,11 @@ let with_device b spec f =
     ~finally:(fun () -> b.device_stack <- List.tl b.device_stack)
     f
 
+let colocate_with b o f =
+  let saved = b.device_stack in
+  b.device_stack <- [ o.node.Node.device_spec ];
+  Fun.protect ~finally:(fun () -> b.device_stack <- saved) f
+
 let with_name_scope b scope f =
   b.scope_stack <- scope :: b.scope_stack;
   Fun.protect
@@ -130,6 +135,12 @@ let scatter_sub b ?name var indices updates =
 
 let scatter_update b ?name var indices updates =
   op1 b ?name ~op_type:"ScatterUpdate" [ var; indices; updates ]
+
+let sparse_apply_adagrad b ?name ~epsilon var accum ~lr indices values =
+  op1 b ?name
+    ~attrs:[ ("epsilon", Attr.Float epsilon) ]
+    ~op_type:"SparseApplyAdagrad"
+    [ var; accum; lr; indices; values ]
 
 let count_up b ?name var = op1 b ?name ~op_type:"CountUp" [ var ]
 
@@ -298,6 +309,10 @@ let dynamic_stitch b ?name indices data =
 
 let scatter_into_shape b ?name shape indices updates =
   op1 b ?name ~op_type:"ScatterIntoShape" [ shape; indices; updates ]
+
+let unique_segment_sum b ?name indices values =
+  let node = op b ?name ~op_type:"UniqueSegmentSum" [ indices; values ] in
+  (output ~index:0 node, output ~index:1 node)
 
 let relu b = unop "Relu" b
 

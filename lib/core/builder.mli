@@ -31,6 +31,11 @@ val with_device : t -> string -> (unit -> 'a) -> 'a
 (** Push a (possibly partial) device spec, e.g.
     ["/job:ps/task:0"]; nested scopes merge, conflicts raise. *)
 
+val colocate_with : t -> output -> (unit -> 'a) -> 'a
+(** Ops created inside take [o]'s node's requested device in place of
+    every enclosing device scope (TF's [colocate_with]); optimizer slots
+    are created this way next to their variable. *)
+
 val with_name_scope : t -> string -> (unit -> 'a) -> 'a
 (** Prefix default node names with ["scope/"]. *)
 
@@ -88,6 +93,21 @@ val scatter_add : t -> ?name:string -> output -> output -> output -> output
 val scatter_sub : t -> ?name:string -> output -> output -> output -> output
 
 val scatter_update : t -> ?name:string -> output -> output -> output -> output
+
+val sparse_apply_adagrad :
+  t ->
+  ?name:string ->
+  epsilon:float ->
+  output ->
+  output ->
+  lr:output ->
+  output ->
+  output ->
+  output
+(** [sparse_apply_adagrad b ~epsilon var accum ~lr indices values]: TF's
+    [SparseApplyAdagrad] on the variable and accumulator handles, for
+    strictly increasing [indices] (as {!unique_segment_sum} emits);
+    yields the variable's new value. *)
 
 val count_up : t -> ?name:string -> output -> output
 (** Atomic fetch-and-add(1) on a scalar variable. *)
@@ -226,6 +246,12 @@ val scatter_into_shape :
   t -> ?name:string -> output -> output -> output -> output
 (** [scatter_into_shape b shape indices updates]: dense tensor of the
     given shape with update rows accumulated at [indices]. *)
+
+val unique_segment_sum :
+  t -> ?name:string -> output -> output -> output * output
+(** [unique_segment_sum b indices values]: the sorted distinct indices
+    and each one's summed [values] rows, added from +0.0 in order of
+    occurrence (the rows {!scatter_into_shape} would hold). *)
 
 (** {1 Neural nets} *)
 

@@ -37,8 +37,9 @@ let fresh_output_op = function
   | "Conv2DGradFilter" | "MaxPool" | "MaxPoolGrad" | "AvgPool" | "AvgPoolGrad"
   | "Transpose" | "Concat" | "Slice" | "Pad" | "Tile" | "OneHot" | "Gather"
   | "Split" | "RangeLike" | "RandomIndices" | "DynamicPartition"
-  | "DynamicStitch" | "ScatterIntoShape" | "ReduceSumGrad" | "ReduceMeanGrad"
-  | "ConcatGrad" | "SliceGrad" | "PadGrad" | "TileGrad"
+  | "DynamicStitch" | "ScatterIntoShape" | "UniqueSegmentSum"
+  | "ReduceSumGrad" | "ReduceMeanGrad" | "ConcatGrad" | "SliceGrad" | "PadGrad"
+  | "TileGrad"
   | "DynamicPartitionGrad" | "Quantize" | "Dequantize" | "QuantizedMatMul" ->
       true
   (* Everything else — Const (graph attribute), Placeholder, Identity,

@@ -32,8 +32,9 @@ let attr_ints n = Attr.get_ints n.attrs
 let stateful_ops =
   [
     "Variable"; "Assign"; "AssignAdd"; "AssignSub"; "ScatterAdd"; "ScatterSub";
-    "ScatterUpdate"; "FIFOQueue"; "RandomShuffleQueue"; "Enqueue";
-    "EnqueueMany"; "Dequeue"; "DequeueMany"; "QueueClose"; "QueueSize";
+    "ScatterUpdate"; "SparseApplyAdagrad"; "FIFOQueue"; "RandomShuffleQueue";
+    "Enqueue"; "EnqueueMany"; "Dequeue"; "DequeueMany"; "QueueClose";
+    "QueueSize";
     "Save"; "Restore"; "RandomUniform"; "RandomNormal"; "RandomIndices";
     "RecordReader"; "ReadRecord"; "ReadFile"; "TensorArray";
     "TensorArrayWrite"; "TensorArrayRead"; "TensorArraySize";
@@ -48,7 +49,7 @@ let num_outputs n =
   | "NoOp" | "Save" | "Enqueue" | "EnqueueMany" | "QueueClose" | "Send" -> 0
   | "Switch" -> 2
   | "Quantize" | "QuantizeRange" | "QuantizedMatMulQ" | "QuantizedConv2DQ" -> 3
-  | "SoftmaxCrossEntropy" -> 2
+  | "SoftmaxCrossEntropy" | "UniqueSegmentSum" -> 2
   | "DynamicPartition" -> attr_int n "num_partitions"
   | "ConcatGrad" -> attr_int n "n"
   | "Unpack" -> attr_int n "num"

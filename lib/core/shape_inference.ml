@@ -74,7 +74,7 @@ and compute eng (n : Node.t) =
       (* The handle itself has no tensor shape. *)
       one Unknown
   | "Read" | "Assign" | "AssignAdd" | "AssignSub" | "ScatterAdd"
-  | "ScatterSub" | "ScatterUpdate" -> (
+  | "ScatterSub" | "ScatterUpdate" | "SparseApplyAdagrad" -> (
       (* All yield the variable's value; pull the shape from the
          producing Variable node's attribute. *)
       let (e : Node.endpoint) = n.Node.inputs.(0) in
@@ -216,6 +216,15 @@ and compute eng (n : Node.t) =
             (Known
                (Array.append idx (Array.sub params 1 (Shape.rank params - 1))))
       | _ -> one Unknown)
+  | "UniqueSegmentSum" -> (
+      (* How many indices are distinct is known only at run time. *)
+      match (in_n 0, in_n 1) with
+      | Known idx, Known v
+        when Shape.rank v < Shape.rank idx
+             || not (Shape.equal (Array.sub v 0 (Shape.rank idx)) idx) ->
+          fail n "UniqueSegmentSum values %s do not start with indices %s"
+            (Shape.to_string v) (Shape.to_string idx)
+      | _ -> [ Unknown; Unknown ])
   | "Pack" -> (
       let shapes = all_inputs () in
       match shapes with

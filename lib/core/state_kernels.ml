@@ -58,7 +58,33 @@ let register () =
       K.one
         (t
            (Resource.variable_update var (fun old ->
-                Tensor_ops.scatter_add old indices (Tensor_ops.neg updates)))));
+                Tensor_ops.scatter_sub old indices updates))));
+  (* TF's SparseApplyAdagrad on deduplicated rows: the accumulator and
+     then the variable, each replaced by a fresh copy. The variable's
+     lock nests inside the accumulator's; no other kernel takes two. *)
+  K.register ~op_type:"SparseApplyAdagrad" (fun ctx ->
+      let var = K.input_var ctx 0 and accum = K.input_var ctx 1 in
+      if var == accum then
+        invalid_arg "SparseApplyAdagrad: variable and accumulator are one";
+      let lr = K.input_tensor ctx 2 in
+      let indices = K.input_tensor ctx 3 and values = K.input_tensor ctx 4 in
+      let epsilon = Node.attr_float ctx.K.node "epsilon" in
+      let updated = ref None in
+      ignore
+        (Resource.variable_update accum (fun old_accum ->
+             let accum' = ref old_accum in
+             let var' =
+               Resource.variable_update var (fun old_var ->
+                   let v, a =
+                     Tensor_ops.sparse_apply_adagrad ~var:old_var
+                       ~accum:old_accum ~lr ~epsilon indices values
+                   in
+                   accum' := a;
+                   v)
+             in
+             updated := Some var';
+             !accum'));
+      K.one (t (Option.get !updated)));
   K.register ~op_type:"ScatterUpdate" (fun ctx ->
       let var = K.input_var ctx 0 in
       let indices = K.input_tensor ctx 1 and updates = K.input_tensor ctx 2 in

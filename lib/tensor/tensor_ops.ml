@@ -635,22 +635,202 @@ let gather params indices =
   done;
   out
 
-let scatter_add acc indices updates =
-  let out = T.copy acc in
-  let rs = row_size acc in
+(* The row index of each entry of [indices], all checked against
+   [0, nrows) before the caller writes anything. *)
+let checked_rows what indices nrows =
+  let rows = Array.init (T.numel indices) (T.flat_get_i indices) in
+  Array.iter
+    (fun row ->
+      if row < 0 || row >= nrows then
+        invalid_arg
+          (Printf.sprintf "Tensor_ops.%s: index %d out of range [0,%d)" what
+             row nrows))
+    rows;
+  rows
+
+let unsupported what t =
+  invalid_arg
+    (Printf.sprintf "Tensor_ops.%s: unsupported dtype %s" what
+       (Dtype.to_string (T.dtype t)))
+
+(* Adds (or, with [~sub], subtracts) row [i] of [updates] into row
+   [indices.(i)] of [out] in place, in index order, so duplicate rows
+   accumulate in order of occurrence. Typed loops: I64 rows stay exact. *)
+let scatter_rows what ~sub out indices updates =
+  if T.rank out < 1 then
+    invalid_arg
+      (Printf.sprintf "Tensor_ops.%s: target must have rank >= 1" what);
+  check_dtypes what [ out; updates ];
+  let rs = row_size out in
   let n = T.numel indices in
   if T.numel updates <> n * rs then
-    invalid_arg "Tensor_ops.scatter_add: updates size mismatch";
-  for i = 0 to n - 1 do
-    let row = T.flat_get_i indices i in
-    if row < 0 || row >= (T.shape acc).(0) then
-      invalid_arg "Tensor_ops.scatter_add: index out of range";
-    for j = 0 to rs - 1 do
-      let o = (row * rs) + j in
-      T.flat_set_f out o (T.flat_get_f out o +. T.flat_get_f updates ((i * rs) + j))
-    done
-  done;
+    invalid_arg (Printf.sprintf "Tensor_ops.%s: updates size mismatch" what);
+  let rows = checked_rows what indices (T.shape out).(0) in
+  (* Buffer lengths equal numel, so every offset below is in bounds. *)
+  match (out.T.buf, updates.T.buf) with
+  | T.Float_buf o, T.Float_buf u ->
+      for i = 0 to n - 1 do
+        let dst = rows.(i) * rs and src = i * rs in
+        if sub then
+          for j = 0 to rs - 1 do
+            Array.unsafe_set o (dst + j)
+              (Array.unsafe_get o (dst + j) -. Array.unsafe_get u (src + j))
+          done
+        else
+          for j = 0 to rs - 1 do
+            Array.unsafe_set o (dst + j)
+              (Array.unsafe_get o (dst + j) +. Array.unsafe_get u (src + j))
+          done
+      done
+  | T.Int_buf o, T.Int_buf u ->
+      for i = 0 to n - 1 do
+        let dst = rows.(i) * rs and src = i * rs in
+        if sub then
+          for j = 0 to rs - 1 do
+            Array.unsafe_set o (dst + j)
+              (Array.unsafe_get o (dst + j) - Array.unsafe_get u (src + j))
+          done
+        else
+          for j = 0 to rs - 1 do
+            Array.unsafe_set o (dst + j)
+              (Array.unsafe_get o (dst + j) + Array.unsafe_get u (src + j))
+          done
+      done
+  | _ -> unsupported what out
+
+let scatter_add acc indices updates =
+  let out = T.copy acc in
+  scatter_rows "scatter_add" ~sub:false out indices updates;
   out
+
+let scatter_sub acc indices updates =
+  let out = T.copy acc in
+  scatter_rows "scatter_sub" ~sub:true out indices updates;
+  out
+
+let scatter_into_shape shape indices updates =
+  let out = T.zeros (T.dtype updates) shape in
+  scatter_rows "scatter_into_shape" ~sub:false out indices updates;
+  out
+
+let unique_segment_sum indices values =
+  let what = "unique_segment_sum" in
+  let idx =
+    match indices.T.buf with T.Int_buf a -> a | _ -> unsupported what indices
+  in
+  let ishape = T.shape indices and vshape = T.shape values in
+  let ri = Shape.rank ishape and rv = Shape.rank vshape in
+  if rv < ri || not (Shape.equal (Array.sub vshape 0 ri) ishape) then
+    invalid_arg
+      (Printf.sprintf "Tensor_ops.%s: values %s do not start with indices %s"
+         what (Shape.to_string vshape) (Shape.to_string ishape));
+  let tail = Array.sub vshape ri (rv - ri) in
+  let rs = Shape.numel tail in
+  let n = Array.length idx in
+  (* A stable sort keeps each index's duplicates in order of occurrence. *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare idx.(a) idx.(b)) order;
+  (* Segment k covers order.(seg.(k)) .. order.(seg.(k+1) - 1). *)
+  let seg = Array.make (n + 1) n in
+  let u = ref 0 in
+  Array.iteri
+    (fun s p ->
+      if s = 0 || idx.(p) <> idx.(order.(s - 1)) then begin
+        seg.(!u) <- s;
+        incr u
+      end)
+    order;
+  let u = !u in
+  seg.(u) <- n;
+  let unique =
+    T.of_int_array ~dtype:(T.dtype indices) [| u |]
+      (Array.init u (fun k -> idx.(order.(seg.(k)))))
+  in
+  let out = T.empty (T.dtype values) (Array.append [| u |] tail) in
+  let grain =
+    grain_for ~item_cost:(rs * max 1 (n / max 1 u)) ~target_work:8192
+  in
+  (* Every sum starts from +0.0 (0 for ints), as ScatterIntoShape's zeros
+     do; segments are disjoint rows, so shards never share a row. *)
+  (match (out.T.buf, values.T.buf) with
+  | T.Float_buf o, T.Float_buf v ->
+      Parallel.parallel_for ~grain u (fun lo hi ->
+          for k = lo to hi - 1 do
+            let dst = k * rs in
+            Array.fill o dst rs 0.0;
+            for s = seg.(k) to seg.(k + 1) - 1 do
+              let src = order.(s) * rs in
+              for j = 0 to rs - 1 do
+                Array.unsafe_set o (dst + j)
+                  (Array.unsafe_get o (dst + j) +. Array.unsafe_get v (src + j))
+              done
+            done
+          done)
+  | T.Int_buf o, T.Int_buf v ->
+      Parallel.parallel_for ~grain u (fun lo hi ->
+          for k = lo to hi - 1 do
+            let dst = k * rs in
+            Array.fill o dst rs 0;
+            for s = seg.(k) to seg.(k + 1) - 1 do
+              let src = order.(s) * rs in
+              for j = 0 to rs - 1 do
+                Array.unsafe_set o (dst + j)
+                  (Array.unsafe_get o (dst + j) + Array.unsafe_get v (src + j))
+              done
+            done
+          done)
+  | _ -> unsupported what values);
+  (unique, out)
+
+let sparse_apply_adagrad ~var ~accum ~lr ~epsilon indices values =
+  let what = "sparse_apply_adagrad" in
+  if T.rank var < 1 then
+    invalid_arg
+      (Printf.sprintf "Tensor_ops.%s: variable must have rank >= 1" what);
+  check_dtypes what [ var; accum; values ];
+  if not (Shape.equal (T.shape var) (T.shape accum)) then
+    invalid_arg
+      (Printf.sprintf "Tensor_ops.%s: accumulator %s does not match variable %s"
+         what
+         (Shape.to_string (T.shape accum))
+         (Shape.to_string (T.shape var)));
+  if T.numel lr <> 1 then
+    invalid_arg (Printf.sprintf "Tensor_ops.%s: lr must be a scalar" what);
+  let rs = row_size var in
+  let n = T.numel indices in
+  if T.numel values <> n * rs then
+    invalid_arg (Printf.sprintf "Tensor_ops.%s: values size mismatch" what);
+  let rows = checked_rows what indices (T.shape var).(0) in
+  for i = 1 to n - 1 do
+    if rows.(i) <= rows.(i - 1) then
+      invalid_arg
+        (Printf.sprintf
+           "Tensor_ops.%s: indices not strictly increasing (%d after %d)" what
+           rows.(i) rows.(i - 1))
+  done;
+  let lr = T.flat_get_f lr 0 in
+  (* Copy-on-write: tensors an earlier Read returned keep their values. *)
+  let var' = T.copy var and accum' = T.copy accum in
+  (match (var'.T.buf, accum'.T.buf, values.T.buf) with
+  | T.Float_buf w, T.Float_buf a, T.Float_buf g ->
+      (* The dense update's operation order, element by element:
+         acc += g*g; var -= (lr*g) / (sqrt acc + eps). Rows are distinct,
+         so shards never share a row. *)
+      Parallel.parallel_for ~grain:(grain_for ~item_cost:rs ~target_work:8192) n
+        (fun lo hi ->
+          for i = lo to hi - 1 do
+            let dst = rows.(i) * rs and src = i * rs in
+            for j = 0 to rs - 1 do
+              let gj = Array.unsafe_get g (src + j) in
+              let acc = Array.unsafe_get a (dst + j) +. (gj *. gj) in
+              Array.unsafe_set a (dst + j) acc;
+              Array.unsafe_set w (dst + j)
+                (Array.unsafe_get w (dst + j)
+                -. (lr *. gj /. (Float.sqrt acc +. epsilon)))
+            done
+          done)
+  | _ -> unsupported what var);
+  (var', accum')
 
 let dynamic_partition data partitions ~num =
   let s = T.shape data in

@@ -136,7 +136,41 @@ val gather : Tensor.t -> Tensor.t -> Tensor.t
 
 val scatter_add : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 (** [scatter_add acc indices updates] returns a copy of [acc] with
-    [updates] rows added at [indices] (duplicates accumulate). *)
+    [updates] rows added at [indices] (duplicates accumulate in order of
+    occurrence). Float and integer dtypes; integers stay exact.
+    @raise Invalid_argument, before any write, on an index out of
+    range, a size or dtype mismatch, or another dtype (named). *)
+
+val scatter_sub : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
+(** Like {!scatter_add}, subtracting the rows. *)
+
+val scatter_into_shape : Shape.t -> Tensor.t -> Tensor.t -> Tensor.t
+(** [scatter_into_shape shape indices updates] is {!scatter_add} into
+    zeros of [shape] (the dense form of a sparse gradient). *)
+
+val unique_segment_sum : Tensor.t -> Tensor.t -> Tensor.t * Tensor.t
+(** [unique_segment_sum indices values] deduplicates a sparse gradient:
+    the distinct [indices] (I32/I64, any shape) sorted ascending, and
+    for each the sum of its [values] rows. Each sum starts from +0.0 (0)
+    and adds the duplicates in order of occurrence, so row [k] equals
+    row [unique.(k)] of {!scatter_into_shape}. [values] has shape
+    [shape indices @ tail]; the sums have shape [[|u|] @ tail]. *)
+
+val sparse_apply_adagrad :
+  var:Tensor.t ->
+  accum:Tensor.t ->
+  lr:Tensor.t ->
+  epsilon:float ->
+  Tensor.t ->
+  Tensor.t ->
+  Tensor.t * Tensor.t
+(** [sparse_apply_adagrad ~var ~accum ~lr ~epsilon indices values]
+    returns fresh copies [(var', accum')] with Adagrad applied to the
+    rows [indices] names: per element [acc += g*g] then
+    [var -= (lr*g) / (sqrt acc + epsilon)], the dense update's order.
+    @raise Invalid_argument, before copying, unless [indices] are
+    strictly increasing and in range, [lr] is a scalar, and the float
+    shapes and dtypes agree. *)
 
 val dynamic_partition : Tensor.t -> Tensor.t -> num:int -> Tensor.t list
 (** [dynamic_partition data partitions ~num] splits rows of [data] into

@@ -21,18 +21,19 @@ let adadelta_default = Adadelta { rho = 0.95; epsilon = 1e-6 }
 
 let adam_default = Adam { beta1 = 0.9; beta2 = 0.999; epsilon = 1e-8 }
 
-let slot store (var : Vs.variable) suffix =
-  let v =
-    Vs.get store ~trainable:false ~init:Init.zeros
-      ~name:(var.Vs.name ^ "/" ^ suffix)
-      var.Vs.shape
-  in
-  v
+(* Slots are created on their variable's requested device, as TF
+   colocates them, so a step never ships a gradient to another task to
+   update state that belongs with the variable. *)
+let slot_of_shape store (var : Vs.variable) suffix shape =
+  B.colocate_with (Vs.builder store) var.Vs.handle (fun () ->
+      Vs.get store ~trainable:false ~init:Init.zeros
+        ~name:(var.Vs.name ^ "/" ^ suffix)
+        shape)
 
-let scalar_slot store (var : Vs.variable) suffix =
-  Vs.get store ~trainable:false ~init:Init.zeros
-    ~name:(var.Vs.name ^ "/" ^ suffix)
-    [||]
+let slot store (var : Vs.variable) suffix =
+  slot_of_shape store var suffix var.Vs.shape
+
+let scalar_slot store var suffix = slot_of_shape store var suffix [||]
 
 (* One dense update subgraph per (algorithm, variable). Returns the op to
    execute. [lr_t] is a scalar graph output, so schedules (Schedule) plug
@@ -112,6 +113,13 @@ let apply_dense store algorithm ~lr_t (var : Vs.variable) g =
         (B.div b (B.mul b lr_t m_hat)
            (B.add b (B.sqrt b v_hat) (B.const_f b epsilon)))
 
+(* Sum a sparse gradient's duplicate rows once. Indices that already
+   come out of UniqueSegmentSum (minimize's clip) pass through. *)
+let deduplicate b ~indices ~values =
+  if indices.B.node.Octf.Node.op_type = "UniqueSegmentSum" then
+    (indices, values)
+  else B.unique_segment_sum b indices values
+
 let apply_sparse store algorithm ~lr_t (var : Vs.variable) ~indices ~values
     ~dense_shape =
   let b = Vs.builder store in
@@ -119,13 +127,19 @@ let apply_sparse store algorithm ~lr_t (var : Vs.variable) ~indices ~values
   | Sgd ->
       (* The §4.2 payoff: update only the rows this step gathered. *)
       B.scatter_sub b var.Vs.handle indices (B.mul b lr_t values)
-  | Momentum _ | Adagrad _ | Rmsprop _ | Adadelta _ | Adam _ ->
-      (* Slot-based algorithms densify (as TF does for several of its
-         sparse paths). *)
-      let dense =
-        G.densify b (G.Sparse { indices; values; dense_shape })
-      in
-      apply_dense store algorithm ~lr_t var dense
+  | Adagrad { epsilon } ->
+      (* On a row no index names, dense Adagrad adds 0 to the
+         accumulator and subtracts 0 from the variable, both exact, so
+         updating only the named rows gives the same bits. *)
+      let acc = slot store var "adagrad" in
+      let indices, values = deduplicate b ~indices ~values in
+      B.sparse_apply_adagrad b ~epsilon var.Vs.handle acc.Vs.handle ~lr:lr_t
+        indices values
+  | Momentum _ | Rmsprop _ | Adadelta _ | Adam _ ->
+      (* These decay every row on every step; updating only the named
+         rows would be a different ("lazy") algorithm. *)
+      apply_dense store algorithm ~lr_t var
+        (G.densify b (G.Sparse { indices; values; dense_shape }))
 
 let apply_grad store algorithm ~lr_t (var : Vs.variable) = function
   | G.Dense g -> apply_dense store algorithm ~lr_t var g
@@ -172,12 +186,17 @@ let minimize_with_rate store ?(algorithm = Sgd) ?var_list ?clip_norm ~lr_t
                  | Some c -> clip b ~clip_norm:c d
                in
                [ (var, G.Dense d) ]
-           | Some (G.Sparse { indices; values; dense_shape }) -> (
-               let sparse = G.Sparse { indices; values; dense_shape } in
+           | Some (G.Sparse { indices; values; dense_shape } as sparse) -> (
                match clip_norm with
                | None -> [ (var, sparse) ]
                | Some c ->
-                   [ (var, G.Dense (clip b ~clip_norm:c (G.densify b sparse))) ]))
+                   (* The distinct rows in ascending order hold every
+                      nonzero of the dense gradient in flat order, and
+                      the dense sum of squares only adds +0.0 besides,
+                      so this norm and these rows are the dense ones. *)
+                   let indices, values = deduplicate b ~indices ~values in
+                   let values = clip b ~clip_norm:c values in
+                   [ (var, G.Sparse { indices; values; dense_shape }) ]))
          vars grads)
   in
   if pairs = [] then

@@ -9,9 +9,16 @@
     writing a few lines against {!Octf.Builder}, not touching the
     runtime.
 
-    Sparse gradients (from embedding lookups, §4.2) are applied with
-    [ScatterSub] for plain SGD, touching only the rows a step actually
-    read; slot-based algorithms densify them first. *)
+    Sparse gradients (from embedding lookups, §4.2) stay sparse for SGD
+    and Adagrad, touching only the rows a step actually read: SGD
+    applies them with [ScatterSub]; Adagrad sums duplicate rows once
+    ([UniqueSegmentSum]) and runs the fused [SparseApplyAdagrad]. Both
+    give the same bits as the dense update, because on a row no index
+    names the dense update adds and subtracts exact zeros. Momentum,
+    RMSProp, Adadelta and Adam decay every row on every step, so they
+    densify the gradient; a sparse ("lazy") variant would be a different
+    algorithm. Slots are created on their variable's requested
+    device. *)
 
 module B = Octf.Builder
 module Vs = Octf_nn.Var_store
@@ -47,7 +54,8 @@ val minimize :
     (or [var_list]) and one update subgraph per variable; returns a
     single target executing every update. [clip_norm] rescales each
     gradient to at most the given L2 norm before applying (the §4.1
-    gradient-clipping example). *)
+    gradient-clipping example); a sparse gradient is clipped on its
+    deduplicated rows and stays sparse. *)
 
 val minimize_with_rate :
   Vs.t ->

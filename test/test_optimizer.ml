@@ -109,6 +109,43 @@ let test_sparse_sgd_scatter () =
       if n.Node.op_type = "ScatterSub" then has_scatter := true);
   Alcotest.(check bool) "uses ScatterSub" true !has_scatter
 
+let test_slots_on_variable_device () =
+  (* On a two-ps-task cluster, every slot lands where its variable does,
+     for every algorithm, whatever the load balancer would pick. *)
+  let cluster =
+    Cluster.create
+      ~jobs:[ ("ps", 2, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
+  in
+  List.iter
+    (fun algorithm ->
+      let b = B.create () in
+      let store = Vs.create b in
+      let emb =
+        Vs.get store ~device:"/job:ps/task:0" ~name:"emb" [| 6; 2 |]
+      in
+      let w = Vs.get store ~device:"/job:ps/task:1" ~name:"w" [| 2; 2 |] in
+      let loss =
+        B.with_device b "/job:worker/task:0" (fun () ->
+            let ids = B.const b (Tensor.of_int_array [| 3 |] [| 1; 4; 1 |]) in
+            B.reduce_sum b
+              (B.square b (B.matmul b (B.gather b emb.Vs.read ids) w.Vs.read)))
+      in
+      ignore (Opt.minimize store ~algorithm ~clip_norm:1.0 ~lr:0.1 ~loss ());
+      let g = B.graph b in
+      Placement.place g
+        ~nodes:(List.init (Graph.node_count g) Fun.id)
+        ~devices:(Cluster.devices cluster);
+      let device (v : Vs.variable) =
+        Device.to_string (Option.get v.Vs.handle.B.node.Node.assigned_device)
+      in
+      List.iter
+        (fun (v : Vs.variable) ->
+          let owner = if String.starts_with ~prefix:"emb/" v.Vs.name then emb else w in
+          Alcotest.(check string) v.Vs.name (device owner) (device v))
+        (List.filter (fun (v : Vs.variable) -> not v.Vs.trainable) (Vs.all store)))
+    Opt.[ Sgd; momentum_default; adagrad_default; rmsprop_default;
+          adadelta_default; adam_default ]
+
 let test_no_trainables_rejected () =
   let b = B.create () in
   let store = Vs.create b in
@@ -132,5 +169,7 @@ let suite =
     Alcotest.test_case "clip norm" `Quick test_clip_norm;
     Alcotest.test_case "var_list restricts" `Quick test_var_list_restricts;
     Alcotest.test_case "sparse sgd scatter" `Quick test_sparse_sgd_scatter;
+    Alcotest.test_case "slots on their variable's device" `Quick
+      test_slots_on_variable_device;
     Alcotest.test_case "no trainables" `Quick test_no_trainables_rejected;
   ]
