@@ -20,7 +20,8 @@ bench-smoke:
 # 1/2/4/8 threads), data-movement copies (concat, slice, transpose: us
 # per call and share of an Array.blit peak), one sparse Adagrad step
 # (UniqueSegmentSum, the fused SparseApplyAdagrad and the dense chain it
-# replaced, same units), the transposed-matmul
+# replaced, same units), small-tensor elementwise kernels at serve_rnn's
+# shapes (us and minor-heap words per call), the transposed-matmul
 # regression guard, and the
 # fused elementwise chain: a 12-op chain fused vs unfused, asserting
 # one fused kernel stands in for >= 10 ops with bit-identical output
@@ -133,6 +134,7 @@ ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-
 	OCTF_FUSION=off dune runtest --force
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quantization
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quant_accuracy
+	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test serving
 	OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test data
 	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- kernels
 	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- memory

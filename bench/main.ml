@@ -681,6 +681,65 @@ let sparse_update ~smoke ~peak =
     n (Tensor.numel unique) vocab dim
     (String.concat ",\n  " rows)
 
+(* Small-tensor elementwise kernels at serve_rnn's shapes (batch 8,
+   LSTM width 32, four gates): the gate bias add, two activations and
+   the fused cell update c' = sigmoid(f) * c + sigmoid(i) * tanh(g),
+   run as the FusedElementwise kernel runs it (one program compiled
+   once). At these sizes per-call cost dominates, so each op reports
+   microseconds per call (median of trials) and minor-heap words
+   allocated per call (Gc.minor_words), at one thread. *)
+let small_elementwise ~smoke =
+  Parallel.set_threads 1;
+  let rng = Rng.create 19 in
+  let u shape = Tensor.uniform rng shape ~lo:(-2.0) ~hi:2.0 in
+  let gates = u [| 8; 128 |] and bias = u [| 128 |] in
+  let f = u [| 8; 32 |] and c = u [| 8; 32 |] in
+  let i = u [| 8; 32 |] and g = u [| 8; 32 |] in
+  let cell =
+    Fused_eval.(
+      compile
+        (Binary
+           ( "Add",
+             Binary ("Mul", Unary ("Sigmoid", Input 0), Input 1),
+             Binary ("Mul", Unary ("Sigmoid", Input 2), Unary ("Tanh", Input 3))
+           )))
+  in
+  let cases =
+    [
+      ("bias_add_8x128+128", fun () -> Tensor_ops.add gates bias);
+      ("sigmoid_8x32", fun () -> Tensor_ops.sigmoid f);
+      ("tanh_8x32", fun () -> Tensor_ops.tanh g);
+      ("lstm_cell_fused_8x32", fun () -> Fused_eval.run cell [| f; c; i; g |]);
+    ]
+  in
+  let trials = if smoke then 3 else 9 and iters = if smoke then 2_000 else 20_000 in
+  let rows =
+    List.map
+      (fun (name, run) ->
+        let elems = Tensor.numel (run ()) in
+        let samples =
+          List.sort compare (List.init trials (fun _ -> time_kernel ~iters run))
+        in
+        let median_s = List.nth samples (trials / 2) in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to iters do
+          ignore (run ())
+        done;
+        let words = (Gc.minor_words () -. w0) /. float_of_int iters in
+        Printf.printf
+          "small elementwise %-22s %5d elems, 1 thread: %7.3f us/call  %7.1f \
+           minor words/call\n%!"
+          name elems (1e6 *. median_s) words;
+        Printf.sprintf
+          "{\"name\":%S,\"elems\":%d,\"us_per_call\":%.3f,\"minor_words_per_call\":%.1f}"
+          name elems (1e6 *. median_s) words)
+      cases
+  in
+  Printf.sprintf
+    "{\"method\":\"median of %d trials of %d calls, minor words from Gc.minor_words, 1 thread\",\"ops\":[%s]}"
+    trials iters
+    (String.concat ",\n  " rows)
+
 let kernels () =
   section "Intra-op kernel throughput (GFLOP/s by thread budget)";
   let smoke = smoke_mode () in
@@ -703,6 +762,7 @@ let kernels () =
     blit_peak;
   let data_movement = data_movement ~smoke ~peak:blit_peak in
   let sparse_update = sparse_update ~smoke ~peak:blit_peak in
+  let small_elementwise = small_elementwise ~smoke in
   let rng = Rng.create 11 in
   (* matmul: one dim x dim square product per call. *)
   let mm_dim = if smoke then 96 else 512 in
@@ -889,6 +949,7 @@ let kernels () =
        \"int8_gemm_roofline\":[%s],\n\
        \"data_movement\":%s,\n\
        \"sparse_update\":%s,\n\
+       \"small_elementwise\":%s,\n\
        \"matmul\":{\"dim\":%d,\"series\":[%s]},\n\
        \"conv2d\":{\"batch\":%d,\"size\":%d,\"in_channels\":%d,\"out_channels\":%d,\"series\":[%s]},\n\
        \"elementwise\":{\"elems\":%d,\"series\":[%s]},\n\
@@ -901,6 +962,7 @@ let kernels () =
       (String.concat ",\n  " int8_roofline)
       data_movement
       sparse_update
+      small_elementwise
       mm_dim
       (series_json (Printf.sprintf "\"gflops\":%.3f") mm_series)
       cv_batch cv_size cv_ic cv_oc

@@ -79,10 +79,26 @@ type plan = {
   refcounts : int array array;  (* data consumers per (node, out) *)
   poolable : bool array array;  (* no consumer retains the endpoint *)
   aliases : (int * int) list array;  (* declared May_alias pairs *)
-  kernels : Kernel.t option array;  (* resolved on first use *)
+  kernels : Kernel.t option array;  (* instantiated once, by [prepare] *)
   scheduler : Scheduler.policy;
   planning : bool;  (* memory planning for this plan's steps *)
 }
+
+(* A node's kernel for its assigned device, else the CPU's. Per-node
+   set-up (an elementwise program) happens here, once per plan node; a
+   node whose set-up fails gets a kernel that raises the failure when
+   the node runs, as a missing kernel does. *)
+let instantiate (n : Node.t) =
+  let device =
+    match n.Node.assigned_device with
+    | Some d -> d.Device.dev_type
+    | None -> Device.CPU
+  in
+  try
+    match Kernel.instantiate ~device n with
+    | Some k -> Some k
+    | None -> Kernel.instantiate ~device:Device.CPU n
+  with e -> Some (fun _ -> raise e)
 
 let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
   Builtin_kernels.ensure ();
@@ -299,7 +315,7 @@ let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
       Array.map
         (fun (n : Node.t) -> Kernel.aliases ~op_type:n.Node.op_type)
         nodes;
-    kernels = Array.make count None;
+    kernels = Array.map instantiate nodes;
     scheduler;
     planning = memory_planning;
   }
@@ -645,26 +661,11 @@ let resolve_kernel p i =
   | Some k -> k
   | None ->
       let n = p.nodes.(i) in
-      let device_type =
-        match n.Node.assigned_device with
-        | Some d -> d.Device.dev_type
-        | None -> Device.CPU
-      in
-      let k =
-        match Kernel.lookup ~op_type:n.Node.op_type ~device:device_type with
-        | Some k -> k
-        | None -> (
-            match Kernel.lookup ~op_type:n.Node.op_type ~device:Device.CPU with
-            | Some k -> k
-            | None ->
-                raise
-                  (Step_failure.error ~node:n.Node.name
-                     (Step_failure.Invalid_graph
-                        (Printf.sprintf "no kernel for op %s (node %s)"
-                           n.Node.op_type n.Node.name))))
-      in
-      p.kernels.(i) <- Some k;
-      k
+      raise
+        (Step_failure.error ~node:n.Node.name
+           (Step_failure.Invalid_graph
+              (Printf.sprintf "no kernel for op %s (node %s)" n.Node.op_type
+                 n.Node.name)))
 
 (* Classify an arbitrary kernel exception into a structured failure,
    filling in node/device context when the original carries none. *)

@@ -55,7 +55,7 @@ let redirect_outputs graph ~old_id ~new_ids =
                 n.Node.control_inputs)))
 
 let constant_fold graph ~nodes ~fed =
-  (* Folding executes kernels; without this, Kernel.lookup returns None
+  (* Folding executes kernels; without this, Kernel.instantiate returns None
      for everything when the optimizer runs before the first executor
      compile of the process and folding silently does nothing. *)
   Builtin_kernels.ensure ();
@@ -83,7 +83,7 @@ let constant_fold graph ~nodes ~fed =
                (Graph.get graph e.node_id).Node.op_type = "Const")
              n.Node.inputs
       then begin
-        match Kernel.lookup ~op_type:n.Node.op_type ~device:Device.CPU with
+        match Kernel.instantiate ~device:Device.CPU n with
         | None -> ()
         | Some kernel -> (
             let inputs =

@@ -14,7 +14,11 @@ type t = ctx -> Value.t array
 
 exception Kernel_error of string * exn
 
-let registry : (string * Device.device_type, t) Hashtbl.t = Hashtbl.create 256
+(* Each entry instantiates the kernel for one plan node: most ignore
+   the node, while per-node kernels (a compiled elementwise program)
+   do their set-up once here rather than on every call. *)
+let registry : (string * Device.device_type, Node.t -> t) Hashtbl.t =
+  Hashtbl.create 256
 
 (* Declared May_alias (input_idx, output_idx) pairs per op type.  A
    declaration is a capability, not a promise: the executor grants a
@@ -24,14 +28,23 @@ let registry : (string * Device.device_type, t) Hashtbl.t = Hashtbl.create 256
    size). *)
 let alias_registry : (string, (int * int) list) Hashtbl.t = Hashtbl.create 64
 
-let register ~op_type ?(devices = [ Device.CPU; Device.GPU ]) ?(aliases = [])
-    kernel =
+let register_per_node ~op_type ?(devices = [ Device.CPU; Device.GPU ])
+    ?(aliases = []) build =
   if aliases <> [] then Hashtbl.replace alias_registry op_type aliases;
-  List.iter
-    (fun d -> Hashtbl.replace registry (op_type, d) kernel)
-    devices
+  List.iter (fun d -> Hashtbl.replace registry (op_type, d) build) devices
 
-let lookup ~op_type ~device = Hashtbl.find_opt registry (op_type, device)
+let register ~op_type ?devices ?aliases kernel =
+  register_per_node ~op_type ?devices ?aliases (fun _ -> kernel)
+
+let instantiate ~device (node : Node.t) =
+  Option.map
+    (fun build -> build node)
+    (Hashtbl.find_opt registry (node.Node.op_type, device))
+
+let lookup ~op_type ~device =
+  Option.map
+    (fun build ctx -> build ctx.node ctx)
+    (Hashtbl.find_opt registry (op_type, device))
 
 let aliases ~op_type =
   Option.value ~default:[] (Hashtbl.find_opt alias_registry op_type)

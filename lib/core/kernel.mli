@@ -60,7 +60,25 @@ val register :
     executor grants it (see {!type:ctx}[.grants]). Kernels read their
     grants through {!granted_buffer} / {!granted_input}. *)
 
+val register_per_node :
+  op_type:string ->
+  ?devices:Device.device_type list ->
+  ?aliases:(int * int) list ->
+  (Node.t -> t) ->
+  unit
+(** Like {!register}, for a kernel that does per-node set-up (parsing
+    attributes, compiling a program): the executor calls the builder
+    once per plan node, when it builds the plan, and runs the returned
+    kernel on every step. *)
+
+val instantiate : device:Device.device_type -> Node.t -> t option
+(** The kernel for one node on [device], built once; [None] when no
+    kernel is registered for the node's op type on that device. *)
+
 val lookup : op_type:string -> device:Device.device_type -> t option
+(** A kernel that instantiates per call from [ctx.node], for one-off
+    callers such as tests. Plans and constant folding use
+    {!instantiate}. *)
 
 val aliases : op_type:string -> (int * int) list
 (** Declared May_alias pairs for [op_type] (empty if none). *)

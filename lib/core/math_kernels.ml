@@ -96,38 +96,32 @@ let register () =
         (t
            (Tensor_ops.select (K.input_tensor ctx 0) (K.input_tensor ctx 1)
               (K.input_tensor ctx 2))));
-  K.register ~op_type:"AddN" ~aliases:[ (0, 0) ] (fun ctx ->
-      match K.all_input_tensors ctx with
-      | [] -> invalid_arg "AddN: no inputs"
+  (* AddN and FusedElementwise compile their program once per plan
+     node. AddN sums in the left-fold order of [Fused_eval.add_n]; the
+     fused expression is the postfix "expr" attribute written by the
+     Fuse pass. Both may write into input 0's buffer when the planner
+     grants it (the grant is only length-compatible when that input's
+     broadcast plan is the identity, so read-i-before-write-i holds). *)
+  let program_kernel p ctx =
+    K.one
+      (t
+         (Fused_eval.run
+            ?out:(K.granted_buffer ctx ~output:0)
+            p
+            (Array.map Value.tensor ctx.K.inputs)))
+  in
+  K.register_per_node ~op_type:"AddN" ~aliases:[ (0, 0) ] (fun node ->
+      match Array.length node.Node.inputs with
+      | 0 -> fun _ -> invalid_arg "AddN: no inputs"
       (* The single-input sum must still be a fresh buffer: the planner
          may recycle the input's backing store once AddN completes. *)
-      | [ x ] -> K.one (t (Tensor.copy x))
-      | first :: second :: rest ->
-          (* First add may land in a granted input buffer; later adds
-             accumulate in place into the (now private) partial sum. *)
-          let acc =
-            Tensor_ops.add ?out:(K.granted_buffer ctx ~output:0) first second
-          in
-          let add_into acc x =
-            if Dtype.is_floating (Tensor.dtype acc) then
-              Tensor_ops.add ~out:(Tensor.float_buffer acc) acc x
-            else Tensor_ops.add acc x
-          in
-          K.one (t (List.fold_left add_into acc rest)));
-  (* Fused elementwise expression (Graph_optimizer.Fuse): evaluate the
-     postfix "expr" attribute once per output element in a single pass.
-     Like the standalone elementwise kernels it may write in place into
-     input 0's buffer when the planner grants it (the grant is only
-     length-compatible when that input's broadcast plan is the
-     identity, so read-i-before-write-i holds). *)
-  K.register ~op_type:"FusedElementwise" ~aliases:[ (0, 0) ] (fun ctx ->
-      let expr =
-        Fused_eval.of_postfix
-          (Attr.get_strings ctx.K.node.Node.attrs "expr")
-      in
-      let inputs = Array.of_list (K.all_input_tensors ctx) in
-      K.one
-        (t (Fused_eval.eval ?out:(K.granted_buffer ctx ~output:0) expr inputs)));
+      | 1 -> fun ctx -> K.one (t (Tensor.copy (K.input_tensor ctx 0)))
+      | k -> program_kernel (Fused_eval.compile (Fused_eval.add_n k)));
+  K.register_per_node ~op_type:"FusedElementwise" ~aliases:[ (0, 0) ]
+    (fun node ->
+      program_kernel
+        (Fused_eval.compile
+           (Fused_eval.of_postfix (Attr.get_strings node.Node.attrs "expr"))));
   K.register ~op_type:"MatMul" (fun ctx ->
       let transpose_a =
         Option.value ~default:false

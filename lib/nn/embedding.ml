@@ -53,8 +53,12 @@ let lookup t b ids =
       let gathered =
         List.map2
           (fun (shard : Var_store.variable) local ->
-            (* Colocate the Gather with its shard variable: placement
-               groups it with the Variable via the reference edge. *)
+            (* The Gather reads the shard's Read output, a value, not
+               the variable's handle, so placement does not colocate it
+               with the variable: it runs with the lookup and the whole
+               shard is sent to it each step. Pinning it to the shard's
+               device sent fewer bytes but more, smaller messages and
+               more kernels, and did not pay on train_lm_ps. *)
             B.gather b shard.Var_store.read local)
           shards per_shard_ids
       in

@@ -71,20 +71,22 @@ let hot_metrics name =
 (* ------------------------------------------------------------------ *)
 (* Freeze                                                              *)
 
-let freeze_pipeline ?(quantize = false) ?ranges values =
+let freeze_pipeline ~quantize ~fusion ?ranges values =
   (* Freeze first, re-prune so the frozen Consts (and the now-dead
      Variables) are in/out of the working set, then the standard
      pipeline over the inference subgraph. With [quantize], the int8
-     pass runs last — after freezing, so weights are F32 Consts (its
+     pass runs next — after freezing, so weights are F32 Consts (its
      eligibility condition) — against the calibrated [ranges] lookup
-     (default: none, i.e. dynamic activation quantization). *)
+     (default: none, i.e. dynamic activation quantization). With
+     [fusion], Fuse runs last, so the int8 pass still sees the unfused
+     bias-add and Relu it absorbs into its islands. *)
   let base = GO.Freeze values :: GO.Prune :: GO.default_pipeline in
-  if quantize then
-    base
-    @ [
-        GO.Quantize (Option.value ~default:(fun _ -> None) ranges); GO.Prune;
-      ]
-  else base
+  let quantized =
+    if quantize then
+      [ GO.Quantize (Option.value ~default:(fun _ -> None) ranges); GO.Prune ]
+    else []
+  in
+  base @ quantized @ if fusion then [ GO.Fuse; GO.Prune ] else []
 
 let endpoint_list outputs = List.map B.endpoint_of_output outputs
 
@@ -125,16 +127,18 @@ let freeze ?(config = Session.Config.default) ?quantize ?ranges ~values
      training graph must keep reading its live variables. *)
   let graph = Octf.Graph.copy graph in
   (* Explicit argument, then Session.create's resolution. *)
+  let resolved = Session.Config.of_env config in
   let quantize =
     match quantize with
     | Some b -> b
-    | None ->
-        Option.get (Session.Config.of_env config).Session.Config.quantize
+    | None -> Option.get resolved.Session.Config.quantize
   in
+  let fusion = Option.get resolved.Session.Config.fusion in
   let config =
     {
       config with
-      Session.Config.passes = Some (freeze_pipeline ~quantize ?ranges values);
+      Session.Config.passes =
+        Some (freeze_pipeline ~quantize ~fusion ?ranges values);
     }
   in
   let session = Session.create ~config graph in

@@ -13,8 +13,8 @@
     graph is untouched), runs the
     {!Octf.Graph_optimizer.Freeze} pass with a variable-name -> tensor
     lookup (a live session's {!Octf.Session.variable_values} or a
-    {!Octf.Checkpoint_format} file), then constant-folds, merges and
-    prunes. The resulting session's step cache holds one pre-compiled
+    {!Octf.Checkpoint_format} file), then constant-folds, merges,
+    fuses elementwise chains and prunes. The resulting session's step cache holds one pre-compiled
     read-only plan — the cache signature ignores tensor shapes, so the
     same plan serves every batch size. Freezing fails loudly if any
     stateful operation survives in the inference subgraph.
@@ -63,11 +63,15 @@ val freeze :
 
     With [~quantize:true] (resolution: explicit argument, then
     [config]'s [quantize] field, then [OCTF_QUANTIZE], default off)
-    the pipeline ends with the {!Octf.Graph_optimizer.Quantize} pass:
+    the pipeline then runs the {!Octf.Graph_optimizer.Quantize} pass:
     eligible MatMul/Conv2D islands run on int8 codes with 4x-smaller
     weight constants. [ranges] is the calibrated activation-range
     lookup (see {!Octf.Quant_calibration.ranges}); omitted, islands
-    quantize their inputs dynamically per batch.
+    quantize their inputs dynamically per batch. When [config]'s
+    [fusion] resolves true ([OCTF_FUSION], default on) the pipeline
+    ends with {!Octf.Graph_optimizer.Fuse}, after the int8 pass, so
+    elementwise chains the islands did not absorb run as
+    [FusedElementwise] kernels.
     @raise Octf.Step_failure.Error ([Invalid_graph]) if stateful
     operations survive in the pruned inference subgraph (an
     unresolvable variable, or state the model really depends on). *)

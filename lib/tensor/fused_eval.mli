@@ -1,35 +1,55 @@
-(** Single-pass evaluator for fused elementwise expressions.
+(** The elementwise engine: one compiled program per elementwise kernel.
 
-    The optimizer's Fuse pass collapses a tree of pure elementwise
-    operations into one [FusedElementwise] node whose "expr" attribute
-    is {!to_postfix} of the tree; the kernel parses it back with
-    {!of_postfix} and runs {!eval}. Evaluation is bit-identical to
-    executing the original operations one kernel at a time: every
-    operation applies the same scalar primitive in the same operand
-    order, broadcast projections compose (an input's stride plan
-    against the final output shape equals the chained per-op plans),
-    and non-float binary results truncate through [int_of_float]
-    exactly where a standalone [Tensor.map2_f] would have. *)
+    Every elementwise kernel runs here. A standalone op (Neg, Add with
+    broadcasting, ReluGrad, a comparison, ...) is a one-op program;
+    [AddN] of k inputs is the left fold {!add_n}; the optimizer's Fuse
+    pass collapses a tree of pure elementwise operations into one
+    [FusedElementwise] node whose "expr" attribute is {!to_postfix} of
+    the tree. {!compile} resolves an expression's loops, stack depth and
+    input count once — the kernels compile when the executor builds its
+    plan, or once per process for the standalone ops — and {!run}
+    evaluates it in one sharded pass over the output.
+
+    Per call a program allocates the output and, per shard, at most one
+    scratch chunk of 256 elements per stack slot (on the minor heap);
+    it shares no mutable state between calls, so one program serves
+    concurrent steps, pool workers and intra-op shards. Inputs shaped
+    like the output are read in place, a scalar is read once per chunk,
+    and a suffix broadcast (a bias [[C]] over [[N; C]]) is read in place
+    or loaded by [Array.blit] runs.
+
+    Results are bit-identical to executing the operations one kernel at
+    a time, at every thread count: every op applies the same scalar
+    formula in the same operand order to each element independently,
+    and broadcast projections compose (an input's stride plan against
+    the final output shape equals the chained per-op plans). I32/I64
+    tensors compute Add, Sub, Mul, Maximum, Minimum, ReluGrad, Neg, Abs,
+    Sign, Square, Relu and the comparisons exactly in integer
+    arithmetic; Div, Pow, Mod and the transcendental unaries go through
+    float and truncate with [int_of_float]. Every op's result is an
+    integer, so fused and unfused integer expressions agree too. *)
 
 type expr =
-  | Input of int  (** [Input k]: the fused node's k-th data input *)
+  | Input of int  (** [Input k]: the k-th data input *)
   | Unary of string * expr  (** graph op_type, e.g. ["Neg"], ["Tanh"] *)
-  | Binary of string * expr * expr  (** e.g. ["Add"], ["ReluGrad"] *)
+  | Binary of string * expr * expr
+      (** e.g. ["Add"], ["ReluGrad"]; a comparison only at the root *)
 
 val is_unary : string -> bool
-(** Ops eligible as fused unaries: Neg, Abs, Sign, Exp, Log, Sqrt,
-    Square, Reciprocal, Relu, Sigmoid, Tanh. *)
+(** Unary ops of the engine (and of the Fuse pass): Neg, Abs, Sign,
+    Exp, Log, Sqrt, Square, Reciprocal, Relu, Sigmoid, Tanh. *)
 
 val is_binary : string -> bool
-(** Ops eligible as fused binaries: Add, Sub, Mul, Div, Pow, Mod,
-    Maximum, Minimum, ReluGrad. *)
+(** Binary ops of the engine (and of the Fuse pass): Add, Sub, Mul,
+    Div, Pow, Mod, Maximum, Minimum, ReluGrad. *)
 
-val num_inputs : expr -> int
-(** [1 + ] the highest input index referenced. *)
+val is_compare : string -> bool
+(** Comparisons with a [Bool] result: Equal, Less, Greater,
+    GreaterEqual. They may only be a program's root and are not fused. *)
 
-val op_count : expr -> int
-(** Number of operation nodes in the expression (the fused group's
-    original size, minus any absorbed AddN arity adjustments). *)
+val add_n : int -> expr
+(** [add_n k] is [((in0 + in1) + in2) + ...], the order AddN sums in.
+    @raise Invalid_argument if [k < 1]. *)
 
 val to_postfix : expr -> string list
 (** Serialize to postfix tokens: ["in<k>"] for inputs, the op_type for
@@ -38,9 +58,20 @@ val to_postfix : expr -> string list
 val of_postfix : string list -> expr
 (** @raise Invalid_argument on unknown tokens or stack mismatch. *)
 
-val eval : ?out:float array -> expr -> Tensor.t array -> Tensor.t
-(** Evaluate over the inputs' broadcast shape in one sharded pass.
-    [?out] accepts the executor's in-place grant exactly as
-    {!Tensor.map_f} does (ignored unless its length matches the output
-    element count).
-    @raise Invalid_argument on missing inputs or dtype mismatch. *)
+type program
+(** A compiled expression; immutable, so it may be shared freely. *)
+
+val compile : expr -> program
+(** @raise Invalid_argument on an unknown op, a negative input index or
+    a comparison below the root. *)
+
+val run : ?out:float array -> program -> Tensor.t array -> Tensor.t
+(** Evaluate over the inputs' broadcast shape. Inputs must share one
+    dtype, F32/F64 or I32/I64, which is the result's; a comparison
+    accepts any numeric or bool operands (exact when both are integer)
+    and returns [Bool]. [?out] accepts the executor's in-place grant for
+    a float result: it is used when its length is the output's element
+    count and may be an input's buffer (element i is read before it is
+    written); otherwise a buffer is allocated.
+    @raise Invalid_argument on missing inputs, mixed dtypes or an
+    unsupported dtype. *)

@@ -331,23 +331,13 @@ let cast t new_dtype =
     | Dtype.String -> invalid_arg "Tensor.cast: cannot cast to string"
 
 (* The executor may hand an input's backing buffer as [out] (in-place
-   grant).  Elementwise loops read index [i] before writing index [i],
-   so aliasing input and output is safe; buffers of the wrong length
-   are ignored and a fresh one is allocated. *)
+   grant). The elementwise engine (Fused_eval) reads index [i] before
+   writing index [i], so aliasing input and output is safe; buffers of
+   the wrong length are ignored and a fresh one is allocated. *)
 let use_or_alloc out n =
   match out with
   | Some o when Array.length o = n -> o
   | _ -> Buffer_pool.alloc_float ~zero:false n
-
-let map_f ?out f t =
-  let a = float_buffer t in
-  let n = Array.length a in
-  let out = use_or_alloc out n in
-  Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- f a.(i)
-      done);
-  { t with buf = Float_buf out }
 
 (* Broadcast iteration: map an output flat index back into an operand by
    a precomputed per-dimension stride plan (stride 0 on broadcast
@@ -387,103 +377,6 @@ let broadcast_index t out_shape =
     let plan = broadcast_plan t out_shape in
     fun i -> plan_index plan i
   end
-
-(* When [t]'s shape, less leading 1s, is a trailing suffix of
-   [out_shape] (a bias [C] over [N;H;W;C], or a scalar), output flat
-   index i reads element i mod [numel t]: the period returned here. *)
-let suffix_period t out_shape =
-  let s = t.shape and r = Shape.rank out_shape in
-  let lead = ref 0 in
-  while !lead < Array.length s && s.(!lead) = 1 do
-    incr lead
-  done;
-  let len = Array.length s - !lead in
-  let rec matches d =
-    d >= len || (s.(!lead + d) = out_shape.(r - len + d) && matches (d + 1))
-  in
-  if len <= r && matches 0 then Some (numel t) else None
-
-(* out.(i) <- f full.(i) rep.(i mod period), or with the operands swapped
-   when [rep_first]; a scalar's value is read once. *)
-let map2_repeat ~out ~rep_first f full rep period n =
-  Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
-      if period = 1 then begin
-        let y = rep.(0) in
-        if rep_first then
-          for i = lo to hi - 1 do
-            out.(i) <- f y full.(i)
-          done
-        else
-          for i = lo to hi - 1 do
-            out.(i) <- f full.(i) y
-          done
-      end
-      else begin
-        let j = ref (lo mod period) in
-        for i = lo to hi - 1 do
-          out.(i) <-
-            (if rep_first then f rep.(!j) full.(i) else f full.(i) rep.(!j));
-          incr j;
-          if !j = period then j := 0
-        done
-      end)
-
-let map2_generic ?out f a b =
-  let out_shape = Shape.broadcast a.shape b.shape in
-  let n = Shape.numel out_shape in
-  (* A granted buffer aliasing [a] or [b] is only length-compatible
-     when the aliased operand's broadcast plan is the identity, so the
-     read-index-i-before-write-index-i discipline below holds in the
-     broadcast branches too. *)
-  let out = use_or_alloc out n in
-  (if Shape.equal a.shape b.shape then
-     match (a.buf, b.buf) with
-     | Float_buf da, Float_buf db ->
-         (* Fast path: direct float-array indexing. *)
-         Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
-             for i = lo to hi - 1 do
-               out.(i) <- f da.(i) db.(i)
-             done)
-     | _ ->
-         Parallel.parallel_for ~grain:elementwise_grain n (fun lo hi ->
-             for i = lo to hi - 1 do
-               out.(i) <- f (flat_get_f a i) (flat_get_f b i)
-             done)
-   else
-     match (a.buf, b.buf, suffix_period a out_shape, suffix_period b out_shape) with
-     | Float_buf da, Float_buf db, _, Some period
-       when Shape.equal a.shape out_shape ->
-         map2_repeat ~out ~rep_first:false f da db period n
-     | Float_buf da, Float_buf db, Some period, _
-       when Shape.equal b.shape out_shape ->
-         map2_repeat ~out ~rep_first:true f db da period n
-     | _ ->
-         let pa = broadcast_plan a out_shape
-         and pb = broadcast_plan b out_shape in
-         Parallel.parallel_for ~grain:(elementwise_grain / 2) n (fun lo hi ->
-             for i = lo to hi - 1 do
-               out.(i) <-
-                 f
-                   (flat_get_f a (plan_index pa i))
-                   (flat_get_f b (plan_index pb i))
-             done));
-  (out_shape, out)
-
-let map2_f ?out f a b =
-  if not (Dtype.equal a.dtype b.dtype) then
-    invalid_arg
-      (Printf.sprintf "Tensor.map2_f: dtype mismatch %s vs %s"
-         (Dtype.to_string a.dtype) (Dtype.to_string b.dtype));
-  let out_shape, out = map2_generic ?out f a b in
-  if Dtype.is_floating a.dtype then of_float_array ~dtype:a.dtype out_shape out
-  else
-    of_int_array ~dtype:a.dtype out_shape (Array.map int_of_float out)
-
-let map2_cmp f a b =
-  let out_shape, out =
-    map2_generic (fun x y -> if f x y then 1.0 else 0.0) a b
-  in
-  of_bool_array out_shape (Array.map (fun v -> v <> 0.0) out)
 
 let fold_f f init t =
   let acc = ref init in

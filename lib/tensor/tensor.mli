@@ -141,20 +141,6 @@ val reshape : t -> Shape.t -> t
 
 val cast : t -> Dtype.t -> t
 
-val map_f : ?out:float array -> (float -> float) -> t -> t
-(** Elementwise map over a float-backed tensor. Large tensors shard
-    across the intra-op thread budget (see {!Parallel}); results are
-    bit-identical for every thread count. [?out] lets the executor's
-    memory planner supply a reusable output buffer (it may alias the
-    input's buffer — the loop reads index [i] before writing it);
-    buffers of the wrong length are ignored. *)
-
-val map2_f :
-  ?out:float array -> (float -> float -> float) -> t -> t -> t
-(** Elementwise with numpy-style broadcasting; result dtype is the
-    operand dtype (both must match). Sharded like {!map_f}; [?out] as
-    in {!map_f}. *)
-
 val broadcast_index : t -> Shape.t -> int -> int
 (** [broadcast_index t out_shape] maps a flat index of [out_shape] to
     the flat index of [t] under numpy broadcasting. Partial application
@@ -186,9 +172,6 @@ val use_or_alloc : float array option -> int -> float array
 (** [use_or_alloc out n] returns [out]'s buffer when it has exactly [n]
     elements (the executor's in-place grant), else a fresh pool
     allocation. *)
-
-val map2_cmp : (float -> float -> bool) -> t -> t -> t
-(** Broadcasting comparison producing a [Bool] tensor. *)
 
 val fold_f : ('a -> float -> 'a) -> 'a -> t -> 'a
 

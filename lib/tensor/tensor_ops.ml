@@ -5,65 +5,69 @@ module T = Tensor
    [item_cost]; loops cheaper than one grain run inline. *)
 let grain_for ~item_cost ~target_work = max 1 (target_work / max 1 item_cost)
 
-(* Elementwise ops take [?out] so kernels granted an in-place buffer by
-   the executor's memory planner can reuse an input's backing store
-   (see Tensor.map_f / map2_f for the aliasing discipline). *)
-let add ?out a b = T.map2_f ?out ( +. ) a b
+(* Elementwise ops are one-op programs of the elementwise engine,
+   compiled once here. They take [?out] so kernels granted an in-place
+   buffer by the executor's memory planner can reuse an input's backing
+   store (see Fused_eval.run for the aliasing discipline). *)
+let unary op =
+  let p = Fused_eval.(compile (Unary (op, Input 0))) in
+  fun ?out t -> Fused_eval.run ?out p [| t |]
 
-let sub ?out a b = T.map2_f ?out ( -. ) a b
+let binary op =
+  let p = Fused_eval.(compile (Binary (op, Input 0, Input 1))) in
+  fun ?out a b -> Fused_eval.run ?out p [| a; b |]
 
-let mul ?out a b = T.map2_f ?out ( *. ) a b
+let comparison op =
+  let p = Fused_eval.(compile (Binary (op, Input 0, Input 1))) in
+  fun a b -> Fused_eval.run p [| a; b |]
 
-let div ?out a b = T.map2_f ?out ( /. ) a b
+let add = binary "Add"
 
-let maximum ?out a b = T.map2_f ?out Float.max a b
+let sub = binary "Sub"
 
-let minimum ?out a b = T.map2_f ?out Float.min a b
+let mul = binary "Mul"
 
-let pow ?out a b = T.map2_f ?out ( ** ) a b
+let div = binary "Div"
 
-(* Floor-mod (TF FloorMod): the result takes the divisor's sign and
-   fractional operands are handled exactly — no truncation through int,
-   which was wrong for fractions and overflowed for large floats. *)
-let floor_mod a b =
-  let r = Float.rem a b in
-  if r <> 0.0 && r < 0.0 <> (b < 0.0) then r +. b else r
+let maximum = binary "Maximum"
 
-let modulo ?out a b = T.map2_f ?out floor_mod a b
+let minimum = binary "Minimum"
 
-let neg ?out t = T.map_f ?out (fun x -> -.x) t
+let pow = binary "Pow"
 
-let abs ?out t = T.map_f ?out Float.abs t
+let modulo = binary "Mod"
 
-let sign ?out t =
-  T.map_f ?out (fun x -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0) t
+let neg = unary "Neg"
 
-let exp ?out t = T.map_f ?out Stdlib.exp t
+let abs = unary "Abs"
 
-let log ?out t = T.map_f ?out Stdlib.log t
+let sign = unary "Sign"
 
-let sqrt ?out t = T.map_f ?out Stdlib.sqrt t
+let exp = unary "Exp"
 
-let square ?out t = T.map_f ?out (fun x -> x *. x) t
+let log = unary "Log"
 
-let reciprocal ?out t = T.map_f ?out (fun x -> 1.0 /. x) t
+let sqrt = unary "Sqrt"
 
-let relu ?out t = T.map_f ?out (fun x -> Float.max 0.0 x) t
+let square = unary "Square"
 
-let relu_grad ?out dy x =
-  T.map2_f ?out (fun g v -> if v > 0.0 then g else 0.0) dy x
+let reciprocal = unary "Reciprocal"
 
-let sigmoid ?out t = T.map_f ?out (fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x))) t
+let relu = unary "Relu"
 
-let tanh ?out t = T.map_f ?out Stdlib.tanh t
+let relu_grad = binary "ReluGrad"
 
-let equal = T.map2_cmp (fun a b -> a = b)
+let sigmoid = unary "Sigmoid"
 
-let less = T.map2_cmp ( < )
+let tanh = unary "Tanh"
 
-let greater = T.map2_cmp ( > )
+let equal = comparison "Equal"
 
-let greater_equal = T.map2_cmp ( >= )
+let less = comparison "Less"
+
+let greater = comparison "Greater"
+
+let greater_equal = comparison "GreaterEqual"
 
 (* One broadcast-indexed pass allocating only the output — the previous
    implementation materialized three full-size temporaries (and cast the

@@ -9,10 +9,13 @@
 
 (** {1 Elementwise (broadcasting)}
 
-    All elementwise ops accept [?out], a preallocated output buffer the
+    Each is a one-op program of the elementwise engine ({!Fused_eval}),
+    compiled once. All accept [?out], a preallocated output buffer the
     executor's memory planner may supply when it has proved the buffer
     can be reused in place (it may alias an operand's backing store —
-    see {!Tensor.map_f}).  Buffers of the wrong length are ignored. *)
+    see {!Fused_eval.run}).  Buffers of the wrong length are ignored.
+    Operands share one dtype (F32/F64, or I32/I64 computed exactly for
+    Add, Sub, Mul, Maximum and Minimum). *)
 
 val add : ?out:float array -> Tensor.t -> Tensor.t -> Tensor.t
 
@@ -59,6 +62,9 @@ val sigmoid : ?out:float array -> Tensor.t -> Tensor.t
 val tanh : ?out:float array -> Tensor.t -> Tensor.t
 
 (** {1 Comparison and selection} *)
+
+(** Comparisons broadcast, accept any numeric or bool operands (exact
+    when both are integer) and return [Bool]. *)
 
 val equal : Tensor.t -> Tensor.t -> Tensor.t
 

@@ -295,6 +295,181 @@ let test_signature_rejection () =
   | Error f -> Alcotest.fail (Step_failure.to_string f));
   Serving.shutdown server
 
+(* ------------------------------------------------------------------ *)
+(* Frozen graphs are fused                                              *)
+
+let count_stats_op stats op =
+  List.length
+    (List.filter (fun ns -> ns.Step_stats.op_type = op) stats.Step_stats.nodes)
+
+(* A frozen while_loop LSTM shaped like the serving benchmark's: gates
+   over [x; h] with loop-invariant weights, run over [steps] inputs. *)
+let rnn_units = 8
+
+let rnn_input = 4
+
+let rnn_steps = 3
+
+let build_rnn () =
+  let b = B.create () in
+  let store = Vs.create ~seed:7 b in
+  let w =
+    Vs.get store ~init:Octf_nn.Init.glorot_uniform ~name:"rnn/kernel"
+      [| rnn_input + rnn_units; 4 * rnn_units |]
+  in
+  let bias =
+    Vs.get store ~init:(Octf_nn.Init.uniform ~lo:(-0.5) ~hi:0.5 ())
+      ~name:"rnn/bias" [| 4 * rnn_units |]
+  in
+  let xs = B.placeholder b ~name:"xs" Dtype.F32 in
+  let xt = B.transpose b ~perm:[| 1; 0; 2 |] xs in
+  let zero =
+    B.matmul b
+      (B.gather b xt (B.const_i b 0))
+      (B.const b (Tensor.zeros Dtype.F32 [| rnn_input; rnn_units |]))
+  in
+  let cell ~w ~bias ~x ~h ~c =
+    let z = B.add b (B.matmul b (B.concat b ~axis:1 [ x; h ]) w) bias in
+    let gate k =
+      B.slice b z ~begin_:[| 0; k * rnn_units |] ~size:[| -1; rnn_units |]
+    in
+    let i = B.sigmoid b (gate 0) and f = B.sigmoid b (gate 1) in
+    let g = B.tanh b (gate 2) and o = B.sigmoid b (gate 3) in
+    let c' = B.add b (B.mul b f c) (B.mul b i g) in
+    (B.mul b o (B.tanh b c'), c')
+  in
+  let outs =
+    B.while_loop b ~name:"rnn"
+      ~invariants:[ xt; w.Vs.read; bias.Vs.read; B.const_i b rnn_steps ]
+      ~cond:(fun b -> function
+        | [ i; _; _; _; _; _; limit ] -> B.less b i limit
+        | _ -> assert false)
+      ~body:(fun b -> function
+        | [ i; h; c; xt; w; bias; _ ] ->
+            let h', c' = cell ~w ~bias ~x:(B.gather b xt i) ~h ~c in
+            [ B.add b i (B.ones_like b i); h'; c' ]
+        | _ -> assert false)
+      [ B.const_i b 0; zero; zero ]
+  in
+  let session = Session.create (B.graph b) in
+  Session.run_unit session [ Vs.init_op store ];
+  (session, xs, List.nth outs 1)
+
+let rnn_batch n =
+  Tensor.uniform (Rng.create (11 + n)) [| n; rnn_steps; rnn_input |] ~lo:(-1.0)
+    ~hi:1.0
+
+let run_frozen frozen x feed y =
+  let options =
+    Session.Run_options.v ~feeds:[ (x, feed) ] ~collect_stats:true ()
+  in
+  let fetched, md = Session.run_with_metadata ~options frozen [ y ] in
+  (List.hd fetched, Option.get md.Session.Run_metadata.step_stats)
+
+let test_frozen_rnn_fused () =
+  let live, xs, h = build_rnn () in
+  let freeze fusion =
+    Serving.freeze_session
+      ~config:(Session.Config.v ~fusion ~quantize:false ())
+      ~inputs:[ xs ] ~outputs:[ h ] live
+  in
+  let fused = freeze true and plain = freeze false in
+  List.iter
+    (fun n ->
+      let feed = rnn_batch n in
+      let want, plain_stats = run_frozen plain xs feed h in
+      let got, fused_stats = run_frozen fused xs feed h in
+      Alcotest.(check bool)
+        (Printf.sprintf "batch %d bit-identical" n)
+        true (Tensor.equal want got);
+      Alcotest.(check bool)
+        (Printf.sprintf "batch %d runs fused kernels" n)
+        true
+        (count_stats_op fused_stats "FusedElementwise" > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "batch %d fusion off forms none" n)
+        0
+        (count_stats_op plain_stats "FusedElementwise");
+      Alcotest.(check bool)
+        (Printf.sprintf "batch %d fewer kernels" n)
+        true
+        (List.length fused_stats.Step_stats.nodes
+        < List.length plain_stats.Step_stats.nodes))
+    [ 1; 8 ]
+
+(* OCTF_FUSION=off reaches frozen graphs through the session default. *)
+let test_frozen_fusion_env_off () =
+  let live, xs, h = build_rnn () in
+  let saved = Sys.getenv_opt "OCTF_FUSION" in
+  Unix.putenv "OCTF_FUSION" "off";
+  let frozen =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "OCTF_FUSION" (Option.value saved ~default:""))
+      (fun () ->
+        Serving.freeze_session
+          ~config:(Session.Config.v ~quantize:false ())
+          ~inputs:[ xs ] ~outputs:[ h ] live)
+  in
+  let _, stats = run_frozen frozen xs (rnn_batch 2) h in
+  Alcotest.(check int) "no fused kernels" 0
+    (count_stats_op stats "FusedElementwise")
+
+(* Fuse runs after the int8 pass, so the islands still absorb their
+   bias-add and Relu epilogues: the island count does not change, and
+   the quantized answers stay bit-identical. *)
+let test_quantized_islands_kept () =
+  let b = B.create () in
+  let store = Vs.create ~seed:3 b in
+  let pixels = B.placeholder b ~name:"pixels" Dtype.F32 in
+  let conv =
+    Octf_nn.Layers.conv2d store ~activation:`Relu ~name:"conv1" ~in_channels:1
+      ~out_channels:4 ~ksize:(3, 3) pixels
+  in
+  let pooled = Octf_nn.Layers.max_pool2d b ~ksize:(2, 2) conv in
+  let flat = Octf_nn.Layers.flatten b ~features:(4 * 4 * 4) pooled in
+  let hidden =
+    Octf_nn.Layers.dense store ~activation:`Relu ~name:"fc1" ~in_dim:64
+      ~out_dim:16 flat
+  in
+  let logits =
+    Octf_nn.Layers.dense store ~name:"logits" ~in_dim:16 ~out_dim:3 hidden
+  in
+  let live = Session.create (B.graph b) in
+  Session.run_unit live [ Vs.init_op store ];
+  let images seed = Tensor.uniform (Rng.create seed) [| 4; 8; 8; 1 |] ~lo:0.0 ~hi:1.0 in
+  let float_frozen =
+    Serving.freeze_session
+      ~config:(Session.Config.v ~fusion:false ())
+      ~quantize:false ~inputs:[ pixels ] ~outputs:[ logits ] live
+  in
+  let cal = Quant_calibration.create () in
+  List.iter
+    (fun seed ->
+      Quant_calibration.observe_step cal float_frozen
+        ~feeds:[ (pixels, images seed) ]
+        [ conv; hidden ])
+    [ 1; 2 ];
+  let freeze fusion =
+    Serving.freeze_session
+      ~config:(Session.Config.v ~fusion ())
+      ~quantize:true ~ranges:(Quant_calibration.ranges cal) ~inputs:[ pixels ]
+      ~outputs:[ logits ] live
+  in
+  let islands stats =
+    List.fold_left
+      (fun acc op -> acc + count_stats_op stats op)
+      0
+      [ "QuantizedConv2D"; "QuantizedConv2DQ"; "QuantizedMatMul"; "QuantizedMatMulQ" ]
+  in
+  let feed = images 9 in
+  let want, plain_stats = run_frozen (freeze false) pixels feed logits in
+  let got, fused_stats = run_frozen (freeze true) pixels feed logits in
+  Alcotest.(check int) "three islands" 3 (islands plain_stats);
+  Alcotest.(check int) "island count kept" (islands plain_stats)
+    (islands fused_stats);
+  Alcotest.(check bool) "bit-identical" true (Tensor.equal want got)
+
 let suite =
   [
     Alcotest.test_case "freeze is bit-identical across schedulers" `Quick
@@ -315,4 +490,10 @@ let suite =
       test_shutdown_fails_backlog;
     Alcotest.test_case "served signature is enforced" `Quick
       test_signature_rejection;
+    Alcotest.test_case "frozen while_loop LSTM is fused" `Quick
+      test_frozen_rnn_fused;
+    Alcotest.test_case "OCTF_FUSION=off leaves frozen graphs unfused" `Quick
+      test_frozen_fusion_env_off;
+    Alcotest.test_case "fusion keeps the int8 island count" `Quick
+      test_quantized_islands_kept;
   ]

@@ -50,7 +50,7 @@ let test_cast () =
 let test_map2_broadcast () =
   let a = Tensor.of_float_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |] in
   let row = Tensor.of_float_array [| 2 |] [| 10.; 20. |] in
-  let sum = Tensor.map2_f ( +. ) a row in
+  let sum = Tensor_ops.add a row in
   Alcotest.(check bool) "broadcast add" true
     (Tensor.approx_equal sum
        (Tensor.of_float_array [| 2; 2 |] [| 11.; 22.; 13.; 24. |]))
@@ -58,8 +58,8 @@ let test_map2_broadcast () =
 let test_map2_dtype_mismatch () =
   let f = Tensor.scalar_f 1.0 and i = Tensor.scalar_i 1 in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Tensor.map2_f: dtype mismatch float32 vs int32")
-    (fun () -> ignore (Tensor.map2_f ( +. ) f i))
+    (Invalid_argument "Fused_eval.run: dtype mismatch float32 vs int32")
+    (fun () -> ignore (Tensor_ops.add f i))
 
 let test_copy_isolation () =
   let t = Tensor.of_float_array [| 2 |] [| 1.; 2. |] in
