@@ -83,8 +83,11 @@ let constant_fold graph ~nodes ~fed =
                (Graph.get graph e.node_id).Node.op_type = "Const")
              n.Node.inputs
       then begin
+        (* A node whose per-node set-up fails (say, a malformed "expr"
+           on an imported FusedElementwise) is left unfolded; running
+           it reports the failure, as the executor does. *)
         match Kernel.instantiate ~device:Device.CPU n with
-        | None -> ()
+        | None | (exception _) -> ()
         | Some kernel -> (
             let inputs =
               Array.map

@@ -41,11 +41,6 @@ let instantiate ~device (node : Node.t) =
     (fun build -> build node)
     (Hashtbl.find_opt registry (node.Node.op_type, device))
 
-let lookup ~op_type ~device =
-  Option.map
-    (fun build ctx -> build ctx.node ctx)
-    (Hashtbl.find_opt registry (op_type, device))
-
 let aliases ~op_type =
   Option.value ~default:[] (Hashtbl.find_opt alias_registry op_type)
 

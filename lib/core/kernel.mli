@@ -75,11 +75,6 @@ val instantiate : device:Device.device_type -> Node.t -> t option
 (** The kernel for one node on [device], built once; [None] when no
     kernel is registered for the node's op type on that device. *)
 
-val lookup : op_type:string -> device:Device.device_type -> t option
-(** A kernel that instantiates per call from [ctx.node], for one-off
-    callers such as tests. Plans and constant folding use
-    {!instantiate}. *)
-
 val aliases : op_type:string -> (int * int) list
 (** Declared May_alias pairs for [op_type] (empty if none). *)
 

@@ -7,10 +7,10 @@
    elements. Each step is one loop over a chunk with its scalar formula
    written out, so floats stay unboxed; nothing is looked up or parsed
    per call. A stack slot is a view (buffer, offset): an input whose
-   shape is the output's is read where it lies, a scalar is read once
-   per chunk, a suffix broadcast such as a bias is read in place or by
-   [Array.blit] runs, a general broadcast one run per output row, and
-   the bottom slot's results go straight into the output. Scratch
+   shape is the output's is read where it lies, a scalar is filled into
+   a scratch chunk, a suffix broadcast such as a bias is read in place
+   or by [Array.blit] runs, a general broadcast one run per output row,
+   and the bottom slot's results go straight into the output. Scratch
    chunks are allocated per call and per shard, so concurrent calls of
    one program share nothing mutable.
 
@@ -111,114 +111,22 @@ type 'a bin = 'a array -> int -> 'a array -> int -> 'a array -> int -> int -> un
 type 'a cmp =
   'a array -> int -> 'a array -> int -> bool array -> int -> int -> unit
 
-type 'a bins = 'a array -> int -> 'a array -> int -> 'a array -> int -> unit
-
 (* Unchecked float access for the chunk loops. *)
 external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
 
 external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
 
-(* Maximum/Minimum/Relu without a call for ordered operands: when one
-   operand is strictly greater, [Float.max]/[Float.min] return exactly
-   it (neither is NaN, and the signed-zero test cannot fire); equal
-   operands and NaNs take [Float.max]/[Float.min] themselves. *)
-let[@inline] fmax x y = if y > x then y else if x > y then x else Float.max x y
-
-let[@inline] fmin x y = if y > x then x else if x > y then y else Float.min x y
-
-let[@inline] relu x = if x > 0.0 then x else if x < 0.0 then 0.0 else Float.max 0.0 x
-
-(* The cheap ops are unrolled four ways: OCaml pays a safepoint poll and
-   index arithmetic per loop iteration, which otherwise costs more than
-   the op. Unrolling changes no element's formula. *)
 let float_un op : float un =
   match op with
   | "Neg" ->
       fun d o a ao len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- -.a.!(ao + k);
-          d.!(o + k + 1) <- -.a.!(ao + k + 1);
-          d.!(o + k + 2) <- -.a.!(ao + k + 2);
-          d.!(o + k + 3) <- -.a.!(ao + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
+        for k = 0 to len - 1 do
           d.!(o + k) <- -.a.!(ao + k)
         done
   | "Abs" ->
       fun d o a ao len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- Float.abs a.!(ao + k);
-          d.!(o + k + 1) <- Float.abs a.!(ao + k + 1);
-          d.!(o + k + 2) <- Float.abs a.!(ao + k + 2);
-          d.!(o + k + 3) <- Float.abs a.!(ao + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
+        for k = 0 to len - 1 do
           d.!(o + k) <- Float.abs a.!(ao + k)
-        done
-  | "Square" ->
-      fun d o a ao len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          let x0 = a.!(ao + k) and x1 = a.!(ao + k + 1) in
-          let x2 = a.!(ao + k + 2) and x3 = a.!(ao + k + 3) in
-          d.!(o + k) <- x0 *. x0;
-          d.!(o + k + 1) <- x1 *. x1;
-          d.!(o + k + 2) <- x2 *. x2;
-          d.!(o + k + 3) <- x3 *. x3;
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
-          let x = a.!(ao + k) in
-          d.!(o + k) <- x *. x
-        done
-  | "Sqrt" ->
-      fun d o a ao len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- Stdlib.sqrt a.!(ao + k);
-          d.!(o + k + 1) <- Stdlib.sqrt a.!(ao + k + 1);
-          d.!(o + k + 2) <- Stdlib.sqrt a.!(ao + k + 2);
-          d.!(o + k + 3) <- Stdlib.sqrt a.!(ao + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
-          d.!(o + k) <- Stdlib.sqrt a.!(ao + k)
-        done
-  | "Reciprocal" ->
-      fun d o a ao len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- 1.0 /. a.!(ao + k);
-          d.!(o + k + 1) <- 1.0 /. a.!(ao + k + 1);
-          d.!(o + k + 2) <- 1.0 /. a.!(ao + k + 2);
-          d.!(o + k + 3) <- 1.0 /. a.!(ao + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
-          d.!(o + k) <- 1.0 /. a.!(ao + k)
-        done
-  | "Relu" ->
-      fun d o a ao len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- relu a.!(ao + k);
-          d.!(o + k + 1) <- relu a.!(ao + k + 1);
-          d.!(o + k + 2) <- relu a.!(ao + k + 2);
-          d.!(o + k + 3) <- relu a.!(ao + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
-          d.!(o + k) <- relu a.!(ao + k)
         done
   | "Sign" ->
       fun d o a ao len ->
@@ -236,6 +144,27 @@ let float_un op : float un =
         for k = 0 to len - 1 do
           d.!(o + k) <- Stdlib.log a.!(ao + k)
         done
+  | "Sqrt" ->
+      fun d o a ao len ->
+        for k = 0 to len - 1 do
+          d.!(o + k) <- Stdlib.sqrt a.!(ao + k)
+        done
+  | "Square" ->
+      fun d o a ao len ->
+        for k = 0 to len - 1 do
+          let x = a.!(ao + k) in
+          d.!(o + k) <- x *. x
+        done
+  | "Reciprocal" ->
+      fun d o a ao len ->
+        for k = 0 to len - 1 do
+          d.!(o + k) <- 1.0 /. a.!(ao + k)
+        done
+  | "Relu" ->
+      fun d o a ao len ->
+        for k = 0 to len - 1 do
+          d.!(o + k) <- Float.max 0.0 a.!(ao + k)
+        done
   | "Sigmoid" ->
       fun d o a ao len ->
         for k = 0 to len - 1 do
@@ -252,102 +181,23 @@ let float_bin op : float bin =
   match op with
   | "Add" ->
       fun d o a ao b bo len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- a.!(ao + k) +. b.!(bo + k);
-          d.!(o + k + 1) <- a.!(ao + k + 1) +. b.!(bo + k + 1);
-          d.!(o + k + 2) <- a.!(ao + k + 2) +. b.!(bo + k + 2);
-          d.!(o + k + 3) <- a.!(ao + k + 3) +. b.!(bo + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
+        for k = 0 to len - 1 do
           d.!(o + k) <- a.!(ao + k) +. b.!(bo + k)
         done
   | "Sub" ->
       fun d o a ao b bo len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- a.!(ao + k) -. b.!(bo + k);
-          d.!(o + k + 1) <- a.!(ao + k + 1) -. b.!(bo + k + 1);
-          d.!(o + k + 2) <- a.!(ao + k + 2) -. b.!(bo + k + 2);
-          d.!(o + k + 3) <- a.!(ao + k + 3) -. b.!(bo + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
+        for k = 0 to len - 1 do
           d.!(o + k) <- a.!(ao + k) -. b.!(bo + k)
         done
   | "Mul" ->
       fun d o a ao b bo len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- a.!(ao + k) *. b.!(bo + k);
-          d.!(o + k + 1) <- a.!(ao + k + 1) *. b.!(bo + k + 1);
-          d.!(o + k + 2) <- a.!(ao + k + 2) *. b.!(bo + k + 2);
-          d.!(o + k + 3) <- a.!(ao + k + 3) *. b.!(bo + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
+        for k = 0 to len - 1 do
           d.!(o + k) <- a.!(ao + k) *. b.!(bo + k)
         done
   | "Div" ->
       fun d o a ao b bo len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- a.!(ao + k) /. b.!(bo + k);
-          d.!(o + k + 1) <- a.!(ao + k + 1) /. b.!(bo + k + 1);
-          d.!(o + k + 2) <- a.!(ao + k + 2) /. b.!(bo + k + 2);
-          d.!(o + k + 3) <- a.!(ao + k + 3) /. b.!(bo + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
+        for k = 0 to len - 1 do
           d.!(o + k) <- a.!(ao + k) /. b.!(bo + k)
-        done
-  | "Maximum" ->
-      fun d o a ao b bo len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- fmax a.!(ao + k) b.!(bo + k);
-          d.!(o + k + 1) <- fmax a.!(ao + k + 1) b.!(bo + k + 1);
-          d.!(o + k + 2) <- fmax a.!(ao + k + 2) b.!(bo + k + 2);
-          d.!(o + k + 3) <- fmax a.!(ao + k + 3) b.!(bo + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
-          d.!(o + k) <- fmax a.!(ao + k) b.!(bo + k)
-        done
-  | "Minimum" ->
-      fun d o a ao b bo len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- fmin a.!(ao + k) b.!(bo + k);
-          d.!(o + k + 1) <- fmin a.!(ao + k + 1) b.!(bo + k + 1);
-          d.!(o + k + 2) <- fmin a.!(ao + k + 2) b.!(bo + k + 2);
-          d.!(o + k + 3) <- fmin a.!(ao + k + 3) b.!(bo + k + 3);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
-          d.!(o + k) <- fmin a.!(ao + k) b.!(bo + k)
-        done
-  | "ReluGrad" ->
-      (* a is the incoming gradient, b the forward input *)
-      fun d o a ao b bo len ->
-        let i = ref 0 in
-        while !i + 3 < len do
-          let k = !i in
-          d.!(o + k) <- (if b.!(bo + k) > 0.0 then a.!(ao + k) else 0.0);
-          d.!(o + k + 1) <- (if b.!(bo + k + 1) > 0.0 then a.!(ao + k + 1) else 0.0);
-          d.!(o + k + 2) <- (if b.!(bo + k + 2) > 0.0 then a.!(ao + k + 2) else 0.0);
-          d.!(o + k + 3) <- (if b.!(bo + k + 3) > 0.0 then a.!(ao + k + 3) else 0.0);
-          i := k + 4
-        done;
-        for k = !i to len - 1 do
-          d.!(o + k) <- (if b.!(bo + k) > 0.0 then a.!(ao + k) else 0.0)
         done
   | "Pow" ->
       fun d o a ao b bo len ->
@@ -359,103 +209,23 @@ let float_bin op : float bin =
         for k = 0 to len - 1 do
           d.!(o + k) <- floor_mod a.!(ao + k) b.!(bo + k)
         done
-  | op -> invalid_arg ("Fused_eval: unknown binary " ^ op)
-
-(* Binary ops whose second operand is a scalar, read once per chunk
-   from the one-element array [c]. *)
-let float_bin_scalar op : float bins option =
-  match op with
-  | "Add" ->
-      Some
-        (fun d o a ao c len ->
-          let c = c.!(0) and i = ref 0 in
-          while !i + 3 < len do
-            let k = !i in
-            d.!(o + k) <- a.!(ao + k) +. c;
-            d.!(o + k + 1) <- a.!(ao + k + 1) +. c;
-            d.!(o + k + 2) <- a.!(ao + k + 2) +. c;
-            d.!(o + k + 3) <- a.!(ao + k + 3) +. c;
-            i := k + 4
-          done;
-          for k = !i to len - 1 do
-            d.!(o + k) <- a.!(ao + k) +. c
-          done)
-  | "Sub" ->
-      Some
-        (fun d o a ao c len ->
-          let c = c.!(0) and i = ref 0 in
-          while !i + 3 < len do
-            let k = !i in
-            d.!(o + k) <- a.!(ao + k) -. c;
-            d.!(o + k + 1) <- a.!(ao + k + 1) -. c;
-            d.!(o + k + 2) <- a.!(ao + k + 2) -. c;
-            d.!(o + k + 3) <- a.!(ao + k + 3) -. c;
-            i := k + 4
-          done;
-          for k = !i to len - 1 do
-            d.!(o + k) <- a.!(ao + k) -. c
-          done)
-  | "Mul" ->
-      Some
-        (fun d o a ao c len ->
-          let c = c.!(0) and i = ref 0 in
-          while !i + 3 < len do
-            let k = !i in
-            d.!(o + k) <- a.!(ao + k) *. c;
-            d.!(o + k + 1) <- a.!(ao + k + 1) *. c;
-            d.!(o + k + 2) <- a.!(ao + k + 2) *. c;
-            d.!(o + k + 3) <- a.!(ao + k + 3) *. c;
-            i := k + 4
-          done;
-          for k = !i to len - 1 do
-            d.!(o + k) <- a.!(ao + k) *. c
-          done)
-  | "Div" ->
-      Some
-        (fun d o a ao c len ->
-          let c = c.!(0) and i = ref 0 in
-          while !i + 3 < len do
-            let k = !i in
-            d.!(o + k) <- a.!(ao + k) /. c;
-            d.!(o + k + 1) <- a.!(ao + k + 1) /. c;
-            d.!(o + k + 2) <- a.!(ao + k + 2) /. c;
-            d.!(o + k + 3) <- a.!(ao + k + 3) /. c;
-            i := k + 4
-          done;
-          for k = !i to len - 1 do
-            d.!(o + k) <- a.!(ao + k) /. c
-          done)
   | "Maximum" ->
-      Some
-        (fun d o a ao c len ->
-          let c = c.!(0) and i = ref 0 in
-          while !i + 3 < len do
-            let k = !i in
-            d.!(o + k) <- fmax a.!(ao + k) c;
-            d.!(o + k + 1) <- fmax a.!(ao + k + 1) c;
-            d.!(o + k + 2) <- fmax a.!(ao + k + 2) c;
-            d.!(o + k + 3) <- fmax a.!(ao + k + 3) c;
-            i := k + 4
-          done;
-          for k = !i to len - 1 do
-            d.!(o + k) <- fmax a.!(ao + k) c
-          done)
+      fun d o a ao b bo len ->
+        for k = 0 to len - 1 do
+          d.!(o + k) <- Float.max a.!(ao + k) b.!(bo + k)
+        done
   | "Minimum" ->
-      Some
-        (fun d o a ao c len ->
-          let c = c.!(0) and i = ref 0 in
-          while !i + 3 < len do
-            let k = !i in
-            d.!(o + k) <- fmin a.!(ao + k) c;
-            d.!(o + k + 1) <- fmin a.!(ao + k + 1) c;
-            d.!(o + k + 2) <- fmin a.!(ao + k + 2) c;
-            d.!(o + k + 3) <- fmin a.!(ao + k + 3) c;
-            i := k + 4
-          done;
-          for k = !i to len - 1 do
-            d.!(o + k) <- fmin a.!(ao + k) c
-          done)
-  | _ -> None
+      fun d o a ao b bo len ->
+        for k = 0 to len - 1 do
+          d.!(o + k) <- Float.min a.!(ao + k) b.!(bo + k)
+        done
+  | "ReluGrad" ->
+      (* a is the incoming gradient, b the forward input *)
+      fun d o a ao b bo len ->
+        for k = 0 to len - 1 do
+          d.!(o + k) <- (if b.!(bo + k) > 0.0 then a.!(ao + k) else 0.0)
+        done
+  | op -> invalid_arg ("Fused_eval: unknown binary " ^ op)
 
 let float_cmp op : float cmp =
   match op with
@@ -550,14 +320,9 @@ let int_cmp op : int cmp =
 (* Programs                                                             *)
 
 (* [Load (k, s)] views input k in slot s; [Un (s, f)] rewrites slot s;
-   [Bin (s, f, fs)] combines slots s and s+1 into s, by [fs] when slot
-   s+1 holds a scalar; [Cmp f], only at the root, writes the Bool output
-   from slots 0 and 1. *)
-type 'a step =
-  | Load of int * int
-  | Un of int * 'a un
-  | Bin of int * 'a bin * 'a bins option
-  | Cmp of 'a cmp
+   [Bin (s, f)] combines slots s and s+1 into s; [Cmp f], only at the
+   root, writes the Bool output from slots 0 and 1. *)
+type 'a step = Load of int * int | Un of int * 'a un | Bin of int * 'a bin | Cmp of 'a cmp
 
 type program = {
   n_inputs : int;
@@ -617,12 +382,12 @@ let compile expr =
       steps;
     !late
   in
-  let to_steps un bin bin_scalar cmp =
+  let to_steps un bin cmp =
     Array.map
       (function
         | L (k, s) -> Load (k, s)
         | U (op, s) -> Un (s, un op)
-        | B (op, s) -> Bin (s, bin op, bin_scalar op)
+        | B (op, s) -> Bin (s, bin op)
         | C op -> Cmp (cmp op))
       steps
   in
@@ -634,8 +399,8 @@ let compile expr =
     grain =
       (if op_count expr > 1 then Tensor.elementwise_grain / 2
        else Tensor.elementwise_grain);
-    fsteps = to_steps float_un float_bin float_bin_scalar float_cmp;
-    isteps = to_steps int_un int_bin (fun _ -> None) int_cmp;
+    fsteps = to_steps float_un float_bin float_cmp;
+    isteps = to_steps int_un int_bin int_cmp;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -725,17 +490,6 @@ let scratch_of st k =
     s
   end
 
-(* A scalar is a view with offset -1 on its one-element array. A binary
-   op with a scalar form reads it once per chunk; any other step first
-   has it filled into the slot's chunk. *)
-let expand st slot len =
-  if st.vo.(slot) < 0 then begin
-    let d = scratch_of st slot in
-    Array.fill d 0 len st.vb.(slot).(0);
-    st.vb.(slot) <- d;
-    st.vo.(slot) <- 0
-  end
-
 (* One shard: output positions [lo, hi) in chunks. Slot 0's results
    land in [out] unless [scratch0]. *)
 let walk steps ~depth ~scratch0 ~compare ~clen srcs ~make (out : 'a array)
@@ -765,42 +519,27 @@ let walk steps ~depth ~scratch0 ~compare ~clen srcs ~make (out : 'a array)
           | Period (b, per) when (p mod per) + len <= per ->
               vb.(slot) <- b;
               vo.(slot) <- p mod per
-          | Fill b ->
-              vb.(slot) <- b;
-              vo.(slot) <- -1
           | src ->
               let d = scratch_of st slot in
               load src d p len;
               vb.(slot) <- d;
               vo.(slot) <- 0)
       | Un (slot, f) ->
-          expand st slot len;
           let d = if slot = 0 && not scratch0 then out else scratch_of st slot in
           let o = if d == out then p else 0 in
           f d o vb.(slot) vo.(slot) len;
           vb.(slot) <- d;
           vo.(slot) <- o
-      | Bin (slot, f, fs) ->
-          expand st slot len;
+      | Bin (slot, f) ->
           let d = if slot = 0 && not scratch0 then out else scratch_of st slot in
           let o = if d == out then p else 0 in
-          (match fs with
-          | Some fs when vo.(slot + 1) < 0 ->
-              fs d o vb.(slot) vo.(slot) vb.(slot + 1) len
-          | _ ->
-              expand st (slot + 1) len;
-              f d o vb.(slot) vo.(slot) vb.(slot + 1) vo.(slot + 1) len);
+          f d o vb.(slot) vo.(slot) vb.(slot + 1) vo.(slot + 1) len;
           vb.(slot) <- d;
           vo.(slot) <- o
-      | Cmp f ->
-          expand st 0 len;
-          expand st 1 len;
-          f vb.(0) vo.(0) vb.(1) vo.(1) bout p len
+      | Cmp f -> f vb.(0) vo.(0) vb.(1) vo.(1) bout p len
     done;
-    if not compare then begin
-      expand st 0 len;
-      if vb.(0) != out || vo.(0) <> p then Array.blit vb.(0) vo.(0) out p len
-    end;
+    if (not compare) && (vb.(0) != out || vo.(0) <> p) then
+      Array.blit vb.(0) vo.(0) out p len;
     pos := p + len
   done
 

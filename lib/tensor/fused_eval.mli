@@ -14,8 +14,8 @@
     scratch chunk of 256 elements per stack slot (on the minor heap);
     it shares no mutable state between calls, so one program serves
     concurrent steps, pool workers and intra-op shards. Inputs shaped
-    like the output are read in place, a scalar is read once per chunk,
-    and a suffix broadcast (a bias [[C]] over [[N; C]]) is read in place
+    like the output are read in place, a scalar is filled into a
+    scratch chunk, and a suffix broadcast (a bias [[C]] over [[N; C]]) is read in place
     or loaded by [Array.blit] runs.
 
     Results are bit-identical to executing the operations one kernel at

@@ -234,7 +234,7 @@ let run_kernel ?(attrs = []) op_type inputs =
   let node =
     B.op b ~op_type ~attrs (List.map (fun x -> B.const b (of_ref x)) inputs)
   in
-  let kernel = Option.get (Kernel.lookup ~op_type ~device:Device.CPU) in
+  let kernel = Option.get (Kernel.instantiate ~device:Device.CPU node) in
   kernel
     {
       Kernel.node;

@@ -268,6 +268,28 @@ let test_multi_output_constant_fold () =
   Alcotest.(check (float 0.)) "value [0]" (-4.0) (Tensor.flat_get_f t 0);
   Alcotest.(check (float 0.)) "value [1]" (-6.0) (Tensor.flat_get_f t 1)
 
+(* A FusedElementwise node whose "expr" cannot be compiled (here, an
+   unknown token, as an imported graph may carry) over Const inputs is
+   left unfolded rather than aborting the optimizer; running it still
+   reports the bad expression. *)
+let test_bad_fused_expr_not_folded () =
+  let b = B.create () in
+  let fused =
+    B.op b ~op_type:"FusedElementwise"
+      ~attrs:[ ("expr", Attr.Strings [ "in0"; "in1"; "Bogus" ]) ]
+      [ B.const_f b 2.0; B.const_f b 3.0 ]
+  in
+  let y = B.output fused in
+  ignore
+    (Graph_optimizer.run (B.graph b) ~passes:[ Graph_optimizer.Constant_fold ]
+       ~feeds:[] ~fetches:[ B.endpoint_of_output y ] ~targets:[]);
+  Alcotest.(check string) "node kept" "FusedElementwise"
+    (Graph.get (B.graph b) fused.Node.id).Node.op_type;
+  let s = Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b) in
+  match Session.run s [ y ] with
+  | _ -> Alcotest.fail "bad expr ran"
+  | exception _ -> ()
+
 let suite =
   [
     Alcotest.test_case "constant folding" `Quick test_constant_folding;
@@ -286,4 +308,6 @@ let suite =
     Alcotest.test_case "re-prune after optimize" `Quick
       test_reprune_after_optimize;
     Alcotest.test_case "is_pure" `Quick test_is_pure;
+    Alcotest.test_case "bad fused expr not folded" `Quick
+      test_bad_fused_expr_not_folded;
   ]
