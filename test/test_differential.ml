@@ -411,25 +411,30 @@ and emit_block b ins blk =
   Array.iteri (fun j instr -> env.(blk.n_in + j) <- emit b env instr) blk.code;
   List.map (fun r -> env.(r)) blk.results
 
-(* Build the graph for a program prefix of length [k] and return the
-   fetches (every sink, so nothing is silently unused) and the feed
-   list. Leaf/feed values come from a generator re-seeded per build, so
-   every configuration sees the same numbers. *)
-let build_graph prog k =
-  let b = B.create () in
+(* Emit a program prefix of length [k] into [b] and return the fetches
+   (every sink, so nothing is silently unused) and the feed list. Leaf
+   and feed values come from a generator re-seeded per emission, so
+   every configuration sees the same numbers. [device_of i], when it
+   names a device, places instruction [i] there. *)
+let emit_program ?(device_of = fun _ -> None) b prog k =
   let vrng = Rng.create 77 in
   let tensor shape = Tensor.uniform vrng shape ~lo:(-1.0) ~hi:1.0 in
   let outs = Array.make k (B.const_f b 0.0) in
   let feeds = ref [] in
   for i = 0 to k - 1 do
-    outs.(i) <-
-      (match prog.(i) with
+    let instr () =
+      match prog.(i) with
       | Leaf s -> B.const b (tensor s)
       | Fed s ->
           let ph = B.placeholder b Dtype.F32 in
           feeds := (ph, tensor s) :: !feeds;
           ph
-      | instr -> emit b outs instr)
+      | instr -> emit b outs instr
+    in
+    outs.(i) <-
+      (match device_of i with
+      | Some d -> B.with_device b d instr
+      | None -> instr ())
   done;
   (* Fetch every sink: instructions no later instruction consumes. *)
   let consumed = Array.make k false in
@@ -441,7 +446,12 @@ let build_graph prog k =
   for i = k - 1 downto 0 do
     if not consumed.(i) then fetches := outs.(i) :: !fetches
   done;
-  (b, !fetches, !feeds)
+  (!fetches, !feeds)
+
+let build_graph ?device_of prog k =
+  let b = B.create () in
+  let fetches, feeds = emit_program ?device_of b prog k in
+  (b, fetches, feeds)
 
 let configs =
   List.concat_map
@@ -667,6 +677,103 @@ let test_random_dags_quantized () =
 let test_random_control_flow () =
   check_corpus ~control_flow:true ~seed0:5000 ~graphs:100 divergence
 
+(* Multi-device legs: the same straight-line programs with every
+   instruction placed on one of two tasks, so each edge between tasks
+   becomes a Send/Recv pair. The partitioned step must fetch exactly the
+   bits of the single-device session. The split is a function of the
+   whole program and the instruction index, so a shrunk prefix keeps
+   its placement. *)
+let two_tasks = [| "/job:worker/task:0"; "/job:ps/task:0" |]
+
+let split prog i = Some two_tasks.(Hashtbl.hash (Hashtbl.hash prog, i) land 1)
+
+let single_device_run prog k =
+  let b, fetches, feeds = build_graph prog k in
+  Session.run ~feeds
+    (Session.create ~config:(Session.Config.v ~passes:[] ()) (B.graph b))
+    fetches
+
+let multi_device_divergence prog k =
+  let _, probe_fetches, _ = build_graph prog k in
+  if probe_fetches = [] then None
+  else begin
+    let reference = single_device_run prog k in
+    let run (label, config) =
+      let b, fetches, feeds = build_graph ~device_of:(split prog) prog k in
+      let s =
+        Cluster.session (Cluster.create ~jobs:Test_net.ps_worker_jobs) ~config
+          (B.graph b)
+      in
+      match Session.run ~feeds s fetches with
+      | got when List.for_all2 Tensor.equal reference got -> None
+      | _ -> Some (label ^ ": fetches diverge from the single-device run")
+      | exception Session.Run_error f ->
+          Some (label ^ " failed: " ^ Step_failure.to_string f)
+    in
+    List.fold_left
+      (fun acc leg -> match acc with Some _ -> acc | None -> run leg)
+      None
+      [
+        ("two tasks, inline", Session.Config.v ~passes:[] ());
+        ( "two tasks, pool",
+          Session.Config.v ~passes:[] ~scheduler:Scheduler.Pool () );
+        ("two tasks, default passes", Session.Config.v ());
+      ]
+  end
+
+let counter name =
+  Option.value (Metrics.find_value Metrics.default name) ~default:0.0
+
+(* Fails when no step of a corpus exercised what it claims to. *)
+let check_grew what name f =
+  let before = counter name in
+  f ();
+  Alcotest.(check bool) what true (counter name > before)
+
+let test_random_dags_two_tasks () =
+  check_grew "the split steps sent tensors between tasks"
+    "octf_rendezvous_sends_total" (fun () ->
+      check_corpus ~seed0:1000 ~graphs:100 multi_device_divergence)
+
+(* The same split over two [Octf_net] runtimes on loopback: one graph
+   holds [graphs] programs, each party builds it, and the chief runs
+   each program as its own step. Every step with instructions on the ps
+   goes through a Run_step RPC; its tensors cross TCP. *)
+let test_random_dags_loopback () =
+  let graphs = 12 in
+  let progs =
+    List.init graphs (fun seed ->
+        let rng = Rng.create (7000 + seed) in
+        gen_program rng ~ops:(4 + Rng.int rng 11))
+  in
+  let build () =
+    let b = B.create () in
+    ( b,
+      List.map
+        (fun prog ->
+          emit_program ~device_of:(split prog) b prog (Array.length prog))
+        progs )
+  in
+  check_grew "the chief issued Run_step RPCs" "octf_net_rpcs_total"
+  @@ fun () ->
+  Test_net.with_loopback_pair
+    ~config:(Session.Config.v ~passes:[] ())
+    build
+    (fun session steps ->
+      List.iteri
+        (fun seed (prog, (fetches, feeds)) ->
+          if fetches <> [] then
+            let reference = single_device_run prog (Array.length prog) in
+            match Session.run ~feeds session fetches with
+            | got when List.for_all2 Tensor.equal reference got -> ()
+            | _ ->
+                Alcotest.failf "loopback program %d diverges:\n%s" seed
+                  (program_to_string prog (Array.length prog))
+            | exception Session.Run_error f ->
+                Alcotest.failf "loopback program %d failed: %s" seed
+                  (Step_failure.to_string f))
+        (List.combine progs steps))
+
 (* Pipelined legs: a stateless program must fetch bit-identical tensors
    whether run synchronously or issued through run_async at K = 1, at
    K = 4, or under barrier mode — admission snapshots only redirect
@@ -757,4 +864,8 @@ let suite =
       test_pipelined_variable_updates;
     Alcotest.test_case "100 random control-flow DAGs, 16 configs, bit-identical"
       `Quick test_random_control_flow;
+    Alcotest.test_case "100 random DAGs split over two tasks, bit-identical"
+      `Quick test_random_dags_two_tasks;
+    Alcotest.test_case "12 random DAGs over two loopback runtimes" `Quick
+      test_random_dags_loopback;
   ]

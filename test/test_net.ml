@@ -412,6 +412,50 @@ let free_port () =
   Unix.close fd;
   port
 
+(* The ps/worker address book over two fresh loopback ports. *)
+let loopback_cluster () =
+  let ps_port = free_port () and worker_port = free_port () in
+  [ (("ps", 0), { Runtime.host = "127.0.0.1"; port = ps_port });
+    (("worker", 0), { Runtime.host = "127.0.0.1"; port = worker_port }) ]
+
+let ps_worker_jobs = [ ("ps", 1, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
+
+let loopback_runtime ~job ~cluster =
+  Runtime.create
+    (Runtime.config ~job ~task:0 ~cluster ~heartbeat_interval:0.05
+       ~heartbeat_misses:3 ~connect_timeout:0.5 ~rpc_timeout:5.0
+       ~backoff:(Backoff.policy ~base:0.02 ~multiplier:2.0 ~cap:0.1 ())
+       ())
+
+(* A session over the ps/worker cluster that executes through [rt]. *)
+let remote_session ?(config = Session.Config.default) rt graph =
+  let session =
+    Cluster.session (Cluster.create ~jobs:ps_worker_jobs)
+      ~config:{ config with Session.Config.remote = Some (Runtime.runner rt) }
+      graph
+  in
+  Runtime.serve rt ~session;
+  session
+
+(* Two runtimes over loopback in this one process, a ps and a worker,
+   each serving a session over its own copy of the graph [build]
+   returns. [f] runs as the chief: the worker's session and its copy of
+   [build]'s result. *)
+let with_loopback_pair ?config build f =
+  let cluster = loopback_cluster () in
+  let party job =
+    let rt = loopback_runtime ~job ~cluster in
+    let b, x = build () in
+    (rt, remote_session ?config rt (B.graph b), x)
+  in
+  let ps_rt, _, _ = party "ps" in
+  let chief_rt, session, x = party "worker" in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.shutdown chief_rt;
+      Runtime.shutdown ps_rt)
+    (fun () -> f session x)
+
 (* One "process" of the in-test cluster: its own identically-built
    graph, session, and runtime — sharing nothing with its peer but the
    TCP sockets between them. *)
@@ -428,13 +472,7 @@ type party = {
 }
 
 let spawn_party ~job ~cluster =
-  let rt =
-    Runtime.create
-      (Runtime.config ~job ~task:0 ~cluster ~heartbeat_interval:0.05
-         ~heartbeat_misses:3 ~connect_timeout:0.5 ~rpc_timeout:5.0
-         ~backoff:(Backoff.policy ~base:0.02 ~multiplier:2.0 ~cap:0.1 ())
-         ())
-  in
+  let rt = loopback_runtime ~job ~cluster in
   let b = B.create () in
   let store = Octf_nn.Var_store.create b in
   let w =
@@ -459,16 +497,7 @@ let spawn_party ~job ~cluster =
   in
   let train = Octf_train.Optimizer.minimize store ~lr:0.2 ~loss () in
   let init = Octf_nn.Var_store.init_op store in
-  let octf_cluster =
-    Cluster.create
-      ~jobs:[ ("ps", 1, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
-  in
-  let session =
-    Cluster.session octf_cluster
-      ~config:(Session.Config.v ~remote:(Runtime.runner rt) ())
-      (B.graph b)
-  in
-  Runtime.serve rt ~session;
+  let session = remote_session rt (B.graph b) in
   {
     rt; session; loss; train; init; x_in; y_in; enqueue;
     w_read = w.Octf_nn.Var_store.read;
@@ -479,11 +508,7 @@ let batch () =
     Tensor.of_float_array [| 4; 1 |] [| 1.; -1.; 0.; 1. |] )
 
 let test_two_runtime_training_and_recovery () =
-  let ps_port = free_port () and worker_port = free_port () in
-  let cluster =
-    [ (("ps", 0), { Runtime.host = "127.0.0.1"; port = ps_port });
-      (("worker", 0), { Runtime.host = "127.0.0.1"; port = worker_port }) ]
-  in
+  let cluster = loopback_cluster () in
   let ps = ref (spawn_party ~job:"ps" ~cluster) in
   let chief = spawn_party ~job:"worker" ~cluster in
   Fun.protect ~finally:(fun () ->
@@ -547,6 +572,58 @@ let test_two_runtime_training_and_recovery () =
   in
   Alcotest.(check bool) "training resumed after ps restart" true
     (Array.exists (fun v -> Float.abs v > 1e-6) w2)
+
+(* A kernel failing on the ps task must reach the chief with the same
+   node, device and cause kind whether the ps partition ran on a thread
+   of this process or behind a Run_step RPC, whose failure crosses the
+   wire as a kind string and is rebuilt by [Step_failure.cause_of_wire]. *)
+let build_ps_fault_step () =
+  let b = B.create () in
+  (* fed, not constant, so constant folding cannot run the matmul *)
+  let x = B.placeholder b ~name:"x" ~shape:[| 2; 2 |] Dtype.F32 in
+  let m =
+    B.with_device b "/job:ps/task:0" (fun () ->
+        B.matmul b ~name:"ps_matmul" x x)
+  in
+  let y =
+    B.with_device b "/job:worker/task:0" (fun () ->
+        B.add b m (B.const_f b 1.0))
+  in
+  (b, (x, y))
+
+let ones_2x2 = Tensor.ones Dtype.F32 [| 2; 2 |]
+
+let failure_triple session (x, y) =
+  Octf.Fault_injector.install
+    [ Octf.Fault_injector.Fail_kernel { pattern = "ps_matmul"; step = 0 } ];
+  Fun.protect ~finally:Octf.Fault_injector.reset @@ fun () ->
+  match Session.run ~feeds:[ (x, ones_2x2) ] session [ y ] with
+  | _ -> Alcotest.fail "the injected ps fault must fail the step"
+  | exception Session.Run_error f ->
+      ( Option.value f.Step_failure.node ~default:"<none>",
+        Option.value f.Step_failure.device ~default:"<none>",
+        Step_failure.cause_kind f.Step_failure.cause )
+
+let test_remote_failure_attribution () =
+  let expected = ("ps_matmul", "/job:ps/task:0/device:CPU:0", "fault_injected") in
+  let triple = Alcotest.(triple string string string) in
+  let in_process =
+    let b, y = build_ps_fault_step () in
+    failure_triple
+      (Cluster.session (Cluster.create ~jobs:ps_worker_jobs) (B.graph b))
+      y
+  in
+  Alcotest.check triple "in-process: node, device, cause kind" expected
+    in_process;
+  with_loopback_pair build_ps_fault_step (fun session (x, y) ->
+      Alcotest.check triple "over loopback: node, device, cause kind" expected
+        (failure_triple session (x, y));
+      (* the one-shot fault is spent: the same step now succeeds *)
+      match Session.run ~feeds:[ (x, ones_2x2) ] session [ y ] with
+      | [ t ] ->
+          Alcotest.(check (float 0.0)) "retry succeeds" 3.0
+            (Tensor.flat_get_f t 0)
+      | _ -> assert false)
 
 let test_heartbeat_detects_wedged_peer () =
   (* A fake ps that completes the handshake, then goes silent: never
@@ -644,11 +721,7 @@ let test_chief_restart_reuses_low_step_ids () =
      chief's connection must purge those retirements, or its tensors
      are dropped as "late" and its early steps hang to the rpc
      timeout. *)
-  let ps_port = free_port () and worker_port = free_port () in
-  let cluster =
-    [ (("ps", 0), { Runtime.host = "127.0.0.1"; port = ps_port });
-      (("worker", 0), { Runtime.host = "127.0.0.1"; port = worker_port }) ]
-  in
+  let cluster = loopback_cluster () in
   let ps = spawn_party ~job:"ps" ~cluster in
   let mk_chief () =
     Runtime.create
@@ -847,6 +920,8 @@ let suite =
       test_spmd_placement_agrees_across_compile_orders;
     Alcotest.test_case "two-runtime train, kill, reconnect" `Quick
       test_two_runtime_training_and_recovery;
+    Alcotest.test_case "remote failure names node, device, cause" `Quick
+      test_remote_failure_attribution;
     Alcotest.test_case "heartbeat detects wedged peer" `Quick
       test_heartbeat_detects_wedged_peer;
     Alcotest.test_case "dead-peer write is structured" `Quick
