@@ -920,16 +920,32 @@ let kernels () =
   in
   (* Transposed-variant regression guard: every variant runs the same
      kernel with swapped strides, so none may cost more than a small
-     factor over the plain path (strided loops once cost ~10x). *)
+     factor over the plain path (strided loops once cost ~10x). Single
+     timings of the small smoke shape spread 2x with the host's speed
+     phase, so each trial times all four variants back to back, in a
+     rotating order, and each variant reports its median trial. *)
   Parallel.set_threads saved_threads;
-  let variant ta tb =
-    time_kernel ~iters (fun () ->
-        Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b)
+  let variants =
+    [| (false, false); (true, false); (false, true); (true, true) |]
   in
-  let plain = variant false false in
-  let t_a = variant true false in
-  let t_b = variant false true in
-  let t_ab = variant true true in
+  let trials = if smoke then 9 else 5 in
+  let samples = Array.make_matrix (Array.length variants) trials 0.0 in
+  for trial = 0 to trials - 1 do
+    for j = 0 to Array.length variants - 1 do
+      let v = (j + trial) mod Array.length variants in
+      let ta, tb = variants.(v) in
+      samples.(v).(trial) <-
+        time_kernel ~iters (fun () ->
+            Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b)
+    done
+  done;
+  let median v =
+    let xs = Array.copy samples.(v) in
+    Array.sort compare xs;
+    xs.(trials / 2)
+  in
+  let plain = median 0 and t_a = median 1 and t_b = median 2 in
+  let t_ab = median 3 in
   let worst = List.fold_left Float.max t_a [ t_b; t_ab ] in
   let ratio = worst /. plain in
   Printf.printf

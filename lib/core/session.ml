@@ -161,9 +161,17 @@ type handle = {
     option;
 }
 
-type compiled_step =
-  | Local of { plan : Executor.plan; device : Device.t option }
-  | Distributed of (Partition.partition * Executor.plan) list
+(* A compiled step is a list of parts, one per device it touches. [find]
+   maps an endpoint of the session's graph into the part's plan; an
+   unpartitioned step is one part over the whole graph, whose [find] is
+   the identity. *)
+type part = {
+  device : Device.t option;
+  plan : Executor.plan;
+  find : Node.endpoint -> Node.endpoint option;
+}
+
+type compiled_step = part list
 
 type t = {
   graph : Graph.t;
@@ -311,26 +319,32 @@ let compile t ~feed_eps ~fetch_eps ~target_ids =
   in
   match devs with
   | [] | [ _ ] ->
-      let plan = prepare ~graph:t.graph ~nodes ~fed_ids in
-      Local { plan; device = (match devs with [ d ] -> Some d | _ -> None) }
+      [
+        {
+          device = (match devs with [ d ] -> Some d | _ -> None);
+          plan = prepare ~graph:t.graph ~nodes ~fed_ids;
+          find = Option.some;
+        };
+      ]
   | _ -> (
       match Partition.partition t.graph ~nodes with
       | Ok parts ->
-          Distributed
-            (List.map
-               (fun (p : Partition.partition) ->
-                 let local_fed =
-                   List.filter_map
-                     (fun e ->
-                       Option.map
-                         (fun (l : Node.endpoint) -> l.Node.node_id)
-                         (Partition.find_endpoint p e))
-                     feed_eps
-                 in
-                 ( p,
-                   prepare ~graph:p.Partition.subgraph
-                     ~nodes:p.Partition.node_ids ~fed_ids:local_fed ))
-               parts)
+          List.map
+            (fun (p : Partition.partition) ->
+              let find = Partition.find_endpoint p in
+              let fed_ids =
+                List.filter_map
+                  (fun e ->
+                    Option.map (fun (l : Node.endpoint) -> l.node_id) (find e))
+                  feed_eps
+              in
+              {
+                device = Some p.device;
+                plan =
+                  prepare ~graph:p.subgraph ~nodes:p.node_ids ~fed_ids;
+                find;
+              })
+            parts
       | Error msg -> raise (invalid ("partitioning failed: " ^ msg)))
 
 let find_or_compile t ~feed_eps ~fetch_eps ~target_ids =
@@ -396,16 +410,129 @@ let value_to_tensor ~what v =
            (Step_failure.Fetch_failed
               (Printf.sprintf "fetch %s produced a dead value" what)))
 
+(* Does this process run parts placed on [device]? Without a runtime
+   every device is in-process; an unplaced part runs wherever the step
+   does. *)
+let is_local t device =
+  match (t.remote, device) with
+  | Some r, Some d -> r.Remote.is_local d
+  | _ -> true
+
+(* The one step runner, for the chief ({!run_with}) and for a worker
+   serving a remote chief ({!run_serve}). It runs the step's parts on
+   this process's devices, each with its feeds and fetches mapped
+   through [find]. With [dispatch] (the chief under a runtime) it also
+   sends one Run_step RPC per remote task owning the other parts;
+   without it those parts are someone else's. A lone part or RPC runs
+   inline on the calling thread, several on one thread each. It returns
+   the fetch endpoints this process produced or was sent, or the step's
+   root-cause failure.
+
+   Rendezvous: under a runtime every step uses its shared routed one,
+   which is never aborted (the abort is sticky and would poison every
+   later step); the cancel token wakes the step's parked receivers
+   instead. Without a runtime a partitioned step gets a private one,
+   which a failure aborts, and a lone part needs none. *)
+let execute_parts t step ~step_id ~feeds ~fetches ?tracer ?cancel
+    ?var_snapshot ?dispatch () =
+  let partitioned = match step with [ _ ] -> false | _ -> true in
+  let rendezvous =
+    match t.remote with
+    | Some r -> Some r.Remote.rendezvous
+    | None -> if partitioned then Some (Rendezvous.create ()) else None
+  in
+  let results = ref [] and errors = ref [] in
+  let mutex = Mutex.create () in
+  let record_results pairs =
+    Mutex.lock mutex;
+    results := pairs @ !results;
+    Mutex.unlock mutex
+  in
+  let record_failure (f : Step_failure.t) =
+    let msg = Step_failure.to_string f in
+    if Option.is_none t.remote then
+      Option.iter (fun r -> Rendezvous.abort r ~reason:msg) rendezvous;
+    Option.iter (fun c -> Cancel.cancel c ~reason:msg) cancel;
+    Mutex.lock mutex;
+    errors := f :: !errors;
+    Mutex.unlock mutex
+  in
+  let run_part p =
+    let feeds =
+      List.filter_map
+        (fun (e, v) -> Option.map (fun l -> (l, v)) (p.find e))
+        feeds
+    in
+    let fetches =
+      List.filter_map (fun e -> Option.map (fun l -> (e, l)) (p.find e)) fetches
+    in
+    match
+      Executor.execute p.plan ~feeds ~fetches:(List.map snd fetches)
+        ~resources:
+          (match p.device with
+          | Some d -> t.resource_router d
+          | None -> t.default_resources)
+        ?rendezvous ?tracer ?cancel ~seed:t.seed ~step_id ?var_snapshot ()
+    with
+    | vs -> record_results (List.map2 (fun (e, _) v -> (e, v)) fetches vs)
+    | exception e ->
+        let device = Option.map Device.to_string p.device in
+        record_failure
+          (match e with
+          | Step_failure.Error f ->
+              if f.device = None then { f with device } else f
+          | Rendezvous.Aborted reason ->
+              Step_failure.v ?device (Step_failure.Rendezvous_aborted reason)
+          | e ->
+              Step_failure.v ?device
+                (Step_failure.Kernel_failed (Printexc.to_string e)))
+  in
+  let local, remote = List.partition (fun p -> is_local t p.device) step in
+  let rpcs =
+    match dispatch with
+    | None -> []
+    | Some call ->
+        List.map
+          (fun (job, task) () ->
+            match call ~job ~task with
+            | Ok pairs -> record_results pairs
+            | Error f -> record_failure f)
+          (List.sort_uniq compare
+             (List.filter_map
+                (fun p ->
+                  Option.map (fun (d : Device.t) -> (d.job, d.task)) p.device)
+                remote))
+  in
+  (match List.map (fun p () -> run_part p) local @ rpcs with
+  | [ run ] -> run ()
+  | runs ->
+      List.iter Thread.join (List.map (fun run -> Thread.create run ()) runs));
+  (* Scrub entries a partitioned step leaked (sends whose Recv died with
+     the step): essential on the long-lived shared rendezvous, keeps the
+     pending gauge honest on a private one. A worker leaves this to the
+     runtime serving the step. *)
+  (if partitioned then
+     match (t.remote, dispatch, rendezvous) with
+     | Some r, Some _, _ -> r.Remote.retire_step ~step_id
+     | None, _, Some r -> ignore (Rendezvous.drop_step r ~step_id)
+     | _ -> ());
+  (* Prefer the root cause: a part's own failure over the "peer aborted
+     me" / "step was cancelled" collateral. *)
+  match
+    List.stable_sort
+      (fun (a : Step_failure.t) b ->
+        compare
+          (Step_failure.is_secondary a.cause)
+          (Step_failure.is_secondary b.cause))
+      (List.rev !errors)
+  with
+  | f :: _ -> Error f
+  | [] -> Ok !results
+
 let run_with ?tracer ?deadline ?cancel:parent ?var_snapshot ?(feeds = [])
     ?(targets = []) t fetches =
   let fetches_tagged, fetches, feed_eps, fetch_eps, target_ids =
     normalize_step ~feed_outputs:(List.map fst feeds) ~targets fetches
-  in
-  let feed_vals =
-    List.map
-      (fun (o, tensor) ->
-        (Builder.endpoint_of_output o, Value.Tensor tensor))
-      feeds
   in
   let step = find_or_compile t ~feed_eps ~fetch_eps ~target_ids in
   let step_id =
@@ -414,218 +541,52 @@ let run_with ?tracer ?deadline ?cancel:parent ?var_snapshot ?(feeds = [])
         t.step_counter)
   in
   (* One cancellation token per step: a deadline arms its watchdog,
-     distributed steps always carry a token so one partition's failure
-     wakes peers parked in queue or rendezvous waits, and a [parent]
-     token (a pipeline's filler group) cancels this step when the whole
-     group is stopped. *)
-  let device_is_remote d =
-    match t.remote with
-    | Some r -> not (r.Remote.is_local d)
-    | None -> false
-  in
-  let needs_token =
-    match step with
-    | Distributed _ -> true
-    | Local { device = Some d; _ } -> device_is_remote d
-    | Local { device = None; _ } -> false
-  in
+     partitioned and remote steps always carry a token so one part's
+     failure wakes peers parked in queue or rendezvous waits, and a
+     [parent] token (a pipeline's filler group) cancels this step when
+     the whole group is stopped. *)
   let cancel =
-    match (deadline, parent) with
-    | Some d, _ -> Some (Cancel.create ?parent ~deadline:d ())
-    | None, Some _ -> Some (Cancel.create ?parent ())
-    | None, None -> if needs_token then Some (Cancel.create ()) else None
+    match (deadline, parent, step) with
+    | Some d, _, _ -> Some (Cancel.create ?parent ~deadline:d ())
+    | None, Some _, _ -> Some (Cancel.create ?parent ())
+    | None, None, [ p ] when is_local t p.device -> None
+    | None, None, _ -> Some (Cancel.create ())
   in
-  (* One Run_step RPC executing [job]/[task]'s partitions of this step
-     in its own process. The full feed/fetch/target endpoint lists go
-     on the wire: the peer compiled the same graph, so the lists both
-     reproduce the step signature (hitting its step cache) and let it
-     select the subsets its partitions own. *)
-  let feed_tensors =
-    lazy
-      (List.map
-         (fun (o, tensor) -> (Builder.endpoint_of_output o, tensor))
-         feeds)
-  in
-  let call_remote r ~job ~task =
-    r.Remote.run_partitions ~job ~task ~step_id
-      ~feeds:(Lazy.force feed_tensors) ~fetches:fetch_eps
-      ~targets:target_ids ~deadline ~cancel
+  (* One Run_step RPC executing [job]/[task]'s parts of this step in its
+     own process. The full feed/fetch/target endpoint lists go on the
+     wire: the peer compiled the same graph, so the lists both reproduce
+     the step signature (hitting its step cache) and let it select the
+     subsets its parts own. *)
+  let dispatch =
+    Option.map
+      (fun r ~job ~task ->
+        r.Remote.run_partitions ~job ~task ~step_id
+          ~feeds:
+            (List.map
+               (fun (o, tensor) -> (Builder.endpoint_of_output o, tensor))
+               feeds)
+          ~fetches:fetch_eps ~targets:target_ids ~deadline ~cancel)
+      t.remote
   in
   let execute_step () =
-    match step with
-    | Local { plan = _; device = Some d } when device_is_remote d -> (
-        (* the whole pruned step lives on a remote task *)
-        let r = Option.get t.remote in
-        match call_remote r ~job:d.Device.job ~task:d.Device.task with
-        | Error f -> raise (Run_error f)
-        | Ok pairs ->
-            List.map2
-              (fun (o : Builder.output) e ->
-                match List.assoc_opt e pairs with
-                | Some v ->
-                    value_to_tensor ~what:o.Builder.node.Node.name v
-                | None ->
-                    raise
-                      (run_error ~node:o.Builder.node.Node.name
-                         (Step_failure.Fetch_failed
-                            ("fetch not returned by remote task: "
-                           ^ o.Builder.node.Node.name))))
-              fetches fetch_eps)
-    | Local { plan; device } ->
-      let resources =
-        match device with
-        | Some d -> t.resource_router d
-        | None -> t.default_resources
-      in
-      let values =
-        try
-          Executor.execute plan ~feeds:feed_vals ~fetches:fetch_eps
-            ~resources ?tracer ?cancel ~seed:t.seed ~step_id ?var_snapshot
-            ()
-        with Step_failure.Error f -> raise (Run_error f)
-      in
-      List.map2
-        (fun (o : Builder.output) v ->
-          value_to_tensor ~what:o.Builder.node.Node.name v)
-        fetches values
-  | Distributed parts ->
-      (* With an out-of-process runtime the step uses the shared routed
-         rendezvous (never aborted — teardown is per step, via the
-         cancel token); otherwise a private per-step one. *)
-      let rendezvous =
-        match t.remote with
-        | Some r -> r.Remote.rendezvous
-        | None -> Rendezvous.create ()
-      in
-      let results : (string, (Node.endpoint * Value.t) list) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      let errors = ref [] in
-      let results_mutex = Mutex.create () in
-      let record_failure (f : Step_failure.t) =
-        let msg = Step_failure.to_string f in
-        (* A shared rendezvous must never be aborted — the abort is
-           sticky and would poison every later step. The cancel token
-           wakes this step's parked receivers instead. *)
-        if Option.is_none t.remote then
-          Rendezvous.abort rendezvous ~reason:msg;
-        Option.iter (fun c -> Cancel.cancel c ~reason:msg) cancel;
-        Mutex.lock results_mutex;
-        errors := f :: !errors;
-        Mutex.unlock results_mutex
-      in
-      let run_part ((p : Partition.partition), plan) =
-        let local_feeds =
-          List.filter_map
-            (fun ((e : Node.endpoint), v) ->
-              match Partition.find_endpoint p e with
-              | Some local -> Some (local, v)
-              | None -> None)
-            feed_vals
-        in
-        let local_fetches =
-          List.filter_map
-            (fun e ->
-              match Partition.find_endpoint p e with
-              | Some local -> Some (e, local)
-              | None -> None)
-            fetch_eps
-        in
-        let device = Device.to_string p.Partition.device in
-        try
-          let vs =
-            Executor.execute plan ~feeds:local_feeds
-              ~fetches:(List.map snd local_fetches)
-              ~resources:(t.resource_router p.Partition.device)
-              ~rendezvous ?tracer ?cancel ~seed:t.seed ~step_id
-              ?var_snapshot ()
-          in
-          Mutex.lock results_mutex;
-          Hashtbl.replace results device
-            (List.map2 (fun (orig, _) v -> (orig, v)) local_fetches vs);
-          Mutex.unlock results_mutex
-        with
-        | Step_failure.Error f ->
-            record_failure
-              (if f.Step_failure.device = None then
-                 { f with Step_failure.device = Some device }
-               else f)
-        | Rendezvous.Aborted reason ->
-            record_failure
-              (Step_failure.v ~device (Step_failure.Rendezvous_aborted reason))
-        | e ->
-            record_failure
-              (Step_failure.v ~device
-                 (Step_failure.Kernel_failed (Printexc.to_string e)))
-      in
-      (* Partitions on devices owned by other processes collapse into
-         one Run_step RPC per remote task; the rest run on executor
-         threads here as before. *)
-      let local_parts, remote_tasks =
-        match t.remote with
-        | None -> (parts, [])
-        | Some r ->
-            ( List.filter
-                (fun ((p : Partition.partition), _) ->
-                  r.Remote.is_local p.Partition.device)
-                parts,
-              List.sort_uniq compare
-                (List.filter_map
-                   (fun ((p : Partition.partition), _) ->
-                     if r.Remote.is_local p.Partition.device then None
-                     else
-                       Some
-                         ( p.Partition.device.Device.job,
-                           p.Partition.device.Device.task ))
-                   parts) )
-      in
-      let run_remote (job, task) =
-        let r = Option.get t.remote in
-        match call_remote r ~job ~task with
-        | Ok pairs ->
-            Mutex.lock results_mutex;
-            Hashtbl.replace results (Printf.sprintf "rpc:%s/%d" job task)
-              pairs;
-            Mutex.unlock results_mutex
-        | Error f -> record_failure f
-      in
-      let threads =
-        List.map (fun p -> Thread.create run_part p) local_parts
-        @ List.map (fun rt -> Thread.create run_remote rt) remote_tasks
-      in
-      List.iter Thread.join threads;
-      (* Scrub entries this step leaked (sends whose Recv died with the
-         step); essential on the long-lived shared rendezvous, keeps
-         the pending gauge honest on private ones. *)
-      (match t.remote with
-      | Some r -> r.Remote.retire_step ~step_id
-      | None -> ignore (Rendezvous.drop_step rendezvous ~step_id));
-      (* Prefer the root cause: a partition's own failure over the
-         "peer aborted me" / "step was cancelled" collateral. *)
-      (match
-         List.stable_sort
-           (fun (a : Step_failure.t) b ->
-             compare
-               (Step_failure.is_secondary a.Step_failure.cause)
-               (Step_failure.is_secondary b.Step_failure.cause))
-           (List.rev !errors)
-       with
-      | f :: _ -> raise (Run_error f)
-      | [] -> ());
-      let all_results =
-        Hashtbl.fold (fun _ l acc -> l @ acc) results []
-      in
-      List.map2
-        (fun (o : Builder.output) e ->
-          match List.assoc_opt e all_results with
-          | Some v -> value_to_tensor ~what:o.Builder.node.Node.name v
-          | None ->
-              raise
-                (run_error ~node:o.Builder.node.Node.name
-                   (Step_failure.Fetch_failed
-                      ("fetch not produced by any partition: "
-                      ^ o.Builder.node.Node.name))))
-        fetches fetch_eps
+    match
+      execute_parts t step ~step_id
+        ~feeds:(List.map2 (fun e (_, x) -> (e, Value.Tensor x)) feed_eps feeds)
+        ~fetches:fetch_eps ?tracer ?cancel ?var_snapshot ?dispatch ()
+    with
+    | Error f -> raise (Run_error f)
+    | Ok pairs ->
+        List.map2
+          (fun (o : Builder.output) e ->
+            let what = o.node.name in
+            match List.assoc_opt e pairs with
+            | Some v -> value_to_tensor ~what v
+            | None ->
+                raise
+                  (run_error ~node:what
+                     (Step_failure.Fetch_failed
+                        ("fetch not produced by any partition: " ^ what))))
+          fetches fetch_eps
   in
   let results =
     match cancel with
@@ -833,134 +794,22 @@ let drain t =
 
 (* Serve one step dispatched by a remote chief: compile the identical
    step (the endpoint lists reproduce its cache signature against our
-   copy of the graph), execute only the partitions placed on this
-   process's devices under the chief's [step_id], and return the fetch
-   endpoints our partitions produced. All failure modes come back as
+   copy of the graph) and run only its parts placed on this process's
+   devices, under the chief's [step_id]. All failure modes come back as
    structured [Error] values — this function never raises. *)
 let run_serve t ~step_id ~feeds ~fetches ~targets ~cancel () =
   try
-    let feed_eps = List.map fst feeds in
-    let fetch_eps = fetches in
-    let target_ids = targets in
-    let r =
-      match t.remote with
-      | Some r -> r
-      | None ->
-          raise
-            (run_error
-               (Step_failure.Invalid_graph
-                  "run_serve on a session without a remote runner"))
+    if Option.is_none t.remote then
+      raise (invalid "run_serve on a session without a remote runner");
+    let step =
+      find_or_compile t ~feed_eps:(List.map fst feeds) ~fetch_eps:fetches
+        ~target_ids:targets
     in
-    let step = find_or_compile t ~feed_eps ~fetch_eps ~target_ids in
-    let feed_vals =
-      List.map (fun (e, tensor) -> (e, Value.Tensor tensor)) feeds
-    in
-    match step with
-    | Local { plan; device } ->
-        (* the chief decided the whole step lives here *)
-        let ours =
-          match device with None -> true | Some d -> r.Remote.is_local d
-        in
-        if not ours then
-          Error
-            (Step_failure.v
-               (Step_failure.Invalid_graph
-                  "served step is placed on a device of another task"))
-        else
-          let resources =
-            match device with
-            | Some d -> t.resource_router d
-            | None -> t.default_resources
-          in
-          let values =
-            Executor.execute plan ~feeds:feed_vals ~fetches:fetch_eps
-              ~resources ~rendezvous:r.Remote.rendezvous ~cancel ~seed:t.seed
-              ~step_id ()
-          in
-          Ok (List.combine fetch_eps values)
-    | Distributed parts ->
-        let my_parts =
-          List.filter
-            (fun ((p : Partition.partition), _) ->
-              r.Remote.is_local p.Partition.device)
-            parts
-        in
-        if my_parts = [] then
-          Error
-            (Step_failure.v
-               (Step_failure.Invalid_graph
-                  "no partition of the served step is placed on this task"))
-        else begin
-          let results = ref [] in
-          let errors = ref [] in
-          let results_mutex = Mutex.create () in
-          let record_failure (f : Step_failure.t) =
-            (* shared rendezvous: never aborted — wake our parked
-               receivers through the serve token instead *)
-            Cancel.cancel cancel ~reason:(Step_failure.to_string f);
-            Mutex.lock results_mutex;
-            errors := f :: !errors;
-            Mutex.unlock results_mutex
-          in
-          let run_part ((p : Partition.partition), plan) =
-            let local_feeds =
-              List.filter_map
-                (fun ((e : Node.endpoint), v) ->
-                  match Partition.find_endpoint p e with
-                  | Some local -> Some (local, v)
-                  | None -> None)
-                feed_vals
-            in
-            let local_fetches =
-              List.filter_map
-                (fun e ->
-                  match Partition.find_endpoint p e with
-                  | Some local -> Some (e, local)
-                  | None -> None)
-                fetch_eps
-            in
-            let device = Device.to_string p.Partition.device in
-            try
-              let vs =
-                Executor.execute plan ~feeds:local_feeds
-                  ~fetches:(List.map snd local_fetches)
-                  ~resources:(t.resource_router p.Partition.device)
-                  ~rendezvous:r.Remote.rendezvous ~cancel ~seed:t.seed
-                  ~step_id ()
-              in
-              Mutex.lock results_mutex;
-              results :=
-                List.map2 (fun (orig, _) v -> (orig, v)) local_fetches vs
-                @ !results;
-              Mutex.unlock results_mutex
-            with
-            | Step_failure.Error f ->
-                record_failure
-                  (if f.Step_failure.device = None then
-                     { f with Step_failure.device = Some device }
-                   else f)
-            | Rendezvous.Aborted reason ->
-                record_failure
-                  (Step_failure.v ~device
-                     (Step_failure.Rendezvous_aborted reason))
-            | e ->
-                record_failure
-                  (Step_failure.v ~device
-                     (Step_failure.Kernel_failed (Printexc.to_string e)))
-          in
-          let threads = List.map (fun p -> Thread.create run_part p) my_parts in
-          List.iter Thread.join threads;
-          match
-            List.stable_sort
-              (fun (a : Step_failure.t) b ->
-                compare
-                  (Step_failure.is_secondary a.Step_failure.cause)
-                  (Step_failure.is_secondary b.Step_failure.cause))
-              (List.rev !errors)
-          with
-          | f :: _ -> Error f
-          | [] -> Ok !results
-        end
+    if not (List.exists (fun p -> is_local t p.device) step) then
+      raise (invalid "no part of the served step is placed on this task");
+    execute_parts t step ~step_id
+      ~feeds:(List.map (fun (e, x) -> (e, Value.Tensor x)) feeds)
+      ~fetches ~cancel ()
   with
   | Run_error f | Step_failure.Error f -> Error f
   | e -> Error (Step_failure.v (Step_failure.Kernel_failed (Printexc.to_string e)))

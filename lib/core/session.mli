@@ -309,9 +309,10 @@ val run_serve :
 (** Execute one step on behalf of a remote chief ([Octf_net]'s
     Run_step handler): compile the step named by the endpoint lists
     (identical to the chief's — both processes built the same graph,
-    so it hits the same step-cache entry), run {e only} the partitions
-    placed on this process's devices under the chief's [step_id], and
-    return the fetch endpoints they produced. Requires the session to
-    have been created with [?remote]. Never raises: every failure —
-    kernel error, cancellation via [cancel] (deadline or a Cancel_step
-    frame), missing partition — returns as a structured [Error]. *)
+    so it hits the same step-cache entry), run {e only} the step's
+    parts placed on this process's devices under the chief's
+    [step_id], through the same runner as {!run}, and return the fetch
+    endpoints they produced. Requires the session to have been created
+    with [?remote]. Never raises: every failure — kernel error,
+    cancellation via [cancel] (deadline or a Cancel_step frame), no
+    part placed here — returns as a structured [Error]. *)

@@ -680,9 +680,9 @@ let test_random_control_flow () =
 (* Multi-device legs: the same straight-line programs with every
    instruction placed on one of two tasks, so each edge between tasks
    becomes a Send/Recv pair. The partitioned step must fetch exactly the
-   bits of the single-device session. The split is a function of the
-   whole program and the instruction index, so a shrunk prefix keeps
-   its placement. *)
+   bits of the single-device session. The split hashes the whole
+   program and the instruction index, so a shrunk prefix keeps its
+   placement. *)
 let two_tasks = [| "/job:worker/task:0"; "/job:ps/task:0" |]
 
 let split prog i = Some two_tasks.(Hashtbl.hash (Hashtbl.hash prog, i) land 1)

@@ -418,12 +418,18 @@ let loopback_cluster () =
   [ (("ps", 0), { Runtime.host = "127.0.0.1"; port = ps_port });
     (("worker", 0), { Runtime.host = "127.0.0.1"; port = worker_port }) ]
 
-let ps_worker_jobs = [ ("ps", 1, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
+let ps_worker_jobs =
+  [ ("ps", 1, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
 
-let loopback_runtime ~job ~cluster =
+(* Fast heartbeats by default, so a killed peer is noticed within
+   0.15 s; [~patient] tolerates a loaded host stalling a process. *)
+let loopback_runtime ?(patient = false) ~job ~cluster () =
+  let heartbeat_interval, rpc_timeout =
+    if patient then (1.0, 30.0) else (0.05, 5.0)
+  in
   Runtime.create
-    (Runtime.config ~job ~task:0 ~cluster ~heartbeat_interval:0.05
-       ~heartbeat_misses:3 ~connect_timeout:0.5 ~rpc_timeout:5.0
+    (Runtime.config ~job ~task:0 ~cluster ~heartbeat_interval
+       ~heartbeat_misses:3 ~connect_timeout:0.5 ~rpc_timeout
        ~backoff:(Backoff.policy ~base:0.02 ~multiplier:2.0 ~cap:0.1 ())
        ())
 
@@ -440,11 +446,11 @@ let remote_session ?(config = Session.Config.default) rt graph =
 (* Two runtimes over loopback in this one process, a ps and a worker,
    each serving a session over its own copy of the graph [build]
    returns. [f] runs as the chief: the worker's session and its copy of
-   [build]'s result. *)
+   [build]'s result. No peer dies here, so the runtimes are patient. *)
 let with_loopback_pair ?config build f =
   let cluster = loopback_cluster () in
   let party job =
-    let rt = loopback_runtime ~job ~cluster in
+    let rt = loopback_runtime ~patient:true ~job ~cluster () in
     let b, x = build () in
     (rt, remote_session ?config rt (B.graph b), x)
   in
@@ -472,7 +478,7 @@ type party = {
 }
 
 let spawn_party ~job ~cluster =
-  let rt = loopback_runtime ~job ~cluster in
+  let rt = loopback_runtime ~job ~cluster () in
   let b = B.create () in
   let store = Octf_nn.Var_store.create b in
   let w =
@@ -594,9 +600,9 @@ let build_ps_fault_step () =
 let ones_2x2 = Tensor.ones Dtype.F32 [| 2; 2 |]
 
 let failure_triple session (x, y) =
-  Octf.Fault_injector.install
-    [ Octf.Fault_injector.Fail_kernel { pattern = "ps_matmul"; step = 0 } ];
-  Fun.protect ~finally:Octf.Fault_injector.reset @@ fun () ->
+  Fault_injector.install
+    [ Fault_injector.Fail_kernel { pattern = "ps_matmul"; step = 0 } ];
+  Fun.protect ~finally:Fault_injector.reset @@ fun () ->
   match Session.run ~feeds:[ (x, ones_2x2) ] session [ y ] with
   | _ -> Alcotest.fail "the injected ps fault must fail the step"
   | exception Session.Run_error f ->
@@ -605,7 +611,9 @@ let failure_triple session (x, y) =
         Step_failure.cause_kind f.Step_failure.cause )
 
 let test_remote_failure_attribution () =
-  let expected = ("ps_matmul", "/job:ps/task:0/device:CPU:0", "fault_injected") in
+  let expected =
+    ("ps_matmul", "/job:ps/task:0/device:CPU:0", "fault_injected")
+  in
   let triple = Alcotest.(triple string string string) in
   let in_process =
     let b, y = build_ps_fault_step () in
