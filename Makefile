@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench-smoke bench-kernels bench-memory bench-pipeline bench-serving bench-quant fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke ci clean
+.PHONY: all build test fmt bench-smoke bench-kernels bench-memory bench-pipeline fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke ci clean
 
 all: build
 
@@ -43,39 +43,22 @@ bench-memory:
 bench-pipeline:
 	dune exec bench/main.exe -- pipeline
 
-# Frozen-graph serving throughput: 8 pipelined clients against the
-# miniature MNIST convnet, micro-batched vs batch-size-1; writes
-# BENCH_serving.json (req/s, p50/p99) and fails if coalescing is less
-# than 2x. Full sizes — set OCTF_BENCH_SMOKE=1 for CI speed.
-bench-serving:
-	dune exec bench/main.exe -- serving
-
 # End-to-end serve smoke: freeze both model zoo entries from a live
 # session, drive them with concurrent clients through the CLI, and
-# require that requests actually coalesced (--assert-batched); then
-# the serving benchmark in smoke sizes.
+# require that requests actually coalesced (--assert-batched). Serving
+# speed is perfbench's (serve_rnn, serve_cnn_int8).
 serving-smoke:
 	dune exec bin/octf_cli.exe -- serve --model mnist-cnn \
 	  --train-steps 10 --clients 4 --requests 20 --assert-batched
 	dune exec bin/octf_cli.exe -- serve --model lstm \
 	  --train-steps 10 --clients 4 --requests 20 --assert-batched
-	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- serving
-
-# Quantized inference: freeze + calibrate + int8-rewrite the MNIST
-# convnet, measure img/s and top-1 agreement against the float frozen
-# twin; writes BENCH_quant.json and fails unless the quantized leg is
-# >= 1.3x faster OR the mechanism holds (>= 2 islands rewritten, 4x
-# weight-memory cut, top-1 delta <= 0.15). Full sizes — set
-# OCTF_BENCH_SMOKE=1 for CI speed.
-bench-quant:
-	dune exec bench/main.exe -- quant
 
 # Quantized-serving smoke: the serve CLI over an int8-rewritten frozen
-# graph (dynamic ranges), then the quant benchmark in smoke sizes.
+# graph (dynamic ranges). Island count, weight cut and top-1 agreement
+# are tier-1 tests (quantization, quant_accuracy).
 quant-smoke:
 	dune exec bin/octf_cli.exe -- serve --model mnist-cnn \
 	  --train-steps 10 --clients 4 --requests 20 --quantize=true
-	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- quant
 
 # Deterministic-seed smoke for the fault injector: the same seed must
 # reproduce the same fault sequence.

@@ -1,9 +1,12 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§6). Run with no arguments for everything, or pass any of:
-   table1 dispatch fig6 fig7 fig8 fig9 softmax-ablation shard-ablation
+   evaluation (§6), plus the per-layer micro-benchmarks. Run with no
+   arguments for everything, or pass any of:
+   table1 dispatch dispatch-wide kernels memory pipeline fig6 fig7 fig8
+   fig9 softmax-ablation shard-ablation
 
    Each experiment prints the series the paper plots; EXPERIMENTS.md
-   records paper-vs-measured values. *)
+   records paper-vs-measured values. End-to-end serving and training
+   throughput are perfbench's (perfbench/README.md), not this harness's. *)
 
 open Octf_tensor
 module B = Octf.Builder
@@ -15,6 +18,59 @@ module Sim = Octf_sim.Replica_sim
 module Stats = Octf_sim.Stats
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
+
+(* Smoke mode (OCTF_BENCH_SMOKE=1) shrinks sizes so CI can exercise the
+   full path in seconds; every BENCH_*.json records which mode ran. *)
+let smoke_mode () =
+  Option.value
+    (Octf_tensor.Env.get (Octf_tensor.Env.bool "OCTF_BENCH_SMOKE"))
+    ~default:false
+
+(* Mean seconds per call after one warm-up call, which pays plan
+   compilation (or spins up the domain pool on the first parallel
+   shard). *)
+let time_kernel ~iters f =
+  ignore (f ());
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    ignore (f ())
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int iters
+
+(* The median and the best of a list of trial timings. *)
+let median_and_best samples =
+  let sorted = List.sort compare samples in
+  (List.nth sorted (List.length sorted / 2), List.hd sorted)
+
+(* [trials] batches of [iters] calls of [f]: the (median, best) mean
+   seconds per call. *)
+let timed_trials ~trials ~iters f =
+  median_and_best (List.init trials (fun _ -> time_kernel ~iters f))
+
+(* Seconds of the fastest of [trials] runs of [f]. Machine peaks are
+   bests: the host lends its core a speed that changes every few tens of
+   milliseconds. *)
+let best_time ~trials f =
+  let best = ref infinity in
+  for _ = 1 to trials do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+let write_json file json =
+  let oc = open_out file in
+  output_string oc json;
+  close_out oc;
+  Printf.printf "wrote %s\n%!" file
+
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.printf "FAIL: %s\n%!" msg;
+      exit 1)
+    fmt
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: single-machine convnet step times                          *)
@@ -85,27 +141,6 @@ let dispatch_bechamel () =
 (* Scheduler comparison: inline loop vs shared domain pool             *)
 (* ------------------------------------------------------------------ *)
 
-(* Smoke mode (OCTF_BENCH_SMOKE=1) shrinks sizes so CI can exercise the
-   full path in seconds; BENCH_dispatch.json records which mode ran. *)
-let smoke_mode () =
-  Option.value
-    (Octf_tensor.Env.get (Octf_tensor.Env.bool "OCTF_BENCH_SMOKE"))
-    ~default:false
-
-(* Mean seconds per step, after one warm-up step that pays plan
-   compilation. Timed through [run_with_metadata] with default options
-   so the benchmark exercises the same entry point the observability
-   layer instruments (stats collection off: its cost must not leak into
-   the dispatch numbers). *)
-let time_steps session sink ~iters =
-  ignore (Octf.Session.run session [ sink ]);
-  let options = Octf.Session.Run_options.default in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (Octf.Session.run_with_metadata ~options session [ sink ])
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int iters
-
 (* A wide graph: [width] independent matmul chains joined by one AddN —
    the §3.3 inter-op parallelism shape. Branches share no edges, so the
    pool scheduler can run them on distinct cores. *)
@@ -133,6 +168,10 @@ let dispatch_wide () =
   let wide_iters = if smoke then 3 else 10 in
   let null_n = if smoke then 200 else 1000 in
   let null_iters = if smoke then 50 else 400 in
+  (* Mean seconds per step. Timed through [run_with_metadata] with
+     default options so the benchmark exercises the same entry point the
+     observability layer instruments (stats collection off: its cost
+     must not leak into the dispatch numbers). *)
   let measure scheduler ~build ~iters =
     let b, sink = build () in
     let session =
@@ -140,7 +179,9 @@ let dispatch_wide () =
         ~config:(Octf.Session.Config.v ~passes:[] ~scheduler ())
         (B.graph b)
     in
-    time_steps session sink ~iters
+    let options = Octf.Session.Run_options.default in
+    time_kernel ~iters (fun () ->
+        Octf.Session.run_with_metadata ~options session [ sink ])
   in
   (* Wide graph: per-step wall clock. *)
   let wide_build () = build_wide_graph ~width ~dim ~chain in
@@ -169,9 +210,9 @@ let dispatch_wide () =
     (rate null_inline /. 1e6)
     (rate null_pool /. 1e6);
   (* Machine-readable record for cross-PR trajectory tracking. *)
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"dispatch\",\"smoke\":%b,\"cores\":%d,\"pool_workers\":%d,\n\
+  write_json "BENCH_dispatch.json"
+    (Printf.sprintf
+       "{\"bench\":\"dispatch\",\"smoke\":%b,\"cores\":%d,\"pool_workers\":%d,\n\
        \"wide_graph\":{\"width\":%d,\"dim\":%d,\"chain\":%d,\n\
       \  \"inline_ms_per_step\":%.3f,\"pool_ms_per_step\":%.3f,\"speedup\":%.3f},\n\
        \"null_op\":{\"ops_per_step\":%d,\n\
@@ -182,12 +223,7 @@ let dispatch_wide () =
       width dim chain
       (1000.0 *. wide_inline)
       (1000.0 *. wide_pool)
-      speedup null_n (rate null_inline) (rate null_pool)
-  in
-  let oc = open_out "BENCH_dispatch.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_dispatch.json\n%!"
+      speedup null_n (rate null_inline) (rate null_pool))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: null-step synchronous replication baseline                *)
@@ -384,37 +420,23 @@ let shard_ablation () =
       let session = Octf.Session.create (B.graph b) in
       Octf.Session.run_unit session [ init ];
       let feed = [ (ids_ph, Tensor.of_int_array [| batch |] ids) ] in
-      ignore (Octf.Session.run ~feeds:feed session [ sum ]);
-      let t0 = Unix.gettimeofday () in
-      let iters = 50 in
-      for _ = 1 to iters do
-        ignore (Octf.Session.run ~feeds:feed session [ sum ])
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
+      let s =
+        time_kernel ~iters:50 (fun () ->
+            Octf.Session.run ~feeds:feed session [ sum ])
+      in
       Printf.printf "  %2d shards: %8.0f lookups/s\n%!" shards
-        (float_of_int (iters * batch) /. dt))
+        (float_of_int batch /. s))
     [ 1; 2; 4; 8; 16 ]
 
 (* ------------------------------------------------------------------ *)
 (* Intra-op kernel throughput: matmul / conv2d / elementwise           *)
 (* ------------------------------------------------------------------ *)
 
-(* Mean seconds per call after one warm-up (which also spins up the
-   domain pool on the first parallel shard). *)
-let time_kernel ~iters f =
-  ignore (f ());
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore (f ())
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int iters
-
 (* Machine peak for these kernels: scalar double multiply-adds (the
    instructions ocamlopt emits for the GEMM tiles) on operands loaded
    from an L1-resident buffer, sixteen multiply-adds per two loads into
    eight independent accumulators, so no add waits on the previous one.
-   The host lends its core a speed that changes every few tens of
-   milliseconds, so this is the best of many short trials. *)
+   Best of many short trials. *)
 let measure_peak_gflops ~trials =
   let len = 512 in
   let xs = Array.init len (fun i -> 1.0 +. (float_of_int i *. 1e-6)) in
@@ -448,15 +470,7 @@ let measure_peak_gflops ~trials =
     !c0 +. !c1 +. !c2 +. !c3 +. !c4 +. !c5 +. !c6 +. !c7
   in
   (* 16 multiply-adds (32 flops) per two elements. *)
-  let flops = float_of_int (reps * len * 16) in
-  let best = ref 0.0 in
-  for _ = 1 to trials do
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (run ()));
-    let dt = Unix.gettimeofday () -. t0 in
-    best := Float.max !best (flops /. dt /. 1e9)
-  done;
-  !best
+  float_of_int (reps * len * 16) /. best_time ~trials run /. 1e9
 
 (* The GEMMs of one train_convnet step (batch 8, 28x28, 5x5 convs with
    8 and 16 channels, a 784x64 dense layer) plus a 512^3 square, as
@@ -500,13 +514,10 @@ let gemm_roofline ~smoke ~peak =
       let iters =
         max 1 (int_of_float ((if smoke then 2e6 else 2e7) /. flops))
       in
-      let samples =
-        List.sort compare
-          (List.init trials (fun _ ->
-               time_kernel ~iters (fun () ->
-                   Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b)))
+      let median_s, best_s =
+        timed_trials ~trials ~iters (fun () ->
+            Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b)
       in
-      let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
       let nnz = Tensor.fold_f (fun c v -> if v <> 0.0 then c + 1 else c) 0 a in
       let gflops = flops /. median_s /. 1e9 in
       let useful_best = 2.0 *. float_of_int (nnz * n) /. best_s /. 1e9 in
@@ -546,14 +557,10 @@ let int8_gemm_roofline ~smoke ~peak =
       let a = codes m k and b = codes k n in
       let ops = 2.0 *. float_of_int (m * k * n) in
       let iters = max 1 (int_of_float ((if smoke then 2e6 else 2e7) /. ops)) in
-      let samples =
-        List.sort compare
-          (List.init trials (fun _ ->
-               time_kernel ~iters (fun () ->
-                   Octf.Quant_kernels.quantized_matmul a (-1.0) 1.0 b (-0.5)
-                     0.5)))
+      let median_s, best_s =
+        timed_trials ~trials ~iters (fun () ->
+            Octf.Quant_kernels.quantized_matmul a (-1.0) 1.0 b (-0.5) 0.5)
       in
-      let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
       let gops = ops /. median_s /. 1e9 in
       let pct = 100.0 *. (ops /. best_s /. 1e9) /. peak in
       Printf.printf
@@ -566,22 +573,17 @@ let int8_gemm_roofline ~smoke ~peak =
     int8_gemm_shapes
 
 (* Copy bandwidth peak: Array.blit of an L1-resident 32 KB float buffer,
-   counting 8 bytes per element copied, best of many short trials (the
-   host's speed changes every few tens of milliseconds). *)
+   counting 8 bytes per element copied, best of many short trials. *)
 let measure_blit_peak_gbs ~trials =
   let n = 4096 and reps = 2000 in
   let src = Array.make n 1.0 and dst = Array.make n 0.0 in
-  let best = ref 0.0 in
-  for _ = 1 to trials do
-    let t0 = Unix.gettimeofday () in
+  let run () =
     for _ = 1 to reps do
       Array.blit src 0 dst 0 n
     done;
-    let dt = Unix.gettimeofday () -. t0 in
-    best := Float.max !best (float_of_int (8 * n * reps) /. dt /. 1e9)
-  done;
-  ignore (Sys.opaque_identity dst);
-  !best
+    dst
+  in
+  float_of_int (8 * n * reps) /. best_time ~trials run /. 1e9
 
 (* Microseconds per call at the median batch of [trials], and GB/s at
    the best batch as a share of the Array.blit [peak], counting 8 bytes
@@ -591,10 +593,7 @@ let timed_cases ~smoke ~peak ~label cases =
   List.map
     (fun (name, written, f) ->
       let iters = max 1 ((if smoke then 1_000_000 else 4_000_000) / written) in
-      let samples =
-        List.sort compare (List.init trials (fun _ -> time_kernel ~iters f))
-      in
-      let median_s = List.nth samples (trials / 2) and best_s = List.hd samples in
+      let median_s, best_s = timed_trials ~trials ~iters f in
       let gbs = float_of_int (8 * written) /. best_s /. 1e9 in
       let pct = 100.0 *. gbs /. peak in
       Printf.printf
@@ -717,10 +716,7 @@ let small_elementwise ~smoke =
     List.map
       (fun (name, run) ->
         let elems = Tensor.numel (run ()) in
-        let samples =
-          List.sort compare (List.init trials (fun _ -> time_kernel ~iters run))
-        in
-        let median_s = List.nth samples (trials / 2) in
+        let median_s, _ = timed_trials ~trials ~iters run in
         let w0 = Gc.minor_words () in
         for _ = 1 to iters do
           ignore (run ())
@@ -744,7 +740,6 @@ let kernels () =
   section "Intra-op kernel throughput (GFLOP/s by thread budget)";
   let smoke = smoke_mode () in
   let iters = if smoke then 2 else 3 in
-  let thread_counts = [ 1; 2; 4; 8 ] in
   let saved_threads = Parallel.threads () in
   Fun.protect ~finally:(fun () -> Parallel.set_threads saved_threads)
   @@ fun () ->
@@ -763,6 +758,23 @@ let kernels () =
   let data_movement = data_movement ~smoke ~peak:blit_peak in
   let sparse_update = sparse_update ~smoke ~peak:blit_peak in
   let small_elementwise = small_elementwise ~smoke in
+  (* One point per intra-op thread budget: [f t] runs under [t]. *)
+  let series f =
+    List.map
+      (fun t ->
+        Parallel.set_threads t;
+        (t, f t))
+      [ 1; 2; 4; 8 ]
+  in
+  (* [work] units per call of [f] over its mean call time. *)
+  let rate_series ~label ~work ~units f =
+    series (fun t ->
+        let s = time_kernel ~iters f in
+        let rate = work /. s in
+        Printf.printf "%s, %d threads: %7.2f ms  %8.2f %s\n%!" label t
+          (1000.0 *. s) rate units;
+        rate)
+  in
   let rng = Rng.create 11 in
   (* matmul: one dim x dim square product per call. *)
   let mm_dim = if smoke then 96 else 512 in
@@ -770,15 +782,10 @@ let kernels () =
   let b = Tensor.uniform rng [| mm_dim; mm_dim |] ~lo:(-1.0) ~hi:1.0 in
   let mm_flops = 2.0 *. (float_of_int mm_dim ** 3.0) in
   let mm_series =
-    List.map
-      (fun t ->
-        Parallel.set_threads t;
-        let s = time_kernel ~iters (fun () -> Tensor_ops.matmul a b) in
-        let gflops = mm_flops /. s /. 1e9 in
-        Printf.printf "matmul %dx%d, %d threads: %7.2f ms  %6.2f GFLOP/s\n%!"
-          mm_dim mm_dim t (1000.0 *. s) gflops;
-        (t, gflops))
-      thread_counts
+    rate_series
+      ~label:(Printf.sprintf "matmul %dx%d" mm_dim mm_dim)
+      ~work:(mm_flops /. 1e9) ~units:"GFLOP/s"
+      (fun () -> Tensor_ops.matmul a b)
   in
   (* conv2d: NHWC input, HWIO filter, SAME padding. *)
   let cv_batch = if smoke then 2 else 8 in
@@ -795,34 +802,23 @@ let kernels () =
     *. float_of_int (cv_batch * cv_size * cv_size * cv_oc * 3 * 3 * cv_ic)
   in
   let cv_series =
-    List.map
-      (fun t ->
-        Parallel.set_threads t;
-        let s =
-          time_kernel ~iters (fun () ->
-              Tensor_ops.conv2d img filt ~strides:(1, 1) ~padding:Tensor_ops.Same)
-        in
-        let gflops = cv_flops /. s /. 1e9 in
-        Printf.printf
-          "conv2d %dx%dx%dx%d *3x3x%d, %d threads: %7.2f ms  %6.2f GFLOP/s\n%!"
-          cv_batch cv_size cv_size cv_ic cv_oc t (1000.0 *. s) gflops;
-        (t, gflops))
-      thread_counts
+    rate_series
+      ~label:
+        (Printf.sprintf "conv2d %dx%dx%dx%d *3x3x%d" cv_batch cv_size cv_size
+           cv_ic cv_oc)
+      ~work:(cv_flops /. 1e9) ~units:"GFLOP/s"
+      (fun () ->
+        Tensor_ops.conv2d img filt ~strides:(1, 1) ~padding:Tensor_ops.Same)
   in
   (* elementwise: broadcast-free map2 over a large buffer. *)
   let ew_n = if smoke then 1 lsl 18 else 1 lsl 22 in
   let x = Tensor.uniform rng [| ew_n |] ~lo:(-1.0) ~hi:1.0 in
   let y = Tensor.uniform rng [| ew_n |] ~lo:(-1.0) ~hi:1.0 in
   let ew_series =
-    List.map
-      (fun t ->
-        Parallel.set_threads t;
-        let s = time_kernel ~iters (fun () -> Tensor_ops.add x y) in
-        let melems = float_of_int ew_n /. s /. 1e6 in
-        Printf.printf "elementwise add %d elems, %d threads: %7.2f ms  %8.1f M elems/s\n%!"
-          ew_n t (1000.0 *. s) melems;
-        (t, melems))
-      thread_counts
+    rate_series
+      ~label:(Printf.sprintf "elementwise add %d elems" ew_n)
+      ~work:(float_of_int ew_n /. 1e6) ~units:"M elems/s"
+      (fun () -> Tensor_ops.add x y)
   in
   (* Fused elementwise chain: a 12-op chain of cheap ops over a large
      buffer. Unfused it makes twelve passes over memory; the fuse pass
@@ -896,9 +892,7 @@ let kernels () =
      bit-identical %b\n%!"
     fc_ops fused_kernels fused_group fc_identical;
   let fc_series =
-    List.map
-      (fun t ->
-        Parallel.set_threads t;
+    series (fun t ->
         let unfused_s =
           time_kernel ~iters (fun () ->
               Octf.Session.run ~feeds:[ (ux, fc_input) ] unfused_session [ uy ])
@@ -912,8 +906,7 @@ let kernels () =
           "fused chain %d elems, %d threads: unfused %7.2f ms  fused %7.2f \
            ms  speedup %.2fx\n%!"
           fc_n t (1000.0 *. unfused_s) (1000.0 *. fused_s) speedup;
-        (t, (unfused_s, fused_s, speedup)))
-      thread_counts
+        (unfused_s, fused_s, speedup))
   in
   let fc_best =
     List.fold_left (fun acc (_, (_, _, s)) -> Float.max acc s) 0.0 fc_series
@@ -939,11 +932,7 @@ let kernels () =
             Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b)
     done
   done;
-  let median v =
-    let xs = Array.copy samples.(v) in
-    Array.sort compare xs;
-    xs.(trials / 2)
-  in
+  let median v = fst (median_and_best (Array.to_list samples.(v))) in
   let plain = median 0 and t_a = median 1 and t_b = median 2 in
   let t_ab = median 3 in
   let worst = List.fold_left Float.max t_a [ t_b; t_ab ] in
@@ -957,8 +946,8 @@ let kernels () =
       (List.map (fun (t, v) -> Printf.sprintf "{\"threads\":%d,%s}" t (fmt v))
          series)
   in
-  let json =
-    Printf.sprintf
+  write_json "BENCH_kernels.json"
+    (Printf.sprintf
       "{\"bench\":\"kernels\",\"smoke\":%b,\"cores\":%d,\n\
        \"peak\":{\"gflops\":%.3f,\"method\":\"scalar multiply-add, L1-resident operands, 8 independent accumulators, 1 thread, best of trials\"},\n\
        \"gemm_roofline\":[%s],\n\
@@ -993,38 +982,25 @@ let kernels () =
              (1000.0 *. unfused_s) (1000.0 *. fused_s) speedup)
          fc_series)
       (1000.0 *. plain) (1000.0 *. t_a) (1000.0 *. t_b) (1000.0 *. t_ab)
-      ratio
-  in
-  let oc = open_out "BENCH_kernels.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_kernels.json\n%!";
-  if ratio > 4.0 then begin
-    Printf.printf
-      "FAIL: a transposed matmul variant is %.1fx slower than the plain \
-       path (budget 4x)\n%!"
+      ratio);
+  if ratio > 4.0 then
+    fail
+      "a transposed matmul variant is %.1fx slower than the plain path \
+       (budget 4x)"
       ratio;
-    exit 1
-  end;
   (* Fusion guards: mechanism always (one fused kernel standing in for
      >= 10 ops, bit-identical fetch), and a speedup floor — in smoke
      mode merely faster than unfused; at full size the single-pass
      kernel must beat twelve memory passes by 3x. *)
-  if fused_kernels <> 1 || fused_group < 10 || not fc_identical then begin
-    Printf.printf
-      "FAIL: fused chain mechanism broken: %d fused kernel(s) covering %d \
-       ops, bit-identical %b (want 1 kernel, >=10 ops, identical)\n%!"
+  if fused_kernels <> 1 || fused_group < 10 || not fc_identical then
+    fail
+      "fused chain mechanism broken: %d fused kernel(s) covering %d ops, \
+       bit-identical %b (want 1 kernel, >=10 ops, identical)"
       fused_kernels fused_group fc_identical;
-    exit 1
-  end;
   let fc_floor = if smoke then 1.0 else 3.0 in
-  if fc_best <= fc_floor then begin
-    Printf.printf
-      "FAIL: fused chain best speedup %.2fx does not clear the %.1fx \
-       floor\n%!"
-      fc_best fc_floor;
-    exit 1
-  end
+  if fc_best <= fc_floor then
+    fail "fused chain best speedup %.2fx does not clear the %.1fx floor"
+      fc_best fc_floor
 
 (* ------------------------------------------------------------------ *)
 (* Memory planning: peak live tensor bytes, planning on vs off         *)
@@ -1067,12 +1043,10 @@ let memory_run ~planning ~steps ~batch ~hidden =
   Octf.Session.run_unit session [ Vs.init_op store ];
   (* Warm-up pays plan compilation; it touches the same peak the steady
      state does, so measuring from here is safe. *)
-  ignore (Octf.Session.run session [ loss; train_op ]);
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to steps do
-    ignore (Octf.Session.run session [ loss; train_op ])
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
+  let s =
+    time_kernel ~iters:steps (fun () ->
+        Octf.Session.run session [ loss; train_op ])
+  in
   let peak =
     match
       Octf.Metrics.find_value Octf.Metrics.default "octf_mem_peak_bytes"
@@ -1080,7 +1054,7 @@ let memory_run ~planning ~steps ~batch ~hidden =
     | Some v -> int_of_float v
     | None -> 0
   in
-  (peak, float_of_int steps /. dt)
+  (peak, 1.0 /. s)
 
 let memory () =
   section "Memory planning: MLP peak live tensor bytes, planning on vs off";
@@ -1100,27 +1074,18 @@ let memory () =
     \  planning on:  peak %9d bytes  %7.1f steps/s   (peak -%.1f%%)\n%!"
     hidden hidden batch steps off_peak off_rate on_peak on_rate
     (100.0 *. reduction);
-  let json =
-    Printf.sprintf
+  write_json "BENCH_memory.json"
+    (Printf.sprintf
       "{\"bench\":\"memory\",\"smoke\":%b,\n\
        \"model\":{\"hidden\":%d,\"batch\":%d,\"steps\":%d},\n\
        \"planning_off\":{\"peak_live_bytes\":%d,\"steps_per_sec\":%.2f},\n\
        \"planning_on\":{\"peak_live_bytes\":%d,\"steps_per_sec\":%.2f},\n\
        \"peak_reduction\":%.3f}\n"
       (smoke : bool)
-      hidden batch steps off_peak off_rate on_peak on_rate reduction
-  in
-  let oc = open_out "BENCH_memory.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_memory.json\n%!";
-  if reduction < 0.30 then begin
-    Printf.printf
-      "FAIL: memory planning cut peak live bytes by only %.1f%% (budget \
-       30%%)\n%!"
-      (100.0 *. reduction);
-    exit 1
-  end
+      hidden batch steps off_peak off_rate on_peak on_rate reduction);
+  if reduction < 0.30 then
+    fail "memory planning cut peak live bytes by only %.1f%% (budget 30%%)"
+      (100.0 *. reduction)
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined execution: K steps in flight against a straggler reader   *)
@@ -1193,8 +1158,8 @@ let pipeline () =
     \  K=2 %7.2f steps/s\n\
     \  K=4 %7.2f steps/s   (K=4 / K=1 = %.2fx)\n%!"
     steps delay_ms k1 k2 k4 speedup;
-  let json =
-    Printf.sprintf
+  write_json "BENCH_pipeline.json"
+    (Printf.sprintf
       "{\"bench\":\"pipeline\",\"smoke\":%b,\n\
        \"workload\":{\"steps\":%d,\"reader_delay_ms\":%.1f},\n\
        \"k1\":{\"steps_per_sec\":%.2f},\n\
@@ -1202,493 +1167,9 @@ let pipeline () =
        \"k4\":{\"steps_per_sec\":%.2f},\n\
        \"speedup_k4_over_k1\":%.3f}\n"
       (smoke : bool)
-      steps delay_ms k1 k2 k4 speedup
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_pipeline.json\n%!";
-  if speedup < 1.5 then begin
-    Printf.printf
-      "FAIL: K=4 pipeline gave only %.2fx over K=1 (budget 1.5x)\n%!"
-      speedup;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Serving: micro-batched inference vs batch-size-1                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The TensorFlow-Serving workload: many concurrent single-example
-   clients against a frozen model. The served model is the repo's
-   miniature MNIST convnet (6x6x1 input, conv-pool-conv-pool-fc) so
-   the per-step fixed cost — executor dispatch, one kernel invocation
-   per node, batcher wakeup — dominates per-row arithmetic, which is
-   exactly the regime request coalescing is for. Each client keeps
-   [depth] requests in flight, as a serving frontend multiplexing its
-   own callers would; both legs use the identical harness and differ
-   only in [max_batch_size]. *)
-
-module Serving = Octf_serving.Serving
-
-type serving_leg = {
-  sl_rps : float;
-  sl_p50_ms : float;
-  sl_p99_ms : float;
-  sl_mean_batch : float;
-  sl_max_batch : int;
-}
-
-let serving_run ~session ~inputs ~outputs ~examples ~max_batch ~clients
-    ~depth ~requests =
-  let server =
-    Serving.create ~name:"bench" ~max_batch_size:max_batch
-      ~max_queue_delay:0.0005 ~queue_capacity:1024 ~session ~inputs
-      ~outputs ()
-  in
-  let nex = Array.length examples in
-  let lats = Array.make (clients * requests) 0.0 in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun ci ->
-        Thread.create
-          (fun () ->
-            let inflight = Queue.create () in
-            let drain () =
-              match Queue.take_opt inflight with
-              | None -> ()
-              | Some (ri, ts, req) -> (
-                  match Serving.await req with
-                  | Ok _ ->
-                      lats.((ci * requests) + ri) <-
-                        Unix.gettimeofday () -. ts
-                  | Error _ -> ())
-            in
-            for ri = 0 to requests - 1 do
-              if Queue.length inflight >= depth then drain ();
-              let ts = Unix.gettimeofday () in
-              match Serving.submit server examples.((ci + ri) mod nex) with
-              | Ok req -> Queue.add (ri, ts, req) inflight
-              | Error _ -> Thread.delay 0.001
-            done;
-            while Queue.length inflight > 0 do
-              drain ()
-            done)
-          ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let stats = Serving.stats server in
-  Serving.shutdown server;
-  let sorted = Array.copy lats in
-  Array.sort compare sorted;
-  let pct p =
-    let n = Array.length sorted in
-    1e3 *. sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
-  in
-  {
-    sl_rps = float_of_int stats.Serving.served /. wall;
-    sl_p50_ms = pct 0.5;
-    sl_p99_ms = pct 0.99;
-    sl_mean_batch =
-      float_of_int stats.Serving.served
-      /. float_of_int (max 1 stats.Serving.batches);
-    sl_max_batch = stats.Serving.max_batch;
-  }
-
-(* Median-of-trials per leg: the host is a shared VM with measurable
-   CPU steal, and the batch-1 leg (16x more scheduler transitions per
-   request) is hit hardest by it. *)
-let serving_median legs =
-  let a = Array.of_list legs in
-  Array.sort (fun l l' -> compare l.sl_rps l'.sl_rps) a;
-  a.(Array.length a / 2)
-
-let serving_cnn ~train_steps =
-  let module Vs = Octf_nn.Var_store in
-  let module L = Octf_nn.Layers in
-  let image_size = 6 and classes = 4 in
-  let b = B.create () in
-  let store = Vs.create b in
-  let pixels = B.placeholder b ~name:"pixels" Dtype.F32 in
-  let labels = B.placeholder b ~name:"labels" Dtype.I32 in
-  let conv1 =
-    L.conv2d store ~activation:`Relu ~name:"conv1" ~in_channels:1
-      ~out_channels:2 ~ksize:(3, 3) pixels
-  in
-  let pool1 = L.max_pool2d b ~ksize:(2, 2) conv1 in
-  let conv2 =
-    L.conv2d store ~activation:`Relu ~name:"conv2" ~in_channels:2
-      ~out_channels:4 ~ksize:(3, 3) pool1
-  in
-  let pool2 = L.max_pool2d b ~ksize:(2, 2) conv2 in
-  (* 6x6 -> 3x3 (valid pool) -> 3x3 (same conv) -> 1x1, then a 1x1
-     network-in-network projection before the classifier head. *)
-  let conv3 =
-    L.conv2d store ~activation:`Relu ~name:"conv3" ~in_channels:4
-      ~out_channels:8 ~ksize:(1, 1) pool2
-  in
-  let flat = L.flatten b ~features:8 conv3 in
-  let hidden =
-    L.dense store ~activation:`Relu ~name:"fc1" ~in_dim:8 ~out_dim:16 flat
-  in
-  let logits =
-    L.dense store ~name:"logits" ~in_dim:16 ~out_dim:classes hidden
-  in
-  let loss =
-    Octf_nn.Losses.sparse_softmax_cross_entropy_mean b ~num_classes:classes
-      ~logits ~labels
-  in
-  let train_op = Octf_train.Optimizer.minimize store ~lr:0.01 ~loss () in
-  let session = Octf.Session.create (B.graph b) in
-  Octf.Session.run_unit session [ Vs.init_op store ];
-  let rng = Rng.create 5 in
-  for _ = 1 to train_steps do
-    let imgs =
-      Octf_data.Synthetic.image_batch rng ~batch:16 ~size:image_size
-        ~channels:1 ~classes
-    in
-    Octf.Session.run_unit
-      ~feeds:
-        [
-          (pixels, imgs.Octf_data.Synthetic.pixels);
-          (labels, imgs.Octf_data.Synthetic.labels);
-        ]
-      session [ train_op ]
-  done;
-  let frozen =
-    Serving.freeze_session ~inputs:[ pixels ] ~outputs:[ logits ] session
-  in
-  let ex_rng = Rng.create 9 in
-  let examples =
-    Array.init 32 (fun _ ->
-        let imgs =
-          Octf_data.Synthetic.image_batch ex_rng ~batch:1 ~size:image_size
-            ~channels:1 ~classes
-        in
-        [
-          Tensor.reshape imgs.Octf_data.Synthetic.pixels
-            [| image_size; image_size; 1 |];
-        ])
-  in
-  (frozen, [ pixels ], [ logits ], examples)
-
-let serving_lstm ~train_steps =
-  let module Vs = Octf_nn.Var_store in
-  let units = 32 and input_dim = 16 and batch = 16 in
-  let b = B.create () in
-  let store = Vs.create b in
-  let cell = Octf_nn.Lstm.cell store ~name:"cell" ~input_dim ~units in
-  let x = B.placeholder b ~name:"x" Dtype.F32 in
-  let h = B.placeholder b ~name:"h" Dtype.F32 in
-  let c = B.placeholder b ~name:"c" Dtype.F32 in
-  let h', c' = Octf_nn.Lstm.step cell b ~x ~h ~c in
-  let loss = B.reduce_mean b (B.square b h') in
-  let train_op = Octf_train.Optimizer.minimize store ~lr:0.05 ~loss () in
-  let session = Octf.Session.create (B.graph b) in
-  Octf.Session.run_unit session [ Vs.init_op store ];
-  let rng = Rng.create 7 in
-  for _ = 1 to train_steps do
-    let xs = Tensor.uniform rng [| batch; input_dim |] ~lo:(-1.0) ~hi:1.0 in
-    let zeros = Tensor.zeros Dtype.F32 [| batch; units |] in
-    Octf.Session.run_unit
-      ~feeds:[ (x, xs); (h, zeros); (c, zeros) ]
-      session [ train_op ]
-  done;
-  let frozen =
-    Serving.freeze_session ~inputs:[ x; h; c ] ~outputs:[ h'; c' ] session
-  in
-  let ex_rng = Rng.create 9 in
-  let examples =
-    Array.init 32 (fun _ ->
-        [
-          Tensor.uniform ex_rng [| input_dim |] ~lo:(-1.0) ~hi:1.0;
-          Tensor.zeros Dtype.F32 [| units |];
-          Tensor.zeros Dtype.F32 [| units |];
-        ])
-  in
-  (frozen, [ x; h; c ], [ h'; c' ], examples)
-
-let serving () =
-  section "Serving: micro-batched inference vs batch-size-1, 8 clients";
-  let smoke = smoke_mode () in
-  let train_steps = if smoke then 3 else 10 in
-  let requests = if smoke then 40 else 300 in
-  let trials = if smoke then 1 else 5 in
-  let clients = 8 and depth = 8 in
-  let session, inputs, outputs, examples = serving_cnn ~train_steps in
-  let leg max_batch =
-    serving_run ~session ~inputs ~outputs ~examples ~max_batch ~clients
-      ~depth ~requests
-  in
-  (* Alternate the legs so a noisy-neighbour burst lands on both. *)
-  let b1 = ref [] and mb = ref [] in
-  for _ = 1 to trials do
-    b1 := leg 1 :: !b1;
-    mb := leg 32 :: !mb
-  done;
-  let b1 = serving_median !b1 and mb = serving_median !mb in
-  let speedup = mb.sl_rps /. b1.sl_rps in
-  Printf.printf
-    "MNIST convnet (6x6 miniature), %d clients x %d requests, depth %d:\n\
-    \  batch-size-1 %8.0f req/s   p50 %5.2f ms  p99 %5.2f ms\n\
-    \  micro-batch  %8.0f req/s   p50 %5.2f ms  p99 %5.2f ms  (mean \
-     batch %.1f, max %d)\n\
-    \  speedup %.2fx\n%!"
-    clients requests depth b1.sl_rps b1.sl_p50_ms b1.sl_p99_ms mb.sl_rps
-    mb.sl_p50_ms mb.sl_p99_ms mb.sl_mean_batch mb.sl_max_batch speedup;
-  let lsession, linputs, loutputs, lexamples = serving_lstm ~train_steps in
-  let lstm =
-    serving_run ~session:lsession ~inputs:linputs ~outputs:loutputs
-      ~examples:lexamples ~max_batch:32 ~clients ~depth ~requests
-  in
-  Printf.printf
-    "LSTM cell (32 units):\n\
-    \  micro-batch  %8.0f req/s   p50 %5.2f ms  p99 %5.2f ms  (mean \
-     batch %.1f)\n%!"
-    lstm.sl_rps lstm.sl_p50_ms lstm.sl_p99_ms lstm.sl_mean_batch;
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"serving\",\"smoke\":%b,\n\
-       \"workload\":{\"model\":\"mnist_cnn_6x6\",\"clients\":%d,\
-       \"requests_per_client\":%d,\"inflight_per_client\":%d,\
-       \"max_batch\":32},\n\
-       \"batch1\":{\"req_per_sec\":%.0f,\"p50_ms\":%.3f,\"p99_ms\":%.3f},\n\
-       \"microbatch\":{\"req_per_sec\":%.0f,\"p50_ms\":%.3f,\
-       \"p99_ms\":%.3f,\"mean_batch\":%.1f,\"max_batch\":%d},\n\
-       \"speedup\":%.3f,\n\
-       \"lstm\":{\"req_per_sec\":%.0f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\
-       \"mean_batch\":%.1f}}\n"
-      (smoke : bool)
-      clients requests depth b1.sl_rps b1.sl_p50_ms b1.sl_p99_ms mb.sl_rps
-      mb.sl_p50_ms mb.sl_p99_ms mb.sl_mean_batch mb.sl_max_batch speedup
-      lstm.sl_rps lstm.sl_p50_ms lstm.sl_p99_ms lstm.sl_mean_batch
-  in
-  let oc = open_out "BENCH_serving.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_serving.json\n%!";
-  if smoke then begin
-    if mb.sl_max_batch < 2 then begin
-      Printf.printf "FAIL: serving smoke never coalesced a batch\n%!";
-      exit 1
-    end
-  end
-  else if speedup < 2.0 then begin
-    Printf.printf
-      "FAIL: micro-batching gave only %.2fx over batch-size-1 (budget \
-       2.0x)\n%!"
-      speedup;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Quantized inference: calibrate + rewrite + serve at int8 (§5)       *)
-(* ------------------------------------------------------------------ *)
-
-let quant_metric name =
-  Option.value ~default:0.0
-    (Octf.Metrics.find_value Octf.Metrics.default name)
-
-(* An MNIST-style CNN sized so the quantized contractions dominate the
-   step; returns the trained session plus everything the freeze /
-   calibrate / evaluate loop needs. *)
-let quant_cnn ~image_size ~train_steps =
-  let module Vs = Octf_nn.Var_store in
-  let module L = Octf_nn.Layers in
-  let classes = 4 and batch = 16 in
-  let b = B.create () in
-  let store = Vs.create b in
-  let pixels = B.placeholder b ~name:"pixels" Dtype.F32 in
-  let labels = B.placeholder b ~name:"labels" Dtype.I32 in
-  let conv1 =
-    L.conv2d store ~activation:`Relu ~name:"conv1" ~in_channels:1
-      ~out_channels:8 ~ksize:(3, 3) pixels
-  in
-  let pool1 = L.max_pool2d b ~ksize:(2, 2) conv1 in
-  let conv2 =
-    L.conv2d store ~activation:`Relu ~name:"conv2" ~in_channels:8
-      ~out_channels:16 ~ksize:(3, 3) pool1
-  in
-  let pool2 = L.max_pool2d b ~ksize:(2, 2) conv2 in
-  let side = image_size / 4 in
-  let flat = L.flatten b ~features:(side * side * 16) pool2 in
-  let hidden =
-    L.dense store ~activation:`Relu ~name:"fc1"
-      ~in_dim:(side * side * 16)
-      ~out_dim:64 flat
-  in
-  let logits = L.dense store ~name:"logits" ~in_dim:64 ~out_dim:classes hidden in
-  let loss =
-    Octf_nn.Losses.sparse_softmax_cross_entropy_mean b ~num_classes:classes
-      ~logits ~labels
-  in
-  let train_op =
-    Octf_train.Optimizer.minimize store
-      ~algorithm:Octf_train.Optimizer.adam_default ~lr:0.003 ~loss ()
-  in
-  let session = Octf.Session.create (B.graph b) in
-  Octf.Session.run_unit session [ Vs.init_op store ];
-  let rng = Rng.create 5 in
-  for _ = 1 to train_steps do
-    let imgs =
-      Octf_data.Synthetic.image_batch rng ~batch ~size:image_size ~channels:1
-        ~classes
-    in
-    Octf.Session.run_unit
-      ~feeds:
-        [
-          (pixels, imgs.Octf_data.Synthetic.pixels);
-          (labels, imgs.Octf_data.Synthetic.labels);
-        ]
-      session [ train_op ]
-  done;
-  (session, pixels, logits, [ conv1; conv2; hidden ], classes)
-
-let quant_argmax t ~row ~cols =
-  let best = ref 0 in
-  for j = 1 to cols - 1 do
-    if
-      Tensor.flat_get_f t ((row * cols) + j)
-      > Tensor.flat_get_f t ((row * cols) + !best)
-    then best := j
-  done;
-  !best
-
-let quant () =
-  section "Quantized inference: int8 islands vs the float frozen graph";
-  let smoke = smoke_mode () in
-  let image_size = if smoke then 12 else 24 in
-  let train_steps = if smoke then 5 else 30 in
-  let eval_batches = if smoke then 8 else 40 in
-  let trials = if smoke then 1 else 5 in
-  let batch = 16 in
-  let session, pixels, logits, calibrate_eps, classes =
-    quant_cnn ~image_size ~train_steps
-  in
-  let float_frozen =
-    Serving.freeze_session ~quantize:false ~inputs:[ pixels ]
-      ~outputs:[ logits ] session
-  in
-  (* calibration: representative batches through the float frozen graph *)
-  let cal = Octf.Quant_calibration.create () in
-  let cal_rng = Rng.create 17 in
-  for _ = 1 to 8 do
-    let imgs =
-      Octf_data.Synthetic.image_batch cal_rng ~batch ~size:image_size
-        ~channels:1 ~classes
-    in
-    Octf.Quant_calibration.observe_step cal float_frozen
-      ~feeds:[ (pixels, imgs.Octf_data.Synthetic.pixels) ]
-      calibrate_eps
-  done;
-  let islands0 = quant_metric "octf_quant_islands_total" in
-  let wf0 = quant_metric "octf_quant_weight_bytes_float_total" in
-  let wc0 = quant_metric "octf_quant_weight_bytes_code_total" in
-  let quant_frozen =
-    Serving.freeze_session ~quantize:true
-      ~ranges:(Octf.Quant_calibration.ranges cal)
-      ~inputs:[ pixels ] ~outputs:[ logits ] session
-  in
-  let islands = quant_metric "octf_quant_islands_total" -. islands0 in
-  let weight_bytes_float =
-    quant_metric "octf_quant_weight_bytes_float_total" -. wf0
-  in
-  let weight_bytes_code =
-    quant_metric "octf_quant_weight_bytes_code_total" -. wc0
-  in
-  let weight_ratio = weight_bytes_float /. Float.max 1.0 weight_bytes_code in
-  (* fixed evaluation set, shared by the throughput and accuracy legs *)
-  let eval_rng = Rng.create 23 in
-  let eval =
-    Array.init eval_batches (fun _ ->
-        (Octf_data.Synthetic.image_batch eval_rng ~batch ~size:image_size
-           ~channels:1 ~classes)
-          .Octf_data.Synthetic.pixels)
-  in
-  let time_leg frozen =
-    ignore (Octf.Session.run ~feeds:[ (pixels, eval.(0)) ] frozen [ logits ]);
-    let t0 = Unix.gettimeofday () in
-    Array.iter
-      (fun px ->
-        ignore (Octf.Session.run ~feeds:[ (pixels, px) ] frozen [ logits ]))
-      eval;
-    Unix.gettimeofday () -. t0
-  in
-  (* alternate legs across trials, take medians (shared-VM noise) *)
-  let ft = ref [] and qt = ref [] in
-  for _ = 1 to trials do
-    ft := time_leg float_frozen :: !ft;
-    qt := time_leg quant_frozen :: !qt
-  done;
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let float_s = median !ft and quant_s = median !qt in
-  let images = float_of_int (eval_batches * batch) in
-  let float_rps = images /. float_s and quant_rps = images /. quant_s in
-  let speedup = quant_rps /. float_rps in
-  (* top-1 agreement between the two frozen graphs *)
-  let agree = ref 0 in
-  Array.iter
-    (fun px ->
-      let run s =
-        List.hd (Octf.Session.run ~feeds:[ (pixels, px) ] s [ logits ])
-      in
-      let fl = run float_frozen and qu = run quant_frozen in
-      for row = 0 to batch - 1 do
-        if quant_argmax fl ~row ~cols:classes = quant_argmax qu ~row ~cols:classes
-        then incr agree
-      done)
-    eval;
-  let delta = 1.0 -. (float_of_int !agree /. images) in
-  Printf.printf
-    "MNIST convnet (%dx%d), %d eval batches of %d:\n\
-    \  float frozen     %8.0f img/s\n\
-    \  int8 quantized   %8.0f img/s   speedup %.2fx\n\
-    \  islands %.0f, weight bytes %.0f -> %.0f (%.1fx smaller), top-1 \
-     delta %.3f\n%!"
-    image_size image_size eval_batches batch float_rps quant_rps speedup
-    islands weight_bytes_float weight_bytes_code weight_ratio delta;
-  let json =
-    Printf.sprintf
-      "{\"bench\":\"quant\",\"smoke\":%b,\n\
-       \"workload\":{\"model\":\"mnist_cnn_%dx%d\",\"eval_batches\":%d,\
-       \"batch\":%d},\n\
-       \"float\":{\"img_per_sec\":%.0f},\n\
-       \"quantized\":{\"img_per_sec\":%.0f,\"islands\":%.0f,\
-       \"weight_bytes_float\":%.0f,\"weight_bytes_code\":%.0f,\
-       \"weight_ratio\":%.2f},\n\
-       \"speedup\":%.3f,\"top1_delta\":%.4f}\n"
-      (smoke : bool)
-      image_size image_size eval_batches batch float_rps quant_rps islands
-      weight_bytes_float weight_bytes_code weight_ratio speedup delta
-  in
-  let oc = open_out "BENCH_quant.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_quant.json\n%!";
-  (* Gate: a real throughput win, or the asserted mechanism — islands
-     rewritten, the honest 4x weight cut, and accuracy intact. With the
-     two-columns-per-multiply int8 GEMM this bench measured 1.16x float
-     (0.51x before it; one run each, one CPU of a 2-vCPU VM), short of
-     1.3x: the int8 GEMM runs at about the float GEMM's rate on these
-     shapes, and the int8 graph adds Quantize/Dequantize around float
-     pooling. So the mechanism check stays the portable floor. *)
-  let mechanism_ok = islands >= 2.0 && weight_ratio >= 3.9 in
-  if delta > 0.15 then begin
-    Printf.printf "FAIL: quantized top-1 delta %.3f exceeds 0.15\n%!" delta;
-    exit 1
-  end;
-  if (not mechanism_ok) && speedup < 1.3 then begin
-    Printf.printf
-      "FAIL: neither %.2fx speedup >= 1.3x nor mechanism (islands %.0f, \
-       ratio %.1fx)\n%!"
-      speedup islands weight_ratio;
-    exit 1
-  end
+      steps delay_ms k1 k2 k4 speedup);
+  if speedup < 1.5 then
+    fail "K=4 pipeline gave only %.2fx over K=1 (budget 1.5x)" speedup
 
 (* ------------------------------------------------------------------ *)
 
@@ -1700,8 +1181,6 @@ let all_experiments =
     ("kernels", kernels);
     ("memory", memory);
     ("pipeline", pipeline);
-    ("serving", serving);
-    ("quant", quant);
     ("fig6", fig6);
     ("fig7", fig7);
     ("fig8", fig8);

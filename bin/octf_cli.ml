@@ -1246,8 +1246,8 @@ let serve_cmd =
       value & opt int 8
       & info [ "max-batch" ]
           ~doc:
-            "Micro-batch size cap; $(b,1) disables coalescing (the \
-             baseline the bench compares against).")
+            "Micro-batch size cap; $(b,1) disables coalescing, the \
+             baseline that shows what coalescing buys.")
   in
   let max_delay_ms =
     Arg.(

@@ -162,6 +162,109 @@ let test_batch_coalescing () =
     (stats.Serving.batches < n_clients && stats.Serving.max_batch >= 2);
   Serving.shutdown server
 
+(* A frozen recurrent cell with a two-input, two-output signature:
+   (x, h) -> (h', y), gates over [x; h] as an LSTM cell computes them.
+   Quantization changes numerics, so it is pinned off. *)
+let two_io_cell () =
+  let b = B.create () in
+  let vs = Vs.create ~seed:5 b in
+  let x = B.placeholder b ~name:"x" Dtype.F32 in
+  let h = B.placeholder b ~name:"h" Dtype.F32 in
+  let w =
+    Vs.get vs ~init:Octf_nn.Init.glorot_uniform ~name:"cell/kernel" [| 7; 8 |]
+  in
+  let bias =
+    Vs.get vs ~init:(Octf_nn.Init.uniform ~lo:(-0.5) ~hi:0.5 ()) ~name:"cell/bias"
+      [| 8 |]
+  in
+  let w_out =
+    Vs.get vs ~init:Octf_nn.Init.glorot_uniform ~name:"out" [| 4; 2 |]
+  in
+  let z =
+    B.add b (B.matmul b (B.concat b ~axis:1 [ x; h ]) w.Vs.read) bias.Vs.read
+  in
+  let gate k = B.slice b z ~begin_:[| 0; 4 * k |] ~size:[| -1; 4 |] in
+  let h' = B.mul b (B.sigmoid b (gate 0)) (B.tanh b (gate 1)) in
+  let y = B.matmul b h' w_out.Vs.read in
+  let live = Session.create (B.graph b) in
+  Session.run_unit live [ Vs.init_op vs ];
+  let frozen =
+    Serving.freeze_session
+      ~config:(Session.Config.v ~quantize:false ())
+      ~inputs:[ x; h ] ~outputs:[ h'; y ] live
+  in
+  (frozen, [ x; h ], [ h'; y ])
+
+(* Clients that pipeline: each keeps [depth] submits in flight and reads
+   them back with await, as a serving frontend multiplexing its own
+   callers does. Every answer must be the unbatched run of its own
+   example, bit for bit, whichever batch it rode in. *)
+let test_pipelined_multi_io () =
+  let frozen, inputs, outputs = two_io_cell () in
+  let server =
+    Serving.create ~name:"pipelined" ~max_batch_size:8 ~max_queue_delay:0.02
+      ~session:frozen ~inputs ~outputs ()
+  in
+  let clients = 4 and per_client = 16 and depth = 4 in
+  let example ci ri =
+    let rng = Rng.create ((100 * ci) + ri) in
+    [
+      Tensor.uniform rng [| 3 |] ~lo:(-1.0) ~hi:1.0;
+      Tensor.uniform rng [| 4 |] ~lo:(-1.0) ~hi:1.0;
+    ]
+  in
+  let answers = Array.make_matrix clients per_client None in
+  let client ci =
+    let inflight = Queue.create () in
+    let drain () =
+      let ri, req = Queue.pop inflight in
+      answers.(ci).(ri) <- Some (Serving.await req)
+    in
+    for ri = 0 to per_client - 1 do
+      if Queue.length inflight >= depth then drain ();
+      match Serving.submit server (example ci ri) with
+      | Ok req -> Queue.add (ri, req) inflight
+      | Error f -> answers.(ci).(ri) <- Some (Error f)
+    done;
+    while not (Queue.is_empty inflight) do
+      drain ()
+    done
+  in
+  List.iter Thread.join (List.init clients (Thread.create client));
+  let stats = Serving.stats server in
+  Serving.shutdown server;
+  Array.iteri
+    (fun ci row ->
+      Array.iteri
+        (fun ri answer ->
+          let ex = example ci ri in
+          let feeds =
+            List.map2
+              (fun p t ->
+                (p, Tensor.reshape t (Array.append [| 1 |] (Tensor.shape t))))
+              inputs ex
+          in
+          let want = Session.run ~feeds frozen outputs in
+          match answer with
+          | Some (Ok got) ->
+              Alcotest.(check (list (array int)))
+                "output shapes, batch axis dropped" [ [| 4 |]; [| 2 |] ]
+                (List.map Tensor.shape got);
+              List.iter2
+                (fun w g ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "client %d request %d bit-identical" ci ri)
+                    true
+                    (Tensor.equal (Tensor.reshape w (Tensor.shape g)) g))
+                want got
+          | Some (Error f) -> Alcotest.fail (Step_failure.to_string f)
+          | None -> Alcotest.fail "request never answered")
+        row)
+    answers;
+  Alcotest.(check int) "all served" (clients * per_client) stats.Serving.served;
+  Alcotest.(check bool) "requests were coalesced" true
+    (stats.Serving.max_batch >= 2)
+
 (* A deliberately slow step: sixteen chained [n,1024]x[1024,1024]
    matmuls, tens of milliseconds on any machine. *)
 let slow_model () =
@@ -496,4 +599,6 @@ let suite =
       test_frozen_fusion_env_off;
     Alcotest.test_case "fusion keeps the int8 island count" `Quick
       test_quantized_islands_kept;
+    Alcotest.test_case "pipelined clients over a two-input, two-output model"
+      `Quick test_pipelined_multi_io;
   ]
