@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench-smoke bench-kernels bench-memory bench-pipeline fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke ci clean
+.PHONY: all build test fmt bench-smoke bench-kernels bench-kernels-smoke bench-memory bench-memory-smoke bench-pipeline fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke ci clean
 
 all: build
 
@@ -30,11 +30,20 @@ bench-smoke:
 bench-kernels:
 	dune exec bench/main.exe -- kernels
 
+# The same at small sizes (the CI smoke): the fused chain must still be
+# bit-identical and faster, and transposed matmuls keep parity.
+bench-kernels-smoke:
+	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- kernels
+
 # Peak live tensor bytes with memory planning on vs off (MLP training);
 # writes BENCH_memory.json and fails if planning saves < 30%. Full
 # sizes — set OCTF_BENCH_SMOKE=1 for CI speed.
 bench-memory:
 	dune exec bench/main.exe -- memory
+
+# The same at small sizes (the CI smoke), with the same 30% gate.
+bench-memory-smoke:
+	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- memory
 
 # Pipelined execution against a fault-injected straggler reader:
 # steps/sec at K in {1,2,4}; writes BENCH_pipeline.json and fails if
@@ -103,7 +112,7 @@ bad-env-smoke:
 	status=$$?; echo "$$out"; \
 	test $$status -ne 0 && echo "$$out" | grep -q OCTF_SCHEDULER
 
-ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke
+ci: build test fmt bench-smoke bench-kernels-smoke bench-memory-smoke fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke
 	OCTF_SCHEDULER=pool dune runtest --force
 	OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=inline dune runtest --force
 	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=inline dune runtest --force
@@ -119,8 +128,6 @@ ci: build test fmt bench-smoke fault-smoke metrics-smoke pipeline-smoke serving-
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quant_accuracy
 	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test serving
 	OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test data
-	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- kernels
-	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- memory
 
 clean:
 	dune clean

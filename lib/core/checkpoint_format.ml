@@ -1,6 +1,10 @@
+(* A checkpoint is the magic followed by a {!Octf_tensor.Codec} named
+   list. Version 1 wrote ranks and counts as i64; its files fail on the
+   magic, never misparse. *)
+
 open Octf_tensor
 
-let magic = "OCTFCKPT1"
+let magic = "OCTFCKPT2"
 
 exception Corrupt of { source : string; detail : string }
 
@@ -10,153 +14,24 @@ let () =
         Some (Printf.sprintf "corrupt checkpoint %s: %s" source detail)
     | _ -> None)
 
-let corrupt source fmt =
-  Printf.ksprintf (fun detail -> raise (Corrupt { source; detail })) fmt
-
-let write_string oc s =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int (String.length s));
-  output_bytes oc b;
-  output_string oc s
-
-let write_int64 oc i =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int i);
-  output_bytes oc b
-
-let write_tensor oc name t =
-  write_string oc name;
-  write_string oc (Dtype.to_string (Tensor.dtype t));
-  let shape = Tensor.shape t in
-  write_int64 oc (Shape.rank shape);
-  Array.iter (fun d -> write_int64 oc d) shape;
-  let n = Tensor.numel t in
-  write_int64 oc n;
-  match Tensor.dtype t with
-  | Dtype.F32 | Dtype.F64 ->
-      let b = Bytes.create (n * 8) in
-      for i = 0 to n - 1 do
-        Bytes.set_int64_le b (i * 8)
-          (Int64.bits_of_float (Tensor.flat_get_f t i))
-      done;
-      output_bytes oc b
-  | Dtype.I32 | Dtype.I64 | Dtype.Bool ->
-      let b = Bytes.create (n * 8) in
-      for i = 0 to n - 1 do
-        Bytes.set_int64_le b (i * 8) (Int64.of_int (Tensor.flat_get_i t i))
-      done;
-      output_bytes oc b
-  | Dtype.U8 -> output_bytes oc (Tensor.byte_buffer t)
-  | Dtype.String ->
-      Array.iter (fun s -> write_string oc s) (Tensor.string_buffer t)
-
-(* The read side trusts nothing: every length field is bounded by the
-   bytes actually left in the file before any allocation, truncation
-   anywhere is a structured {!Corrupt} (never a bare [End_of_file]),
-   and dtype / rank / shape fields are validated before use. A
-   half-written or bit-flipped checkpoint must surface as a
-   recoverable, descriptive failure in the [Restore] kernel. *)
-
-let max_rank = 64
-
-let input_exact ic path n what =
-  try really_input_string ic n
-  with End_of_file -> corrupt path "truncated %s" what
-
-let remaining ic = in_channel_length ic - pos_in ic
-
-let read_int ic path what =
-  Int64.to_int
-    (Bytes.get_int64_le (Bytes.of_string (input_exact ic path 8 what)) 0)
-
-let read_string ic path what =
-  let len =
-    Int32.to_int
-      (Bytes.get_int32_le
-         (Bytes.of_string (input_exact ic path 4 (what ^ " length")))
-         0)
-  in
-  if len < 0 || len > remaining ic then
-    corrupt path "%s length %d out of range (%d bytes left)" what len
-      (remaining ic);
-  input_exact ic path len what
-
-let read_tensor ic path =
-  let name = read_string ic path "tensor name" in
-  let dname = read_string ic path "dtype" in
-  let dtype =
-    try Dtype.of_string dname
-    with Invalid_argument _ -> corrupt path "unknown dtype %S" dname
-  in
-  let rank = read_int ic path "rank" in
-  if rank < 0 || rank > max_rank then corrupt path "bad tensor rank %d" rank;
-  let shape =
-    Array.init rank (fun _ ->
-        let d = read_int ic path "dimension" in
-        if d < 0 then corrupt path "negative dimension %d" d;
-        d)
-  in
-  let n = read_int ic path "element count" in
-  if n < 0 || n <> Shape.numel shape then
-    corrupt path "element count %d does not match shape" n;
-  let need_bytes b =
-    if b > remaining ic then
-      corrupt path "truncated tensor data for %S (%d bytes needed, %d left)"
-        name b (remaining ic)
-  in
-  let t =
-    match dtype with
-    | Dtype.F32 | Dtype.F64 ->
-        need_bytes (n * 8);
-        let b = Bytes.of_string (input_exact ic path (n * 8) "tensor data") in
-        Tensor.of_float_array ~dtype shape
-          (Array.init n (fun i ->
-               Int64.float_of_bits (Bytes.get_int64_le b (i * 8))))
-    | Dtype.I32 | Dtype.I64 ->
-        need_bytes (n * 8);
-        let b = Bytes.of_string (input_exact ic path (n * 8) "tensor data") in
-        Tensor.of_int_array ~dtype shape
-          (Array.init n (fun i -> Int64.to_int (Bytes.get_int64_le b (i * 8))))
-    | Dtype.U8 ->
-        need_bytes n;
-        Tensor.of_bytes shape
-          (Bytes.of_string (input_exact ic path n "tensor data"))
-    | Dtype.Bool ->
-        need_bytes (n * 8);
-        let b = Bytes.of_string (input_exact ic path (n * 8) "tensor data") in
-        Tensor.of_bool_array shape
-          (Array.init n (fun i -> Bytes.get_int64_le b (i * 8) <> 0L))
-    | Dtype.String ->
-        Tensor.of_string_array shape
-          (Array.init n (fun _ -> read_string ic path "string element"))
-  in
-  (name, t)
-
 let write path entries =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc magic;
-     write_int64 oc (List.length entries);
-     List.iter (fun (name, t) -> write_tensor oc name t) entries;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
+  let b = Buffer.create 4096 in
+  Buffer.add_string b magic;
+  Codec.put_named b entries;
+  Codec.write_file_atomic path (Buffer.contents b)
 
+(* The codec bounds every length field by the bytes left before it
+   allocates, so a half-written or bit-flipped checkpoint surfaces as a
+   recoverable, descriptive failure in the [Restore] kernel. *)
 let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let m = input_exact ic path (String.length magic) "magic" in
-      if m <> magic then corrupt path "bad magic %S" m;
-      let count = read_int ic path "entry count" in
-      (* each entry needs at least its name + dtype length fields *)
-      if count < 0 || count > remaining ic then
-        corrupt path "entry count %d out of range" count;
-      List.init count (fun _ -> read_tensor ic path))
+  let r = Codec.reader (Codec.read_file path) in
+  try
+    let m = Codec.get_bytes r (String.length magic) "magic" in
+    if m <> magic then Codec.fail "bad magic %S" m;
+    let entries = Codec.get_named r in
+    Codec.expect_end r;
+    entries
+  with Codec.Decode_error detail -> raise (Corrupt { source = path; detail })
 
 let read path name =
   match List.assoc_opt name (read_all path) with

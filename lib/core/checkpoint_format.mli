@@ -1,9 +1,9 @@
 (** On-disk checkpoint format used by the [Save] and [Restore] operations
     (§4.3).
 
-    A checkpoint is a single binary file: a magic header followed by a
-    count and one record per tensor (name, dtype, shape, raw data). The
-    format is deliberately simple — the paper's point is that save and
+    A checkpoint is a single binary file: the magic ["OCTFCKPT2"]
+    followed by an {!Octf_tensor.Codec} named list (a count, then per
+    tensor its name, dtype, shape and elements). The format is deliberately simple — the paper's point is that save and
     restore are ordinary dataflow operations composed in user-level code,
     not that the file format is clever. *)
 
@@ -24,7 +24,8 @@ val write : string -> (string * Tensor.t) list -> unit
 
 val read_all : string -> (string * Tensor.t) list
 (** Every length field is validated against the bytes actually left in
-    the file before allocation.
+    the file before allocation. A file written before the magic bump
+    (["OCTFCKPT1"]) fails with ["bad magic"].
     @raise Corrupt on a malformed or truncated file. *)
 
 val read : string -> string -> Tensor.t

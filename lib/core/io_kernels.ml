@@ -18,6 +18,17 @@ let filename ctx =
   let t = K.input_tensor ctx 0 in
   Tensor.get_s t [||]
 
+(* The node's [tensor_names] picked out of a named list, the body of
+   both an example and a checkpoint; [missing name] is the error. *)
+let select ctx entries ~missing =
+  Array.of_list
+    (List.map
+       (fun name ->
+         match List.assoc_opt name entries with
+         | Some t -> Value.Tensor t
+         | None -> failwith (missing name))
+       (tensor_names ctx.K.node))
+
 exception End_of_input of string
 (* Raised by ReadRecord on an exhausted reader; input pipelines treat the
    resulting step error as end-of-stream (Figure 1's I/O subgraph). *)
@@ -48,18 +59,9 @@ let register () =
       | None -> raise (End_of_input (Resource.name (Resource.Iterator it))));
   K.register ~op_type:"DecodeExample" ~devices:cpu (fun ctx ->
       let record = Tensor.get_s (K.input_tensor ctx 0) [||] in
-      let names = tensor_names ctx.K.node in
-      let entries = Record_format.decode_example record in
-      Array.of_list
-        (List.map
-           (fun name ->
-             match List.assoc_opt name entries with
-             | Some t -> Value.Tensor t
-             | None ->
-                 failwith
-                   (Printf.sprintf "DecodeExample: feature %S not in record"
-                      name))
-           names));
+      select ctx
+        (Record_format.decode_example record)
+        ~missing:(Printf.sprintf "DecodeExample: feature %S not in record"));
   K.register ~op_type:"Save" ~devices:cpu (fun ctx ->
       let names = tensor_names ctx.K.node in
       let data =
@@ -68,14 +70,6 @@ let register () =
       Checkpoint_format.write (filename ctx) data;
       [||]);
   K.register ~op_type:"Restore" ~devices:cpu (fun ctx ->
-      let names = tensor_names ctx.K.node in
-      let entries = Checkpoint_format.read_all (filename ctx) in
-      Array.of_list
-        (List.map
-           (fun name ->
-             match List.assoc_opt name entries with
-             | Some t -> Value.Tensor t
-             | None ->
-                 failwith
-                   (Printf.sprintf "Restore: tensor %S not in checkpoint" name))
-           names))
+      select ctx
+        (Checkpoint_format.read_all (filename ctx))
+        ~missing:(Printf.sprintf "Restore: tensor %S not in checkpoint"))

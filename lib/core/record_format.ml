@@ -1,6 +1,11 @@
+(* A record file is the magic, then per record an i64 length, the body
+   and a u32 {!Octf_tensor.Codec.checksum} of the body. An example is a
+   codec named list. Version 1 examples wrote no element count; its
+   files fail on the magic, never misparse. *)
+
 open Octf_tensor
 
-let magic = "OCTFREC1"
+let magic = "OCTFREC2"
 
 exception Corrupt of { source : string; detail : string }
 
@@ -10,194 +15,57 @@ let () =
         Some (Printf.sprintf "corrupt record data %s: %s" source detail)
     | _ -> None)
 
-let corrupt source fmt =
-  Printf.ksprintf (fun detail -> raise (Corrupt { source; detail })) fmt
+let decoding source f =
+  try f () with Codec.Decode_error detail -> raise (Corrupt { source; detail })
 
-(* Cheap checksum: sums of bytes with position mixing; catches the
-   truncation and bit-rot cases a reader cares about. *)
-let checksum s =
-  let acc = ref 0 in
-  String.iteri
-    (fun i c -> acc := (!acc + ((i + 1) * Char.code c)) land 0x3FFFFFFF)
-    s;
-  !acc
-
-let add_u32 buf v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Buffer.add_bytes buf b
-
-let add_u64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
-
-let write_body buf records =
+let framed records =
+  let b = Buffer.create 4096 in
   List.iter
     (fun r ->
-      add_u64 buf (String.length r);
-      Buffer.add_string buf r;
-      add_u32 buf (checksum r))
-    records
+      Codec.put_i64 b (String.length r);
+      Buffer.add_string b r;
+      Codec.put_u32 b (Codec.checksum r))
+    records;
+  Buffer.contents b
 
 let write_records path records =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  write_body buf records;
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Sys.rename tmp path
+  Codec.write_file_atomic path (magic ^ framed records)
 
+(* Appending rewrites the file through the same temp-file rename, so a
+   failed append leaves the old file whole. *)
 let append_records path records =
   if not (Sys.file_exists path) then write_records path records
-  else begin
-    let buf = Buffer.create 4096 in
-    write_body buf records;
-    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-    output_string oc (Buffer.contents buf);
-    close_out oc
-  end
+  else Codec.write_file_atomic path (Codec.read_file path ^ framed records)
 
-(* The reader must distinguish a clean end (file position exactly at a
+(* The reader must distinguish a clean end (the cursor exactly at a
    record boundary) from a torn write: a partial length prefix, a body
    cut short, or a missing checksum are each a structured {!Corrupt},
-   never a silent truncation of the record list. Length fields are
-   checked against the bytes actually left before any allocation. *)
+   never a silent truncation of the record list. *)
 let read_records path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let size = in_channel_length ic in
-      let input_exact n what =
-        try really_input_string ic n
-        with End_of_file -> corrupt path "truncated %s" what
+  let r = Codec.reader (Codec.read_file path) in
+  decoding path (fun () ->
+      let m = Codec.get_bytes r (String.length magic) "magic" in
+      if m <> magic then Codec.fail "bad magic %S" m;
+      let rec go acc =
+        if Codec.remaining r = 0 then List.rev acc
+        else
+          let body = Codec.get_bytes r (Codec.get_i64 r) "record body" in
+          let ck = Codec.get_u32 r in
+          if ck <> Codec.checksum body then
+            Codec.fail "checksum mismatch (expected %#x, found %#x)"
+              (Codec.checksum body) ck;
+          go (body :: acc)
       in
-      let m = input_exact (String.length magic) "magic" in
-      if m <> magic then corrupt path "bad magic %S" m;
-      let records = ref [] in
-      while pos_in ic < size do
-        let len_b = input_exact 8 "record length" in
-        let len =
-          Int64.to_int (Bytes.get_int64_le (Bytes.of_string len_b) 0)
-        in
-        (* body + 4-byte checksum must both fit in what's left *)
-        if len < 0 || len + 4 > size - pos_in ic then
-          corrupt path "record length %d out of range (%d bytes left)" len
-            (size - pos_in ic);
-        let body = input_exact len "record body" in
-        let ck_b = input_exact 4 "record checksum" in
-        let ck = Int32.to_int (Bytes.get_int32_le (Bytes.of_string ck_b) 0) in
-        if ck <> checksum body then
-          corrupt path "checksum mismatch (expected %#x, found %#x)"
-            (checksum body) ck;
-        records := body :: !records
-      done;
-      List.rev !records)
+      go [])
 
-(* Example codec: count, then per tensor name / dtype / shape / data,
-   reusing the layout of Checkpoint_format but into a string. *)
 let encode_example entries =
-  let buf = Buffer.create 256 in
-  add_u32 buf (List.length entries);
-  List.iter
-    (fun (name, tensor) ->
-      add_u32 buf (String.length name);
-      Buffer.add_string buf name;
-      let d = Dtype.to_string (Tensor.dtype tensor) in
-      add_u32 buf (String.length d);
-      Buffer.add_string buf d;
-      let shape = Tensor.shape tensor in
-      add_u32 buf (Shape.rank shape);
-      Array.iter (fun dim -> add_u64 buf dim) shape;
-      let n = Tensor.numel tensor in
-      match Tensor.dtype tensor with
-      | Dtype.F32 | Dtype.F64 ->
-          let b = Bytes.create (n * 8) in
-          for i = 0 to n - 1 do
-            Bytes.set_int64_le b (i * 8)
-              (Int64.bits_of_float (Tensor.flat_get_f tensor i))
-          done;
-          Buffer.add_bytes buf b
-      | Dtype.I32 | Dtype.I64 | Dtype.Bool ->
-          let b = Bytes.create (n * 8) in
-          for i = 0 to n - 1 do
-            Bytes.set_int64_le b (i * 8)
-              (Int64.of_int (Tensor.flat_get_i tensor i))
-          done;
-          Buffer.add_bytes buf b
-      | Dtype.U8 -> Buffer.add_bytes buf (Tensor.byte_buffer tensor)
-      | Dtype.String ->
-          Array.iter
-            (fun s ->
-              add_u32 buf (String.length s);
-              Buffer.add_string buf s)
-            (Tensor.string_buffer tensor))
-    entries;
-  Buffer.contents buf
-
-let max_rank = 64
+  let b = Buffer.create 256 in
+  Codec.put_named b entries;
+  Buffer.contents b
 
 let decode_example s =
-  let source = "<record>" in
-  let pos = ref 0 in
-  let take n what =
-    if n < 0 || !pos + n > String.length s then
-      corrupt source "truncated %s (%d bytes needed, %d left)" what n
-        (String.length s - !pos);
-    let r = String.sub s !pos n in
-    pos := !pos + n;
-    r
-  in
-  let u32 what =
-    Int32.to_int (Bytes.get_int32_le (Bytes.of_string (take 4 what)) 0)
-  in
-  let u64 what =
-    Int64.to_int (Bytes.get_int64_le (Bytes.of_string (take 8 what)) 0)
-  in
-  let count = u32 "entry count" in
-  if count < 0 || count > String.length s - !pos then
-    corrupt source "entry count %d out of range" count;
-  List.init count (fun _ ->
-      let name = take (u32 "name length") "name" in
-      let dname = take (u32 "dtype length") "dtype" in
-      let dtype =
-        try Dtype.of_string dname
-        with Invalid_argument _ -> corrupt source "unknown dtype %S" dname
-      in
-      let rank = u32 "rank" in
-      if rank < 0 || rank > max_rank then
-        corrupt source "bad tensor rank %d" rank;
-      let shape =
-        Array.init rank (fun _ ->
-            let d = u64 "dimension" in
-            if d < 0 then corrupt source "negative dimension %d" d;
-            d)
-      in
-      let n = Shape.numel shape in
-      let tensor =
-        match dtype with
-        | Dtype.F32 | Dtype.F64 ->
-            let b = Bytes.of_string (take (n * 8) "tensor data") in
-            Tensor.of_float_array ~dtype shape
-              (Array.init n (fun i ->
-                   Int64.float_of_bits (Bytes.get_int64_le b (i * 8))))
-        | Dtype.I32 | Dtype.I64 ->
-            let b = Bytes.of_string (take (n * 8) "tensor data") in
-            Tensor.of_int_array ~dtype shape
-              (Array.init n (fun i ->
-                   Int64.to_int (Bytes.get_int64_le b (i * 8))))
-        | Dtype.U8 ->
-            Tensor.of_bytes shape (Bytes.of_string (take n "tensor data"))
-        | Dtype.Bool ->
-            let b = Bytes.of_string (take (n * 8) "tensor data") in
-            Tensor.of_bool_array shape
-              (Array.init n (fun i -> Bytes.get_int64_le b (i * 8) <> 0L))
-        | Dtype.String ->
-            Tensor.of_string_array shape
-              (Array.init n (fun _ ->
-                   take (u32 "string length") "string element"))
-      in
-      (name, tensor))
+  decoding "<record>" (fun () ->
+      let r = Codec.reader s in
+      let entries = Codec.get_named r in
+      Codec.expect_end r;
+      entries)

@@ -5,7 +5,8 @@
     Reader operations pull records from files; this module provides the
     on-disk container (length-prefixed records with a checksum, in the
     spirit of TFRecord) and an Example codec serializing a set of named
-    tensors into one record. Reader kernels ({!Io_kernels}) iterate the
+    tensors into one record: an {!Octf_tensor.Codec} named list, the
+    same layout as a checkpoint's body. Reader kernels ({!Io_kernels}) iterate the
     container; {!Octf_data} writes datasets into it. *)
 
 open Octf_tensor
@@ -26,11 +27,14 @@ val write_records : string -> string list -> unit
 val read_records : string -> string list
 (** Reads records until the file position sits exactly at end-of-file;
     a file that ends mid-record (torn append, truncation) is corrupt,
-    not short.
+    not short. A file written before the magic bump (["OCTFREC1"])
+    fails with ["bad magic"].
     @raise Corrupt on bad magic, truncation or a checksum mismatch. *)
 
 val append_records : string -> string list -> unit
-(** Append to an existing record file (or create it). *)
+(** Append to an existing record file (or create it). The file is
+    rewritten through a temp-file rename, so a failed append leaves the
+    old contents whole. *)
 
 (** {1 Examples: named-tensor records} *)
 
@@ -38,4 +42,5 @@ val encode_example : (string * Tensor.t) list -> string
 
 val decode_example : string -> (string * Tensor.t) list
 (** @raise Corrupt on malformed input (truncated fields, unknown dtype,
-    out-of-range rank or dimensions). *)
+    out-of-range rank or dimensions, an element count the bytes cannot
+    hold, trailing bytes). *)

@@ -7,8 +7,8 @@
      4       1     frame type
      5       1     flags (reserved, must be 0)
      6       4     stream id, u32 LE (the step id for step-scoped frames)
-     10      4     payload checksum, u32 LE (positional byte sum, as in
-                   Record_format)
+     10      4     payload checksum, u32 LE (Octf_tensor.Codec.checksum,
+                   the positional byte sum records use too)
 
    Malformed input maps onto the typed {!error} taxonomy and is raised
    as [Frame_error]; a clean EOF at a frame boundary raises [Closed].
@@ -100,16 +100,6 @@ let header_size = 14
 
 let max_payload = 1 lsl 28 (* 256 MiB *)
 
-(* Positional byte sum, same shape as Record_format's: sensitive to
-   transpositions, cheap, and masked into 30 bits so it fits a u32 and
-   OCaml's int everywhere. *)
-let checksum s =
-  let acc = ref 0 in
-  String.iteri
-    (fun i c -> acc := (!acc + ((i + 1) * Char.code c)) land 0x3FFFFFFF)
-    s;
-  !acc
-
 let v ?(flags = 0) ?(stream_id = 0) ftype payload =
   { ftype; flags; stream_id; payload }
 
@@ -132,7 +122,8 @@ let encode f =
   Bytes.set_uint8 b 4 (type_code f.ftype);
   Bytes.set_uint8 b 5 (f.flags land 0xFF);
   Bytes.set_int32_le b 6 (Int32.of_int f.stream_id);
-  Bytes.set_int32_le b 10 (Int32.of_int (checksum f.payload));
+  Bytes.set_int32_le b 10
+    (Int32.of_int (Octf_tensor.Codec.checksum f.payload));
   Bytes.blit_string f.payload 0 b header_size (String.length f.payload);
   Bytes.unsafe_to_string b
 
@@ -168,7 +159,7 @@ let decode s =
         Error (Protocol_error "truncated frame")
       else
         let payload = String.sub s header_size length in
-        let actual = checksum payload in
+        let actual = Octf_tensor.Codec.checksum payload in
         if actual <> expected then
           Error (Checksum_mismatch { expected; actual })
         else Ok { ftype; flags; stream_id; payload }
@@ -217,7 +208,7 @@ let read_fd ?on_chunk fd =
       let payload =
         Bytes.unsafe_to_string (read_exact ?on_chunk fd length ~at_boundary:false)
       in
-      let actual = checksum payload in
+      let actual = Octf_tensor.Codec.checksum payload in
       if actual <> expected then
         raise (Frame_error (Checksum_mismatch { expected; actual }));
       { ftype; flags; stream_id; payload }

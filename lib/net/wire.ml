@@ -1,177 +1,11 @@
-(* Binary payload codec for the frame layer.
+(* Payload codec for the frame layer: {!Octf_tensor.Codec}, which also
+   encodes checkpoints and record examples, plus the two things only
+   the wire carries — dataflow values and graph endpoints. Malformed
+   input raises [Decode_error] (the codec's). *)
 
-   The encoder appends to a [Buffer]; the decoder walks a cursor over
-   the payload string with bounds checks on every read, so malformed
-   input surfaces as [Decode_error] — never [Invalid_argument] or a
-   wild allocation. Numeric layout matches the checkpoint format:
-   little-endian, 8 bytes per tensor element, u32-length-prefixed
-   strings. *)
-
-open Octf_tensor
-
-exception Decode_error of string
+include Octf_tensor.Codec
 
 exception Encode_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
-
-(* Writers ------------------------------------------------------------ *)
-
-let put_u8 b i = Buffer.add_char b (Char.chr (i land 0xFF))
-
-let put_u32 b i =
-  let s = Bytes.create 4 in
-  Bytes.set_int32_le s 0 (Int32.of_int i);
-  Buffer.add_bytes b s
-
-let put_i64 b i =
-  let s = Bytes.create 8 in
-  Bytes.set_int64_le s 0 (Int64.of_int i);
-  Buffer.add_bytes b s
-
-let put_f64 b f =
-  let s = Bytes.create 8 in
-  Bytes.set_int64_le s 0 (Int64.bits_of_float f);
-  Buffer.add_bytes b s
-
-let put_string b s =
-  put_u32 b (String.length s);
-  Buffer.add_string b s
-
-let put_list b put xs =
-  put_u32 b (List.length xs);
-  List.iter (put b) xs
-
-let put_option b put = function
-  | None -> put_u8 b 0
-  | Some x ->
-      put_u8 b 1;
-      put b x
-
-(* Readers ------------------------------------------------------------ *)
-
-type reader = { buf : string; mutable pos : int }
-
-let reader s = { buf = s; pos = 0 }
-
-let remaining r = String.length r.buf - r.pos
-
-let need r n what = if remaining r < n then fail "truncated %s" what
-
-let get_u8 r =
-  need r 1 "byte";
-  let c = Char.code r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
-
-let get_u32 r =
-  need r 4 "u32";
-  let v =
-    Int32.to_int (Bytes.get_int32_le (Bytes.unsafe_of_string r.buf) r.pos)
-  in
-  r.pos <- r.pos + 4;
-  v
-
-let get_i64 r =
-  need r 8 "i64";
-  let v =
-    Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string r.buf) r.pos)
-  in
-  r.pos <- r.pos + 8;
-  v
-
-let get_f64 r =
-  need r 8 "f64";
-  let v =
-    Int64.float_of_bits
-      (Bytes.get_int64_le (Bytes.unsafe_of_string r.buf) r.pos)
-  in
-  r.pos <- r.pos + 8;
-  v
-
-let get_string r =
-  let len = get_u32 r in
-  if len < 0 then fail "negative string length %d" len;
-  need r len "string body";
-  let s = String.sub r.buf r.pos len in
-  r.pos <- r.pos + len;
-  s
-
-let get_list r get =
-  let n = get_u32 r in
-  if n < 0 then fail "negative list length %d" n;
-  (* Every element consumes at least one byte; a count beyond the
-     remaining payload is corrupt, not a huge allocation request. *)
-  if n > remaining r then fail "list length %d exceeds payload" n;
-  List.init n (fun _ -> get r)
-
-let get_option r get =
-  match get_u8 r with
-  | 0 -> None
-  | 1 -> Some (get r)
-  | t -> fail "bad option tag %d" t
-
-let expect_end r =
-  if remaining r <> 0 then fail "%d trailing bytes in payload" (remaining r)
-
-(* Tensors ------------------------------------------------------------ *)
-
-let max_rank = 64
-
-let put_tensor b t =
-  put_string b (Dtype.to_string (Tensor.dtype t));
-  let shape = Tensor.shape t in
-  put_u32 b (Shape.rank shape);
-  Array.iter (fun d -> put_i64 b d) shape;
-  let n = Tensor.numel t in
-  put_u32 b n;
-  match Tensor.dtype t with
-  | Dtype.F32 | Dtype.F64 ->
-      for i = 0 to n - 1 do
-        put_f64 b (Tensor.flat_get_f t i)
-      done
-  | Dtype.I32 | Dtype.I64 | Dtype.Bool ->
-      for i = 0 to n - 1 do
-        put_i64 b (Tensor.flat_get_i t i)
-      done
-  | Dtype.U8 -> Buffer.add_bytes b (Tensor.byte_buffer t)
-  | Dtype.String -> Array.iter (fun s -> put_string b s) (Tensor.string_buffer t)
-
-let get_tensor r =
-  let dname = get_string r in
-  let dtype =
-    try Dtype.of_string dname
-    with Invalid_argument _ -> fail "unknown dtype %S" dname
-  in
-  let rank = get_u32 r in
-  if rank < 0 || rank > max_rank then fail "bad tensor rank %d" rank;
-  let shape =
-    Array.init rank (fun _ ->
-        let d = get_i64 r in
-        if d < 0 then fail "negative dimension %d" d;
-        d)
-  in
-  let n = get_u32 r in
-  if n < 0 then fail "negative element count %d" n;
-  if n <> Shape.numel shape then
-    fail "element count %d does not match shape" n;
-  match dtype with
-  | Dtype.F32 | Dtype.F64 ->
-      need r (n * 8) "tensor data";
-      Tensor.of_float_array ~dtype shape (Array.init n (fun _ -> get_f64 r))
-  | Dtype.I32 | Dtype.I64 ->
-      need r (n * 8) "tensor data";
-      Tensor.of_int_array ~dtype shape (Array.init n (fun _ -> get_i64 r))
-  | Dtype.U8 ->
-      need r n "tensor data";
-      let b = Bytes.of_string (String.sub r.buf r.pos n) in
-      r.pos <- r.pos + n;
-      Tensor.of_bytes shape b
-  | Dtype.Bool ->
-      need r (n * 8) "tensor data";
-      Tensor.of_bool_array shape (Array.init n (fun _ -> get_i64 r <> 0))
-  | Dtype.String ->
-      Tensor.of_string_array shape (Array.init n (fun _ -> get_string r))
 
 (* Values: only tensors and dead values cross processes. Resource
    handles are addresses into one process's heap; placement keeps
@@ -200,6 +34,4 @@ let put_endpoint b (e : Octf.Node.endpoint) =
 let get_endpoint r =
   let node_id = get_u32 r in
   let index = get_u32 r in
-  if node_id < 0 || index < 0 then
-    fail "bad endpoint %d:%d" node_id index;
   { Octf.Node.node_id; index }

@@ -60,7 +60,4 @@ let write_snapshot ?(format = `Prometheus) t ~path =
     | `Prometheus -> Metrics.to_prometheus t.registry
     | `Json -> Metrics.to_json t.registry
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc body)
+  Octf_tensor.Codec.write_file_atomic path body

@@ -31,4 +31,4 @@ val on_step :
     carries one. *)
 
 val write_snapshot : ?format:[ `Prometheus | `Json ] -> t -> path:string -> unit
-(** Dump the registry (default: Prometheus text format) to [path]. *)
+(** Dump the registry (default: Prometheus text) to [path] atomically. *)

@@ -57,6 +57,17 @@ let test_bad_magic () =
   (match Checkpoint_format.read_all path with
   | _ -> Alcotest.fail "expected Corrupt on bad magic"
   | exception Checkpoint_format.Corrupt _ -> ());
+  (* An empty version-1 checkpoint (i64 entry count) fails on its
+     magic, never misparses. *)
+  let oc = open_out_bin path in
+  output_string oc "OCTFCKPT1";
+  output_string oc (String.make 8 '\000');
+  close_out oc;
+  (match Checkpoint_format.read_all path with
+  | _ -> Alcotest.fail "expected Corrupt on a version-1 file"
+  | exception Checkpoint_format.Corrupt { detail; _ } ->
+      Alcotest.(check bool) detail true
+        (String.starts_with ~prefix:"bad magic" detail));
   Sys.remove path
 
 (* A structurally-valid checkpoint used as the corruption target. *)
@@ -122,14 +133,30 @@ let test_bit_flips () =
 let test_hostile_lengths () =
   let path = tmp () in
   (* Claimed entry count/length fields far beyond the file size must be
-     rejected before allocation, not trusted. *)
+     rejected before allocation, not trusted, and past the magic check. *)
+  let check_hostile what contents =
+    spit path contents;
+    match Checkpoint_format.read_all path with
+    | _ -> Alcotest.failf "%s: expected Corrupt" what
+    | exception Checkpoint_format.Corrupt { detail; _ } ->
+        if String.starts_with ~prefix:"bad magic" detail then
+          Alcotest.failf "%s: stopped at the magic" what
+  in
   let buf = Buffer.create 64 in
-  Buffer.add_string buf "OCTFCKPT1";
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 0x7FFFFFFFFFFFL;
-  Buffer.add_bytes buf b;
-  spit path (Buffer.contents buf);
-  check_corrupt "hostile entry count" path;
+  Buffer.add_string buf "OCTFCKPT2";
+  Codec.put_u32 buf 0x7FFFFFFF;
+  check_hostile "hostile entry count" (Buffer.contents buf);
+  (* One String tensor that claims 2^24 elements but carries one. *)
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf "OCTFCKPT2";
+  Codec.put_u32 buf 1;
+  Codec.put_string buf "x";
+  Codec.put_string buf "string";
+  Codec.put_u32 buf 1;
+  Codec.put_i64 buf (1 lsl 24);
+  Codec.put_u32 buf (1 lsl 24);
+  Codec.put_string buf "x";
+  check_hostile "hostile element count" (Buffer.contents buf);
   Sys.remove path
 
 let test_overwrite_atomic () =

@@ -149,7 +149,23 @@ let test_wire_truncation_is_decode_error () =
     | exception Wire.Decode_error _ -> ()
     | exception e ->
         Alcotest.failf "truncated at %d: got %s" len (Printexc.to_string e)
-  done
+  done;
+  (* A String tensor of shape [2^24] that carries one string: its
+     element count must be bounded by the bytes left before anything
+     is allocated for it. *)
+  let b = Buffer.create 64 in
+  Wire.put_string b "string";
+  Wire.put_u32 b 1;
+  Wire.put_i64 b (1 lsl 24);
+  Wire.put_u32 b (1 lsl 24);
+  Wire.put_string b "x";
+  let before = Gc.allocated_bytes () in
+  (match Wire.get_tensor (Wire.reader (Buffer.contents b)) with
+  | _ -> Alcotest.fail "hostile element count: expected Decode_error"
+  | exception Wire.Decode_error _ -> ());
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  if mb >= 1.0 then
+    Alcotest.failf "hostile element count allocated %.1f MB" mb
 
 let roundtrip_message m =
   match Message.of_frame (Result.get_ok (Frame.decode (Frame.encode (Message.to_frame m)))) with

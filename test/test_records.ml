@@ -32,6 +32,15 @@ let test_container_corruption_detected () =
   (match Record_format.read_records path with
   | _ -> Alcotest.fail "expected checksum failure"
   | exception Record_format.Corrupt _ -> ());
+  (* A file in the version-1 container fails on its magic. *)
+  let oc = open_out_bin path in
+  output_string oc "OCTFREC1";
+  close_out oc;
+  (match Record_format.read_records path with
+  | _ -> Alcotest.fail "expected bad magic"
+  | exception Record_format.Corrupt { detail; _ } ->
+      Alcotest.(check bool) detail true
+        (String.starts_with ~prefix:"bad magic" detail));
   Sys.remove path
 
 let check_corrupt_file what path =
@@ -97,7 +106,20 @@ let test_example_corruption () =
     | exception e ->
         Alcotest.failf "bit flip at %d: expected Corrupt, got %s" i
           (Printexc.to_string e)
-  done
+  done;
+  (* One entry whose String tensor claims 2^24 elements but carries one
+     string: the count is bounded by the bytes left. *)
+  let b = Buffer.create 64 in
+  Codec.put_u32 b 1;
+  Codec.put_string b "x";
+  Codec.put_string b "string";
+  Codec.put_u32 b 1;
+  Codec.put_i64 b (1 lsl 24);
+  Codec.put_u32 b (1 lsl 24);
+  Codec.put_string b "x";
+  match Record_format.decode_example (Buffer.contents b) with
+  | _ -> Alcotest.fail "hostile element count: expected Corrupt"
+  | exception Record_format.Corrupt _ -> ()
 
 let test_example_roundtrip () =
   let entries =
