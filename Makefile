@@ -98,12 +98,17 @@ metrics-smoke:
 # server mid-training (heartbeat death, reconnect with backoff, restore
 # from checkpoint, converge), plus corrupt-frame, dropped-connection and
 # delayed-frame fault injection. Each scenario is timeout-bounded: a
-# hang is a failure, not a stall.
+# hang is a failure, not a stall. Every scenario runs under both
+# schedulers, because the network reader thread posts Recv completions
+# into the step's scheduler.
+DIST_SCENARIOS = pskill corrupt dropconn framedelay
 dist-smoke: build
-	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario pskill
-	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario corrupt
-	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario dropconn
-	timeout -k 5 90 ./_build/default/bin/octf_cli.exe dist-smoke --scenario framedelay
+	for sched in inline pool; do for scenario in $(DIST_SCENARIOS); do \
+	  echo "dist-smoke: $$scenario under OCTF_SCHEDULER=$$sched"; \
+	  OCTF_SCHEDULER=$$sched timeout -k 5 90 \
+	    ./_build/default/bin/octf_cli.exe dist-smoke --scenario $$scenario \
+	    || exit 1; \
+	done; done
 
 # Bad configuration fails loudly: an unknown OCTF_SCHEDULER must stop
 # the CLI with a non-zero exit and a message naming the variable.

@@ -8,20 +8,15 @@
    routing lives in the executor, following timely dataflow.
 
    Send publishes its input (including deadness) into the step rendezvous
-   under the key agreed with its paired Recv; Recv blocks until the value
-   is locally available. *)
+   under the key agreed with its paired Recv, built once per plan node
+   but for its step prefix. The executor completes the Recv when the
+   value is locally available (see [Rendezvous.arm]). *)
 
 open Octf_tensor
 module K = Kernel
 
 let identity name =
   K.register ~op_type:name (fun ctx -> K.one ctx.K.inputs.(0))
-
-let rendezvous_key ~step_id node =
-  Rendezvous.step_key ~step_id
-    ~send_device:(Node.attr_string node "send_device")
-    ~recv_device:(Node.attr_string node "recv_device")
-    ~tensor_name:(Node.attr_string node "tensor_name")
 
 let register () =
   K.register ~op_type:"NoOp" (fun _ -> [||]);
@@ -42,28 +37,27 @@ let register () =
   identity "Exit";
   identity "NextIteration";
   identity "LoopCond";
-  K.register ~op_type:"Send" (fun ctx ->
-      match ctx.K.rendezvous with
-      | None -> failwith "Send: no rendezvous in a single-partition step"
-      | Some r -> (
-          let key = rendezvous_key ~step_id:ctx.K.step_id ctx.K.node in
-          match Fault_injector.send_hook ~key ~step_id:ctx.K.step_id with
-          | `Drop ->
-              (* A lost message: the paired Recv blocks until a deadline
-                 or abort rescues it — exactly the failure mode §4.3's
-                 checkpoint recovery is designed around. *)
-              [||]
-          | `Delay s ->
-              Thread.delay s;
-              Rendezvous.send r ~key ctx.K.inputs.(0);
-              [||]
-          | `Deliver ->
-              Rendezvous.send r ~key ctx.K.inputs.(0);
-              [||]));
-  K.register ~op_type:"Recv" (fun ctx ->
-      match ctx.K.rendezvous with
-      | None -> failwith "Recv: no rendezvous in a single-partition step"
-      | Some r ->
-          K.one
-            (Rendezvous.recv ?cancel:ctx.K.cancel r
-               ~key:(rendezvous_key ~step_id:ctx.K.step_id ctx.K.node)))
+  K.register_per_node ~op_type:"Send" (fun node ->
+      let suffix = Rendezvous.node_suffix node in
+      fun ctx ->
+        match ctx.K.rendezvous with
+        | None -> failwith "Send: no rendezvous in a single-partition step"
+        | Some r -> (
+            let key = Rendezvous.key ~step_id:ctx.K.step_id suffix in
+            match Fault_injector.send_hook ~key ~step_id:ctx.K.step_id with
+            | `Drop ->
+                (* A lost message: the paired Recv blocks until a deadline
+                   or abort rescues it — exactly the failure mode §4.3's
+                   checkpoint recovery is designed around. *)
+                [||]
+            | `Delay s ->
+                Thread.delay s;
+                Rendezvous.send r ~key ctx.K.inputs.(0);
+                [||]
+            | `Deliver ->
+                Rendezvous.send r ~key ctx.K.inputs.(0);
+                [||]));
+  (* The executor completes a Recv by arming it in the step's
+     rendezvous; it runs this kernel only in a step without one. *)
+  K.register ~op_type:"Recv" (fun _ ->
+      failwith "Recv: no rendezvous in a single-partition step")

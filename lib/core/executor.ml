@@ -47,7 +47,7 @@ let never_invariant op =
   | _ -> false
 
 let blocking_op = function
-  | "Recv" | "Dequeue" | "DequeueMany" | "Enqueue" | "EnqueueMany" -> true
+  | "Dequeue" | "DequeueMany" | "Enqueue" | "EnqueueMany" -> true
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -80,6 +80,7 @@ type plan = {
   poolable : bool array array;  (* no consumer retains the endpoint *)
   aliases : (int * int) list array;  (* declared May_alias pairs *)
   kernels : Kernel.t option array;  (* instantiated once, by [prepare] *)
+  recv_suffix : string array;  (* a Recv's rendezvous key suffix; "" else *)
   scheduler : Scheduler.policy;
   planning : bool;  (* memory planning for this plan's steps *)
 }
@@ -316,6 +317,11 @@ let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
         (fun (n : Node.t) -> Kernel.aliases ~op_type:n.Node.op_type)
         nodes;
     kernels = Array.map instantiate nodes;
+    recv_suffix =
+      Array.map
+        (fun (n : Node.t) ->
+          if n.Node.op_type = "Recv" then Rendezvous.node_suffix n else "")
+        nodes;
     scheduler;
     planning = memory_planning;
   }
@@ -396,12 +402,6 @@ let trace tracer (n : Node.t) ~step_id ?(bytes_of = fun _ -> 0)
           });
     result
   end
-
-let recv_rendezvous_key ~step_id (n : Node.t) =
-  Rendezvous.step_key ~step_id
-    ~send_device:(Node.attr_string n "send_device")
-    ~recv_device:(Node.attr_string n "recv_device")
-    ~tensor_name:(Node.attr_string n "tensor_name")
 
 (* ------------------------------------------------------------------ *)
 (* Per-step state: frame instances as chains of iterations             *)
@@ -910,33 +910,37 @@ let execute p ~feeds ~fetches ~resources ?rendezvous ?tracer ?cancel
       sched = None;
     }
   in
+  let run_blocking task =
+    match stage st task with
+    | Scheduler.Finish k -> k ()
+    | Scheduler.Offload run -> (run ()) ()
+  in
+  (* A ready Recv is armed once; its value (or the rendezvous' abort)
+     comes back as a completion posted by the sender's thread. Without a
+     rendezvous its kernel runs, and fails. *)
+  let arm (i, it) post =
+    match rendezvous with
+    | None -> post (fun () -> run_blocking (i, it))
+    | Some r ->
+        let n = p.nodes.(i) in
+        Rendezvous.arm r
+          ~key:(Rendezvous.key ~step_id p.recv_suffix.(i))
+          (function
+            | Ok v ->
+                post (fun () ->
+                    trace tracer n ~step_id
+                      ~bytes_of:(fun () -> Value.byte_size v)
+                      (fun () -> ());
+                    complete st i it [| v |])
+            | Error reason ->
+                post (fun () -> raise (Rendezvous.Aborted reason)))
+  in
   let ops =
     {
       Scheduler.classify = (fun (i, _) -> p.cls.(i));
       stage = stage st;
-      run_blocking =
-        (fun task ->
-          match stage st task with
-          | Scheduler.Finish k -> k ()
-          | Scheduler.Offload run -> (run ()) ());
-      poll_recv =
-        (fun (i, it) ->
-          let n = p.nodes.(i) in
-          match rendezvous with
-          | None -> None
-          | Some r -> (
-              match
-                Rendezvous.try_recv r ~key:(recv_rendezvous_key ~step_id n)
-              with
-              | Some v ->
-                  Some
-                    (fun () ->
-                      trace tracer n ~step_id
-                        ~bytes_of:(fun () -> Value.byte_size v)
-                        (fun () -> ());
-                      complete st i it [| v |])
-              | None -> None));
-      rendezvous;
+      run_blocking;
+      arm;
       cancel;
     }
   in

@@ -16,11 +16,12 @@
       distinct cores; concurrent steps and multi-partition steps each
       run their coordinating loop in its own thread (see {!Session} and
       {!Cluster});
-    - potentially blocking kernels ([Recv], queue operations) always
-      stay on the coordinating thread and are scheduled only when no
-      non-blocking work remains, which guarantees progress across
-      partitions of an acyclic dataflow graph and keeps worker domains
-      from ever parking;
+    - potentially blocking kernels (queue operations) always stay on
+      the coordinating thread and are scheduled only when no
+      non-blocking work remains, which keeps worker domains from ever
+      parking; a ready [Recv] is armed once in the rendezvous and
+      completed by its [Send] (see {!Rendezvous.arm}), which guarantees
+      progress across partitions of an acyclic dataflow graph;
     - both policies produce bit-identical fetches: kernel results depend
       only on input values and the per-node RNG stream (derived from
       seed, step id, node id and iteration), never on dispatch order;
@@ -32,8 +33,8 @@
     failure, injected fault, deadline expiry, cancellation, peer
     abort). On a primary failure the executor aborts the step's
     rendezvous and cancels its token so peer partitions — including
-    threads parked in queue or rendezvous waits — fail as a unit
-    instead of deadlocking. *)
+    threads parked in queue waits or waiting for a [Recv] — fail as a
+    unit instead of deadlocking. *)
 
 type plan
 (** A compiled subgraph: nodes numbered densely, with readiness

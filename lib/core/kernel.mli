@@ -40,7 +40,7 @@ type ctx = {
 
 type t = ctx -> Value.t array
 (** A kernel maps input values to output values (possibly blocking, for
-    queue and [Recv] operations). *)
+    queue operations). *)
 
 exception Kernel_error of string * exn
 (** [(node name, underlying failure)] — wraps kernel exceptions so step

@@ -4,10 +4,22 @@ exception Aborted of string
    step id means even a rendezvous shared across in-flight steps can
    never deliver step N's tensor to step N+1's Recv — per-step isolation
    holds by construction, not only because sessions happen to allocate
-   one rendezvous per step today. *)
+   one rendezvous per step today. The step-independent suffix is built
+   once per plan node; a step only prefixes it. *)
+let key_suffix ~send_device ~recv_device ~tensor_name =
+  String.concat ";" [ send_device; recv_device; tensor_name ]
+
+let node_suffix (n : Node.t) =
+  key_suffix
+    ~send_device:(Node.attr_string n "send_device")
+    ~recv_device:(Node.attr_string n "recv_device")
+    ~tensor_name:(Node.attr_string n "tensor_name")
+
+let key ~step_id suffix =
+  String.concat "" [ "step:"; string_of_int step_id; ";"; suffix ]
+
 let step_key ~step_id ~send_device ~recv_device ~tensor_name =
-  Printf.sprintf "step:%d;%s;%s;%s" step_id send_device recv_device
-    tensor_name
+  key ~step_id (key_suffix ~send_device ~recv_device ~tensor_name)
 
 (* Process-wide series, aggregated over all live rendezvous objects
    (sessions create one per distributed step). *)
@@ -34,12 +46,16 @@ let m_recv_bytes =
 let m_aborts =
   Metrics.Counter.v ~help:"Rendezvous aborts" "octf_rendezvous_aborts_total"
 
+type outcome = (Value.t, string) result
+
+(* A key holds either a value nobody has taken yet or the continuation
+   of a receiver that arrived first; never both. *)
+type entry = Sent of Value.t | Armed of (outcome -> unit)
+
 type t = {
-  table : (string, Value.t) Hashtbl.t;
+  table : (string, entry) Hashtbl.t;
   mutable aborted : string option;
-  mutable gen : int;
   mutex : Mutex.t;
-  cond : Condition.t;
   route : (key:string -> Value.t -> bool) option;
       (* Out-of-process delivery hook (Octf_net): consulted by [send]
          before the local table, outside the mutex (it does network
@@ -48,38 +64,46 @@ type t = {
 }
 
 let create ?route () =
-  {
-    table = Hashtbl.create 32;
-    aborted = None;
-    gen = 0;
-    mutex = Mutex.create ();
-    cond = Condition.create ();
-    route;
-  }
+  { table = Hashtbl.create 32; aborted = None; mutex = Mutex.create (); route }
 
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Wake this rendezvous' waiters when [cancel] fires. The waker takes
-   the mutex before broadcasting: a waiter between its cancel check and
-   Condition.wait still holds the mutex, so the broadcast cannot land in
-   that window and be missed. *)
-let wake t () =
-  Mutex.lock t.mutex;
-  Condition.broadcast t.cond;
-  Mutex.unlock t.mutex
+let count_recv v =
+  Metrics.Counter.incr m_recvs;
+  Metrics.Counter.add m_recv_bytes (Value.byte_size v)
 
+(* Under the lock: consume [key]'s value if it has been sent. *)
+let take t key =
+  match Hashtbl.find_opt t.table key with
+  | Some (Sent v) ->
+      Hashtbl.remove t.table key;
+      Metrics.Gauge.decr m_pending;
+      count_recv v;
+      Some v
+  | Some (Armed _) | None -> None
+
+(* Continuations run after the lock is released: they take the
+   receiver's own lock (a scheduler's completion queue). *)
 let local_send t ~key v =
-  with_lock t (fun () ->
-      if Hashtbl.mem t.table key then
-        raise (Step_failure.error (Step_failure.Duplicate_send key));
-      Hashtbl.replace t.table key v;
-      t.gen <- t.gen + 1;
-      Metrics.Counter.incr m_sends;
-      Metrics.Counter.add m_send_bytes (Value.byte_size v);
-      Metrics.Gauge.incr m_pending;
-      Condition.broadcast t.cond)
+  let armed =
+    with_lock t (fun () ->
+        match Hashtbl.find_opt t.table key with
+        | Some (Sent _) ->
+            raise (Step_failure.error (Step_failure.Duplicate_send key))
+        | Some (Armed k) ->
+            Hashtbl.remove t.table key;
+            count_recv v;
+            Some k
+        | None ->
+            Hashtbl.replace t.table key (Sent v);
+            Metrics.Gauge.incr m_pending;
+            None)
+  in
+  Metrics.Counter.incr m_sends;
+  Metrics.Counter.add m_send_bytes (Value.byte_size v);
+  Option.iter (fun k -> k (Ok v)) armed
 
 let send t ~key v =
   match t.route with
@@ -91,100 +115,118 @@ let send t ~key v =
       Metrics.Counter.add m_send_bytes (Value.byte_size v)
   | _ -> local_send t ~key v
 
-let recv ?cancel t ~key =
-  Cancel.with_waker cancel (wake t) (fun () ->
-      with_lock t (fun () ->
-          let rec wait () =
-            (match t.aborted with Some r -> raise (Aborted r) | None -> ());
-            Cancel.check_opt cancel;
-            match Hashtbl.find_opt t.table key with
-            | Some v ->
-                Hashtbl.remove t.table key;
-                Metrics.Counter.incr m_recvs;
-                Metrics.Counter.add m_recv_bytes (Value.byte_size v);
-                Metrics.Gauge.decr m_pending;
-                v
+let arm t ~key k =
+  let now =
+    with_lock t (fun () ->
+        match t.aborted with
+        | Some reason -> Some (Error reason)
+        | None -> (
+            match take t key with
+            | Some v -> Some (Ok v)
             | None ->
-                Condition.wait t.cond t.mutex;
-                wait ()
-          in
-          wait ()))
+                if Hashtbl.mem t.table key then
+                  invalid_arg ("Rendezvous.arm: key already armed: " ^ key);
+                Hashtbl.replace t.table key (Armed k);
+                None))
+  in
+  Option.iter k now
+
+let recv ?cancel t ~key =
+  let m = Mutex.create () and c = Condition.create () in
+  let slot = ref None in
+  let signal fill () =
+    Mutex.lock m;
+    fill ();
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
+  let k r = signal (fun () -> slot := Some r) () in
+  arm t ~key k;
+  let outcome =
+    Cancel.with_waker cancel (signal ignore) (fun () ->
+        Mutex.lock m;
+        let rec wait () =
+          match (!slot, Option.bind cancel Cancel.cancelled) with
+          | Some r, _ -> Ok r
+          | None, Some cause -> Error cause
+          | None, None ->
+              Condition.wait c m;
+              wait ()
+        in
+        let r = wait () in
+        Mutex.unlock m;
+        r)
+  in
+  match outcome with
+  | Ok (Ok v) -> v
+  | Ok (Error reason) -> raise (Aborted reason)
+  | Error cause ->
+      (* Give up the key unless a sender got to it first. *)
+      with_lock t (fun () ->
+          match Hashtbl.find_opt t.table key with
+          | Some (Armed k') when k' == k -> Hashtbl.remove t.table key
+          | _ -> ());
+      raise (Step_failure.error cause)
 
 let try_recv t ~key =
   with_lock t (fun () ->
-      (match t.aborted with Some r -> raise (Aborted r) | None -> ());
-      match Hashtbl.find_opt t.table key with
-      | Some v ->
-          Hashtbl.remove t.table key;
-          Metrics.Counter.incr m_recvs;
-          Metrics.Counter.add m_recv_bytes (Value.byte_size v);
-          Metrics.Gauge.decr m_pending;
-          Some v
-      | None -> None)
-
-let generation t = with_lock t (fun () -> t.gen)
-
-let wait_new ?cancel t ~last =
-  Cancel.with_waker cancel (wake t) (fun () ->
-      with_lock t (fun () ->
-          let rec wait () =
-            (match t.aborted with Some r -> raise (Aborted r) | None -> ());
-            Cancel.check_opt cancel;
-            if t.gen > last then t.gen
-            else begin
-              Condition.wait t.cond t.mutex;
-              wait ()
-            end
-          in
-          wait ()))
+      match t.aborted with Some r -> raise (Aborted r) | None -> take t key)
 
 let abort t ~reason =
+  (* A routed rendezvous is process-global and outlives any one step: a
+     sticky abort here (say, from a Send kernel whose connection just
+     died) would poison every later step in the process, and failing
+     its armed receivers would fail other steps' Recvs. Per-step
+     teardown is the step's cancel token plus [drop_step]. *)
+  if t.route = None then begin
+    let armed =
+      with_lock t (fun () ->
+          if t.aborted <> None then []
+          else begin
+            t.aborted <- Some reason;
+            Metrics.Counter.incr m_aborts;
+            let armed =
+              Hashtbl.fold
+                (fun key e acc ->
+                  match e with Armed k -> (key, k) :: acc | Sent _ -> acc)
+                t.table []
+            in
+            List.iter (fun (key, _) -> Hashtbl.remove t.table key) armed;
+            (* What is left are values nobody can receive any more (every
+               receiver fails): stop counting them as pending. *)
+            Metrics.Gauge.add m_pending
+              (-.float_of_int (Hashtbl.length t.table));
+            List.map snd armed
+          end)
+    in
+    List.iter (fun k -> k (Error reason)) armed
+  end
+
+let pending_count t =
   with_lock t (fun () ->
-      if t.route <> None then
-        (* A routed rendezvous is process-global and outlives any one
-           step: a sticky abort here (say, from a Send kernel whose
-           connection just died) would poison every later step in the
-           process. Per-step teardown is the step's cancel token plus
-           [drop_step]; wake waiters and leave the table usable. *)
-        Condition.broadcast t.cond
-      else begin
-        if t.aborted = None then begin
-          Metrics.Counter.incr m_aborts;
-          (* Entries in an aborted rendezvous can never be received
-             (recv raises); stop counting them as pending. The table
-             itself is kept so pending_keys still reports them for
-             diagnostics. *)
-          Metrics.Gauge.add m_pending
-            (-.float_of_int (Hashtbl.length t.table))
-        end;
-        t.aborted <- Some reason;
-        Condition.broadcast t.cond
-      end)
+      Hashtbl.fold
+        (fun _ e n -> match e with Sent _ -> n + 1 | Armed _ -> n)
+        t.table 0)
 
-let pending_keys t =
-  with_lock t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
-
-let pending_count t = with_lock t (fun () -> Hashtbl.length t.table)
-
-(* Scrub entries leaked by a finished step — sends whose paired Recv
-   was cancelled, abandoned, or raced the step's failure. Long-lived
-   rendezvous (the process-global network one) would otherwise grow
-   without bound. *)
+(* Scrub what a finished step left behind: sends whose paired Recv was
+   cancelled, abandoned, or raced the step's failure, and Recvs armed
+   by a part that failed before their value came. Long-lived rendezvous
+   (the process-global network one) would otherwise grow without
+   bound. *)
 let drop_step t ~step_id =
-  let prefix = Printf.sprintf "step:%d;" step_id in
-  let pl = String.length prefix in
+  let prefix = key ~step_id "" in
   with_lock t (fun () ->
       let doomed =
         Hashtbl.fold
-          (fun k _ acc ->
-            if String.length k >= pl && String.sub k 0 pl = prefix then
-              k :: acc
-            else acc)
+          (fun k e acc ->
+            if String.starts_with ~prefix k then (k, e) :: acc else acc)
           t.table []
       in
       List.iter
-        (fun k ->
+        (fun (k, e) ->
           Hashtbl.remove t.table k;
-          if t.aborted = None then Metrics.Gauge.decr m_pending)
+          match e with
+          | Sent _ when t.aborted = None -> Metrics.Gauge.decr m_pending
+          | Sent _ | Armed _ -> ())
         doomed;
       List.length doomed)

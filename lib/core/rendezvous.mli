@@ -3,10 +3,16 @@
     When partitioning replaces a cross-device edge with a [Send]/[Recv]
     pair, the pair agrees on a {e rendezvous key} naming the value. [Send]
     publishes its input under the key as soon as the tensor is available;
-    [Recv] blocks until the value for its key is available locally. One
-    rendezvous instance serves one step; keys are
-    ["step:<id>;src_device;dst_device;tensor_name"] (see {!step_key})
-    and values are consumed once. *)
+    [Recv] completes when the value for its key is available locally.
+    Keys are ["step:<id>;src_device;dst_device;tensor_name"] (see
+    {!step_key}) and values are consumed once.
+
+    Delivery is pushed, not polled: a receiver {!arm}s its key once with
+    a continuation. If the value is already there the continuation runs
+    at once; otherwise the sender runs it, handing over the value. The
+    executor's continuation posts the Recv's completion to its step's
+    scheduler, so a partition waiting on Recvs sleeps until one of its
+    own values lands. *)
 
 type t
 
@@ -22,6 +28,17 @@ val create : ?route:(key:string -> Value.t -> bool) -> unit -> t
     (e.g. {!Step_failure.Network_error}) to fail the sending kernel
     structurally when the peer is unreachable. *)
 
+val node_suffix : Node.t -> string
+(** The step-independent ["src;dst;name"] part of a [Send] or [Recv]
+    node's key, read from its [send_device], [recv_device] and
+    [tensor_name] attributes. Built once per plan node; each step then
+    only calls {!key}. *)
+
+val key : step_id:int -> string -> string
+(** [key ~step_id suffix] is ["step:<id>;" ^ suffix]. The step id prefix
+    gives per-step scoping: concurrent in-flight steps of a pipelined
+    session can never cross-deliver even on a shared rendezvous. *)
+
 val step_key :
   step_id:int ->
   send_device:string ->
@@ -29,52 +46,55 @@ val step_key :
   tensor_name:string ->
   string
 (** The canonical ["step:<id>;src;dst;name"] key a [Send]/[Recv] pair
-    agrees on. The step id prefix gives per-step scoping: concurrent
-    in-flight steps of a pipelined session can never cross-deliver even
-    on a shared rendezvous. *)
+    agrees on. *)
 
 val send : t -> key:string -> Value.t -> unit
-(** @raise Step_failure.Error with {!Step_failure.Duplicate_send} on a
+(** Deliver [v]: to the receiver armed on [key] if there is one (its
+    continuation runs on the calling thread, outside the rendezvous
+    lock), else into the table until a receiver arms or takes it.
+    @raise Step_failure.Error with {!Step_failure.Duplicate_send} on a
     duplicate key (two sends of one value). *)
 
+type outcome = (Value.t, string) result
+(** What an armed receiver is handed: the value, or [Error reason] when
+    the rendezvous was aborted. *)
+
+val arm : t -> key:string -> (outcome -> unit) -> unit
+(** Take-or-register, under the rendezvous lock: if [key]'s value was
+    already sent, it is consumed and [k] runs at once on the calling
+    thread; otherwise [k] is registered and runs exactly once, on the
+    thread that sends the value, or with [Error] on the thread that
+    {!abort}s a private rendezvous. After {!abort}, [k] runs at once
+    with [Error]. A receiver removed by {!drop_step} never runs.
+    @raise Invalid_argument if a receiver is already armed on [key]. *)
+
 val recv : ?cancel:Cancel.t -> t -> key:string -> Value.t
-(** Blocks until sent. Consumes the value. @raise Aborted if
-    {!abort} is called while waiting (or before).
-    @raise Step_failure.Error if [cancel] fires (deadline or explicit
-    cancellation wake the blocked waiter). *)
+(** Blocking receive built on {!arm}: waits until sent and consumes the
+    value. @raise Aborted if {!abort} is called while waiting (or
+    before). @raise Step_failure.Error if [cancel] fires (deadline or
+    explicit cancellation wake the blocked waiter). *)
 
 val try_recv : t -> key:string -> Value.t option
 (** Non-blocking receive; [None] when nothing is available.
     @raise Aborted after {!abort}. *)
 
-val generation : t -> int
-(** Incremented on every {!send}; see {!wait_new}. *)
-
-val wait_new : ?cancel:Cancel.t -> t -> last:int -> int
-(** Block until the generation exceeds [last] (i.e. something has been
-    sent since the caller sampled {!generation}), and return the current
-    generation. Used by executors to sleep between [Recv] retries
-    without missing wakeups. @raise Aborted after {!abort}.
-    @raise Step_failure.Error if [cancel] fires while parked. *)
-
 val abort : t -> reason:string -> unit
-(** Wake every blocked and future receiver with {!Aborted}; used to
-    propagate kernel failures across partition executor threads so a step
-    fails as a unit rather than deadlocking.
+(** Fail every armed and future receiver with [reason]; used to
+    propagate kernel failures across partition executor threads so a
+    step fails as a unit rather than deadlocking.
 
     On a routed (process-global, shared across steps) rendezvous the
-    abort is {e not} recorded — it only wakes waiters. A sticky abort
-    would outlive the failing step and poison every later one; shared
-    teardown is per step, via cancel tokens and {!drop_step}. *)
-
-val pending_keys : t -> string list
-(** Keys sent but not yet received (for tests and debugging). *)
+    abort is a no-op: it fails no armed receiver and is not recorded. A
+    sticky abort would outlive the failing step and poison every later
+    one; shared teardown is per step, via cancel tokens and
+    {!drop_step}. *)
 
 val pending_count : t -> int
 (** Live (sent but unreceived) entry count. *)
 
 val drop_step : t -> step_id:int -> int
 (** Remove every entry whose key carries the ["step:<id>;"] prefix —
-    values leaked by a cancelled or abandoned step — and return how many
-    were dropped. Invoked by [Session.drain] (and on step failure) so a
-    long-lived shared rendezvous cannot accumulate dead tensors. *)
+    values leaked by a cancelled or abandoned step, and receivers it
+    armed but no longer waits for — and return how many were dropped.
+    Invoked by [Session.drain] (and on step failure) so a long-lived
+    shared rendezvous cannot accumulate dead tensors. *)

@@ -22,24 +22,28 @@ type 'task ops = {
   classify : 'task -> cls;
   stage : 'task -> staged;
   run_blocking : 'task -> unit;
-  poll_recv : 'task -> (unit -> unit) option;
-  rendezvous : Rendezvous.t option;
+  arm : 'task -> ((unit -> unit) -> unit) -> unit;
   cancel : Cancel.t option;
 }
 
-(* Completions cross from worker domains back to the coordinating
-   thread through [completions]; [in_flight] is touched only by the
-   coordinator. *)
+(* What a drive loop applies on the coordinating thread: a pool
+   kernel's continuation, or an armed Recv's. The two are counted
+   apart: [in_flight] is what a collateral failure must wait for. *)
+type completion = Landed of (unit -> unit) | Received of (unit -> unit)
+
+(* Completions cross from worker domains and from senders' threads back
+   to the coordinating thread through [completions]; the counters are
+   touched only by the coordinator. *)
 type 'task t = {
   policy : policy;
   ops : 'task ops;
   ready : 'task Queue.t;
-  ready_recv : 'task Queue.t;
-  ready_blocking : 'task Queue.t;
+  blocking : 'task Queue.t;
   mutex : Mutex.t;
-  have_completion : Condition.t;
-  mutable completions : (unit -> unit) list;  (* reversed arrival order *)
-  mutable in_flight : int;
+  posted : Condition.t;
+  mutable completions : completion list;  (* reversed arrival order *)
+  mutable in_flight : int;  (* kernels on the pool *)
+  mutable armed : int;  (* Recvs armed, completion not yet applied *)
 }
 
 let create policy ops =
@@ -47,98 +51,80 @@ let create policy ops =
     policy;
     ops;
     ready = Queue.create ();
-    ready_recv = Queue.create ();
-    ready_blocking = Queue.create ();
+    blocking = Queue.create ();
     mutex = Mutex.create ();
-    have_completion = Condition.create ();
+    posted = Condition.create ();
     completions = [];
     in_flight = 0;
+    armed = 0;
   }
+
+let post t c =
+  Mutex.lock t.mutex;
+  t.completions <- c :: t.completions;
+  Condition.signal t.posted;
+  Mutex.unlock t.mutex
 
 let add t task =
   match t.ops.classify task with
   | Normal -> Queue.add task t.ready
-  | Recv -> Queue.add task t.ready_recv
-  | Blocking -> Queue.add task t.ready_blocking
+  | Blocking -> Queue.add task t.blocking
+  | Recv ->
+      t.armed <- t.armed + 1;
+      t.ops.arm task (fun k -> post t (Received k))
 
-(* ------------------------------------------------------------------ *)
-(* Recv polling, shared by both policies                               *)
-(* ------------------------------------------------------------------ *)
+(* Take what has been posted; with [block], first wait until something
+   is, or (with [cancellable]) the step's token has fired. The cancel
+   waker broadcasts under [t.mutex], so it cannot slip between the
+   check and the wait. *)
+let take ?(cancellable = true) ~block t =
+  let cancelled () =
+    cancellable
+    &&
+    match t.ops.cancel with
+    | Some c -> Cancel.cancelled c <> None
+    | None -> false
+  in
+  Mutex.lock t.mutex;
+  if block then
+    while t.completions = [] && not (cancelled ()) do
+      Condition.wait t.posted t.mutex
+    done;
+  let cs = t.completions in
+  t.completions <- [];
+  Mutex.unlock t.mutex;
+  List.rev cs
 
-(* Poll each pending Recv once; stop at the first success so newly-ready
-   downstream work gets priority again. Returns true on progress. *)
-let poll_recvs t =
-  let n = Queue.length t.ready_recv in
-  let progressed = ref false in
-  for _ = 1 to n do
-    if not !progressed then begin
-      let task = Queue.pop t.ready_recv in
-      match t.ops.poll_recv task with
-      | Some k ->
-          k ();
-          progressed := true
-      | None -> Queue.add task t.ready_recv
-    end
-  done;
-  !progressed
+let wake t () =
+  Mutex.lock t.mutex;
+  Condition.broadcast t.posted;
+  Mutex.unlock t.mutex
 
-(* ------------------------------------------------------------------ *)
-(* Inline policy: the original single-threaded loop                    *)
-(* ------------------------------------------------------------------ *)
+let apply t = function
+  | Landed k ->
+      t.in_flight <- t.in_flight - 1;
+      k ()
+  | Received k ->
+      t.armed <- t.armed - 1;
+      k ()
+
+(* Apply a batch in arrival order. If one raises, the rest go back to
+   the front of the queue: a collateral failure still waits for them
+   (see [settle]). *)
+let rec apply_all t = function
+  | [] -> ()
+  | c :: rest ->
+      (match apply t c with
+      | () -> ()
+      | exception e ->
+          Mutex.lock t.mutex;
+          t.completions <- t.completions @ List.rev rest;
+          Mutex.unlock t.mutex;
+          raise e);
+      apply_all t rest
 
 let run_now t task =
   match t.ops.stage task with Finish k -> k () | Offload run -> (run ()) ()
-
-let rec drive_inline t =
-  Cancel.check_opt t.ops.cancel;
-  if not (Queue.is_empty t.ready) then begin
-    run_now t (Queue.pop t.ready);
-    drive_inline t
-  end
-  else if not (Queue.is_empty t.ready_recv) then begin
-    (match t.ops.rendezvous with
-    | None -> t.ops.run_blocking (Queue.pop t.ready_recv)
-    | Some r ->
-        let gen = Rendezvous.generation r in
-        if not (poll_recvs t) then
-          if not (Queue.is_empty t.ready_blocking) then
-            t.ops.run_blocking (Queue.pop t.ready_blocking)
-          else
-            ignore (Rendezvous.wait_new ?cancel:t.ops.cancel r ~last:gen));
-    drive_inline t
-  end
-  else if not (Queue.is_empty t.ready_blocking) then begin
-    t.ops.run_blocking (Queue.pop t.ready_blocking);
-    drive_inline t
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Pool policy: offload onto the shared domain pool                    *)
-(* ------------------------------------------------------------------ *)
-
-let push_completion t k =
-  Mutex.lock t.mutex;
-  t.completions <- k :: t.completions;
-  Condition.signal t.have_completion;
-  Mutex.unlock t.mutex
-
-let take_completions ~block t =
-  Mutex.lock t.mutex;
-  if block then
-    while t.completions = [] do
-      Condition.wait t.have_completion t.mutex
-    done;
-  let ks = t.completions in
-  t.completions <- [];
-  Mutex.unlock t.mutex;
-  List.rev ks
-
-let apply_completions t ks =
-  (* Count every completion as landed before applying any: a raising
-     continuation must not leave [in_flight] claiming work that has in
-     fact arrived. *)
-  t.in_flight <- t.in_flight - List.length ks;
-  List.iter (fun k -> k ()) ks
 
 let dispatch t task =
   match t.ops.stage task with
@@ -147,52 +133,63 @@ let dispatch t task =
       t.in_flight <- t.in_flight + 1;
       Domain_pool.submit (fun () ->
           let k = try run () with e -> fun () -> raise e in
-          push_completion t k)
+          post t (Landed k))
 
-let rec drive_pool t =
+(* One loop for both policies; they differ only in where a ready
+   kernel runs. Ready work goes first, then whatever has been posted;
+   a blocking task runs only when no kernel is in flight and nothing
+   is ready, and the loop parks on the completion queue only when what
+   it waits for is a kernel or an armed Recv. *)
+let rec loop t =
   Cancel.check_opt t.ops.cancel;
-  (* Keep the pool fed: everything ready goes out before we wait. *)
-  while not (Queue.is_empty t.ready) do
-    dispatch t (Queue.pop t.ready)
-  done;
-  let ks = take_completions ~block:false t in
-  if ks <> [] then begin
-    apply_completions t ks;
-    drive_pool t
+  if not (Queue.is_empty t.ready) then begin
+    (match t.policy with
+    | Inline -> run_now t (Queue.pop t.ready)
+    | Pool ->
+        while not (Queue.is_empty t.ready) do
+          dispatch t (Queue.pop t.ready)
+        done);
+    loop t
   end
-  else if
-    (not (Queue.is_empty t.ready_recv)) && t.ops.rendezvous <> None
-  then begin
-    let r = Option.get t.ops.rendezvous in
-    let gen = Rendezvous.generation r in
-    if poll_recvs t then drive_pool t
-    else if t.in_flight > 0 then begin
-      apply_completions t (take_completions ~block:true t);
-      drive_pool t
-    end
-    else if not (Queue.is_empty t.ready_blocking) then begin
-      (* No non-blocking work remains anywhere: safe to park. *)
-      t.ops.run_blocking (Queue.pop t.ready_blocking);
-      drive_pool t
-    end
-    else begin
-      ignore (Rendezvous.wait_new ?cancel:t.ops.cancel r ~last:gen);
-      drive_pool t
-    end
-  end
-  else if t.in_flight > 0 then begin
-    apply_completions t (take_completions ~block:true t);
-    drive_pool t
-  end
-  else if not (Queue.is_empty t.ready_recv) then begin
-    (* No rendezvous: a Recv can only run (and fail) inline. *)
-    t.ops.run_blocking (Queue.pop t.ready_recv);
-    drive_pool t
-  end
-  else if not (Queue.is_empty t.ready_blocking) then begin
-    t.ops.run_blocking (Queue.pop t.ready_blocking);
-    drive_pool t
+  else
+    match take ~block:false t with
+    | _ :: _ as cs ->
+        apply_all t cs;
+        loop t
+    | [] ->
+        if t.in_flight > 0 || (t.armed > 0 && Queue.is_empty t.blocking)
+        then begin
+          apply_all t (take ~block:true t);
+          loop t
+        end
+        else if not (Queue.is_empty t.blocking) then begin
+          t.ops.run_blocking (Queue.pop t.blocking);
+          loop t
+        end
+
+(* Collateral failures describe another failure: the step was
+   cancelled, or a peer aborted the rendezvous. *)
+let collateral = function
+  | Rendezvous.Aborted _ -> true
+  | Step_failure.Error f -> Step_failure.is_secondary f.Step_failure.cause
+  | _ -> false
+
+(* A part's own failure wins. A kernel of this part that fails on a
+   worker domain aborts the rendezvous and cancels the step before its
+   continuation is posted, so the part's own Recvs may fail, or its
+   token fire, ahead of the root cause. A collateral failure is
+   therefore raised only once no kernel is in flight; a primary one met
+   on the way replaces it. *)
+let rec settle t e =
+  if t.in_flight = 0 then raise e
+  else begin
+    List.iter
+      (fun c ->
+        match apply t c with () -> () | exception e' when collateral e' -> ())
+      (take ~cancellable:false ~block:true t);
+    settle t e
   end
 
 let drive t =
-  match t.policy with Inline -> drive_inline t | Pool -> drive_pool t
+  Cancel.with_waker t.ops.cancel (wake t) (fun () ->
+      try loop t with e when collateral e && t.in_flight > 0 -> settle t e)

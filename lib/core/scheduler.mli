@@ -16,13 +16,15 @@
       dataflow bookkeeping stays on the coordinating thread; worker
       domains only run kernels.
 
-    Blocking-kernel rule (progress guarantee): kernels that may park the
-    calling thread — [Recv], queue operations — are never offloaded.
-    They run on the coordinating thread, and only when no non-blocking
-    work remains, exactly as in the inline loop; [Recv] is polled
-    non-blockingly so one pending value never wedges a partition whose
-    other inputs have arrived. A worker domain therefore never blocks,
-    and every submitted task terminates.
+    Blocking rule (progress guarantee): kernels that may park the
+    calling thread — queue operations — are never offloaded. They run on
+    the coordinating thread, and only when no other work is ready and
+    no kernel is in flight, exactly as in the inline loop. A [Recv]
+    never parks anything: when it becomes ready it is {e armed} in the
+    rendezvous once, and its value is pushed to the coordinator through
+    the same completion queue that carries pool kernels' results. A
+    worker domain therefore never blocks, and every submitted task
+    terminates.
 
     Determinism: a kernel's output depends only on its input values and
     its per-node RNG stream (derived from seed, step id, node id and
@@ -67,19 +69,19 @@ type 'task ops = {
       (** Coordinator-side preparation of a {!Normal} task: gather
           inputs, resolve the kernel, build the context. *)
   run_blocking : 'task -> unit;
-      (** Run a {!Blocking} (or rendezvous-less {!Recv}) task to
-          completion on the coordinating thread, continuation included. *)
-  poll_recv : 'task -> (unit -> unit) option;
-      (** Try to complete a pending {!Recv} without blocking; [Some k]
-          on success ([k] is applied immediately on the coordinator). *)
-  rendezvous : Rendezvous.t option;
-      (** When present, the engine parks on it (generation-watched) once
-          only Recvs remain, waking when a peer partition sends. *)
+      (** Run a {!Blocking} task to completion on the coordinating
+          thread, continuation included. *)
+  arm : 'task -> ((unit -> unit) -> unit) -> unit;
+      (** [arm task post] arms a {!Recv} task once, when it becomes
+          ready. It must call [post k] exactly once, from any thread and
+          possibly before returning, with the continuation [k] that
+          completes (or fails) the task; the engine applies [k] on the
+          coordinating thread. *)
   cancel : Cancel.t option;
-      (** When present, both drive loops poll it between tasks — so even
+      (** When present, the drive loop polls it between tasks — so even
           a cyclic graph that never quiesces honours its deadline — and
-          pass it to rendezvous parks so cancellation wakes a parked
-          coordinator. *)
+          registers a waker on it, so cancellation wakes a coordinator
+          parked on the completion queue. *)
 }
 
 type 'task t
@@ -91,11 +93,15 @@ val add : 'task t -> 'task -> unit
     seeding time and from completion continuations. *)
 
 val drive : 'task t -> unit
-(** Run until no task is ready, none is in flight, and no pending [Recv]
-    can make progress. Re-raises the first continuation failure on the
-    coordinating thread.
+(** Run until no task is ready, no kernel is in flight, no armed [Recv]
+    is outstanding and no blocking task is left. Re-raises the first
+    continuation failure on the coordinating thread. A collateral
+    failure — {!Rendezvous.Aborted}, or a {!Step_failure.is_secondary}
+    cause such as the step's cancellation — is raised only once no
+    kernel is in flight, and a primary failure among those kernels'
+    continuations wins: the part reports its own root cause.
 
     @raise Rendezvous.Aborted if a peer partition fails while this one
-    is parked on the rendezvous.
+    waits for a [Recv].
     @raise Step_failure.Error if the step's cancellation token fires
     (deadline expiry or explicit cancellation). *)

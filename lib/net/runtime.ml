@@ -376,6 +376,8 @@ let rec on_message t conn msg =
       in
       if retired then Metrics.Counter.incr m_late_tensors
       else
+        (* On this reader thread: a Recv already armed on [key] gets
+           its completion posted to its step's scheduler from here. *)
         try Rendezvous.send t.rendezvous ~key value
         with Step_failure.Error _ ->
           (* duplicate send of a retried key: drop, the step owning the

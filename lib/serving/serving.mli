@@ -24,8 +24,9 @@
     {!submit} admits one single-example request (one tensor per model
     input, {e without} the batch dimension). A background batcher
     coalesces admitted requests: a batch is dispatched as one
-    [Session.run] the moment it reaches [max_batch_size], or when its
-    oldest member has waited [max_queue_delay]. Each batched step runs
+    [Session.run] the moment it reaches [max_batch_size] (the filling
+    submit wakes the batcher), or when its oldest member has waited
+    [max_queue_delay]. Each batched step runs
     under the longest remaining per-request budget via the session's
     {!Octf.Cancel} token (a child of the server's group token, so
     {!shutdown} cancels mid-flight steps); members whose own deadline
@@ -173,9 +174,9 @@ val infer :
 (** [submit] + [await]. *)
 
 val shutdown : t -> unit
-(** Stop admitting, cancel the in-flight batched step through the
-    group token, fail every queued request with [Cancelled], and join
-    the batcher. Idempotent. *)
+(** Stop admitting, end an open batching window at once, cancel the
+    in-flight batched step through the group token, fail every queued
+    request with [Cancelled], and join the batcher. Idempotent. *)
 
 val stats : t -> stats
 

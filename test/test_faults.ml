@@ -149,6 +149,94 @@ let test_recv_deadline () =
         (Unix.gettimeofday () -. t0 < 2.0)
 
 (* ------------------------------------------------------------------ *)
+(* Rendezvous: push delivery to armed receivers                        *)
+(* ------------------------------------------------------------------ *)
+
+(* An armed receiver that records every outcome it is handed. *)
+let recorder () =
+  let got = ref [] in
+  (got, fun o -> got := o :: !got)
+
+let expect_value = Value.Tensor (Tensor.scalar_f 4.0)
+
+(* [Ok true] stands for [expect_value] itself. *)
+let check_got name got expect =
+  Alcotest.(check (list (result bool string)))
+    name expect
+    (List.rev_map (Result.map (fun v -> v == expect_value)) !got)
+
+let test_armed_recv_completes_once () =
+  let r = Rendezvous.create () in
+  let got, k = recorder () in
+  Rendezvous.arm r ~key:"k" k;
+  check_got "nothing before the send" got [];
+  Rendezvous.send r ~key:"other" (Value.Tensor (Tensor.scalar_f 0.0));
+  check_got "another key's send" got [];
+  Rendezvous.send r ~key:"k" expect_value;
+  check_got "the sent value, once" got [ Ok true ];
+  Alcotest.(check int) "handed over: only the other key's value is stored" 1
+    (Rendezvous.pending_count r);
+  (* The blocking receive is the same call underneath. *)
+  let th =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.02;
+        Rendezvous.send r ~key:"late" expect_value)
+      ()
+  in
+  let v = Rendezvous.recv r ~key:"late" in
+  Thread.join th;
+  Alcotest.(check bool) "blocking recv gets the value" true (v == expect_value)
+
+let test_recv_armed_after_send () =
+  let r = Rendezvous.create () in
+  Rendezvous.send r ~key:"k" expect_value;
+  let got, k = recorder () in
+  Rendezvous.arm r ~key:"k" k;
+  check_got "completes at once" got [ Ok true ];
+  Alcotest.(check int) "consumed" 0 (Rendezvous.pending_count r)
+
+let test_abort_fails_armed_recvs () =
+  let priv = Rendezvous.create () in
+  let got_a, ka = recorder () and got_b, kb = recorder () in
+  Rendezvous.arm priv ~key:"a" ka;
+  Rendezvous.arm priv ~key:"b" kb;
+  Rendezvous.abort priv ~reason:"step failed";
+  check_got "first armed recv fails" got_a [ Error "step failed" ];
+  check_got "second armed recv fails" got_b [ Error "step failed" ];
+  Rendezvous.abort priv ~reason:"again";
+  check_got "a second abort fails nothing twice" got_a [ Error "step failed" ];
+  let got_c, kc = recorder () in
+  Rendezvous.arm priv ~key:"c" kc;
+  check_got "a recv armed after the abort fails at once" got_c
+    [ Error "step failed" ];
+  let routed = Rendezvous.create ~route:(fun ~key:_ _ -> false) () in
+  let got, k = recorder () in
+  Rendezvous.arm routed ~key:"a" k;
+  Rendezvous.abort routed ~reason:"conn lost";
+  check_got "a routed abort fails none" got [];
+  Rendezvous.send routed ~key:"a" expect_value;
+  check_got "and the recv still completes" got [ Ok true ]
+
+let test_drop_step_drops_armed () =
+  let r = Rendezvous.create () in
+  let key step =
+    Rendezvous.step_key ~step_id:step ~send_device:"a" ~recv_device:"b"
+      ~tensor_name:"x:0"
+  in
+  let got1, k1 = recorder () and got2, k2 = recorder () in
+  Rendezvous.arm r ~key:(key 1) k1;
+  Rendezvous.arm r ~key:(key 2) k2;
+  Alcotest.(check int) "one armed entry of step 1" 1
+    (Rendezvous.drop_step r ~step_id:1);
+  Rendezvous.send r ~key:(key 1) expect_value;
+  check_got "dropped recv never runs" got1 [];
+  Alcotest.(check int) "its value is stored instead" 1
+    (Rendezvous.pending_count r);
+  Rendezvous.send r ~key:(key 2) expect_value;
+  check_got "step 2's recv still armed" got2 [ Ok true ]
+
+(* ------------------------------------------------------------------ *)
 (* Queues: cancellation and close wake blocked waiters                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -590,4 +678,12 @@ let suite =
       test_ps_kill_recovery_converges;
     Alcotest.test_case "restart_task clears state" `Quick
       test_restart_task_clears_state;
+    Alcotest.test_case "armed recv completes once" `Quick
+      test_armed_recv_completes_once;
+    Alcotest.test_case "recv armed after its send" `Quick
+      test_recv_armed_after_send;
+    Alcotest.test_case "abort fails armed recvs (private only)" `Quick
+      test_abort_fails_armed_recvs;
+    Alcotest.test_case "drop_step drops only its armed recvs" `Quick
+      test_drop_step_drops_armed;
   ]

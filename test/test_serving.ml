@@ -573,6 +573,78 @@ let test_quantized_islands_kept () =
     (islands fused_stats);
   Alcotest.(check bool) "bit-identical" true (Tensor.equal want got)
 
+(* ------------------------------------------------------------------ *)
+(* The fill window ends early                                           *)
+
+(* A 5 s window: a batch answered within 1 s was woken, not timed out. *)
+let test_full_batch_ends_window () =
+  let session, x, y = doubler () in
+  let server =
+    Serving.create ~name:"full-window" ~max_batch_size:4 ~max_queue_delay:5.0
+      ~session ~inputs:[ x ] ~outputs:[ y ] ()
+  in
+  Fun.protect ~finally:(fun () -> Serving.shutdown server) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let results = Array.make 4 None in
+  let client i =
+    Thread.create
+      (fun () ->
+        results.(i) <- Some (Serving.infer server [ example (float_of_int i) ]))
+      ()
+  in
+  (* The first request opens the window; the other three arrive while
+     the batcher waits in it. *)
+  let first = client 0 in
+  Thread.delay 0.05;
+  let rest = List.init 3 (fun i -> client (i + 1)) in
+  List.iter Thread.join (first :: rest);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s < 1 s" elapsed)
+    true (elapsed < 1.0);
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Some (Ok [ out ]) ->
+          let v = float_of_int i in
+          Alcotest.(check (array (float 0.0)))
+            "own row"
+            [| (2.0 *. v) +. 1.0; (2.0 *. (v +. 0.5)) +. 1.0 |]
+            (Tensor.to_float_array out)
+      | Some (Error f) -> Alcotest.fail (Step_failure.to_string f)
+      | _ -> Alcotest.fail "missing answer")
+    results;
+  let st = Serving.stats server in
+  Alcotest.(check int) "one batch" 1 st.Serving.batches;
+  Alcotest.(check int) "of four" 4 st.Serving.max_batch
+
+let test_shutdown_ends_window () =
+  let session, x, y = doubler () in
+  let server =
+    Serving.create ~name:"shutdown-window" ~max_batch_size:4
+      ~max_queue_delay:5.0 ~session ~inputs:[ x ] ~outputs:[ y ] ()
+  in
+  let rs =
+    List.init 2 (fun i ->
+        match Serving.submit server [ example (float_of_int i) ] with
+        | Ok r -> r
+        | Error f -> Alcotest.fail (Step_failure.to_string f))
+  in
+  (* Let the batcher open its window on the two requests. *)
+  Thread.delay 0.05;
+  let t0 = Unix.gettimeofday () in
+  Serving.shutdown server;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "shutdown took %.3f s < 1 s" elapsed)
+    true (elapsed < 1.0);
+  List.iter
+    (fun r -> match Serving.await r with Ok _ | Error _ -> ())
+    rs;
+  let st = Serving.stats server in
+  Alcotest.(check int) "each request answered exactly once" 2
+    (st.Serving.served + st.Serving.failed)
+
 let suite =
   [
     Alcotest.test_case "freeze is bit-identical across schedulers" `Quick
@@ -601,4 +673,8 @@ let suite =
       test_quantized_islands_kept;
     Alcotest.test_case "pipelined clients over a two-input, two-output model"
       `Quick test_pipelined_multi_io;
+    Alcotest.test_case "a full batch ends the fill window" `Quick
+      test_full_batch_ends_window;
+    Alcotest.test_case "shutdown ends an open fill window" `Quick
+      test_shutdown_ends_window;
   ]
