@@ -89,8 +89,9 @@ type 'task t
 val create : policy -> 'task ops -> 'task t
 
 val add : 'task t -> 'task -> unit
-(** Make a task ready. Called from the coordinating thread only — at
-    seeding time and from completion continuations. *)
+(** Make a task ready; a {!Recv} task is armed at once. Called from the
+    coordinating thread only — at seeding time and from completion
+    continuations. *)
 
 val drive : 'task t -> unit
 (** Run until no task is ready, no kernel is in flight, no armed [Recv]
