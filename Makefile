@@ -18,7 +18,8 @@ bench-smoke:
 
 # Intra-op kernel throughput (matmul / conv2d / elementwise GFLOP/s at
 # 1/2/4/8 threads), data-movement copies (concat, slice, transpose: us
-# per call and share of an Array.blit peak), one sparse Adagrad step
+# per call and share of an Array.blit peak), MaxPool on floats and on
+# uint8 codes at serve_cnn_int8's two shapes (same units), one sparse Adagrad step
 # (UniqueSegmentSum, the fused SparseApplyAdagrad and the dense chain it
 # replaced, same units), small-tensor elementwise kernels at serve_rnn's
 # shapes (us and minor-heap words per call), the transposed-matmul

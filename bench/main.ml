@@ -586,15 +586,16 @@ let measure_blit_peak_gbs ~trials =
   float_of_int (8 * n * reps) /. best_time ~trials run /. 1e9
 
 (* Microseconds per call at the median batch of [trials], and GB/s at
-   the best batch as a share of the Array.blit [peak], counting 8 bytes
-   per element the call writes ([written]). One JSON object per case. *)
-let timed_cases ~smoke ~peak ~label cases =
+   the best batch as a share of the Array.blit [peak], counting
+   [elem_bytes] (default 8) per element the call moves ([written]). One
+   JSON object per case. *)
+let timed_cases ?(elem_bytes = 8) ~smoke ~peak ~label cases =
   let trials = if smoke then 3 else 9 in
   List.map
     (fun (name, written, f) ->
       let iters = max 1 ((if smoke then 1_000_000 else 4_000_000) / written) in
       let median_s, best_s = timed_trials ~trials ~iters f in
-      let gbs = float_of_int (8 * written) /. best_s /. 1e9 in
+      let gbs = float_of_int (elem_bytes * written) /. best_s /. 1e9 in
       let pct = 100.0 *. gbs /. peak in
       Printf.printf
         "%s %-26s %7d elems, 1 thread: %9.2f us  %6.2f GB/s  %5.1f%% of blit \
@@ -628,6 +629,37 @@ let data_movement ~smoke ~peak =
     "{\"blit_peak_gbs\":%.3f,\"method\":\"Array.blit of a 32 KB float buffer, 8 bytes per element copied, 1 thread, best of trials\",\"ops\":[%s]}"
     peak
     (String.concat ",\n  " rows)
+
+(* MaxPool (2x2, stride 2, VALID) at serve_cnn_int8's two pooling
+   shapes, on floats and on the uint8 codes the int8 graph pools, at one
+   thread. Every input element is read once, so GB/s counts the input's
+   bytes: 8 per float, 1 per code. *)
+let pooling ~smoke ~peak =
+  Parallel.set_threads 1;
+  let rng = Rng.create 29 in
+  let shapes = [ [| 8; 28; 28; 8 |]; [| 8; 14; 14; 16 |] ] in
+  let rows ~elem_bytes ~suffix encode =
+    timed_cases ~elem_bytes ~smoke ~peak ~label:"pool"
+      (List.map
+         (fun shape ->
+           let x = encode (Tensor.uniform rng shape ~lo:0.0 ~hi:4.0) in
+           ( Printf.sprintf "max_pool_%s_%s"
+               (String.concat "x" (List.map string_of_int (Array.to_list shape)))
+               suffix,
+             Tensor.numel x,
+             fun () ->
+               Tensor_ops.max_pool x ~ksize:(2, 2) ~strides:(2, 2)
+                 ~padding:Tensor_ops.Valid ))
+         shapes)
+  in
+  let floats = rows ~elem_bytes:8 ~suffix:"f32" Fun.id in
+  let codes =
+    rows ~elem_bytes:1 ~suffix:"u8" (fun x ->
+        Octf.Quant_kernels.quantize_with_range x 0.0 4.0)
+  in
+  Printf.sprintf
+    "{\"method\":\"input bytes read (8 per float, 1 per uint8 code), share of blit_peak_gbs, 1 thread\",\"ops\":[%s]}"
+    (String.concat ",\n  " (floats @ codes))
 
 (* One sparse Adagrad step on train_lm_ps's softmax table (2048 x 32,
    320 gathered ids a step, duplicates included), at one thread: the
@@ -756,6 +788,7 @@ let kernels () =
      %.2f GB/s\n%!"
     blit_peak;
   let data_movement = data_movement ~smoke ~peak:blit_peak in
+  let pooling = pooling ~smoke ~peak:blit_peak in
   let sparse_update = sparse_update ~smoke ~peak:blit_peak in
   let small_elementwise = small_elementwise ~smoke in
   (* One point per intra-op thread budget: [f t] runs under [t]. *)
@@ -953,6 +986,7 @@ let kernels () =
        \"gemm_roofline\":[%s],\n\
        \"int8_gemm_roofline\":[%s],\n\
        \"data_movement\":%s,\n\
+       \"pooling\":%s,\n\
        \"sparse_update\":%s,\n\
        \"small_elementwise\":%s,\n\
        \"matmul\":{\"dim\":%d,\"series\":[%s]},\n\
@@ -966,6 +1000,7 @@ let kernels () =
       (String.concat ",\n  " roofline)
       (String.concat ",\n  " int8_roofline)
       data_movement
+      pooling
       sparse_update
       small_elementwise
       mm_dim

@@ -85,7 +85,8 @@ let register () =
       K.one (t (Tensor.reshape summed xs)));
   K.register ~op_type:"AvgPoolGrad" (fun ctx ->
       (* Distribute each output gradient equally over its window. *)
-      let input = K.input_tensor ctx 0 and dy = K.input_tensor ctx 1 in
+      let input = Nn_kernels.pool_input ctx "AvgPoolGrad" 0
+      and dy = Nn_kernels.pool_input ctx "AvgPoolGrad" 1 in
       let kh, kw =
         match Node.attr_ints ctx.K.node "ksize" with
         | [ a; b ] -> (a, b)

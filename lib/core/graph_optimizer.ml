@@ -617,20 +617,29 @@ let quantize_graph graph ~nodes ~fed ~pinned ~ranges =
         Hashtbl.replace weight_cache wnode.Node.id trio;
         trio
   in
-  (* Minted activation-quantize nodes, remembered for the elision sweep. *)
+  (* Minted activation-quantize nodes, remembered for the elision sweep;
+     minted Dequantizes, for the sink; and every node the pass mints. *)
   let minted_quants = ref [] in
+  let minted_deqs = Queue.create () in
+  let minted = ref [] in
+  let mint ?inputs ?attrs ~name ~device ~op_type () =
+    let node = Graph.add_node graph ~name ?inputs ?attrs ~device ~op_type () in
+    minted := node.Node.id :: !minted;
+    if op_type = "Dequantize" then Queue.add node.Node.id minted_deqs;
+    node
+  in
   let quant_input (root : Node.t) =
     let e0 = root.Node.inputs.(0) in
     let node =
       match ranges (endpoint_name graph e0) with
       | Some (lo, hi) ->
-          Graph.add_node graph
+          mint
             ~name:(root.Node.name ^ "/qin")
             ~inputs:[ e0 ]
             ~attrs:[ ("lo", Attr.Float lo); ("hi", Attr.Float hi) ]
             ~device:root.Node.device_spec ~op_type:"QuantizeRange" ()
       | None ->
-          Graph.add_node graph
+          mint
             ~name:(root.Node.name ^ "/qin")
             ~inputs:[ e0 ] ~device:root.Node.device_spec ~op_type:"Quantize"
             ()
@@ -684,7 +693,7 @@ let quantize_graph graph ~nodes ~fed ~pinned ~ranges =
               else "QuantizedConv2DQ"
             in
             let qnode =
-              Graph.add_node graph
+              mint
                 ~name:(n.Node.name ^ "/quant")
                 ~inputs:
                   (base_inputs
@@ -699,7 +708,7 @@ let quantize_graph graph ~nodes ~fed ~pinned ~ranges =
                 ~device:n.Node.device_spec ~op_type ()
             in
             let deq =
-              Graph.add_node graph
+              mint
                 ~name:(n.Node.name ^ "/deq")
                 ~inputs:
                   [
@@ -723,7 +732,7 @@ let quantize_graph graph ~nodes ~fed ~pinned ~ranges =
               else "QuantizedConv2D"
             in
             let qnode =
-              Graph.add_node graph
+              mint
                 ~name:(n.Node.name ^ "/quant")
                 ~inputs:base_inputs ~attrs:(contraction_attrs n)
                 ~device:n.Node.device_spec ~op_type ()
@@ -734,6 +743,56 @@ let quantize_graph graph ~nodes ~fed ~pinned ~ranges =
         Metrics.Counter.incr m_quant_islands
       end)
     order;
+  (* Sink: a minted Dequantize whose one consumer is a clean MaxPool or
+     Reshape moves below it. That node reads the codes (max pooling
+     commutes with the monotone decode; a reshape only relabels them),
+     and a new Dequantize with the same range decodes its output, so
+     the elision below can take out a Quantize that follows. Consumers
+     are counted among the step's live nodes and the nodes this pass
+     minted: the frozen graph's training nodes (a MaxPoolGrad, say) were
+     rewired onto the Dequantize as well, but never run in this step. *)
+  let readers id =
+    List.concat_map
+      (fun cid ->
+        if Hashtbl.mem rewritten cid then []
+        else
+          let c = Graph.get graph cid in
+          let data =
+            List.filter_map
+              (fun slot ->
+                if c.Node.inputs.(slot).Node.node_id = id then Some (c, slot)
+                else None)
+              (List.init (Array.length c.Node.inputs) Fun.id)
+          in
+          if List.mem id c.Node.control_inputs then (c, -1) :: data else data)
+      (nodes @ !minted)
+  in
+  while not (Queue.is_empty minted_deqs) do
+    let d = Graph.get graph (Queue.pop minted_deqs) in
+    match readers d.Node.id with
+    | [ (c, 0) ]
+      when (c.Node.op_type = "MaxPool" || c.Node.op_type = "Reshape")
+           && Array.length c.Node.inputs = 1
+           && c.Node.inputs.(0).Node.index = 0
+           && c.Node.device_spec = d.Node.device_spec
+           && clean c ->
+        let codes =
+          mint ~name:(c.Node.name ^ "/codes")
+            ~inputs:[ d.Node.inputs.(0) ]
+            ~attrs:c.Node.attrs ~device:c.Node.device_spec
+            ~op_type:c.Node.op_type ()
+        in
+        let deq =
+          mint ~name:(c.Node.name ^ "/deq")
+            ~inputs:
+              [ Node.endpoint codes.Node.id 0; d.Node.inputs.(1); d.Node.inputs.(2) ]
+            ~device:c.Node.device_spec ~op_type:"Dequantize" ()
+        in
+        redirect graph ~old_id:c.Node.id ~new_id:deq.Node.id;
+        Hashtbl.replace rewritten c.Node.id ();
+        Hashtbl.replace rewritten d.Node.id ()
+    | _ -> ()
+  done;
   (* Elision: a minted Quantize[Range] reading a Dequantize's output
      takes the producer's code/range endpoints directly. *)
   List.iter

@@ -6,6 +6,7 @@
 
 open Octf_tensor
 module K = Kernel
+module SF = Step_failure
 
 let t v = Value.Tensor v
 
@@ -22,6 +23,24 @@ let pair_of_ints name = function
 let strides_of node = pair_of_ints "strides" (Node.attr_ints node "strides")
 
 let ksize_of node = pair_of_ints "ksize" (Node.attr_ints node "ksize")
+
+(* Pooling kernels (and [Grad_kernels]' AvgPoolGrad) read their
+   operands' buffers directly. An operand of a dtype the op does not
+   take fails as a malformed graph naming the op and the dtype;
+   [MaxPool] also takes uint8 codes (see {!Tensor_ops.max_pool}). *)
+let pool_input ?(codes = false) ctx op i =
+  let x = K.input_tensor ctx i in
+  match Tensor.dtype x with
+  | Dtype.F32 | Dtype.F64 -> x
+  | Dtype.U8 when codes -> x
+  | d ->
+      raise
+        (SF.error
+           (SF.Invalid_graph
+              (Printf.sprintf "%s: input %d must be %s (got %s)" op i
+                 (if codes then "a float tensor or uint8 codes"
+                  else "a float tensor")
+                 (Dtype.to_string d))))
 
 let unary name f =
   K.register ~op_type:name (fun ctx -> K.one (t (f (K.input_tensor ctx 0))))
@@ -80,17 +99,26 @@ let register () =
       let strides = strides_of ctx.K.node in
       let ksize = ksize_of ctx.K.node in
       let padding = padding_of_node ctx.K.node in
-      K.one (t (Tensor_ops.max_pool (K.input_tensor ctx 0) ~ksize ~strides ~padding)));
+      K.one
+        (t
+           (Tensor_ops.max_pool
+              (pool_input ~codes:true ctx "MaxPool" 0)
+              ~ksize ~strides ~padding)));
   K.register ~op_type:"MaxPoolGrad" (fun ctx ->
       let strides = strides_of ctx.K.node in
       let ksize = ksize_of ctx.K.node in
       let padding = padding_of_node ctx.K.node in
       K.one
         (t
-           (Tensor_ops.max_pool_grad (K.input_tensor ctx 0)
-              (K.input_tensor ctx 1) ~ksize ~strides ~padding)));
+           (Tensor_ops.max_pool_grad
+              (pool_input ctx "MaxPoolGrad" 0)
+              (pool_input ctx "MaxPoolGrad" 1)
+              ~ksize ~strides ~padding)));
   K.register ~op_type:"AvgPool" (fun ctx ->
       let strides = strides_of ctx.K.node in
       let ksize = ksize_of ctx.K.node in
       let padding = padding_of_node ctx.K.node in
-      K.one (t (Tensor_ops.avg_pool (K.input_tensor ctx 0) ~ksize ~strides ~padding)))
+      K.one
+        (t
+           (Tensor_ops.avg_pool (pool_input ctx "AvgPool" 0) ~ksize ~strides
+              ~padding)))

@@ -747,9 +747,14 @@ let create cfg =
   | None -> ()
   | Some { port; _ } ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_any, port));
-      Unix.listen fd 16;
+      (* A port already taken fails [create] without leaking the socket. *)
+      (try
+         Unix.setsockopt fd Unix.SO_REUSEADDR true;
+         Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_any, port));
+         Unix.listen fd 16
+       with e ->
+         Unix.close fd;
+         raise e);
       t.listen_fd <- Some fd;
       ignore (Thread.create (fun () -> accept_loop t fd) ()));
   ignore (Thread.create (fun () -> heartbeat_loop t) ());

@@ -1022,51 +1022,133 @@ let conv2d_grad_filter ~filter_shape input dy ~strides ~padding =
   Buffer_pool.release_float cols;
   T.of_float_array ~dtype:(T.dtype dy) fs out
 
-let pool_generic input ~ksize ~strides ~padding ~init ~combine ~finish =
+(* Pooling over NHWC, one output row (batch, y) per iteration. The row
+   starts at the identity of its reduction (-inf, 0.0, or code 0), and
+   each window cell (ky, kx) then folds into every output pixel whose
+   window holds it: a strided run over x, with the channel loop
+   innermost. Each output element thus sees its cells in (ky, kx) order,
+   as a per-element scan would: the sums keep that order, and
+   [Float.max] from -inf returns its first operand's bits and is
+   commutative and associative, NaN and signed zeros included. Every
+   SAME or VALID window holds at least one input cell, so a window's
+   maximum is one of its elements, and uint8 codes pool exactly as the
+   floats they decode to (the decode is monotone). *)
+type pool_bufs =
+  | Max_f of float array * float array
+  | Avg_f of float array * float array
+  | Max_u8 of Bytes.t * Bytes.t
+
+(* [Float.max], with the ordered cases decided before its sign-bit test. *)
+let[@inline] fmax x y =
+  if y > x then y
+  else if x > y || (x = y && x <> 0.0) then x
+  else Float.max x y
+
+let pool_shape input ~ksize ~strides ~padding =
   let is = T.shape input in
   if Shape.rank is <> 4 then invalid_arg "Tensor_ops.pool: NHWC required";
+  let kh, kw = ksize and sh, sw = strides in
+  let oh, _ = conv_dim ~padding ~in_size:is.(1) ~filter:kh ~stride:sh in
+  let ow, _ = conv_dim ~padding ~in_size:is.(2) ~filter:kw ~stride:sw in
+  [| is.(0); oh; ow; is.(3) |]
+
+let pool bufs input ~ksize ~strides ~padding =
+  let is = T.shape input in
   let batch = is.(0) and ih = is.(1) and iw = is.(2) and c = is.(3) in
   let kh, kw = ksize and sh, sw = strides in
   let oh, ph = conv_dim ~padding ~in_size:ih ~filter:kh ~stride:sh in
   let ow, pw = conv_dim ~padding ~in_size:iw ~filter:kw ~stride:sw in
-  let din = T.float_buffer input in
-  let out = Array.make (batch * oh * ow * c) 0.0 in
-  (* Output rows (one per (batch, y)) are independent — shard across
-     them; each window is still scanned in the fixed ky, kx order. *)
+  (* The output pixels x whose window holds column kx: those with
+     0 <= x * sw + kx - pw < iw. *)
+  let x_lo kx = max 0 ((pw - kx + sw - 1) / sw)
+  and x_hi kx =
+    let last = iw - 1 + pw - kx in
+    if last < 0 then -1 else min (ow - 1) (last / sw)
+  in
   Parallel.parallel_for
     ~grain:(grain_for ~item_cost:(ow * c * kh * kw) ~target_work:8192)
     (batch * oh)
     (fun lo hi ->
       for row = lo to hi - 1 do
-        let b = row / oh and y = row mod oh in
-        for x = 0 to ow - 1 do
-          for ch = 0 to c - 1 do
-            let acc = ref init and count = ref 0 in
-            for ky = 0 to kh - 1 do
-              let sy = (y * sh) + ky - ph in
-              if sy >= 0 && sy < ih then
-                for kx = 0 to kw - 1 do
-                  let sx = (x * sw) + kx - pw in
-                  if sx >= 0 && sx < iw then begin
-                    acc :=
-                      combine !acc din.((((b * ih) + sy) * iw + sx) * c + ch);
-                    incr count
-                  end
+        let b = row / oh in
+        let y0 = ((row - (b * oh)) * sh) - ph in
+        let ky0 = max 0 (-y0) and ky1 = min kh (ih - y0) in
+        let orow = row * ow * c in
+        (match bufs with
+        | Max_f (_, dst) -> Array.fill dst orow (ow * c) Float.neg_infinity
+        | Avg_f (_, dst) -> Array.fill dst orow (ow * c) 0.0
+        | Max_u8 (_, dst) -> Bytes.fill dst orow (ow * c) '\000');
+        for ky = ky0 to ky1 - 1 do
+          let irow = ((b * ih) + y0 + ky) * iw in
+          for kx = 0 to kw - 1 do
+            let xl = x_lo kx and xh = x_hi kx in
+            (* Input pixel of output pixel x: irow + x * sw + kx - pw. *)
+            let ibase = (irow + kx - pw) * c and istep = sw * c in
+            match bufs with
+            | Max_f (src, dst) ->
+                for x = xl to xh do
+                  let i = ibase + (x * istep) and o = orow + (x * c) in
+                  for ch = 0 to c - 1 do
+                    Array.unsafe_set dst (o + ch)
+                      (fmax
+                         (Array.unsafe_get dst (o + ch))
+                         (Array.unsafe_get src (i + ch)))
+                  done
                 done
-            done;
-            out.((((b * oh) + y) * ow + x) * c + ch) <- finish !acc !count
+            | Avg_f (src, dst) ->
+                for x = xl to xh do
+                  let i = ibase + (x * istep) and o = orow + (x * c) in
+                  for ch = 0 to c - 1 do
+                    Array.unsafe_set dst (o + ch)
+                      (Array.unsafe_get dst (o + ch)
+                      +. Array.unsafe_get src (i + ch))
+                  done
+                done
+            | Max_u8 (src, dst) ->
+                for x = xl to xh do
+                  let i = ibase + (x * istep) and o = orow + (x * c) in
+                  for ch = 0 to c - 1 do
+                    (* Branch-free: [d asr 62] is all ones when d < 0. *)
+                    let a = Char.code (Bytes.unsafe_get dst (o + ch)) in
+                    let d = a - Char.code (Bytes.unsafe_get src (i + ch)) in
+                    Bytes.unsafe_set dst (o + ch)
+                      (Char.unsafe_chr (a - (d land (d asr 62))))
+                  done
+                done
           done
-        done
-      done);
-  T.of_float_array ~dtype:(T.dtype input) [| batch; oh; ow; c |] out
+        done;
+        match bufs with
+        | Avg_f (_, dst) ->
+            for x = 0 to ow - 1 do
+              let o = orow + (x * c) and x0 = (x * sw) - pw in
+              let n =
+                float_of_int ((ky1 - ky0) * (min kw (iw - x0) - max 0 (-x0)))
+              in
+              for ch = 0 to c - 1 do
+                Array.unsafe_set dst (o + ch) (Array.unsafe_get dst (o + ch) /. n)
+              done
+            done
+        | Max_f _ | Max_u8 _ -> ()
+      done)
 
 let max_pool input ~ksize ~strides ~padding =
-  pool_generic input ~ksize ~strides ~padding ~init:Float.neg_infinity
-    ~combine:Float.max ~finish:(fun v _ -> v)
+  let shape = pool_shape input ~ksize ~strides ~padding in
+  let n = Shape.numel shape in
+  match T.dtype input with
+  | Dtype.U8 ->
+      let dst = Bytes.create n in
+      pool (Max_u8 (T.byte_buffer input, dst)) input ~ksize ~strides ~padding;
+      T.of_bytes shape dst
+  | dtype ->
+      let dst = Buffer_pool.alloc_float ~zero:false n in
+      pool (Max_f (T.float_buffer input, dst)) input ~ksize ~strides ~padding;
+      T.of_float_array ~dtype shape dst
 
 let avg_pool input ~ksize ~strides ~padding =
-  pool_generic input ~ksize ~strides ~padding ~init:0.0 ~combine:( +. )
-    ~finish:(fun v n -> if n = 0 then 0.0 else v /. float_of_int n)
+  let shape = pool_shape input ~ksize ~strides ~padding in
+  let dst = Buffer_pool.alloc_float ~zero:false (Shape.numel shape) in
+  pool (Avg_f (T.float_buffer input, dst)) input ~ksize ~strides ~padding;
+  T.of_float_array ~dtype:(T.dtype input) shape dst
 
 let max_pool_grad input dy ~ksize ~strides ~padding =
   let is = T.shape input and os = T.shape dy in

@@ -225,6 +225,16 @@ val conv2d_grad_filter :
 val max_pool :
   Tensor.t -> ksize:int * int -> strides:int * int -> padding:padding ->
   Tensor.t
+(** Max pooling over an NHWC tensor of floats or of [U8] codes; the
+    result has the input's dtype. Codes pool as the floats they decode
+    to: the affine decode of a uint8 code is monotone, so
+    [dequantize (max_pool codes)] equals [max_pool (dequantize codes)]
+    bit for bit, and int8 graphs pool without leaving codes. Float
+    results equal a per-window scan in (ky, kx) order with [Float.max],
+    NaN and signed zeros included. Every SAME or VALID window holds at
+    least one input cell.
+    @raise Invalid_argument on a tensor that is not rank 4, or neither
+    float nor [U8]. *)
 
 val max_pool_grad :
   Tensor.t ->
@@ -238,6 +248,9 @@ val max_pool_grad :
 val avg_pool :
   Tensor.t -> ksize:int * int -> strides:int * int -> padding:padding ->
   Tensor.t
+(** Average pooling over an NHWC float tensor: each window's sum, in
+    (ky, kx) order, divided by its count of input cells (padding cells
+    do not count). *)
 
 val softmax : Tensor.t -> Tensor.t
 (** Row softmax of a 2-D tensor (numerically stabilized). *)

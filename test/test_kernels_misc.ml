@@ -1,6 +1,7 @@
 (* Coverage for kernels not exercised elsewhere: EnqueueMany/DequeueMany
    through the builder, ScatterUpdate, CountUp, Fill, comparison
-   broadcasting, RangeLike/RandomIndices, Identity on resources. *)
+   broadcasting, RangeLike/RandomIndices, Identity on resources, and the
+   dtype checks of the pooling kernels. *)
 
 open Octf_tensor
 open Octf
@@ -141,6 +142,61 @@ let test_queue_size_op () =
   Alcotest.(check int) "two" 2
     (Tensor.flat_get_i (List.hd (Session.run s [ size ])) 0)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* A pooling op given an operand of a dtype it does not take fails the
+   step with [Invalid_graph] naming the op and the dtype. [inputs] are
+   (dtype, value) pairs fed through placeholders, so no pass folds the
+   op away. *)
+let expect_pool_rejects op_type inputs ~dtype =
+  let b = B.create () in
+  let feeds =
+    List.map (fun (dt, v) -> (B.placeholder b dt, v)) inputs
+  in
+  let out =
+    B.output
+      (B.op b ~op_type
+         ~attrs:
+           [
+             ("ksize", Attr.Ints [ 2; 2 ]);
+             ("strides", Attr.Ints [ 2; 2 ]);
+             ("padding", Attr.String "VALID");
+           ]
+         (List.map fst feeds))
+  in
+  let s = Session.create (B.graph b) in
+  match Session.run ~feeds s [ out ] with
+  | exception Session.Run_error { cause = Step_failure.Invalid_graph m; _ } ->
+      if not (contains m op_type && contains m (Dtype.to_string dtype)) then
+        Alcotest.failf "%s: message %S names neither op nor dtype" op_type m
+  | exception e ->
+      Alcotest.failf "%s: unstructured failure %s" op_type (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s accepted a %s operand" op_type (Dtype.to_string dtype)
+
+let floats = (Dtype.F32, Tensor.ones Dtype.F32 [| 1; 2; 2; 1 |])
+let ints = (Dtype.I32, Tensor.of_int_array [| 1; 2; 2; 1 |] [| 1; 2; 3; 4 |])
+let codes = (Dtype.U8, Tensor.of_bytes [| 1; 2; 2; 1 |] (Bytes.make 4 'a'))
+let grad = (Dtype.F32, Tensor.ones Dtype.F32 [| 1; 1; 1; 1 |])
+let int_grad = (Dtype.I32, Tensor.of_int_array [| 1; 1; 1; 1 |] [| 1 |])
+
+let test_max_pool_rejects () =
+  expect_pool_rejects "MaxPool" [ ints ] ~dtype:Dtype.I32
+
+let test_avg_pool_rejects () =
+  expect_pool_rejects "AvgPool" [ ints ] ~dtype:Dtype.I32;
+  expect_pool_rejects "AvgPool" [ codes ] ~dtype:Dtype.U8
+
+let test_max_pool_grad_rejects () =
+  expect_pool_rejects "MaxPoolGrad" [ codes; grad ] ~dtype:Dtype.U8;
+  expect_pool_rejects "MaxPoolGrad" [ floats; int_grad ] ~dtype:Dtype.I32
+
+let test_avg_pool_grad_rejects () =
+  expect_pool_rejects "AvgPoolGrad" [ ints; grad ] ~dtype:Dtype.I32;
+  expect_pool_rejects "AvgPoolGrad" [ floats; int_grad ] ~dtype:Dtype.I32
+
 let suite =
   [
     Alcotest.test_case "enqueue_many" `Quick test_enqueue_many_slices_rows;
@@ -155,4 +211,10 @@ let suite =
       test_identity_forwards_resource;
     Alcotest.test_case "add_n variadic" `Quick test_addn_variadic;
     Alcotest.test_case "queue_size" `Quick test_queue_size_op;
+    Alcotest.test_case "MaxPool rejects non-float" `Quick test_max_pool_rejects;
+    Alcotest.test_case "AvgPool rejects non-float" `Quick test_avg_pool_rejects;
+    Alcotest.test_case "MaxPoolGrad rejects non-float" `Quick
+      test_max_pool_grad_rejects;
+    Alcotest.test_case "AvgPoolGrad rejects non-float" `Quick
+      test_avg_pool_grad_rejects;
   ]

@@ -417,14 +417,19 @@ let test_spmd_placement_agrees_across_compile_orders () =
 
 (* --------------------- two runtimes over loopback -------------------- *)
 
-let free_port () =
+(* A listening socket on a loopback port the kernel picks, and that
+   port. *)
+let listen_loopback () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
+  Unix.listen fd 1;
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> (fd, port)
+  | _ -> assert false
+
+(* A loopback port that was free a moment ago: bound, then closed. *)
+let free_port () =
+  let fd, port = listen_loopback () in
   Unix.close fd;
   port
 
@@ -433,6 +438,27 @@ let loopback_cluster () =
   let ps_port = free_port () and worker_port = free_port () in
   [ (("ps", 0), { Runtime.host = "127.0.0.1"; port = ps_port });
     (("worker", 0), { Runtime.host = "127.0.0.1"; port = worker_port }) ]
+
+(* [start cluster] on a fresh address book. A runtime binds its port
+   some time after [free_port] closed it, and another socket can take
+   the port in between; on EADDRINUSE, [start] runs again on fresh
+   ports. [start] shuts down what it started before it re-raises. *)
+let rec on_fresh_ports ?(attempts = 5) start =
+  match start (loopback_cluster ()) with
+  | started -> started
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) when attempts > 1 ->
+      on_fresh_ports ~attempts:(attempts - 1) start
+
+(* A ps and a worker, each started by [start ~job ~cluster] on one fresh
+   address book, with that address book; [rt] names a party's runtime. *)
+let start_ps_worker ~rt start =
+  on_fresh_ports (fun cluster ->
+      let ps = start ~job:"ps" ~cluster in
+      match start ~job:"worker" ~cluster with
+      | worker -> (cluster, ps, worker)
+      | exception e ->
+          Runtime.shutdown (rt ps);
+          raise e)
 
 let ps_worker_jobs =
   [ ("ps", 1, [ Device.CPU ]); ("worker", 1, [ Device.CPU ]) ]
@@ -449,6 +475,26 @@ let loopback_runtime ?(patient = false) ~job ~cluster () =
        ~backoff:(Backoff.policy ~base:0.02 ~multiplier:2.0 ~cap:0.1 ())
        ())
 
+(* A port another socket holds fails [Runtime.create] with EADDRINUSE,
+   and [on_fresh_ports] then starts again on fresh ports. *)
+let test_taken_port_retries () =
+  let listener, taken = listen_loopback () in
+  Fun.protect ~finally:(fun () -> Unix.close listener) @@ fun () ->
+  let attempts = ref 0 in
+  let rt =
+    on_fresh_ports (fun cluster ->
+        incr attempts;
+        let cluster =
+          if !attempts = 1 then
+            (("ps", 0), { Runtime.host = "127.0.0.1"; port = taken })
+            :: List.remove_assoc ("ps", 0) cluster
+          else cluster
+        in
+        loopback_runtime ~job:"ps" ~cluster ())
+  in
+  Runtime.shutdown rt;
+  Alcotest.(check int) "one retry" 2 !attempts
+
 (* A session over the ps/worker cluster that executes through [rt]. *)
 let remote_session ?(config = Session.Config.default) rt graph =
   let session =
@@ -464,14 +510,14 @@ let remote_session ?(config = Session.Config.default) rt graph =
    returns. [f] runs as the chief: the worker's session and its copy of
    [build]'s result. No peer dies here, so the runtimes are patient. *)
 let with_loopback_pair ?config build f =
-  let cluster = loopback_cluster () in
-  let party job =
+  let party ~job ~cluster =
     let rt = loopback_runtime ~patient:true ~job ~cluster () in
     let b, x = build () in
     (rt, remote_session ?config rt (B.graph b), x)
   in
-  let ps_rt, _, _ = party "ps" in
-  let chief_rt, session, x = party "worker" in
+  let _, (ps_rt, _, _), (chief_rt, session, x) =
+    start_ps_worker ~rt:(fun (rt, _, _) -> rt) party
+  in
   Fun.protect
     ~finally:(fun () ->
       Runtime.shutdown chief_rt;
@@ -530,9 +576,8 @@ let batch () =
     Tensor.of_float_array [| 4; 1 |] [| 1.; -1.; 0.; 1. |] )
 
 let test_two_runtime_training_and_recovery () =
-  let cluster = loopback_cluster () in
-  let ps = ref (spawn_party ~job:"ps" ~cluster) in
-  let chief = spawn_party ~job:"worker" ~cluster in
+  let cluster, ps, chief = start_ps_worker ~rt:(fun p -> p.rt) spawn_party in
+  let ps = ref ps in
   Fun.protect ~finally:(fun () ->
       Runtime.shutdown chief.rt;
       Runtime.shutdown !ps.rt)
@@ -653,11 +698,7 @@ let test_heartbeat_detects_wedged_peer () =
   (* A fake ps that completes the handshake, then goes silent: never
      answers pings. The runtime must declare it dead and fail the
      pending RPC instead of hanging. *)
-  let port = free_port () in
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listener Unix.SO_REUSEADDR true;
-  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen listener 1;
+  let listener, port = listen_loopback () in
   let wedged = ref None in
   let accepter =
     Thread.create
@@ -745,16 +786,22 @@ let test_chief_restart_reuses_low_step_ids () =
      chief's connection must purge those retirements, or its tensors
      are dropped as "late" and its early steps hang to the rpc
      timeout. *)
-  let cluster = loopback_cluster () in
-  let ps = spawn_party ~job:"ps" ~cluster in
-  let mk_chief () =
+  let mk_chief cluster =
     Runtime.create
       (Runtime.config ~job:"worker" ~task:0 ~cluster ~heartbeat_interval:0.05
          ~heartbeat_misses:3 ~connect_timeout:1.0 ~rpc_timeout:5.0
          ~backoff:(Backoff.policy ~base:0.02 ())
          ())
   in
-  let chief1 = mk_chief () in
+  let cluster, ps, chief1 =
+    on_fresh_ports (fun cluster ->
+        let ps = spawn_party ~job:"ps" ~cluster in
+        match mk_chief cluster with
+        | chief1 -> (cluster, ps, chief1)
+        | exception e ->
+            Runtime.shutdown ps.rt;
+            raise e)
+  in
   let chief2 = ref None in
   Fun.protect ~finally:(fun () ->
       Runtime.shutdown chief1;
@@ -774,7 +821,7 @@ let test_chief_restart_reuses_low_step_ids () =
   (* Chief #2 is the restarted chief process: same identity, fresh step
      counter. Its tensor for step 1 must reach the ps's rendezvous, not
      be dropped against the dead chief's retirement of the same id. *)
-  let rt2 = mk_chief () in
+  let rt2 = mk_chief cluster in
   chief2 := Some rt2;
   let key =
     Rendezvous.step_key ~step_id:1
@@ -812,11 +859,7 @@ let test_slow_frame_counts_as_liveness () =
      mutex is held for the duration), and no complete message arrives
      at the receiver until the frame ends. Byte arrival alone must keep
      the connection alive well past the heartbeat miss budget. *)
-  let port = free_port () in
-  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listener Unix.SO_REUSEADDR true;
-  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen listener 1;
+  let listener, port = listen_loopback () in
   let client_fd = ref None in
   let dribbler =
     Thread.create
@@ -954,4 +997,6 @@ let suite =
       test_chief_restart_reuses_low_step_ids;
     Alcotest.test_case "slow frame counts as liveness" `Quick
       test_slow_frame_counts_as_liveness;
+    Alcotest.test_case "taken port retries on fresh ports" `Quick
+      test_taken_port_retries;
   ]

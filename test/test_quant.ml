@@ -909,6 +909,163 @@ let test_pass_quantizes_conv () =
   Alcotest.(check bool) "conv output close" true
     (Tensor.approx_equal ~tol:0.2 reference got)
 
+(* ------------------- codes through MaxPool and Reshape ------------------- *)
+
+(* A small trained convnet, conv -> relu -> maxpool -> reshape -> matmul,
+   whose conv activation also feeds an auxiliary ReduceSum. The training
+   graph (MaxPoolGrad and friends) stays in the graph that is frozen. *)
+type pool_model = {
+  session : Session.t;
+  pixels : B.output;
+  conv : B.output;
+  pool : B.output;
+  logits : B.output;
+  aux : B.output;  (** a second reader of the conv activation *)
+}
+
+let pool_model () =
+  let module Vs = Octf_nn.Var_store in
+  let module L = Octf_nn.Layers in
+  let b = B.create () in
+  let store = Vs.create ~seed:5 b in
+  let pixels = B.placeholder b ~name:"pixels" Dtype.F32 in
+  let labels = B.placeholder b ~name:"labels" Dtype.I32 in
+  let conv =
+    L.conv2d store ~activation:`Relu ~name:"conv" ~in_channels:1
+      ~out_channels:4 ~ksize:(3, 3) pixels
+  in
+  let pool = L.max_pool2d b ~ksize:(2, 2) conv in
+  let flat = L.flatten b ~features:64 pool in
+  let logits = L.dense store ~name:"logits" ~in_dim:64 ~out_dim:4 flat in
+  let aux = B.reduce_sum b conv in
+  let loss =
+    Octf_nn.Losses.sparse_softmax_cross_entropy_mean b ~num_classes:4 ~logits
+      ~labels
+  in
+  let train = Octf_train.Optimizer.minimize store ~lr:0.05 ~loss () in
+  let session = Session.create (B.graph b) in
+  Session.run_unit session [ Vs.init_op store ];
+  let rng = Rng.create 7 in
+  for _ = 1 to 20 do
+    let batch =
+      Octf_data.Synthetic.image_batch rng ~batch:16 ~size:8 ~channels:1
+        ~classes:4
+    in
+    Session.run_unit session
+      ~feeds:
+        [
+          (pixels, batch.Octf_data.Synthetic.pixels);
+          (labels, batch.Octf_data.Synthetic.labels);
+        ]
+      [ train ]
+  done;
+  { session; pixels; conv; pool; logits; aux }
+
+let pool_images seed =
+  (Octf_data.Synthetic.image_batch (Rng.create seed) ~batch:32 ~size:8
+     ~channels:1 ~classes:4)
+    .Octf_data.Synthetic.pixels
+
+(* Calibrate on the float twin, then freeze a quantized twin serving
+   [outputs]. *)
+let freeze_pool_model m ~outputs =
+  let float_twin =
+    Octf_serving.Serving.freeze_session ~quantize:false ~inputs:[ m.pixels ]
+      ~outputs:[ m.logits ] m.session
+  in
+  let cal = Quant_calibration.create () in
+  Quant_calibration.observe_step cal float_twin
+    ~feeds:[ (m.pixels, pool_images 11) ]
+    [ m.conv; m.pool; m.logits ];
+  let quant =
+    Octf_serving.Serving.freeze_session ~quantize:true
+      ~ranges:(Quant_calibration.ranges cal) ~inputs:[ m.pixels ] ~outputs
+      m.session
+  in
+  (float_twin, quant)
+
+let producer_op session (n : Node.t) =
+  (Graph.get (Session.graph session) n.Node.inputs.(0).Node.node_id).Node.op_type
+
+(* The node of [op] feeding the fetch, found by walking its cone. *)
+let find_op session (fetch : B.output) op =
+  let graph = Session.graph session in
+  let rec walk id =
+    let n = Graph.get graph id in
+    if n.Node.op_type = op then Some n
+    else
+      Array.fold_left
+        (fun acc (e : Node.endpoint) ->
+          match acc with Some _ -> acc | None -> walk e.Node.node_id)
+        None n.Node.inputs
+  in
+  walk fetch.B.node.Node.id
+
+let test_codes_through_pooling () =
+  let m = pool_model () in
+  let float_twin, quant = freeze_pool_model m ~outputs:[ m.logits ] in
+  let count = count_ops quant m.logits in
+  Alcotest.(check int) "conv island" 1 (count "QuantizedConv2DQ");
+  Alcotest.(check int) "matmul island" 1 (count "QuantizedMatMul");
+  Alcotest.(check int) "no Dequantize between the islands" 0 (count "Dequantize");
+  Alcotest.(check int) "only the input quantizes" 1
+    (count "QuantizeRange" + count "Quantize");
+  (match find_op quant m.logits "MaxPool" with
+  | Some pool ->
+      Alcotest.(check string) "MaxPool reads the conv codes" "QuantizedConv2DQ"
+        (producer_op quant pool)
+  | None -> Alcotest.fail "no MaxPool left");
+  (match find_op quant m.logits "Reshape" with
+  | Some r ->
+      Alcotest.(check string) "Reshape reads pooled codes" "MaxPool"
+        (producer_op quant r)
+  | None -> Alcotest.fail "no Reshape left");
+  let images = pool_images 13 in
+  let run s = List.hd (Session.run ~feeds:[ (m.pixels, images) ] s [ m.logits ]) in
+  let f = run float_twin and q = run quant in
+  let agree = ref 0 in
+  for row = 0 to 31 do
+    let top t =
+      let best = ref 0 in
+      for j = 1 to 3 do
+        if Tensor.flat_get_f t ((row * 4) + j) > Tensor.flat_get_f t ((row * 4) + !best)
+        then best := j
+      done;
+      !best
+    in
+    if top f = top q then incr agree
+  done;
+  if !agree < 29 then
+    Alcotest.failf "int8 top-1 agrees with the float twin on %d of 32" !agree
+
+(* A fetched MaxPool is pinned: it stays float, reading a Dequantize,
+   and the logits read it too, so the step pools once. *)
+let test_fetched_pool_stays_float () =
+  let m = pool_model () in
+  let _, quant = freeze_pool_model m ~outputs:[ m.logits; m.pool ] in
+  let pool = Graph.get (Session.graph quant) m.pool.B.node.Node.id in
+  Alcotest.(check string) "fetched MaxPool reads floats" "Dequantize"
+    (producer_op quant pool);
+  Alcotest.(check (option int)) "the logits read the fetched MaxPool"
+    (Some pool.Node.id)
+    (Option.map (fun (n : Node.t) -> n.Node.id) (find_op quant m.logits "MaxPool"));
+  match Session.run ~feeds:[ (m.pixels, pool_images 13) ] quant [ m.logits; m.pool ] with
+  | [ _; p ] ->
+      Alcotest.(check string) "fetched pool is float" "float32"
+        (Dtype.to_string (Tensor.dtype p))
+  | _ -> Alcotest.fail "arity"
+
+(* A Dequantize read by a second node of the step stays where it is. *)
+let test_shared_dequantize_stays () =
+  let m = pool_model () in
+  let _, quant = freeze_pool_model m ~outputs:[ m.logits; m.aux ] in
+  (match find_op quant m.logits "MaxPool" with
+  | Some pool ->
+      Alcotest.(check string) "MaxPool still reads floats" "Dequantize"
+        (producer_op quant pool)
+  | None -> Alcotest.fail "no MaxPool left");
+  Alcotest.(check int) "one Dequantize" 1 (count_ops quant m.aux "Dequantize")
+
 let suite =
   [
     Alcotest.test_case "roundtrip error bound" `Quick test_roundtrip_error_bound;
@@ -963,4 +1120,10 @@ let suite =
     Alcotest.test_case "pass: fetched root stays float" `Quick
       test_pass_skips_fetched_root;
     Alcotest.test_case "pass: conv island" `Quick test_pass_quantizes_conv;
+    Alcotest.test_case "pass: codes through MaxPool and Reshape" `Quick
+      test_codes_through_pooling;
+    Alcotest.test_case "pass: fetched MaxPool stays float" `Quick
+      test_fetched_pool_stays_float;
+    Alcotest.test_case "pass: shared Dequantize stays" `Quick
+      test_shared_dequantize_stays;
   ]

@@ -429,6 +429,134 @@ let test_pooling () =
   let ap = O.avg_pool input ~ksize:(2, 2) ~strides:(2, 2) ~padding:O.Valid in
   check_t "avg pool" (Tensor.of_float_array [| 1; 1; 2; 1 |] [| 3.5; 4.0 |]) ap
 
+(* Naive pooling oracle: each output element scans its window in
+   (ky, kx) order, from -inf with [Float.max] or from 0.0 with [+.] and
+   then divides by the count of input cells in the window. *)
+let pool_ref ~avg input ~ksize:(kh, kw) ~strides:(sh, sw) ~padding =
+  let s = Tensor.shape input in
+  let ih = s.(1) and iw = s.(2) in
+  let dim in_size k st =
+    match padding with
+    | O.Valid -> (((in_size - k) / st) + 1, 0)
+    | O.Same ->
+        let out = (in_size + st - 1) / st in
+        (out, max 0 (((out - 1) * st) + k - in_size) / 2)
+  in
+  let oh, ph = dim ih kh sh and ow, pw = dim iw kw sw in
+  Tensor.init_f [| s.(0); oh; ow; s.(3) |] (fun idx ->
+      let acc = ref (if avg then 0.0 else Float.neg_infinity) in
+      let count = ref 0 in
+      for ky = 0 to kh - 1 do
+        for kx = 0 to kw - 1 do
+          let sy = (idx.(1) * sh) + ky - ph and sx = (idx.(2) * sw) + kx - pw in
+          if sy >= 0 && sy < ih && sx >= 0 && sx < iw then begin
+            let v = Tensor.get_f input [| idx.(0); sy; sx; idx.(3) |] in
+            acc := if avg then !acc +. v else Float.max !acc v;
+            incr count
+          end
+        done
+      done;
+      if avg then !acc /. float_of_int !count else !acc)
+
+(* (input shape, ksize, strides): odd sizes, overlapping 3x3 windows at
+   stride 1, strides larger than the window, a window as large as the
+   input, 1x1, and a window larger than the input. *)
+let pool_cases =
+  [
+    ([| 2; 5; 7; 3 |], (2, 2), (2, 2));
+    ([| 1; 6; 5; 2 |], (3, 3), (1, 1));
+    ([| 2; 7; 9; 1 |], (2, 3), (3, 4));
+    ([| 1; 4; 4; 2 |], (4, 4), (1, 1));
+    ([| 1; 3; 3; 5 |], (1, 1), (2, 1));
+    ([| 1; 2; 3; 2 |], (4, 5), (2, 3));
+    ([| 8; 14; 14; 16 |], (2, 2), (2, 2));
+  ]
+
+let paddings = [ ("VALID", O.Valid); ("SAME", O.Same) ]
+
+let pool_name shape (kh, kw) (sh, sw) pad =
+  Printf.sprintf "%s k%dx%d s%dx%d %s" (Shape.to_string shape) kh kw sh sw pad
+
+(* Float pooling is bit-identical to the oracle, NaNs of either sign,
+   infinities and signed zeros included. *)
+let test_pooling_oracle () =
+  let rng = Rng.create 61 in
+  let specials = [| Float.nan; -.Float.nan; 0.0; -0.0; Float.infinity; Float.neg_infinity |] in
+  let fills =
+    [
+      ("specials", fun () ->
+          let r = Rng.int rng 12 in
+          if r < 6 then specials.(r) else Rng.uniform rng ~lo:(-1.0) ~hi:1.0);
+      ("signed zeros", fun () -> if Rng.int rng 2 = 0 then 0.0 else -0.0);
+    ]
+  in
+  List.iter
+    (fun (shape, ksize, strides) ->
+      List.iter
+        (fun (pad, padding) ->
+          List.iter
+            (fun (fill, draw) ->
+              let x = Tensor.of_float_array shape (Array.init (Shape.numel shape) (fun _ -> draw ())) in
+              let name op = Printf.sprintf "%s %s, %s" op (pool_name shape ksize strides pad) fill in
+              check_bits (name "max_pool")
+                (pool_ref ~avg:false x ~ksize ~strides ~padding)
+                (O.max_pool x ~ksize ~strides ~padding);
+              check_bits (name "avg_pool")
+                (pool_ref ~avg:true x ~ksize ~strides ~padding)
+                (O.avg_pool x ~ksize ~strides ~padding))
+            fills)
+        paddings)
+    pool_cases
+
+(* A random range that includes 0.0, sometimes as an end. *)
+let random_range rng =
+  match Rng.int rng 4 with
+  | 0 -> (0.0, Rng.uniform rng ~lo:1e-6 ~hi:10.0)
+  | 1 -> (-.Rng.uniform rng ~lo:1e-6 ~hi:10.0, 0.0)
+  | _ -> (-.Rng.uniform rng ~lo:0.0 ~hi:10.0, Rng.uniform rng ~lo:1e-6 ~hi:10.0)
+
+(* uint8 codes pool as the floats they decode to: dequantizing the
+   pooled codes equals pooling the decoded floats, bit for bit. *)
+let test_max_pool_codes () =
+  let rng = Rng.create 62 in
+  List.iter
+    (fun (shape, ksize, strides) ->
+      List.iter
+        (fun (pad, padding) ->
+          let codes =
+            Tensor.of_bytes shape
+              (Bytes.init (Shape.numel shape) (fun _ -> Char.chr (Rng.int rng 256)))
+          in
+          let lo, hi = random_range rng in
+          let pooled = O.max_pool codes ~ksize ~strides ~padding in
+          Alcotest.(check string) "codes stay uint8" "uint8"
+            (Dtype.to_string (Tensor.dtype pooled));
+          check_bits
+            (Printf.sprintf "decode commutes, %s [%g, %g]"
+               (pool_name shape ksize strides pad) lo hi)
+            (O.max_pool (Octf.Quant_kernels.dequantize codes lo hi) ~ksize
+               ~strides ~padding)
+            (Octf.Quant_kernels.dequantize pooled lo hi))
+        paddings)
+    pool_cases
+
+(* Requantizing a decoded code against its own range returns the code,
+   for all 256 codes: a Quantize that follows a Dequantize of the same
+   range is exact, so the optimizer may take the pair out. *)
+let test_code_roundtrip () =
+  let rng = Rng.create 63 in
+  let codes = Tensor.of_bytes [| 256 |] (Bytes.init 256 Char.chr) in
+  for _ = 1 to 200 do
+    let lo, hi = random_range rng in
+    let back =
+      Octf.Quant_kernels.quantize_with_range
+        (Octf.Quant_kernels.dequantize codes lo hi)
+        lo hi
+    in
+    if not (Bytes.equal (Tensor.byte_buffer codes) (Tensor.byte_buffer back))
+    then Alcotest.failf "codes do not round-trip over [%h, %h]" lo hi
+  done
+
 let test_max_pool_grad_routing () =
   let input =
     Tensor.of_float_array [| 1; 2; 2; 1 |] [| 1.; 4.; 3.; 2. |]
@@ -518,6 +646,9 @@ let suite =
     Alcotest.test_case "conv2d known" `Quick test_conv2d_known;
     Alcotest.test_case "conv2d channels" `Quick test_conv2d_channels;
     Alcotest.test_case "pooling" `Quick test_pooling;
+    Alcotest.test_case "pooling oracle" `Quick test_pooling_oracle;
+    Alcotest.test_case "max pool on codes" `Quick test_max_pool_codes;
+    Alcotest.test_case "codes round-trip" `Quick test_code_roundtrip;
     Alcotest.test_case "max pool grad" `Quick test_max_pool_grad_routing;
     Alcotest.test_case "softmax rows" `Quick test_softmax_rows;
     Alcotest.test_case "cross entropy" `Quick test_cross_entropy;
