@@ -1,4 +1,4 @@
-.PHONY: all build test fmt bench-smoke bench-kernels bench-kernels-smoke bench-memory bench-memory-smoke bench-pipeline fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke ci clean
+.PHONY: all build test fmt bench-smoke bench-kernels bench-kernels-smoke bench-memory bench-memory-smoke bench-pipeline metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke ci clean
 
 all: build
 
@@ -70,18 +70,12 @@ quant-smoke:
 	dune exec bin/octf_cli.exe -- serve --model mnist-cnn \
 	  --train-steps 10 --clients 4 --requests 20 --quantize=true
 
-# Deterministic-seed smoke for the fault injector: the same seed must
-# reproduce the same fault sequence.
-fault-smoke:
-	dune exec bin/octf_cli.exe -- fault-smoke
-
 # End-to-end pipelined training: the CLI train loop at K=4 (windowed
 # run_async issue, admission-time variable snapshots) must converge the
 # same linear model the synchronous loop does, and the pipeline bench
 # must show K=4 beating K=1 by 1.5x against a slow reader.
 pipeline-smoke:
 	dune exec bin/octf_cli.exe -- train --steps 60 --max-in-flight 4
-	OCTF_MAX_IN_FLIGHT=4 dune exec bin/octf_cli.exe -- train --steps 60
 	OCTF_BENCH_SMOKE=1 dune exec bench/main.exe -- pipeline
 
 # Pool-scheduled training run with metrics export; asserts the
@@ -118,22 +112,17 @@ bad-env-smoke:
 	status=$$?; echo "$$out"; \
 	test $$status -ne 0 && echo "$$out" | grep -q OCTF_SCHEDULER
 
-ci: build test fmt bench-smoke bench-kernels-smoke bench-memory-smoke fault-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke
-	OCTF_SCHEDULER=pool dune runtest --force
-	OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=inline dune runtest --force
-	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=inline dune runtest --force
-	OCTF_INTRA_OP_THREADS=1 OCTF_SCHEDULER=pool dune runtest --force
-	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=pool dune runtest --force
-	OCTF_SCHEDULER=inline dune exec test/test_main.exe -- test faults
-	OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test faults
-	OCTF_SCHEDULER=inline dune exec test/test_main.exe -- test metrics
-	OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test metrics
-	OCTF_MEMORY_PLANNING=off dune runtest --force
-	OCTF_FUSION=off dune runtest --force
-	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quantization
-	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test quant_accuracy
-	OCTF_QUANTIZE=on dune exec test/test_main.exe -- test serving
-	OCTF_MAX_IN_FLIGHT=4 dune exec test/test_main.exe -- test data
+# The test suite runs once (`test`): suites whose steps block, cancel,
+# pipeline or record lanes carry their own pool-scheduler leg (see
+# test/legs.ml). The two reruns below chase open races under the pool
+# with 4 intra-op threads; delete each once its defect is mended.
+ci: build test fmt bench-smoke bench-kernels-smoke bench-memory-smoke metrics-smoke pipeline-smoke serving-smoke quant-smoke dist-smoke bad-env-smoke
+# ROADMAP 2(c): sync_replicas "backup m-of-n" applies five updates in
+# four rounds, about one run in 30.
+	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test sync_replicas
+# ROADMAP 2(e): net "remote failure names node, device, cause" now and
+# then gets a bare network error over loopback, not the injected fault.
+	OCTF_INTRA_OP_THREADS=4 OCTF_SCHEDULER=pool dune exec test/test_main.exe -- test net
 
 clean:
 	dune clean

@@ -111,9 +111,8 @@ let simulate_cmd =
 
 (* Shared by the commands that execute real graphs. Each session flag
    left unset stays [None] in the command's Session.Config, so the
-   session resolves it from its OCTF_* variable: either
-   `--scheduler pool` or `OCTF_SCHEDULER=pool` enables the domain-pool
-   executor. *)
+   session resolves its default: either `--scheduler pool` or
+   `OCTF_SCHEDULER=pool` enables the domain-pool executor. *)
 let scheduler_conv =
   let parse s =
     match Octf.Scheduler.policy_of_string s with
@@ -160,7 +159,7 @@ let max_in_flight_arg =
            concurrently, each reading an admission-time snapshot of the \
            variables while updates land in completion order \
            (asynchronous SGD). $(b,1) is the fully synchronous legacy \
-           behaviour. Defaults to \\$OCTF_MAX_IN_FLIGHT or 1.")
+           behaviour. Defaults to 1.")
 
 (* -------------------------- memory planning ------------------------ *)
 
@@ -173,7 +172,7 @@ let memory_planning_arg =
           "Enable or disable the executor's memory planner: lifetime \
            analysis with eager drops, buffer-pool recycling and in-place \
            kernel grants. Fetched results are bit-identical either way. \
-           Defaults to \\$OCTF_MEMORY_PLANNING or $(b,true).")
+           Defaults to $(b,true).")
 
 let buffer_pool_mb_arg =
   Arg.(
@@ -197,7 +196,7 @@ let fusion_arg =
            pass: chains of pure elementwise operations collapse into \
            single fused kernels that make one pass over memory. Fetched \
            results are bit-identical either way. Defaults to \
-           \\$OCTF_FUSION or $(b,true).")
+           $(b,true).")
 
 let quantize_arg =
   Arg.(
@@ -209,7 +208,7 @@ let quantize_arg =
            frozen inference graphs: eligible MatMul/Conv2D islands run \
            on 8-bit codes with 4x-smaller weight constants (numerics \
            change within one quantization step per tensor). Defaults \
-           to \\$OCTF_QUANTIZE or $(b,false).")
+           to $(b,false).")
 
 (* ------------------------------ faults ----------------------------- *)
 
@@ -423,6 +422,18 @@ let octf_cluster_of_entries entries =
   Octf.Cluster.create
     ~jobs:(List.map (fun j -> (j, count j, [ Octf.Device.CPU ])) names)
 
+(* A fresh directory for one run's checkpoints, removed with its files
+   when [f] returns or raises: a later run never restores this one's. *)
+let with_checkpoint_dir tag f =
+  let dir = Filename.temp_dir ("octf-" ^ tag) "" in
+  let remove () =
+    Array.iter
+      (fun name -> Sys.remove (Filename.concat dir name))
+      (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:remove (fun () -> f (Filename.concat dir "model"))
+
 (* ------------------------------ train ------------------------------ *)
 let train steps lr scheduler intra_op max_in_flight planning pool_mb fusion
     quantize deadline_ms fault fault_seed metrics stats_every net_cluster job
@@ -531,8 +542,8 @@ let train steps lr scheduler intra_op max_in_flight planning pool_mb fusion
         loop stays synchronous — recovery rolls variables back to a
         checkpoint, which only makes sense against a quiesced
         pipeline. *)
+     with_checkpoint_dir "train" @@ fun prefix ->
      let saver = fg.fg_saver in
-     let prefix = Filename.concat (Filename.get_temp_dir_name ()) "octf-train" in
      let sup =
        Octf_train.Supervisor.create ~save_every:(max 1 (steps / 10)) ?deadline
          ~on_event:(function
@@ -731,7 +742,10 @@ let wait_for_port port ~timeout =
   in
   loop ()
 
-let dist_smoke scenario steps lr =
+(* Runs one scenario and reports whether every check passed. A failure
+   returns (or raises) through the [Fun.protect]s, so the spawned ps
+   task is killed and the checkpoint directory removed on every path. *)
+let dist_smoke_run scenario steps lr ~prefix =
   let module FI = Octf.Fault_injector in
   let module Sup = Octf_train.Supervisor in
   let module Vs = Octf_nn.Var_store in
@@ -740,28 +754,29 @@ let dist_smoke scenario steps lr =
   let spec =
     Printf.sprintf "ps=127.0.0.1:%d,worker=127.0.0.1:%d" ps_port worker_port
   in
-  let spawn_ps () =
-    let pid =
-      Unix.create_process Sys.executable_name
-        [|
-          Sys.executable_name; "worker"; "--job"; "ps"; "--task"; "0";
-          "--cluster"; spec; "--lr"; string_of_float lr;
-        |]
-        Unix.stdin Unix.stdout Unix.stderr
-    in
-    if not (wait_for_port ps_port ~timeout:10.0) then begin
-      Format.printf "FAIL: ps task never started listening@.";
-      exit 1
-    end;
-    pid
-  in
-  let ps_pid = ref (spawn_ps ()) in
+  let ps_pid = ref None in
   let kill_ps () =
-    (try Unix.kill !ps_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    try ignore (Unix.waitpid [] !ps_pid) with Unix.Unix_error _ -> ()
+    Option.iter
+      (fun pid ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+      !ps_pid
+  in
+  let spawn_ps () =
+    ps_pid :=
+      Some
+        (Unix.create_process Sys.executable_name
+           [|
+             Sys.executable_name; "worker"; "--job"; "ps"; "--task"; "0";
+             "--cluster"; spec; "--lr"; string_of_float lr;
+           |]
+           Unix.stdin Unix.stdout Unix.stderr);
+    if not (wait_for_port ps_port ~timeout:10.0) then
+      failwith "ps task never started listening"
   in
   Fun.protect ~finally:(fun () -> kill_ps (); FI.reset ())
   @@ fun () ->
+  spawn_ps ();
   let trigger = max 2 (steps / 4) in
   (* Socket-level faults are armed from the start but fire only from
      the trigger step on (the @step clause), once each. *)
@@ -811,10 +826,6 @@ let dist_smoke scenario steps lr =
   let killed = ref false in
   let saw_network = ref false in
   let saver = fg.fg_saver in
-  let prefix =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "octf-dist-%d" (Unix.getpid ()))
-  in
   let sup =
     Sup.create ~save_every:5 ~max_failures:50 ~backoff:0.05 ~max_backoff:0.5
       ~on_event:(function
@@ -831,20 +842,21 @@ let dist_smoke scenario steps lr =
         (* A recovering chief first makes sure its ps task is back:
            respawn it if the process died, then wait out the dial
            backoff so init/restore below find a live peer. *)
-        (match Unix.waitpid [ Unix.WNOHANG ] !ps_pid with
+        (match Unix.waitpid [ Unix.WNOHANG ] (Option.get !ps_pid) with
         | 0, _ -> ()
         | _ ->
             Format.printf "respawning ps task@.";
-            ps_pid := spawn_ps ()
-        | exception Unix.Unix_error _ -> ps_pid := spawn_ps ());
+            spawn_ps ()
+        | exception Unix.Unix_error _ -> spawn_ps ());
         Thread.delay 0.3)
       ~saver ~prefix session
   in
   let one_step ~step ~deadline:_ =
     if scenario = `Pskill && step = trigger && not !killed then begin
       killed := true;
-      Format.printf "killing ps task (pid %d) at step %d@." !ps_pid step;
-      try Unix.kill !ps_pid Sys.sigkill with Unix.Unix_error _ -> ()
+      let pid = Option.get !ps_pid in
+      Format.printf "killing ps task (pid %d) at step %d@." pid step;
+      try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
     end;
     fill ();
     Octf.Session.run_unit session [ fg.fg_loss; fg.fg_train_op ]
@@ -857,9 +869,8 @@ let dist_smoke scenario steps lr =
           fill ())
         one_step
     with Octf.Session.Run_error f ->
-      Format.printf "FAIL: unrecovered step failure: %s@."
-        (Octf.Step_failure.to_string f);
-      exit 1
+      failwith
+        ("unrecovered step failure: " ^ Octf.Step_failure.to_string f)
   in
   let learned =
     Tensor.to_float_array (List.hd (Octf.Session.run session [ fg.fg_w ]))
@@ -895,7 +906,18 @@ let dist_smoke scenario steps lr =
       check "fault was injected" (FI.injections () >= 1);
       check "fault surfaced as a step failure" (stats.Sup.failures >= 1)
   | `Framedelay -> check "fault was injected" (FI.injections () >= 1));
-  if !failed then exit 1;
+  not !failed
+
+let dist_smoke scenario steps lr =
+  let passed =
+    try
+      with_checkpoint_dir "dist" (fun prefix ->
+          dist_smoke_run scenario steps lr ~prefix)
+    with Failure msg ->
+      Format.printf "FAIL: %s@." msg;
+      false
+  in
+  if not passed then exit 1;
   Format.printf "PASS@."
 
 let dist_smoke_cmd =
@@ -928,71 +950,6 @@ let dist_smoke_cmd =
          "Two-process recovery demo: train over TCP, induce a failure, \
           verify structured errors, reconnect and checkpoint recovery")
     Term.(const dist_smoke $ scenario $ steps $ lr)
-
-(* --------------------------- fault-smoke --------------------------- *)
-
-(* Determinism smoke for the fault injector: the same seed must fire the
-   same faults; a different seed should (almost surely) differ. Run in
-   `make ci`. *)
-let fault_smoke seed steps scheduler intra_op =
-  let module Vs = Octf_nn.Var_store in
-  let run_once ~seed =
-    Octf.Fault_injector.install ~seed
-      [ Octf.Fault_injector.Flaky_kernel { pattern = "MatMul"; prob = 0.3 } ];
-    Fun.protect ~finally:Octf.Fault_injector.reset @@ fun () ->
-    let b = B.create () in
-    let store = Vs.create b in
-    let x = B.const b (Tensor.ones Dtype.F32 [| 4; 4 |]) in
-    let w = Vs.get store ~init:Octf_nn.Init.zeros ~name:"w" [| 4; 4 |] in
-    let out = B.reduce_sum b (B.matmul b x w.Vs.read) in
-    let session =
-      Octf.Session.create
-        ~config:
-          (Octf.Session.Config.v ?scheduler ?intra_op_threads:intra_op ())
-        (B.graph b)
-    in
-    Octf.Session.run_unit session [ Vs.init_op store ];
-    let failures = ref 0 in
-    for _ = 1 to steps do
-      match Octf.Session.run session [ out ] with
-      | _ -> ()
-      | exception Octf.Session.Run_error f ->
-          (match f.Octf.Step_failure.cause with
-          | Octf.Step_failure.Fault_injected _ -> incr failures
-          | c ->
-              Format.printf "unexpected failure: %s@."
-                (Octf.Step_failure.cause_message c);
-              exit 1)
-    done;
-    (!failures, Octf.Fault_injector.injections ())
-  in
-  let a = run_once ~seed in
-  let b = run_once ~seed in
-  let c = run_once ~seed:(seed + 1) in
-  Format.printf "seed %d: %d/%d steps hit (twice: %b); seed %d: %d hit@." seed
-    (fst a) steps (a = b) (seed + 1) (fst c);
-  if a <> b then begin
-    Format.printf "FAIL: same seed produced different fault sequences@.";
-    exit 1
-  end;
-  if fst a = 0 then begin
-    Format.printf "FAIL: flaky spec with prob 0.3 never fired in %d steps@."
-      steps;
-    exit 1
-  end;
-  Format.printf "fault injector is deterministic@."
-
-let fault_smoke_cmd =
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Injector seed.")
-  in
-  let steps =
-    Arg.(value & opt int 64 & info [ "steps" ] ~doc:"Steps per run.")
-  in
-  Cmd.v
-    (Cmd.info "fault-smoke"
-       ~doc:"Check that seeded fault injection is deterministic")
-    Term.(const fault_smoke $ seed $ steps $ scheduler_arg $ intra_op_arg)
 
 (* ------------------------------ serve ------------------------------ *)
 
@@ -1355,6 +1312,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            simulate_cmd; train_cmd; serve_cmd; trace_cmd; fault_smoke_cmd;
-            worker_cmd; dist_smoke_cmd;
+            simulate_cmd; train_cmd; serve_cmd; trace_cmd; worker_cmd;
+            dist_smoke_cmd;
           ]))

@@ -794,6 +794,9 @@ let stage st (i, it) =
     Scheduler.Finish
       (fun () -> complete st i it (Array.make p.num_outputs.(i) Value.Dead))
   else begin
+    (* An injected straggler waits here, on the coordinating thread,
+       where blocking kernels wait: not on a pool worker. *)
+    Fault_injector.straggle n ~step_id:st.step_id;
     let rng =
       Rng.create
         (st.seed

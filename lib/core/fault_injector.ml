@@ -273,25 +273,6 @@ let kernel_hook (n : Node.t) ~step_id =
             (Printf.sprintf "/job:%s/task:%d is down" d.Device.job
                d.Device.task)
     | None -> ());
-    (* Persistent stragglers: every matching kernel at/after the step
-       sleeps before running. Summed when several specs match; the sleep
-       happens outside the injector lock. *)
-    let slow =
-      with_lock (fun () ->
-          List.fold_left
-            (fun acc (spec, _) ->
-              match spec with
-              | Slow_kernel { pattern; step; ms }
-                when step_id >= step && matches_node pattern n ->
-                  acc +. ms
-              | _ -> acc)
-            0.0 state.specs)
-    in
-    if slow > 0.0 then begin
-      Metrics.Counter.incr (m_injected "slow");
-      with_lock (fun () -> state.injected <- state.injected + 1);
-      Thread.delay (slow /. 1000.0)
-    end;
     let fire =
       with_lock (fun () ->
           List.find_map
@@ -320,6 +301,29 @@ let kernel_hook (n : Node.t) ~step_id =
     match fire with
     | Some (kind, msg) -> inject ~kind msg
     | None -> ()
+  end
+
+(* Persistent stragglers: every matching kernel at/after the step
+   sleeps before it is dispatched. Summed when several specs match; the
+   sleep happens outside the injector lock. *)
+let straggle (n : Node.t) ~step_id =
+  if !enabled then begin
+    let slow =
+      with_lock (fun () ->
+          List.fold_left
+            (fun acc (spec, _) ->
+              match spec with
+              | Slow_kernel { pattern; step; ms }
+                when step_id >= step && matches_node pattern n ->
+                  acc +. ms
+              | _ -> acc)
+            0.0 state.specs)
+    in
+    if slow > 0.0 then begin
+      Metrics.Counter.incr (m_injected "slow");
+      with_lock (fun () -> state.injected <- state.injected + 1);
+      Thread.delay (slow /. 1000.0)
+    end
   end
 
 let send_hook ~key ~step_id : send_action =

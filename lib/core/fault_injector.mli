@@ -6,10 +6,11 @@
     module is the chaos layer: a process-wide, seeded injector that can
     kill a cluster task at a step, fail a chosen kernel invocation, make
     kernels flaky with a seeded coin, or drop/delay a rendezvous channel.
-    The executor consults {!kernel_hook} before every kernel and the
-    [Send] kernel consults {!send_hook}, so injected faults travel the
-    exact production failure paths (structured {!Step_failure} errors,
-    rendezvous abort, cancellation) that real failures would.
+    The executor consults {!straggle} and {!kernel_hook} before every
+    kernel and the [Send] kernel consults {!send_hook}, so injected
+    faults travel the exact production failure paths (structured
+    {!Step_failure} errors, rendezvous abort, cancellation) that real
+    failures would.
 
     Specs come from code ({!install}), the [OCTF_FAULT] environment
     variable, or the CLI's [--fault] flag. Spec grammar, comma-separable:
@@ -97,6 +98,14 @@ val killed_tasks : unit -> (string * int) list
 val kernel_hook : Node.t -> step_id:int -> unit
 (** Called by the executor before running a kernel.
     @raise Injected when a spec fires for this node/step. *)
+
+val straggle : Node.t -> step_id:int -> unit
+(** Called by the executor on the step's coordinating thread before a
+    kernel is dispatched: sleeps for the {!Slow_kernel} specs that match
+    the node at this step. The straggle blocks the step the way a slow
+    reader's I/O does (the scheduler's [Blocking] class waits on the
+    same thread), so the straggles of pipelined steps overlap whichever
+    scheduler runs their kernels. *)
 
 val send_hook : key:string -> step_id:int -> send_action
 (** Called by the [Send] kernel before publishing to the rendezvous. *)

@@ -77,9 +77,9 @@ val default_pipeline : pass list
 
 val fused_pipeline : pass list
 (** {!default_pipeline} [@ [Fuse; Prune]] — what sessions run when the
-    fusion knob resolves on ({!Session.Config.t.fusion}, [OCTF_FUSION],
-    default on). Fusion runs last so folded constants are external
-    inputs and CSE-merged duplicates carry honest consumer counts. *)
+    fusion knob resolves on ({!Session.Config.t.fusion}, default on).
+    Fusion runs last so folded constants are external inputs and
+    CSE-merged duplicates carry honest consumer counts. *)
 
 val pass_name : pass -> string
 (** Stable lowercase name ("prune", "constant_fold", "cse", "fuse",

@@ -19,8 +19,7 @@
      it via a buffer-sharing reshape).  An endpoint with such a
      consumer must never hand its buffer to the pool when dropped. *)
 
-let env = Octf_tensor.Env.bool "OCTF_MEMORY_PLANNING"
-let enabled_ref = ref (Option.value (Octf_tensor.Env.get env) ~default:true)
+let enabled_ref = ref true
 
 let enabled () = !enabled_ref
 let set_enabled v = enabled_ref := v

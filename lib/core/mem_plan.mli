@@ -8,13 +8,9 @@
     module for everything that is a property of the op type rather than
     of the particular execution. *)
 
-val env : bool Octf_tensor.Env.t
-(** [OCTF_MEMORY_PLANNING], a boolean: the initial {!enabled}. *)
-
 val enabled : unit -> bool
-(** Process-wide default: [OCTF_MEMORY_PLANNING], else on, until
-    {!set_enabled} overrides it.  A session's [Config.memory_planning]
-    overrides it per session. *)
+(** Process-wide default: on, until {!set_enabled} overrides it.  A
+    session's [Config.memory_planning] overrides it per session. *)
 
 val set_enabled : bool -> unit
 

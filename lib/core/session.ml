@@ -74,8 +74,8 @@ module Run_metadata = struct
 end
 
 (* Construction-time configuration — TensorFlow's ConfigProto. [of_env]
-   is the one resolution point: config field > OCTF_* variable >
-   built-in default. *)
+   is the one resolution point: config field > OCTF_SCHEDULER (for the
+   scheduler) > built-in default. *)
 module Config = struct
   type t = {
     devices : Device.t list option;
@@ -126,27 +126,22 @@ module Config = struct
       remote;
     }
 
-  let fusion_env = Octf_tensor.Env.bool "OCTF_FUSION"
-  let quantize_env = Octf_tensor.Env.bool "OCTF_QUANTIZE"
-  let max_in_flight_env = Octf_tensor.Env.int ~min:1 "OCTF_MAX_IN_FLIGHT"
-
-  (* A variable is read only when its field is unset. Memory planning's
-     variable already initialised the process-wide [Mem_plan.enabled]. *)
+  (* [OCTF_SCHEDULER] is read only when the field is unset. *)
   let of_env c =
-    let resolve field var default =
-      match field with
-      | Some _ -> field
-      | None -> Some (Option.value (Octf_tensor.Env.get var) ~default)
+    let or_default field default = Some (Option.value field ~default) in
+    let scheduler =
+      match c.scheduler with
+      | Some _ -> c.scheduler
+      | None -> Octf_tensor.Env.get Scheduler.env
     in
     {
       c with
-      seed = Some (Option.value c.seed ~default:42);
-      scheduler = resolve c.scheduler Scheduler.env Scheduler.Inline;
-      memory_planning =
-        Some (Option.value c.memory_planning ~default:(Mem_plan.enabled ()));
-      fusion = resolve c.fusion fusion_env true;
-      quantize = resolve c.quantize quantize_env false;
-      max_in_flight = resolve c.max_in_flight max_in_flight_env 1;
+      seed = or_default c.seed 42;
+      scheduler = or_default scheduler Scheduler.Inline;
+      memory_planning = or_default c.memory_planning (Mem_plan.enabled ());
+      fusion = or_default c.fusion true;
+      quantize = or_default c.quantize false;
+      max_in_flight = or_default c.max_in_flight 1;
     }
 end
 

@@ -38,10 +38,10 @@ exception Run_error of Step_failure.t
 
 (** Construction-time configuration — TensorFlow's [ConfigProto], the
     one way to configure a session. {!of_env} resolves every [None]
-    field: [Config] field > [OCTF_*] environment variable > built-in
-    default. CLI front-ends build a [Config] with [Some] only for flags
-    the user actually passed, so unset flags keep honoring the
-    environment. *)
+    field: [Config] field > built-in default, where the scheduler's
+    default comes from [OCTF_SCHEDULER] and memory planning's from the
+    process-wide {!Mem_plan.enabled}. CLI front-ends build a [Config]
+    with [Some] only for flags the user actually passed. *)
 module Config : sig
   type t = {
     devices : Device.t list option;
@@ -67,27 +67,25 @@ module Config : sig
     memory_planning : bool option;
         (** whether steps run the executor's lifetime analysis (eager
             drops, buffer-pool reuse, in-place grants); default
-            {!Mem_plan.enabled}, i.e. [OCTF_MEMORY_PLANNING], else on.
-            Fetches are bit-identical either way. *)
+            {!Mem_plan.enabled} (on unless {!Mem_plan.set_enabled}
+            turned it off). Fetches are bit-identical either way. *)
     fusion : bool option;
         (** whether the default pipeline includes the elementwise fuse
             pass ({!Graph_optimizer.fused_pipeline} vs
-            {!Graph_optimizer.default_pipeline}); default [OCTF_FUSION],
-            else on. Ignored when [passes] is set explicitly. Fetches
-            are bit-identical either way. *)
+            {!Graph_optimizer.default_pipeline}); default on. Ignored
+            when [passes] is set explicitly. Fetches are bit-identical
+            either way. *)
     quantize : bool option;
         (** whether the default pipeline appends the int8
             {!Graph_optimizer.Quantize} pass (uncalibrated — dynamic
-            activation ranges) plus a prune; default [OCTF_QUANTIZE],
-            else {e off} — quantized kernels change numerics, so this
-            is opt-in, unlike [fusion]. Ignored when [passes] is set
-            explicitly. The pass only rewrites contractions whose
-            weights are F32 [Const]s, so it is inert on training
-            graphs; for calibrated serving use {!Octf_serving.Serving}'s
-            freeze with ranges. *)
+            activation ranges) plus a prune; default {e off} —
+            quantized kernels change numerics, so this is opt-in,
+            unlike [fusion]. Ignored when [passes] is set explicitly.
+            The pass only rewrites contractions whose weights are F32
+            [Const]s, so it is inert on training graphs; for calibrated
+            serving use {!Octf_serving.Serving}'s freeze with ranges. *)
     max_in_flight : int option;
-        (** K ≥ 1 bound on concurrent {!run_async} steps; default
-            [OCTF_MAX_IN_FLIGHT], else 1 *)
+        (** K ≥ 1 bound on concurrent {!run_async} steps; default 1 *)
     barrier : bool;
         (** force K = 1 regardless of [max_in_flight] — the
             fully-synchronous legacy pipeline (default false) *)
@@ -99,24 +97,14 @@ module Config : sig
   }
 
   val default : t
-  (** Every field unset: resolve from the environment / built-ins. *)
+  (** Every field unset: resolve from [OCTF_SCHEDULER] / built-ins. *)
 
   val of_env : t -> t
-  (** Fill each unset field that has a variable or a built-in default
-      — [seed], [scheduler], [memory_planning], [fusion], [quantize]
-      and [max_in_flight] — from its [OCTF_*] variable, else its
-      default. A variable is read only when its field is unset.
-      @raise Invalid_argument if a read variable holds a value outside
-      its accepted set. *)
-
-  val fusion_env : bool Octf_tensor.Env.t
-  (** [OCTF_FUSION], a boolean. *)
-
-  val quantize_env : bool Octf_tensor.Env.t
-  (** [OCTF_QUANTIZE], a boolean. *)
-
-  val max_in_flight_env : int Octf_tensor.Env.t
-  (** [OCTF_MAX_IN_FLIGHT], an integer >= 1. *)
+  (** Fill each unset field that has a default — [seed], [scheduler],
+      [memory_planning], [fusion], [quantize] and [max_in_flight]. An
+      unset [scheduler] reads [OCTF_SCHEDULER], else inline.
+      @raise Invalid_argument if [OCTF_SCHEDULER] is read and holds a
+      value outside its accepted set. *)
 
   val v :
     ?devices:Device.t list ->
@@ -141,7 +129,7 @@ val create : ?config:Config.t -> Graph.t -> t
     {!Config} for every knob and its default. [Config.v ~passes:[] ()]
     turns every optimization but pruning off.
     @raise Invalid_argument if the resolved [max_in_flight < 1] or a
-    read [OCTF_*] variable holds a value outside its accepted set. *)
+    read [OCTF_SCHEDULER] holds a value outside its accepted set. *)
 
 val graph : t -> Graph.t
 

@@ -63,13 +63,13 @@ val freeze :
     field is overridden by the freeze pipeline.
 
     With [~quantize:true] (resolution: explicit argument, then
-    [config]'s [quantize] field, then [OCTF_QUANTIZE], default off)
-    the pipeline then runs the {!Octf.Graph_optimizer.Quantize} pass:
+    [config]'s [quantize] field, default off) the pipeline then runs
+    the {!Octf.Graph_optimizer.Quantize} pass:
     eligible MatMul/Conv2D islands run on int8 codes with 4x-smaller
     weight constants. [ranges] is the calibrated activation-range
     lookup (see {!Octf.Quant_calibration.ranges}); omitted, islands
     quantize their inputs dynamically per batch. When [config]'s
-    [fusion] resolves true ([OCTF_FUSION], default on) the pipeline
+    [fusion] resolves true (default on) the pipeline
     ends with {!Octf.Graph_optimizer.Fuse}, after the int8 pass, so
     elementwise chains the islands did not absorb run as
     [FusedElementwise] kernels.

@@ -26,10 +26,6 @@ let cases =
         [ ("inline", Scheduler.Inline); ("serial", Scheduler.Inline);
           ("pool", Scheduler.Pool); ("parallel", Scheduler.Pool) ],
         [ "poool"; "1"; "inline,pool" ] );
-    Case (Mem_plan.env, bools, bad_bools);
-    Case (Session.Config.fusion_env, bools, bad_bools);
-    Case (Session.Config.quantize_env, bools, bad_bools);
-    Case (Session.Config.max_in_flight_env, ints [ "1"; "4" ], [ "0"; "-1"; "two" ]);
     Case (Parallel.env, ints [ "1"; "8" ], [ "0"; "abc"; "1.5" ]);
     Case (Buffer_pool.env, ints [ "0"; "256" ], [ "abc"; "-1" ]);
     Case (Domain_pool.env, ints [ "1"; "3" ], [ "0"; "-2"; "many" ]);
@@ -77,10 +73,10 @@ let test_every_variable () =
     cases
 
 let test_bool_message_lists_spellings () =
-  Alcotest.check_raises "OCTF_FUSION=of"
+  Alcotest.check_raises "OCTF_NET_TRACE=of"
     (Invalid_argument
-       {|OCTF_FUSION="of": expected 1|0|on|off|true|false|yes|no|})
-    (fun () -> ignore (Env.parse Session.Config.fusion_env "of"))
+       {|OCTF_NET_TRACE="of": expected 1|0|on|off|true|false|yes|no|})
+    (fun () -> ignore (Env.parse Runtime.trace_env "of"))
 
 let suite =
   [

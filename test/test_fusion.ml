@@ -4,8 +4,7 @@
    fetch/control/multi-consumer boundaries are respected.
 
    Every session here passes its pipeline (or the [fusion] knob)
-   explicitly, so the suite behaves identically under the CI legs that
-   set OCTF_FUSION. Graphs are rebuilt per session because optimizer
+   explicitly. Graphs are rebuilt per session because optimizer
    passes rewrite the graph in place at compile time. *)
 
 open Octf_tensor

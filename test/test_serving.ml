@@ -33,12 +33,11 @@ let test_freeze_bit_identical () =
     | _ -> Alcotest.fail "arity"
   in
   (* The frozen graph must fetch bit-identical tensors whatever the
-     execution strategy. Quantization changes numerics, so it is pinned
-     off rather than left to OCTF_QUANTIZE. *)
+     execution strategy. *)
   List.iter
     (fun (scheduler, threads) ->
       let config =
-        Session.Config.v ~scheduler ~intra_op_threads:threads ~quantize:false ()
+        Session.Config.v ~scheduler ~intra_op_threads:threads ()
       in
       let frozen = Serving.freeze_session ~config ~inputs:[ x ] ~outputs:[ y ] live in
       match Session.run ~feeds:[ (x, feed) ] frozen [ y ] with
@@ -66,10 +65,18 @@ let test_freeze_isolated_from_training () =
   Session.run_unit live [ Vs.init_op vs ];
   let feed = batch_input 3 in
   let run s = List.hd (Session.run ~feeds:[ (x, feed) ] s [ y ]) in
-  let frozen = Serving.freeze_session ~inputs:[ x ] ~outputs:[ y ] live in
-  let before = run frozen in
+  (* a float and an int8 frozen copy *)
+  let frozen =
+    List.map
+      (fun quantize ->
+        ( quantize,
+          Serving.freeze_session ~quantize ~inputs:[ x ] ~outputs:[ y ] live
+        ))
+      [ false; true ]
+  in
+  let before = List.map (fun (_, f) -> run f) frozen in
   (* Clobber a trained variable in the live session: the live output
-     moves, the frozen one must not (its weights are constants), and
+     moves, the frozen ones must not (their weights are constants), and
      the training graph itself still works (freeze worked on a copy). *)
   let w1 = List.find (fun (v : Vs.variable) -> v.Vs.name = "w1") (Vs.all vs) in
   let live_before = run live in
@@ -78,8 +85,13 @@ let test_freeze_isolated_from_training () =
   let live_after = run live in
   Alcotest.(check bool) "live session sees the update" false
     (Tensor.equal live_before live_after);
-  Alcotest.(check bool) "frozen session does not" true
-    (Tensor.equal before (run frozen))
+  List.iter2
+    (fun (quantize, f) before ->
+      Alcotest.(check bool)
+        (Printf.sprintf "frozen session does not (quantize %b)" quantize)
+        true
+        (Tensor.equal before (run f)))
+    frozen before
 
 let test_freeze_from_checkpoint () =
   let b, vs, x, y = build_mlp () in
@@ -94,8 +106,7 @@ let test_freeze_from_checkpoint () =
   let saver = Octf_train.Saver.create vs in
   Octf_train.Saver.save saver live ~path;
   let frozen =
-    Serving.freeze_checkpoint ~quantize:false ~path ~inputs:[ x ] ~outputs:[ y ]
-      (B.graph b)
+    Serving.freeze_checkpoint ~path ~inputs:[ x ] ~outputs:[ y ] (B.graph b)
   in
   let v = List.hd (Session.run ~feeds:[ (x, feed) ] frozen [ y ]) in
   Alcotest.(check bool) "checkpoint freeze bit-identical" true
@@ -189,9 +200,7 @@ let two_io_cell () =
   let live = Session.create (B.graph b) in
   Session.run_unit live [ Vs.init_op vs ];
   let frozen =
-    Serving.freeze_session
-      ~config:(Session.Config.v ~quantize:false ())
-      ~inputs:[ x; h ] ~outputs:[ h'; y ] live
+    Serving.freeze_session ~inputs:[ x; h ] ~outputs:[ h'; y ] live
   in
   (frozen, [ x; h ], [ h'; y ])
 
@@ -473,7 +482,7 @@ let test_frozen_rnn_fused () =
   let live, xs, h = build_rnn () in
   let freeze fusion =
     Serving.freeze_session
-      ~config:(Session.Config.v ~fusion ~quantize:false ())
+      ~config:(Session.Config.v ~fusion ())
       ~inputs:[ xs ] ~outputs:[ h ] live
   in
   let fused = freeze true and plain = freeze false in
@@ -499,24 +508,6 @@ let test_frozen_rnn_fused () =
         (List.length fused_stats.Step_stats.nodes
         < List.length plain_stats.Step_stats.nodes))
     [ 1; 8 ]
-
-(* OCTF_FUSION=off reaches frozen graphs through the session default. *)
-let test_frozen_fusion_env_off () =
-  let live, xs, h = build_rnn () in
-  let saved = Sys.getenv_opt "OCTF_FUSION" in
-  Unix.putenv "OCTF_FUSION" "off";
-  let frozen =
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "OCTF_FUSION" (Option.value saved ~default:""))
-      (fun () ->
-        Serving.freeze_session
-          ~config:(Session.Config.v ~quantize:false ())
-          ~inputs:[ xs ] ~outputs:[ h ] live)
-  in
-  let _, stats = run_frozen frozen xs (rnn_batch 2) h in
-  Alcotest.(check int) "no fused kernels" 0
-    (count_stats_op stats "FusedElementwise")
 
 (* Fuse runs after the int8 pass, so the islands still absorb their
    bias-add and Relu epilogues: the island count does not change, and
@@ -667,8 +658,6 @@ let suite =
       test_signature_rejection;
     Alcotest.test_case "frozen while_loop LSTM is fused" `Quick
       test_frozen_rnn_fused;
-    Alcotest.test_case "OCTF_FUSION=off leaves frozen graphs unfused" `Quick
-      test_frozen_fusion_env_off;
     Alcotest.test_case "fusion keeps the int8 island count" `Quick
       test_quantized_islands_kept;
     Alcotest.test_case "pipelined clients over a two-input, two-output model"

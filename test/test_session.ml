@@ -144,7 +144,7 @@ let test_save_restore_through_graph () =
   Sys.remove path
 
 (* Session.Config: one record carries every construction knob, resolved
-   config field > OCTF_* variable > built-in default. *)
+   config field > OCTF_SCHEDULER (scheduler only) > built-in default. *)
 let test_config_resolution () =
   let b = B.create () in
   let x = B.placeholder b Dtype.F32 in
