@@ -1,25 +1,14 @@
 type t = {
   mutable state : Step_failure.cause option;
-  budget : float option;  (* seconds allotted, for the error message *)
-  deadline : float option;  (* absolute, Unix.gettimeofday clock *)
+  deadline : (float * float) option;
+      (* absolute (Unix.gettimeofday clock), and the seconds allotted
+         for the error message *)
   mutable wakers : (int * (unit -> unit)) list;
   mutable next_id : int;
-  mutable finished : bool;
+  mutable expiry : Timer.t option;  (* the deadline's timer entry *)
   mutable parent_link : (t * int) option;  (* parent token, our waker id *)
   mutex : Mutex.t;
 }
-
-let make ?budget ?deadline () =
-  {
-    state = None;
-    budget;
-    deadline;
-    wakers = [];
-    next_id = 0;
-    finished = false;
-    parent_link = None;
-    mutex = Mutex.create ();
-  }
 
 (* Set the cause and collect the wakers under the lock; never run them
    while holding it. Wakers take other locks (a queue's or the
@@ -52,38 +41,19 @@ let fire wakers = List.iter (fun f -> f ()) wakers
 
 let cancel_with t cause = fire (set_cause t cause)
 
-(* The watchdog wakes threads parked in condition waits (which have no
-   timeout in the stdlib); polling callers observe the deadline
-   synchronously through {!cancelled}. It is also the thread that fires
-   the wakers when a poller detects expiry first: the poller may hold
-   the very queue/rendezvous mutex its own waker relocks ({!check} runs
-   inside those critical sections), so it only sets the cause and leaves
-   the waking to us. Firing is an idempotent broadcast, so firing again
-   after {!cancel_with} already did is harmless. Sleeping in short
-   chunks keeps a completed run from pinning the thread until the full
-   deadline. *)
-let watchdog t deadline budget =
-  ignore
-    (Thread.create
-       (fun () ->
-         let rec loop () =
-           let now = Unix.gettimeofday () in
-           Mutex.lock t.mutex;
-           let finished = t.finished in
-           let state = t.state in
-           let wakers = List.map snd t.wakers in
-           Mutex.unlock t.mutex;
-           if state <> None then fire wakers
-           else if not finished then
-             if now >= deadline then
-               cancel_with t (Step_failure.Deadline_exceeded budget)
-             else begin
-               Thread.delay (Float.min 0.01 (deadline -. now));
-               loop ()
-             end
-         in
-         loop ())
-       ())
+(* The deadline's timer callback wakes threads parked in condition
+   waits (which have no timeout in the stdlib); polling callers observe
+   the deadline synchronously through {!cancelled}. It fires the wakers
+   even when a poller set the cause first: the poller may hold the very
+   queue/rendezvous mutex its own waker relocks ({!check} runs inside
+   those critical sections), so it only sets the cause and leaves the
+   waking to the timer thread. Firing is an idempotent broadcast. *)
+let expire t budget =
+  ignore (set_cause t (Step_failure.Deadline_exceeded budget));
+  Mutex.lock t.mutex;
+  let wakers = List.map snd t.wakers in
+  Mutex.unlock t.mutex;
+  fire wakers
 
 let cancel t ~reason = cancel_with t (Step_failure.Cancelled reason)
 
@@ -94,15 +64,13 @@ let cancelled t =
   match state with
   | Some _ -> state
   | None -> (
-      (* Synchronous deadline detection, independent of the watchdog.
-         The caller may be polling from inside a queue's or the
-         rendezvous' critical section, with its own waker registered —
-         firing wakers here would relock the mutex this thread already
-         holds. Set the cause only; the watchdog (every token with a
-         deadline has one) fires the wakers from its own thread. *)
+      (* Synchronous deadline detection, independent of the timer. The
+         caller may be polling from inside a queue's or the rendezvous'
+         critical section, with its own waker registered — firing
+         wakers here would relock the mutex this thread already holds.
+         Set the cause only; the expiry callback fires the wakers. *)
       match t.deadline with
-      | Some d when Unix.gettimeofday () >= d ->
-          let budget = Option.value ~default:0.0 t.budget in
+      | Some (d, budget) when Unix.gettimeofday () >= d ->
           ignore (set_cause t (Step_failure.Deadline_exceeded budget));
           Mutex.lock t.mutex;
           let state = t.state in
@@ -152,14 +120,19 @@ let link_parent child parent =
 
 let create ?parent ?deadline () =
   let t =
-    match deadline with
-    | None -> make ()
-    | Some budget ->
-        let abs = Unix.gettimeofday () +. budget in
-        let t = make ~budget ~deadline:abs () in
-        watchdog t abs budget;
-        t
+    {
+      state = None;
+      deadline = Option.map (fun b -> (Unix.gettimeofday () +. b, b)) deadline;
+      wakers = [];
+      next_id = 0;
+      expiry = None;
+      parent_link = None;
+      mutex = Mutex.create ();
+    }
   in
+  Option.iter
+    (fun (d, budget) -> t.expiry <- Some (Timer.at d (fun () -> expire t budget)))
+    t.deadline;
   Option.iter (link_parent t) parent;
   t
 
@@ -172,10 +145,11 @@ let with_waker cancel wake f =
 
 let complete t =
   Mutex.lock t.mutex;
-  t.finished <- true;
-  let link = t.parent_link in
+  let expiry = t.expiry and link = t.parent_link in
+  t.expiry <- None;
   t.parent_link <- None;
   Mutex.unlock t.mutex;
+  Option.iter Timer.cancel expiry;
   match link with
   | Some (parent, id) -> remove_waker parent id
   | None -> ()

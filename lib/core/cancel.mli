@@ -3,20 +3,22 @@
 
     One token is shared by every partition of a step. Cancellation is
     cooperative: compute loops poll ({!check}) between kernels, and
-    blocking primitives (rendezvous waits, queue waits) register a
-    {e waker} so that {!cancel} — or deadline expiry — broadcasts their
-    condition variable and the woken waiter observes the cancelled state.
-    A token with a deadline owns a small watchdog thread whose only job
-    is to fire those wakers if every thread of the step is parked when
-    the deadline passes; polling callers detect expiry synchronously. *)
+    blocking primitives (the executor's wait for kernels and armed
+    Recvs, queue waits) register a {e waker} so that {!cancel} — or
+    deadline expiry — broadcasts their condition variable and the woken
+    waiter observes the cancelled state.
+    A token with a deadline registers its expiry with the process's one
+    {!Timer} thread, which fires those wakers if every thread of the
+    step is parked when the deadline passes; polling callers detect
+    expiry synchronously. *)
 
 type t
 
 val create : ?parent:t -> ?deadline:float -> unit -> t
 (** [create ~deadline:budget ()] cancels itself [budget] seconds from
     now with cause {!Step_failure.Deadline_exceeded}. Without
-    [?deadline] the token only cancels explicitly (and spawns no
-    watchdog).
+    [?deadline] the token only cancels explicitly. Neither starts a
+    thread.
 
     [?parent] links the new token under a longer-lived one: when the
     parent fires (explicitly or by its own deadline), the child fires
@@ -32,28 +34,23 @@ val cancel : t -> reason:string -> unit
 
 val cancelled : t -> Step_failure.cause option
 (** The cancellation cause, if any — checking the deadline
-    synchronously, so callers never depend on watchdog latency. *)
+    synchronously, so callers never depend on timer latency. *)
 
 val check : t -> unit
 (** @raise Step_failure.Error when cancelled. *)
 
 val check_opt : t option -> unit
 
-val add_waker : t -> (unit -> unit) -> int
-(** Register a callback run on cancellation, without the token's lock
-    held — from the cancelling thread, or from the watchdog thread when
-    a polling caller detects deadline expiry (the poller may hold the
-    very lock its waker takes, so it never fires wakers itself).
-    Returns an id for {!remove_waker}. A waker registered after
-    cancellation never runs: blocking waits must re-check {!cancelled}
-    before parking. *)
-
-val remove_waker : t -> int -> unit
-
 val with_waker : t option -> (unit -> unit) -> (unit -> 'a) -> 'a
 (** [with_waker cancel wake f] runs [f] with [wake] registered on
-    [cancel] (no-op when [cancel] is [None]). *)
+    [cancel] (no-op when [cancel] is [None]). [wake] runs on
+    cancellation, without the token's lock held: on the cancelling
+    thread, or on the timer thread when the deadline passes (a poller
+    that detects expiry may hold the very lock its waker takes, so it
+    never fires wakers itself). A waker registered after cancellation
+    never runs: blocking waits must re-check {!cancelled} before
+    parking. *)
 
 val complete : t -> unit
-(** Mark the run finished so a deadline watchdog exits promptly, and
-    unlink the token from its [?parent] (if any). *)
+(** Mark the run finished: drop the deadline's timer entry and unlink
+    the token from its [?parent] (if any). *)

@@ -131,47 +131,6 @@ let arm t ~key k =
   in
   Option.iter k now
 
-let recv ?cancel t ~key =
-  let m = Mutex.create () and c = Condition.create () in
-  let slot = ref None in
-  let signal fill () =
-    Mutex.lock m;
-    fill ();
-    Condition.broadcast c;
-    Mutex.unlock m
-  in
-  let k r = signal (fun () -> slot := Some r) () in
-  arm t ~key k;
-  let outcome =
-    Cancel.with_waker cancel (signal ignore) (fun () ->
-        Mutex.lock m;
-        let rec wait () =
-          match (!slot, Option.bind cancel Cancel.cancelled) with
-          | Some r, _ -> Ok r
-          | None, Some cause -> Error cause
-          | None, None ->
-              Condition.wait c m;
-              wait ()
-        in
-        let r = wait () in
-        Mutex.unlock m;
-        r)
-  in
-  match outcome with
-  | Ok (Ok v) -> v
-  | Ok (Error reason) -> raise (Aborted reason)
-  | Error cause ->
-      (* Give up the key unless a sender got to it first. *)
-      with_lock t (fun () ->
-          match Hashtbl.find_opt t.table key with
-          | Some (Armed k') when k' == k -> Hashtbl.remove t.table key
-          | _ -> ());
-      raise (Step_failure.error cause)
-
-let try_recv t ~key =
-  with_lock t (fun () ->
-      match t.aborted with Some r -> raise (Aborted r) | None -> take t key)
-
 let abort t ~reason =
   (* A routed rendezvous is process-global and outlives any one step: a
      sticky abort here (say, from a Send kernel whose connection just

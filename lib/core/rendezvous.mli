@@ -17,7 +17,7 @@
 type t
 
 exception Aborted of string
-(** Raised in blocked receivers when the step is aborted. *)
+(** Raised by a [Recv] kernel whose armed receiver {!abort} failed. *)
 
 val create : ?route:(key:string -> Value.t -> bool) -> unit -> t
 (** [?route] is the out-of-process delivery hook (installed by
@@ -51,7 +51,7 @@ val step_key :
 val send : t -> key:string -> Value.t -> unit
 (** Deliver [v]: to the receiver armed on [key] if there is one (its
     continuation runs on the calling thread, outside the rendezvous
-    lock), else into the table until a receiver arms or takes it.
+    lock), else into the table until a receiver arms it.
     @raise Step_failure.Error with {!Step_failure.Duplicate_send} on a
     duplicate key (two sends of one value). *)
 
@@ -67,16 +67,6 @@ val arm : t -> key:string -> (outcome -> unit) -> unit
     {!abort}s a private rendezvous. After {!abort}, [k] runs at once
     with [Error]. A receiver removed by {!drop_step} never runs.
     @raise Invalid_argument if a receiver is already armed on [key]. *)
-
-val recv : ?cancel:Cancel.t -> t -> key:string -> Value.t
-(** Blocking receive built on {!arm}: waits until sent and consumes the
-    value. @raise Aborted if {!abort} is called while waiting (or
-    before). @raise Step_failure.Error if [cancel] fires (deadline or
-    explicit cancellation wake the blocked waiter). *)
-
-val try_recv : t -> key:string -> Value.t option
-(** Non-blocking receive; [None] when nothing is available.
-    @raise Aborted after {!abort}. *)
 
 val abort : t -> reason:string -> unit
 (** Fail every armed and future receiver with [reason]; used to

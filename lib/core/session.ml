@@ -418,10 +418,10 @@ let is_local t device =
    this process's devices, each with its feeds and fetches mapped
    through [find]. With [dispatch] (the chief under a runtime) it also
    sends one Run_step RPC per remote task owning the other parts;
-   without it those parts are someone else's. A lone part or RPC runs
-   inline on the calling thread, several on one thread each. It returns
-   the fetch endpoints this process produced or was sent, or the step's
-   root-cause failure.
+   without it those parts are someone else's. The calling thread runs
+   the first part (or RPC), one more thread each of the others. It
+   returns the fetch endpoints this process produced or was sent, or the
+   step's root-cause failure.
 
    Rendezvous: under a runtime every step uses its shared routed one,
    which is never aborted (the abort is sticky and would poison every
@@ -483,6 +483,16 @@ let execute_parts t step ~step_id ~feeds ~fetches ?tracer ?cancel
                 (Step_failure.Kernel_failed (Printexc.to_string e)))
   in
   let local, remote = List.partition (fun p -> is_local t p.device) step in
+  let task_of p = Option.map (fun (d : Device.t) -> (d.job, d.task)) p.device in
+  (* A failure the peer did not place (the RPC's own, or the step's
+     deadline seen here first) names the task's part when it has one,
+     as the same failure would in-process. *)
+  let place task (f : Step_failure.t) =
+    match List.filter (fun p -> task_of p = Some task) remote with
+    | [ { device = Some d; _ } ] when f.device = None ->
+        { f with device = Some (Device.to_string d) }
+    | _ -> f
+  in
   let rpcs =
     match dispatch with
     | None -> []
@@ -491,17 +501,14 @@ let execute_parts t step ~step_id ~feeds ~fetches ?tracer ?cancel
           (fun (job, task) () ->
             match call ~job ~task with
             | Ok pairs -> record_results pairs
-            | Error f -> record_failure f)
-          (List.sort_uniq compare
-             (List.filter_map
-                (fun p ->
-                  Option.map (fun (d : Device.t) -> (d.job, d.task)) p.device)
-                remote))
+            | Error f -> record_failure (place (job, task) f))
+          (List.sort_uniq compare (List.filter_map task_of remote))
   in
   (match List.map (fun p () -> run_part p) local @ rpcs with
-  | [ run ] -> run ()
-  | runs ->
-      List.iter Thread.join (List.map (fun run -> Thread.create run ()) runs));
+  | [] -> ()
+  | run :: others ->
+      let threads = List.map (fun run -> Thread.create run ()) others in
+      Fun.protect ~finally:(fun () -> List.iter Thread.join threads) run);
   (* Scrub entries a partitioned step leaked (sends whose Recv died with
      the step): essential on the long-lived shared rendezvous, keeps the
      pending gauge honest on a private one. A worker leaves this to the
@@ -535,11 +542,11 @@ let run_with ?tracer ?deadline ?cancel:parent ?var_snapshot ?(feeds = [])
         t.step_counter <- t.step_counter + 1;
         t.step_counter)
   in
-  (* One cancellation token per step: a deadline arms its watchdog,
-     partitioned and remote steps always carry a token so one part's
-     failure wakes peers parked in queue or rendezvous waits, and a
-     [parent] token (a pipeline's filler group) cancels this step when
-     the whole group is stopped. *)
+  (* One cancellation token per step: a deadline registers its expiry
+     with the timer thread, partitioned and remote steps always carry a
+     token so one part's failure wakes peers parked in queue or
+     rendezvous waits, and a [parent] token (a pipeline's filler group)
+     cancels this step when the whole group is stopped. *)
   let cancel =
     match (deadline, parent, step) with
     | Some d, _, _ -> Some (Cancel.create ?parent ~deadline:d ())

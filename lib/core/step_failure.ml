@@ -53,12 +53,20 @@ let is_cancellation = function
   | Network_error _ | Overloaded _ ->
       false
 
-(* Rebuild a cause from its wire form (kind string + message), for
+let cause_payload = function
+  | Deadline_exceeded budget -> Printf.sprintf "%h" budget
+  | Cancelled s | Kernel_failed s | Fault_injected s | Rendezvous_aborted s
+  | Duplicate_send s | Missing_task s | Invalid_graph s | Fetch_failed s
+  | Network_error s | Overloaded s ->
+      s
+
+(* Rebuild a cause from its wire form (kind string + payload), for
    failures reported by a remote process. Unknown kinds degrade to
    [Kernel_failed] so a newer peer never crashes an older one. *)
-let cause_of_wire ~kind ~message =
+let cause_of_wire ~kind ~payload:message =
   match kind with
-  | "deadline_exceeded" -> Deadline_exceeded 0.0
+  | "deadline_exceeded" ->
+      Deadline_exceeded (Option.value (float_of_string_opt message) ~default:0.0)
   | "cancelled" -> Cancelled message
   | "kernel_failed" -> Kernel_failed message
   | "fault_injected" -> Fault_injected message

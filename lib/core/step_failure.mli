@@ -52,7 +52,12 @@ val is_secondary : cause -> bool
     ({!Rendezvous_aborted}, {!Cancelled}); when one step yields several
     errors the primary (non-secondary) one names the root cause. *)
 
-val cause_of_wire : kind:string -> message:string -> cause
+val cause_payload : cause -> string
+(** The cause's argument as text: the detail string, or the budget (an
+    exact hexadecimal float) of a {!Deadline_exceeded}. *)
+
+val cause_of_wire : kind:string -> payload:string -> cause
 (** Rebuild a cause from its wire form — a {!cause_kind} string plus
-    the message — for failures reported by a remote process. Unknown
+    the {!cause_payload} — for failures reported by a remote process,
+    so the rebuilt cause prints the same {!cause_message}. Unknown
     kinds degrade to {!Kernel_failed}. *)

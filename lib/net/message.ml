@@ -11,7 +11,7 @@ type remote_error = {
   node : string option;
   device : string option;
   kind : string;  (* Step_failure.cause_kind of the remote cause *)
-  message : string;
+  message : string;  (* Step_failure.cause_payload of it *)
 }
 
 type step_result =

@@ -91,33 +91,17 @@ type config = {
   backoff : Backoff.policy;
 }
 
-let heartbeat_ms_env = Env.int ~min:1 "OCTF_NET_HEARTBEAT_MS"
-let heartbeat_misses_env = Env.int ~min:1 "OCTF_NET_HEARTBEAT_MISSES"
-let connect_timeout_ms_env = Env.int ~min:1 "OCTF_NET_CONNECT_TIMEOUT_MS"
-let rpc_timeout_ms_env = Env.int ~min:1 "OCTF_NET_RPC_TIMEOUT_MS"
-
-(* Argument, then variable (milliseconds), then default (seconds). *)
-let seconds arg env default =
-  match arg with
-  | Some s -> s
-  | None -> (
-      match Env.get env with
-      | Some ms -> float_of_int ms /. 1000.0
-      | None -> default)
-
-let config ?heartbeat_interval ?heartbeat_misses ?connect_timeout ?rpc_timeout
-    ?backoff ~job ~task ~cluster () =
+let config ?(heartbeat_interval = 0.2) ?(heartbeat_misses = 3)
+    ?(connect_timeout = 0.5) ?(rpc_timeout = 30.0) ?backoff ~job ~task ~cluster
+    () =
   {
     job;
     task;
     cluster;
-    heartbeat_interval = seconds heartbeat_interval heartbeat_ms_env 0.2;
-    heartbeat_misses =
-      (match heartbeat_misses with
-      | Some n -> n
-      | None -> Option.value (Env.get heartbeat_misses_env) ~default:3);
-    connect_timeout = seconds connect_timeout connect_timeout_ms_env 0.5;
-    rpc_timeout = seconds rpc_timeout rpc_timeout_ms_env 30.0;
+    heartbeat_interval;
+    heartbeat_misses;
+    connect_timeout;
+    rpc_timeout;
     backoff =
       (match backoff with
       | Some p -> p
@@ -415,7 +399,7 @@ let rec on_message t conn msg =
                           device = e.Message.device;
                           cause =
                             Step_failure.cause_of_wire ~kind:e.Message.kind
-                              ~message:e.Message.message;
+                              ~payload:e.Message.message;
                         });
               Condition.broadcast t.cond
           | Some _ | None -> ())
@@ -489,7 +473,7 @@ and serve_step t conn ~step_id ~timeout ~feeds ~fetches ~targets =
                   Message.node = f.Step_failure.node;
                   device = f.Step_failure.device;
                   kind = Step_failure.cause_kind f.Step_failure.cause;
-                  message = Step_failure.cause_message f.Step_failure.cause;
+                  message = Step_failure.cause_payload f.Step_failure.cause;
                 }
           | exception e ->
               Message.Failed

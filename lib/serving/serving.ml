@@ -202,13 +202,9 @@ type t = {
   default_deadline : float option;
   mutex : Mutex.t;
   nonempty : Condition.t;
-  (* Self-pipe that ends the fill window early: [submit] writes a byte
-     when the batch fills and [shutdown] when it stops the batcher,
-     while the batcher waits on the read end with the window's
-     remainder as timeout (stdlib [Condition] has no timed wait). *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  mutable filling : bool;  (* the batcher is waiting out a window *)
+      (* the batcher's one wait: for a first request, then for the
+         fill window to end (the batch fills, the server stops or the
+         window's timer entry fires) *)
   queue : request Queue.t;
   cancel : Cancel.t;  (* group token: parent of every batched step's *)
   mutable expected : (Dtype.t * int array) list option;
@@ -331,14 +327,6 @@ let dispatch t batch =
         List.iter (fun r -> finish t r (Error f)) live
   end
 
-(* End the batcher's fill wait, if it is in one. Called with [t.mutex]
-   held, so one byte is written per window at most. *)
-let wake_filler t =
-  if t.filling then begin
-    t.filling <- false;
-    ignore (Unix.single_write_substring t.wake_w "!" 0 1)
-  end
-
 (* The batching state machine: wait for a first request, hold the batch
    open until it is full or the first member has waited
    [max_queue_delay], dispatch, repeat. On shutdown the queue backlog is
@@ -362,25 +350,24 @@ let rec batcher_loop t =
   else begin
     let window_end = (Queue.peek t.queue).r_enqueued +. t.max_queue_delay in
     (* Hold the batch open until it is full, the server stops or the
-       window closes; the first two write to the self-pipe. *)
-    let rec fill () =
-      let remaining = window_end -. Unix.gettimeofday () in
-      if t.running && Queue.length t.queue < t.max_batch_size && remaining > 0.0
-      then begin
-        t.filling <- true;
-        Mutex.unlock t.mutex;
-        let woken =
-          match Unix.select [ t.wake_r ] [] [] remaining with
-          | r, _, _ -> r <> []
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-        in
-        if woken then ignore (Unix.read t.wake_r (Bytes.create 1) 0 1);
-        Mutex.lock t.mutex;
-        t.filling <- false;
-        fill ()
-      end
+       window closes. *)
+    let filling () =
+      t.running
+      && Queue.length t.queue < t.max_batch_size
+      && Unix.gettimeofday () < window_end
     in
-    fill ();
+    if filling () then begin
+      let close_window =
+        Octf.Timer.at window_end (fun () ->
+            Mutex.lock t.mutex;
+            Condition.signal t.nonempty;
+            Mutex.unlock t.mutex)
+      in
+      while filling () do
+        Condition.wait t.nonempty t.mutex
+      done;
+      Octf.Timer.cancel close_window
+    end;
     let batch = ref [] in
     while List.length !batch < t.max_batch_size && not (Queue.is_empty t.queue)
     do
@@ -405,7 +392,6 @@ let create ?(name = "default") ?(max_batch_size = 8)
   if outputs = [] then invalid_arg "Serving.create: no outputs";
   (* Compile the one step every batch reuses before admitting traffic. *)
   Session.precompile ~feeds:inputs session outputs;
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       name;
@@ -419,9 +405,6 @@ let create ?(name = "default") ?(max_batch_size = 8)
       default_deadline;
       mutex = Mutex.create ();
       nonempty = Condition.create ();
-      wake_r;
-      wake_w;
-      filling = false;
       queue = Queue.create ();
       cancel = Cancel.create ();
       expected = None;
@@ -492,11 +475,11 @@ let submit ?deadline t examples =
                   let depth = Queue.length t.queue in
                   Metrics.Gauge.set t.metrics.hm_queue_depth
                     (float_of_int depth);
-                  (* The batcher only blocks on [nonempty] when the
-                     queue is empty, and only a full batch ends its
-                     fill window early. *)
-                  if depth = 1 then Condition.signal t.nonempty;
-                  if depth >= t.max_batch_size then wake_filler t;
+                  (* The batcher waits for a first request, then for
+                     the window to end, which only a full batch does
+                     early. *)
+                  if depth = 1 || depth = t.max_batch_size then
+                    Condition.signal t.nonempty;
                   `Admitted
                 end)
     in
@@ -537,16 +520,13 @@ let shutdown t =
         let w = t.running in
         t.running <- false;
         Condition.broadcast t.nonempty;
-        wake_filler t;
         w)
   in
   if was_running then begin
     (* Wake any step blocked mid-batch; queued requests are failed by
        the batcher's shutdown sweep. *)
     Cancel.cancel t.cancel ~reason:"serving: shut down";
-    Option.iter Thread.join t.batcher;
-    Unix.close t.wake_r;
-    Unix.close t.wake_w
+    Option.iter Thread.join t.batcher
   end
 
 let stats t =

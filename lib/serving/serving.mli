@@ -26,7 +26,9 @@
     coalesces admitted requests: a batch is dispatched as one
     [Session.run] the moment it reaches [max_batch_size] (the filling
     submit wakes the batcher), or when its oldest member has waited
-    [max_queue_delay]. Each batched step runs
+    [max_queue_delay] (an {!Octf.Timer} entry wakes it). The batcher
+    waits on one condition variable and never polls. Each batched step
+    runs
     under the longest remaining per-request budget via the session's
     {!Octf.Cancel} token (a child of the server's group token, so
     {!shutdown} cancels mid-flight steps); members whose own deadline

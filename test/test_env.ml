@@ -38,10 +38,6 @@ let cases =
         [ "bogus"; "kill:ps@x"; "kernel:MatMul@3,nope" ] );
     Case (F.seed_env, ints [ "0"; "-7"; "42" ], [ "abc"; "1.5" ]);
     Case (Runtime.trace_env, bools, bad_bools);
-    Case (Runtime.heartbeat_ms_env, ints [ "1"; "200" ], [ "0"; "0.5"; "abc" ]);
-    Case (Runtime.heartbeat_misses_env, ints [ "1"; "3" ], [ "0"; "abc" ]);
-    Case (Runtime.connect_timeout_ms_env, ints [ "1"; "500" ], [ "0"; "abc" ]);
-    Case (Runtime.rpc_timeout_ms_env, ints [ "1"; "30000" ], [ "0"; "abc" ]);
     (* bench/main.exe declares its smoke switch locally, the same way *)
     Case (Env.bool "OCTF_BENCH_SMOKE", bools, bad_bools);
   ]

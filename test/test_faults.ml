@@ -103,6 +103,19 @@ let test_flaky_determinism () =
 (* Rendezvous: duplicate send, abort, deadline                         *)
 (* ------------------------------------------------------------------ *)
 
+(* An armed receiver that records every outcome it is handed. *)
+let recorder () =
+  let got = ref [] in
+  (got, fun o -> got := o :: !got)
+
+let expect_value = Value.Tensor (Tensor.scalar_f 4.0)
+
+(* [Ok true] stands for [expect_value] itself. *)
+let check_got name got expect =
+  Alcotest.(check (list (result bool string)))
+    name expect
+    (List.rev_map (Result.map (fun v -> v == expect_value)) !got)
+
 let test_duplicate_send_structured () =
   let r = Rendezvous.create () in
   let v = Value.Tensor (Tensor.scalar_f 1.0) in
@@ -119,59 +132,88 @@ let test_duplicate_send_structured () =
 let test_recv_after_abort () =
   let r = Rendezvous.create () in
   Rendezvous.abort r ~reason:"peer died";
-  match Rendezvous.recv r ~key:"k" with
-  | _ -> Alcotest.fail "recv succeeded after abort"
-  | exception Rendezvous.Aborted reason ->
-      Alcotest.(check string) "reason" "peer died" reason
+  let got, k = recorder () in
+  Rendezvous.arm r ~key:"k" k;
+  check_got "fails at once, with the reason" got [ Error "peer died" ]
 
+(* A thread parked until an armed receiver completes, the way a
+   partition waits on its Recvs: the abort runs the continuation on the
+   aborting thread, which wakes the parked one. *)
 let test_abort_wakes_blocked_recv () =
   let r = Rendezvous.create () in
-  let result = ref `Pending in
+  let m = Mutex.create () and c = Condition.create () in
+  let slot = ref None in
+  Rendezvous.arm r ~key:"never" (fun o ->
+      Mutex.lock m;
+      slot := Some o;
+      Condition.broadcast c;
+      Mutex.unlock m);
   let th =
     Thread.create
       (fun () ->
-        match Rendezvous.recv r ~key:"never" with
-        | _ -> result := `Value
-        | exception Rendezvous.Aborted _ -> result := `Aborted)
+        Mutex.lock m;
+        while !slot = None do
+          Condition.wait c m
+        done;
+        Mutex.unlock m)
       ()
   in
   Thread.delay 0.05;
   Rendezvous.abort r ~reason:"test";
   Thread.join th;
-  Alcotest.(check bool) "woken with Aborted" true (!result = `Aborted)
+  Alcotest.(check bool) "woken with the abort" true (!slot = Some (Error "test"))
 
+(* A partition parked on a Recv whose Send never comes: only the step's
+   deadline wakes it, through the waker the timer thread fires; the
+   step then drops its armed Recv, so a late send reaches no one. *)
 let test_recv_deadline () =
   let r = Rendezvous.create () in
+  let key =
+    Rendezvous.step_key ~step_id:1 ~send_device:"a" ~recv_device:"b"
+      ~tensor_name:"never:0"
+  in
+  let got, k = recorder () in
+  Rendezvous.arm r ~key k;
   let cancel = Cancel.create ~deadline:0.05 () in
   Fun.protect ~finally:(fun () -> Cancel.complete cancel) @@ fun () ->
+  let m = Mutex.create () and c = Condition.create () in
+  let wake () =
+    Mutex.lock m;
+    Condition.broadcast c;
+    Mutex.unlock m
+  in
   let t0 = Unix.gettimeofday () in
-  match Rendezvous.recv ~cancel r ~key:"never" with
-  | _ -> Alcotest.fail "recv produced a value"
-  | exception Step_failure.Error f ->
-      (match f.Step_failure.cause with
-      | Step_failure.Deadline_exceeded _ -> ()
-      | c ->
-          Alcotest.failf "expected Deadline_exceeded, got %s"
-            (Step_failure.cause_message c));
-      Alcotest.(check bool) "woke promptly" true
-        (Unix.gettimeofday () -. t0 < 2.0)
+  let cause =
+    Cancel.with_waker (Some cancel) wake (fun () ->
+        Mutex.lock m;
+        let rec wait () =
+          match Cancel.cancelled cancel with
+          | Some cause -> cause
+          | None ->
+              Condition.wait c m;
+              wait ()
+        in
+        let cause = wait () in
+        Mutex.unlock m;
+        cause)
+  in
+  (match cause with
+  | Step_failure.Deadline_exceeded _ -> ()
+  | c ->
+      Alcotest.failf "expected Deadline_exceeded, got %s"
+        (Step_failure.cause_message c));
+  Alcotest.(check bool) "woke promptly" true
+    (Unix.gettimeofday () -. t0 < 2.0);
+  check_got "the armed recv never ran" got [];
+  Alcotest.(check int) "the step's armed recv is dropped" 1
+    (Rendezvous.drop_step r ~step_id:1);
+  Rendezvous.send r ~key expect_value;
+  check_got "a late send reaches no one" got [];
+  Alcotest.(check int) "it waits in the table" 1 (Rendezvous.pending_count r)
 
 (* ------------------------------------------------------------------ *)
 (* Rendezvous: push delivery to armed receivers                        *)
 (* ------------------------------------------------------------------ *)
-
-(* An armed receiver that records every outcome it is handed. *)
-let recorder () =
-  let got = ref [] in
-  (got, fun o -> got := o :: !got)
-
-let expect_value = Value.Tensor (Tensor.scalar_f 4.0)
-
-(* [Ok true] stands for [expect_value] itself. *)
-let check_got name got expect =
-  Alcotest.(check (list (result bool string)))
-    name expect
-    (List.rev_map (Result.map (fun v -> v == expect_value)) !got)
 
 let test_armed_recv_completes_once () =
   let r = Rendezvous.create () in
@@ -183,18 +225,7 @@ let test_armed_recv_completes_once () =
   Rendezvous.send r ~key:"k" expect_value;
   check_got "the sent value, once" got [ Ok true ];
   Alcotest.(check int) "handed over: only the other key's value is stored" 1
-    (Rendezvous.pending_count r);
-  (* The blocking receive is the same call underneath. *)
-  let th =
-    Thread.create
-      (fun () ->
-        Thread.delay 0.02;
-        Rendezvous.send r ~key:"late" expect_value)
-      ()
-  in
-  let v = Rendezvous.recv r ~key:"late" in
-  Thread.join th;
-  Alcotest.(check bool) "blocking recv gets the value" true (v == expect_value)
+    (Rendezvous.pending_count r)
 
 let test_recv_armed_after_send () =
   let r = Rendezvous.create () in
@@ -286,7 +317,7 @@ let test_queue_cancel_wakes_enqueue () =
 (* Regression: a waiter that observes deadline expiry synchronously
    ([Cancel.check] polled inside the queue's critical section) must not
    fire wakers from its own thread — its registered waker relocks the
-   queue mutex it already holds. It only sets the cause; the watchdog
+   queue mutex it already holds. It only sets the cause; the timer thread
    fires the wakers, including for peers parked on other queues. *)
 let test_sync_deadline_poll_in_queue_wait () =
   let q1 = Queue_impl.create ~name:"q1" ~capacity:1 ~num_components:1 () in
@@ -304,7 +335,7 @@ let test_sync_deadline_poll_in_queue_wait () =
           Alcotest.failf "expected Deadline_exceeded, got %s"
             (Step_failure.cause_message c)));
   (* Racy half: a peer parks on q2 before the deadline lapses; the main
-     thread polls on q1 right around expiry, racing the watchdog for
+     thread polls on q1 right around expiry, racing the timer thread for
      detection. Whoever wins, neither thread may crash or stay parked. *)
   let cancel = Cancel.create ~deadline:0.05 () in
   Fun.protect ~finally:(fun () -> Cancel.complete cancel) @@ fun () ->
@@ -500,7 +531,7 @@ let test_pipelined_slow_reader () =
     (Printf.sprintf "straggles overlapped (%.0f ms < %.0f ms bound)"
        (1000. *. wall) (1000. *. bound))
     true (wall < bound);
-  (* A 5 ms deadline cannot survive a 30 ms straggler: the watchdog
+  (* A 5 ms deadline cannot survive a 30 ms straggler: the timer
      cancels mid-straggle and the step fails structurally. *)
   let tight = Session.Run_options.v ~deadline:0.005 () in
   match Session.wait (Session.run_async ~options:tight s [ out ]) with

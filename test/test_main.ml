@@ -48,6 +48,7 @@ let () =
        ("tensor_array", Test_tensor_array.suite);
        ("kernels_misc", Test_kernels_misc.suite);
        ("nn_extra", Test_nn_extra.suite);
+       ("timer", Test_timer.suite);
        ("faults", Test_faults.suite);
        ("metrics", Test_metrics.suite);
        ("differential", Test_differential.suite);

@@ -18,6 +18,12 @@ let must ?feeds session targets =
   with Session.Run_error f ->
     Alcotest.failf "step failed: %s" (Step_failure.to_string f)
 
+(* Does a value for [key] reach [r] within 5 s? *)
+let arrives r ~key =
+  let got = Atomic.make false in
+  Rendezvous.arm r ~key (fun o -> Atomic.set got (Result.is_ok o));
+  Test_timer.eventually ~within:5.0 (fun () -> Atomic.get got)
+
 (* ----------------------------- frames ------------------------------ *)
 
 let frame_types =
@@ -293,44 +299,14 @@ let test_rendezvous_drop_step_scoping () =
   Alcotest.(check int) "step 1 dropped" 2 (Rendezvous.drop_step r ~step_id:1);
   Alcotest.(check int) "one left" 1 (Rendezvous.pending_count r);
   (* Step 2's entry survives and is still receivable. *)
-  (match Rendezvous.try_recv r ~key:(key 2 "x") with
-  | Some (Value.Tensor t) ->
+  let got = ref None in
+  Rendezvous.arm r ~key:(key 2 "x") (fun o -> got := Some o);
+  (match !got with
+  | Some (Ok (Value.Tensor t)) ->
       Alcotest.(check (float 0.)) "survivor" 3.0 (Tensor.flat_get_f t 0)
   | _ -> Alcotest.fail "step 2 entry lost");
   Alcotest.(check int) "empty" 0 (Rendezvous.pending_count r);
   Alcotest.(check int) "idempotent" 0 (Rendezvous.drop_step r ~step_id:1)
-
-let test_session_drain_scrubs_rendezvous () =
-  (* A leaked entry on the runtime's shared rendezvous is scrubbed when
-     the session drains the steps that produced it. *)
-  let cluster =
-    [ (("ps", 0), { Runtime.host = "127.0.0.1"; port = 1 });
-      (("worker", 0), { Runtime.host = "127.0.0.1"; port = 2 }) ]
-  in
-  (* No listener: port never used because we never route off-process. *)
-  let rt = Runtime.create (Runtime.config ~job:"worker" ~task:0 ~cluster ()) in
-  Fun.protect ~finally:(fun () -> Runtime.shutdown rt) @@ fun () ->
-  let r = Runtime.rendezvous rt in
-  let b = B.create () in
-  let x = B.const_f b 41.0 in
-  let y = B.add b x (B.const_f b 1.0) in
-  let session =
-    Cluster.session
-      (Cluster.create ~jobs:[ ("worker", 1, [ Device.CPU ]) ])
-      ~config:(Session.Config.v ~remote:(Runtime.runner rt) ())
-      (B.graph b)
-  in
-  ignore (Session.run session [ y ]);
-  (* Simulate a tensor a failed step left behind under a step id the
-     session has already issued. *)
-  Rendezvous.send r
-    ~key:
-      (Rendezvous.step_key ~step_id:1 ~send_device:"a" ~recv_device:"b"
-         ~tensor_name:"leak:0")
-    (Value.Tensor (Tensor.scalar_f 0.0));
-  Alcotest.(check int) "leaked entry pending" 1 (Rendezvous.pending_count r);
-  Session.drain session;
-  Alcotest.(check int) "drain scrubbed it" 0 (Rendezvous.pending_count r)
 
 let test_routed_rendezvous_abort_not_sticky () =
   (* The process-global routed rendezvous outlives steps: an abort (from
@@ -339,15 +315,18 @@ let test_routed_rendezvous_abort_not_sticky () =
   let r = Rendezvous.create ~route:(fun ~key:_ _ -> false) () in
   Rendezvous.abort r ~reason:"conn lost";
   Rendezvous.send r ~key:"step:1;a;b;x:0" (Value.Tensor (Tensor.scalar_f 1.0));
-  (match Rendezvous.try_recv r ~key:"step:1;a;b;x:0" with
-  | Some _ -> ()
-  | None -> Alcotest.fail "routed rendezvous unusable after abort");
+  let got = ref None in
+  Rendezvous.arm r ~key:"step:1;a;b;x:0" (fun o -> got := Some o);
+  (match !got with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "routed rendezvous unusable after abort");
   (* A private rendezvous stays sticky — that is its per-step teardown. *)
   let priv = Rendezvous.create () in
   Rendezvous.abort priv ~reason:"step failed";
-  match Rendezvous.try_recv priv ~key:"k" with
+  Rendezvous.arm priv ~key:"k" (fun o -> got := Some o);
+  match !got with
+  | Some (Error _) -> ()
   | _ -> Alcotest.fail "private abort must stick"
-  | exception Rendezvous.Aborted _ -> ()
 
 (* ----------------------- placement determinism ---------------------- *)
 
@@ -495,6 +474,36 @@ let test_taken_port_retries () =
   Runtime.shutdown rt;
   Alcotest.(check int) "one retry" 2 !attempts
 
+let test_session_drain_scrubs_rendezvous () =
+  (* A leaked entry on the runtime's shared rendezvous is scrubbed when
+     the session drains the steps that produced it. The step never
+     routes off-process, so no peer listens. *)
+  let rt =
+    on_fresh_ports (fun cluster -> loopback_runtime ~job:"worker" ~cluster ())
+  in
+  Fun.protect ~finally:(fun () -> Runtime.shutdown rt) @@ fun () ->
+  let r = Runtime.rendezvous rt in
+  let b = B.create () in
+  let x = B.const_f b 41.0 in
+  let y = B.add b x (B.const_f b 1.0) in
+  let session =
+    Cluster.session
+      (Cluster.create ~jobs:[ ("worker", 1, [ Device.CPU ]) ])
+      ~config:(Session.Config.v ~remote:(Runtime.runner rt) ())
+      (B.graph b)
+  in
+  ignore (Session.run session [ y ]);
+  (* Simulate a tensor a failed step left behind under a step id the
+     session has already issued. *)
+  Rendezvous.send r
+    ~key:
+      (Rendezvous.step_key ~step_id:1 ~send_device:"a" ~recv_device:"b"
+         ~tensor_name:"leak:0")
+    (Value.Tensor (Tensor.scalar_f 0.0));
+  Alcotest.(check int) "leaked entry pending" 1 (Rendezvous.pending_count r);
+  Session.drain session;
+  Alcotest.(check int) "drain scrubbed it" 0 (Rendezvous.pending_count r)
+
 (* A session over the ps/worker cluster that executes through [rt]. *)
 let remote_session ?(config = Session.Config.default) rt graph =
   let session =
@@ -640,59 +649,102 @@ let test_two_runtime_training_and_recovery () =
   Alcotest.(check bool) "training resumed after ps restart" true
     (Array.exists (fun v -> Float.abs v > 1e-6) w2)
 
-(* A kernel failing on the ps task must reach the chief with the same
-   node, device and cause kind whether the ps partition ran on a thread
-   of this process or behind a Run_step RPC, whose failure crosses the
-   wire as a kind string and is rebuilt by [Step_failure.cause_of_wire]. *)
-let build_ps_fault_step () =
+(* A failure on the ps task must reach the chief with the same node,
+   device and text whether the ps partition ran on a thread of this
+   process or behind a Run_step RPC, whose failure crosses the wire as
+   a kind string and payload rebuilt by [Step_failure.cause_of_wire].
+   [y] fails with a kernel fault injected on the ps; [z] runs out its
+   deadline on the ps, parked on a Recv from a worker kernel that
+   straggles past it. *)
+let build_ps_failures () =
   let b = B.create () in
-  (* fed, not constant, so constant folding cannot run the matmul *)
+  (* fed, not constant, so constant folding cannot run the matmuls *)
   let x = B.placeholder b ~name:"x" ~shape:[| 2; 2 |] Dtype.F32 in
-  let m =
-    B.with_device b "/job:ps/task:0" (fun () ->
-        B.matmul b ~name:"ps_matmul" x x)
-  in
-  let y =
-    B.with_device b "/job:worker/task:0" (fun () ->
-        B.add b m (B.const_f b 1.0))
-  in
-  (b, (x, y))
+  let on_ps f = B.with_device b "/job:ps/task:0" f in
+  let on_worker f = B.with_device b "/job:worker/task:0" f in
+  let m = on_ps (fun () -> B.matmul b ~name:"ps_matmul" x x) in
+  let y = on_worker (fun () -> B.add b m (B.const_f b 1.0)) in
+  let slow = on_worker (fun () -> B.matmul b ~name:"worker_slow" x x) in
+  let z = on_ps (fun () -> B.add b slow (B.const_f b 1.0)) in
+  (b, (x, y, z))
 
 let ones_2x2 = Tensor.ones Dtype.F32 [| 2; 2 |]
 
-let failure_triple session (x, y) =
-  Fault_injector.install
-    [ Fault_injector.Fail_kernel { pattern = "ps_matmul"; step = 0 } ];
-  Fun.protect ~finally:Fault_injector.reset @@ fun () ->
-  match Session.run ~feeds:[ (x, ones_2x2) ] session [ y ] with
-  | _ -> Alcotest.fail "the injected ps fault must fail the step"
-  | exception Session.Run_error f ->
-      ( Option.value f.Step_failure.node ~default:"<none>",
-        Option.value f.Step_failure.device ~default:"<none>",
-        Step_failure.cause_kind f.Step_failure.cause )
+(* The fault step, then the deadline step, as steps 1 and 2. *)
+let ps_failures session (x, y, z) =
+  let fail ?deadline spec fetch =
+    Fault_injector.install [ spec ];
+    Fun.protect ~finally:Fault_injector.reset @@ fun () ->
+    match Session.run ?deadline ~feeds:[ (x, ones_2x2) ] session [ fetch ] with
+    | _ -> Alcotest.fail "the injected ps failure must fail the step"
+    | exception Session.Run_error f -> f
+  in
+  let fault =
+    fail (Fault_injector.Fail_kernel { pattern = "ps_matmul"; step = 0 }) y
+  in
+  let deadline =
+    fail ~deadline:0.1
+      (Fault_injector.Slow_kernel
+         { pattern = "worker_slow"; step = 0; ms = 400.0 })
+      z
+  in
+  (fault, deadline)
 
 let test_remote_failure_attribution () =
-  let expected =
-    ("ps_matmul", "/job:ps/task:0/device:CPU:0", "fault_injected")
+  let triple (f : Step_failure.t) =
+    ( Option.value f.node ~default:"<none>",
+      Option.value f.device ~default:"<none>",
+      Step_failure.cause_kind f.cause )
   in
-  let triple = Alcotest.(triple string string string) in
-  let in_process =
-    let b, y = build_ps_fault_step () in
-    failure_triple
+  let in_fault, in_deadline =
+    let b, fetches = build_ps_failures () in
+    ps_failures
       (Cluster.session (Cluster.create ~jobs:ps_worker_jobs) (B.graph b))
-      y
+      fetches
   in
-  Alcotest.check triple "in-process: node, device, cause kind" expected
-    in_process;
-  with_loopback_pair build_ps_fault_step (fun session (x, y) ->
-      Alcotest.check triple "over loopback: node, device, cause kind" expected
-        (failure_triple session (x, y));
+  Alcotest.(check (triple string string string))
+    "in-process: node, device, cause kind"
+    ("ps_matmul", "/job:ps/task:0/device:CPU:0", "fault_injected")
+    (triple in_fault);
+  (* every cause's wire form rebuilds it, budget included *)
+  List.iter
+    (fun (f : Step_failure.t) ->
+      Alcotest.(check string) "wire form rebuilds the cause"
+        (Step_failure.cause_message f.cause)
+        (Step_failure.cause_message
+           (Step_failure.cause_of_wire
+              ~kind:(Step_failure.cause_kind f.cause)
+              ~payload:(Step_failure.cause_payload f.cause))))
+    [ in_fault; in_deadline ];
+  with_loopback_pair build_ps_failures (fun session ((x, y, _) as fetches) ->
+      let fault, deadline = ps_failures session fetches in
+      Alcotest.(check string) "over loopback: the fault reads the same"
+        (Step_failure.to_string in_fault)
+        (Step_failure.to_string fault);
+      Alcotest.(check string) "over loopback: the deadline reads the same"
+        (Step_failure.to_string in_deadline)
+        (Step_failure.to_string deadline);
       (* the one-shot fault is spent: the same step now succeeds *)
       match Session.run ~feeds:[ (x, ones_2x2) ] session [ y ] with
       | [ t ] ->
           Alcotest.(check (float 0.0)) "retry succeeds" 3.0
             (Tensor.flat_get_f t 0)
       | _ -> assert false)
+
+(* The chief runs its own part on the calling thread and the RPC on
+   one more; the ps serves the step on one thread. Deadlines start no
+   thread: the process's one timer thread serves them all. *)
+let test_loopback_step_threads () =
+  with_loopback_pair build_ps_failures (fun session (x, y, _) ->
+      let step () =
+        ignore (Session.run ~deadline:10.0 ~feeds:[ (x, ones_2x2) ] session [ y ])
+      in
+      (* dials the ps and starts the timer *)
+      step ();
+      let (), started = Test_timer.threads_started step in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d threads started, at most 2" started)
+        true (started <= 2))
 
 let test_heartbeat_detects_wedged_peer () =
   (* A fake ps that completes the handshake, then goes silent: never
@@ -841,18 +893,8 @@ let test_chief_restart_reuses_low_step_ids () =
         attempt ()
   in
   attempt ();
-  let rec wait () =
-    match Rendezvous.try_recv (Runtime.rendezvous ps.rt) ~key with
-    | Some _ -> ()
-    | None ->
-        if Unix.gettimeofday () > deadline then
-          Alcotest.fail "restarted chief's step-1 tensor was dropped as late"
-        else begin
-          Thread.delay 0.02;
-          wait ()
-        end
-  in
-  wait ()
+  if not (arrives (Runtime.rendezvous ps.rt) ~key) then
+    Alcotest.fail "restarted chief's step-1 tensor was dropped as late"
 
 let test_slow_frame_counts_as_liveness () =
   (* A peer pushing one large frame cannot interleave pongs (its write
@@ -939,22 +981,9 @@ let test_slow_frame_counts_as_liveness () =
       Thread.join dribbler;
       Thread.join rpc)
   @@ fun () ->
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec wait () =
-    match
-      Rendezvous.try_recv (Runtime.rendezvous rt) ~key:"step:1;a;b;slow:0"
-    with
-    | Some _ -> ()
-    | None ->
-        if Unix.gettimeofday () > deadline then
-          Alcotest.fail
-            "slow frame never arrived: heartbeat cut the connection mid-frame"
-        else begin
-          Thread.delay 0.02;
-          wait ()
-        end
-  in
-  wait ()
+  if not (arrives (Runtime.rendezvous rt) ~key:"step:1;a;b;slow:0") then
+    Alcotest.fail
+      "slow frame never arrived: heartbeat cut the connection mid-frame"
 
 let suite =
   [
@@ -989,6 +1018,8 @@ let suite =
       test_two_runtime_training_and_recovery;
     Alcotest.test_case "remote failure names node, device, cause" `Quick
       test_remote_failure_attribution;
+    Alcotest.test_case "a loopback step starts at most 2 threads" `Quick
+      test_loopback_step_threads;
     Alcotest.test_case "heartbeat detects wedged peer" `Quick
       test_heartbeat_detects_wedged_peer;
     Alcotest.test_case "dead-peer write is structured" `Quick
