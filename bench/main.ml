@@ -2,7 +2,7 @@
    evaluation (§6), plus the per-layer micro-benchmarks. Run with no
    arguments for everything, or pass any of:
    table1 dispatch dispatch-wide kernels memory pipeline fig6 fig7 fig8
-   fig9 softmax-ablation shard-ablation
+   fig9 softmax-ablation
 
    Each experiment prints the series the paper plots; EXPERIMENTS.md
    records paper-vs-measured values. End-to-end serving and training
@@ -400,34 +400,6 @@ let softmax_ablation () =
         r.Sim.throughput)
     [ 64; 128; 256; 512; 1024; 4096 ]
 
-let shard_ablation () =
-  section "Ablation: embedding shards under Zipf access (real execution)";
-  let vocab = 50_000 and dim = 32 and batch = 256 in
-  let rng = Rng.create 11 in
-  let ids = Array.init batch (fun _ -> Rng.zipf rng ~n:vocab ~s:1.1) in
-  List.iter
-    (fun shards ->
-      let b = B.create () in
-      let store = Octf_nn.Var_store.create b in
-      let emb =
-        Octf_nn.Embedding.create store ~name:"emb" ~vocab ~dim
-          ~num_shards:shards ()
-      in
-      let ids_ph = B.placeholder b Dtype.I32 in
-      let looked = Octf_nn.Embedding.lookup emb b ids_ph in
-      let sum = B.reduce_sum b looked in
-      let init = Octf_nn.Var_store.init_op store in
-      let session = Octf.Session.create (B.graph b) in
-      Octf.Session.run_unit session [ init ];
-      let feed = [ (ids_ph, Tensor.of_int_array [| batch |] ids) ] in
-      let s =
-        time_kernel ~iters:50 (fun () ->
-            Octf.Session.run ~feeds:feed session [ sum ])
-      in
-      Printf.printf "  %2d shards: %8.0f lookups/s\n%!" shards
-        (float_of_int batch /. s))
-    [ 1; 2; 4; 8; 16 ]
-
 (* ------------------------------------------------------------------ *)
 (* Intra-op kernel throughput: matmul / conv2d / elementwise           *)
 (* ------------------------------------------------------------------ *)
@@ -490,46 +462,111 @@ let gemm_shapes ~smoke =
      else ("square_512", 512, 512, 512, false, false, 0.0));
   ]
 
-(* Each shape at one thread, timed in [trials] batches: GFLOP/s over
-   2mkn at the median batch, and the share of [peak] reached at the
-   best batch (the peak is a best too). The share counts useful flops, 2 nnz(A) n, so a kernel that
-   skips zero terms of a sparse A gets no credit for them. *)
+let random_with_zeros rng zeros shape =
+  Tensor.init_f shape (fun _ ->
+      if Rng.float rng 1.0 < zeros then 0.0
+      else Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+
+let nonzeros a = Array.fold_left (fun c v -> if v <> 0.0 then c + 1 else c) 0 a
+
+(* One kernel of an (m x k) x (k x n) contraction at one thread, timed
+   in [trials] batches of about 2e7 flops (2e6 in smoke mode): GFLOP/s
+   over 2mkn at the median batch, and the share of [peak] reached at the
+   best batch (the peak is a best too). The share counts useful flops,
+   2 nnz(A) n, so a kernel that skips zero terms of a sparse A gets no
+   credit for them. [fields] are extra JSON fields of the row. *)
+let roofline_row ~smoke ~peak ~kind ~name ~m ~k ~n ~zeros ~a_nonzeros ~fields
+    run =
+  let trials = if smoke then 3 else 9 in
+  let flops = 2.0 *. float_of_int (m * k * n) in
+  let iters = max 1 (int_of_float ((if smoke then 2e6 else 2e7) /. flops)) in
+  let median_s, best_s = timed_trials ~trials ~iters run in
+  let gflops = flops /. median_s /. 1e9 in
+  let useful_best = 2.0 *. float_of_int (a_nonzeros * n) /. best_s /. 1e9 in
+  let pct = 100.0 *. useful_best /. peak in
+  Printf.printf
+    "%s %-27s %4dx%4dx%4d (A %2.0f%% zeros), 1 thread: %8.3f ms  %5.2f \
+     GFLOP/s  %5.1f%% of peak\n%!"
+    kind name m k n (100.0 *. zeros) (1000.0 *. median_s) gflops pct;
+  Printf.sprintf
+    "{\"name\":%S,\"m\":%d,\"k\":%d,\"n\":%d,%s,\"a_nonzeros\":%d,\"median_ms\":%.4f,\"best_ms\":%.4f,\"gflops\":%.3f,\"pct_of_peak\":%.1f}"
+    name m k n fields a_nonzeros (1000.0 *. median_s) (1000.0 *. best_s) gflops
+    pct
+
 let gemm_roofline ~smoke ~peak =
   let rng = Rng.create 13 in
-  let trials = if smoke then 3 else 9 in
   Parallel.set_threads 1;
   List.map
     (fun (name, m, k, n, ta, tb, zeros) ->
-      let a =
-        Tensor.init_f (if ta then [| k; m |] else [| m; k |]) (fun _ ->
-            if Rng.float rng 1.0 < zeros then 0.0
-            else Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-      in
-      let b =
-        Tensor.uniform rng (if tb then [| n; k |] else [| k; n |]) ~lo:(-1.0)
-          ~hi:1.0
-      in
-      (* Batches of about 2e7 flops (2e6 in smoke mode). *)
-      let flops = 2.0 *. float_of_int (m * k * n) in
-      let iters =
-        max 1 (int_of_float ((if smoke then 2e6 else 2e7) /. flops))
-      in
-      let median_s, best_s =
-        timed_trials ~trials ~iters (fun () ->
-            Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b)
-      in
-      let nnz = Tensor.fold_f (fun c v -> if v <> 0.0 then c + 1 else c) 0 a in
-      let gflops = flops /. median_s /. 1e9 in
-      let useful_best = 2.0 *. float_of_int (nnz * n) /. best_s /. 1e9 in
-      let pct = 100.0 *. useful_best /. peak in
-      Printf.printf
-        "gemm %-18s %4dx%4dx%4d (A %2.0f%% zeros), 1 thread: %8.3f ms  %5.2f \
-         GFLOP/s  %5.1f%% of peak\n%!"
-        name m k n (100.0 *. zeros) (1000.0 *. median_s) gflops pct;
-      Printf.sprintf
-        "{\"name\":%S,\"m\":%d,\"k\":%d,\"n\":%d,\"transpose_a\":%b,\"transpose_b\":%b,\"a_nonzeros\":%d,\"median_ms\":%.4f,\"best_ms\":%.4f,\"gflops\":%.3f,\"pct_of_peak\":%.1f}"
-        name m k n ta tb nnz (1000.0 *. median_s) (1000.0 *. best_s) gflops pct)
+      let a = random_with_zeros rng zeros (if ta then [| k; m |] else [| m; k |]) in
+      let b = random_with_zeros rng 0.0 (if tb then [| n; k |] else [| k; n |]) in
+      roofline_row ~smoke ~peak ~kind:"gemm" ~name ~m ~k ~n ~zeros
+        ~a_nonzeros:(nonzeros (Tensor.float_buffer a))
+        ~fields:(Printf.sprintf "\"transpose_a\":%b,\"transpose_b\":%b" ta tb)
+        (fun () -> Tensor_ops.matmul ~transpose_a:ta ~transpose_b:tb a b))
     (gemm_shapes ~smoke)
+
+(* The same convolutions as whole kernels, im2col and col2im included,
+   as (name, kernel, (input shape, filter shape), zero share): the gap
+   to the GEMM-only row above is the kernel's data movement. The zeros
+   are the input's for Conv2D and Conv2DGradFilter (A is its im2col)
+   and dy's for Conv2DGradInput (A is dy). The half-zero filter gradient
+   is the mostly-zero A that once took the sparse loop. *)
+let conv_shapes =
+  let conv1 = ([| 8; 28; 28; 1 |], [| 5; 5; 1; 8 |])
+  and conv2 = ([| 8; 14; 14; 8 |], [| 5; 5; 8; 16 |]) in
+  [
+    ("conv1_fwd", `Fwd, conv1, 0.0);
+    ("conv2_fwd", `Fwd, conv2, 0.0);
+    ("conv1_grad_filter", `Filter, conv1, 0.0);
+    ("conv2_grad_filter", `Filter, conv2, 0.0);
+    ("conv2_grad_filter_half_zero", `Filter, conv2, 0.5);
+    ("conv2_grad_input", `Input, conv2, 0.75);
+  ]
+
+let conv_roofline ~smoke ~peak =
+  let rng = Rng.create 31 in
+  Parallel.set_threads 1;
+  let strides = (1, 1) and padding = Tensor_ops.Same in
+  List.map
+    (fun (name, kernel, (is, fs), zeros) ->
+      let rows = is.(0) * is.(1) * is.(2) and kdim = fs.(0) * fs.(1) * fs.(2) in
+      let oc = fs.(3) and dx = kernel = `Input in
+      let x = random_with_zeros rng (if dx then 0.0 else zeros) is in
+      let filter = random_with_zeros rng 0.0 fs in
+      let dy =
+        random_with_zeros rng (if dx then zeros else 0.0)
+          [| is.(0); is.(1); is.(2); oc |]
+      in
+      let cols_nonzeros () =
+        nonzeros
+          (Tensor_ops.im2col (Tensor.float_buffer x) ~ih:is.(1) ~iw:is.(2)
+             ~ic:is.(3) ~fh:fs.(0) ~fw:fs.(1) ~oh:is.(1) ~ow:is.(2) ~sh:1
+             ~sw:1 ~ph:(fs.(0) / 2) ~pw:(fs.(1) / 2) ~rows)
+      in
+      let (m, k, n), a_nonzeros, run =
+        match kernel with
+        | `Fwd ->
+            ( (rows, kdim, oc),
+              cols_nonzeros (),
+              fun () -> Tensor_ops.conv2d x filter ~strides ~padding )
+        | `Filter ->
+            ( (kdim, rows, oc),
+              cols_nonzeros (),
+              fun () ->
+                Tensor_ops.conv2d_grad_filter ~filter_shape:fs x dy ~strides
+                  ~padding )
+        | `Input ->
+            ( (rows, oc, kdim),
+              nonzeros (Tensor.float_buffer dy),
+              fun () ->
+                Tensor_ops.conv2d_grad_input ~input_shape:is filter dy ~strides
+                  ~padding )
+      in
+      roofline_row ~smoke ~peak ~kind:"conv" ~name ~m ~k ~n ~zeros ~a_nonzeros
+        ~fields:(Printf.sprintf "\"zeros\":%.2f" zeros)
+        run)
+    conv_shapes
 
 (* The int8 GEMMs of one serve_cnn_int8 batch of 8 (the same convnet
    quantized), as (name, m, k, n): the two im2col convolutions and the
@@ -607,14 +644,16 @@ let timed_cases ?(elem_bytes = 8) ~smoke ~peak ~label cases =
     cases
 
 (* The data-movement kernels of an LSTM step (the [x; h] concat and one
-   gate sliced out of the fused gate matrix) and a square transpose, at
-   one thread. *)
+   gate sliced out of the fused gate matrix), a square transpose and a
+   leading-axis sum, at one thread. The sum writes 8 floats, so its row
+   counts the elements it reads. *)
 let data_movement ~smoke ~peak =
   Parallel.set_threads 1;
   let rng = Rng.create 17 in
   let u shape = Tensor.uniform rng shape ~lo:(-1.0) ~hi:1.0 in
   let x = u [| 16; 128 |] and h = u [| 16; 128 |] in
   let gates = u [| 8; 128 |] and square = u [| 512; 512 |] in
+  let conv1_dy = u [| 8; 28; 28; 8 |] in
   let case name f = (name, Tensor.numel (f ()), f) in
   let rows =
     timed_cases ~smoke ~peak ~label:"copy"
@@ -623,6 +662,10 @@ let data_movement ~smoke ~peak =
         case "slice_8x32_of_8x128" (fun () ->
             Tensor_ops.slice gates ~begin_:[| 0; 32 |] ~size:[| 8; 32 |]);
         case "transpose_512x512" (fun () -> Tensor_ops.transpose square);
+        (* A bias gradient: train_convnet's conv1 dy summed to its bias. *)
+        ( "reduce_sum_8x28x28x8_to_8",
+          Tensor.numel conv1_dy,
+          fun () -> Tensor_ops.reduce_sum ~axes:[ 0; 1; 2 ] conv1_dy );
       ]
   in
   Printf.sprintf
@@ -781,6 +824,7 @@ let kernels () =
      trials): %.2f GFLOP/s\n%!"
     peak;
   let roofline = gemm_roofline ~smoke ~peak in
+  let conv_roofline = conv_roofline ~smoke ~peak in
   let int8_roofline = int8_gemm_roofline ~smoke ~peak in
   let blit_peak = measure_blit_peak_gbs ~trials:(if smoke then 10 else 50) in
   Printf.printf
@@ -984,6 +1028,7 @@ let kernels () =
       "{\"bench\":\"kernels\",\"smoke\":%b,\"cores\":%d,\n\
        \"peak\":{\"gflops\":%.3f,\"method\":\"scalar multiply-add, L1-resident operands, 8 independent accumulators, 1 thread, best of trials\"},\n\
        \"gemm_roofline\":[%s],\n\
+       \"conv_roofline\":[%s],\n\
        \"int8_gemm_roofline\":[%s],\n\
        \"data_movement\":%s,\n\
        \"pooling\":%s,\n\
@@ -998,6 +1043,7 @@ let kernels () =
       (Domain.recommended_domain_count ())
       peak
       (String.concat ",\n  " roofline)
+      (String.concat ",\n  " conv_roofline)
       (String.concat ",\n  " int8_roofline)
       data_movement
       pooling
@@ -1221,7 +1267,6 @@ let all_experiments =
     ("fig8", fig8);
     ("fig9", fig9);
     ("softmax-ablation", softmax_ablation);
-    ("shard-ablation", shard_ablation);
   ]
 
 let () =

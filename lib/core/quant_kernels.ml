@@ -465,38 +465,75 @@ let quantized_matmul ?bias ?(relu = false) ?out_range qa a_lo a_hi qb b_lo
    the code decoding to ~0.0 — so padding contributes (quantized) zeros
    to the contraction, matching the float conv's zero padding to within
    half a quantization step. Each filter row is one contiguous run of
-   the input (its in-bounds columns times [ic] bytes): one blit, plus
-   zero-point fills for the columns that fall in the padding. *)
+   the input (its in-bounds columns times [ic] bytes), plus zero-point
+   fills for the columns that fall in the padding. A run shorter than
+   [short_run] bytes (conv1's five, at ic = 1) is a plain loop: a
+   [Bytes.blit] or [Bytes.fill] there costs a C call for a few bytes.
+   Both buffers' lengths are checked once at entry, so the loops run
+   unchecked. *)
+let short_run = 16
+
+let[@inline] fill_run cols at len c =
+  if len < short_run then
+    for i = at to at + len - 1 do
+      Bytes.unsafe_set cols i c
+    done
+  else Bytes.unsafe_fill cols at len c
+
+let[@inline] copy_run src from cols at len =
+  if len < short_run then
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set cols (at + i) (Bytes.unsafe_get src (from + i))
+    done
+  else Bytes.unsafe_blit src from cols at len
+
 let im2col_q src cols ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~sh ~sw ~ph ~pw ~rows ~zp =
   let kdim = fh * fw * ic and run = fw * ic and zc = Char.chr zp in
+  if
+    ih < 0 || iw < 0 || ic < 0 || fh < 0 || fw < 0 || rows < 0
+    || (rows > 0 && (oh <= 0 || ow <= 0))
+    || rows > 0
+       && Bytes.length src < (rows + (oh * ow) - 1) / (oh * ow) * ih * iw * ic
+    || Bytes.length cols < rows * kdim
+  then
+    invalid_arg
+      (Printf.sprintf "Quant_kernels.im2col_q: buffers too short for %d rows"
+         rows);
   Parallel.parallel_for
     ~grain:(grain_for ~item_cost:kdim ~target_work:16384)
     rows
     (fun lo hi ->
+      (* Output pixel (b, y, x) of row rix, stepped without a division. *)
+      let x = ref (lo mod ow) and y = ref (lo / ow mod oh) in
+      let b = ref (lo / (ow * oh)) in
       for rix = lo to hi - 1 do
-        let x = rix mod ow in
-        let by = rix / ow in
-        let y = by mod oh in
-        let b = by / oh in
-        let x0 = (x * sw) - pw in
+        let x0 = (!x * sw) - pw in
         (* filter columns [kx0, kx1) land inside the input row *)
         let kx0 = if x0 < 0 then -x0 else 0 in
         let kx1 = if iw - x0 < fw then iw - x0 else fw in
         for ky = 0 to fh - 1 do
-          let sy = (y * sh) + ky - ph in
+          let sy = (!y * sh) + ky - ph in
           let cbase = (rix * kdim) + (ky * run) in
-          if sy < 0 || sy >= ih || kx1 <= kx0 then Bytes.fill cols cbase run zc
+          if sy < 0 || sy >= ih || kx1 <= kx0 then fill_run cols cbase run zc
           else begin
-            if kx0 > 0 then Bytes.fill cols cbase (kx0 * ic) zc;
-            Bytes.blit src
-              (((((b * ih) + sy) * iw) + x0 + kx0) * ic)
+            fill_run cols cbase (kx0 * ic) zc;
+            copy_run src
+              (((((!b * ih) + sy) * iw) + x0 + kx0) * ic)
               cols
               (cbase + (kx0 * ic))
               ((kx1 - kx0) * ic);
-            if kx1 < fw then
-              Bytes.fill cols (cbase + (kx1 * ic)) ((fw - kx1) * ic) zc
+            fill_run cols (cbase + (kx1 * ic)) ((fw - kx1) * ic) zc
           end
-        done
+        done;
+        incr x;
+        if !x = ow then begin
+          x := 0;
+          incr y;
+          if !y = oh then begin
+            y := 0;
+            incr b
+          end
+        end
       done)
 
 let quantized_conv2d ?bias ?(relu = false) ?out_range qin in_lo in_hi qf f_lo

@@ -96,26 +96,48 @@ let select cond a b =
    transposed operand is a stride swap, never a copy. Every output
    element is one float accumulator that starts at +0.0 and adds
    A[i,p]*B[p,j] in ascending p over the full k: the same operation
-   sequence as a naive dot product, whatever the tile, shard or thread
-   count, so results are bit-identical at every budget.
+   sequence as a naive dot product, whatever the tile, block, shard or
+   thread count, so results are bit-identical at every budget.
 
    Dense inputs run a 2x4 tile (eight accumulators, which stay in
    registers; a 4x4 tile spills), with narrower 2x1, 1x4 and 1x1 tiles
    of the same loop for the last n mod 4 columns and an odd last row.
+   Each tile call covers the k range [p0, p0 + kb): it starts from +0.0
+   when p0 = 0 and otherwise resumes from the partial sums an earlier
+   call stored in [out] (a stored and reloaded float is unchanged, so
+   splitting k into blocks keeps every bit).
 
-   When most of A is zero and B is all finite, each row runs 1x4 and
-   1x1 tiles over only its nonzero entries. Skipping a = 0 drops terms
-   0*b = +-0.0, which leave the accumulator unchanged exactly when b is
-   finite (the accumulator is never -0.0), so both loops give the same
-   bits; with a NaN or infinite b the dense loop runs and 0*b = NaN
-   propagates as IEEE requires. *)
+   A column-strided A (aps > 1: the cols^T of Conv2DGradFilter, or a
+   transposed MatMul operand) walks k in blocks of [k_block] rows: every
+   tile of a shard finishes one block before any starts the next, so the
+   block of A and of B stays in cache instead of each 2x4 tile streaming
+   all k rows of A again. A row-contiguous A runs k as one block.
+
+   When a row-contiguous A is mostly zero and B is all finite, each row
+   runs 1x4 and 1x1 tiles over only its nonzero entries. Skipping a = 0
+   drops terms 0*b = +-0.0, which leave the accumulator unchanged exactly
+   when b is finite (the accumulator is never -0.0), so both loops give
+   the same bits; with a NaN or infinite b the dense loop runs and
+   0*b = NaN propagates as IEEE requires. *)
+
+let[@inline] gemm_init (out : float array) o p0 =
+  if p0 = 0 then 0.0 else Array.unsafe_get out o
 
 let gemm_tile_2x4 (a : float array) ars aps (b : float array) bps bcs
-    (out : float array) n k i j =
-  let c00 = ref 0.0 and c01 = ref 0.0 and c02 = ref 0.0 and c03 = ref 0.0 in
-  let c10 = ref 0.0 and c11 = ref 0.0 and c12 = ref 0.0 and c13 = ref 0.0 in
-  let pa = ref (i * ars) and pb = ref (j * bcs) in
-  for _ = 1 to k do
+    (out : float array) n p0 kb i j =
+  let o0 = (i * n) + j in
+  let o1 = o0 + n in
+  let c00 = ref (gemm_init out o0 p0)
+  and c01 = ref (gemm_init out (o0 + 1) p0)
+  and c02 = ref (gemm_init out (o0 + 2) p0)
+  and c03 = ref (gemm_init out (o0 + 3) p0) in
+  let c10 = ref (gemm_init out o1 p0)
+  and c11 = ref (gemm_init out (o1 + 1) p0)
+  and c12 = ref (gemm_init out (o1 + 2) p0)
+  and c13 = ref (gemm_init out (o1 + 3) p0) in
+  let pa = ref ((i * ars) + (p0 * aps)) in
+  let pb = ref ((p0 * bps) + (j * bcs)) in
+  for _ = 1 to kb do
     let a0 = !pa and b0 = !pb in
     let b1 = b0 + bcs in
     let b2 = b1 + bcs in
@@ -135,37 +157,42 @@ let gemm_tile_2x4 (a : float array) ars aps (b : float array) bps bcs
     pa := a0 + aps;
     pb := b0 + bps
   done;
-  let o = (i * n) + j in
-  Array.unsafe_set out o !c00;
-  Array.unsafe_set out (o + 1) !c01;
-  Array.unsafe_set out (o + 2) !c02;
-  Array.unsafe_set out (o + 3) !c03;
-  let o = o + n in
-  Array.unsafe_set out o !c10;
-  Array.unsafe_set out (o + 1) !c11;
-  Array.unsafe_set out (o + 2) !c12;
-  Array.unsafe_set out (o + 3) !c13
+  Array.unsafe_set out o0 !c00;
+  Array.unsafe_set out (o0 + 1) !c01;
+  Array.unsafe_set out (o0 + 2) !c02;
+  Array.unsafe_set out (o0 + 3) !c03;
+  Array.unsafe_set out o1 !c10;
+  Array.unsafe_set out (o1 + 1) !c11;
+  Array.unsafe_set out (o1 + 2) !c12;
+  Array.unsafe_set out (o1 + 3) !c13
 
 let gemm_tile_2x1 (a : float array) ars aps (b : float array) bps bcs
-    (out : float array) n k i j =
-  let c0 = ref 0.0 and c1 = ref 0.0 in
-  let pa = ref (i * ars) and pb = ref (j * bcs) in
-  for _ = 1 to k do
+    (out : float array) n p0 kb i j =
+  let o0 = (i * n) + j in
+  let o1 = o0 + n in
+  let c0 = ref (gemm_init out o0 p0) and c1 = ref (gemm_init out o1 p0) in
+  let pa = ref ((i * ars) + (p0 * aps)) in
+  let pb = ref ((p0 * bps) + (j * bcs)) in
+  for _ = 1 to kb do
     let a0 = !pa and y = Array.unsafe_get b !pb in
     c0 := !c0 +. (Array.unsafe_get a a0 *. y);
     c1 := !c1 +. (Array.unsafe_get a (a0 + ars) *. y);
     pa := a0 + aps;
     pb := !pb + bps
   done;
-  let o = (i * n) + j in
-  Array.unsafe_set out o !c0;
-  Array.unsafe_set out (o + n) !c1
+  Array.unsafe_set out o0 !c0;
+  Array.unsafe_set out o1 !c1
 
 let gemm_tile_1x4 (a : float array) ars aps (b : float array) bps bcs
-    (out : float array) n k i j =
-  let c0 = ref 0.0 and c1 = ref 0.0 and c2 = ref 0.0 and c3 = ref 0.0 in
-  let pa = ref (i * ars) and pb = ref (j * bcs) in
-  for _ = 1 to k do
+    (out : float array) n p0 kb i j =
+  let o = (i * n) + j in
+  let c0 = ref (gemm_init out o p0)
+  and c1 = ref (gemm_init out (o + 1) p0)
+  and c2 = ref (gemm_init out (o + 2) p0)
+  and c3 = ref (gemm_init out (o + 3) p0) in
+  let pa = ref ((i * ars) + (p0 * aps)) in
+  let pb = ref ((p0 * bps) + (j * bcs)) in
+  for _ = 1 to kb do
     let x = Array.unsafe_get a !pa and b0 = !pb in
     let b1 = b0 + bcs in
     let b2 = b1 + bcs in
@@ -177,44 +204,53 @@ let gemm_tile_1x4 (a : float array) ars aps (b : float array) bps bcs
     pa := !pa + aps;
     pb := b0 + bps
   done;
-  let o = (i * n) + j in
   Array.unsafe_set out o !c0;
   Array.unsafe_set out (o + 1) !c1;
   Array.unsafe_set out (o + 2) !c2;
   Array.unsafe_set out (o + 3) !c3
 
 let gemm_tile_1x1 (a : float array) ars aps (b : float array) bps bcs
-    (out : float array) n k i j =
-  let c = ref 0.0 and pa = ref (i * ars) and pb = ref (j * bcs) in
-  for _ = 1 to k do
+    (out : float array) n p0 kb i j =
+  let o = (i * n) + j in
+  let c = ref (gemm_init out o p0) in
+  let pa = ref ((i * ars) + (p0 * aps)) in
+  let pb = ref ((p0 * bps) + (j * bcs)) in
+  for _ = 1 to kb do
     c := !c +. (Array.unsafe_get a !pa *. Array.unsafe_get b !pb);
     pa := !pa + aps;
     pb := !pb + bps
   done;
-  Array.unsafe_set out ((i * n) + j) !c
+  Array.unsafe_set out o !c
 
-(* One dense row pair (or the last row alone when m is odd). *)
-let gemm_dense_rows a ars aps b bps bcs out m n k i =
+(* One dense row pair (or the last row alone when m is odd) over the k
+   range [p0, p0 + kb). *)
+let gemm_dense_rows a ars aps b bps bcs out m n p0 kb i =
   let n4 = n - (n mod 4) in
   let j = ref 0 in
   if i + 1 < m then begin
     while !j < n4 do
-      gemm_tile_2x4 a ars aps b bps bcs out n k i !j;
+      gemm_tile_2x4 a ars aps b bps bcs out n p0 kb i !j;
       j := !j + 4
     done;
     for j = n4 to n - 1 do
-      gemm_tile_2x1 a ars aps b bps bcs out n k i j
+      gemm_tile_2x1 a ars aps b bps bcs out n p0 kb i j
     done
   end
   else begin
     while !j < n4 do
-      gemm_tile_1x4 a ars aps b bps bcs out n k i !j;
+      gemm_tile_1x4 a ars aps b bps bcs out n p0 kb i !j;
       j := !j + 4
     done;
     for j = n4 to n - 1 do
-      gemm_tile_1x1 a ars aps b bps bcs out n k i j
+      gemm_tile_1x1 a ars aps b bps bcs out n p0 kb i j
     done
   end
+
+(* Rows of k per block when A is column-strided, chosen by measurement
+   like a BLAS's kc: every size from 32 to 512 ran conv1's 25x6272x8
+   filter gradient about 7% faster than one block, and 128 was at least
+   as fast as the others on conv2's 200x1568x16 (EXPERIMENTS.md). *)
+let k_block = 128
 
 (* The sparse loop packs row i of A as its [nz] nonzero entries, in
    ascending p: [vals] holds A[i,p] and [boffs] the offset p*bps of the
@@ -315,8 +351,13 @@ let gemm ~m ~k ~n (a, ars, aps) (b, bps, bcs) =
   check_operand "A" (Array.length a) m k ars aps;
   check_operand "B" (Array.length b) k n bps bcs;
   let out = Buffer_pool.alloc_float ~zero:false (m * n) in
+  let column_strided = aps > 1 in
   if m > 0 && n > 0 then
-    if k > 0 && mostly_zero a ars aps m k && all_finite b bps bcs k n then
+    if
+      (not column_strided) && k > 0
+      && mostly_zero a ars aps m k
+      && all_finite b bps bcs k n
+    then
       Parallel.parallel_for
         ~grain:(grain_for ~item_cost:(k * n) ~target_work:32768)
         m
@@ -325,14 +366,22 @@ let gemm ~m ~k ~n (a, ars, aps) (b, bps, bcs) =
           for i = lo to hi - 1 do
             gemm_sparse_row a ars aps b bps bcs out n k i boffs vals
           done)
-    else
+    else begin
+      (* k = 0 still runs one empty block, which stores the +0.0 sums. *)
+      let kb = max 1 (if column_strided then min k k_block else k) in
+      let blocks = max 1 ((k + kb - 1) / kb) in
       Parallel.parallel_for
         ~grain:(grain_for ~item_cost:(2 * k * n) ~target_work:32768)
         ((m + 1) / 2)
         (fun lo hi ->
-          for g = lo to hi - 1 do
-            gemm_dense_rows a ars aps b bps bcs out m n k (2 * g)
-          done);
+          for blk = 0 to blocks - 1 do
+            let p0 = blk * kb in
+            let kb = min kb (k - p0) in
+            for g = lo to hi - 1 do
+              gemm_dense_rows a ars aps b bps bcs out m n p0 kb (2 * g)
+            done
+          done)
+    end;
   out
 
 (* (buffer, row stride, column stride) that read [buf] as a [rows x cols]
@@ -375,86 +424,121 @@ let transpose ?perm t =
     ~dst:out ~dst_off:0 ~dst_strides:(Shape.strides out_shape) out_shape;
   out
 
-(* Reductions shard over output slots: each slot's reduced sub-space is
-   walked in row-major order by an odometer over the reduced dimensions,
-   which visits exactly the ascending-flat-index subsequence the serial
-   elementwise scan used — so values (and therefore rounding) are
-   unchanged, and slots are independent so any shard layout gives
-   bit-identical results. *)
-let reduce_generic init combine finish ?(axes = []) ?(keep_dims = false) t =
+(* [Float.max], with the ordered cases decided before its sign-bit test. *)
+let[@inline] fmax x y =
+  if y > x then y
+  else if x > y || (x = y && x <> 0.0) then x
+  else Float.max x y
+
+(* Reductions fold each output slot's elements in ascending flat-index
+   order, from +0.0 for a sum or mean and -inf for a max: the order of a
+   serial scan, so slots are independent and any shard layout gives the
+   same bits. When the reduced axes are a leading prefix (bias
+   gradients, SumToShape), the input is [count] rows of [nout] slots and
+   the slots accumulate row after row, one unit-stride pass per row.
+   Otherwise each slot walks its reduced sub-space: an odometer over the
+   outer reduced axes around a strided run of the innermost one. *)
+type reduction = Sum | Mean | Max
+
+let reduce kind ?(axes = []) ?(keep_dims = false) t =
+  let src = T.float_buffer t in
   let in_shape = T.shape t in
   let out_shape = Shape.reduce ~keep_dims in_shape axes in
   let r = Shape.rank in_shape in
-  let axes_n =
-    if axes = [] then List.init r (fun i -> i)
-    else List.map (Shape.normalize_axis in_shape) axes
-  in
-  let reduced = Array.make r false in
-  List.iter (fun a -> reduced.(a) <- true) axes_n;
+  let reduced = Array.make r (axes = []) in
+  List.iter (fun a -> reduced.(Shape.normalize_axis in_shape a) <- true) axes;
   let in_strides = Shape.strides in_shape in
-  let kept_dims = ref [] and kept_in_strides = ref [] in
-  let red_dims = ref [] and red_strides = ref [] in
-  for d = r - 1 downto 0 do
-    if reduced.(d) then begin
-      red_dims := in_shape.(d) :: !red_dims;
-      red_strides := in_strides.(d) :: !red_strides
-    end
-    else begin
-      kept_dims := in_shape.(d) :: !kept_dims;
-      kept_in_strides := in_strides.(d) :: !kept_in_strides
-    end
-  done;
-  let kept_dims = Array.of_list !kept_dims in
-  let kept_in_strides = Array.of_list !kept_in_strides in
-  let red_dims = Array.of_list !red_dims in
-  let red_strides = Array.of_list !red_strides in
+  (* Sizes and input strides of the reduced (or kept) axes, in order. *)
+  let axes_where red =
+    let ds = ref [] and ss = ref [] in
+    for d = r - 1 downto 0 do
+      if reduced.(d) = red then begin
+        ds := in_shape.(d) :: !ds;
+        ss := in_strides.(d) :: !ss
+      end
+    done;
+    (Array.of_list !ds, Array.of_list !ss)
+  in
+  let red_dims, red_strides = axes_where true in
+  let kept_dims, kept_in_strides = axes_where false in
   let kept_out_strides = Shape.strides kept_dims in
   let nkept = Array.length kept_dims and nred = Array.length red_dims in
-  let red_count = Array.fold_left ( * ) 1 red_dims in
+  let count = Array.fold_left ( * ) 1 red_dims in
   let nout = Shape.numel out_shape in
-  let out = Array.make nout 0.0 in
-  Parallel.parallel_for
-    ~grain:(grain_for ~item_cost:red_count ~target_work:8192)
-    nout
-    (fun lo hi ->
-      let idx = Array.make (max 1 nred) 0 in
-      for o = lo to hi - 1 do
-        let base = ref 0 in
-        for d = 0 to nkept - 1 do
-          base :=
-            !base
-            + (o / kept_out_strides.(d) mod kept_dims.(d) * kept_in_strides.(d))
-        done;
-        Array.fill idx 0 nred 0;
-        let acc = ref init and off = ref !base in
-        for _ = 1 to red_count do
-          acc := combine !acc (T.flat_get_f t !off);
-          let d = ref (nred - 1) and carry = ref true in
-          while !carry && !d >= 0 do
-            idx.(!d) <- idx.(!d) + 1;
-            off := !off + red_strides.(!d);
-            if idx.(!d) = red_dims.(!d) then begin
-              off := !off - (red_dims.(!d) * red_strides.(!d));
-              idx.(!d) <- 0;
-              decr d
-            end
-            else carry := false
-          done
-        done;
-        out.(o) <- finish !acc red_count
-      done);
+  let is_max = kind = Max in
+  let out = Array.make nout (if is_max then Float.neg_infinity else 0.0) in
+  let grain = grain_for ~item_cost:count ~target_work:8192 in
+  let prefix = Array.for_all (fun red -> red) (Array.sub reduced 0 nred) in
+  if prefix then
+    Parallel.parallel_for ~grain nout (fun lo hi ->
+        for row = 0 to count - 1 do
+          let base = row * nout in
+          if is_max then
+            for o = lo to hi - 1 do
+              let v = Array.unsafe_get src (base + o) in
+              Array.unsafe_set out o (fmax (Array.unsafe_get out o) v)
+            done
+          else
+            for o = lo to hi - 1 do
+              Array.unsafe_set out o
+                (Array.unsafe_get out o +. Array.unsafe_get src (base + o))
+            done
+        done)
+  else if count > 0 then begin
+    let inner = nred - 1 in
+    let run = red_dims.(inner) and stride = red_strides.(inner) in
+    let runs = count / run in
+    Parallel.parallel_for ~grain nout (fun lo hi ->
+        let idx = Array.make nred 0 in
+        for o = lo to hi - 1 do
+          let off = ref 0 in
+          for d = 0 to nkept - 1 do
+            off :=
+              !off
+              + (o / kept_out_strides.(d) mod kept_dims.(d)
+                * kept_in_strides.(d))
+          done;
+          Array.fill idx 0 nred 0;
+          let acc = ref (Array.unsafe_get out o) in
+          for _ = 1 to runs do
+            let p = !off in
+            if is_max then
+              for i = 0 to run - 1 do
+                acc := fmax !acc (Array.unsafe_get src (p + (i * stride)))
+              done
+            else
+              for i = 0 to run - 1 do
+                acc := !acc +. Array.unsafe_get src (p + (i * stride))
+              done;
+            (* Advance the odometer over the outer reduced axes. *)
+            let d = ref (inner - 1) and carry = ref true in
+            while !carry && !d >= 0 do
+              idx.(!d) <- idx.(!d) + 1;
+              off := !off + red_strides.(!d);
+              if idx.(!d) = red_dims.(!d) then begin
+                off := !off - (red_dims.(!d) * red_strides.(!d));
+                idx.(!d) <- 0;
+                decr d
+              end
+              else carry := false
+            done
+          done;
+          Array.unsafe_set out o !acc
+        done)
+  end;
+  if kind = Mean && count > 0 then begin
+    let c = float_of_int count in
+    for o = 0 to nout - 1 do
+      Array.unsafe_set out o (Array.unsafe_get out o /. c)
+    done
+  end;
   T.of_float_array ~dtype:(T.dtype t) out_shape out
 
-let reduce_sum ?axes ?keep_dims t =
-  reduce_generic 0.0 ( +. ) (fun v _ -> v) ?axes ?keep_dims t
+let reduce_sum ?axes ?keep_dims t = reduce Sum ?axes ?keep_dims t
 
-let reduce_mean ?axes ?keep_dims t =
-  reduce_generic 0.0 ( +. )
-    (fun v c -> if c = 0 then 0.0 else v /. float_of_int c)
-    ?axes ?keep_dims t
+let reduce_mean ?axes ?keep_dims t = reduce Mean ?axes ?keep_dims t
 
-let reduce_max ?axes ?keep_dims t =
-  reduce_generic Float.neg_infinity Float.max (fun v _ -> v) ?axes ?keep_dims t
+let reduce_max ?axes ?keep_dims t = reduce Max ?axes ?keep_dims t
 
 let argmax t ~axis =
   let in_shape = T.shape t in
@@ -907,35 +991,80 @@ let conv_dim ~padding ~in_size ~filter ~stride =
 (* im2col: unroll convolution input patches into a
    [batch*oh*ow x fh*fw*ic] row-major matrix whose columns line up with
    HWIO filter rows, turning conv2d and both of its gradients into
-   blocked matmuls over the shared GEMM core. Out-of-bounds (padding)
-   patch entries stay zero. *)
+   blocked matmuls over the shared GEMM core.
+
+   Each (patch row, filter row) pair is one run: the filter columns
+   [kx0, kx1) that land inside the input row are (kx1 - kx0) * ic
+   contiguous input floats, copied as they lie, and the columns that
+   fall in the padding before and after them are zero fills. The input
+   length is checked once here, so the copies run unchecked. *)
+
+let check_im2col_input len ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~rows =
+  if
+    ih < 0 || iw < 0 || ic < 0 || fh < 0 || fw < 0 || rows < 0
+    || (rows > 0 && (oh <= 0 || ow <= 0))
+    || (rows > 0 && len < (rows + (oh * ow) - 1) / (oh * ow) * ih * iw * ic)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Tensor_ops.im2col: %d input floats too short for %d rows over \
+          %dx%dx%d images"
+         len rows ih iw ic)
+
+let[@inline] zero_run (dst : float array) at len =
+  for i = at to at + len - 1 do
+    Array.unsafe_set dst i 0.0
+  done
+
+(* A run of 16 floats or more is one [Array.blit] (conv2's 40-float
+   runs copied in about half the time); a shorter one, such as conv1's
+   five, is a loop, cheaper than the C call. *)
+let[@inline] copy_run (src : float array) from (dst : float array) at len =
+  if len >= 16 then Array.blit src from dst at len
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (at + i) (Array.unsafe_get src (from + i))
+    done
+
 let im2col din ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~sh ~sw ~ph ~pw ~rows =
-  let kdim = fh * fw * ic in
-  let cols = Buffer_pool.alloc_float (rows * kdim) in
+  check_im2col_input (Array.length din) ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~rows;
+  let kdim = fh * fw * ic and run = fw * ic in
+  let cols = Buffer_pool.alloc_float ~zero:false (rows * kdim) in
   Parallel.parallel_for
     ~grain:(grain_for ~item_cost:kdim ~target_work:16384)
     rows
     (fun lo hi ->
+      (* Output pixel (b, y, x) of row rix, stepped without a division. *)
+      let x = ref (lo mod ow) and y = ref (lo / ow mod oh) in
+      let b = ref (lo / (ow * oh)) in
       for rix = lo to hi - 1 do
-        let x = rix mod ow in
-        let by = rix / ow in
-        let y = by mod oh in
-        let b = by / oh in
-        let rbase = rix * kdim in
+        let x0 = (!x * sw) - pw in
+        (* Filter columns [kx0, kx1) land inside the input row. *)
+        let kx0 = if x0 < 0 then -x0 else 0 in
+        let kx1 = if iw - x0 < fw then iw - x0 else fw in
         for ky = 0 to fh - 1 do
-          let sy = (y * sh) + ky - ph in
-          if sy >= 0 && sy < ih then
-            for kx = 0 to fw - 1 do
-              let sx = (x * sw) + kx - pw in
-              if sx >= 0 && sx < iw then begin
-                let ibase = (((b * ih) + sy) * iw + sx) * ic in
-                let cbase = rbase + (((ky * fw) + kx) * ic) in
-                for c = 0 to ic - 1 do
-                  cols.(cbase + c) <- din.(ibase + c)
-                done
-              end
-            done
-        done
+          let sy = (!y * sh) + ky - ph in
+          let cbase = (rix * kdim) + (ky * run) in
+          if sy < 0 || sy >= ih || kx1 <= kx0 then zero_run cols cbase run
+          else begin
+            zero_run cols cbase (kx0 * ic);
+            copy_run din
+              (((((!b * ih) + sy) * iw) + x0 + kx0) * ic)
+              cols
+              (cbase + (kx0 * ic))
+              ((kx1 - kx0) * ic);
+            zero_run cols (cbase + (kx1 * ic)) ((fw - kx1) * ic)
+          end
+        done;
+        incr x;
+        if !x = ow then begin
+          x := 0;
+          incr y;
+          if !y = oh then begin
+            y := 0;
+            incr b
+          end
+        end
       done);
   cols
 
@@ -975,24 +1104,29 @@ let conv2d_grad_input ~input_shape filter dy ~strides ~padding =
       (operand ~transposed:true dft oc kdim)
   in
   let out = Buffer_pool.alloc_float (batch * ih * iw * ic) in
+  (* col2im: the runs of im2col, added back in the same (y, x, ky, kx, c)
+     order as a per-element scatter, so every input element sees its
+     contributions in that order. dcols and out are sized here from the
+     same geometry, so the adds run unchecked. *)
   Parallel.parallel_for ~grain:1 batch (fun blo bhi ->
       for b = blo to bhi - 1 do
         for y = 0 to oh - 1 do
           for x = 0 to ow - 1 do
             let rbase = ((((b * oh) + y) * ow) + x) * kdim in
+            let x0 = (x * sw) - pw in
+            let kx0 = if x0 < 0 then -x0 else 0 in
+            let kx1 = if iw - x0 < fw then iw - x0 else fw in
             for ky = 0 to fh - 1 do
               let sy = (y * sh) + ky - ph in
-              if sy >= 0 && sy < ih then
-                for kx = 0 to fw - 1 do
-                  let sx = (x * sw) + kx - pw in
-                  if sx >= 0 && sx < iw then begin
-                    let ibase = (((b * ih) + sy) * iw + sx) * ic in
-                    let cbase = rbase + (((ky * fw) + kx) * ic) in
-                    for c = 0 to ic - 1 do
-                      out.(ibase + c) <- out.(ibase + c) +. dcols.(cbase + c)
-                    done
-                  end
+              if sy >= 0 && sy < ih && kx0 < kx1 then begin
+                let dst = ((((b * ih) + sy) * iw) + x0 + kx0) * ic
+                and src = rbase + (((ky * fw) + kx0) * ic) in
+                for i = 0 to ((kx1 - kx0) * ic) - 1 do
+                  Array.unsafe_set out (dst + i)
+                    (Array.unsafe_get out (dst + i)
+                    +. Array.unsafe_get dcols (src + i))
                 done
+              end
             done
           done
         done
@@ -1037,12 +1171,6 @@ type pool_bufs =
   | Max_f of float array * float array
   | Avg_f of float array * float array
   | Max_u8 of Bytes.t * Bytes.t
-
-(* [Float.max], with the ordered cases decided before its sign-bit test. *)
-let[@inline] fmax x y =
-  if y > x then y
-  else if x > y || (x = y && x <> 0.0) then x
-  else Float.max x y
 
 let pool_shape input ~ksize ~strides ~padding =
   let is = T.shape input in

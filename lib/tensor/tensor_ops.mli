@@ -197,6 +197,31 @@ val conv_dim :
     shared by [conv2d], its gradients, and the quantized convolution
     ({!Octf.Quant_kernels}). *)
 
+val im2col :
+  float array ->
+  ih:int ->
+  iw:int ->
+  ic:int ->
+  fh:int ->
+  fw:int ->
+  oh:int ->
+  ow:int ->
+  sh:int ->
+  sw:int ->
+  ph:int ->
+  pw:int ->
+  rows:int ->
+  float array
+(** [im2col input ~rows ...] unrolls the patches of an NHWC input
+    ([ih x iw x ic] per image) into a [rows x fh*fw*ic] row-major matrix,
+    one row per output pixel (image, y, x) of an [oh x ow] output at
+    strides [sh, sw] and pad-before [ph, pw]; taps in the padding are
+    [0.0]. Its columns line up with HWIO filter rows, so [conv2d] and
+    both of its gradients are this plus one GEMM. The result is a
+    {!Buffer_pool} buffer the caller may release.
+    @raise Invalid_argument if [input] is shorter than the
+    [ceil (rows / (oh*ow))] images the rows read. *)
+
 val conv2d :
   Tensor.t -> Tensor.t -> strides:int * int -> padding:padding -> Tensor.t
 (** [conv2d input filter]: input is NHWC [batch; h; w; in_c], filter is

@@ -492,6 +492,8 @@ let test_gemm_bit_exact_conv () =
       conv_case rng ~bt:2 ~ih:7 ~iw:9 ~ic:1 ~fh:5 ~fw:5 ~oc:8;
       conv_case rng ~bt:1 ~ih:8 ~iw:6 ~ic:3 ~fh:3 ~fw:2 ~oc:5;
       conv_case rng ~bt:3 ~ih:5 ~iw:5 ~ic:4 ~fh:3 ~fw:3 ~oc:17;
+      (* im2col runs of 16 bytes and more: the blit and fill path. *)
+      conv_case rng ~bt:2 ~ih:6 ~iw:7 ~ic:8 ~fh:3 ~fw:3 ~oc:6;
     ]
   in
   List.iter

@@ -628,6 +628,263 @@ let test_broadcast_fast_path () =
       ("general [4;1]", [| 4; 1 |]);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Run-copy im2col, the k-blocked GEMM and typed reductions, each     *)
+(* checked bit for bit at 1, 2 and 4 intra-op threads                 *)
+(* ------------------------------------------------------------------ *)
+
+let at_budgets f =
+  let saved = Parallel.threads () in
+  Fun.protect ~finally:(fun () -> Parallel.set_threads saved) @@ fun () ->
+  List.iter
+    (fun t ->
+      Parallel.set_threads t;
+      f t)
+    [ 1; 2; 4 ]
+
+(* One value per element, decoded per tap: no run-copy shortcut. *)
+let im2col_ref din ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~sh ~sw ~ph ~pw ~rows =
+  let kdim = fh * fw * ic in
+  Array.init (rows * kdim) (fun i ->
+      let rix = i / kdim and t = i mod kdim in
+      let x = rix mod ow and y = rix / ow mod oh and b = rix / (ow * oh) in
+      let ky = t / (fw * ic) and kx = t / ic mod fw and c = t mod ic in
+      let sy = (y * sh) + ky - ph and sx = (x * sw) + kx - pw in
+      if sy >= 0 && sy < ih && sx >= 0 && sx < iw then
+        din.((((((b * ih) + sy) * iw) + sx) * ic) + c)
+      else 0.0)
+
+(* Leave a garbage buffer of [n] floats in the pool, so a kernel that
+   takes its output with [~zero:false] and skips an element shows it. *)
+let poison_pool n =
+  let junk = Buffer_pool.alloc_float n in
+  Array.fill junk 0 n Float.nan;
+  Buffer_pool.release_float junk
+
+let test_im2col_runs () =
+  (* (name, images, ih, iw, ic, fh, fw, sh, sw, ph, pw): a filter wider
+     than the input, a stride past the filter, padding wide enough that
+     whole windows miss the input (kx1 <= kx0), and conv1's geometry. *)
+  let cases =
+    [
+      ("filter wider than input", 2, 3, 2, 2, 5, 5, 1, 1, 2, 2);
+      ("stride past the filter", 2, 11, 10, 3, 2, 2, 3, 3, 0, 0);
+      ("windows outside the input", 1, 3, 3, 2, 2, 2, 1, 1, 4, 4);
+      ("conv1", 2, 28, 28, 1, 5, 5, 1, 1, 2, 2);
+    ]
+  in
+  let rng = Rng.create 41 in
+  at_budgets @@ fun t ->
+  List.iter
+    (fun (name, images, ih, iw, ic, fh, fw, sh, sw, ph, pw) ->
+      let oh = ((ih + (2 * ph) - fh) / sh) + 1
+      and ow = ((iw + (2 * pw) - fw) / sw) + 1 in
+      let rows = images * oh * ow in
+      let din = fill_dense rng (images * ih * iw * ic) in
+      poison_pool (rows * fh * fw * ic);
+      let got =
+        O.im2col din ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~sh ~sw ~ph ~pw ~rows
+      and want =
+        im2col_ref din ~ih ~iw ~ic ~fh ~fw ~oh ~ow ~sh ~sw ~ph ~pw ~rows
+      in
+      if
+        not
+          (Array.length got = Array.length want
+          && Array.for_all2 same_bits want got)
+      then
+        Alcotest.failf "im2col %s, %d threads: differs from per-tap copy" name
+          t)
+    cases
+
+let test_im2col_short_input () =
+  let raises = ref false in
+  (try
+     ignore
+       (O.im2col (Array.make 17 1.0) ~ih:3 ~iw:3 ~ic:2 ~fh:2 ~fw:2 ~oh:2 ~ow:2
+          ~sh:1 ~sw:1 ~ph:0 ~pw:0 ~rows:4)
+   with Invalid_argument _ -> raises := true);
+  Alcotest.(check bool) "17 floats for one 3x3x2 image" true !raises
+
+(* Filter gradients with k (the patch positions) past two 128-row
+   blocks, an odd m (fh*fw*ic = 25), n = oc mod 4 <> 0, at stride 1 SAME
+   and stride 2 VALID; the other two kernels on the same shapes. *)
+let test_conv_long_k () =
+  let rng = Rng.create 43 in
+  let shapes =
+    [
+      ("SAME stride 1", [| 8; 28; 28; 1 |], [| 5; 5; 1; 7 |], 1, O.Same);
+      ("VALID stride 2", [| 8; 28; 28; 1 |], [| 5; 5; 1; 6 |], 2, O.Valid);
+      ("VALID stride 2, ic 3", [| 2; 15; 13; 3 |], [| 3; 3; 3; 5 |], 2,
+       O.Valid);
+    ]
+  in
+  let cases =
+    List.map
+      (fun (name, is, fs, stride, padding) ->
+        let strides = (stride, stride) in
+        let input =
+          Tensor.of_float_array is (fill_sparse rng (Shape.numel is))
+        and filter =
+          Tensor.of_float_array fs (fill_dense rng (Shape.numel fs))
+        in
+        let out = O.conv2d input filter ~strides ~padding in
+        let dy =
+          Tensor.of_float_array (Tensor.shape out)
+            (fill_dense rng (Tensor.numel out))
+        in
+        ( name,
+          input,
+          filter,
+          dy,
+          strides,
+          padding,
+          conv2d_ref input filter ~strides ~padding,
+          conv2d_grad_filter_ref ~filter_shape:fs input dy ~strides ~padding,
+          conv2d_grad_input_ref ~input_shape:is filter dy ~strides ~padding ))
+      shapes
+  in
+  at_budgets @@ fun t ->
+  List.iter
+    (fun (name, input, filter, dy, strides, padding, fwd, dfilter, dinput) ->
+      let msg what = Printf.sprintf "%s %s, %d threads" what name t in
+      check_bits (msg "conv2d") fwd (O.conv2d input filter ~strides ~padding);
+      check_bits (msg "grad filter") dfilter
+        (O.conv2d_grad_filter ~filter_shape:(Tensor.shape filter) input dy
+           ~strides ~padding);
+      check_bits (msg "grad input") dinput
+        (O.conv2d_grad_input ~input_shape:(Tensor.shape input) filter dy
+           ~strides ~padding))
+    cases
+
+(* A NaN and an infinity in dy against a mostly-zero input: the filter
+   gradient is cols^T dy over every patch position, zero taps included,
+   so 0 * nan and 0 * inf must come out NaN as in a naive triple loop. *)
+let test_conv_grad_filter_nonfinite () =
+  let rng = Rng.create 47 in
+  let is = [| 2; 20; 20; 2 |] and fs = [| 3; 3; 2; 5 |] in
+  let input = Tensor.of_float_array is (fill_sparse rng (Shape.numel is)) in
+  let oh = 18 and ow = 18 in
+  let rows = 2 * oh * ow and kdim = 18 in
+  let dy_data = fill_dense rng (rows * 5) in
+  dy_data.(7 * 5) <- Float.nan;
+  dy_data.((300 * 5) + 3) <- Float.infinity;
+  let dy = Tensor.of_float_array [| 2; oh; ow; 5 |] dy_data in
+  let cols =
+    O.im2col (Tensor.float_buffer input) ~ih:20 ~iw:20 ~ic:2 ~fh:3 ~fw:3 ~oh
+      ~ow ~sh:1 ~sw:1 ~ph:0 ~pw:0 ~rows
+  in
+  let want =
+    Tensor.reshape
+      (naive_matmul ~ta:false ~tb:false
+         (O.transpose (t2 rows kdim (Array.copy cols)))
+         (t2 rows 5 dy_data))
+      fs
+  in
+  at_budgets @@ fun t ->
+  let got =
+    O.conv2d_grad_filter ~filter_shape:fs input dy ~strides:(1, 1)
+      ~padding:O.Valid
+  in
+  check_bits (Printf.sprintf "grad filter, %d threads" t) want got;
+  let column o =
+    List.init kdim (fun f -> Tensor.flat_get_f got ((f * 5) + o))
+  in
+  Alcotest.(check bool) "nan column all NaN" true
+    (List.for_all Float.is_nan (column 0));
+  Alcotest.(check bool) "inf column has 0 * inf = NaN" true
+    (List.exists Float.is_nan (column 3))
+
+(* The order a serial scan folds in: every input element, ascending flat
+   index, into the slot its kept coordinates name. *)
+let reduce_ref kind ~axes ~keep_dims x =
+  let is = Tensor.shape x in
+  let r = Array.length is in
+  let reduced = Array.make r (axes = []) in
+  List.iter (fun a -> reduced.(Shape.normalize_axis is a) <- true) axes;
+  let os = Shape.reduce ~keep_dims is axes in
+  let count =
+    Array.fold_left ( * ) 1
+      (Array.of_list (List.filteri (fun d _ -> reduced.(d)) (Array.to_list is)))
+  in
+  let out =
+    Array.make (Shape.numel os)
+      (if kind = `Max then Float.neg_infinity else 0.0)
+  in
+  let kept =
+    Array.of_list (List.filter (fun d -> not reduced.(d)) (List.init r Fun.id))
+  in
+  let kept_shape = Array.map (fun d -> is.(d)) kept in
+  for i = 0 to Tensor.numel x - 1 do
+    let idx = Shape.multi_index is i in
+    let o = Shape.flat_index kept_shape (Array.map (fun d -> idx.(d)) kept) in
+    let v = Tensor.flat_get_f x i in
+    out.(o) <- (if kind = `Max then Float.max out.(o) v else out.(o) +. v)
+  done;
+  if kind = `Mean && count > 0 then
+    Array.iteri (fun o v -> out.(o) <- v /. float_of_int count) out;
+  Tensor.of_float_array os out
+
+let test_reductions_typed () =
+  let rng = Rng.create 53 in
+  let data n =
+    let a = fill_dense rng n in
+    (* Signed zeros and a NaN, so max's ordering and NaN rules show. *)
+    if n > 3 then begin
+      a.(0) <- -0.0;
+      a.(1) <- 0.0;
+      a.(n - 1) <- Float.nan
+    end;
+    a
+  in
+  let cases =
+    [
+      ([| 3; 4; 5 |], [ 0 ]);
+      ([| 3; 4; 5 |], [ 0; 1 ]);
+      ([| 3; 4; 5 |], [ 1 ]);
+      ([| 3; 4; 5 |], [ 2 ]);
+      ([| 3; 4; 5 |], [ 0; 2 ]);
+      ([| 3; 4; 5 |], [ -1 ]);
+      ([| 3; 4; 5 |], [ 1; 1 ]);
+      ([| 3; 4; 5 |], [ -3; 0 ]);
+      ([| 3; 4; 5 |], [ 2; 0; 1 ]);
+      ([| 3; 4; 5 |], []);
+      ([| 8; 28; 28; 8 |], [ 0; 1; 2 ]);
+      ([| 2; 70; 3; 40 |], [ 1; 3 ]);
+      ([| 0; 3 |], [ 0 ]);
+      ([| 3; 0 |], [ 1 ]);
+      ([| 2; 0; 3 |], [ 1 ]);
+      ([| 2; 0; 3 |], [ 0 ]);
+      ([||], []);
+    ]
+  in
+  let inputs =
+    List.map
+      (fun (shape, axes) ->
+        (shape, axes, Tensor.of_float_array shape (data (Shape.numel shape))))
+      cases
+  in
+  at_budgets @@ fun t ->
+  List.iter
+    (fun (shape, axes, x) ->
+      List.iter
+        (fun keep_dims ->
+          List.iter
+            (fun (kind, name, f) ->
+              check_bits
+                (Printf.sprintf "%s %s axes [%s] keep_dims %b, %d threads" name
+                   (Shape.to_string shape)
+                   (String.concat ";" (List.map string_of_int axes))
+                   keep_dims t)
+                (reduce_ref kind ~axes ~keep_dims x)
+                (f ?axes:(Some axes) ?keep_dims:(Some keep_dims) x))
+            [
+              (`Sum, "sum", O.reduce_sum);
+              (`Mean, "mean", O.reduce_mean);
+              (`Max, "max", O.reduce_max);
+            ])
+        [ false; true ])
+    inputs
+
 let suite =
   [
     Alcotest.test_case "elementwise" `Quick test_elementwise;
@@ -659,4 +916,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gather_scatter_adjoint;
     QCheck_alcotest.to_alcotest prop_partition_stitch_roundtrip;
     QCheck_alcotest.to_alcotest prop_softmax_invariant_to_shift;
+    Alcotest.test_case "im2col runs match per-tap copy" `Quick test_im2col_runs;
+    Alcotest.test_case "im2col rejects a short input" `Quick
+      test_im2col_short_input;
+    Alcotest.test_case "conv kernels past two k-blocks" `Quick test_conv_long_k;
+    Alcotest.test_case "grad filter: 0 * nan and 0 * inf" `Quick
+      test_conv_grad_filter_nonfinite;
+    Alcotest.test_case "typed reductions match serial scan" `Quick
+      test_reductions_typed;
   ]
