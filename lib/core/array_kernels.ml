@@ -18,12 +18,12 @@ let register () =
          DynamicStitch in a sharded embedding lookup (§4.2). *)
       let n = Tensor.numel (K.input_tensor ctx 0) in
       K.one (t (Tensor.iota n)));
-  K.register ~op_type:"RandomIndices" (fun ctx ->
+  K.register ~op_type:"RandomIndices" ~random:true (fun ctx ->
       (* n uniform ints in [0, range): the candidate sampler behind
          sampled softmax (§4.2, §6.4). *)
       let n = Node.attr_int ctx.K.node "n" in
       let range = Node.attr_int ctx.K.node "range" in
-      let out = Array.init n (fun _ -> Rng.int ctx.K.rng range) in
+      let out = Array.init n (fun _ -> Rng.int (K.rng ctx) range) in
       K.one (t (Tensor.of_int_array [| n |] out)));
   K.register ~op_type:"ExpandDims" (fun ctx ->
       let x = K.input_tensor ctx 0 in

@@ -4,10 +4,10 @@
     "ps" for parameter-server tasks and "worker" for workers). Each task
     owns its devices and its resource manager, so variables placed on
     ["/job:ps/task:0"] live in that task's state exactly as in a real
-    deployment; partitioned steps run one executor thread per device,
-    standing in for the per-task dataflow executors of §5, and
-    communicate through the shared in-process rendezvous (DESIGN.md,
-    substitution 2).
+    deployment; partitioned steps run one executor per device, standing
+    in for the per-task dataflow executors of §5, as fibers of the
+    step's thread, and communicate through the step's in-process
+    rendezvous (DESIGN.md, substitution 2).
 
     The paper relies on Chubby/ZooKeeper only to map task ids to
     addresses; here the equivalent name service is the lookup tables in

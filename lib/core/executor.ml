@@ -80,6 +80,7 @@ type plan = {
   poolable : bool array array;  (* no consumer retains the endpoint *)
   aliases : (int * int) list array;  (* declared May_alias pairs *)
   kernels : Kernel.t option array;  (* instantiated once, by [prepare] *)
+  random : bool array;  (* the kernel draws from a per-node stream *)
   recv_suffix : string array;  (* a Recv's rendezvous key suffix; "" else *)
   scheduler : Scheduler.policy;
   planning : bool;  (* memory planning for this plan's steps *)
@@ -317,6 +318,8 @@ let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
         (fun (n : Node.t) -> Kernel.aliases ~op_type:n.Node.op_type)
         nodes;
     kernels = Array.map instantiate nodes;
+    random =
+      Array.map (fun (n : Node.t) -> Kernel.random ~op_type:n.Node.op_type) nodes;
     recv_suffix =
       Array.map
         (fun (n : Node.t) ->
@@ -795,14 +798,18 @@ let stage st (i, it) =
       (fun () -> complete st i it (Array.make p.num_outputs.(i) Value.Dead))
   else begin
     (* An injected straggler waits here, on the coordinating thread,
-       where blocking kernels wait: not on a pool worker. *)
-    Fault_injector.straggle n ~step_id:st.step_id;
+       not on a pool worker, and parks only its own part. *)
+    (let slow = Fault_injector.straggle n ~step_id:st.step_id in
+     if slow > 0.0 then Option.iter (fun s -> Scheduler.pause s slow) st.sched);
     let rng =
-      Rng.create
-        (st.seed
-        + (st.step_id * 1_000_003)
-        + (n.Node.id * 7_919)
-        + (it.index * 104_729))
+      if p.random.(i) then
+        Some
+          (Rng.create
+             (st.seed
+             + (st.step_id * 1_000_003)
+             + (n.Node.id * 7_919)
+             + (it.index * 104_729)))
+      else None
     in
     let ctx =
       {
@@ -886,7 +893,7 @@ let fetch p root (e : Node.endpoint) =
                (Graph.get p.graph e.node_id).Node.name e.index)))
 
 let execute p ~feeds ~fetches ~resources ?rendezvous ?tracer ?cancel
-    ?(seed = 0) ?(step_id = 0) ?var_snapshot () =
+    ?(seed = 0) ?(step_id = 0) ?var_snapshot ~sync () =
   let pinned = Array.make (Array.length p.nodes) [||] in
   List.iter
     (fun (e : Node.endpoint) ->
@@ -947,7 +954,7 @@ let execute p ~feeds ~fetches ~resources ?rendezvous ?tracer ?cancel
       cancel;
     }
   in
-  let sched = Scheduler.create p.scheduler ops in
+  let sched = Scheduler.create sync p.scheduler ops in
   st.sched <- Some sched;
   let root = new_instance p ~parent:None in
   (* Whatever the step's fate, the process-wide gauges must not keep

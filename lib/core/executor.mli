@@ -9,17 +9,20 @@
 
     Scheduling notes:
     - where ready kernels run is delegated to {!Scheduler}: the
-      [Inline] policy executes every kernel on the coordinating thread
-      (single-threaded per partition, as before), while the [Pool]
-      policy dispatches ready non-blocking kernels onto the shared
-      {!Domain_pool} so independent branches of one step run on
-      distinct cores; concurrent steps and multi-partition steps each
-      run their coordinating loop in its own thread (see {!Session} and
-      {!Cluster});
+      [Inline] policy executes every kernel on the coordinating thread,
+      while the [Pool] policy dispatches ready non-blocking kernels onto
+      the shared {!Domain_pool} so independent branches of one step run
+      on distinct cores; concurrent steps each run on their own thread,
+      and the in-process partitions of one step share it, each
+      coordinating loop a fiber that parks where it would wait (see
+      {!Scheduler.run_parts} and {!Session});
     - potentially blocking kernels (queue operations) always stay on
       the coordinating thread and are scheduled only when no
       non-blocking work remains, which keeps worker domains from ever
-      parking; a ready [Recv] is armed once in the rendezvous and
+      parking; such a kernel holds the step's thread, which is safe
+      because every op on a queue is colocated with it (so no sibling
+      partition holds the Enqueue it waits for); a ready [Recv] is
+      armed once in the rendezvous and
       completed by its [Send] (see {!Rendezvous.arm}), which guarantees
       progress across partitions of an acyclic dataflow graph;
     - both policies produce bit-identical fetches: kernel results depend
@@ -87,6 +90,7 @@ val execute :
   ?seed:int ->
   ?step_id:int ->
   ?var_snapshot:(string -> Octf_tensor.Tensor.t option) ->
+  sync:Scheduler.sync ->
   unit ->
   Value.t list
 (** Execute one step of a prepared plan and return the value of each
@@ -101,7 +105,9 @@ val execute :
     structured error instead of hanging. [var_snapshot] (from the
     pipelined session's admission control) redirects [Read] kernels to
     the variable values captured when the step was admitted; updates
-    still land on live variables.
+    still land on live variables. The call is one part of a step run
+    by {!Scheduler.run_parts} on [sync], and parks its fiber where it
+    would wait.
 
     @raise Step_failure.Error on kernel failure, deadline expiry, a
     missing or partial feed, or an unproduced fetch *)

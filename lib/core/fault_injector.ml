@@ -303,11 +303,12 @@ let kernel_hook (n : Node.t) ~step_id =
     | None -> ()
   end
 
-(* Persistent stragglers: every matching kernel at/after the step
-   sleeps before it is dispatched. Summed when several specs match; the
-   sleep happens outside the injector lock. *)
+(* Persistent stragglers: the seconds a matching kernel at/after the
+   step waits before it is dispatched, summed when several specs match.
+   The executor parks the kernel's part that long. *)
 let straggle (n : Node.t) ~step_id =
-  if !enabled then begin
+  if not !enabled then 0.0
+  else
     let slow =
       with_lock (fun () ->
           List.fold_left
@@ -321,10 +322,9 @@ let straggle (n : Node.t) ~step_id =
     in
     if slow > 0.0 then begin
       Metrics.Counter.incr (m_injected "slow");
-      with_lock (fun () -> state.injected <- state.injected + 1);
-      Thread.delay (slow /. 1000.0)
-    end
-  end
+      with_lock (fun () -> state.injected <- state.injected + 1)
+    end;
+    slow /. 1000.0
 
 let send_hook ~key ~step_id : send_action =
   if not !enabled then `Deliver

@@ -24,7 +24,7 @@
       send (the paired Recv must be rescued by a deadline);
     - [delay:<pattern>@<step>:<ms>] — delay the matching send;
     - [slow:<pattern>@<step>:<ms>] — persistent straggler: {e every}
-      matching kernel at/after the step sleeps [ms] before running (a
+      matching kernel at/after the step waits [ms] before running (a
       slow reader or slow disk, for pipelining experiments);
     - [dropconn:<peer>@<step>] — sever the TCP connection to the peer
       whose ["job/task"] name contains [peer], the next time a frame is
@@ -99,13 +99,13 @@ val kernel_hook : Node.t -> step_id:int -> unit
 (** Called by the executor before running a kernel.
     @raise Injected when a spec fires for this node/step. *)
 
-val straggle : Node.t -> step_id:int -> unit
+val straggle : Node.t -> step_id:int -> float
 (** Called by the executor on the step's coordinating thread before a
-    kernel is dispatched: sleeps for the {!Slow_kernel} specs that match
-    the node at this step. The straggle blocks the step the way a slow
-    reader's I/O does (the scheduler's [Blocking] class waits on the
-    same thread), so the straggles of pipelined steps overlap whichever
-    scheduler runs their kernels. *)
+    kernel is dispatched: the seconds the {!Slow_kernel} specs that
+    match the node at this step make it wait, 0 when none does. The
+    executor parks the node's part that long ({!Scheduler.pause}): the
+    straggle delays that part the way a slow reader's I/O does, while
+    the step's other parts, and other steps, keep running. *)
 
 val send_hook : key:string -> step_id:int -> send_action
 (** Called by the [Send] kernel before publishing to the rendezvous. *)

@@ -102,7 +102,7 @@ let constant_fold graph ~nodes ~fed =
                 inputs;
                 resources = Resource_manager.create ();
                 rendezvous = None;
-                rng = Rng.create 0;
+                rng = None;
                 step_id = 0;
                 cancel = None;
                 grants = [];

@@ -3,7 +3,7 @@ type ctx = {
   inputs : Value.t array;
   resources : Resource_manager.t;
   rendezvous : Rendezvous.t option;
-  rng : Octf_tensor.Rng.t;
+  rng : Octf_tensor.Rng.t option;
   step_id : int;
   cancel : Cancel.t option;
   grants : (int * int) list;
@@ -28,13 +28,17 @@ let registry : (string * Device.device_type, Node.t -> t) Hashtbl.t =
    size). *)
 let alias_registry : (string, (int * int) list) Hashtbl.t = Hashtbl.create 64
 
+(* Op types whose kernels draw from the step's per-node stream. *)
+let random_registry : (string, unit) Hashtbl.t = Hashtbl.create 8
+
 let register_per_node ~op_type ?(devices = [ Device.CPU; Device.GPU ])
-    ?(aliases = []) build =
+    ?(aliases = []) ?(random = false) build =
   if aliases <> [] then Hashtbl.replace alias_registry op_type aliases;
+  if random then Hashtbl.replace random_registry op_type ();
   List.iter (fun d -> Hashtbl.replace registry (op_type, d) build) devices
 
-let register ~op_type ?devices ?aliases kernel =
-  register_per_node ~op_type ?devices ?aliases (fun _ -> kernel)
+let register ~op_type ?devices ?aliases ?random kernel =
+  register_per_node ~op_type ?devices ?aliases ?random (fun _ -> kernel)
 
 let instantiate ~device (node : Node.t) =
   Option.map
@@ -43,6 +47,16 @@ let instantiate ~device (node : Node.t) =
 
 let aliases ~op_type =
   Option.value ~default:[] (Hashtbl.find_opt alias_registry op_type)
+
+let random ~op_type = Hashtbl.mem random_registry op_type
+
+let rng ctx =
+  match ctx.rng with
+  | Some r -> r
+  | None ->
+      invalid_arg
+        (ctx.node.Node.op_type ^ " draws random numbers but was not registered \
+                                 ~random")
 
 let supported_devices ~op_type =
   List.filter

@@ -16,7 +16,9 @@ type ctx = {
   inputs : Value.t array;
   resources : Resource_manager.t;
   rendezvous : Rendezvous.t option;  (** present in partitioned steps *)
-  rng : Octf_tensor.Rng.t;  (** per-step stream for random ops *)
+  rng : Octf_tensor.Rng.t option;
+      (** the node's stream for this step and iteration; present only
+          for an op registered [~random] (read it with {!rng}) *)
   step_id : int;
   cancel : Cancel.t option;
       (** the step's cancellation token; blocking kernels must pass it
@@ -50,6 +52,7 @@ val register :
   op_type:string ->
   ?devices:Device.device_type list ->
   ?aliases:(int * int) list ->
+  ?random:bool ->
   t ->
   unit
 (** Register one implementation for [op_type] on each listed device type
@@ -58,12 +61,16 @@ val register :
     [aliases] declares May_alias [(input_idx, output_idx)] pairs: the
     kernel {e can} write that output into that input's buffer when the
     executor grants it (see {!type:ctx}[.grants]). Kernels read their
-    grants through {!granted_buffer} / {!granted_input}. *)
+    grants through {!granted_buffer} / {!granted_input}.
+
+    [random] (default false) marks an op whose kernel draws random
+    numbers: only such a kernel gets a stream in its context. *)
 
 val register_per_node :
   op_type:string ->
   ?devices:Device.device_type list ->
   ?aliases:(int * int) list ->
+  ?random:bool ->
   (Node.t -> t) ->
   unit
 (** Like {!register}, for a kernel that does per-node set-up (parsing
@@ -77,6 +84,13 @@ val instantiate : device:Device.device_type -> Node.t -> t option
 
 val aliases : op_type:string -> (int * int) list
 (** Declared May_alias pairs for [op_type] (empty if none). *)
+
+val random : op_type:string -> bool
+(** Was [op_type] registered [~random]? *)
+
+val rng : ctx -> Octf_tensor.Rng.t
+(** The kernel's random stream.
+    @raise Invalid_argument if its op was not registered [~random]. *)
 
 val supported_devices : op_type:string -> Device.device_type list
 (** Device types with a registered kernel; empty when unknown. *)

@@ -163,13 +163,13 @@ let register () =
       let shape = Node.attr_shape ctx.K.node "shape" in
       let v = Node.attr_float ctx.K.node "value" in
       K.one (t (Tensor.full Dtype.F32 shape v)));
-  K.register ~op_type:"RandomUniform" (fun ctx ->
+  K.register ~op_type:"RandomUniform" ~random:true (fun ctx ->
       let shape = Node.attr_shape ctx.K.node "shape" in
       let lo = Node.attr_float ctx.K.node "lo"
       and hi = Node.attr_float ctx.K.node "hi" in
-      K.one (t (Tensor.uniform ctx.K.rng shape ~lo ~hi)));
-  K.register ~op_type:"RandomNormal" (fun ctx ->
+      K.one (t (Tensor.uniform (K.rng ctx) shape ~lo ~hi)));
+  K.register ~op_type:"RandomNormal" ~random:true (fun ctx ->
       let shape = Node.attr_shape ctx.K.node "shape" in
       let mean = Node.attr_float ctx.K.node "mean"
       and stddev = Node.attr_float ctx.K.node "stddev" in
-      K.one (t (Tensor.normal ctx.K.rng shape ~mean ~stddev)))
+      K.one (t (Tensor.normal (K.rng ctx) shape ~mean ~stddev)))

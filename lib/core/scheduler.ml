@@ -31,39 +31,93 @@ type 'task ops = {
    apart: [in_flight] is what a collateral failure must wait for. *)
 type completion = Landed of (unit -> unit) | Received of (unit -> unit)
 
+(* One mutex and one condition for every part of a step. Worker
+   domains, senders' threads and the timer post under [lock] and signal
+   [cond]; the thread that runs the step's parts, as fibers of
+   {!run_parts}, waits on it. *)
+type sync = { lock : Mutex.t; cond : Condition.t }
+
+let sync () = { lock = Mutex.create (); cond = Condition.create () }
+
+(* A fiber gives up the thread until [ready ()] holds. The runner calls
+   [ready] under the sync's lock. A fiber must not park while it holds a
+   mutex: the fibers of one thread share its ownership. *)
+type _ Effect.t += Park : (unit -> bool) -> unit Effect.t
+
+let park ready = Effect.perform (Park ready)
+
+(* Run every part as a fiber of the calling thread. A part runs until
+   it parks or returns; then the runner resumes the first parked part,
+   in park order, whose predicate holds, and waits on the condition only
+   when none does. *)
+let run_parts s parts =
+  let parked : ((unit -> bool) * (unit, unit) Effect.Deep.continuation) list ref
+      =
+    ref [] (* oldest first *)
+  and failure = ref None in
+  let handler =
+    {
+      Effect.Deep.retc = (fun () -> ());
+      exnc = (fun e -> if !failure = None then failure := Some e);
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Park ready ->
+              Some
+                (fun (k : (a, unit) Effect.Deep.continuation) ->
+                  parked := !parked @ [ (ready, k) ])
+          | _ -> None);
+    }
+  in
+  List.iter (fun part -> Effect.Deep.match_with part () handler) parts;
+  let rec next () =
+    match List.find_opt (fun (ready, _) -> ready ()) !parked with
+    | Some ((_, k) as p) ->
+        parked := List.filter (( != ) p) !parked;
+        k
+    | None ->
+        Condition.wait s.cond s.lock;
+        next ()
+  in
+  while !parked <> [] do
+    Mutex.lock s.lock;
+    let k = next () in
+    Mutex.unlock s.lock;
+    Effect.Deep.continue k ()
+  done;
+  Option.iter raise !failure
+
 (* Completions cross from worker domains and from senders' threads back
-   to the coordinating thread through [completions]; the counters are
-   touched only by the coordinator. *)
+   to the coordinating thread through [completions], under the sync's
+   lock; the counters are touched only by the coordinator. *)
 type 'task t = {
   policy : policy;
   ops : 'task ops;
   ready : 'task Queue.t;
   blocking : 'task Queue.t;
-  mutex : Mutex.t;
-  posted : Condition.t;
+  sync : sync;
   mutable completions : completion list;  (* reversed arrival order *)
   mutable in_flight : int;  (* kernels on the pool *)
   mutable armed : int;  (* Recvs armed, completion not yet applied *)
 }
 
-let create policy ops =
+let create sync policy ops =
   {
     policy;
     ops;
     ready = Queue.create ();
     blocking = Queue.create ();
-    mutex = Mutex.create ();
-    posted = Condition.create ();
+    sync;
     completions = [];
     in_flight = 0;
     armed = 0;
   }
 
 let post t c =
-  Mutex.lock t.mutex;
+  Mutex.lock t.sync.lock;
   t.completions <- c :: t.completions;
-  Condition.signal t.posted;
-  Mutex.unlock t.mutex
+  Condition.signal t.sync.cond;
+  Mutex.unlock t.sync.lock
 
 let add t task =
   match t.ops.classify task with
@@ -75,7 +129,7 @@ let add t task =
 
 (* Take what has been posted; with [block], first wait until something
    is, or (with [cancellable]) the step's token has fired. The cancel
-   waker broadcasts under [t.mutex], so it cannot slip between the
+   waker signals under the sync's lock, so it cannot slip between the
    check and the wait. *)
 let take ?(cancellable = true) ~block t =
   let cancelled () =
@@ -85,20 +139,17 @@ let take ?(cancellable = true) ~block t =
     | Some c -> Cancel.cancelled c <> None
     | None -> false
   in
-  Mutex.lock t.mutex;
-  if block then
-    while t.completions = [] && not (cancelled ()) do
-      Condition.wait t.posted t.mutex
-    done;
+  if block then park (fun () -> t.completions <> [] || cancelled ());
+  Mutex.lock t.sync.lock;
   let cs = t.completions in
   t.completions <- [];
-  Mutex.unlock t.mutex;
+  Mutex.unlock t.sync.lock;
   List.rev cs
 
 let wake t () =
-  Mutex.lock t.mutex;
-  Condition.broadcast t.posted;
-  Mutex.unlock t.mutex
+  Mutex.lock t.sync.lock;
+  Condition.signal t.sync.cond;
+  Mutex.unlock t.sync.lock
 
 let apply t = function
   | Landed k ->
@@ -117,11 +168,23 @@ let rec apply_all t = function
       (match apply t c with
       | () -> ()
       | exception e ->
-          Mutex.lock t.mutex;
+          Mutex.lock t.sync.lock;
           t.completions <- t.completions @ List.rev rest;
-          Mutex.unlock t.mutex;
+          Mutex.unlock t.sync.lock;
           raise e);
       apply_all t rest
+
+let pause t seconds =
+  let fired = ref false in
+  ignore
+    (Timer.at
+       (Unix.gettimeofday () +. seconds)
+       (fun () ->
+         Mutex.lock t.sync.lock;
+         fired := true;
+         Condition.signal t.sync.cond;
+         Mutex.unlock t.sync.lock));
+  park (fun () -> !fired)
 
 let run_now t task =
   match t.ops.stage task with Finish k -> k () | Offload run -> (run ()) ()

@@ -9,22 +9,28 @@
 
     - {!Inline} — the original single-threaded loop: every kernel runs
       immediately on the coordinating thread, in FIFO readiness order.
-      Zero dispatch overhead; one core per partition.
+      Zero dispatch overhead; one core per step, whose in-process parts
+      take turns on it (see {!run_parts}).
     - {!Pool} — ready non-blocking kernels are dispatched onto the
       shared {!Domain_pool}, so independent branches of one step run on
       distinct cores (true intra-step inter-op parallelism). The
       dataflow bookkeeping stays on the coordinating thread; worker
       domains only run kernels.
 
-    Blocking rule (progress guarantee): kernels that may park the
+    Blocking rule (progress guarantee): kernels that may block the
     calling thread — queue operations — are never offloaded. They run on
     the coordinating thread, and only when no other work is ready and
-    no kernel is in flight, exactly as in the inline loop. A [Recv]
-    never parks anything: when it becomes ready it is {e armed} in the
-    rendezvous once, and its value is pushed to the coordinator through
-    the same completion queue that carries pool kernels' results. A
-    worker domain therefore never blocks, and every submitted task
-    terminates.
+    no kernel is in flight, exactly as in the inline loop. Such a kernel
+    blocks the whole step's thread, every part of it, not a fiber: it
+    waits on the queue's own condition. That cannot stall the step on
+    itself, because every op on a queue is colocated with the queue
+    ({!Placement}), so the Enqueue that would fill a Dequeue is in the
+    same part, never in a sibling part waiting for the thread; only
+    another step or thread fills it. A [Recv] never blocks anything:
+    when it becomes ready it is {e armed} in the rendezvous once, and
+    its value is pushed to the coordinator through the same completion
+    queue that carries pool kernels' results. A worker domain therefore
+    never blocks, and every submitted task terminates.
 
     Determinism: a kernel's output depends only on its input values and
     its per-node RNG stream (derived from seed, step id, node id and
@@ -86,7 +92,43 @@ type 'task ops = {
 
 type 'task t
 
-val create : policy -> 'task ops -> 'task t
+(** {1 One thread per step}
+
+    A step's in-process parts share one thread. Each part's drive loop
+    runs as a fiber of {!run_parts} and gives the thread up only where
+    it would otherwise wait: for a pool kernel, an armed [Recv], the
+    step's token, or an injected straggle ({!pause}). A [Send] to
+    another part of the step posts the [Recv]'s completion and its
+    sender runs on; the runner resumes the receiver when the sender
+    parks. *)
+
+type sync
+(** The one mutex and condition shared by every part of a step:
+    completions from worker domains, remote senders' threads and the
+    timer are posted under it, and the step's thread waits on it only
+    when no parked part can go on. *)
+
+val sync : unit -> sync
+
+val run_parts : sync -> (unit -> unit) list -> unit
+(** [run_parts s parts] runs every part to completion as a fiber of the
+    calling thread. A part runs until it parks or returns; the runner
+    then resumes the longest-parked part that can go on, and waits on
+    [s]'s condition when none can (a pool kernel in flight, a [Send]
+    from another thread, the timer). An exception a part raises is
+    re-raised once every part has returned. A hung step shows here as a
+    parked part whose wait never ends.
+
+    A part must not park while it holds a mutex: the fibers of one
+    thread share its ownership. *)
+
+val create : sync -> policy -> 'task ops -> 'task t
+(** A scheduler for one part of a step run by {!run_parts} on [sync]:
+    its {!drive} parks the part's fiber where it would wait. *)
+
+val pause : 'task t -> float -> unit
+(** [pause t s] parks the calling part until a {!Timer} entry fires [s]
+    seconds from now; the step's other parts run meanwhile. *)
 
 val add : 'task t -> 'task -> unit
 (** Make a task ready; a {!Recv} task is armed at once. Called from the

@@ -418,10 +418,13 @@ let is_local t device =
    this process's devices, each with its feeds and fetches mapped
    through [find]. With [dispatch] (the chief under a runtime) it also
    sends one Run_step RPC per remote task owning the other parts;
-   without it those parts are someone else's. The calling thread runs
-   the first part (or RPC), one more thread each of the others. It
-   returns the fetch endpoints this process produced or was sent, or the
-   step's root-cause failure.
+   without it those parts are someone else's. Every local part runs on
+   the calling thread, as a fiber of one {!Scheduler.run_parts} that
+   parks where its drive loop would wait, so an in-process Send hands
+   its value to the Recv's part without a thread switch. Each RPC gets
+   a thread of its own, as it blocks on the wire, unless it is all the
+   step has. It returns the fetch endpoints this process produced or
+   was sent, or the step's root-cause failure.
 
    Rendezvous: under a runtime every step uses its shared routed one,
    which is never aborted (the abort is sticky and would poison every
@@ -452,7 +455,7 @@ let execute_parts t step ~step_id ~feeds ~fetches ?tracer ?cancel
     errors := f :: !errors;
     Mutex.unlock mutex
   in
-  let run_part p =
+  let run_part sync p =
     let feeds =
       List.filter_map
         (fun (e, v) -> Option.map (fun l -> (l, v)) (p.find e))
@@ -467,7 +470,8 @@ let execute_parts t step ~step_id ~feeds ~fetches ?tracer ?cancel
           (match p.device with
           | Some d -> t.resource_router d
           | None -> t.default_resources)
-        ?rendezvous ?tracer ?cancel ~seed:t.seed ~step_id ?var_snapshot ()
+        ?rendezvous ?tracer ?cancel ~seed:t.seed ~step_id ?var_snapshot ~sync
+        ()
     with
     | vs -> record_results (List.map2 (fun (e, _) v -> (e, v)) fetches vs)
     | exception e ->
@@ -504,11 +508,17 @@ let execute_parts t step ~step_id ~feeds ~fetches ?tracer ?cancel
             | Error f -> record_failure (place (job, task) f))
           (List.sort_uniq compare (List.filter_map task_of remote))
   in
-  (match List.map (fun p () -> run_part p) local @ rpcs with
-  | [] -> ()
-  | run :: others ->
-      let threads = List.map (fun run -> Thread.create run ()) others in
-      Fun.protect ~finally:(fun () -> List.iter Thread.join threads) run);
+  let on_caller, threaded =
+    match (local, rpcs) with
+    | [], rpc :: others -> (rpc, others)
+    | _ ->
+        let sync = Scheduler.sync () in
+        ( (fun () ->
+            Scheduler.run_parts sync (List.map (fun p () -> run_part sync p) local)),
+          rpcs )
+  in
+  let threads = List.map (fun rpc -> Thread.create rpc ()) threaded in
+  Fun.protect ~finally:(fun () -> List.iter Thread.join threads) on_caller;
   (* Scrub entries a partitioned step leaked (sends whose Recv died with
      the step): essential on the long-lived shared rendezvous, keeps the
      pending gauge honest on a private one. A worker leaves this to the

@@ -6,7 +6,8 @@
     partitions the result into per-device subgraphs with [Send]/[Recv]
     pairs, and {e caches} the compiled step so a large graph can be
     re-executed with one cheap call per step (§3.3's low-latency repeated
-    execution). Multi-device steps run one executor thread per partition,
+    execution). Multi-device steps run one executor per partition, all
+    on the calling thread as fibers of {!Scheduler.run_parts},
     synchronized through a per-step {!Rendezvous}.
 
     Sessions are safe to call from several threads at once; concurrent

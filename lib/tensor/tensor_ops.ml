@@ -113,11 +113,11 @@ let select cond a b =
    block of A and of B stays in cache instead of each 2x4 tile streaming
    all k rows of A again. A row-contiguous A runs k as one block.
 
-   When a row-contiguous A is mostly zero and B is all finite, each row
-   runs 1x4 and 1x1 tiles over only its nonzero entries. Skipping a = 0
-   drops terms 0*b = +-0.0, which leave the accumulator unchanged exactly
-   when b is finite (the accumulator is never -0.0), so both loops give
-   the same bits; with a NaN or infinite b the dense loop runs and
+   When the sparse loop pays (see [sparse_pays]) and B is all finite,
+   each row of a row-contiguous A runs 1x4 and 1x1 tiles over only its
+   nonzero entries. Skipping a = 0 drops terms 0*b = +-0.0, which leave
+   the accumulator unchanged exactly when b is finite (the accumulator
+   is never -0.0), so both loops give the same bits; with a NaN or infinite b the dense loop runs and
    0*b = NaN propagates as IEEE requires. *)
 
 let[@inline] gemm_init (out : float array) o p0 =
@@ -323,16 +323,27 @@ let check_operand what len rows cols rs cs =
       (Printf.sprintf "Tensor_ops.gemm: %s buffer of %d too short for %dx%d"
          what len rows cols)
 
-let mostly_zero (a : float array) ars aps m k =
+(* The sparse loop packs each row of A, which costs about 8 dense
+   multiply-adds per entry, and its 1x4 tiles do about half the dense
+   2x4 tiles' work per second. It pays when 8 m k + 2 nnz(A) n < m k n:
+   never at n <= 8, above 75% zeros at n = 16, 62.5% at n = 32, and
+   just over half at large n (measured at the train_convnet GEMM shapes
+   with 55, 75 and 95% zeros, EXPERIMENTS.md). The zero census is
+   branch-free: at mixed zero shares a branch per entry mispredicts so
+   often that counting cost as much as the dense GEMM itself. *)
+let sparse_pays (a : float array) ars aps m k n =
+  n > 8
+  &&
   let zeros = ref 0 in
   for i = 0 to m - 1 do
     let pa = ref (i * ars) in
     for _ = 1 to k do
-      if Array.unsafe_get a !pa = 0.0 then incr zeros;
+      zeros := !zeros + Bool.to_int (Array.unsafe_get a !pa = 0.0);
       pa := !pa + aps
     done
   done;
-  2 * !zeros > m * k
+  let mk = m * k in
+  (8 * mk) + (2 * (mk - !zeros) * n) < mk * n
 
 let all_finite (b : float array) bps bcs k n =
   let ok = ref true and p = ref 0 in
@@ -355,7 +366,7 @@ let gemm ~m ~k ~n (a, ars, aps) (b, bps, bcs) =
   if m > 0 && n > 0 then
     if
       (not column_strided) && k > 0
-      && mostly_zero a ars aps m k
+      && sparse_pays a ars aps m k n
       && all_finite b bps bcs k n
     then
       Parallel.parallel_for

@@ -242,7 +242,7 @@ let run_kernel ?(attrs = []) op_type inputs =
         Array.of_list (List.map (fun x -> Value.Tensor (of_ref x)) inputs);
       resources = Resource_manager.create ();
       rendezvous = None;
-      rng = Rng.create 0;
+      rng = None;
       step_id = 0;
       cancel = None;
       grants = [];

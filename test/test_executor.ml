@@ -204,6 +204,61 @@ let test_reproducible_random_steps () =
   let v3 = List.hd (Session.run s1 [ sum ]) in
   Alcotest.(check bool) "later step differs" true (scalar v3 <> scalar v1)
 
+(* A random op draws from the stream seeded with seed + step * 1_000_003
+   + node id * 7_919 + iteration * 104_729: step 2 of a loop that adds a
+   fresh draw per iteration fetches exactly the sum of those streams'
+   draws, iteration by iteration. *)
+let test_random_stream_per_step_and_iteration () =
+  let b = B.create () in
+  let draw = ref None in
+  let results =
+    B.while_loop b ~invariants:[ B.const_f b 3.0 ]
+      ~cond:(fun b vars ->
+        match vars with
+        | [ i; _; limit ] -> B.less b i limit
+        | _ -> assert false)
+      ~body:(fun b vars ->
+        match vars with
+        | [ i; acc; _ ] ->
+            (* the control edge puts the draw in the loop's frame *)
+            let r =
+              B.with_control_dependencies b [ i ] (fun () ->
+                  B.random_uniform b ~lo:0.0 ~hi:1.0 [| 4 |])
+            in
+            draw := Some r.B.node.Node.id;
+            [ B.add b i (B.ones_like b i); B.add b acc r ]
+        | _ -> assert false)
+      [ B.const_f b 0.0; B.const b (Tensor.zeros Dtype.F32 [| 4 |]) ]
+  in
+  let acc = List.nth results 1 in
+  let seed = 11 in
+  let s =
+    Session.create ~config:(Session.Config.v ~seed ~passes:[] ()) (B.graph b)
+  in
+  let run () =
+    match Session.run s [ acc ] with
+    | [ v ] -> v
+    | _ -> Alcotest.fail "arity"
+    | exception Session.Run_error f -> Alcotest.fail (Step_failure.to_string f)
+  in
+  ignore (run ());
+  let got = run () in
+  let id = Option.get !draw in
+  let expected =
+    List.fold_left
+      (fun acc it ->
+        Tensor_ops.add acc
+          (Tensor.uniform
+             (Rng.create
+                (seed + (2 * 1_000_003) + (id * 7_919) + (it * 104_729)))
+             [| 4 |] ~lo:0.0 ~hi:1.0))
+      (Tensor.zeros Dtype.F32 [| 4 |])
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check (array (float 0.0)))
+    "step 2, iterations 0-2" (Tensor.to_float_array expected)
+    (Tensor.to_float_array got)
+
 let test_kernel_error_reporting () =
   let b = B.create () in
   let a = B.const b (Tensor.of_float_array [| 2; 2 |] [| 1.; 2.; 3.; 4. |]) in
@@ -456,6 +511,8 @@ let suite =
     Alcotest.test_case "switch dead propagation" `Quick
       test_switch_dead_propagation;
     Alcotest.test_case "fed never aliased" `Quick test_fed_never_aliased;
+    Alcotest.test_case "random draws follow seed, step and iteration" `Quick
+      test_random_stream_per_step_and_iteration;
     Alcotest.test_case "fetched never aliased" `Quick
       test_fetched_never_aliased;
     Alcotest.test_case "variable read never aliased" `Quick

@@ -2,7 +2,7 @@
    also runs a pool-scheduler leg (see Legs). *)
 let pooled =
   [ "queue"; "executor"; "scheduler"; "session"; "data"; "tracer"; "faults";
-    "metrics"; "serving" ]
+    "metrics"; "serving"; "parts" ]
 
 let () =
   Alcotest.run "octf"
@@ -39,6 +39,7 @@ let () =
        ("graph_optimizer", Test_optimizer_passes.suite);
        ("fusion", Test_fusion.suite);
        ("cluster", Test_cluster.suite);
+       ("parts", Test_parts.suite);
        ("tracer", Test_tracer.suite);
        ("quantization", Test_quant.suite);
        ("quant_accuracy", Test_quant_accuracy.suite);
