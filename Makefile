@@ -88,6 +88,8 @@ metrics-smoke:
 	grep -Eq '^octf_rendezvous_send_bytes_total [1-9]' METRICS_train.prom
 	grep -Eq '^octf_session_steps_total [1-9]' METRICS_train.prom
 	grep -Eq '^# TYPE octf_session_step_seconds histogram' METRICS_train.prom
+	grep -Eq '^octf_executor_kernels_total [1-9]' METRICS_train.prom
+	grep -Eq '^octf_mem_peak_bytes [1-9]' METRICS_train.prom
 
 # Two-OS-process recovery drills over real TCP: kill the parameter
 # server mid-training (heartbeat death, reconnect with backoff, restore

@@ -159,6 +159,15 @@ let build_wide_graph ~width ~dim ~chain =
   in
   (b, B.add_n b (List.init width branch))
 
+(* A [trips]-trip counting loop: the Enter, Merge, Switch,
+   NextIteration and Exit plumbing a loop-heavy model pays per trip. *)
+let build_loop_graph trips =
+  let b = B.create () in
+  let cond b = function [ i; n ] -> B.less b i n | _ -> assert false in
+  let body b = function [ i; _ ] -> [ B.add b i (B.ones_like b i) ] | _ -> assert false in
+  let limit = B.const_f b (float_of_int trips) in
+  (b, List.hd (B.while_loop b ~invariants:[ limit ] ~cond ~body [ B.const_f b 0.0 ]))
+
 let dispatch_wide () =
   section "Wide-graph dispatch: inline vs domain-pool scheduler";
   let smoke = smoke_mode () in
@@ -168,10 +177,12 @@ let dispatch_wide () =
   let wide_iters = if smoke then 3 else 10 in
   let null_n = if smoke then 200 else 1000 in
   let null_iters = if smoke then 50 else 400 in
-  (* Mean seconds per step. Timed through [run_with_metadata] with
-     default options so the benchmark exercises the same entry point the
-     observability layer instruments (stats collection off: its cost
-     must not leak into the dispatch numbers). *)
+  let trips = if smoke then 50 else 500 in
+  (* Mean seconds per step, minor words per kernel and kernels per step.
+     Timed through [run_with_metadata] with default options so the
+     benchmark exercises the same entry point the observability layer
+     instruments (stats collection off: its cost must not leak into the
+     dispatch numbers). *)
   let measure scheduler ~build ~iters =
     let b, sink = build () in
     let session =
@@ -180,13 +191,18 @@ let dispatch_wide () =
         (B.graph b)
     in
     let options = Octf.Session.Run_options.default in
-    time_kernel ~iters (fun () ->
-        Octf.Session.run_with_metadata ~options session [ sink ])
+    let step () = Octf.Session.run_with_metadata ~options session [ sink ] in
+    let seconds = time_kernel ~iters step in
+    let kernels () = Option.get (Octf.Metrics.find_value Octf.Metrics.default "octf_executor_kernels_total") in
+    let k0 = kernels () and w0 = Gc.minor_words () in
+    ignore (step ());
+    let words = Gc.minor_words () -. w0 and ops = kernels () -. k0 in
+    (seconds, words /. ops, ops)
   in
   (* Wide graph: per-step wall clock. *)
   let wide_build () = build_wide_graph ~width ~dim ~chain in
-  let wide_inline = measure Octf.Scheduler.Inline ~build:wide_build ~iters:wide_iters in
-  let wide_pool = measure Octf.Scheduler.Pool ~build:wide_build ~iters:wide_iters in
+  let wide_inline, _, _ = measure Octf.Scheduler.Inline ~build:wide_build ~iters:wide_iters in
+  let wide_pool, _, _ = measure Octf.Scheduler.Pool ~build:wide_build ~iters:wide_iters in
   let speedup = wide_inline /. wide_pool in
   Printf.printf
     "wide graph (%d branches of %d chained %dx%d matmuls):\n\
@@ -197,18 +213,25 @@ let dispatch_wide () =
     (Domain.recommended_domain_count ());
   (* Null-op dispatch rate: the §5 microbenchmark, both policies. The
      pool pays a cross-domain round trip per op, so this bounds its
-     per-dispatch overhead; the inline rate is the regression guard. *)
+     per-dispatch overhead; the inline rate is the regression guard.
+     Minor words per op include the step's own set-up, spread over its
+     ops. *)
   let null_build () = build_null_graph null_n in
-  let null_inline = measure Octf.Scheduler.Inline ~build:null_build ~iters:null_iters in
-  let null_pool = measure Octf.Scheduler.Pool ~build:null_build ~iters:null_iters in
-  let rate sec_per_step = float_of_int null_n /. sec_per_step in
+  let null_inline, null_words, _ = measure Octf.Scheduler.Inline ~build:null_build ~iters:null_iters in
+  let null_pool, _, _ = measure Octf.Scheduler.Pool ~build:null_build ~iters:null_iters in
+  let loop_build () = build_loop_graph trips in
+  let loop_s, loop_words, loop_ops = measure Octf.Scheduler.Inline ~build:loop_build ~iters:null_iters in
+  let rate ops sec_per_step = ops /. sec_per_step in
+  let null_ops = float_of_int null_n in
   Printf.printf
     "null-op dispatch (%d ops/step):\n\
-    \  inline: %8.2f M ops/s\n\
-    \  pool:   %8.2f M ops/s\n%!"
-    null_n
-    (rate null_inline /. 1e6)
-    (rate null_pool /. 1e6);
+    \  inline: %8.2f M ops/s   %5.1f minor words/op\n\
+    \  pool:   %8.2f M ops/s\n\
+     while_loop (%d trips, %.0f ops/step), inline:\n\
+    \          %8.2f M ops/s   %5.1f minor words/op\n%!"
+    null_n (rate null_ops null_inline /. 1e6) null_words
+    (rate null_ops null_pool /. 1e6)
+    trips loop_ops (rate loop_ops loop_s /. 1e6) loop_words;
   (* Machine-readable record for cross-PR trajectory tracking. *)
   write_json "BENCH_dispatch.json"
     (Printf.sprintf
@@ -216,14 +239,17 @@ let dispatch_wide () =
        \"wide_graph\":{\"width\":%d,\"dim\":%d,\"chain\":%d,\n\
       \  \"inline_ms_per_step\":%.3f,\"pool_ms_per_step\":%.3f,\"speedup\":%.3f},\n\
        \"null_op\":{\"ops_per_step\":%d,\n\
-      \  \"inline_ops_per_sec\":%.0f,\"pool_ops_per_sec\":%.0f}}\n"
+      \  \"inline_ops_per_sec\":%.0f,\"pool_ops_per_sec\":%.0f,\"inline_minor_words_per_op\":%.1f},\n\
+       \"while_loop\":{\"trips\":%d,\"ops_per_step\":%.0f,\n\
+      \  \"inline_ops_per_sec\":%.0f,\"inline_minor_words_per_op\":%.1f}}\n"
       (smoke : bool)
       (Domain.recommended_domain_count ())
       (Octf.Domain_pool.size ())
       width dim chain
       (1000.0 *. wide_inline)
       (1000.0 *. wide_pool)
-      speedup null_n (rate null_inline) (rate null_pool))
+      speedup null_n (rate null_ops null_inline) (rate null_ops null_pool)
+      null_words trips loop_ops (rate loop_ops loop_s) loop_words)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: null-step synchronous replication baseline                *)

@@ -1,5 +1,6 @@
 type t = {
-  mutable state : Step_failure.cause option;
+  state : Step_failure.cause option Atomic.t;
+      (* written once, under [mutex]; read without it *)
   deadline : (float * float) option;
       (* absolute (Unix.gettimeofday clock), and the seconds allotted
          for the error message *)
@@ -22,14 +23,8 @@ let m_fired kind =
 
 let set_cause t cause =
   Mutex.lock t.mutex;
-  let first = t.state = None in
-  let wakers =
-    if first then begin
-      t.state <- Some cause;
-      List.map snd t.wakers
-    end
-    else []
-  in
+  let first = Atomic.compare_and_set t.state None (Some cause) in
+  let wakers = if first then List.map snd t.wakers else [] in
   Mutex.unlock t.mutex;
   (* Count after unlocking: the metric mutex must stay a leaf, and the
      caller may already hold a queue/rendezvous mutex. *)
@@ -57,12 +52,11 @@ let expire t budget =
 
 let cancel t ~reason = cancel_with t (Step_failure.Cancelled reason)
 
+(* The executor polls this before every kernel: one atomic read, and a
+   clock read when the token has a deadline. *)
 let cancelled t =
-  Mutex.lock t.mutex;
-  let state = t.state in
-  Mutex.unlock t.mutex;
-  match state with
-  | Some _ -> state
+  match Atomic.get t.state with
+  | Some _ as state -> state
   | None -> (
       (* Synchronous deadline detection, independent of the timer. The
          caller may be polling from inside a queue's or the rendezvous'
@@ -72,10 +66,7 @@ let cancelled t =
       match t.deadline with
       | Some (d, budget) when Unix.gettimeofday () >= d ->
           ignore (set_cause t (Step_failure.Deadline_exceeded budget));
-          Mutex.lock t.mutex;
-          let state = t.state in
-          Mutex.unlock t.mutex;
-          state
+          Atomic.get t.state
       | _ -> None)
 
 let check t =
@@ -104,12 +95,7 @@ let remove_waker t id =
    waker per step it supervised. *)
 let link_parent child parent =
   let propagate () =
-    match
-      (Mutex.lock parent.mutex;
-       let s = parent.state in
-       Mutex.unlock parent.mutex;
-       s)
-    with
+    match Atomic.get parent.state with
     | Some cause -> cancel_with child cause
     | None -> ()
   in
@@ -121,7 +107,7 @@ let link_parent child parent =
 let create ?parent ?deadline () =
   let t =
     {
-      state = None;
+      state = Atomic.make None;
       deadline = Option.map (fun b -> (Unix.gettimeofday () +. b, b)) deadline;
       wakers = [];
       next_id = 0;

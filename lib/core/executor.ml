@@ -82,6 +82,10 @@ type plan = {
   kernels : Kernel.t option array;  (* instantiated once, by [prepare] *)
   random : bool array;  (* the kernel draws from a per-node stream *)
   recv_suffix : string array;  (* a Recv's rendezvous key suffix; "" else *)
+  (* What a timed kernel reports, fixed per node: *)
+  device : string array;  (* the trace's device string *)
+  fused : int array;  (* graph nodes a fused kernel stands in for *)
+  op_seconds : Metrics.Counter.m array;  (* its op type's seconds series *)
   scheduler : Scheduler.policy;
   planning : bool;  (* memory planning for this plan's steps *)
 }
@@ -101,6 +105,11 @@ let instantiate (n : Node.t) =
     | Some k -> Some k
     | None -> Kernel.instantiate ~device:Device.CPU n
   with e -> Some (fun _ -> raise e)
+
+let m_op_seconds op =
+  Metrics.Counter.v ~help:"Kernel wall-clock seconds by op type"
+    ~labels:[ ("op_type", op) ]
+    "octf_executor_op_seconds_total"
 
 let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
   Builtin_kernels.ensure ();
@@ -325,6 +334,30 @@ let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
         (fun (n : Node.t) ->
           if n.Node.op_type = "Recv" then Rendezvous.node_suffix n else "")
         nodes;
+    device =
+      Array.map
+        (fun (n : Node.t) ->
+          match n.Node.assigned_device with
+          | Some d -> Device.to_string d
+          | None -> "/device:CPU:0")
+        nodes;
+    fused =
+      Array.map
+        (fun (n : Node.t) ->
+          Option.value ~default:0 (Attr.find_int n.Node.attrs "fused_nodes"))
+        nodes;
+    op_seconds =
+      (let by_type = Hashtbl.create 16 in
+       Array.map
+         (fun (n : Node.t) ->
+           let op = n.Node.op_type in
+           match Hashtbl.find_opt by_type op with
+           | Some m -> m
+           | None ->
+               let m = m_op_seconds op in
+               Hashtbl.replace by_type op m;
+               m)
+         nodes);
     scheduler;
     planning = memory_planning;
   }
@@ -332,11 +365,6 @@ let prepare ~scheduler ~memory_planning ~graph ~nodes ~fed_ids =
 let m_kernels =
   Metrics.Counter.v ~help:"Kernels dispatched by the executor"
     "octf_executor_kernels_total"
-
-let m_op_seconds op =
-  Metrics.Counter.v ~help:"Kernel wall-clock seconds by op type"
-    ~labels:[ ("op_type", op) ]
-    "octf_executor_op_seconds_total"
 
 let m_lane_busy lane =
   Metrics.Counter.v ~help:"Kernel wall-clock seconds by execution lane"
@@ -357,54 +385,6 @@ let () =
   Octf_tensor.Parallel.set_shard_hook (fun shards ->
       Metrics.Counter.incr m_intra_op_parallel;
       Metrics.Counter.add m_intra_op_shards shards)
-
-(* Wrap one kernel invocation. The dispatch counter is always bumped;
-   the gettimeofday pair (and the derived per-op-type / per-lane series
-   and tracer event) is gated on an active tracer or the process-wide
-   [Metrics.kernel_timing] flag, so the null-op dispatch benchmark pays
-   one counter increment and nothing else. [bytes_of] extracts the
-   payload size from the kernel's result (Recv'd tensor bytes). *)
-let trace tracer (n : Node.t) ~step_id ?(bytes_of = fun _ -> 0)
-    ?(peak_of = fun _ -> 0) f =
-  Metrics.Counter.incr m_kernels;
-  if Option.is_none tracer && not (Metrics.kernel_timing ()) then f ()
-  else begin
-    (* The sharder's per-domain dispatch counter, sampled around the
-       kernel, attributes intra-op shard counts to this node: sharding is
-       always initiated on the domain the kernel runs on. *)
-    let shards_before = Octf_tensor.Parallel.domain_shards () in
-    let start = Unix.gettimeofday () in
-    let result = f () in
-    let stop = Unix.gettimeofday () in
-    let duration = stop -. start in
-    let shards = Octf_tensor.Parallel.domain_shards () - shards_before in
-    let lane = (Domain.self () :> int) in
-    Metrics.Counter.add_f (m_op_seconds n.Node.op_type) duration;
-    Metrics.Counter.add_f (m_lane_busy lane) duration;
-    (match tracer with
-    | None -> ()
-    | Some t ->
-        Tracer.record t
-          {
-            Tracer.name = n.Node.name;
-            op_type = n.Node.op_type;
-            device =
-              (match n.Node.assigned_device with
-              | Some d -> Device.to_string d
-              | None -> "/device:CPU:0");
-            lane;
-            start;
-            duration;
-            step_id;
-            bytes = bytes_of result;
-            shards;
-            peak_bytes = peak_of result;
-            fused =
-              Option.value ~default:0
-                (Attr.find_int n.Node.attrs "fused_nodes");
-          });
-    result
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Per-step state: frame instances as chains of iterations             *)
@@ -481,15 +461,25 @@ let child_instance p it frame =
       it.children <- (frame, child) :: it.children;
       child
 
-let rec iter_iterations f it =
-  f it;
-  Option.iter (iter_iterations f) it.next
-
 (* Store one value delivered from another iteration. *)
 let store p it src out v =
   if Array.length it.values.(src) = 0 then
     it.values.(src) <- Array.make p.num_outputs.(src) Value.Dead;
   if out < Array.length it.values.(src) then it.values.(src).(out) <- v
+
+(* One scheduled node in one iteration: what its kernel reads, staged on
+   the coordinating thread, and what it produced or raised, stored by
+   whichever thread ran it. Both are cleared when the result is
+   applied. *)
+type task = {
+  i : int;
+  it : iteration;
+  mutable inputs : Value.t array;
+  mutable grants : (int * int) list;
+  mutable rng : Rng.t option;
+  mutable outputs : Value.t array;
+  mutable failure : exn option;
+}
 
 type step = {
   plan : plan;
@@ -498,23 +488,34 @@ type step = {
   resources : Resource_manager.t;
   rendezvous : Rendezvous.t option;
   tracer : Tracer.t option;
+  timed : bool;  (* kernels are timed: a tracer, or kernel timing is on *)
   cancel : Cancel.t option;
   seed : int;
   step_id : int;
   var_snapshot : (string -> Octf_tensor.Tensor.t option) option;
+  (* Counted on the coordinating thread and published at the step's
+     end: the per-node path touches no metric. *)
   mutable live : int;  (* planner-tracked live bytes, this step *)
+  mutable peak : int;  (* highest process-wide live count seen *)
+  mutable dispatched : int;  (* kernels run *)
+  mutable granted : int;  (* in-place grants *)
   (* Set right after creation (the scheduler's callbacks close over the
      step, so the two are built in sequence). *)
-  mutable sched : (int * iteration) Scheduler.t option;
+  mutable sched : task Scheduler.t option;
 }
 
 let live_add st bytes =
-  st.live <- st.live + bytes;
-  Mem_plan.live_add bytes
+  if bytes <> 0 then begin
+    st.live <- st.live + bytes;
+    let now = Mem_plan.live_add bytes in
+    if now > st.peak then st.peak <- now
+  end
 
 let live_sub st bytes =
-  st.live <- st.live - bytes;
-  Mem_plan.live_sub bytes
+  if bytes <> 0 then begin
+    st.live <- st.live - bytes;
+    Mem_plan.live_sub bytes
+  end
 
 let pinned st src out =
   out < Array.length st.pinned.(src) && st.pinned.(src).(out)
@@ -522,23 +523,33 @@ let pinned st src out =
 (* Drop a planner-owned endpoint all of whose readers have finished:
    tombstone the slot (readers still staged hold their own gathered
    references; control consumers got their tokens; fetches are pinned),
-   un-count its bytes and recycle the float buffer unless some consumer
-   retains it. *)
+   un-count its bytes and recycle its float or uint8 buffer unless some
+   consumer retains it. *)
 let drop st it src out =
   let vs = it.values.(src) in
   if out < Array.length vs && not (pinned st src out) then begin
     (match vs.(out) with
     | Value.Tensor t ->
         live_sub st (Tensor.byte_size t);
-        if st.plan.poolable.(src).(out) && Dtype.is_floating (Tensor.dtype t)
-        then Buffer_pool.release_float (Tensor.float_buffer t)
+        if st.plan.poolable.(src).(out) then begin
+          match Tensor.dtype t with
+          | Dtype.F32 | Dtype.F64 ->
+              Buffer_pool.release_float (Tensor.float_buffer t)
+          | Dtype.U8 -> Buffer_pool.release_bytes (Tensor.byte_buffer t)
+          | Dtype.I32 | Dtype.I64 | Dtype.Bool | Dtype.String -> ()
+        end
     | _ -> ());
     vs.(out) <- Value.Dead
   end
 
 let schedule st i it =
   it.scheduled.(i) <- true;
-  match st.sched with Some s -> Scheduler.add s (i, it) | None -> assert false
+  match st.sched with
+  | Some s ->
+      Scheduler.add s
+        { i; it; inputs = [||]; grants = []; rng = None; outputs = [||];
+          failure = None }
+  | None -> assert false
 
 (* Readiness. Per-iteration nodes fire once per iteration, invariant
    nodes once per frame instance in its first iteration. A Merge fires
@@ -588,19 +599,34 @@ let deliver st ~src ~out v it dst =
 
 let control_token = Value.Tensor (Tensor.scalar_i 0)
 
+(* [Array.exists]/[Array.for_all] build a closure per call. *)
+let rec any_dead vs k =
+  k < Array.length vs && (Value.is_dead vs.(k) || any_dead vs (k + 1))
+
+let rec all_dead vs k =
+  k >= Array.length vs || (Value.is_dead vs.(k) && all_dead vs (k + 1))
+
+(* An invariant node's consumers: invariant ones in the first iteration,
+   the others in every iteration so far. *)
+let wake st it dst =
+  let rec every it =
+    check_ready st dst it;
+    match it.next with Some next -> every next | None -> ()
+  in
+  if st.plan.invariant.(dst) then check_ready st dst it else every it
+
 let complete st i it (outputs : Value.t array) =
   let p = st.plan in
   it.values.(i) <- outputs;
+  let data = p.out_data.(i) and control = p.out_control.(i) in
   if p.invariant.(i) then begin
-    (* Wake consumers: invariant ones in the first iteration, the others
-       in every iteration so far. *)
     it.inv_done.(i) <- true;
-    let wake dst =
-      if p.invariant.(dst) then check_ready st dst it
-      else iter_iterations (check_ready st dst) it
-    in
-    Array.iter (fun (_, dst) -> wake dst) p.out_data.(i);
-    Array.iter wake p.out_control.(i)
+    for k = 0 to Array.length data - 1 do
+      wake st it (snd data.(k))
+    done;
+    for k = 0 to Array.length control - 1 do
+      wake st it control.(k)
+    done
   end
   else begin
     (* Count fresh outputs' bytes (always, so peaks compare with planning
@@ -608,58 +634,58 @@ let complete st i it (outputs : Value.t array) =
     if p.fresh.(i) then begin
       if st.planning then it.rc.(i) <- Array.copy p.refcounts.(i);
       let rc = it.rc.(i) in
-      Array.iteri
-        (fun out v ->
-          match v with
-          | Value.Tensor t ->
-              live_add st (Tensor.byte_size t);
-              if out < Array.length rc && rc.(out) = 0 then drop st it i out
-          | _ -> ())
-        outputs
+      for out = 0 to Array.length outputs - 1 do
+        match outputs.(out) with
+        | Value.Tensor t ->
+            live_add st (Tensor.byte_size t);
+            if out < Array.length rc && rc.(out) = 0 then drop st it i out
+        | _ -> ()
+      done
     end;
     (* A live Exit value belongs to the enclosing iteration too, so that
        fetches (which read the root iteration) see loop results even
        when the Exit has no consumer edge. *)
     (match (p.kind.(i), it.parent) with
     | Exit, Some parent ->
-        Array.iteri
-          (fun out v -> if not (Value.is_dead v) then store p parent i out v)
-          outputs
+        for out = 0 to Array.length outputs - 1 do
+          if not (Value.is_dead outputs.(out)) then
+            store p parent i out outputs.(out)
+        done
     | _ -> ());
     (* Dead NextIteration and Exit values are discarded, which is what
        terminates a loop. *)
     let discards_dead =
       match p.kind.(i) with Next_iteration | Exit -> true | _ -> false
     in
-    Array.iter
-      (fun (out, dst) ->
-        let v =
-          if out < Array.length outputs then outputs.(out) else Value.Dead
-        in
-        if not (discards_dead && Value.is_dead v) then
-          deliver st ~src:i ~out v it dst)
-      p.out_data.(i);
-    let dead =
-      Array.length outputs > 0 && Array.for_all Value.is_dead outputs
-    in
+    for k = 0 to Array.length data - 1 do
+      let out, dst = data.(k) in
+      let v = if out < Array.length outputs then outputs.(out) else Value.Dead in
+      if not (discards_dead && Value.is_dead v) then
+        deliver st ~src:i ~out v it dst
+    done;
+    let dead = Array.length outputs > 0 && all_dead outputs 0 in
     if not (discards_dead && dead) then begin
       let token = if dead then Value.Dead else control_token in
-      Array.iter (deliver st ~src:i ~out:(-1) token it) p.out_control.(i)
+      for k = 0 to Array.length control - 1 do
+        deliver st ~src:i ~out:(-1) token it control.(k)
+      done
     end;
     (* This node has finished reading: release its claim on each input
        endpoint armed in this iteration; the last reader out drops it. *)
-    if st.planning then
-      Array.iter
-        (fun (src, out) ->
-          let rc = it.rc.(src) in
-          if out < Array.length rc && rc.(out) > 0 then begin
-            rc.(out) <- rc.(out) - 1;
-            if rc.(out) = 0 then drop st it src out
-          end)
-        p.inputs.(i)
+    if st.planning then begin
+      let inputs = p.inputs.(i) in
+      for k = 0 to Array.length inputs - 1 do
+        let src, out = inputs.(k) in
+        let rc = it.rc.(src) in
+        if out < Array.length rc && rc.(out) > 0 then begin
+          rc.(out) <- rc.(out) - 1;
+          if rc.(out) = 0 then drop st it src out
+        end
+      done
+    end
   end
 
-let resolve_kernel p i =
+let resolve_kernel (p : plan) i =
   match p.kernels.(i) with
   | Some k -> k
   | None ->
@@ -692,47 +718,132 @@ let failure_of_exn ~node ~device e =
       Step_failure.v ~node ?device
         (Step_failure.Kernel_failed (Printexc.to_string e))
 
-(* Run [kernel ctx], worker-domain-safe: failures are captured and
-   re-raised by the returned continuation on the coordinating thread
-   (aborting the rendezvous and cancelling the step token first, so
-   peer partitions — including threads parked in queue waits — unblock
-   even while the coordinator is busy elsewhere). Wrap in a thunk when
-   building a [Scheduler.Offload] — applying it runs the kernel. *)
-let offload_kernel ~tracer ~rendezvous ~cancel ~step_id
-    ~live_of (n : Node.t) kernel ctx ~finish =
-  let bytes_of outputs =
-    match n.Node.op_type with
-    | "Recv" ->
-        Array.fold_left (fun acc v -> acc + Value.byte_size v) 0 outputs
-    | _ -> 0
-  in
-  (* Per-node memory watermark: live planner-tracked bytes sampled when
-     the kernel finishes, plus this node's own (not-yet-counted)
-     outputs. The racy read of the live counter is fine — this feeds
-     traces, not the planner. *)
-  let peak_of outputs =
-    live_of ()
-    + Array.fold_left (fun acc v -> acc + Value.byte_size v) 0 outputs
-  in
-  match
-    trace tracer n ~step_id ~bytes_of ~peak_of (fun () ->
-        Cancel.check_opt cancel;
-        Fault_injector.kernel_hook n ~step_id;
-        kernel ctx)
-  with
-  | outputs -> fun () -> finish outputs
-  | exception e ->
-      let device = Option.map Device.to_string n.Node.assigned_device in
-      let f = failure_of_exn ~node:n.Node.name ~device e in
-      let msg = Step_failure.to_string f in
-      (* A secondary failure (the peer already aborted us, or the step
-         token already fired) needs no further propagation. *)
-      if not (Step_failure.is_secondary f.Step_failure.cause) then begin
-        Option.iter (fun r -> Rendezvous.abort r ~reason:msg) rendezvous;
-        Option.iter (fun c -> Cancel.cancel c ~reason:msg) cancel
-      end;
-      fun () -> raise (Step_failure.Error f)
+(* A kernel failure, on whichever thread ran the kernel. A primary one
+   aborts the rendezvous and cancels the step token at once, so peer
+   partitions (threads parked in queue waits too) unblock even while the
+   coordinator is busy elsewhere; a secondary one (the peer already
+   aborted us, or the token already fired) needs no further
+   propagation. *)
+let kernel_failure st (n : Node.t) e =
+  let device = Option.map Device.to_string n.Node.assigned_device in
+  let f = failure_of_exn ~node:n.Node.name ~device e in
+  if not (Step_failure.is_secondary f.Step_failure.cause) then begin
+    let msg = Step_failure.to_string f in
+    Option.iter (fun r -> Rendezvous.abort r ~reason:msg) st.rendezvous;
+    Option.iter (fun c -> Cancel.cancel c ~reason:msg) st.cancel
+  end;
+  Step_failure.Error f
 
+(* Kernel timing, taken when the step is traced or kernel timing is on:
+   the op type's and the lane's seconds, and the tracer event. Every
+   field but the times is fixed per node at [prepare]; the lane counter
+   is cached per domain. *)
+let lane_busy =
+  Domain.DLS.new_key (fun () -> m_lane_busy (Domain.self () :> int))
+
+let record st i ~start ~stop ~shards ~bytes ~peak =
+  let p = st.plan in
+  let duration = stop -. start in
+  Metrics.Counter.add_f p.op_seconds.(i) duration;
+  Metrics.Counter.add_f (Domain.DLS.get lane_busy) duration;
+  match st.tracer with
+  | None -> ()
+  | Some t ->
+      let n = p.nodes.(i) in
+      Tracer.record t
+        {
+          Tracer.name = n.Node.name;
+          op_type = n.Node.op_type;
+          device = p.device.(i);
+          lane = (Domain.self () :> int);
+          start;
+          duration;
+          step_id = st.step_id;
+          bytes;
+          shards;
+          peak_bytes = peak;
+          fused = p.fused.(i);
+        }
+
+let bytes_of outputs =
+  let sum = ref 0 in
+  for k = 0 to Array.length outputs - 1 do
+    sum := !sum + Value.byte_size outputs.(k)
+  done;
+  !sum
+
+(* Run one staged kernel and store its outputs or its failure in the
+   task; worker-domain-safe (see [stage]). *)
+let call st task ctx kernel =
+  match
+    Cancel.check_opt st.cancel;
+    Fault_injector.kernel_hook ctx.Kernel.node ~step_id:st.step_id;
+    kernel ctx
+  with
+  | outputs ->
+      task.outputs <- outputs;
+      true
+  | exception e ->
+      task.failure <- Some (kernel_failure st ctx.Kernel.node e);
+      false
+
+let run st task =
+  let p = st.plan and i = task.i in
+  let ctx =
+    {
+      Kernel.node = p.nodes.(i);
+      inputs = task.inputs;
+      resources = st.resources;
+      rendezvous = st.rendezvous;
+      rng = task.rng;
+      step_id = st.step_id;
+      cancel = st.cancel;
+      grants = task.grants;
+      var_snapshot = st.var_snapshot;
+    }
+  in
+  task.inputs <- [||];
+  task.grants <- [];
+  task.rng <- None;
+  let kernel = resolve_kernel p i in
+  if not st.timed then ignore (call st task ctx kernel)
+  else begin
+    (* The sharder's per-domain dispatch counter, sampled around the
+       kernel, attributes intra-op shard counts to this node: sharding
+       is always initiated on the domain the kernel runs on. The racy
+       read of the step's live bytes feeds traces, not the planner. *)
+    let shards_before = Octf_tensor.Parallel.domain_shards () in
+    let start = Unix.gettimeofday () in
+    if call st task ctx kernel then begin
+      let stop = Unix.gettimeofday () in
+      record st i ~start ~stop
+        ~shards:(Octf_tensor.Parallel.domain_shards () - shards_before)
+        ~bytes:0 ~peak:(st.live + bytes_of task.outputs)
+    end
+  end
+
+(* Apply a run (or received) task's result on the coordinating thread. *)
+let finish st task =
+  let outputs = task.outputs and failure = task.failure in
+  task.outputs <- [||];
+  task.failure <- None;
+  match failure with
+  | Some e -> raise e
+  | None -> complete st task.i task.it outputs
+
+(* An armed Recv's value counts as a kernel, timed at zero duration with
+   the bytes it carried. *)
+let received st task =
+  (match task.failure with
+  | Some _ -> ()
+  | None ->
+      st.dispatched <- st.dispatched + 1;
+      if st.timed then begin
+        let now = Unix.gettimeofday () in
+        record st task.i ~start:now ~stop:now ~shards:0
+          ~bytes:(bytes_of task.outputs) ~peak:0
+      end);
+  finish st task
 
 (* In-place grants: a declared May_alias pair is granted when the input
    endpoint is armed in this iteration with this node as its only
@@ -740,98 +851,95 @@ let offload_kernel ~tracer ~rendezvous ~cancel ~step_id
    a float tensor. Staging and completion both run on the coordinating
    thread, so a count of 1 here means every other reader's kernel has
    fully finished. Ownership moves to the kernel's output: the endpoint
-   is forgotten without recycling its buffer. *)
+   is forgotten without recycling its buffer. At most one grant per
+   input slot and per output. *)
 let grants st i it inputs =
   let p = st.plan in
-  match p.aliases.(i) with
-  | [] -> []
-  | _ when not st.planning -> []
-  | decls ->
-      let used_in = ref [] and used_out = ref [] in
-      List.filter
-        (fun (slot, o) ->
-          (not (List.mem slot !used_in))
-          && (not (List.mem o !used_out))
+  let rec taken slot o = function
+    | [] -> false
+    | (s, o') :: rest -> s = slot || o' = o || taken slot o rest
+  in
+  let rec go acc = function
+    | [] -> List.rev acc
+    | ((slot, o) as decl) :: rest ->
+        let ok =
+          (not (taken slot o acc))
           && slot < Array.length p.inputs.(i)
           &&
           let src, out = p.inputs.(i).(slot) in
           let rc = it.rc.(src) in
-          let ok =
-            out < Array.length rc
-            && rc.(out) = 1
-            && p.poolable.(src).(out)
-            && (not (pinned st src out))
-            &&
-            match inputs.(slot) with
-            | Value.Tensor t -> Dtype.is_floating (Tensor.dtype t)
-            | _ -> false
-          in
-          if ok then begin
-            rc.(out) <- 0;
-            it.values.(src).(out) <- Value.Dead;
-            live_sub st (Value.byte_size inputs.(slot));
-            Mem_plan.count_grant ();
-            used_in := slot :: !used_in;
-            used_out := o :: !used_out
-          end;
-          ok)
-        decls
-
-(* Stage one node on the coordinating thread: gather inputs (invariant
-   ones from the instance's first iteration), decide dead propagation,
-   build the kernel context. Everything the returned [Offload] thunk
-   touches is either private to it or mutex-protected (resources,
-   queues, rendezvous, tracer), so it may run on a worker domain. *)
-let stage st (i, it) =
-  let p = st.plan in
-  let n = p.nodes.(i) in
-  let inputs =
-    Array.map
-      (fun (src, out) ->
-        let vs = (if p.invariant.(src) then it.first else it).values.(src) in
-        if out < Array.length vs then vs.(out) else Value.Dead)
-      p.inputs.(i)
+          out < Array.length rc
+          && rc.(out) = 1
+          && p.poolable.(src).(out)
+          && (not (pinned st src out))
+          &&
+          match inputs.(slot) with
+          | Value.Tensor t -> Dtype.is_floating (Tensor.dtype t)
+          | _ -> false
+        in
+        if ok then begin
+          let src, out = p.inputs.(i).(slot) in
+          it.rc.(src).(out) <- 0;
+          it.values.(src).(out) <- Value.Dead;
+          live_sub st (Value.byte_size inputs.(slot));
+          st.granted <- st.granted + 1;
+          go (decl :: acc) rest
+        end
+        else go acc rest
   in
-  let dead = it.dead_control.(i) || Array.exists Value.is_dead inputs in
-  if dead && (match p.kind.(i) with Merge | Send -> false | _ -> true) then
-    Scheduler.Finish
-      (fun () -> complete st i it (Array.make p.num_outputs.(i) Value.Dead))
+  match p.aliases.(i) with
+  | [] -> []
+  | _ when not st.planning -> []
+  | decls -> go [] decls
+
+(* Gather a node's inputs: invariant ones from the instance's first
+   iteration, a missing one as dead. *)
+let gather (p : plan) i it =
+  let srcs = p.inputs.(i) in
+  let n = Array.length srcs in
+  if n = 0 then [||]
   else begin
+    let inputs = Array.make n Value.Dead in
+    for k = 0 to n - 1 do
+      let src, out = srcs.(k) in
+      let vs = (if p.invariant.(src) then it.first else it).values.(src) in
+      if out < Array.length vs then inputs.(k) <- vs.(out)
+    done;
+    inputs
+  end
+
+(* Stage one node on the coordinating thread: gather inputs, decide dead
+   propagation (completing a dead node at once), draw grants and the RNG
+   stream. Everything [run] then touches is either private to the task
+   or mutex-protected (resources, queues, rendezvous, tracer), so it may
+   run on a worker domain. *)
+let stage st task =
+  let p = st.plan and i = task.i and it = task.it in
+  let inputs = gather p i it in
+  let dead = it.dead_control.(i) || any_dead inputs 0 in
+  if dead && (match p.kind.(i) with Merge | Send -> false | _ -> true) then begin
+    complete st i it (Array.make p.num_outputs.(i) Value.Dead);
+    false
+  end
+  else begin
+    let n = p.nodes.(i) in
     (* An injected straggler waits here, on the coordinating thread,
        not on a pool worker, and parks only its own part. *)
     (let slow = Fault_injector.straggle n ~step_id:st.step_id in
      if slow > 0.0 then Option.iter (fun s -> Scheduler.pause s slow) st.sched);
-    let rng =
-      if p.random.(i) then
+    let (_ : Kernel.t) = resolve_kernel p i in
+    task.inputs <- inputs;
+    if p.random.(i) then
+      task.rng <-
         Some
           (Rng.create
              (st.seed
              + (st.step_id * 1_000_003)
              + (n.Node.id * 7_919)
-             + (it.index * 104_729)))
-      else None
-    in
-    let ctx =
-      {
-        Kernel.node = n;
-        inputs;
-        resources = st.resources;
-        rendezvous = st.rendezvous;
-        rng;
-        step_id = st.step_id;
-        cancel = st.cancel;
-        grants = grants st i it inputs;
-        var_snapshot = st.var_snapshot;
-      }
-    in
-    let kernel = resolve_kernel p i in
-    Scheduler.Offload
-      (fun () ->
-        offload_kernel ~tracer:st.tracer ~rendezvous:st.rendezvous
-          ~cancel:st.cancel ~step_id:st.step_id
-          ~live_of:(fun () -> st.live)
-          n kernel ctx
-          ~finish:(complete st i it))
+             + (it.index * 104_729)));
+    task.grants <- grants st i it inputs;
+    st.dispatched <- st.dispatched + 1;
+    true
   end
 
 (* Feeds are per endpoint: each fed node completes in the root
@@ -912,58 +1020,64 @@ let execute p ~feeds ~fetches ~resources ?rendezvous ?tracer ?cancel
       resources;
       rendezvous;
       tracer;
+      timed = Option.is_some tracer || Metrics.kernel_timing ();
       cancel;
       seed;
       step_id;
       var_snapshot;
       live = 0;
+      peak = 0;
+      dispatched = 0;
+      granted = 0;
       sched = None;
     }
   in
-  let run_blocking task =
-    match stage st task with
-    | Scheduler.Finish k -> k ()
-    | Scheduler.Offload run -> (run ()) ()
-  in
   (* A ready Recv is armed once; its value (or the rendezvous' abort)
      comes back as a completion posted by the sender's thread. Without a
-     rendezvous its kernel runs, and fails. *)
-  let arm (i, it) post =
+     rendezvous it runs as a blocking task, and its kernel fails. *)
+  let classify, arm =
     match rendezvous with
-    | None -> post (fun () -> run_blocking (i, it))
+    | None ->
+        ( (fun task ->
+            match p.cls.(task.i) with
+            | Scheduler.Recv -> Scheduler.Blocking
+            | c -> c),
+          fun _ -> assert false )
     | Some r ->
-        let n = p.nodes.(i) in
-        Rendezvous.arm r
-          ~key:(Rendezvous.key ~step_id p.recv_suffix.(i))
-          (function
-            | Ok v ->
-                post (fun () ->
-                    trace tracer n ~step_id
-                      ~bytes_of:(fun () -> Value.byte_size v)
-                      (fun () -> ());
-                    complete st i it [| v |])
-            | Error reason ->
-                post (fun () -> raise (Rendezvous.Aborted reason)))
+        ( (fun task -> p.cls.(task.i)),
+          fun task ->
+            let sched = Option.get st.sched in
+            Rendezvous.arm r
+              ~key:(Rendezvous.key ~step_id p.recv_suffix.(task.i))
+              (fun result ->
+                (match result with
+                | Ok v -> task.outputs <- [| v |]
+                | Error reason ->
+                    task.failure <- Some (Rendezvous.Aborted reason));
+                Scheduler.received sched task) )
   in
   let ops =
     {
-      Scheduler.classify = (fun (i, _) -> p.cls.(i));
+      Scheduler.classify;
       stage = stage st;
-      run_blocking;
+      run = run st;
+      finish = finish st;
       arm;
+      received = received st;
       cancel;
     }
   in
   let sched = Scheduler.create sync p.scheduler ops in
   st.sched <- Some sched;
   let root = new_instance p ~parent:None in
-  (* Whatever the step's fate, the process-wide gauges must not keep
-     counting this step's bytes, and the pool counters get synced. *)
+  (* Whatever the step's fate, the live count must not keep this step's
+     bytes, and the step's counts reach their metrics. *)
   Fun.protect
     ~finally:(fun () ->
       Mem_plan.live_sub st.live;
       st.live <- 0;
-      Mem_plan.sync_pool_metrics ())
+      Metrics.Counter.add m_kernels st.dispatched;
+      Mem_plan.publish ~peak:st.peak ~grants:st.granted)
     (fun () ->
       Array.iteri
         (fun i count ->

@@ -39,7 +39,9 @@ let fresh_output_op = function
   | "DynamicStitch" | "ScatterIntoShape" | "UniqueSegmentSum"
   | "ReduceSumGrad" | "ReduceMeanGrad" | "ConcatGrad" | "SliceGrad" | "PadGrad"
   | "TileGrad"
-  | "DynamicPartitionGrad" | "Quantize" | "Dequantize" | "QuantizedMatMul" ->
+  | "DynamicPartitionGrad" | "Quantize" | "Dequantize" | "QuantizedMatMul"
+  | "QuantizeRange" | "QuantizedMatMulQ" | "QuantizedConv2DQ"
+  | "QuantizedConv2D" ->
       true
   (* Everything else — Const (graph attribute), Placeholder, Identity,
      StopGradient, Reshape/ExpandDims/ReshapeLike/Pack/Unpack (share
@@ -57,10 +59,13 @@ let retains_input = function
       true
   | _ -> false
 
-(* Metrics: live/peak bytes are process-wide gauges fed by every
-   executing step; pool counters mirror Buffer_pool's own counters
-   (lib/tensor cannot depend on Metrics, so the executor syncs them at
-   step boundaries). *)
+(* Metrics. Live bytes are one process-wide atomic that every executing
+   step adds to and subtracts from, lock-free; each step keeps its own
+   peak of it and its grant count, and {!publish} moves them into the
+   gauges and the counter at the step boundary, where the pool counters
+   (lib/tensor cannot depend on Metrics) are synced too. *)
+
+let live = Atomic.make 0
 
 let m_live =
   Metrics.Gauge.v
@@ -90,19 +95,16 @@ let m_grants =
     ~help:"In-place (aliasing) buffer grants issued to kernels"
     "octf_mem_inplace_grants_total"
 
-let live_add bytes =
-  if bytes <> 0 then begin
-    Metrics.Gauge.add m_live (float_of_int bytes);
-    Metrics.Gauge.max_to m_peak (Metrics.Gauge.value m_live)
-  end
+let live_add bytes = Atomic.fetch_and_add live bytes + bytes
 
-let live_sub bytes =
-  if bytes <> 0 then Metrics.Gauge.add m_live (float_of_int (-bytes))
+let live_sub bytes = ignore (Atomic.fetch_and_add live (-bytes))
 
-let live_bytes () = int_of_float (Metrics.Gauge.value m_live)
-let count_grant () = Metrics.Counter.incr m_grants
+let live_bytes () = Atomic.get live
 
-let sync_pool_metrics () =
+let publish ~peak ~grants =
+  Metrics.Gauge.set m_live (float_of_int (Atomic.get live));
+  Metrics.Gauge.max_to m_peak (float_of_int peak);
+  Metrics.Counter.add m_grants grants;
   let s = Octf_tensor.Buffer_pool.stats () in
   Metrics.Gauge.set m_pool_hits (float_of_int s.Octf_tensor.Buffer_pool.hits);
   Metrics.Gauge.set m_pool_misses

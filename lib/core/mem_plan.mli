@@ -27,19 +27,21 @@ val retains_input : string -> bool
 
 (** {1 Metrics}
 
-    [octf_mem_live_bytes] / [octf_mem_peak_bytes] gauges,
+    Published per step, not per node: [octf_mem_live_bytes] /
+    [octf_mem_peak_bytes] gauges,
     [octf_mem_pool_{hits,misses,evictions}] mirrors of
     {!Octf_tensor.Buffer_pool.stats}, and
     [octf_mem_inplace_grants_total]. *)
 
-val live_add : int -> unit
-(** Add bytes to the live gauge and raise the peak watermark. *)
+val live_add : int -> int
+(** Add bytes to the process-wide live count (lock-free); returns the
+    new count, which the caller folds into its step's peak. *)
 
 val live_sub : int -> unit
 val live_bytes : unit -> int
-val count_grant : unit -> unit
 
-val sync_pool_metrics : unit -> unit
-(** Copy {!Octf_tensor.Buffer_pool.stats} into the pool gauges; the
-    executor calls this at step boundaries (lib/tensor cannot depend on
-    {!Metrics} directly). *)
+val publish : peak:int -> grants:int -> unit
+(** The step boundary: set the live gauge to the live count, raise the
+    peak gauge to [peak], add [grants] to the grant counter, and copy
+    {!Octf_tensor.Buffer_pool.stats} into the pool gauges (lib/tensor
+    cannot depend on {!Metrics} directly). *)

@@ -108,16 +108,23 @@ let child f labels =
           Hashtbl.replace f.f_children key s;
           s)
 
-let update s f =
-  Mutex.lock s.s_mutex;
-  f s;
-  Mutex.unlock s.s_mutex
-
+(* Updates lock the sample's mutex directly: no closure per update. *)
 let read s f =
   Mutex.lock s.s_mutex;
   let v = f s in
   Mutex.unlock s.s_mutex;
   v
+
+let value s =
+  Mutex.lock s.s_mutex;
+  let v = s.s_value in
+  Mutex.unlock s.s_mutex;
+  v
+
+let add_value s x =
+  Mutex.lock s.s_mutex;
+  s.s_value <- s.s_value +. x;
+  Mutex.unlock s.s_mutex
 
 module Counter = struct
   type m = sample
@@ -125,13 +132,13 @@ module Counter = struct
   let v ?(registry = default) ?(help = "") ?(labels = []) name =
     child (family registry ~name ~help ~kind:Counter_kind ~buckets:[||]) labels
 
-  let add_f m x = if x > 0.0 then update m (fun s -> s.s_value <- s.s_value +. x)
+  let add_f m x = if x > 0.0 then add_value m x
 
-  let add m n = add_f m (float_of_int n)
+  let add m n = if n > 0 then add_value m (float_of_int n)
 
-  let incr m = add_f m 1.0
+  let incr m = add_value m 1.0
 
-  let value m = read m (fun s -> s.s_value)
+  let value = value
 end
 
 module Gauge = struct
@@ -140,18 +147,23 @@ module Gauge = struct
   let v ?(registry = default) ?(help = "") ?(labels = []) name =
     child (family registry ~name ~help ~kind:Gauge_kind ~buckets:[||]) labels
 
-  let set m x = update m (fun s -> s.s_value <- x)
+  let set m x =
+    Mutex.lock m.s_mutex;
+    m.s_value <- x;
+    Mutex.unlock m.s_mutex
 
-  let add m x = update m (fun s -> s.s_value <- s.s_value +. x)
+  let add = add_value
 
   let incr m = add m 1.0
 
   let decr m = add m (-1.0)
 
   let max_to m x =
-    update m (fun s -> if x > s.s_value then s.s_value <- x)
+    Mutex.lock m.s_mutex;
+    if x > m.s_value then m.s_value <- x;
+    Mutex.unlock m.s_mutex
 
-  let value m = read m (fun s -> s.s_value)
+  let value = value
 end
 
 module Histogram = struct
@@ -163,23 +175,22 @@ module Histogram = struct
     { h_sample = child f labels; h_buckets = f.f_buckets }
 
   let observe m x =
-    update m.h_sample (fun s ->
-        s.s_value <- s.s_value +. x;
-        s.s_count <- s.s_count + 1;
-        let n = Array.length m.h_buckets in
-        let rec place i =
-          if i < n then
-            if x <= m.h_buckets.(i) then
-              s.s_bucket_counts.(i) <- s.s_bucket_counts.(i) + 1
-            else place (i + 1)
-        in
-        place 0)
+    let s = m.h_sample and n = Array.length m.h_buckets in
+    let rec place i =
+      if i < n && not (x <= m.h_buckets.(i)) then place (i + 1) else i
+    in
+    let i = place 0 in
+    Mutex.lock s.s_mutex;
+    s.s_value <- s.s_value +. x;
+    s.s_count <- s.s_count + 1;
+    if i < n then s.s_bucket_counts.(i) <- s.s_bucket_counts.(i) + 1;
+    Mutex.unlock s.s_mutex
 
   let time m f =
     let t0 = Unix.gettimeofday () in
     Fun.protect ~finally:(fun () -> observe m (Unix.gettimeofday () -. t0)) f
 
-  let sum m = read m.h_sample (fun s -> s.s_value)
+  let sum m = value m.h_sample
 
   let count m = read m.h_sample (fun s -> s.s_count)
 end
@@ -265,12 +276,11 @@ let reset registry =
       in
       List.iter
         (fun s ->
-          update s (fun s ->
-              s.s_value <- 0.0;
-              s.s_count <- 0;
-              Array.fill s.s_bucket_counts 0
-                (Array.length s.s_bucket_counts)
-                0))
+          Mutex.lock s.s_mutex;
+          s.s_value <- 0.0;
+          s.s_count <- 0;
+          Array.fill s.s_bucket_counts 0 (Array.length s.s_bucket_counts) 0;
+          Mutex.unlock s.s_mutex)
         children)
     families
 

@@ -96,7 +96,7 @@ let quantize_with_range tensor lo hi =
   let src = floats "Quantize" tensor in
   let scale = levels /. (hi -. lo) in
   let n = Array.length src in
-  let dst = Bytes.create n in
+  let dst = Buffer_pool.alloc_bytes n in
   Parallel.parallel_for ~grain:4096 n (fun l h ->
       for i = l to h - 1 do
         Bytes.unsafe_set dst i (encode ~lo ~scale (Array.unsafe_get src i))
@@ -416,7 +416,7 @@ let output op ~out_range shape =
       (Tensor.of_float_array shape o, Floats o)
   | Some (lo, hi) ->
       check_range op lo hi;
-      let d = Bytes.create len in
+      let d = Buffer_pool.alloc_bytes len in
       (Tensor.of_bytes shape d, Codes (d, lo, levels /. (hi -. lo)))
 
 let quantized_matmul ?bias ?(relu = false) ?out_range qa a_lo a_hi qb b_lo
@@ -610,7 +610,12 @@ let out_range_of node =
 let contract_q node contract =
   match out_range_of node with
   | Some (lo, hi) as out_range -> (contract ~out_range, lo, hi)
-  | None -> quantize (contract ~out_range:None)
+  | None ->
+      (* The float intermediate is private: back to the pool. *)
+      let f = contract ~out_range:None in
+      let q = quantize f in
+      Buffer_pool.release_float (Tensor.float_buffer f);
+      q
 
 let register () =
   K.register ~op_type:"Quantize" (fun ctx ->

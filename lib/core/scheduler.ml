@@ -14,22 +14,22 @@ let policy_to_string = function Inline -> "inline" | Pool -> "pool"
 
 let env = Octf_tensor.Env.v "OCTF_SCHEDULER" policy_of_string
 
-type staged = Finish of (unit -> unit) | Offload of (unit -> unit -> unit)
-
 type cls = Normal | Recv | Blocking
 
 type 'task ops = {
   classify : 'task -> cls;
-  stage : 'task -> staged;
-  run_blocking : 'task -> unit;
-  arm : 'task -> ((unit -> unit) -> unit) -> unit;
+  stage : 'task -> bool;
+  run : 'task -> unit;
+  finish : 'task -> unit;
+  arm : 'task -> unit;
+  received : 'task -> unit;
   cancel : Cancel.t option;
 }
 
 (* What a drive loop applies on the coordinating thread: a pool
-   kernel's continuation, or an armed Recv's. The two are counted
-   apart: [in_flight] is what a collateral failure must wait for. *)
-type completion = Landed of (unit -> unit) | Received of (unit -> unit)
+   kernel's result, or an armed Recv's. The two are counted apart:
+   [in_flight] is what a collateral failure must wait for. *)
+type 'task completion = Landed of 'task | Received of 'task
 
 (* One mutex and one condition for every part of a step. Worker
    domains, senders' threads and the timer post under [lock] and signal
@@ -88,15 +88,16 @@ let run_parts s parts =
   Option.iter raise !failure
 
 (* Completions cross from worker domains and from senders' threads back
-   to the coordinating thread through [completions], under the sync's
-   lock; the counters are touched only by the coordinator. *)
+   to the coordinating thread through [completions], pushed lock-free
+   and signalled under the sync's lock; the counters are touched only by
+   the coordinator, which reads [completions] without a lock. *)
 type 'task t = {
   policy : policy;
   ops : 'task ops;
   ready : 'task Queue.t;
   blocking : 'task Queue.t;
   sync : sync;
-  mutable completions : completion list;  (* reversed arrival order *)
+  completions : 'task completion list Atomic.t;  (* reversed arrival order *)
   mutable in_flight : int;  (* kernels on the pool *)
   mutable armed : int;  (* Recvs armed, completion not yet applied *)
 }
@@ -108,16 +109,24 @@ let create sync policy ops =
     ready = Queue.create ();
     blocking = Queue.create ();
     sync;
-    completions = [];
+    completions = Atomic.make [];
     in_flight = 0;
     armed = 0;
   }
 
+(* The push precedes the signal, which takes the lock: a runner that
+   saw no completion under the lock is in its wait before the signal. *)
 let post t c =
+  let rec push () =
+    let cs = Atomic.get t.completions in
+    if not (Atomic.compare_and_set t.completions cs (c :: cs)) then push ()
+  in
+  push ();
   Mutex.lock t.sync.lock;
-  t.completions <- c :: t.completions;
   Condition.signal t.sync.cond;
   Mutex.unlock t.sync.lock
+
+let received t task = post t (Received task)
 
 let add t task =
   match t.ops.classify task with
@@ -125,26 +134,23 @@ let add t task =
   | Blocking -> Queue.add task t.blocking
   | Recv ->
       t.armed <- t.armed + 1;
-      t.ops.arm task (fun k -> post t (Received k))
+      t.ops.arm task
+
+let cancelled t =
+  match t.ops.cancel with Some c -> Cancel.cancelled c <> None | None -> false
 
 (* Take what has been posted; with [block], first wait until something
    is, or (with [cancellable]) the step's token has fired. The cancel
    waker signals under the sync's lock, so it cannot slip between the
    check and the wait. *)
 let take ?(cancellable = true) ~block t =
-  let cancelled () =
-    cancellable
-    &&
-    match t.ops.cancel with
-    | Some c -> Cancel.cancelled c <> None
-    | None -> false
-  in
-  if block then park (fun () -> t.completions <> [] || cancelled ());
-  Mutex.lock t.sync.lock;
-  let cs = t.completions in
-  t.completions <- [];
-  Mutex.unlock t.sync.lock;
-  List.rev cs
+  if block then
+    park (fun () ->
+        (match Atomic.get t.completions with [] -> false | _ -> true)
+        || (cancellable && cancelled t));
+  match Atomic.get t.completions with
+  | [] -> []
+  | _ -> List.rev (Atomic.exchange t.completions [])
 
 let wake t () =
   Mutex.lock t.sync.lock;
@@ -152,12 +158,12 @@ let wake t () =
   Mutex.unlock t.sync.lock
 
 let apply t = function
-  | Landed k ->
+  | Landed task ->
       t.in_flight <- t.in_flight - 1;
-      k ()
-  | Received k ->
+      t.ops.finish task
+  | Received task ->
       t.armed <- t.armed - 1;
-      k ()
+      t.ops.received task
 
 (* Apply a batch in arrival order. If one raises, the rest go back to
    the front of the queue: a collateral failure still waits for them
@@ -168,9 +174,14 @@ let rec apply_all t = function
       (match apply t c with
       | () -> ()
       | exception e ->
-          Mutex.lock t.sync.lock;
-          t.completions <- t.completions @ List.rev rest;
-          Mutex.unlock t.sync.lock;
+          let rec requeue () =
+            let cs = Atomic.get t.completions in
+            if
+              not
+                (Atomic.compare_and_set t.completions cs (cs @ List.rev rest))
+            then requeue ()
+          in
+          requeue ();
           raise e);
       apply_all t rest
 
@@ -187,16 +198,18 @@ let pause t seconds =
   park (fun () -> !fired)
 
 let run_now t task =
-  match t.ops.stage task with Finish k -> k () | Offload run -> (run ()) ()
+  if t.ops.stage task then begin
+    t.ops.run task;
+    t.ops.finish task
+  end
 
 let dispatch t task =
-  match t.ops.stage task with
-  | Finish k -> k ()
-  | Offload run ->
-      t.in_flight <- t.in_flight + 1;
-      Domain_pool.submit (fun () ->
-          let k = try run () with e -> fun () -> raise e in
-          post t (Landed k))
+  if t.ops.stage task then begin
+    t.in_flight <- t.in_flight + 1;
+    Domain_pool.submit (fun () ->
+        t.ops.run task;
+        post t (Landed task))
+  end
 
 (* One loop for both policies; they differ only in where a ready
    kernel runs. Ready work goes first, then whatever has been posted;
@@ -226,7 +239,7 @@ let rec loop t =
           loop t
         end
         else if not (Queue.is_empty t.blocking) then begin
-          t.ops.run_blocking (Queue.pop t.blocking);
+          run_now t (Queue.pop t.blocking);
           loop t
         end
 
@@ -239,7 +252,7 @@ let collateral = function
 
 (* A part's own failure wins. A kernel of this part that fails on a
    worker domain aborts the rendezvous and cancels the step before its
-   continuation is posted, so the part's own Recvs may fail, or its
+   result is posted, so the part's own Recvs may fail, or its
    token fire, ahead of the root cause. A collateral failure is
    therefore raised only once no kernel is in flight; a primary one met
    on the way replaces it. *)

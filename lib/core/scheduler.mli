@@ -52,37 +52,37 @@ val env : policy Octf_tensor.Env.t
 
     The executor describes its work items abstractly and the engine runs
     them to quiescence. A work item is staged on the coordinating
-    thread; staging either completes it at once (dead-value propagation,
-    fed nodes) or yields a kernel thunk that is safe to run on a worker
-    domain. The thunk returns a completion continuation which the engine
-    applies back on the coordinating thread — continuations mutate
-    executor state and typically call {!add} with newly-ready items. *)
-
-type staged =
-  | Finish of (unit -> unit)
-      (** No kernel to run; apply the continuation on the coordinator. *)
-  | Offload of (unit -> unit -> unit)
-      (** [run () = k] runs the kernel (worker-safe: it touches only
-          immutable staged state and mutex-protected shared objects) and
-          returns the continuation [k] to apply on the coordinator. It
-          must not raise: capture failures and raise from [k] instead. *)
+    thread; staging either completes it at once (dead-value propagation)
+    or readies its kernel, which then runs — inline, or on a worker
+    domain — and stores its result in the item; the engine applies that
+    result back on the coordinating thread. The engine builds no closure
+    and takes no lock per item on the inline path: posted completions
+    sit in an atomic list. *)
 
 type cls = Normal | Recv | Blocking
 
 type 'task ops = {
   classify : 'task -> cls;
-  stage : 'task -> staged;
-      (** Coordinator-side preparation of a {!Normal} task: gather
-          inputs, resolve the kernel, build the context. *)
-  run_blocking : 'task -> unit;
-      (** Run a {!Blocking} task to completion on the coordinating
-          thread, continuation included. *)
-  arm : 'task -> ((unit -> unit) -> unit) -> unit;
-      (** [arm task post] arms a {!Recv} task once, when it becomes
-          ready. It must call [post k] exactly once, from any thread and
-          possibly before returning, with the continuation [k] that
-          completes (or fails) the task; the engine applies [k] on the
-          coordinating thread. *)
+  stage : 'task -> bool;
+      (** Coordinator-side preparation of a {!Normal} or {!Blocking}
+          task: gather inputs, build the context. [false] when the task
+          completed at once and has no kernel to run. *)
+  run : 'task -> unit;
+      (** Run a staged task's kernel, on the coordinating thread or a
+          worker domain, and store its outputs or its failure in the
+          task. Worker-safe (it touches only the task and mutex-protected
+          shared objects); must not raise. *)
+  finish : 'task -> unit;
+      (** Apply a run task's result on the coordinating thread: complete
+          it, or re-raise its failure. *)
+  arm : 'task -> unit;
+      (** Arm a {!Recv} task once, when it becomes ready. Its value (or
+          failure) must be stored in the task and handed to
+          {!received} exactly once, from any thread and possibly before
+          [arm] returns. *)
+  received : 'task -> unit;
+      (** Apply an armed task's result on the coordinating thread, as
+          [finish] does for a run one. *)
   cancel : Cancel.t option;
       (** When present, the drive loop polls it between tasks — so even
           a cyclic graph that never quiesces honours its deadline — and
@@ -130,19 +130,23 @@ val pause : 'task t -> float -> unit
 (** [pause t s] parks the calling part until a {!Timer} entry fires [s]
     seconds from now; the step's other parts run meanwhile. *)
 
+val received : 'task t -> 'task -> unit
+(** [received t task] posts an armed {!Recv} task's completion; callable
+    from any thread. *)
+
 val add : 'task t -> 'task -> unit
 (** Make a task ready; a {!Recv} task is armed at once. Called from the
-    coordinating thread only — at seeding time and from completion
-    continuations. *)
+    coordinating thread only — at seeding time and while a result is
+    applied. *)
 
 val drive : 'task t -> unit
 (** Run until no task is ready, no kernel is in flight, no armed [Recv]
     is outstanding and no blocking task is left. Re-raises the first
-    continuation failure on the coordinating thread. A collateral
+    failure a result carries, on the coordinating thread. A collateral
     failure — {!Rendezvous.Aborted}, or a {!Step_failure.is_secondary}
     cause such as the step's cancellation — is raised only once no
     kernel is in flight, and a primary failure among those kernels'
-    continuations wins: the part reports its own root cause.
+    results wins: the part reports its own root cause.
 
     @raise Rendezvous.Aborted if a peer partition fails while this one
     waits for a [Recv].

@@ -1,6 +1,7 @@
 (** Domain-safe recycling pool for tensor backing buffers.
 
-    Freed float buffers are binned by exact element count and handed
+    Freed float buffers and uint8 code buffers are binned by exact
+    element count and handed
     back to subsequent allocations of the same size.  Total pooled
     bytes are bounded ([OCTF_BUFFER_POOL_MB], default 256; see
     {!set_limit_mb}) — releases past the bound are dropped and counted
@@ -22,6 +23,16 @@ val alloc_float : ?zero:bool -> int -> float array
 
 val release_float : float array -> unit
 (** Return a buffer to the pool.  Caller asserts no live references. *)
+
+val alloc_bytes : int -> Bytes.t
+(** [alloc_bytes n] returns a byte buffer of exactly [n] bytes, recycled
+    when possible; its contents are unspecified (as [Bytes.create]'s), so
+    the caller overwrites every byte.  Small allocations bypass the
+    pool. *)
+
+val release_bytes : Bytes.t -> unit
+(** Return a byte buffer to the pool.  Caller asserts no live
+    references. *)
 
 val env : int Env.t
 (** [OCTF_BUFFER_POOL_MB], an integer >= 0: the initial bound in MB. *)

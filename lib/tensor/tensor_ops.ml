@@ -1275,7 +1275,7 @@ let max_pool input ~ksize ~strides ~padding =
   let n = Shape.numel shape in
   match T.dtype input with
   | Dtype.U8 ->
-      let dst = Bytes.create n in
+      let dst = Buffer_pool.alloc_bytes n in
       pool (Max_u8 (T.byte_buffer input, dst)) input ~ksize ~strides ~padding;
       T.of_bytes shape dst
   | dtype ->

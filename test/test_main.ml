@@ -2,7 +2,7 @@
    also runs a pool-scheduler leg (see Legs). *)
 let pooled =
   [ "queue"; "executor"; "scheduler"; "session"; "data"; "tracer"; "faults";
-    "metrics"; "serving"; "parts" ]
+    "metrics"; "serving"; "parts"; "dispatch" ]
 
 let () =
   Alcotest.run "octf"
@@ -24,6 +24,7 @@ let () =
        ("placement", Test_placement.suite);
        ("partition", Test_partition.suite);
        ("executor", Test_executor.suite);
+       ("dispatch", Test_dispatch.suite);
        ("scheduler", Test_scheduler.suite);
        ("gradients", Test_gradients.suite);
        ("session", Test_session.suite);
