@@ -733,9 +733,9 @@ let pooling ~smoke ~peak =
 (* One sparse Adagrad step on train_lm_ps's softmax table (2048 x 32,
    320 gathered ids a step, duplicates included), at one thread: the
    UniqueSegmentSum that deduplicates the rows, the fused
-   SparseApplyAdagrad on them (two copy-on-write table copies plus the
-   rows), and the dense chain it replaces (densify, square, +=, sqrt,
-   + eps, * lr, /, -=; eight table-sized outputs). *)
+   SparseApplyAdagrad on them (in place, as on an unshared table: the
+   named rows of both tables), and the dense chain it replaces (densify,
+   square, +=, sqrt, + eps, * lr, /, -=; eight table-sized outputs). *)
 let sparse_update ~smoke ~peak =
   Parallel.set_threads 1;
   let rng = Rng.create 23 in
@@ -760,10 +760,11 @@ let sparse_update ~smoke ~peak =
           Tensor.numel unique + Tensor.numel sums,
           fun () -> Tensor_ops.unique_segment_sum ids values );
         ( "sparse_apply_adagrad_2048x32",
-          (2 * table) + Tensor.numel sums,
+          2 * Tensor.numel sums,
           fun () ->
             Tensor_ops.sparse_apply_adagrad ~var ~accum ~lr ~epsilon:1e-8 unique
-              sums );
+              sums;
+            (var, accum) );
         ( "dense_adagrad_2048x32",
           8 * table,
           fun () ->

@@ -799,6 +799,7 @@ let run st task =
       step_id = st.step_id;
       cancel = st.cancel;
       grants = task.grants;
+      output_used = p.refcounts.(i).(0) > 0 || pinned st i 0;
       var_snapshot = st.var_snapshot;
     }
   in

@@ -9,50 +9,38 @@ let impure_ops =
 let is_pure (n : Node.t) =
   (not (Node.is_stateful n)) && not (List.mem n.Node.op_type impure_ops)
 
-(* Rewire every consumer of [old_id]'s outputs to the same-index output of
-   [new_id], and every control edge to [new_id]. *)
-let redirect graph ~old_id ~new_id =
+(* Rewire, in the executed view, every consumer endpoint (old_id, k) to
+   [target k] (left alone on [None]) and every control edge on [old_id]
+   to [control]. *)
+let redirect_by graph ~old_id ~target ~control =
   Graph.iter graph (fun n ->
       Array.iteri
         (fun slot (e : Node.endpoint) ->
           if e.node_id = old_id then
-            Graph.set_input graph ~node_id:n.Node.id ~slot
-              (Node.endpoint new_id e.index))
-        n.Node.inputs);
-  (* Control edges: rebuild via set_input is data-only; rewrite the node
-     record directly. *)
-  Graph.iter graph (fun n ->
-      if List.mem old_id n.Node.control_inputs then begin
-        let fresh =
-          List.sort_uniq compare
-            (List.map
-               (fun c -> if c = old_id then new_id else c)
-               n.Node.control_inputs)
-        in
-        (* Re-adding is not possible; mutate through a replacement record
-           using set_input's mechanism is data-only, so we reach into the
-           graph via a dedicated helper below. *)
-        Graph.replace_control_inputs graph ~node_id:n.Node.id fresh
-      end)
-
-(* Multi-output variant of [redirect] for constant folding: consumer
-   endpoint (old_id, k) moves to output 0 of the k-th replacement node.
-   Control edges (which carry no slot) all move to the first one. *)
-let redirect_outputs graph ~old_id ~new_ids =
-  Graph.iter graph (fun n ->
-      Array.iteri
-        (fun slot (e : Node.endpoint) ->
-          if e.node_id = old_id then
-            Graph.set_input graph ~node_id:n.Node.id ~slot
-              (Node.endpoint new_ids.(e.index) 0))
-        n.Node.inputs);
-  Graph.iter graph (fun n ->
+            Option.iter
+              (Graph.rewire_input graph ~node_id:n.Node.id ~slot)
+              (target e.index))
+        n.Node.inputs;
       if List.mem old_id n.Node.control_inputs then
-        Graph.replace_control_inputs graph ~node_id:n.Node.id
+        Graph.rewire_control_inputs graph ~node_id:n.Node.id
           (List.sort_uniq compare
              (List.map
-                (fun c -> if c = old_id then new_ids.(0) else c)
+                (fun c -> if c = old_id then control else c)
                 n.Node.control_inputs)))
+
+(* Every consumer of [old_id]'s outputs moves to the same-index output of
+   [new_id], and every control edge to [new_id]. *)
+let redirect graph ~old_id ~new_id =
+  redirect_by graph ~old_id
+    ~target:(fun k -> Some (Node.endpoint new_id k))
+    ~control:new_id
+
+(* For constant folding: consumer endpoint (old_id, k) moves to output 0
+   of the k-th replacement node; control edges move to the first one. *)
+let redirect_outputs graph ~old_id ~new_ids =
+  redirect_by graph ~old_id
+    ~target:(fun k -> Some (Node.endpoint new_ids.(k) 0))
+    ~control:new_ids.(0)
 
 let constant_fold graph ~nodes ~fed =
   (* Folding executes kernels; without this, Kernel.instantiate returns None
@@ -106,6 +94,7 @@ let constant_fold graph ~nodes ~fed =
                 step_id = 0;
                 cancel = None;
                 grants = [];
+                output_used = true;
                 var_snapshot = None;
               }
             in
@@ -443,24 +432,12 @@ let m_quant_weight_bytes_code =
   Metrics.Counter.v ~help:"Packed uint8 bytes of quantized weight codes"
     "octf_quant_weight_bytes_code_total"
 
-(* Per-slot redirect with arbitrary endpoint targets: consumer endpoint
-   (old_id, k) moves to [targets.(k)] — used by elision, where output k
-   of a minted Quantize node maps to the k-th input endpoint of the
-   producing Dequantize. *)
+(* For elision: output k of a minted Quantize node maps to the k-th
+   input endpoint of the producing Dequantize. *)
 let redirect_to_endpoints graph ~old_id ~(targets : Node.endpoint array) =
-  Graph.iter graph (fun n ->
-      Array.iteri
-        (fun slot (e : Node.endpoint) ->
-          if e.node_id = old_id && e.index < Array.length targets then
-            Graph.set_input graph ~node_id:n.Node.id ~slot targets.(e.index))
-        n.Node.inputs);
-  Graph.iter graph (fun n ->
-      if List.mem old_id n.Node.control_inputs then
-        Graph.replace_control_inputs graph ~node_id:n.Node.id
-          (List.sort_uniq compare
-             (List.map
-                (fun c -> if c = old_id then targets.(0).Node.node_id else c)
-                n.Node.control_inputs)))
+  redirect_by graph ~old_id
+    ~target:(fun k -> if k < Array.length targets then Some targets.(k) else None)
+    ~control:targets.(0).Node.node_id
 
 let endpoint_name graph (e : Node.endpoint) =
   let p = Graph.get graph e.node_id in
@@ -811,6 +788,143 @@ let quantize_graph graph ~nodes ~fed ~pinned ~ranges =
     (List.rev !minted_quants);
   !islands
 
+(* ------------------------ gather at the variable ------------------- *)
+
+(* The node an earlier compile minted for the same rewrite, else a new
+   one. Every compile starts from the built view ({!Graph.restore}), so
+   without this each would mint its own copy under a fresh name; reuse
+   keeps the graph from growing and the name (a rendezvous key once
+   partitioned) the same in every process that compiles the step. *)
+let reuse_or_add graph ~name ~inputs ~control_inputs ~device ~op_type =
+  match Graph.find_by_name graph name with
+  | Some n
+    when n.Node.op_type = op_type && n.Node.inputs = inputs
+         && n.Node.control_inputs = control_inputs
+         && n.Node.device_spec = device ->
+      n.Node.id
+  | _ ->
+      (Graph.add_node graph ~name ~inputs:(Array.to_list inputs)
+         ~control_inputs ~device ~op_type ())
+        .Node.id
+
+(* Gather(Read v, idx) becomes GatherVariable(v, idx), colocated with v
+   (§4.2, Figure 3): only the gathered rows leave the variable, and the
+   table is no longer handed out, so row-sparse updates of v write in
+   place. It applies to a Read when, in this step:
+   - the Read is neither fed nor pinned, and reads a Variable's handle;
+   - its only consumers are unfed, unpinned Gathers on their params
+     slot (no control consumer);
+   - every node of the step that consumes v's handle other than a Read
+     (a writer) is a descendant of all of those gathers, so each gather
+     copies the rows the Read would have returned.
+   A GatherVariable inherits the Read's and the Gather's control inputs
+   and v's device constraint. Follow with a prune: the Reads and the
+   Gathers drop out. *)
+let gather_at_variable graph ~nodes ~fed ~pinned =
+  (* Data consumers as (consumer, slot), and control consumers, within
+     the step, by producer id. *)
+  let size = Graph.node_count graph in
+  let data = Array.make size [] and control = Array.make size [] in
+  List.iter
+    (fun id ->
+      let n = Graph.get graph id in
+      if not (Hashtbl.mem fed id) then begin
+        Array.iteri
+          (fun slot (e : Node.endpoint) ->
+            data.(e.node_id) <- (id, slot) :: data.(e.node_id))
+          n.Node.inputs;
+        List.iter (fun c -> control.(c) <- id :: control.(c)) n.Node.control_inputs
+      end)
+    nodes;
+  let is_op id op = (Graph.get graph id).Node.op_type = op in
+  (* The step's ancestors of a writer, through data and control edges
+     (a fed node has none): a writer descends from [g] when [g] is one.
+     Rewires of earlier Reads keep these sets: a GatherVariable has the
+     inputs and control inputs of the Gather and Read it replaces. *)
+  let ancestors = Hashtbl.create 4 in
+  let descends_from g writer =
+    let seen =
+      match Hashtbl.find_opt ancestors writer with
+      | Some seen -> seen
+      | None ->
+          let seen = Bytes.make (Graph.node_count graph) '\000' in
+          let rec visit = function
+            | [] -> ()
+            | id :: rest when Bytes.get seen id <> '\000' -> visit rest
+            | id :: rest ->
+                Bytes.set seen id '\001';
+                if Hashtbl.mem fed id then visit rest
+                else
+                  let n = Graph.get graph id in
+                  visit
+                    (Array.fold_left
+                       (fun acc (e : Node.endpoint) -> e.node_id :: acc)
+                       (List.rev_append n.Node.control_inputs rest)
+                       n.Node.inputs)
+          in
+          visit [ writer ];
+          Hashtbl.replace ancestors writer seen;
+          seen
+    in
+    Bytes.get seen g <> '\000'
+  in
+  let rewritten = ref 0 in
+  List.iter
+    (fun id ->
+      let r = Graph.get graph id in
+      let handle = if r.Node.op_type = "Read" then Some r.Node.inputs.(0) else None in
+      match handle with
+      | Some handle
+        when is_op handle.node_id "Variable"
+             && (not (Hashtbl.mem fed id))
+             && (not (Hashtbl.mem pinned id))
+             && control.(id) = [] ->
+          let consumers = data.(id) in
+          let writers =
+            List.filter_map
+              (fun (c, _) -> if is_op c "Read" then None else Some c)
+              data.(handle.node_id)
+          in
+          let eligible (g, slot) =
+            slot = 0 && is_op g "Gather"
+            && (not (Hashtbl.mem pinned g))
+            && List.for_all (descends_from g) writers
+          in
+          if consumers <> [] && List.for_all eligible consumers then begin
+            let variable = Graph.get graph handle.node_id in
+            List.iter
+              (fun g ->
+                let gn = Graph.get graph g in
+                let at_var =
+                  reuse_or_add graph ~name:(gn.Node.name ^ "/at_variable")
+                    ~inputs:[| handle; gn.Node.inputs.(1) |]
+                    ~control_inputs:
+                      (List.sort_uniq compare
+                         (r.Node.control_inputs @ gn.Node.control_inputs))
+                    ~device:variable.Node.device_spec ~op_type:"GatherVariable"
+                in
+                (* Only the step's consumers move: the next compile
+                   starts from the built view again. *)
+                List.iter
+                  (fun (c, slot) ->
+                    Graph.rewire_input graph ~node_id:c ~slot
+                      (Node.endpoint at_var 0))
+                  data.(g);
+                List.iter
+                  (fun c ->
+                    Graph.rewire_control_inputs graph ~node_id:c
+                      (List.sort_uniq compare
+                         (List.map
+                            (fun x -> if x = g then at_var else x)
+                            (Graph.get graph c).Node.control_inputs)))
+                  control.(g);
+                incr rewritten)
+              (List.sort_uniq compare (List.map fst consumers))
+          end
+      | _ -> ())
+    nodes;
+  !rewritten
+
 type pass =
   | Prune
   | Constant_fold
@@ -846,6 +960,8 @@ let run graph ~passes ~feeds ~fetches ~targets =
     fetches;
   List.iter (fun id -> Hashtbl.replace pinned id ()) targets;
   let prune () = Pruner.prune graph ~feeds ~fetches ~targets in
+  (* Each compiled step starts from the graph as built. *)
+  Graph.restore graph;
   (* The step definition itself is the initial node set. *)
   let nodes = ref (prune ()) in
   List.iter
@@ -859,4 +975,6 @@ let run graph ~passes ~feeds ~fetches ~targets =
       | Quantize ranges ->
           ignore (quantize_graph graph ~nodes:!nodes ~fed ~pinned ~ranges))
     passes;
+  if gather_at_variable graph ~nodes:!nodes ~fed ~pinned > 0 then
+    nodes := prune ();
   !nodes

@@ -6,9 +6,11 @@
 
     Each step compilation runs a caller-chosen list of {!pass}es over
     the step's subgraph. Rewriting passes ({!Constant_fold}, {!Cse},
-    {!Freeze}) mutate the graph in place by repointing consumer edges:
-    they never mutate an existing node's input array (a new node record
-    replaces it), so executors holding references to old records are
+    {!Freeze}) repoint consumer edges in the graph's executed view
+    ({!Graph.rewire_input}); the built view, which gradients and
+    {!Graph.copy} read, keeps the edges as constructed. They never
+    mutate an existing node's input array (a new node record replaces
+    it), so executors holding references to old records are
     unaffected. A rewrite leaves the losing duplicates disconnected —
     follow it with a {!Prune} pass (as {!default_pipeline} does) to drop
     them from the executed node set. *)
@@ -94,9 +96,23 @@ val run :
   int list
 (** Run the pipeline over the step defined by [feeds]/[fetches]/[targets]
     and return the node ids the executor should compile (ascending).
-    The pipeline starts from an initial {!Prune} (the step definition
-    itself); each listed pass then transforms the graph or the node
-    set. Fed nodes are never folded, merged or frozen. *)
+    The pipeline first drops the previous run's rewires
+    ({!Graph.restore}), so it starts from the graph as built, then
+    from an initial {!Prune} (the step definition itself); each listed
+    pass then transforms the graph or the node set. Fed nodes are never
+    folded, merged or frozen.
+
+    Whatever the passes, the run ends with the gather-at-variable
+    rewrite (§4.2, Figure 3), then a prune if it fired: a
+    [Gather(Read v, idx)] becomes a [GatherVariable(v, idx)] kernel,
+    colocated with [v], that copies only the named rows under [v]'s
+    lock (or from the step's admission snapshot). It applies when the
+    [Read] is neither fed nor fetched, reads a [Variable]'s handle, has
+    only unfetched [Gather]s on their params slot as consumers (and no
+    control consumer), and every node of the step that writes [v]
+    descends from all of those gathers; the result then equals the
+    unrewritten step's. The table is no longer handed out, so updates
+    of [v] write in place. *)
 
 val is_pure : Node.t -> bool
 (** Operations eligible for folding/merging: stateless, side-effect free,

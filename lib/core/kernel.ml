@@ -7,6 +7,7 @@ type ctx = {
   step_id : int;
   cancel : Cancel.t option;
   grants : (int * int) list;
+  output_used : bool;
   var_snapshot : (string -> Octf_tensor.Tensor.t option) option;
 }
 

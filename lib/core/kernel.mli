@@ -30,6 +30,11 @@ type ctx = {
           (the input's refcount is 1 and it is not fed, fetched or a
           variable's backing store). Empty unless the op declared
           [~aliases] at registration and planning is enabled. *)
+  output_used : bool;
+      (** some consumer or fetch of this step reads output 0. An update
+          kernel whose output is the variable's new buffer hands that
+          buffer out exactly when this is set
+          ({!Resource.variable_update_in_place}). *)
   var_snapshot : (string -> Octf_tensor.Tensor.t option) option;
       (** when the pipelined engine admitted this step with versioned
           variable reads, maps a variable name to the value it held at

@@ -35,6 +35,7 @@ let fresh_output_op = function
   | "ReluGrad" | "SoftmaxCrossEntropy" | "Conv2D" | "Conv2DGradInput"
   | "Conv2DGradFilter" | "MaxPool" | "MaxPoolGrad" | "AvgPool" | "AvgPoolGrad"
   | "Transpose" | "Concat" | "Slice" | "Pad" | "Tile" | "OneHot" | "Gather"
+  | "GatherVariable"
   | "Split" | "RangeLike" | "RandomIndices" | "DynamicPartition"
   | "DynamicStitch" | "ScatterIntoShape" | "UniqueSegmentSum"
   | "ReduceSumGrad" | "ReduceMeanGrad" | "ConcatGrad" | "SliceGrad" | "PadGrad"

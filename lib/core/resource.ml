@@ -6,6 +6,7 @@ type variable = {
   var_shape : Shape.t;
   mutable value : Tensor.t option;
   mutable version : int;
+  mutable shared : bool;
   var_mutex : Mutex.t;
 }
 
@@ -29,19 +30,25 @@ type t =
 
 let make_variable ~name ~dtype ~shape =
   { var_name = name; var_dtype = dtype; var_shape = shape; value = None;
-    version = 0; var_mutex = Mutex.create () }
+    version = 0; shared = false; var_mutex = Mutex.create () }
 
 let with_lock v f =
   Mutex.lock v.var_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock v.var_mutex) f
 
+let current v ~what =
+  match v.value with
+  | Some t -> t
+  | None ->
+      failwith
+        (Printf.sprintf "variable %S %s before initialization" v.var_name what)
+
+(* Hands the current buffer out: the next update copies it first. *)
 let variable_read v =
   with_lock v (fun () ->
-      match v.value with
-      | Some t -> t
-      | None ->
-          failwith
-            (Printf.sprintf "variable %S read before initialization" v.var_name))
+      let t = current v ~what:"read" in
+      v.shared <- true;
+      t)
 
 let check_compatible v t =
   if not (Dtype.equal (Tensor.dtype t) v.var_dtype) then
@@ -60,20 +67,32 @@ let variable_assign v t =
   check_compatible v t;
   with_lock v (fun () ->
       v.value <- Some (Tensor.copy t);
+      v.shared <- false;
       v.version <- v.version + 1)
 
-let variable_update v f =
+(* Install a buffer the variable owns, unless the caller hands it out
+   as its own output. *)
+let install v ~hand_out t =
+  v.value <- Some t;
+  v.shared <- hand_out;
+  v.version <- v.version + 1;
+  t
+
+let variable_update ?(hand_out = true) v f =
+  with_lock v (fun () -> install v ~hand_out (f (current v ~what:"updated")))
+
+(* Copy only while shared: a buffer no Read, peek or output holds is
+   written where it lies. [f] raises before writing, or not at all, so
+   a failed update leaves the value as it was. *)
+let variable_update_in_place ~hand_out v f =
   with_lock v (fun () ->
-      match v.value with
-      | None ->
-          failwith
-            (Printf.sprintf "variable %S updated before initialization"
-               v.var_name)
-      | Some old ->
-          let fresh = f old in
-          v.value <- Some fresh;
-          v.version <- v.version + 1;
-          fresh)
+      let old = current v ~what:"updated" in
+      let t = if v.shared then Tensor.copy old else old in
+      f t;
+      install v ~hand_out t)
+
+let variable_gather v indices =
+  with_lock v (fun () -> Tensor_ops.gather (current v ~what:"read") indices)
 
 let variable_version v = with_lock v (fun () -> v.version)
 
@@ -81,7 +100,9 @@ let variable_peek v =
   with_lock v (fun () ->
       match v.value with
       | None -> None
-      | Some t -> Some (t, v.version))
+      | Some t ->
+          v.shared <- true;
+          Some (t, v.version))
 
 let make_iterator ~name ~records =
   { it_name = name; it_records = records; it_mutex = Mutex.create () }

@@ -284,7 +284,14 @@ let signature ~feed_eps ~fetch_eps ~target_ids =
   ^ "|"
   ^ String.concat "," (List.map string_of_int (List.sort compare target_ids))
 
+(* Compiling rewrites the executed view of a graph that other sessions
+   may share, from the built view up, and reads it back into the plan:
+   one compile at a time. *)
+let compile_mutex = Mutex.create ()
+
 let compile t ~feed_eps ~fetch_eps ~target_ids =
+  Mutex.lock compile_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock compile_mutex) @@ fun () ->
   let nodes =
     Graph_optimizer.run t.graph ~passes:t.passes ~feeds:feed_eps
       ~fetches:fetch_eps ~targets:target_ids

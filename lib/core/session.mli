@@ -20,7 +20,8 @@
     {!run_async} admits up to [max_in_flight] (K) steps concurrently —
     the paper's asynchronous training, where step N+1 starts before
     step N's updates land. Each admitted step snapshots every variable
-    (a copy-on-write [(value, version)] pair, so snapshots are O(1)):
+    (a [(value, version)] pair whose buffer updates then copy only
+    while shared, so snapshots are O(1)):
     its [Read] kernels see the admission-time versions while its
     updates apply to the live variables in completion order. At K = 1
     — the default, and forced by [barrier:true] — async steps
@@ -55,7 +56,8 @@ module Config : sig
         (** master-side optimization pipeline run per step compilation
             (after the implicit initial prune); default
             {!Graph_optimizer.default_pipeline}. [[]] disables
-            everything but pruning. *)
+            everything but pruning and the gather-at-variable rewrite
+            {!Graph_optimizer.run} always ends with. *)
     scheduler : Scheduler.policy option;
         (** execution policy for every step; default [OCTF_SCHEDULER],
             else inline. [Scheduler.Pool] runs independent kernels of
@@ -281,7 +283,8 @@ val precompile :
 
 val variable_values : t -> string -> Tensor.t option
 (** [variable_values t] snapshots every variable reachable from this
-    session's resource managers (copy-on-write, so O(1) per variable)
+    session's resource managers (updates copy only while shared, so
+    O(1) per variable)
     and returns a name -> value lookup over the snapshot — the function
     a {!Graph_optimizer.Freeze} pass consumes to fold trained variables
     into constants. Uninitialized variables are absent. *)

@@ -1,9 +1,11 @@
 (* Stateful kernels for variables (§3.1): a Variable owns a mutable
    buffer and emits a reference handle; Read/Assign*/Scatter* consume the
-   handle. Updates replace the stored tensor (copy-on-write), so tensors
-   previously returned by Read remain valid snapshots, while AssignAdd on
-   a parameter-server task gives the associative += write the
-   parameter-server architecture is built around (§2.2, §4.1). *)
+   handle. Updates copy only while shared: a row-sparse update writes the
+   buffer in place unless a Read, a snapshot or an earlier update's
+   output still holds it, so tensors previously returned by Read remain
+   valid snapshots. AssignAdd on a parameter-server task gives the
+   associative += write the parameter-server architecture is built
+   around (§2.2, §4.1). *)
 
 open Octf_tensor
 module K = Kernel
@@ -28,6 +30,22 @@ let register () =
      variable, landing in completion order (§4.4 async consistency). *)
   K.register ~op_type:"Read" (fun ctx ->
       K.one (t (K.snapshot_read ctx (K.input_var ctx 0))));
+  (* Gather(Read v, indices) rewritten to run at the variable
+     ({!Graph_optimizer}): only the named rows are copied, under the
+     variable's lock, and the table itself is not handed out. With an
+     admission snapshot the rows come from it, as the Read's would. *)
+  K.register ~op_type:"GatherVariable" (fun ctx ->
+      let var = K.input_var ctx 0 and indices = K.input_tensor ctx 1 in
+      let snapshot =
+        match ctx.K.var_snapshot with
+        | Some lookup -> lookup var.Resource.var_name
+        | None -> None
+      in
+      K.one
+        (t
+           (match snapshot with
+           | Some table -> Tensor_ops.gather table indices
+           | None -> Resource.variable_gather var indices)));
   K.register ~op_type:"Assign" (fun ctx ->
       let var = K.input_var ctx 0 and v = K.input_tensor ctx 1 in
       Resource.variable_assign var v;
@@ -35,32 +53,35 @@ let register () =
   (* A granted update buffer lets the += write land in the incoming
      delta's storage (e.g. the scaled gradient), which then becomes the
      variable's new backing — the old backing stays a valid snapshot for
-     earlier Reads, preserving copy-on-write semantics. The variable's
-     own buffer (input 0 is a resource handle) is never aliased. *)
-  K.register ~op_type:"AssignAdd" ~aliases:[ (1, 0) ] (fun ctx ->
-      let var = K.input_var ctx 0 and v = K.input_tensor ctx 1 in
-      let out = K.granted_buffer ctx ~output:0 in
-      K.one (t (Resource.variable_update var (fun old -> Tensor_ops.add ?out old v))));
-  K.register ~op_type:"AssignSub" ~aliases:[ (1, 0) ] (fun ctx ->
-      let var = K.input_var ctx 0 and v = K.input_tensor ctx 1 in
-      let out = K.granted_buffer ctx ~output:0 in
-      K.one (t (Resource.variable_update var (fun old -> Tensor_ops.sub ?out old v))));
-  K.register ~op_type:"ScatterAdd" (fun ctx ->
-      let var = K.input_var ctx 0 in
-      let indices = K.input_tensor ctx 1 and updates = K.input_tensor ctx 2 in
-      K.one
-        (t
-           (Resource.variable_update var (fun old ->
-                Tensor_ops.scatter_add old indices updates))));
-  K.register ~op_type:"ScatterSub" (fun ctx ->
-      let var = K.input_var ctx 0 in
-      let indices = K.input_tensor ctx 1 and updates = K.input_tensor ctx 2 in
-      K.one
-        (t
-           (Resource.variable_update var (fun old ->
-                Tensor_ops.scatter_sub old indices updates))));
+     earlier Reads. The variable's own buffer (input 0 is a resource
+     handle) is never aliased. *)
+  let assign_op op ctx =
+    let var = K.input_var ctx 0 and v = K.input_tensor ctx 1 in
+    let out = K.granted_buffer ctx ~output:0 in
+    K.one
+      (t
+         (Resource.variable_update ~hand_out:ctx.K.output_used var (fun old ->
+              op ?out old v)))
+  in
+  K.register ~op_type:"AssignAdd" ~aliases:[ (1, 0) ]
+    (assign_op Tensor_ops.add);
+  K.register ~op_type:"AssignSub" ~aliases:[ (1, 0) ]
+    (assign_op Tensor_ops.sub);
+  (* Row-sparse updates: in place unless the table is shared. *)
+  let scatter_op write ctx =
+    let var = K.input_var ctx 0 in
+    let indices = K.input_tensor ctx 1 and updates = K.input_tensor ctx 2 in
+    K.one
+      (t
+         (Resource.variable_update_in_place ~hand_out:ctx.K.output_used var
+            (fun table -> write table indices updates)))
+  in
+  K.register ~op_type:"ScatterAdd" (scatter_op Tensor_ops.scatter_add_in_place);
+  K.register ~op_type:"ScatterSub" (scatter_op Tensor_ops.scatter_sub_in_place);
+  K.register ~op_type:"ScatterUpdate"
+    (scatter_op Tensor_ops.scatter_update_in_place);
   (* TF's SparseApplyAdagrad on deduplicated rows: the accumulator and
-     then the variable, each replaced by a fresh copy. The variable's
+     the variable, each written in place unless shared. The variable's
      lock nests inside the accumulator's; no other kernel takes two. *)
   K.register ~op_type:"SparseApplyAdagrad" (fun ctx ->
       let var = K.input_var ctx 0 and accum = K.input_var ctx 1 in
@@ -71,35 +92,14 @@ let register () =
       let epsilon = Node.attr_float ctx.K.node "epsilon" in
       let updated = ref None in
       ignore
-        (Resource.variable_update accum (fun old_accum ->
-             let accum' = ref old_accum in
-             let var' =
-               Resource.variable_update var (fun old_var ->
-                   let v, a =
-                     Tensor_ops.sparse_apply_adagrad ~var:old_var
-                       ~accum:old_accum ~lr ~epsilon indices values
-                   in
-                   accum' := a;
-                   v)
-             in
-             updated := Some var';
-             !accum'));
+        (Resource.variable_update_in_place ~hand_out:false accum (fun a ->
+             updated :=
+               Some
+                 (Resource.variable_update_in_place
+                    ~hand_out:ctx.K.output_used var (fun v ->
+                      Tensor_ops.sparse_apply_adagrad ~var:v ~accum:a ~lr
+                        ~epsilon indices values))));
       K.one (t (Option.get !updated)));
-  K.register ~op_type:"ScatterUpdate" (fun ctx ->
-      let var = K.input_var ctx 0 in
-      let indices = K.input_tensor ctx 1 and updates = K.input_tensor ctx 2 in
-      K.one
-        (t
-           (Resource.variable_update var (fun old ->
-                let fresh = Tensor.copy old in
-                let rs = Tensor.numel fresh / (Tensor.shape fresh).(0) in
-                for i = 0 to Tensor.numel indices - 1 do
-                  Tensor.blit_strided ~src:updates ~src_off:(i * rs)
-                    ~src_strides:[| 1 |] ~dst:fresh
-                    ~dst_off:(Tensor.flat_get_i indices i * rs)
-                    ~dst_strides:[| 1 |] [| rs |]
-                done;
-                fresh))));
   K.register ~op_type:"TensorArray" (fun ctx ->
       let node = ctx.K.node in
       let r =
@@ -136,7 +136,7 @@ let register () =
       let var = K.input_var ctx 0 in
       let old = ref (Tensor.scalar_f 0.0) in
       let _ =
-        Resource.variable_update var (fun v ->
+        Resource.variable_update ~hand_out:false var (fun v ->
             old := v;
             Tensor_ops.add v (Tensor.ones (Tensor.dtype v) (Tensor.shape v)))
       in

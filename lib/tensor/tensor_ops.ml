@@ -797,15 +797,32 @@ let scatter_rows what ~sub out indices updates =
       done
   | _ -> unsupported what out
 
+let scatter_add_in_place = scatter_rows "scatter_add" ~sub:false
+
+let scatter_sub_in_place = scatter_rows "scatter_sub" ~sub:true
+
 let scatter_add acc indices updates =
   let out = T.copy acc in
-  scatter_rows "scatter_add" ~sub:false out indices updates;
+  scatter_add_in_place out indices updates;
   out
 
 let scatter_sub acc indices updates =
   let out = T.copy acc in
-  scatter_rows "scatter_sub" ~sub:true out indices updates;
+  scatter_sub_in_place out indices updates;
   out
+
+let scatter_update_in_place out indices updates =
+  let what = "scatter_update" in
+  if T.rank out < 1 then
+    invalid_arg
+      (Printf.sprintf "Tensor_ops.%s: target must have rank >= 1" what);
+  check_dtypes what [ out; updates ];
+  let rs = row_size out in
+  if T.numel updates <> T.numel indices * rs then
+    invalid_arg (Printf.sprintf "Tensor_ops.%s: updates size mismatch" what);
+  Array.iteri
+    (fun i row -> copy_row updates i out row rs)
+    (checked_rows what indices (T.shape out).(0))
 
 let scatter_into_shape shape indices updates =
   let out = T.zeros (T.dtype updates) shape in
@@ -908,9 +925,7 @@ let sparse_apply_adagrad ~var ~accum ~lr ~epsilon indices values =
            rows.(i) rows.(i - 1))
   done;
   let lr = T.flat_get_f lr 0 in
-  (* Copy-on-write: tensors an earlier Read returned keep their values. *)
-  let var' = T.copy var and accum' = T.copy accum in
-  (match (var'.T.buf, accum'.T.buf, values.T.buf) with
+  match (var.T.buf, accum.T.buf, values.T.buf) with
   | T.Float_buf w, T.Float_buf a, T.Float_buf g ->
       (* The dense update's operation order, element by element:
          acc += g*g; var -= (lr*g) / (sqrt acc + eps). Rows are distinct,
@@ -928,8 +943,7 @@ let sparse_apply_adagrad ~var ~accum ~lr ~epsilon indices values =
                 -. (lr *. gj /. (Float.sqrt acc +. epsilon)))
             done
           done)
-  | _ -> unsupported what var);
-  (var', accum')
+  | _ -> unsupported what var
 
 let dynamic_partition data partitions ~num =
   let s = T.shape data in

@@ -150,6 +150,20 @@ val scatter_add : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 val scatter_sub : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
 (** Like {!scatter_add}, subtracting the rows. *)
 
+val scatter_add_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
+(** {!scatter_add} writing into its first argument; it raises, as
+    {!scatter_add} does, before any write. *)
+
+val scatter_sub_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
+(** {!scatter_sub} writing into its first argument. *)
+
+val scatter_update_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
+(** [scatter_update_in_place out indices updates] overwrites row
+    [indices.(i)] of [out] with row [i] of [updates], in index order
+    (the last duplicate wins). Any dtype.
+    @raise Invalid_argument, before any write, on an index out of range
+    or a size mismatch. *)
+
 val scatter_into_shape : Shape.t -> Tensor.t -> Tensor.t -> Tensor.t
 (** [scatter_into_shape shape indices updates] is {!scatter_add} into
     zeros of [shape] (the dense form of a sparse gradient). *)
@@ -169,12 +183,12 @@ val sparse_apply_adagrad :
   epsilon:float ->
   Tensor.t ->
   Tensor.t ->
-  Tensor.t * Tensor.t
+  unit
 (** [sparse_apply_adagrad ~var ~accum ~lr ~epsilon indices values]
-    returns fresh copies [(var', accum')] with Adagrad applied to the
-    rows [indices] names: per element [acc += g*g] then
-    [var -= (lr*g) / (sqrt acc + epsilon)], the dense update's order.
-    @raise Invalid_argument, before copying, unless [indices] are
+    applies Adagrad in place to the rows [indices] names: per element
+    [acc += g*g] then [var -= (lr*g) / (sqrt acc + epsilon)], the dense
+    update's order. Other rows are not touched.
+    @raise Invalid_argument, before any write, unless [indices] are
     strictly increasing and in range, [lr] is a scalar, and the float
     shapes and dtypes agree. *)
 

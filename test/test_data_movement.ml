@@ -246,6 +246,7 @@ let run_kernel ?(attrs = []) op_type inputs =
       step_id = 0;
       cancel = None;
       grants = [];
+      output_used = true;
       var_snapshot = None;
     }
   |> Array.to_list

@@ -393,3 +393,33 @@ let suite =
   suite @ pack_split_cases
   @ [ Alcotest.test_case "pack/unpack roundtrip" `Quick
         test_pack_unpack_roundtrip ]
+
+(* Optimizer rewrites stay out of graph construction: a step compiled
+   with fusion rewires Tanh onto a FusedElementwise, which has no
+   gradient, in the executed view only. Gradients taken afterwards are
+   those of the graph as built, with fusion on or off. *)
+let grads_after_compile ~fusion =
+  let b = B.create () in
+  let x = B.placeholder b ~shape:[| 2; 2 |] Dtype.F32 in
+  let w = B.const b (Tensor.of_float_array [| 2; 2 |] [| 0.5; -1.0; 2.0; 0.25 |]) in
+  let y = B.tanh b (B.add b (B.matmul b x w) (B.exp b x)) in
+  let s = Session.create ~config:(Session.Config.v ~fusion ()) (B.graph b) in
+  let feeds = [ (x, Tensor.of_float_array [| 2; 2 |] [| 0.1; 0.2; -0.3; 0.4 |]) ] in
+  ignore (Session.run s ~feeds [ y ]);
+  match G.gradients b ~ys:[ y ] ~xs:[ x ] () with
+  | [ Some g ] -> List.hd (Session.run s ~feeds [ G.densify b g ])
+  | _ -> Alcotest.failf "no gradient after a compile (fusion %b)" fusion
+
+let test_gradients_after_compile () =
+  let on = grads_after_compile ~fusion:true in
+  let off = grads_after_compile ~fusion:false in
+  Alcotest.(check (array int64)) "fusion on = off"
+    (Array.map Int64.bits_of_float (Tensor.to_float_array off))
+    (Array.map Int64.bits_of_float (Tensor.to_float_array on))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "gradients after a fused compile" `Quick
+        test_gradients_after_compile;
+    ]

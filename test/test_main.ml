@@ -2,7 +2,7 @@
    also runs a pool-scheduler leg (see Legs). *)
 let pooled =
   [ "queue"; "executor"; "scheduler"; "session"; "data"; "tracer"; "faults";
-    "metrics"; "serving"; "parts"; "dispatch" ]
+    "metrics"; "serving"; "parts"; "dispatch"; "sparse_updates" ]
 
 let () =
   Alcotest.run "octf"

@@ -388,6 +388,341 @@ let bit_identity_cases =
       ~sparse_op:None;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Updates in place: copy only while shared                           *)
+(* ------------------------------------------------------------------ *)
+
+(* An F32 [4; 2] table holding 0..7, and its ScatterSub of one row. *)
+let scatter_graph () =
+  let b = B.create () in
+  let v = B.variable b ~name:"v" ~dtype:Dtype.F32 ~shape:[| 4; 2 |] () in
+  let init =
+    B.assign b v (B.const b (Tensor.init_f [| 4; 2 |] (fun i -> float_of_int ((2 * i.(0)) + i.(1)))))
+  in
+  let update =
+    B.scatter_sub b v
+      (B.const b (Tensor.of_int_array [| 1 |] [| 2 |]))
+      (B.const b (Tensor.full Dtype.F32 [| 1; 2 |] 1.0))
+  in
+  let s = Session.create (B.graph b) in
+  Session.run_unit s [ init ];
+  (b, s, v, update)
+
+let test_scatter_keeps_snapshots () =
+  let b, s, v, update = scatter_graph () in
+  (* Two updates first: the second writes in place. *)
+  Session.run_unit s [ update ];
+  Session.run_unit s [ update ];
+  let before = List.hd (Session.run s [ B.read b v ]) in
+  let saved = Tensor.copy before in
+  Session.run_unit s [ update ];
+  Session.run_unit s [ update ];
+  check_bits "earlier Read unchanged" saved before;
+  (* A fetched update output is handed out too. *)
+  let out = List.hd (Session.run s [ update ]) in
+  let out_saved = Tensor.copy out in
+  Session.run_unit s [ update ];
+  check_bits "fetched update output unchanged" out_saved out;
+  let after = List.hd (Session.run s [ B.read b v ]) in
+  Alcotest.(check (float 0.)) "row 2 took six updates" (4.0 -. 6.0)
+    (Tensor.get_f after [| 2; 0 |]);
+  Alcotest.(check (float 0.)) "row 1 untouched" 3.0 (Tensor.get_f after [| 1; 1 |])
+
+let test_adagrad_keeps_snapshots_in_place () =
+  let b, s, var, acc, update = adagrad_graph [| 0; 3 |] in
+  (* Unshared after the first update: later ones write in place. *)
+  Session.run_unit s [ update ];
+  Session.run_unit s [ update ];
+  let before = Session.run s [ B.read b var; B.read b acc ] in
+  let saved = List.map Tensor.copy before in
+  Session.run_unit s [ update ];
+  Session.run_unit s [ update ];
+  List.iter2 (check_bits "earlier Read unchanged") saved before;
+  let after = Session.run s [ B.read b var; B.read b acc ] in
+  Alcotest.(check bool) "update landed" true
+    (bits (List.hd after) <> bits (List.hd before))
+
+(* A pipelined step gathers from its admission snapshot: its gather
+   waits on a queue while a later step updates the table. *)
+let test_pipelined_gather_reads_snapshot () =
+  let b = B.create () in
+  let v = B.variable b ~name:"table" ~dtype:Dtype.F32 ~shape:[| 4; 2 |] () in
+  let table = Tensor.init_f [| 4; 2 |] (fun i -> float_of_int ((2 * i.(0)) + i.(1))) in
+  let init = B.assign b v (B.const b table) in
+  let q = B.fifo_queue b ~capacity:1 ~num_components:1 () in
+  let token = List.hd (B.dequeue b q ~num_components:1) in
+  let release = B.enqueue b q [ B.const_f b 0.0 ] in
+  let idx = B.const b (Tensor.of_int_array [| 2 |] [| 1; 2 |]) in
+  let read = B.with_control_dependencies b [ token ] (fun () -> B.read b v) in
+  let rows = B.mul b (B.gather b read idx) (B.const_f b 1.0) in
+  let update =
+    B.scatter_sub b v idx (B.const b (Tensor.full Dtype.F32 [| 2; 2 |] 10.0))
+  in
+  let s =
+    Session.create ~config:(Session.Config.v ~max_in_flight:2 ()) (B.graph b)
+  in
+  Session.run_unit s [ init ];
+  let h = Session.run_async s [ rows ] in
+  Session.run_unit s [ update ];
+  Session.run_unit s [ release ];
+  let got = List.hd (fst (Session.wait h)) in
+  check_bits "rows at admission" (O.gather table (Tensor.of_int_array [| 2 |] [| 1; 2 |])) got;
+  let ops = ref [] in
+  Graph.iter (B.graph b) (fun n -> ops := n.Node.op_type :: !ops);
+  Alcotest.(check bool) "gathered at the variable" true
+    (List.mem "GatherVariable" !ops)
+
+(* A two-shard Adagrad embedding of [rows] rows per shard. *)
+let embedding_model ?(algorithm = Opt.adagrad_default) ~vocab ~dim () =
+  let b = B.create () in
+  let store = Vs.create ~seed:3 b in
+  let emb =
+    Octf_nn.Embedding.create store ~name:"emb" ~vocab ~dim ~num_shards:2 ()
+  in
+  let ids = B.placeholder b ~name:"ids" ~shape:[| 16 |] Dtype.I32 in
+  let rows = Octf_nn.Embedding.lookup emb b ids in
+  let loss = B.reduce_sum b (B.square b (B.sub b rows (B.const_f b 0.5))) in
+  let train = Opt.minimize store ~algorithm ~lr:0.1 ~loss () in
+  (b, store, ids, rows, loss, train)
+
+let ids_for step vocab =
+  Tensor.of_int_array [| 16 |]
+    (Array.init 16 (fun i -> ((step * 7) + (i * 13)) mod vocab))
+
+let test_steady_state_copies_no_table () =
+  let vocab = 8192 and dim = 16 in
+  let _, store, ids, _, loss, train = embedding_model ~vocab ~dim () in
+  ignore store;
+  let s =
+    Session.create
+      ~config:(Session.Config.v ~scheduler:Scheduler.Inline ())
+      (B.graph (Vs.builder store))
+  in
+  Session.run_unit s [ Vs.init_op store ];
+  let step i =
+    ignore (Session.run s ~feeds:[ (ids, ids_for i vocab) ] ~targets:[ train ] [ loss ])
+  in
+  for i = 0 to 4 do step i done;
+  let steps = 20 in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let before = major_words () in
+  for i = 5 to 4 + steps do step i done;
+  let per_step = (major_words () -. before) /. float_of_int steps in
+  let shard_words = float_of_int (vocab / 2 * dim) in
+  if per_step >= shard_words then
+    Alcotest.failf "%.0f major words per step, one shard is %.0f" per_step
+      shard_words
+
+(* The lm graph: a two-shard embedding on two ps tasks and sampled
+   softmax weights, as train_lm_ps builds it. *)
+let lm_graph ?(fetch_read = false) () =
+  let vocab = 256 and dim = 8 and unroll = 4 and batch = 4 in
+  let b = B.create () in
+  let store = Vs.create ~seed:1 b in
+  let inputs = B.placeholder b ~name:"inputs" ~shape:[| batch; unroll |] Dtype.I32 in
+  let targets = B.placeholder b ~name:"targets" ~shape:[| batch; unroll |] Dtype.I32 in
+  let emb =
+    Octf_nn.Embedding.create store
+      ~devices:[ "/job:ps/task:0"; "/job:ps/task:1" ]
+      ~name:"embedding" ~vocab ~dim ~num_shards:2 ()
+  in
+  let softmax_w =
+    Vs.get store ~device:"/job:ps/task:1" ~name:"softmax_w" [| vocab; dim |]
+  in
+  let column t x =
+    B.reshape b (B.slice b x ~begin_:[| 0; t |] ~size:[| batch; 1 |]) [| batch |]
+  in
+  let loss =
+    B.with_device b "/job:worker/task:0" (fun () ->
+        let cell = Octf_nn.Lstm.cell store ~name:"lstm" ~input_dim:dim ~units:dim in
+        let xs = List.init unroll (fun t -> Octf_nn.Embedding.lookup emb b (column t inputs)) in
+        let hs = Octf_nn.Lstm.unroll cell b ~xs ~batch in
+        B.add_n b
+          (List.mapi
+             (fun t h ->
+               Octf_nn.Sampled_softmax.sampled_softmax_loss b
+                 ~weights:softmax_w.Vs.read ~hidden:h ~labels:(column t targets)
+                 ~num_sampled:16 ~num_classes:vocab)
+             hs))
+  in
+  let train =
+    Opt.minimize store ~algorithm:Opt.adagrad_default ~clip_norm:5.0 ~lr:0.3
+      ~loss ()
+  in
+  let fetches = if fetch_read then [ loss; softmax_w.Vs.read ] else [ loss ] in
+  (b, inputs, targets, fetches, train)
+
+(* GatherVariable nodes of a compiled step, by the variable they read. *)
+let gathers_at_variables g nodes =
+  List.filter_map
+    (fun id ->
+      let n = Graph.get g id in
+      if n.Node.op_type = "GatherVariable" then
+        Some (Graph.get g n.Node.inputs.(0).Node.node_id).Node.name
+      else None)
+    nodes
+  |> List.sort compare
+
+let compiled_step g ~feeds ~fetches ~targets =
+  Graph_optimizer.run g ~passes:Graph_optimizer.fused_pipeline
+    ~feeds:(List.map B.endpoint_of_output feeds)
+    ~fetches:(List.map B.endpoint_of_output fetches)
+    ~targets:(List.map (fun (o : B.output) -> o.B.node.Node.id) targets)
+
+let test_rewrite_fires_on_lm_graph () =
+  let b, inputs, targets, fetches, train = lm_graph () in
+  let g = B.graph b in
+  let nodes = compiled_step g ~feeds:[ inputs; targets ] ~fetches ~targets:[ train ] in
+  let count name =
+    List.length (List.filter (( = ) name) (gathers_at_variables g nodes))
+  in
+  Alcotest.(check (list int)) "gathers per variable" [ 4; 4; 8 ]
+    [ count "embedding/shard_0"; count "embedding/shard_1"; count "softmax_w" ];
+  Alcotest.(check bool) "no Read of a gathered table" false
+    (List.exists
+       (fun id ->
+         let n = Graph.get g id in
+         n.Node.op_type = "Read"
+         && List.mem
+              (Graph.get g n.Node.inputs.(0).Node.node_id).Node.name
+              [ "embedding/shard_0"; "embedding/shard_1"; "softmax_w" ])
+       nodes);
+  (* A second compile, which starts from the built view, reuses the
+     nodes the first minted. *)
+  let minted () =
+    let n = ref 0 in
+    Graph.iter g (fun node ->
+        if node.Node.op_type = "GatherVariable" then incr n);
+    !n
+  in
+  let first = minted () in
+  ignore (compiled_step g ~feeds:[ inputs; targets ] ~fetches ~targets:[ train ]);
+  Alcotest.(check int) "no node minted twice" first (minted ());
+  (* A fetched Read keeps its gathers. *)
+  let b, inputs, targets, fetches, train = lm_graph ~fetch_read:true () in
+  let g = B.graph b in
+  let nodes = compiled_step g ~feeds:[ inputs; targets ] ~fetches ~targets:[ train ] in
+  Alcotest.(check int) "softmax_w read fetched" 0
+    (List.length (List.filter (( = ) "softmax_w") (gathers_at_variables g nodes)))
+
+(* Two gathers of one Read and a ScatterSub of the table. [both]: the
+   update depends on both gathers, so the rewrite applies; otherwise
+   on the first only, and the second must still see the table as the
+   Read returned it. *)
+let two_gathers ~both ~fetch_read =
+  let b = B.create () in
+  let v = B.variable b ~name:"table" ~dtype:Dtype.F32 ~shape:[| 4; 2 |] () in
+  let table = Tensor.init_f [| 4; 2 |] (fun i -> float_of_int ((2 * i.(0)) + i.(1))) in
+  let init = B.assign b v (B.const b table) in
+  let read = B.read b v in
+  let i1 = Tensor.of_int_array [| 2 |] [| 0; 2 |] in
+  let i2 = Tensor.of_int_array [| 2 |] [| 2; 3 |] in
+  let g1 = B.gather b read (B.const b i1) in
+  let g2 = B.gather b read (B.const b i2) in
+  let h1 = B.mul b g1 (B.const_f b 2.0) and h2 = B.mul b g2 (B.const_f b 3.0) in
+  let upd = if both then B.add b h1 h2 else h1 in
+  let update = B.scatter_sub b v (B.const b i1) upd in
+  let s = Session.create (B.graph b) in
+  Session.run_unit s [ init ];
+  let fetches = if fetch_read then [ h1; h2; read ] else [ h1; h2 ] in
+  let nodes =
+    compiled_step (B.graph b) ~feeds:[] ~fetches ~targets:[ update ]
+  in
+  let got = Session.run s ~targets:[ update ] fetches in
+  let expected =
+    [
+      O.mul (O.gather table i1) (Tensor.scalar_f 2.0);
+      O.mul (O.gather table i2) (Tensor.scalar_f 3.0);
+    ]
+  in
+  List.iter2 (check_bits "rows as the Read returned them") expected
+    (List.filteri (fun k _ -> k < 2) got);
+  List.length (gathers_at_variables (B.graph b) nodes)
+
+let test_rewrite_conditions () =
+  Alcotest.(check int) "writer after both gathers" 2
+    (two_gathers ~both:true ~fetch_read:false);
+  Alcotest.(check int) "writer after one gather" 0
+    (two_gathers ~both:false ~fetch_read:false);
+  Alcotest.(check int) "Read fetched" 0 (two_gathers ~both:true ~fetch_read:true)
+
+(* Training that updates in place equals training whose every step
+   also fetches the tables, so that every update copies (and no gather
+   runs at a variable), bit for bit. *)
+let test_in_place_equals_copying () =
+  let vocab = 64 and dim = 4 in
+  let train_with algorithm ~fetch_tables =
+    let b, store, ids, _, loss, train = embedding_model ~algorithm ~vocab ~dim () in
+    let s = Session.create (B.graph b) in
+    Session.run_unit s [ Vs.init_op store ];
+    let tables = List.map (fun v -> v.Vs.read) (Vs.all store) in
+    let losses =
+      List.init 8 (fun i ->
+          let fetches = if fetch_tables then loss :: tables else [ loss ] in
+          List.hd
+            (Session.run s ~feeds:[ (ids, ids_for i vocab) ] ~targets:[ train ]
+               fetches))
+    in
+    losses @ Session.run s tables
+  in
+  List.iter
+    (fun algorithm ->
+      List.iter2 (check_bits "in place = copying")
+        (train_with algorithm ~fetch_tables:true)
+        (train_with algorithm ~fetch_tables:false))
+    [ Opt.Sgd; Opt.adagrad_default ]
+
+let test_frozen_embedding_serves () =
+  let vocab = 64 and dim = 4 in
+  let b, store, ids, rows, loss, train = embedding_model ~vocab ~dim () in
+  let s = Session.create (B.graph b) in
+  Session.run_unit s [ Vs.init_op store ];
+  for i = 0 to 4 do
+    ignore (Session.run s ~feeds:[ (ids, ids_for i vocab) ] ~targets:[ train ] [ loss ])
+  done;
+  let feeds = [ (ids, ids_for 9 vocab) ] in
+  let live = List.hd (Session.run s ~feeds [ rows ]) in
+  let frozen =
+    Octf_serving.Serving.freeze_session ~inputs:[ ids ] ~outputs:[ rows ] s
+  in
+  check_bits "frozen rows" live (List.hd (Session.run frozen ~feeds [ rows ]));
+  Alcotest.(check int) "no variable state"
+    0 (List.length (Resource_manager.variables (Session.resources frozen)))
+
+let test_minimize_after_forward_compile () =
+  let vocab = 16 and dim = 2 in
+  let b = B.create () in
+  let store = Vs.create ~seed:3 b in
+  let emb =
+    Octf_nn.Embedding.create store ~name:"emb" ~vocab ~dim ~num_shards:2 ()
+  in
+  let ids = B.placeholder b ~name:"ids" ~shape:[| 16 |] Dtype.I32 in
+  let rows = Octf_nn.Embedding.lookup emb b ids in
+  let loss = B.reduce_sum b (B.square b (B.sub b rows (B.const_f b 0.5))) in
+  let s = Session.create (B.graph b) in
+  Session.run_unit s [ Vs.init_op store ];
+  let feeds = [ (ids, ids_for 0 vocab) ] in
+  (* The forward step compiles first: its gathers run at the shards. *)
+  ignore (Session.run s ~feeds [ loss ]);
+  let shards = Vs.trainable store in
+  let grads =
+    G.gradients b ~ys:[ loss ] ~xs:(List.map (fun v -> v.Vs.read) shards) ()
+  in
+  Alcotest.(check int) "a gradient for every shard" (List.length shards)
+    (List.length (List.filter Option.is_some grads));
+  let train = Opt.minimize store ~algorithm:Opt.Sgd ~lr:0.1 ~loss () in
+  let reads = List.map (fun v -> v.Vs.read) shards in
+  let before = List.map Tensor.copy (Session.run s reads) in
+  ignore (Session.run s ~feeds ~targets:[ train ] [ loss ]);
+  List.iter2
+    (fun (v : Vs.variable) (b0, b1) ->
+      Alcotest.(check bool) (v.Vs.name ^ " trained") true (bits b0 <> bits b1))
+    shards
+    (List.combine before (Session.run s reads))
+
 let suite =
   [
     Alcotest.test_case "I64 ScatterAdd keeps 2^53+1" `Quick test_int_scatter_add;
@@ -401,5 +736,23 @@ let suite =
         test_adagrad_rejects_indices;
       Alcotest.test_case "SparseApplyAdagrad keeps Read snapshots" `Quick
         test_adagrad_keeps_snapshots;
+      Alcotest.test_case "in place: SparseApplyAdagrad keeps Read snapshots"
+        `Quick test_adagrad_keeps_snapshots_in_place;
+      Alcotest.test_case "in place: ScatterSub keeps Read snapshots" `Quick
+        test_scatter_keeps_snapshots;
+      Alcotest.test_case "pipelined gather reads its admission snapshot"
+        `Quick test_pipelined_gather_reads_snapshot;
+      Alcotest.test_case "steady state copies no table" `Quick
+        test_steady_state_copies_no_table;
+      Alcotest.test_case "gather at the variable fires on the lm graph"
+        `Quick test_rewrite_fires_on_lm_graph;
+      Alcotest.test_case "gather at the variable: when it applies" `Quick
+        test_rewrite_conditions;
+      Alcotest.test_case "in-place training equals copying training" `Quick
+        test_in_place_equals_copying;
+      Alcotest.test_case "frozen embedding serves without variables" `Quick
+        test_frozen_embedding_serves;
+      Alcotest.test_case "minimize after a forward compile trains every shard"
+        `Quick test_minimize_after_forward_compile;
     ]
   @ bit_identity_cases
