@@ -2,7 +2,7 @@
    also runs a pool-scheduler leg (see Legs). *)
 let pooled =
   [ "queue"; "executor"; "scheduler"; "session"; "data"; "tracer"; "faults";
-    "metrics"; "serving"; "parts"; "dispatch"; "sparse_updates" ]
+    "metrics"; "serving"; "parts"; "dispatch"; "in_place" ]
 
 let () =
   Alcotest.run "octf"
@@ -31,6 +31,7 @@ let () =
        ("env", Test_env.suite);
        ("optimizer", Test_optimizer.suite);
        ("sparse_updates", Test_sparse_updates.suite);
+       ("in_place", Test_sparse_updates.in_place_suite);
        ("saver", Test_saver.suite);
        ("sync_replicas", Test_sync.suite);
        ("nn", Test_nn.suite);
