@@ -58,7 +58,7 @@ let sum_grads b = function
 
 let inp b node i =
   let (e : Node.endpoint) = node.Node.inputs.(i) in
-  B.output ~index:e.index (Graph.built (B.graph b) e.node_id)
+  B.output ~index:e.index (Graph.get (B.graph b) e.node_id)
 
 let out node i = B.output ~index:i node
 
@@ -367,7 +367,7 @@ let ensure_builtins =
           with
           | Some pred_node, Some pred_index ->
               let pred =
-                B.output ~index:pred_index (Graph.built (B.graph b) pred_node)
+                B.output ~index:pred_index (Graph.get (B.graph b) pred_node)
               in
               let g_false, g_true = B.switch b (dy0 dys) pred in
               (* Builder.cond's Merge inputs are [then; else]. *)
@@ -395,6 +395,7 @@ let has_gradient ~op_type =
 
 let gradients b ~ys ~xs ?grad_ys () =
   Lazy.force ensure_builtins;
+  let graph = B.graph b in
   let grad_ys =
     match grad_ys with
     | Some gs ->
@@ -403,9 +404,6 @@ let gradients b ~ys ~xs ?grad_ys () =
         gs
     | None -> List.map (fun y -> B.ones_like b y) ys
   in
-  (* Differentiate the graph as built: an optimizer's rewrites (a fused
-     group, a gather at its variable) have no gradient of their own. *)
-  let graph = Graph.as_built (B.graph b) in
   (* Nodes forward-reachable from xs... *)
   let consumers = Graph.consumers_of graph in
   let forward = Hashtbl.create 64 in

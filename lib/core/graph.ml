@@ -1,15 +1,10 @@
-(* [nodes] is the executed view. A node an optimizer pass rewired keeps
-   its inputs as built in [built]; every other node is the same in both
-   views. *)
 type t = {
   mutable nodes : Node.t array;
   mutable count : int;
   names : (string, int) Hashtbl.t;
-  built : (int, Node.endpoint array * int list) Hashtbl.t;
 }
 
-let create () =
-  { nodes = [||]; count = 0; names = Hashtbl.create 64; built = Hashtbl.create 8 }
+let create () = { nodes = [||]; count = 0; names = Hashtbl.create 64 }
 
 let grow g =
   let cap = Array.length g.nodes in
@@ -80,35 +75,24 @@ let add_node g ?name ?(inputs = []) ?(control_inputs = [])
   g.count <- g.count + 1;
   node
 
-let built g id =
-  let n = get g id in
-  match Hashtbl.find_opt g.built id with
-  | None -> n
-  | Some (inputs, control_inputs) -> { n with inputs; control_inputs }
-
-let as_built g =
-  {
-    nodes = Array.init g.count (built g);
-    count = g.count;
-    names = g.names;
-    built = Hashtbl.create 1;
-  }
-
-(* Structurally independent copy of the built view. Node records are
-   duplicated (their [assigned_device] field is mutable and [inputs]
-   arrays are mutated through [set_input]'s record replacement only on
-   the owning graph), so in-place rewrites on the copy leave the
-   original untouched. *)
-let copy g =
+(* Structurally independent copy. Node records are duplicated (their
+   [assigned_device] field is mutable and [inputs] arrays are mutated
+   through [set_input]'s record replacement only on the owning graph),
+   so in-place rewrites on the copy leave the original untouched. *)
+let copy ?(keep_placement = false) g =
   let nodes =
     Array.init (Array.length g.nodes) (fun i ->
+        let n = g.nodes.(i) in
         if i < g.count then
-          let n = built g i in
-          { n with Node.inputs = Array.copy n.inputs; assigned_device = None }
-        else g.nodes.(i))
+          {
+            n with
+            Node.inputs = Array.copy n.inputs;
+            assigned_device =
+              (if keep_placement then n.assigned_device else None);
+          }
+        else n)
   in
-  { nodes; count = g.count; names = Hashtbl.copy g.names;
-    built = Hashtbl.create 8 }
+  { nodes; count = g.count; names = Hashtbl.copy g.names }
 
 let find_by_name g name =
   match Hashtbl.find_opt g.names name with
@@ -118,41 +102,17 @@ let find_by_name g name =
 let get_by_name g name =
   match find_by_name g name with Some n -> n | None -> raise Not_found
 
-let with_input inputs ~slot e =
-  let inputs = Array.copy inputs in
-  inputs.(slot) <- e;
-  inputs
-
 let set_input g ~node_id ~slot (e : Node.endpoint) =
   let n = get g node_id in
   if slot < 0 || slot >= Array.length n.inputs then
     invalid_arg "Graph.set_input: slot out of range";
-  g.nodes.(node_id) <- { n with inputs = with_input n.inputs ~slot e };
-  Option.iter
-    (fun (inputs, controls) ->
-      Hashtbl.replace g.built node_id (with_input inputs ~slot e, controls))
-    (Hashtbl.find_opt g.built node_id)
+  let inputs = Array.copy n.inputs in
+  inputs.(slot) <- e;
+  g.nodes.(node_id) <- { n with inputs }
 
-(* The first rewire of a node saves its inputs as built. *)
-let rewire g ~node_id f =
+let replace_control_inputs g ~node_id controls =
   let n = get g node_id in
-  if not (Hashtbl.mem g.built node_id) then
-    Hashtbl.replace g.built node_id (n.inputs, n.control_inputs);
-  g.nodes.(node_id) <- f n
-
-let rewire_input g ~node_id ~slot e =
-  rewire g ~node_id (fun n ->
-      { n with inputs = with_input n.Node.inputs ~slot e })
-
-let rewire_control_inputs g ~node_id controls =
-  rewire g ~node_id (fun n -> { n with control_inputs = controls })
-
-let restore g =
-  Hashtbl.iter
-    (fun id (inputs, control_inputs) ->
-      g.nodes.(id) <- { (g.nodes.(id)) with inputs; control_inputs })
-    g.built;
-  Hashtbl.reset g.built
+  g.nodes.(node_id) <- { n with control_inputs = controls }
 
 let nodes g = List.init g.count (fun i -> g.nodes.(i))
 

@@ -4,16 +4,7 @@
     application: mathematical operations, parameters and their update
     rules, input preprocessing, checkpointing. Nodes are appended during
     construction (via {!Builder}); steps then execute pruned subgraphs
-    ({!Pruner}, {!Session}).
-
-    A graph has two views of its edges. The {e built} view is the graph
-    as constructed: what {!Gradients} differentiates and {!copy}
-    duplicates. The {e executed} view is what {!get} and the traversals
-    below return: the built view plus the rewires ({!rewire_input},
-    {!rewire_control_inputs}) of the last optimizer run
-    ({!Graph_optimizer}). Nodes the optimizer adds exist in both views,
-    but only rewired edges reach them, so later graph construction
-    never sees an optimization. *)
+    ({!Pruner}, {!Session}). *)
 
 type t
 
@@ -32,15 +23,17 @@ val add_node :
 (** Append a node. If [name] is omitted (or already taken) a unique name
     is derived from the op type. *)
 
-val copy : t -> t
-(** A structurally independent copy of the built view: same node ids,
-    names and built edges, so
+val copy : ?keep_placement:bool -> t -> t
+(** A structurally independent copy: same node ids, names and edges, so
     {!Builder.output}s built against the original address the copy too.
     Device assignments are cleared (the copy is placed from scratch by
-    whatever session compiles it). In-place rewrites ({!Graph_optimizer})
-    on the copy leave the original untouched — how a frozen inference
-    graph is derived without corrupting the training graph
-    ([Octf_serving]). *)
+    whatever session compiles it) unless [keep_placement]. In-place
+    rewrites ({!Graph_optimizer}) on the copy leave the original
+    untouched — how a frozen inference graph is derived without
+    corrupting the training graph ([Octf_serving]), and how every
+    compiled step is optimized without changing what later graph
+    construction sees ({!Session}: [keep_placement:true], so the step's
+    nodes keep the devices placed on the original). *)
 
 val node_count : t -> int
 
@@ -55,31 +48,13 @@ val get_by_name : t -> string -> Node.t
 val unique_name : t -> string -> string
 
 val set_input : t -> node_id:int -> slot:int -> Node.endpoint -> unit
-(** Backpatch one data input, in both views; needed to close
-    loop-carried edges ([Merge] ← [NextIteration]) when building while
-    loops (§3.4). The node's record is replaced rather than mutated, so
-    compiled steps holding the old record are unaffected. *)
+(** Backpatch one data input; needed to close loop-carried edges
+    ([Merge] ← [NextIteration]) when building while loops (§3.4). The
+    node's record is replaced rather than mutated, so compiled steps
+    holding the old record are unaffected. *)
 
-val rewire_input : t -> node_id:int -> slot:int -> Node.endpoint -> unit
-(** Repoint one data input in the executed view only (an optimizer
-    rewrite); the record is replaced, as in {!set_input}. *)
-
-val rewire_control_inputs : t -> node_id:int -> int list -> unit
-(** Replace a node's control-input list in the executed view only. *)
-
-val restore : t -> unit
-(** Drop every rewire: the executed view becomes the built view again.
-    {!Graph_optimizer.run} starts with it, so each compiled step is a
-    function of the built graph and its own definition. *)
-
-val built : t -> int -> Node.t
-(** The node as built: {!get} with the built view's inputs.
-    @raise Invalid_argument on unknown id. *)
-
-val as_built : t -> t
-(** The built view as a graph of its own, for read-only traversal
-    ({!consumers_of}, {!topological_order}); unrewired records are
-    shared with [t]. *)
+val replace_control_inputs : t -> node_id:int -> int list -> unit
+(** Replace a node's control-input list (used by {!Graph_optimizer}). *)
 
 val nodes : t -> Node.t list
 (** All nodes in insertion order. *)

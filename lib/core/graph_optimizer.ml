@@ -9,20 +9,19 @@ let impure_ops =
 let is_pure (n : Node.t) =
   (not (Node.is_stateful n)) && not (List.mem n.Node.op_type impure_ops)
 
-(* Rewire, in the executed view, every consumer endpoint (old_id, k) to
-   [target k] (left alone on [None]) and every control edge on [old_id]
-   to [control]. *)
+(* Rewire every consumer endpoint (old_id, k) to [target k] (left alone
+   on [None]) and every control edge on [old_id] to [control]. *)
 let redirect_by graph ~old_id ~target ~control =
   Graph.iter graph (fun n ->
       Array.iteri
         (fun slot (e : Node.endpoint) ->
           if e.node_id = old_id then
             Option.iter
-              (Graph.rewire_input graph ~node_id:n.Node.id ~slot)
+              (Graph.set_input graph ~node_id:n.Node.id ~slot)
               (target e.index))
         n.Node.inputs;
       if List.mem old_id n.Node.control_inputs then
-        Graph.rewire_control_inputs graph ~node_id:n.Node.id
+        Graph.replace_control_inputs graph ~node_id:n.Node.id
           (List.sort_uniq compare
              (List.map
                 (fun c -> if c = old_id then control else c)
@@ -790,23 +789,6 @@ let quantize_graph graph ~nodes ~fed ~pinned ~ranges =
 
 (* ------------------------ gather at the variable ------------------- *)
 
-(* The node an earlier compile minted for the same rewrite, else a new
-   one. Every compile starts from the built view ({!Graph.restore}), so
-   without this each would mint its own copy under a fresh name; reuse
-   keeps the graph from growing and the name (a rendezvous key once
-   partitioned) the same in every process that compiles the step. *)
-let reuse_or_add graph ~name ~inputs ~control_inputs ~device ~op_type =
-  match Graph.find_by_name graph name with
-  | Some n
-    when n.Node.op_type = op_type && n.Node.inputs = inputs
-         && n.Node.control_inputs = control_inputs
-         && n.Node.device_spec = device ->
-      n.Node.id
-  | _ ->
-      (Graph.add_node graph ~name ~inputs:(Array.to_list inputs)
-         ~control_inputs ~device ~op_type ())
-        .Node.id
-
 (* Gather(Read v, idx) becomes GatherVariable(v, idx), colocated with v
    (§4.2, Figure 3): only the gathered rows leave the variable, and the
    table is no longer handed out, so row-sparse updates of v write in
@@ -896,23 +878,23 @@ let gather_at_variable graph ~nodes ~fed ~pinned =
               (fun g ->
                 let gn = Graph.get graph g in
                 let at_var =
-                  reuse_or_add graph ~name:(gn.Node.name ^ "/at_variable")
-                    ~inputs:[| handle; gn.Node.inputs.(1) |]
-                    ~control_inputs:
-                      (List.sort_uniq compare
-                         (r.Node.control_inputs @ gn.Node.control_inputs))
-                    ~device:variable.Node.device_spec ~op_type:"GatherVariable"
+                  (Graph.add_node graph ~name:(gn.Node.name ^ "/at_variable")
+                     ~inputs:[ handle; gn.Node.inputs.(1) ]
+                     ~control_inputs:
+                       (List.sort_uniq compare
+                          (r.Node.control_inputs @ gn.Node.control_inputs))
+                     ~device:variable.Node.device_spec
+                     ~op_type:"GatherVariable" ())
+                    .Node.id
                 in
-                (* Only the step's consumers move: the next compile
-                   starts from the built view again. *)
                 List.iter
                   (fun (c, slot) ->
-                    Graph.rewire_input graph ~node_id:c ~slot
+                    Graph.set_input graph ~node_id:c ~slot
                       (Node.endpoint at_var 0))
                   data.(g);
                 List.iter
                   (fun c ->
-                    Graph.rewire_control_inputs graph ~node_id:c
+                    Graph.replace_control_inputs graph ~node_id:c
                       (List.sort_uniq compare
                          (List.map
                             (fun x -> if x = g then at_var else x)
@@ -960,8 +942,6 @@ let run graph ~passes ~feeds ~fetches ~targets =
     fetches;
   List.iter (fun id -> Hashtbl.replace pinned id ()) targets;
   let prune () = Pruner.prune graph ~feeds ~fetches ~targets in
-  (* Each compiled step starts from the graph as built. *)
-  Graph.restore graph;
   (* The step definition itself is the initial node set. *)
   let nodes = ref (prune ()) in
   List.iter

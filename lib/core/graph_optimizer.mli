@@ -6,12 +6,12 @@
 
     Each step compilation runs a caller-chosen list of {!pass}es over
     the step's subgraph. Rewriting passes ({!Constant_fold}, {!Cse},
-    {!Freeze}) repoint consumer edges in the graph's executed view
-    ({!Graph.rewire_input}); the built view, which gradients and
-    {!Graph.copy} read, keeps the edges as constructed. They never
-    mutate an existing node's input array (a new node record replaces
-    it), so executors holding references to old records are
-    unaffected. A rewrite leaves the losing duplicates disconnected —
+    {!Freeze}) repoint consumer edges in the graph they are given
+    ({!Graph.set_input}); {!Session} hands them a {!Graph.copy} per
+    compiled step, so the graph a program builds on is never
+    rewritten. They never mutate an existing node's input array (a
+    new node record replaces it), so executors holding references to
+    old records are unaffected. A rewrite leaves the losing duplicates disconnected —
     follow it with a {!Prune} pass (as {!default_pipeline} does) to drop
     them from the executed node set. *)
 
@@ -96,11 +96,11 @@ val run :
   int list
 (** Run the pipeline over the step defined by [feeds]/[fetches]/[targets]
     and return the node ids the executor should compile (ascending).
-    The pipeline first drops the previous run's rewires
-    ({!Graph.restore}), so it starts from the graph as built, then
-    from an initial {!Prune} (the step definition itself); each listed
-    pass then transforms the graph or the node set. Fed nodes are never
-    folded, merged or frozen.
+    The graph is rewritten in place: pass a {!Graph.copy} to keep the
+    original (as {!Session} does for every step it compiles). The
+    pipeline starts from an initial {!Prune} (the step definition
+    itself); each listed pass then transforms the graph or the node
+    set. Fed nodes are never folded, merged or frozen.
 
     Whatever the passes, the run ends with the gather-at-variable
     rewrite (§4.2, Figure 3), then a prune if it fired: a

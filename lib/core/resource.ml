@@ -78,7 +78,7 @@ let install v ~hand_out t =
   v.version <- v.version + 1;
   t
 
-let variable_update ?(hand_out = true) v f =
+let variable_update ~hand_out v f =
   with_lock v (fun () -> install v ~hand_out (f (current v ~what:"updated")))
 
 (* Copy only while shared: a buffer no Read, peek or output holds is

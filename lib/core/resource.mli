@@ -90,14 +90,14 @@ val variable_assign : variable -> Tensor.t -> unit
     (shape is fixed by the first assignment when declared unknown). *)
 
 val variable_update :
-  ?hand_out:bool -> variable -> (Tensor.t -> Tensor.t) -> Tensor.t
+  hand_out:bool -> variable -> (Tensor.t -> Tensor.t) -> Tensor.t
 (** Atomically replace the value with [f value] and return the new value;
     this is the associative-combiner write the parameter-server
     architecture specializes (§2.2). [f] must not write its argument
-    and must return a tensor nothing else holds. [hand_out] (default
-    [true]) says the caller hands the returned tensor out, which marks
-    the variable shared; an update kernel passes whether its output is
-    read in the step. *)
+    and must return a tensor nothing else holds. [hand_out] says the
+    caller hands the returned tensor out, which marks the variable
+    shared; an update kernel passes whether its output is read in the
+    step. *)
 
 val variable_update_in_place :
   hand_out:bool -> variable -> (Tensor.t -> unit) -> Tensor.t

@@ -284,18 +284,9 @@ let signature ~feed_eps ~fetch_eps ~target_ids =
   ^ "|"
   ^ String.concat "," (List.map string_of_int (List.sort compare target_ids))
 
-(* Compiling rewrites the executed view of a graph that other sessions
-   may share, from the built view up, and reads it back into the plan:
-   one compile at a time. *)
-let compile_mutex = Mutex.create ()
+let all_nodes graph = List.init (Graph.node_count graph) Fun.id
 
 let compile t ~feed_eps ~fetch_eps ~target_ids =
-  Mutex.lock compile_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock compile_mutex) @@ fun () ->
-  let nodes =
-    Graph_optimizer.run t.graph ~passes:t.passes ~feeds:feed_eps
-      ~fetches:fetch_eps ~targets:target_ids
-  in
   (* Place the whole graph, not just this step's pruned subset. In a
      multi-process (SPMD) cluster each process compiles only the steps
      it runs or serves, so per-subset placement would let the
@@ -303,13 +294,21 @@ let compile t ~feed_eps ~fetch_eps ~target_ids =
      processes and diverge — mismatched partitions deadlock the step's
      Send/Recv pairs. Placing every node on first contact keeps the
      assignment a deterministic function of the shared graph alone. *)
-  Placement.place t.graph
-    ~nodes:(List.init (Graph.node_count t.graph) Fun.id)
-    ~devices:t.devices;
+  Placement.place t.graph ~nodes:(all_nodes t.graph) ~devices:t.devices;
+  (* Optimize a copy: the program's graph keeps its edges as built, for
+     gradients and later steps, and what the passes mint (and so every
+     rendezvous key derived from it) is a function of the graph and
+     this step alone. The minted nodes are placed on the copy. *)
+  let graph = Graph.copy ~keep_placement:true t.graph in
+  let nodes =
+    Graph_optimizer.run graph ~passes:t.passes ~feeds:feed_eps
+      ~fetches:fetch_eps ~targets:target_ids
+  in
+  Placement.place graph ~nodes:(all_nodes graph) ~devices:t.devices;
   let devs =
     List.sort_uniq compare
       (List.filter_map
-         (fun id -> (Graph.get t.graph id).Node.assigned_device)
+         (fun id -> (Graph.get graph id).Node.assigned_device)
          nodes)
   in
   let fed_ids = List.map (fun (e : Node.endpoint) -> e.node_id) feed_eps in
@@ -324,12 +323,12 @@ let compile t ~feed_eps ~fetch_eps ~target_ids =
       [
         {
           device = (match devs with [ d ] -> Some d | _ -> None);
-          plan = prepare ~graph:t.graph ~nodes ~fed_ids;
+          plan = prepare ~graph ~nodes ~fed_ids;
           find = Option.some;
         };
       ]
   | _ -> (
-      match Partition.partition t.graph ~nodes with
+      match Partition.partition graph ~nodes with
       | Ok parts ->
           List.map
             (fun (p : Partition.partition) ->

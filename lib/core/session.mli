@@ -6,7 +6,9 @@
     partitions the result into per-device subgraphs with [Send]/[Recv]
     pairs, and {e caches} the compiled step so a large graph can be
     re-executed with one cheap call per step (§3.3's low-latency repeated
-    execution). Multi-device steps run one executor per partition, all
+    execution). The optimizations rewrite a copy of the graph per step
+    ({!Graph.copy}): the graph itself keeps its edges as built, and
+    compiling only sets its device assignments. Multi-device steps run one executor per partition, all
     on the calling thread as fibers of {!Scheduler.run_parts},
     synchronized through a per-step {!Rendezvous}.
 

@@ -94,11 +94,7 @@ let endpoint_list outputs = List.map B.endpoint_of_output outputs
    function of its placeholders: any surviving stateful operation means
    a variable the lookup could not resolve (or state the model really
    depends on), and a "frozen" server would silently read live state. *)
-let verify_stateless graph ~inputs ~outputs =
-  let nodes =
-    Octf.Pruner.prune graph ~feeds:(endpoint_list inputs)
-      ~fetches:(endpoint_list outputs) ~targets:[]
-  in
+let verify_stateless graph nodes =
   let offenders =
     List.filter_map
       (fun id ->
@@ -134,19 +130,20 @@ let freeze ?(config = Session.Config.default) ?quantize ?ranges ~values
     | None -> Option.get resolved.Session.Config.quantize
   in
   let fusion = Option.get resolved.Session.Config.fusion in
-  let config =
-    {
-      config with
-      Session.Config.passes =
-        Some (freeze_pipeline ~quantize ~fusion ?ranges values);
-    }
+  let nodes =
+    GO.run graph
+      ~passes:(freeze_pipeline ~quantize ~fusion ?ranges values)
+      ~feeds:(endpoint_list inputs) ~fetches:(endpoint_list outputs)
+      ~targets:[]
   in
+  verify_stateless graph nodes;
+  (* The copy is frozen and optimized: the session only prunes it.
+     Compile the inference step now: every request then reuses the
+     cached plan — the signature ignores shapes, so one plan serves
+     every batch size. *)
+  let config = { config with Session.Config.passes = Some [] } in
   let session = Session.create ~config graph in
-  (* Compile (and thereby freeze) the inference step now: every request
-     then reuses the cached plan — the signature ignores shapes, so one
-     plan serves every batch size. *)
   Session.precompile ~feeds:inputs session outputs;
-  verify_stateless graph ~inputs ~outputs;
   session
 
 let freeze_session ?config ?quantize ?ranges ~inputs ~outputs session =

@@ -801,16 +801,6 @@ let scatter_add_in_place = scatter_rows "scatter_add" ~sub:false
 
 let scatter_sub_in_place = scatter_rows "scatter_sub" ~sub:true
 
-let scatter_add acc indices updates =
-  let out = T.copy acc in
-  scatter_add_in_place out indices updates;
-  out
-
-let scatter_sub acc indices updates =
-  let out = T.copy acc in
-  scatter_sub_in_place out indices updates;
-  out
-
 let scatter_update_in_place out indices updates =
   let what = "scatter_update" in
   if T.rank out < 1 then

@@ -140,22 +140,15 @@ val gather : Tensor.t -> Tensor.t -> Tensor.t
 (** [gather params indices] selects rows (axis 0) of [params]; the result
     shape is [shape indices @ (shape params).(1..)]. *)
 
-val scatter_add : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
-(** [scatter_add acc indices updates] returns a copy of [acc] with
-    [updates] rows added at [indices] (duplicates accumulate in order of
-    occurrence). Float and integer dtypes; integers stay exact.
+val scatter_add_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
+(** [scatter_add_in_place acc indices updates] adds [updates] rows into
+    [acc] at [indices] (duplicates accumulate in order of occurrence).
+    Float and integer dtypes; integers stay exact.
     @raise Invalid_argument, before any write, on an index out of
     range, a size or dtype mismatch, or another dtype (named). *)
 
-val scatter_sub : Tensor.t -> Tensor.t -> Tensor.t -> Tensor.t
-(** Like {!scatter_add}, subtracting the rows. *)
-
-val scatter_add_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
-(** {!scatter_add} writing into its first argument; it raises, as
-    {!scatter_add} does, before any write. *)
-
 val scatter_sub_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
-(** {!scatter_sub} writing into its first argument. *)
+(** Like {!scatter_add_in_place}, subtracting the rows. *)
 
 val scatter_update_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
 (** [scatter_update_in_place out indices updates] overwrites row
@@ -165,8 +158,9 @@ val scatter_update_in_place : Tensor.t -> Tensor.t -> Tensor.t -> unit
     or a size mismatch. *)
 
 val scatter_into_shape : Shape.t -> Tensor.t -> Tensor.t -> Tensor.t
-(** [scatter_into_shape shape indices updates] is {!scatter_add} into
-    zeros of [shape] (the dense form of a sparse gradient). *)
+(** [scatter_into_shape shape indices updates] is
+    {!scatter_add_in_place} into zeros of [shape] (the dense form of a
+    sparse gradient). *)
 
 val unique_segment_sum : Tensor.t -> Tensor.t -> Tensor.t * Tensor.t
 (** [unique_segment_sum indices values] deduplicates a sparse gradient:

@@ -396,8 +396,8 @@ let suite =
 
 (* Optimizer rewrites stay out of graph construction: a step compiled
    with fusion rewires Tanh onto a FusedElementwise, which has no
-   gradient, in the executed view only. Gradients taken afterwards are
-   those of the graph as built, with fusion on or off. *)
+   gradient, in the session's copy of the graph only. Gradients taken
+   afterwards are those of the graph as built, with fusion on or off. *)
 let grads_after_compile ~fusion =
   let b = B.create () in
   let x = B.placeholder b ~shape:[| 2; 2 |] Dtype.F32 in

@@ -290,6 +290,42 @@ let test_bad_fused_expr_not_folded () =
   | _ -> Alcotest.fail "bad expr ran"
   | exception _ -> ()
 
+(* A session optimizes a copy of the graph per compiled step. Two steps
+   share a foldable Exp and each has a fusable chain: compiling them
+   adds no node to the graph, and the kernels a step runs (the names
+   the passes minted among them) do not depend on which step a session
+   compiled first. *)
+let test_compiles_leave_graph_as_built () =
+  let b = B.create () in
+  let x = B.placeholder b ~name:"x" ~shape:[| 2 |] Dtype.F32 in
+  let c = B.exp b (B.const b (Tensor.of_float_array [| 2 |] [| 0.5; 1.0 |])) in
+  let y1 = B.tanh b (B.add b (B.mul b x c) c) in
+  let y2 = B.relu b (B.sub b (B.mul b x c) c) in
+  let built = Graph.node_count (B.graph b) in
+  let feeds = [ (x, Tensor.of_float_array [| 2 |] [| 0.25; -2.0 |]) ] in
+  let kernels s y =
+    let _, md =
+      Session.run_with_metadata
+        ~options:(Session.Run_options.v ~feeds ~trace:true ())
+        s [ y ]
+    in
+    List.sort compare
+      (List.map
+         (fun (e : Tracer.event) -> e.Tracer.name)
+         (Tracer.events (Option.get md.Session.Run_metadata.tracer)))
+  in
+  let s1 = Session.create (B.graph b) and s2 = Session.create (B.graph b) in
+  let y1_first = kernels s1 y1 in
+  let y2_second = kernels s1 y2 in
+  let y2_first = kernels s2 y2 in
+  let y1_second = kernels s2 y1 in
+  Alcotest.(check bool) "Exp folded" true
+    (List.mem "Exp/folded" y1_first && List.mem "Exp/folded" y2_first);
+  Alcotest.(check (list string)) "y1 alike" y1_first y1_second;
+  Alcotest.(check (list string)) "y2 alike" y2_first y2_second;
+  ignore (kernels s1 y1);
+  Alcotest.(check int) "no node added" built (Graph.node_count (B.graph b))
+
 let suite =
   [
     Alcotest.test_case "constant folding" `Quick test_constant_folding;
@@ -310,4 +346,6 @@ let suite =
     Alcotest.test_case "is_pure" `Quick test_is_pure;
     Alcotest.test_case "bad fused expr not folded" `Quick
       test_bad_fused_expr_not_folded;
+    Alcotest.test_case "compiles leave the graph as built" `Quick
+      test_compiles_leave_graph_as_built;
   ]

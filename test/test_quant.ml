@@ -689,9 +689,10 @@ let one_layer_graph () =
   let out = B.identity b act in
   (b, x, out)
 
-(* Count [op] among the nodes the fetch actually depends on: rewriting
-   passes leave the losing originals disconnected in the graph, so a
-   whole-graph count would see stale nodes. *)
+(* Count [op] among the nodes the fetch actually depends on in a frozen
+   session's graph, which {!Octf_serving.Serving.freeze} rewrote in
+   place: rewriting passes leave the losing originals disconnected in
+   the graph, so a whole-graph count would see stale nodes. *)
 let count_ops session (fetch : B.output) op =
   let graph = Session.graph session in
   let seen = Hashtbl.create 16 in
@@ -709,6 +710,21 @@ let count_ops session (fetch : B.output) op =
   !n
 
 let feed_x rng = Tensor.uniform rng [| 2; 4 |] ~lo:(-1.0) ~hi:1.0
+
+(* The op types of the kernels one traced step of [fetch] runs. A
+   session optimizes a copy of its graph, so what the passes rewrote
+   shows in the step, not in [Session.graph]. *)
+let ran_ops session ~feeds (fetch : B.output) =
+  let _, md =
+    Session.run_with_metadata
+      ~options:(Session.Run_options.v ~feeds ~trace:true ())
+      session [ fetch ]
+  in
+  List.map
+    (fun (e : Tracer.event) -> e.Tracer.op_type)
+    (Tracer.events (Option.get md.Session.Run_metadata.tracer))
+
+let count_ran ops op = List.length (List.filter (( = ) op) ops)
 
 let test_pass_calibrated_island () =
   let islands0 = metric "octf_quant_islands_total" in
@@ -733,9 +749,10 @@ let test_pass_calibrated_island () =
   let got = List.hd (Session.run ~feeds:[ (x2, xv) ] sq [ out2 ]) in
   Alcotest.(check bool) "quantized output close" true
     (Tensor.approx_equal ~tol:0.1 reference got);
+  let ops = ran_ops sq ~feeds:[ (x2, xv) ] out2 in
   Alcotest.(check int) "codes-out island present" 1
-    (count_ops sq out2 "QuantizedMatMulQ");
-  Alcotest.(check int) "relu absorbed" 0 (count_ops sq out2 "Relu");
+    (count_ran ops "QuantizedMatMulQ");
+  Alcotest.(check int) "relu absorbed" 0 (count_ran ops "Relu");
   Alcotest.(check bool) "island metric bumped" true
     (metric "octf_quant_islands_total" >= islands0 +. 1.0);
   (* 4x weight memory cut, measured on this pass's weights alone *)
@@ -765,8 +782,9 @@ let test_pass_dynamic_island () =
   Alcotest.(check bool) "dynamic quantized output close" true
     (Tensor.approx_equal ~tol:0.1 reference got);
   (* no output range: the island is the root alone, float-out *)
-  Alcotest.(check int) "float-out island" 1 (count_ops sq out2 "QuantizedMatMul");
-  Alcotest.(check int) "bias/relu stay float" 1 (count_ops sq out2 "Relu");
+  let ops = ran_ops sq ~feeds:[ (x2, xv) ] out2 in
+  Alcotest.(check int) "float-out island" 1 (count_ran ops "QuantizedMatMul");
+  Alcotest.(check int) "bias/relu stay float" 1 (count_ran ops "Relu");
   Alcotest.(check bool) "island metric bumped" true
     (metric "octf_quant_islands_total" >= islands0 +. 1.0)
 
@@ -810,11 +828,12 @@ let test_pass_elides_between_islands () =
   let got = List.hd (Session.run ~feeds:[ (x2, xv) ] sq [ out2 ]) in
   Alcotest.(check bool) "two-layer quantized output close" true
     (Tensor.approx_equal ~tol:0.2 reference got);
+  let ops = ran_ops sq ~feeds:[ (x2, xv) ] out2 in
   Alcotest.(check int) "both islands rewritten" 2
-    (count_ops sq out2 "QuantizedMatMulQ");
+    (count_ran ops "QuantizedMatMulQ");
   (* layer2's input Quantize was elided: only layer1's input quantizes *)
   Alcotest.(check int) "one live input quantize" 1
-    (count_ops sq out2 "Quantize" + count_ops sq out2 "QuantizeRange");
+    (count_ran ops "Quantize" + count_ran ops "QuantizeRange");
   Alcotest.(check bool) "elision metric bumped" true
     (metric "octf_quant_elisions_total" >= elisions0 +. 1.0)
 
@@ -851,8 +870,9 @@ let test_pass_inert_on_variables () =
   Session.run_unit sq [ init2 ];
   let got = List.hd (Session.run ~feeds:[ (x2, xv) ] sq [ out2 ]) in
   Alcotest.(check bool) "bit-identical" true (Tensor.equal reference got);
+  let ops = ran_ops sq ~feeds:[ (x2, xv) ] out2 in
   Alcotest.(check int) "no islands" 0
-    (count_ops sq out2 "QuantizedMatMul" + count_ops sq out2 "QuantizedMatMulQ")
+    (count_ran ops "QuantizedMatMul" + count_ran ops "QuantizedMatMulQ")
 
 let test_pass_skips_fetched_root () =
   (* Fetching the matmul itself pins it: logits stay float. *)
@@ -871,8 +891,9 @@ let test_pass_skips_fetched_root () =
   in
   let xv = feed_x (Rng.create 95) in
   let got = List.hd (Session.run ~feeds:[ (x, xv) ] sq [ out ]) in
+  let ops = ran_ops sq ~feeds:[ (x, xv) ] out in
   Alcotest.(check int) "not rewritten" 0
-    (count_ops sq out "QuantizedMatMul" + count_ops sq out "QuantizedMatMulQ");
+    (count_ran ops "QuantizedMatMul" + count_ran ops "QuantizedMatMulQ");
   (* exact float matmul of ones-weights: row sums of x *)
   for i = 0 to 1 do
     let want = ref 0.0 in
@@ -907,7 +928,8 @@ let test_pass_quantizes_conv () =
       (B.graph b)
   in
   let got = List.hd (Session.run ~feeds:[ (x, xv) ] sq [ out ]) in
-  Alcotest.(check int) "conv island" 1 (count_ops sq out "QuantizedConv2D");
+  Alcotest.(check int) "conv island" 1
+    (count_ran (ran_ops sq ~feeds:[ (x, xv) ] out) "QuantizedConv2D");
   Alcotest.(check bool) "conv output close" true
     (Tensor.approx_equal ~tol:0.2 reference got)
 

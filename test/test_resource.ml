@@ -26,7 +26,7 @@ let test_update_snapshot_isolation () =
   Resource.variable_assign v (Tensor.of_float_array [| 1 |] [| 1.0 |]);
   let snapshot = Resource.variable_read v in
   ignore
-    (Resource.variable_update v (fun old ->
+    (Resource.variable_update ~hand_out:true v (fun old ->
          Tensor_ops.add old (Tensor.scalar_f 1.0)));
   Alcotest.(check (float 0.)) "snapshot stable" 1.0
     (Tensor.flat_get_f snapshot 0);
@@ -44,7 +44,7 @@ let test_concurrent_updates_atomic () =
           (fun () ->
             for _ = 1 to 500 do
               ignore
-                (Resource.variable_update v (fun old ->
+                (Resource.variable_update ~hand_out:true v (fun old ->
                      Tensor_ops.add old (Tensor.scalar_f 1.0)))
             done)
           ())

@@ -217,9 +217,9 @@ let test_gather_scatter () =
   Alcotest.check_raises "oob"
     (Invalid_argument "Tensor_ops.gather: index 9 out of range [0,4)")
     (fun () -> ignore (O.gather params (Tensor.of_int_array [| 1 |] [| 9 |])));
-  let acc = Tensor.zeros Dtype.F32 [| 4; 2 |] in
+  let s = Tensor.zeros Dtype.F32 [| 4; 2 |] in
   let updates = t2 3 2 [| 1.; 1.; 2.; 2.; 3.; 3. |] in
-  let s = O.scatter_add acc idx updates in
+  O.scatter_add_in_place s idx updates;
   (* duplicate index 2 accumulates *)
   check_t "scatter add"
     (t2 4 2 [| 2.; 2.; 0.; 0.; 4.; 4.; 0.; 0. |])
@@ -243,7 +243,7 @@ let prop_gather_scatter_adjoint =
         Tensor.fold_f ( +. ) 0.0 (O.mul (O.gather params idx) updates)
       in
       let scattered =
-        O.scatter_add (Tensor.zeros Dtype.F32 [| rows; 3 |]) idx updates
+        O.scatter_into_shape [| rows; 3 |] idx updates
       in
       let rhs = Tensor.fold_f ( +. ) 0.0 (O.mul params scattered) in
       Float.abs (lhs -. rhs) < 1e-6)
